@@ -46,6 +46,21 @@
 // zero compressor evaluations. CompressResult.Direct reports when this fast
 // path ran; CodecInfo.FixedRate identifies the codecs that enable it.
 //
+// Two more need very little of it: PSNR and max-error targets on a codec
+// whose parameter is an error magnitude (CodecInfo.ErrorBounded and not
+// Lossless: sz:abs, sz:rel, szx:abs, zfp:accuracy, mgard:abs, mgard:l2) are
+// tuned model first. Both follow the bound monotonically and have a closed
+// form for a uniform quantiser (for PSNR, bound ≈ range·√3·10^(−dB/20)), so
+// the tuner measures the model's bound and corrects a miss with a
+// sequential bracket — one to eight evaluations, CompressResult.Evaluations
+// says how many, and the same archive at any Workers setting. Only a
+// measured in-band evaluation is ever sealed. Where the bracket finds none
+// (a staircase curve, an unreachable target) the region-parallel search
+// runs as the fallback and decides, ErrInfeasible included. Fixed-ratio and
+// SSIM targets, and every target on zfp:rate, zfp:precision and frsz:rate,
+// take the region-parallel search. Which path runs follows from the
+// objective and the codec; there is nothing to configure.
+//
 // Decompression needs no configuration — the container header carries the
 // codec, tuned bound, achieved ratio, shape, element type, and (for
 // quality-targeted archives) the recorded objective:
@@ -127,8 +142,9 @@
 //
 //   - internal/core      — the FRaZ autotuner and parallel orchestrator: the
 //     objective-generic search (ratio/PSNR/SSIM/max-error through one
-//     region-parallel loop) plus the blocked sealing path (tune on a sampled
-//     block, compress all blocks concurrently)
+//     region-parallel loop), the model-first search that PSNR and max-error
+//     take ahead of it on error-magnitude codecs, plus the blocked sealing
+//     path (tune on a sampled block, compress all blocks concurrently)
 //   - internal/pressio   — the generic codec layer (libpressio analogue): codec
 //     registry with capabilities, the shared evaluation cache (compress-only
 //     and full round-trip entries, bounded with FIFO eviction), and the

@@ -23,6 +23,20 @@
 // reports the closest ratio it observed and marks the result infeasible,
 // leaving the decision of relaxing ε or U (or switching compressors) to the
 // user, exactly as §V-B3 prescribes.
+//
+// Which search a tuning run takes follows from the objective and the codec,
+// never from a setting:
+//
+//   - FixedRatio on a true fixed-rate codec (frsz:rate) is satisfied
+//     directly, by arithmetic, with no evaluation;
+//   - FixedPSNR and FixedMaxError on a codec whose parameter is an error
+//     magnitude (error-bounded, not lossless: sz:abs, sz:rel, zfp:accuracy,
+//     mgard:abs, mgard:l2, szx:abs) are tuned model first (model.go): the
+//     objective's closed form names the first bound and a sequential
+//     bracket corrects a miss, within eight evaluations; the region search
+//     above is its fallback, for staircase curves and unreachable targets;
+//   - everything else — FixedRatio, FixedSSIM, and any objective on
+//     zfp:rate, zfp:precision or frsz:rate — takes the region search.
 package core
 
 import (
@@ -187,7 +201,8 @@ type Result struct {
 	CacheHits   int
 	CacheMisses int
 	// Regions reports the per-region search results (empty when the
-	// prediction was reused).
+	// prediction was reused). A model-first run lists its probes, in probe
+	// order, as the first entry; the regions of a fallback search follow.
 	Regions []RegionResult
 	// Elapsed is the wall-clock tuning time.
 	Elapsed time.Duration
@@ -221,6 +236,9 @@ type Tuner struct {
 	cfg        Config
 	obj        Objective
 	cache      *pressio.Cache
+	// modelFirst selects the predict-then-bracket search of model.go ahead
+	// of the region search; it follows from the objective and the codec.
+	modelFirst bool
 }
 
 // NewTuner validates the configuration and returns a Tuner.
@@ -260,7 +278,7 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 		cfg.TargetRatio = obj.Target
 		cfg.Tolerance = obj.Tolerance
 	}
-	return &Tuner{compressor: c, cfg: cfg, obj: obj, cache: cache}, nil
+	return &Tuner{compressor: c, cfg: cfg, obj: obj, cache: cache, modelFirst: modelFirst(obj, c)}, nil
 }
 
 // Compressor returns the compressor being tuned.
@@ -305,8 +323,8 @@ func (t *Tuner) searchRange(buf pressio.Buffer) (float64, float64, error) {
 	return lo, hi, nil
 }
 
-// TuneBuffer runs the full region-parallel search for a single
-// field/time-step buffer (Algorithms 1 and 2 with no prediction).
+// TuneBuffer tunes a single field/time-step buffer with no prediction
+// (Algorithms 1 and 2).
 func (t *Tuner) TuneBuffer(ctx context.Context, buf pressio.Buffer) (Result, error) {
 	return t.TuneWithPrediction(ctx, buf, 0)
 }
@@ -346,8 +364,10 @@ func (t *Tuner) measure(eval *pressio.Evaluator) func(bound float64) (Evaluation
 
 // TuneWithPrediction implements the worker-task algorithm (Algorithm 1): if
 // a prediction (a previously successful error bound) is provided it is tried
-// first, and only if it misses the acceptance band does the region-parallel
-// training run.
+// first, and only if it misses the acceptance band does the training run —
+// the model-first search where the objective and the codec allow it (with
+// the missed prediction as its first point), the region-parallel search
+// otherwise and as its fallback.
 func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, error) {
 	start := time.Now()
 	if !t.compressor.SupportsShape(buf.Shape) {
@@ -388,6 +408,10 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	eval := pressio.NewEvaluator(t.cache, t.compressor, buf)
 	measure := t.measure(eval)
 
+	// missed is the evaluation of a prediction that ran and fell outside the
+	// band: no answer, but a measured point the model-first search starts
+	// from.
+	var missed *Evaluation
 	if prediction > 0 {
 		ev, err := measure(prediction)
 		res.Iterations++
@@ -402,12 +426,27 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 			res.CacheHits, res.CacheMisses = eval.Stats()
 			res.Elapsed = time.Since(start)
 			return res, nil
+		} else if !math.IsNaN(ev.Value) {
+			missed = &ev
 		}
 	}
 
 	lo, hi, err := t.searchRange(buf)
 	if err != nil {
 		return Result{}, err
+	}
+	if t.modelFirst {
+		rr, found := t.modelSearch(ctx, measure, buf, lo, hi, missed)
+		res.Regions = append(res.Regions, rr)
+		res.Iterations += rr.Iterations
+		if found != nil {
+			res.fill(*found, true)
+			res.CacheHits, res.CacheMisses = eval.Stats()
+			res.Elapsed = time.Since(start)
+			return res, nil
+		}
+		// No in-band bound among the probes: the region search below decides,
+		// and finds them in the cache.
 	}
 	// Quality metrics respond to the order of magnitude of the bound rather
 	// than its absolute value, so their objectives search in log space: the
@@ -434,19 +473,22 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	}
 	outcomes := parallel.RunUntilAcceptable(ctx, t.cfg.Workers, tasks)
 
-	// Collect region results and pick the recommendation: among in-band
+	for _, o := range outcomes {
+		rr := o.Value
+		rr.Started = o.Started
+		res.Regions = append(res.Regions, rr)
+		res.Iterations += rr.Iterations
+	}
+	// Pick the recommendation from everything observed (the model-first
+	// probes, when there were any, are the first entry): among in-band
 	// evaluations the closest to the target (Algorithm 2, lines 17–26) — or,
 	// for PreferRatio objectives, the highest-ratio in-band one — otherwise
 	// the evaluation whose value is closest to the target.
 	var best *Evaluation
 	bestDist := math.Inf(1)
 	feasible := false
-	for _, o := range outcomes {
-		rr := o.Value
-		rr.Started = o.Started
-		res.Regions = append(res.Regions, rr)
-		res.Iterations += rr.Iterations
-		if !o.Started || rr.Err != nil {
+	for _, rr := range res.Regions {
+		if !rr.Started || rr.Err != nil {
 			continue
 		}
 		for i := range rr.Evaluations {
@@ -586,14 +628,7 @@ func (t *Tuner) searchRegion(ctx context.Context, measure func(float64) (Evaluat
 		return rr
 	}
 	rr.Acceptable = optRes.Converged && ctx.Err() == nil
-	// Record the best evaluation observed in this region.
-	bestDist := math.Inf(1)
-	for _, ev := range rr.Evaluations {
-		if d := math.Abs(ev.Value - t.obj.Target); d < bestDist {
-			bestDist = d
-			rr.Best = ev
-		}
-	}
+	rr.Best = closest(rr.Evaluations, t.obj.Target)
 	return rr
 }
 

@@ -16,7 +16,10 @@ import (
 // clamped quadratic loss, the region-parallel MaxLIPO minimiser with an
 // early-termination cutoff, and the time-step bound-reuse loop — so the
 // objective only states what is measured, what value is wanted, and how
-// acceptance is judged.
+// acceptance is judged. Objectives that also state a model of how their
+// value follows an error-magnitude bound (LogBoundFor: PSNR and max-error)
+// are tuned model first on codecs with such a bound, and reach that search
+// machinery only as the fallback; see model.go.
 
 // Default acceptance tolerances per built-in objective. Ratio and PSNR
 // tolerances are fractional (the band is target·(1±ε), matching the paper's
@@ -71,6 +74,16 @@ type Objective struct {
 	// tolerate a nil Evaluation.Report (return NaN) so compress-only
 	// evaluations degrade cleanly.
 	Achieved func(ev Evaluation) float64
+	// LogBoundFor, when set, is the objective's closed-form model: the
+	// natural log of the error-magnitude bound at which a uniform-quantising
+	// codec reconstructs a field of the given value range with the given
+	// objective value. It must be monotone in value. Setting it selects the
+	// model-first search (model.go) on codecs whose parameter is an error
+	// magnitude: the model names the first bound, and the same function
+	// linearises measured values, because a codec that follows the model
+	// measures LogBoundFor(value) ≈ ln(bound) — unit slope — so the distance
+	// to the wanted value is the step in ln(bound) that corrects a miss.
+	LogBoundFor func(value, valueRange float64) float64
 	// MinRank and MaxRank bound the data ranks the objective is measurable
 	// on (zero = unbounded). SSIM is an image metric: it needs a 2-D slice,
 	// so tuning it on 1-D data would burn the whole round-trip budget
@@ -118,6 +131,11 @@ func FixedPSNR(db float64) Objective {
 			}
 			return ev.Report.PSNR
 		},
+		// Fixed-PSNR (Tao et al.): errors uniform in [−eb, eb] have RMSE
+		// eb/√3, so PSNR = 20·log10(vr·√3/eb) and eb = vr·√3·10^(−PSNR/20).
+		LogBoundFor: func(db, valueRange float64) float64 {
+			return math.Log(valueRange*math.Sqrt(3)) - db*math.Ln10/20
+		},
 	}
 }
 
@@ -161,6 +179,9 @@ func FixedMaxError(u float64) Objective {
 			}
 			return ev.Report.MaxError
 		},
+		// An error-bounded codec spends at most its bound, and on all but
+		// the smoothest fields nearly all of it.
+		LogBoundFor: func(u, _ float64) float64 { return math.Log(u) },
 	}
 }
 
@@ -247,8 +268,11 @@ func (o Objective) Loss(achieved float64) float64 {
 // the compressed size, so a true fixed-rate codec (one implementing
 // pressio.RateCompressor) can invert the target into its bits-per-value
 // parameter arithmetically. Quality objectives (PSNR/SSIM/max-error) are
-// measured on the reconstruction, which no capability predicts — they
-// always search.
+// measured on the reconstruction, which no capability predicts exactly, so
+// a sealed quality archive always rests on at least one measured
+// evaluation: PSNR and max-error on an error-magnitude codec take the
+// model-first search (model.go, one to eight evaluations), SSIM and the
+// remaining codecs the region search.
 func (o Objective) DirectlySatisfiable() bool {
 	return o.Name == "ratio" && !o.NeedsReport
 }

@@ -13,11 +13,17 @@ import (
 
 func nyxBuffer(t *testing.T) pressio.Buffer {
 	t.Helper()
-	d, err := dataset.New("NYX", dataset.ScaleTiny)
+	return datasetBuffer(t, "NYX", "velocity_x")
+}
+
+// datasetBuffer generates step 0 of one tiny dataset field.
+func datasetBuffer(t *testing.T, name, field string) pressio.Buffer {
+	t.Helper()
+	d, err := dataset.New(name, dataset.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, shape, err := d.Generate("velocity_x", 0)
+	data, shape, err := d.Generate(field, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 
 	"fraz/internal/grid"
 	"fraz/internal/huffman"
+	"fraz/internal/pool"
 	"fraz/internal/quantize"
 )
 
@@ -115,8 +116,12 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	levels := numLevels(shape)
 	step := coefficientBound(opts, levels)
 
-	// Forward multilevel decomposition on a float64 working copy.
-	work := make([]float64, len(data))
+	// Forward multilevel decomposition on a float64 working copy. The copy
+	// and the codes are scratch of this call, every element of both written
+	// before it is read, so they come from the pool: a search compresses the
+	// same field once per candidate bound.
+	work := pool.GetFloat64(len(data))
+	defer pool.PutFloat64(work)
 	for i, v := range data {
 		work[i] = float64(v)
 	}
@@ -127,7 +132,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	codes := make([]int32, len(work))
+	codes := pool.GetInt32(len(work))
+	defer pool.PutInt32(codes)
 	literals := make([]T, 0)
 	for i, c := range work {
 		code, recon, ok := q.Quantize(c, 0)
@@ -145,7 +151,11 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		return nil, fmt.Errorf("mgard: huffman stage: %w", err)
 	}
 
+	// The buffers are sized up front — the payload and the stream exactly,
+	// the DEFLATE output to the size at which it is discarded for being no
+	// smaller — so none grows by reallocation.
 	var payload bytes.Buffer
+	payload.Grow(8 + len(huffBytes) + len(literals)*grid.ElemSize[T]())
 	writeUint32(&payload, uint32(len(huffBytes)))
 	payload.Write(huffBytes)
 	writeUint32(&payload, uint32(len(literals)))
@@ -153,10 +163,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 
 	body := payload.Bytes()
 	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
-	}
+	comp.Grow(len(body))
+	fw := pool.GetFlateWriter(&comp)
+	defer pool.PutFlateWriter(fw)
 	if _, err := fw.Write(body); err != nil {
 		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
 	}
@@ -170,6 +179,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	var out bytes.Buffer
+	out.Grow(15 + 4*nd + len(body))
 	writeUint32(&out, magicFor[T]())
 	out.WriteByte(byte(opts.Norm))
 	out.WriteByte(dictFlag)

@@ -4,7 +4,8 @@
 // staging, and codec-internal bit scratch. Each element type keeps one
 // sync.Pool per power-of-two capacity class, so a Get is answered by a slice
 // whose capacity is within 2x of the request and a steady-state pipeline
-// recycles instead of allocating.
+// recycles instead of allocating. The DEFLATE writers of the codecs'
+// dictionary stage are recycled here too (GetFlateWriter).
 //
 // Ownership discipline: a slice handed to Put must not be referenced again
 // by the caller — the next Get may hand it to anyone. Slices returned by Get
@@ -15,6 +16,8 @@
 package pool
 
 import (
+	"compress/flate"
+	"io"
 	"math/bits"
 	"sync"
 )
@@ -122,3 +125,27 @@ func GetInt64(n int) []int64 { return i64Pool.get(n) }
 
 // PutInt64 parks an int64 slice for reuse.
 func PutInt64(s []int64) { i64Pool.put(s) }
+
+// flateWriters recycles the DEFLATE state of the codecs' dictionary stage. A
+// flate.Writer at BestSpeed is 1.2 MB that NewWriter allocates and clears;
+// the search calls the stage once per evaluation, so without the pool every
+// candidate bound pays for that again. A reset writer produces the bytes a
+// new one would.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		panic(err) // the level constant is valid; NewWriter cannot fail on it
+	}
+	return fw
+}}
+
+// GetFlateWriter returns a BestSpeed DEFLATE writer reset to write to w.
+func GetFlateWriter(w io.Writer) *flate.Writer {
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(w)
+	return fw
+}
+
+// PutFlateWriter parks a writer from GetFlateWriter for reuse, whether or
+// not it was closed.
+func PutFlateWriter(fw *flate.Writer) { flateWriters.Put(fw) }

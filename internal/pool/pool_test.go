@@ -1,6 +1,10 @@
 package pool
 
-import "testing"
+import (
+	"bytes"
+	"compress/flate"
+	"testing"
+)
 
 func TestGetLengthAndReuse(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 1000, 1 << 20} {
@@ -55,5 +59,37 @@ func TestOutOfRangeGet(t *testing.T) {
 	s := GetUint32(1<<maxBucket + 1)
 	if len(s) != 1<<maxBucket+1 {
 		t.Fatalf("oversized get returned length %d", len(s))
+	}
+}
+
+// A recycled DEFLATE writer must write the bytes a new one would: the codecs'
+// streams, and so every tuned ratio, depend on it.
+func TestFlateWriterReuseMatchesFresh(t *testing.T) {
+	inputs := [][]byte{
+		bytes.Repeat([]byte("fixed-ratio "), 9000),
+		bytes.Repeat([]byte{0, 1, 2, 3, 5, 8, 13, 21, 34}, 30000),
+		[]byte("short"),
+	}
+	for round := 0; round < 2; round++ {
+		for i, in := range inputs {
+			var fresh, pooled bytes.Buffer
+			fw, err := flate.NewWriter(&fresh, flate.BestSpeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw := GetFlateWriter(&pooled)
+			for _, w := range []*flate.Writer{fw, pw} {
+				if _, err := w.Write(in); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			PutFlateWriter(pw)
+			if !bytes.Equal(fresh.Bytes(), pooled.Bytes()) {
+				t.Fatalf("round %d input %d: pooled writer wrote %d bytes that differ from a new writer's %d", round, i, pooled.Len(), fresh.Len())
+			}
+		}
 	}
 }

@@ -238,11 +238,15 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			apiError{Error: fmt.Sprintf("field of %d bytes exceeds the %d-byte limit", want, s.cfg.MaxFieldBytes)})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, want+1))
-	if err != nil {
+	// The shape fixes the body's size, so it is read into one buffer of that
+	// size plus a byte that must stay empty, not grown into by ReadAll.
+	body := make([]byte, want+1)
+	n, err := io.ReadFull(r.Body, body)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		s.fail(w, epCompress, http.StatusBadRequest, apiError{Error: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
+	body = body[:n]
 	if int64(len(body)) != want {
 		s.fail(w, epCompress, http.StatusBadRequest,
 			apiError{Error: fmt.Sprintf("body is %d bytes; shape %v at %d bytes/value needs exactly %d", len(body), p.shape, elemSize, want)})

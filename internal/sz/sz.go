@@ -167,7 +167,12 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	// Assemble the uncompressed container, then run the dictionary stage.
+	// The buffers are sized up front — the payload and the stream exactly,
+	// the DEFLATE output to the size at which it is discarded for being no
+	// smaller — so none grows by reallocation, once per evaluation of a
+	// search.
 	var payload bytes.Buffer
+	payload.Grow(12 + len(blockMeta) + len(huffBytes) + len(literals)*grid.ElemSize[T]())
 	writeUint32(&payload, uint32(len(blockMeta)))
 	payload.Write(blockMeta)
 	writeUint32(&payload, uint32(len(huffBytes)))
@@ -179,10 +184,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	dictFlag := byte(0)
 	if !o.DisableDictionary {
 		var comp bytes.Buffer
-		fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
-		}
+		comp.Grow(len(body))
+		fw := pool.GetFlateWriter(&comp)
+		defer pool.PutFlateWriter(fw)
 		if _, err := fw.Write(body); err != nil {
 			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
 		}
@@ -196,6 +200,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	var out bytes.Buffer
+	out.Grow(22 + 4*shape.NDims() + len(body))
 	writeUint32(&out, magicFor[T]())
 	out.WriteByte(dictFlag)
 	out.WriteByte(byte(shape.NDims()))

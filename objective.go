@@ -15,15 +15,20 @@ import (
 // while FixedPSNR, FixedSSIM, and FixedMaxError target the reconstruction's
 // quality — the "error bounds that correspond with the quality of a
 // scientist's analysis result" of the paper's future-work list. Every
-// objective runs through the same region-parallel search, time-step bound
-// reuse, and evaluation cache; pass one to New via Target (or the TargetPSNR
-// / TargetSSIM / TargetMaxError sugar).
+// objective shares the time-step bound reuse, the evaluation cache and the
+// acceptance test on a measured value; pass one to New via Target (or the
+// TargetPSNR / TargetSSIM / TargetMaxError sugar).
 //
 // Quality objectives measure each candidate bound on the decompressed data
-// (a compress+decompress round trip per evaluation, cached), so they tune
-// slower than FixedRatio but promise what users actually care about. The
-// achieved value is recorded in the .fraz container header, making archives
-// self-describing about what was promised; `fraz -verify` recomputes it.
+// (a compress+decompress round trip per evaluation, cached), so one of
+// their evaluations costs more than one of FixedRatio's. FixedPSNR and
+// FixedMaxError make up for it on error-bounded codecs, where they are
+// tuned model first — a closed-form first bound and a sequential bracket,
+// one to eight evaluations — with the region-parallel search as the
+// fallback; FixedSSIM, and every objective on a rate or precision codec,
+// takes the region-parallel search. The achieved value is recorded in the
+// .fraz container header, making archives self-describing about what was
+// promised; `fraz -verify` recomputes it.
 type Objective struct {
 	obj core.Objective
 	err error
@@ -109,7 +114,7 @@ func (o Objective) Band() (lo, hi float64) {
 // function of its bits-per-value parameter, so the target ratio is
 // inverted arithmetically. A Client detecting this combination seals with
 // CompressResult.Evaluations == 0 and Direct == true; quality objectives
-// always run the search.
+// always rest on at least one measured evaluation.
 func (o Objective) DirectlySatisfiable(ci CodecInfo) bool {
 	return o.err == nil && o.obj.DirectlySatisfiable() && ci.FixedRate
 }
