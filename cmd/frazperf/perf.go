@@ -126,18 +126,20 @@ func measure(budget time.Duration, fn func() error) (secPerOp, allocsPerOp float
 }
 
 // boundFor maps the common 10^-3 relative operating point onto each codec's
-// bound semantics: error-bounded codecs take it directly, the MSE-bounded
-// MGARD mode takes its square, and the rate/precision modes get a fixed 8
-// bits per value / 16 bit planes.
-func boundFor(caps pressio.Capabilities, valueRange float64) float64 {
+// parameter unit: an absolute error takes it scaled by the value range, a
+// range-relative one as it is, the MSE-bounded MGARD mode its square, and
+// the rate/precision modes get a fixed 8 bits per value / 16 bit planes.
+func boundFor(p pressio.Param, valueRange float64) float64 {
 	abs := valueRange * 1e-3
-	switch {
-	case strings.Contains(caps.BoundName, "bits per value"):
+	switch p.Unit {
+	case pressio.UnitBits:
 		return 8
-	case strings.Contains(caps.BoundName, "bit planes"):
+	case pressio.UnitPlanes:
 		return 16
-	case strings.Contains(caps.BoundName, "mean-squared"):
+	case pressio.UnitSquaredError:
 		return abs * abs
+	case pressio.UnitRangeFraction:
+		return 1e-3
 	default:
 		return abs
 	}
@@ -205,21 +207,17 @@ func run(cfg Config, logf func(format string, args ...interface{})) (Report, err
 		if !wantCodec(cfg, codec.Name) {
 			continue
 		}
-		if !codec.Caps.SupportsRank(b32.Shape.NDims()) {
+		if !codec.SupportsShape(b32.Shape) {
 			continue
 		}
 		for _, dc := range cases {
-			comp := codec.New()
-			if !comp.SupportsShape(dc.buf.Shape) {
-				continue
-			}
-			bound := boundFor(codec.Caps, dc.buf.ValueRange())
+			bound := boundFor(codec.Param, dc.buf.ValueRange())
 			cellStart := len(rep.Results)
 			for _, mode := range []struct {
 				name   string
 				blocks int
 			}{{"monolithic", 1}, {"blocked", cfg.Blocks}} {
-				res, err := benchCell(comp, dc.buf, bound, mode.blocks, cfg.benchTime())
+				res, err := benchCell(codec, dc.buf, bound, mode.blocks, cfg.benchTime())
 				if err != nil {
 					// A codec that cannot handle this dtype/mode is a gap in
 					// the matrix, not a harness failure.
@@ -238,7 +236,7 @@ func run(cfg Config, logf func(format string, args ...interface{})) (Report, err
 			// a property of the (codec, dtype) pair, so both mode cells of
 			// this dtype get the same columns.
 			if mono := findResult(rep.Results[cellStart:], codec.Name, dc.name, "monolithic"); mono != nil && mono.Ratio > 1 {
-				evals, ms, err := measureTune(codec.New(), dc.buf, mono.Ratio)
+				evals, ms, err := measureTune(codec, dc.buf, mono.Ratio)
 				if err != nil {
 					logf("skip tune %s/%s: %v", codec.Name, dc.name, err)
 				} else {
@@ -249,7 +247,7 @@ func run(cfg Config, logf func(format string, args ...interface{})) (Report, err
 					logf("%-14s %-7s tune ratio %.1f: %d evaluations in %.1f ms", codec.Name, dc.name, mono.Ratio, evals, ms)
 				}
 			}
-			cr, err := cacheSweep(codec.Name, comp, dc.buf, bound)
+			cr, err := cacheSweep(codec, dc.buf, bound)
 			if err == nil {
 				cr.DType = dc.name
 				rep.Cache = append(rep.Cache, cr)
@@ -338,7 +336,7 @@ func measureTune(comp pressio.Compressor, buf pressio.Buffer, target float64) (e
 // cacheSweep replays a tuner-shaped bound sequence (a region sweep visited
 // twice, as successive search rounds do) through a fresh evaluation cache and
 // reports the hit rate.
-func cacheSweep(name string, comp pressio.Compressor, buf pressio.Buffer, bound float64) (CacheResult, error) {
+func cacheSweep(comp pressio.Compressor, buf pressio.Buffer, bound float64) (CacheResult, error) {
 	cache := pressio.NewCache()
 	ev := pressio.NewEvaluator(cache, comp, buf)
 	sweep := []float64{bound, bound / 2, bound / 4, bound / 8}
@@ -355,7 +353,7 @@ func cacheSweep(name string, comp pressio.Compressor, buf pressio.Buffer, bound 
 	if total > 0 {
 		hr = float64(hits) / float64(total)
 	}
-	return CacheResult{Codec: name, Hits: hits, Misses: misses, HitRate: hr}, nil
+	return CacheResult{Codec: comp.Descriptor().Name, Hits: hits, Misses: misses, HitRate: hr}, nil
 }
 
 // violatingCodecs extracts the distinct codec names from gate violation

@@ -108,16 +108,20 @@ func LookupCodec(name string) (CodecInfo, bool) {
 	return codecInfo(d), true
 }
 
-func codecInfo(d pressio.Codec) CodecInfo {
+// codecInfo derives the public descriptor from the codec's table row. Only
+// the bit-count parameters bound no error; every kernel is generic over
+// both element widths.
+func codecInfo(d *pressio.Codec) CodecInfo {
+	unit := d.Param.Unit
 	return CodecInfo{
 		Name:         d.Name,
-		BoundName:    d.Caps.BoundName,
-		ErrorBounded: d.Caps.ErrorBounded,
-		Lossless:     d.Caps.Lossless,
-		MinRank:      d.Caps.MinRank,
-		MaxRank:      d.Caps.MaxRank,
-		Float32:      d.Caps.Float32,
-		Float64:      d.Caps.Float64,
-		FixedRate:    d.Caps.FixedRate,
+		BoundName:    d.Param.Name,
+		ErrorBounded: !unit.IsBitCount(),
+		Lossless:     unit == pressio.UnitNone,
+		MinRank:      d.MinRank,
+		MaxRank:      d.MaxRank,
+		Float32:      true,
+		Float64:      true,
+		FixedRate:    d.Size != nil,
 	}
 }

@@ -1,10 +1,14 @@
 package fraz_test
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"fraz"
+	"fraz/internal/container"
 	"fraz/internal/grid"
 	"fraz/internal/pressio"
 )
@@ -169,4 +173,58 @@ func bufFloat64(b pressio.Buffer) []float64 {
 		return out
 	}
 	return b.Float64()
+}
+
+// TestRecordedParameterIsTheOneTheCodecRanAt tunes every registered lossy
+// codec into a monolithic archive, then compresses the same field again at
+// nothing but the parameter value the first call reported. The two payloads
+// must be byte-identical — the header, CompressResult.ErrorBound and the
+// stream agree — and on a whole-number domain the reported value is a whole
+// number, not the real the search happened to propose.
+func TestRecordedParameterIsTheOneTheCodecRanAt(t *testing.T) {
+	data, shape := testField()
+	ctx := context.Background()
+	for _, info := range fraz.Codecs() {
+		if info.Lossless {
+			continue // the parameter is ignored; there is nothing to record
+		}
+		var tuned bytes.Buffer
+		var res *fraz.CompressResult
+		var err error
+		for _, target := range []float64{8, 4, 16} {
+			tuned.Reset()
+			res, err = fraz.Compress(ctx, &tuned, data, shape,
+				fraz.Codec(info.Name), fraz.Ratio(target), fraz.Blocks(1), fraz.Workers(1), fraz.Seed(1))
+			if !errors.Is(err, fraz.ErrInfeasible) {
+				break
+			}
+		}
+		if err != nil {
+			t.Errorf("%s: %v", info.Name, err)
+			continue
+		}
+		first, err := container.Decode(tuned.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Header.Bound != res.ErrorBound {
+			t.Errorf("%s: header records %v, CompressResult.ErrorBound %v", info.Name, first.Header.Bound, res.ErrorBound)
+		}
+		if d, _ := pressio.Lookup(info.Name); d.Param.Integer && res.ErrorBound != math.Trunc(res.ErrorBound) {
+			t.Errorf("%s: recorded %s %v is not a whole number", info.Name, info.BoundName, res.ErrorBound)
+		}
+		var again bytes.Buffer
+		if _, err := fraz.Compress(ctx, &again, data, shape,
+			fraz.Codec(info.Name), fraz.FixedBound(res.ErrorBound), fraz.Blocks(1)); err != nil {
+			t.Errorf("%s: compressing at the recorded %s %v: %v", info.Name, info.BoundName, res.ErrorBound, err)
+			continue
+		}
+		second, err := container.Decode(again.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Payload, second.Payload) {
+			t.Errorf("%s: the stream was not coded at the recorded %s %v", info.Name, info.BoundName, res.ErrorBound)
+		}
+	}
 }

@@ -1,33 +1,100 @@
 package fraz_test
 
 import (
-	"sort"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"fraz"
 )
 
-func TestCodecsDiscovery(t *testing.T) {
-	infos := fraz.Codecs()
-	if len(infos) == 0 {
-		t.Fatal("no codecs registered")
+// TestCodecsGolden pins the public registry as one table: every field of
+// every descriptor Codecs() returns, in the order it returns them. The
+// descriptors are derived from the codec table in internal/pressio, and are
+// stable API: a change here is a change callers can see.
+func TestCodecsGolden(t *testing.T) {
+	want := []fraz.CodecInfo{
+		{Name: "flate:lossless", BoundName: "unused (lossless)", ErrorBounded: true, Lossless: true, MinRank: 1, MaxRank: 4, Float32: true, Float64: true},
+		{Name: "frsz:rate", BoundName: "bits per value", MinRank: 1, MaxRank: 4, Float32: true, Float64: true, FixedRate: true},
+		{Name: "mgard:abs", BoundName: "infinity-norm bound", ErrorBounded: true, MinRank: 2, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "mgard:l2", BoundName: "mean-squared-error bound", ErrorBounded: true, MinRank: 2, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "sz:abs", BoundName: "absolute error bound", ErrorBounded: true, MinRank: 1, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "sz:rel", BoundName: "value-range-relative error bound", ErrorBounded: true, MinRank: 1, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "szx:abs", BoundName: "absolute error bound", ErrorBounded: true, MinRank: 1, MaxRank: 4, Float32: true, Float64: true},
+		{Name: "zfp:accuracy", BoundName: "absolute error tolerance", ErrorBounded: true, MinRank: 1, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "zfp:precision", BoundName: "bit planes per block", MinRank: 1, MaxRank: 3, Float32: true, Float64: true},
+		{Name: "zfp:rate", BoundName: "bits per value", MinRank: 1, MaxRank: 3, Float32: true, Float64: true},
 	}
-	if !sort.SliceIsSorted(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name }) {
-		t.Errorf("Codecs() not sorted by name")
+	got := fraz.Codecs()
+	if len(got) != len(want) {
+		t.Fatalf("Codecs() lists %d codecs, want %d: %+v", len(got), len(want), got)
 	}
-	byName := map[string]fraz.CodecInfo{}
-	for _, ci := range infos {
-		if ci.Name == "" || ci.BoundName == "" || ci.MinRank < 1 || ci.MaxRank < ci.MinRank {
-			t.Errorf("implausible codec descriptor: %+v", ci)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Codecs()[%d] = %+v, want %+v", i, got[i], want[i])
 		}
-		byName[ci.Name] = ci
 	}
-	sz, ok := byName["sz:abs"]
-	if !ok || !sz.ErrorBounded || sz.Lossless {
-		t.Errorf("sz:abs descriptor: %+v (ok=%v)", sz, ok)
+}
+
+// TestReadmeCodecTable holds the README's "Codecs" table to the registry:
+// one row per registered codec, and each row's parameter, error-bounded,
+// ranks and dtypes cells say what Codecs() says.
+func TestReadmeCodecTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rate, ok := byName["zfp:rate"]; !ok || rate.ErrorBounded {
-		t.Errorf("zfp:rate must not claim an error bound: %+v", rate)
+	_, section, ok := strings.Cut(string(readme), "\n### Codecs\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Codecs" section`)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 6 || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows[strings.Trim(cells[0], "`")] = cells
+	}
+	infos := fraz.Codecs()
+	if len(rows) != len(infos) {
+		t.Errorf("README lists %d codecs, the registry %d", len(rows), len(infos))
+	}
+	for _, ci := range infos {
+		cells, ok := rows[ci.Name]
+		if !ok {
+			t.Errorf("README has no row for %s", ci.Name)
+			continue
+		}
+		bounded := "no"
+		switch {
+		case ci.Lossless:
+			bounded = "lossless"
+		case ci.ErrorBounded:
+			bounded = "yes"
+		case ci.FixedRate:
+			bounded = "no (fixed-rate)"
+		}
+		var dtypes []string
+		if ci.Float32 {
+			dtypes = append(dtypes, "f32")
+		}
+		if ci.Float64 {
+			dtypes = append(dtypes, "f64")
+		}
+		want := []string{ci.BoundName, bounded, fmt.Sprintf("%d–%d", ci.MinRank, ci.MaxRank), strings.Join(dtypes, ", ")}
+		for i, w := range want {
+			if got := cells[2+i]; got != w {
+				t.Errorf("README row %s, column %d: %q, registry says %q", ci.Name, 3+i, got, w)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package container defines the self-describing `.fraz` on-disk format.
 //
-// The compressor adapters in internal/pressio emit bare byte blobs that
+// The codecs registered in internal/pressio emit bare byte blobs that
 // cannot be decoded without out-of-band knowledge of the codec, the tuned
 // error bound, and the data shape. A Container wraps such a blob in a small
 // versioned header carrying exactly that metadata — the same role

@@ -35,7 +35,7 @@ func hurricaneBuffer(t *testing.T) pressio.Buffer {
 // revisit must be served without invoking the compressor.
 func TestTuneBufferCacheEliminatesRepeatedCompressions(t *testing.T) {
 	var calls int64
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio, calls: &calls}
+	fake := fake("fake", smoothRatio, &calls)
 	// A target high in the achievable range makes the low regions search
 	// hard before the top region lands, which is exactly when overlapping
 	// searches revisit each other's bounds. Workers=1 serialises the regions
@@ -86,13 +86,16 @@ func TestTuneBufferCacheWithRealCompressor(t *testing.T) {
 // same buffer is answered almost entirely from the cache.
 func TestSharedCacheAcrossTuningRuns(t *testing.T) {
 	var calls int64
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio, calls: &calls}
+	fake := fake("fake", smoothRatio, &calls)
 	cache := pressio.NewCache()
 	buf := smallBuffer(512)
 
 	run := func(seed int64) Result {
 		t.Helper()
-		tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: seed, Cache: cache})
+		// One worker: with more, which regions get to start before the first
+		// acceptable one cancels the rest is up to the scheduler, and the
+		// second run may visit bounds the first never did.
+		tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: seed, Cache: cache, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +123,7 @@ func TestSharedCacheAcrossTuningRuns(t *testing.T) {
 // TestSeriesAggregatesCacheCounters checks that TuneSeries totals the
 // per-step counters, including the prediction reuse path.
 func TestSeriesAggregatesCacheCounters(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

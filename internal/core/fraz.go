@@ -24,13 +24,17 @@
 // leaving the decision of relaxing ε or U (or switching compressors) to the
 // user, exactly as §V-B3 prescribes.
 //
-// Which search a tuning run takes follows from the objective and the codec,
-// never from a setting:
+// Which search a tuning run takes, and over what interval, follows from the
+// objective and the codec's descriptor (pressio.Codec), never from a setting
+// or a codec's name:
 //
-//   - FixedRatio on a true fixed-rate codec (frsz:rate) is satisfied
-//     directly, by arithmetic, with no evaluation;
+//   - the parameter is searched in its own unit (Tuner.searchRange): an
+//     error magnitude over an interval scaled to the data's value range, a
+//     bit count over its declared domain whatever the data's scale;
+//   - FixedRatio on a true fixed-rate codec (one with a Size: frsz:rate) is
+//     satisfied directly, by arithmetic, with no evaluation;
 //   - FixedPSNR and FixedMaxError on a codec whose parameter is an error
-//     magnitude (error-bounded, not lossless: sz:abs, sz:rel, zfp:accuracy,
+//     magnitude (pressio.Unit.IsError: sz:abs, sz:rel, zfp:accuracy,
 //     mgard:abs, mgard:l2, szx:abs) are tuned model first (model.go): the
 //     objective's closed form names the first bound and a sequential
 //     bracket corrects a miss, within eight evaluations; the region search
@@ -81,12 +85,15 @@ type Config struct {
 	// [ρt(1−ε), ρt(1+ε)]. Zero selects DefaultTolerance. Only consulted when
 	// no Objective is given.
 	Tolerance float64
-	// MaxError is U, the maximum allowed compression error. When zero, the
-	// default upper bound is used: the value range of the data, which is the
-	// largest error bound any of the compressors accepts meaningfully.
+	// MaxError is U, the maximum allowed pointwise compression error, in the
+	// data's units. When zero, the default upper bound is used: the value
+	// range of the data, which is the largest error bound any of the
+	// compressors accepts meaningfully. searchRange restates it in the codec's
+	// parameter unit; NewTuner rejects it for a bit count, which has none.
 	MaxError float64
-	// LowerBound overrides the smallest error bound searched. When zero, a
-	// small fraction (1e-9) of the data's value range is used.
+	// LowerBound overrides the smallest pointwise error searched, in the
+	// data's units like MaxError. When zero, a small fraction (1e-9) of the
+	// data's value range is used.
 	LowerBound float64
 	// Regions is K, the number of overlapping error-bound regions searched
 	// in parallel. Zero selects parallel.DefaultRegions (12).
@@ -233,11 +240,17 @@ func Cutoff(target, tolerance float64) float64 {
 // Tuner searches error bounds for one compressor.
 type Tuner struct {
 	compressor pressio.Compressor
-	cfg        Config
-	obj        Objective
-	cache      *pressio.Cache
+	// codec is the compressor's descriptor, the source of every static fact
+	// the tuner acts on: parameter domain, rank window, fixed-rate size.
+	codec *pressio.Codec
+	cfg   Config
+	obj   Objective
+	cache *pressio.Cache
 	// modelFirst selects the predict-then-bracket search of model.go ahead
-	// of the region search; it follows from the objective and the codec.
+	// of the region search. It follows from the objective and the codec: an
+	// objective that is monotone in the bound with a closed-form model,
+	// preferring the highest in-band ratio (which is what places the aim), on
+	// a codec whose parameter is an error magnitude.
 	modelFirst bool
 }
 
@@ -266,6 +279,11 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 	if cfg.MaxError < 0 {
 		return nil, fmt.Errorf("%w: max error must be >= 0, got %v", ErrBadConfig, cfg.MaxError)
 	}
+	codec := c.Descriptor()
+	if codec.Param.Unit.IsBitCount() && (cfg.MaxError > 0 || cfg.LowerBound > 0) {
+		return nil, fmt.Errorf("%w: %s is tuned in %s, which a maximum or minimum error in data units cannot limit",
+			ErrBadConfig, codec.Name, codec.Param.Name)
+	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = pressio.NewCache()
@@ -278,7 +296,8 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 		cfg.TargetRatio = obj.Target
 		cfg.Tolerance = obj.Tolerance
 	}
-	return &Tuner{compressor: c, cfg: cfg, obj: obj, cache: cache, modelFirst: modelFirst(obj, c)}, nil
+	first := obj.LogBoundFor != nil && obj.PreferRatio && codec.Param.Unit.IsError()
+	return &Tuner{compressor: c, codec: codec, cfg: cfg, obj: obj, cache: cache, modelFirst: first}, nil
 }
 
 // Compressor returns the compressor being tuned.
@@ -294,31 +313,38 @@ func (t *Tuner) Cache() *pressio.Cache { return t.cache }
 // Config returns the effective (defaulted) configuration.
 func (t *Tuner) Config() Config { return t.cfg }
 
-// searchRange determines the error-bound interval [lo, hi] for a buffer:
-// the user's U (or the data's value range) capped by the compressor's own
-// admissible parameter range.
+// searchRange determines the parameter interval [lo, hi] searched for a
+// buffer, in the parameter's own units. An error magnitude is searched from
+// a small fraction of the data's value range up to the user's U (or the
+// whole range) — pointwise errors in data units, squared for a squared-error
+// parameter and divided by the range for a range-relative one — capped by
+// the codec's declared domain. Any other parameter has nothing to do with
+// the data's scale and is searched over its declared domain.
 func (t *Tuner) searchRange(buf pressio.Buffer) (float64, float64, error) {
-	cLo, cHi := t.compressor.BoundRange()
-	vr := buf.ValueRange()
-	if vr <= 0 {
-		vr = 1
-	}
-	lo := t.cfg.LowerBound
-	if lo <= 0 {
-		lo = vr * 1e-9
-	}
-	if lo < cLo {
-		lo = cLo
-	}
-	hi := t.cfg.MaxError
-	if hi <= 0 {
-		hi = vr
-	}
-	if hi > cHi {
-		hi = cHi
+	p := t.codec.Param
+	lo, hi := p.Lo, p.Hi
+	if p.Unit.IsError() {
+		vr := buf.ValueRange()
+		if vr <= 0 {
+			vr = 1
+		}
+		eLo, eHi := t.cfg.LowerBound, t.cfg.MaxError
+		if eLo <= 0 {
+			eLo = vr * 1e-9
+		}
+		if eHi <= 0 {
+			eHi = vr
+		}
+		switch p.Unit {
+		case pressio.UnitSquaredError:
+			eLo, eHi = eLo*eLo, eHi*eHi
+		case pressio.UnitRangeFraction:
+			eLo, eHi = eLo/vr, eHi/vr
+		}
+		lo, hi = math.Max(lo, eLo), math.Min(hi, eHi)
 	}
 	if !(lo < hi) {
-		return 0, 0, fmt.Errorf("%w: empty error-bound range [%v, %v]", ErrBadConfig, lo, hi)
+		return 0, 0, fmt.Errorf("%w: empty range [%v, %v] for %s", ErrBadConfig, lo, hi, p.Name)
 	}
 	return lo, hi, nil
 }
@@ -370,15 +396,15 @@ func (t *Tuner) measure(eval *pressio.Evaluator) func(bound float64) (Evaluation
 // otherwise and as its fallback.
 func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, error) {
 	start := time.Now()
-	if !t.compressor.SupportsShape(buf.Shape) {
-		return Result{}, fmt.Errorf("fraz: compressor %s does not support shape %v", t.compressor.Name(), buf.Shape)
+	if !t.codec.SupportsShape(buf.Shape) {
+		return Result{}, fmt.Errorf("fraz: compressor %s does not support shape %v", t.codec.Name, buf.Shape)
 	}
 	if !t.obj.SupportsRank(buf.Shape.NDims()) {
 		return Result{}, fmt.Errorf("fraz: objective %s is not measurable on shape %v (needs rank %d..%d)",
 			t.obj.Name, buf.Shape, t.obj.MinRank, t.obj.MaxRank)
 	}
 	res := Result{
-		Compressor:  t.compressor.Name(),
+		Compressor:  t.codec.Name,
 		Objective:   t.obj.Name,
 		Target:      t.obj.Target,
 		TargetRatio: t.cfg.TargetRatio,
@@ -392,14 +418,12 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	// arithmetic is cheaper than even one cached evaluation. When no
 	// whole-bit rate lands in the acceptance band the normal search runs
 	// and reports infeasibility the usual way.
-	if t.obj.DirectlySatisfiable() {
-		if rc, ok := t.compressor.(pressio.RateCompressor); ok {
-			if ev, ok := t.directRate(rc, buf); ok {
-				res.fill(ev, true)
-				res.Direct = true
-				res.Elapsed = time.Since(start)
-				return res, nil
-			}
+	if t.obj.DirectlySatisfiable() && t.codec.Size != nil {
+		if ev, ok := t.directRate(buf); ok {
+			res.fill(ev, true)
+			res.Direct = true
+			res.Elapsed = time.Since(start)
+			return res, nil
 		}
 	}
 
@@ -526,7 +550,7 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	}
 	if best == nil {
 		res.Elapsed = time.Since(start)
-		return res, fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.compressor.Name())
+		return res, fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.codec.Name)
 	}
 	res.fill(*best, t.obj.InBand(best.Value))
 	res.Elapsed = time.Since(start)
@@ -541,32 +565,21 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 // (the paper's closest-to-target rule, applied to a two-point grid). ok is
 // false when neither lands in the band, i.e. the band is narrower than one
 // bit's worth of ratio at this size; the caller falls back to the search.
-func (t *Tuner) directRate(rc pressio.RateCompressor, buf pressio.Buffer) (Evaluation, bool) {
+func (t *Tuner) directRate(buf pressio.Buffer) (Evaluation, bool) {
 	rawBytes := buf.Bytes()
 	elements := buf.Shape.Len()
 	if rawBytes == 0 || elements == 0 {
 		return Evaluation{}, false
 	}
-	maxBits := rc.MaxBits(buf.DType())
-	overhead := rc.CompressedSize(buf.Shape, 0)
+	minBits, maxBits := t.codec.Param.Limits(buf.DType())
+	overhead := t.codec.Size(buf.Shape, 0)
 	want := float64(rawBytes)/t.obj.Target - float64(overhead)
-	exact := want * 8 / float64(elements)
-	clamp := func(n int) int {
-		if n < 1 {
-			return 1
-		}
-		if n > maxBits {
-			return maxBits
-		}
-		return n
-	}
-	lo := clamp(int(math.Floor(exact)))
-	hi := clamp(int(math.Ceil(exact)))
+	exact := math.Min(math.Max(want*8/float64(elements), minBits), maxBits)
 	var best Evaluation
 	bestDist := math.Inf(1)
 	found := false
-	for _, n := range []int{lo, hi} {
-		size := rc.CompressedSize(buf.Shape, n)
+	for _, n := range []int{int(math.Floor(exact)), int(math.Ceil(exact))} {
+		size := t.codec.Size(buf.Shape, n)
 		ratio := float64(rawBytes) / float64(size)
 		if !t.obj.InBand(ratio) {
 			continue

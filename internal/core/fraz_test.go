@@ -14,39 +14,49 @@ import (
 	"fraz/internal/pressio"
 )
 
-// fakeCompressor is a deterministic stand-in whose ratio-versus-bound curve
+// fake builds a deterministic stand-in codec whose ratio-versus-bound curve
 // is controllable, so the tuner's search logic can be tested in isolation
-// from the real codecs.
-type fakeCompressor struct {
-	name    string
-	ratioFn func(bound float64) float64
-	// calls counts Compress invocations; it is updated atomically because
-	// the tuner runs region searches on concurrent goroutines.
-	calls *int64
+// from the real codecs. calls, when non-nil, counts Encode invocations; it
+// is updated atomically because the tuner runs region searches on concurrent
+// goroutines.
+func fake(name string, ratioFn func(bound float64) float64, calls *int64) *pressio.Codec {
+	return &pressio.Codec{
+		Name: name, MinRank: 1, MaxRank: 4,
+		Param: pressio.Param{Name: "fake bound", Unit: pressio.UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode: func(buf pressio.Buffer, bound float64) ([]byte, error) {
+			if calls != nil {
+				atomic.AddInt64(calls, 1)
+			}
+			ratio := ratioFn(bound)
+			if ratio < 1 {
+				ratio = 1
+			}
+			size := int(float64(buf.Bytes()) / ratio)
+			if size < 1 {
+				size = 1
+			}
+			return make([]byte, size), nil
+		},
+		Decode: func(_ []byte, s grid.Dims, _ container.DType) (pressio.Buffer, error) {
+			return pressio.NewBuffer(make([]float32, s.Len()), s)
+		},
+	}
 }
 
-func (f fakeCompressor) Name() string                   { return f.name }
-func (f fakeCompressor) BoundName() string              { return "fake bound" }
-func (f fakeCompressor) ErrorBounded() bool             { return true }
-func (f fakeCompressor) SupportsShape(s grid.Dims) bool { return s.Validate() == nil }
-func (f fakeCompressor) BoundRange() (float64, float64) { return 1e-12, 1e12 }
-func (f fakeCompressor) Decompress(c []byte, s grid.Dims, dt container.DType) (pressio.Buffer, error) {
-	return pressio.NewBuffer(make([]float32, s.Len()), s)
+// failing returns a copy of the codec whose Encode fails with errFaulty
+// whenever the predicate says so and otherwise behaves like the original.
+func failing(c *pressio.Codec, fail func(bound float64) bool) *pressio.Codec {
+	out := *c
+	out.Encode = func(buf pressio.Buffer, bound float64) ([]byte, error) {
+		if fail(bound) {
+			return nil, errFaulty
+		}
+		return c.Encode(buf, bound)
+	}
+	return &out
 }
-func (f fakeCompressor) Compress(buf pressio.Buffer, bound float64) ([]byte, error) {
-	if f.calls != nil {
-		atomic.AddInt64(f.calls, 1)
-	}
-	ratio := f.ratioFn(bound)
-	if ratio < 1 {
-		ratio = 1
-	}
-	size := int(float64(buf.Bytes()) / ratio)
-	if size < 1 {
-		size = 1
-	}
-	return make([]byte, size), nil
-}
+
+var errFaulty = errors.New("faulty compressor: bound rejected")
 
 func smallBuffer(n int) pressio.Buffer {
 	data := make([]float32, n)
@@ -66,7 +76,7 @@ func smoothRatio(bound float64) float64 {
 }
 
 func TestNewTunerValidation(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	cases := []Config{
 		{TargetRatio: 0.5},
 		{TargetRatio: 1},
@@ -91,7 +101,7 @@ func TestNewTunerValidation(t *testing.T) {
 	if cfg.Tolerance != DefaultTolerance || cfg.Regions == 0 || cfg.MaxIterationsPerRegion == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if tu.Compressor().Name() != "fake" {
+	if tu.Compressor().Descriptor().Name != "fake" {
 		t.Errorf("Compressor accessor wrong")
 	}
 }
@@ -135,7 +145,7 @@ func TestPropertyLossBounded(t *testing.T) {
 
 func TestTuneBufferFeasibleTarget(t *testing.T) {
 	var calls int64
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio, calls: &calls}
+	fake := fake("fake", smoothRatio, &calls)
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +173,9 @@ func TestTuneBufferFeasibleTarget(t *testing.T) {
 
 func TestTuneBufferInfeasibleTargetReportsClosest(t *testing.T) {
 	// The ratio curve saturates at 12, so a target of 50 is infeasible.
-	fake := fakeCompressor{name: "fake", ratioFn: func(bound float64) float64 {
+	fake := fake("fake", func(bound float64) float64 {
 		return 1 + 11*bound/(bound+0.01)
-	}}
+	}, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 50, Tolerance: 0.05, MaxError: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +204,9 @@ func TestTuneBufferInfeasibleTargetReportsClosest(t *testing.T) {
 func TestTuneBufferStepFunctionRatio(t *testing.T) {
 	// Step-like curve imitating ZFP accuracy mode: only a few ratios are
 	// reachable; the target of 16 sits on a plateau.
-	fake := fakeCompressor{name: "fake-step", ratioFn: func(bound float64) float64 {
+	fake := fake("fake-step", func(bound float64) float64 {
 		return math.Pow(2, math.Floor(math.Log2(bound*1e4+1)))
-	}}
+	}, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 16, Tolerance: 0.1, MaxError: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +222,9 @@ func TestTuneBufferStepFunctionRatio(t *testing.T) {
 
 func TestTuneBufferNonMonotoneRatio(t *testing.T) {
 	// Non-monotonic curve like SZ's (Fig. 3): a dip in the middle.
-	fake := fakeCompressor{name: "fake-dip", ratioFn: func(bound float64) float64 {
+	fake := fake("fake-dip", func(bound float64) float64 {
 		return 60 + 40*bound - 25*math.Exp(-(bound-0.25)*(bound-0.25)*200)
-	}}
+	}, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 45, Tolerance: 0.05, MaxError: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +240,7 @@ func TestTuneBufferNonMonotoneRatio(t *testing.T) {
 
 func TestTuneWithPredictionReuse(t *testing.T) {
 	var calls int64
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio, calls: &calls}
+	fake := fake("fake", smoothRatio, &calls)
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +273,7 @@ func TestTuneWithPredictionReuse(t *testing.T) {
 }
 
 func TestTuneWithBadPredictionRetrains(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.05, MaxError: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -283,31 +293,13 @@ func TestTuneWithBadPredictionRetrains(t *testing.T) {
 	}
 }
 
-// faultyAtCompressor fails Compress for bounds below a threshold and
-// otherwise behaves like the wrapped fake — a stand-in for a compressor
-// whose parameter validation rejects a bound that drifted out of range.
-type faultyAtCompressor struct {
-	fakeCompressor
-	failBelow float64
-}
-
-func (f faultyAtCompressor) Compress(buf pressio.Buffer, bound float64) ([]byte, error) {
-	if bound < f.failBelow {
-		return nil, errFaulty
-	}
-	return f.fakeCompressor.Compress(buf, bound)
-}
-
-var errFaulty = errors.New("faulty compressor: bound rejected")
-
 // TestTuneWithPredictionRecordsEvaluationError pins the distinction between
 // a prediction that missed the band (PredictionErr nil, retrain) and one the
 // compressor failed to evaluate at all (PredictionErr records the cause).
 func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
-	fake := faultyAtCompressor{
-		fakeCompressor: fakeCompressor{name: "fake-faulty", ratioFn: smoothRatio},
-		failBelow:      1e-6,
-	}
+	// A stand-in for a compressor whose parameter validation rejects a bound
+	// that drifted out of range.
+	fake := failing(fake("fake-faulty", smoothRatio, nil), func(bound float64) bool { return bound < 1e-6 })
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, LowerBound: 1e-5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -348,10 +340,9 @@ func TestTuneSeriesCountsPredictionErrors(t *testing.T) {
 	// compression — which is exactly the prediction evaluation — fails.
 	var step atomic.Int64
 	var failedOnce atomic.Bool
-	base := fakeCompressor{name: "fake-series-faulty", ratioFn: smoothRatio}
-	comp := predicateFaultyCompressor{fakeCompressor: base, fail: func(bound float64) bool {
+	comp := failing(fake("fake-series-faulty", smoothRatio, nil), func(float64) bool {
 		return step.Load() == 1 && failedOnce.CompareAndSwap(false, true)
-	}}
+	})
 	tu, err := NewTuner(comp, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -381,19 +372,6 @@ func TestTuneSeriesCountsPredictionErrors(t *testing.T) {
 	}
 }
 
-// predicateFaultyCompressor fails Compress when the predicate says so.
-type predicateFaultyCompressor struct {
-	fakeCompressor
-	fail func(bound float64) bool
-}
-
-func (p predicateFaultyCompressor) Compress(buf pressio.Buffer, bound float64) ([]byte, error) {
-	if p.fail(bound) {
-		return nil, errFaulty
-	}
-	return p.fakeCompressor.Compress(buf, bound)
-}
-
 func TestTuneBufferUnsupportedShape(t *testing.T) {
 	c, err := pressio.New("mgard:abs")
 	if err != nil {
@@ -411,23 +389,21 @@ func TestTuneBufferUnsupportedShape(t *testing.T) {
 func TestTuneSeriesRetrainsOnRegimeChange(t *testing.T) {
 	// The ratio curve shifts abruptly at step 5, so the reused bound misses
 	// the band there and the tuner must retrain.
-	makeFake := func(step int) fakeCompressor {
+	ratioAt := func(step int, bound float64) float64 {
 		shift := 1.0
 		if step >= 5 {
 			shift = 3.0
 		}
-		return fakeCompressor{name: "fake", ratioFn: func(bound float64) float64 {
-			return 1 + 63*bound/(bound+0.05*shift)/(2/(2+0.05*shift))
-		}}
+		return 1 + 63*bound/(bound+0.05*shift)/(2/(2+0.05*shift))
 	}
 	// The compressor changes per step via a closure over the step index, and
 	// the data changes with the regime too (as it would in a real series —
 	// the evaluation cache keys on the data fingerprint, so a regime change
 	// with identical bytes would otherwise be served stale ratios).
 	var stepIndex int
-	fake := fakeCompressor{name: "fake", ratioFn: func(bound float64) float64 {
-		return makeFake(stepIndex).ratioFn(bound)
-	}}
+	fake := fake("fake", func(bound float64) float64 {
+		return ratioAt(stepIndex, bound)
+	}, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +447,7 @@ func TestTuneSeriesRetrainsOnRegimeChange(t *testing.T) {
 }
 
 func TestTuneSeriesValidation(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, _ := NewTuner(fake, Config{TargetRatio: 10})
 	if _, err := tu.TuneSeries(context.Background(), Series{Field: "x", Steps: 0}); err == nil {
 		t.Errorf("zero steps should fail")
@@ -482,7 +458,7 @@ func TestTuneSeriesValidation(t *testing.T) {
 }
 
 func TestTuneSeriesCancelled(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, _ := NewTuner(fake, Config{TargetRatio: 10, MaxError: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -495,7 +471,7 @@ func TestTuneSeriesCancelled(t *testing.T) {
 }
 
 func TestTuneFieldsParallel(t *testing.T) {
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -33,19 +33,6 @@ import (
 // range) to be corrected along the way.
 const modelProbeBudget = 8
 
-// modelFirst reports whether the pairing of objective and compressor takes
-// the model-first search: an objective that is monotone in the bound with a
-// closed-form model, preferring the highest in-band ratio (which is what
-// places the aim), on a codec whose parameter is an error magnitude — one
-// that bounds the pointwise error and is not lossless.
-func modelFirst(obj Objective, c pressio.Compressor) bool {
-	if obj.LogBoundFor == nil || !obj.PreferRatio || !c.ErrorBounded() {
-		return false
-	}
-	codec, registered := pressio.Lookup(c.Name())
-	return !registered || !codec.Caps.Lossless
-}
-
 // modelSearch probes at most modelProbeBudget bounds in [lo, hi] and returns
 // them in probe order as a region result, plus the evaluation to seal at —
 // nil when none of them landed in band. seed is a reused prediction that

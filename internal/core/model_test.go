@@ -18,7 +18,7 @@ func TestModelFirstSelection(t *testing.T) {
 	modelled := map[string]bool{"psnr": true, "max-error": true}
 	for _, codec := range pressio.Codecs() {
 		for _, obj := range []Objective{FixedRatio(8), FixedPSNR(60), FixedSSIM(0.9), FixedMaxError(0.1)} {
-			tu, err := NewTuner(codec.New(), Config{Objective: obj})
+			tu, err := NewTuner(codec, Config{Objective: obj})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -265,8 +265,8 @@ func (o Objective) Loss(achieved float64) float64 {
 // DirectlySatisfiable reports whether the objective can be satisfied by
 // codec capability alone, with zero search evaluations. Only the
 // fixed-ratio objective qualifies: its achieved value is a pure function of
-// the compressed size, so a true fixed-rate codec (one implementing
-// pressio.RateCompressor) can invert the target into its bits-per-value
+// the compressed size, so a true fixed-rate codec (one whose descriptor has
+// a pressio.Codec.Size) can invert the target into its bits-per-value
 // parameter arithmetically. Quality objectives (PSNR/SSIM/max-error) are
 // measured on the reconstruction, which no capability predicts exactly, so
 // a sealed quality archive always rests on at least one measured

@@ -297,7 +297,7 @@ func TestQualityTuneSeriesReusesBoundsAndCache(t *testing.T) {
 func TestTuneFieldsBoundedCacheMemory(t *testing.T) {
 	const cap = 16
 	cache := pressio.NewCacheSized(cap)
-	fake := fakeCompressor{name: "fake", ratioFn: smoothRatio}
+	fake := fake("fake", smoothRatio, nil)
 	tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: 13, Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"fraz/internal/pressio"
 )
 
-func onlineFake() fakeCompressor {
-	return fakeCompressor{name: "fake", ratioFn: smoothRatio}
+func onlineFake() *pressio.Codec {
+	return fake("fake", smoothRatio, nil)
 }
 
 func TestNewOnlineTunerValidation(t *testing.T) {
@@ -95,10 +95,10 @@ func TestOnlineTunerRetrainAfterMisses(t *testing.T) {
 	// bound always misses; with RetrainAfterMisses=2 the tuner tolerates two
 	// misses before forcing a retrain.
 	acq := 0
-	drifting := fakeCompressor{name: "fake", ratioFn: func(bound float64) float64 {
+	drifting := fake("fake", func(bound float64) float64 {
 		shift := 1.0 + float64(acq)*0.8
 		return 1 + 63*bound/(bound+0.05*shift)/(2/(2+0.05*shift))
-	}}
+	}, nil)
 	tu, err := NewTuner(drifting, Config{TargetRatio: 20, Tolerance: 0.02, MaxError: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

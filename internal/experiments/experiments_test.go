@@ -308,6 +308,19 @@ func TestTimedCompressor(t *testing.T) {
 	if timed.CompressionTime() <= 0 {
 		t.Errorf("compression time should be positive")
 	}
+
+	// The wrapper keeps the descriptor of what it wraps, so a fixed-rate
+	// codec behind it still satisfies a ratio target directly: no search, no
+	// Compress call to time.
+	rate := newTimedCompressor(mustCompressor("frsz:rate"))
+	res, err := tuneOnce(rate, buf, 8, 0.1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Direct || res.Iterations != 0 || rate.Calls() != 0 {
+		t.Errorf("frsz:rate behind the wrapper: direct=%v after %d evaluations and %d Compress calls, want the direct path",
+			res.Direct, res.Iterations, rate.Calls())
+	}
 }
 
 func TestZFPFixedRateSizeHelper(t *testing.T) {

@@ -20,12 +20,19 @@ import (
 // run on blocks unchanged; the container's block index (per-block offset,
 // length, CRC) is what lets Open decode the blocks concurrently too.
 
+// recyclePayload returns a dead block payload to the byte pool. It is a
+// variable so the failure-path tests can count the calls: sync.Pool drops
+// items at random under the race detector, so what comes back out of the
+// pool proves nothing there.
+var recyclePayload = pool.PutBytes
+
 // SealBlocked compresses the buffer as numBlocks independent slowest-axis
-// blocks at the given bound, running up to `workers` compressions
-// concurrently (0 = GOMAXPROCS), and wraps the payloads in a version-2
-// blocked container. numBlocks <= 1 (or a shape whose slowest axis cannot be
-// split) falls back to the monolithic Seal and a version-1 container, so
-// callers can pass the requested block count straight through.
+// blocks at the given bound (snapped to the codec's domain, like Seal),
+// running up to `workers` compressions concurrently (0 = GOMAXPROCS), and
+// wraps the payloads in a version-2 blocked container. numBlocks <= 1 (or a
+// shape whose slowest axis cannot be split) falls back to the monolithic
+// Seal and a version-1 container, so callers can pass the requested block
+// count straight through.
 //
 // The recorded ratio is the achieved whole-field ratio: uncompressed bytes
 // over the summed block payload sizes (index overhead excluded, matching how
@@ -37,9 +44,11 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 	if err := ctx.Err(); err != nil {
 		return container.Container{}, err
 	}
+	d := c.Descriptor()
+	bound = d.Param.Snap(bound)
 	plan, err := blocks.Plan(buf.Shape, numBlocks)
 	if err != nil {
-		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", c.Name(), err)
+		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", d.Name, err)
 	}
 	if len(plan) <= 1 {
 		return Seal(c, buf, bound)
@@ -64,33 +73,31 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 		// seal leaks one buffer per finished block.
 		for _, p := range payloads {
 			if p != nil {
-				pool.PutBytes(p)
+				recyclePayload(p)
 			}
 		}
-		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", c.Name(), err)
+		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", d.Name, err)
 	}
 	total := 0
 	for _, p := range payloads {
 		total += len(p)
 	}
 	ratio := metrics.CompressionRatio(buf.Bytes(), total)
-	cn, err := container.NewBlocked(c.Name(), bound, ratio, buf.DType(), buf.Shape, payloads)
+	cn, err := container.NewBlocked(d.Name, bound, ratio, buf.DType(), buf.Shape, payloads)
 	// NewBlocked copied every payload into the container's contiguous
 	// payload area, so the per-block buffers are dead — recycle them for the
 	// next seal's compressions. (The monolithic Seal path must NOT do this:
 	// container.New keeps its payload by reference.)
 	for _, p := range payloads {
-		pool.PutBytes(p)
+		recyclePayload(p)
 	}
 	return cn, err
 }
 
 // OpenBlocked reconstructs the buffer of a blocked (version-2) container,
-// decompressing up to `workers` blocks concurrently (0 = GOMAXPROCS). Each
-// block resolves its own compressor instance from the registry — cheap for
-// the stateless codecs, and it keeps the decode path independent of any
-// instance the caller holds. Monolithic containers are routed to Open, so
-// OpenBlocked accepts any container.
+// decompressing up to `workers` blocks concurrently (0 = GOMAXPROCS).
+// Monolithic containers are routed to Open, so OpenBlocked accepts any
+// container.
 func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buffer, error) {
 	// The monolithic route below never consults ctx (Open is synchronous),
 	// so honour a cancellation that happened before the call either way.
@@ -103,8 +110,9 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 	if err := checkDType(cn.Header.DType); err != nil {
 		return Buffer{}, err
 	}
-	if _, ok := Lookup(cn.Header.Codec); !ok {
-		return Buffer{}, fmt.Errorf("%w: %q (available: %v)", ErrUnknownCompressor, cn.Header.Codec, Names())
+	c, err := New(cn.Header.Codec)
+	if err != nil {
+		return Buffer{}, err
 	}
 	plan, err := blocks.Plan(cn.Header.Shape, len(cn.Blocks))
 	if err != nil {
@@ -116,10 +124,6 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 	}
 	out := newZeroBuffer(cn.Header.DType, cn.Header.Shape)
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
-		c, err := New(cn.Header.Codec)
-		if err != nil {
-			return err
-		}
 		payload, err := cn.BlockPayload(i)
 		if err != nil {
 			return err

@@ -3,7 +3,6 @@ package pressio
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -20,27 +19,43 @@ import (
 // block on every aborted request. A long-running server cancelling requests
 // on timeout would bleed pooled memory continuously.
 
-// probeCompressor is a stub whose Compress hands out pool-backed payloads
-// and runs a caller hook per invocation, so a test can trigger cancellation
-// or failure at an exact point in the blocked pipeline while recording the
-// identity of every buffer the pipeline now owns.
-type probeCompressor struct {
+// probe is the state behind a stub codec whose Encode hands out pool-backed
+// payloads and runs a caller hook per invocation, so a test can trigger
+// cancellation or failure at an exact point in the blocked pipeline. It
+// records every buffer the pipeline now owns and, through recyclePayload,
+// every buffer the pipeline gave back.
+type probe struct {
 	onCall func(call int) error // non-nil error fails that block
 
-	mu     sync.Mutex
-	calls  int
-	handed map[*byte]bool
+	mu       sync.Mutex
+	calls    int
+	handed   map[*byte]bool
+	recycled map[*byte]int
 }
 
-const probePayloadLen = 512 // capacity class 512: nothing else in the tests uses it
+// install builds the probe's codec and routes SealBlocked's recycling
+// through the probe for the length of the test.
+func (p *probe) install(t *testing.T) *Codec {
+	p.handed, p.recycled = map[*byte]bool{}, map[*byte]int{}
+	prev := recyclePayload
+	recyclePayload = func(b []byte) {
+		p.mu.Lock()
+		p.recycled[&b[:1][0]]++
+		p.mu.Unlock()
+		prev(b)
+	}
+	t.Cleanup(func() { recyclePayload = prev })
+	return &Codec{
+		Name: "test:probe", MinRank: 1, MaxRank: 4,
+		Param:  Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1},
+		Encode: p.encode,
+		Decode: func([]byte, grid.Dims, container.DType) (Buffer, error) {
+			return Buffer{}, errors.New("probe codec does not decompress")
+		},
+	}
+}
 
-func (p *probeCompressor) Name() string                   { return "test:probe" }
-func (p *probeCompressor) BoundName() string              { return "absolute error bound" }
-func (p *probeCompressor) ErrorBounded() bool             { return true }
-func (p *probeCompressor) SupportsShape(grid.Dims) bool   { return true }
-func (p *probeCompressor) BoundRange() (float64, float64) { return 1e-12, 1 }
-
-func (p *probeCompressor) Compress(buf Buffer, bound float64) ([]byte, error) {
+func (p *probe) encode(Buffer, float64) ([]byte, error) {
 	p.mu.Lock()
 	p.calls++
 	call := p.calls
@@ -50,7 +65,7 @@ func (p *probeCompressor) Compress(buf Buffer, bound float64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	out := pool.GetBytes(probePayloadLen)[:probePayloadLen]
+	out := pool.GetBytes(512)
 	for i := range out {
 		out[i] = byte(call)
 	}
@@ -60,16 +75,21 @@ func (p *probeCompressor) Compress(buf Buffer, bound float64) ([]byte, error) {
 	return out, nil
 }
 
-func (p *probeCompressor) Decompress([]byte, grid.Dims, container.DType) (Buffer, error) {
-	return Buffer{}, errors.New("probe compressor does not decompress")
-}
-
-// drainPools empties the byte pool's primary and victim caches (sync.Pool
-// keeps one GC generation of victims) so the identity assertions below see a
-// deterministic free-list state.
-func drainPools() {
-	runtime.GC()
-	runtime.GC()
+// checkAllRecycled asserts that exactly the payloads the probe handed out
+// went back to the pool, once each.
+func (p *probe) checkAllRecycled(t *testing.T, want int) {
+	t.Helper()
+	if len(p.handed) != want {
+		t.Fatalf("%d blocks completed, want %d", len(p.handed), want)
+	}
+	for b := range p.handed {
+		if p.recycled[b] != 1 {
+			t.Errorf("a completed block payload was recycled %d times, want once", p.recycled[b])
+		}
+	}
+	if len(p.recycled) != want {
+		t.Errorf("%d distinct buffers recycled, want the %d handed out", len(p.recycled), want)
+	}
 }
 
 func probeField(t *testing.T) Buffer {
@@ -84,29 +104,21 @@ func probeField(t *testing.T) Buffer {
 // TestSealBlockedCancelRecyclesCompletedPayloads cancels the context from
 // inside the first block's compression — the moment a payload exists that
 // the aborted seal will never use — and asserts that payload returns to the
-// pool: the next Get of its capacity class must observe the same backing
-// array.
+// pool.
 func TestSealBlockedCancelRecyclesCompletedPayloads(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	probe := &probeCompressor{handed: map[*byte]bool{}}
-	probe.onCall = func(call int) error {
+	p := &probe{onCall: func(call int) error {
 		if call == 1 {
 			cancel() // feed loop stops; block 0's payload is already committed
 		}
 		return nil
-	}
-
-	drainPools()
-	_, err := SealBlocked(ctx, probe, probeField(t), 1e-3, 4, 1)
+	}}
+	_, err := SealBlocked(ctx, p.install(t), probeField(t), 1e-3, 4, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SealBlocked under cancellation: got %v, want context.Canceled", err)
 	}
-
-	got := pool.GetBytes(probePayloadLen)
-	if !probe.handed[&got[0]] {
-		t.Errorf("completed block payload was not recycled on the cancellation path")
-	}
+	p.checkAllRecycled(t, 1)
 }
 
 // TestSealBlockedBlockFailureRecyclesCompletedPayloads drives the same
@@ -114,29 +126,20 @@ func TestSealBlockedCancelRecyclesCompletedPayloads(t *testing.T) {
 // (or despite) another block's error must be recycled, not dropped with the
 // error.
 func TestSealBlockedBlockFailureRecyclesCompletedPayloads(t *testing.T) {
-	probe := &probeCompressor{handed: map[*byte]bool{}}
-	probe.onCall = func(call int) error {
+	p := &probe{onCall: func(call int) error {
 		if call == 2 {
 			return errors.New("synthetic block failure")
 		}
 		return nil
-	}
-
-	drainPools()
-	_, err := SealBlocked(context.Background(), probe, probeField(t), 1e-3, 4, 1)
+	}}
+	_, err := SealBlocked(context.Background(), p.install(t), probeField(t), 1e-3, 4, 1)
 	if err == nil {
 		t.Fatal("SealBlocked succeeded despite a failing block")
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("want the block's own failure, got %v", err)
 	}
-
-	// Blocks 1, 3, and 4 completed (call 2 failed); all three payloads must
-	// be back on the free list.
-	for i := 0; i < 3; i++ {
-		got := pool.GetBytes(probePayloadLen)
-		if !probe.handed[&got[0]] {
-			t.Errorf("recycled payload %d is not one the probe handed out", i)
-		}
-	}
+	// Blocks 1, 3 and 4 completed (call 2 failed, and one block's failure
+	// does not stop the others).
+	p.checkAllRecycled(t, 3)
 }

@@ -108,10 +108,8 @@ type CacheEntry struct {
 	// Size is the compressed size in bytes at Bound.
 	Size int
 	// Report is the full quality report of the compress+decompress round
-	// trip, valid only when HasReport is set (entries recorded through
-	// Evaluator.Full).
-	Report    metrics.Report
-	HasReport bool
+	// trip; only entries recorded through Evaluator.Full carry one.
+	Report metrics.Report
 }
 
 // cacheSlot is a single-flight slot: the first requester computes while
@@ -248,6 +246,7 @@ func (c *Cache) Len() int {
 type Evaluator struct {
 	cache  *Cache
 	comp   Compressor
+	codec  *Codec
 	buf    Buffer
 	fp     uint64
 	hits   atomic.Uint64
@@ -257,70 +256,59 @@ type Evaluator struct {
 // NewEvaluator binds a cache to one compressor/buffer pair. A nil cache is
 // allowed and disables memoisation (every Ratio call compresses).
 func NewEvaluator(cache *Cache, comp Compressor, buf Buffer) *Evaluator {
-	e := &Evaluator{cache: cache, comp: comp, buf: buf}
+	e := &Evaluator{cache: cache, comp: comp, codec: comp.Descriptor(), buf: buf}
 	if cache != nil {
 		e.fp = Fingerprint(buf)
 	}
 	return e
 }
 
-// Ratio evaluates the compression ratio at the given bound, serving repeats
-// from the cache. On a miss the compressor runs at exactly the requested
-// bound (so an uncontended search follows the same trajectory it would
-// without the cache); on a hit the caller receives the cached entry's bound,
-// ratio, and size, keeping the three mutually exact. The returned bound is
-// therefore the one the ratio was actually measured at, never more than the
-// quantization spacing (≈0.4%) away from the request.
-func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated float64, err error) {
+// evaluate is the evaluation both entry points share. The requested bound
+// is first snapped to the codec's domain: on an integer domain 7.6 and 8.2
+// are one evaluation, reported at 8. On a miss the compressor runs at exactly
+// that bound (so an uncontended search follows the same trajectory it would
+// without the cache); on a hit the caller receives the cached entry, whose
+// bound, ratio, and size are mutually exact and never more than the
+// quantization spacing (≈0.4%) from the request. full selects the round
+// trip with its quality report, kept in its own slots (CacheKey.Full).
+func (e *Evaluator) evaluate(bound float64, full bool) (CacheEntry, error) {
+	bound = e.codec.Param.Snap(bound)
+	run := func() (CacheEntry, error) {
+		if !full {
+			r, s, err := Ratio(e.comp, e.buf, bound)
+			return CacheEntry{Bound: bound, Ratio: r, Size: s}, err
+		}
+		res, err := Run(e.comp, e.buf, bound)
+		return CacheEntry{Bound: bound, Ratio: res.Report.CompressionRatio, Size: res.Compressed, Report: res.Report}, err
+	}
 	if e.cache == nil {
 		e.misses.Add(1)
-		ratio, size, err = Ratio(e.comp, e.buf, bound)
-		return ratio, size, bound, err
+		return run()
 	}
-	key := CacheKey{Codec: e.comp.Name(), Fingerprint: e.fp, Bound: math.Float64bits(QuantizeBound(bound))}
-	entry, hit, err := e.cache.do(key, func() (CacheEntry, error) {
-		r, s, err := Ratio(e.comp, e.buf, bound)
-		return CacheEntry{Bound: bound, Ratio: r, Size: s}, err
-	})
+	key := CacheKey{Codec: e.codec.Name, Fingerprint: e.fp, Bound: math.Float64bits(QuantizeBound(bound)), Full: full}
+	entry, hit, err := e.cache.do(key, run)
 	if hit {
 		e.hits.Add(1)
 	} else {
 		e.misses.Add(1)
 	}
+	return entry, err
+}
+
+// Ratio evaluates the compression ratio at the given bound, serving repeats
+// from the cache. The returned bound is the one the ratio was actually
+// measured at.
+func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated float64, err error) {
+	entry, err := e.evaluate(bound, false)
 	return entry.Ratio, entry.Size, entry.Bound, err
 }
 
 // Full evaluates the complete compress+decompress quality report at the
-// given bound, serving repeats from the cache under the same quantized-bound
-// key space as Ratio (with the Full flag set, so a round trip is never
-// answered by a compress-only entry). Quality-objective searches call this
-// at every iteration; without the cache each probe of a revisited bound
-// would redundantly re-run the whole round trip.
+// given bound, serving repeats from the cache. Quality-objective searches
+// call this at every iteration; without the cache each probe of a revisited
+// bound would redundantly re-run the whole round trip.
 func (e *Evaluator) Full(bound float64) (rep metrics.Report, evaluated float64, err error) {
-	if e.cache == nil {
-		e.misses.Add(1)
-		res, err := Run(e.comp, e.buf, bound)
-		return res.Report, bound, err
-	}
-	key := CacheKey{Codec: e.comp.Name(), Fingerprint: e.fp, Bound: math.Float64bits(QuantizeBound(bound)), Full: true}
-	entry, hit, err := e.cache.do(key, func() (CacheEntry, error) {
-		res, err := Run(e.comp, e.buf, bound)
-		if err != nil {
-			return CacheEntry{}, err
-		}
-		return CacheEntry{
-			Bound:     bound,
-			Ratio:     res.Report.CompressionRatio,
-			Size:      res.Compressed,
-			Report:    res.Report,
-			HasReport: true,
-		}, nil
-	})
-	if hit {
-		e.hits.Add(1)
-	} else {
-		e.misses.Add(1)
-	}
+	entry, err := e.evaluate(bound, true)
 	return entry.Report, entry.Bound, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -12,87 +13,172 @@ import (
 	"fraz/internal/metrics"
 )
 
-// Capabilities describes the static properties of a registered codec, so
-// callers can select a back end without instantiating one (e.g. which
-// compressors apply to 1-D particle data, or which guarantee a pointwise
-// error bound worth asserting after decompression).
-type Capabilities struct {
-	// BoundName names the tunable scalar parameter, e.g. "absolute error
-	// bound" or "bits per value".
-	BoundName string
-	// ErrorBounded reports whether the tunable parameter guarantees a
-	// pointwise error bound (false for the ZFP fixed-rate and
-	// fixed-precision baselines).
-	ErrorBounded bool
-	// Lossless marks codecs that reconstruct the data bit-exactly; their
-	// bound parameter is ignored, so callers should not quote it as an
-	// error guarantee.
-	Lossless bool
-	// MinRank and MaxRank bound the data ranks the codec accepts.
-	MinRank, MaxRank int
-	// Float32 and Float64 report which element widths the codec accepts.
-	// Register defaults both to true when neither is set, matching the
-	// dtype-generic adapters; a width-restricted codec declares its window
-	// explicitly.
-	Float32, Float64 bool
-	// FixedRate marks true fixed-rate codecs: the tunable parameter is the
-	// storage itself (bits per value), so the compressed size — and
-	// therefore the compression ratio — is a closed-form function of the
-	// shape and the parameter. The tuner exploits this to satisfy a
-	// fixed-ratio objective directly, with zero search evaluations; see
-	// RateCompressor. Note zfp:rate does NOT qualify: its "bits per value"
-	// steers an embedded coder whose output length still depends on the
-	// data, so its ratio must be searched like any other codec's.
-	FixedRate bool
+// Unit says what a codec's one tunable parameter measures. It is the fact
+// the tuner needs before it can search a parameter it otherwise treats as a
+// black box: whether the admissible interval scales with the data, and
+// whether the closed-form quality models apply.
+type Unit uint8
+
+const (
+	// UnitNone marks a parameter the codec ignores (lossless codecs).
+	UnitNone Unit = iota
+	// UnitAbsError is a pointwise error in the data's own units.
+	UnitAbsError
+	// UnitSquaredError is a mean squared error: data units, squared.
+	UnitSquaredError
+	// UnitRangeFraction is a pointwise error as a fraction of the field's
+	// value range.
+	UnitRangeFraction
+	// UnitBits is a number of stored bits per value.
+	UnitBits
+	// UnitPlanes is a number of bit planes kept per block.
+	UnitPlanes
+)
+
+// IsError reports whether the parameter is an error magnitude: a larger
+// value permits a larger reconstruction error, in units tied to the data.
+// Those are the parameters searched over an interval scaled to the field's
+// value range, and the ones Tao et al.'s closed forms predict.
+func (u Unit) IsError() bool {
+	return u == UnitAbsError || u == UnitSquaredError || u == UnitRangeFraction
 }
 
-// RateCompressor is the contract behind Capabilities.FixedRate: a codec
-// whose compressed size is pure arithmetic over the shape and the
-// bits-per-value parameter. Register enforces that a codec declares
-// FixedRate if and only if its instances implement this interface, so a
-// FixedRate capability in the registry is a checked promise, not an
-// annotation.
-type RateCompressor interface {
-	Compressor
-	// CompressedSize returns the exact stream size in bytes that
-	// Compress(buf, bitsPerValue) produces for a buffer of this shape —
-	// before any evaluation runs. Inverting it turns a target ratio into a
-	// bits-per-value setting.
-	CompressedSize(shape grid.Dims, bitsPerValue int) int
-	// MaxBits reports the largest valid bits-per-value for the element
-	// width (the full IEEE width, at which the codec approaches
-	// losslessness).
-	MaxBits(dt container.DType) int
+// IsBitCount reports whether the parameter counts bits or bit planes: it
+// bounds no error and has nothing to do with the data's scale.
+func (u Unit) IsBitCount() bool { return u == UnitBits || u == UnitPlanes }
+
+// Param declares the domain of a codec's tunable parameter.
+type Param struct {
+	// Name is the display name, e.g. "absolute error bound".
+	Name string
+	// Unit says what the value measures.
+	Unit Unit
+	// Lo and Hi bound the admissible values, in the parameter's own units.
+	// For the bit-valued units Hi is the ceiling for float32 elements, and
+	// the interval searched at either width; see Limits.
+	Lo, Hi float64
+	// Integer marks parameters the codec takes as whole numbers.
+	Integer bool
 }
 
-// SupportsRank reports whether the codec accepts data of the given rank.
-func (c Capabilities) SupportsRank(rank int) bool {
-	return rank >= c.MinRank && rank <= c.MaxRank
-}
-
-// SupportsDType reports whether the codec accepts elements of the given
-// width.
-func (c Capabilities) SupportsDType(d container.DType) bool {
-	switch d {
-	case container.Float32:
-		return c.Float32
-	case container.Float64:
-		return c.Float64
+// Snap returns the value the codec runs at for a requested v: the nearest
+// whole number on an integer domain, v itself otherwise. Everything that
+// records or keys on a parameter (the evaluation cache, container headers)
+// snaps first, so what is recorded is what was run.
+func (p Param) Snap(v float64) float64 {
+	if p.Integer {
+		return math.Round(v)
 	}
-	return false
+	return v
 }
 
-// Codec is the registry descriptor for one compressor configuration: its
-// wire name (recorded in .fraz container headers), a factory for instances,
-// and its static capabilities.
+// Limits returns the interval Compress admits for elements of the given
+// type: [Lo, Hi], except that a bit count may reach the full width of a
+// wider element.
+func (p Param) Limits(dt container.DType) (lo, hi float64) {
+	hi = p.Hi
+	if w := float64(8 * dt.Size()); p.Unit.IsBitCount() && w > hi {
+		hi = w
+	}
+	return p.Lo, hi
+}
+
+// check rejects a value outside the declared domain.
+func (p Param) check(v float64, dt container.DType) error {
+	if p.Unit == UnitNone {
+		return nil
+	}
+	if lo, hi := p.Limits(dt); !(v >= lo && v <= hi) {
+		return fmt.Errorf("%s %v outside [%g, %g]", p.Name, v, lo, hi)
+	}
+	if p.Integer && v != math.Trunc(v) { //frazlint:allow floateq -- a whole number is an exact property
+		return fmt.Errorf("%s %v is not a whole number", p.Name, v)
+	}
+	return nil
+}
+
+// Codec describes one compressor configuration: everything the framework
+// knows about it, stated once. The built-in codecs are the rows of the
+// table in codecs.go; tests build fakes as literals of this type.
 type Codec struct {
 	// Name identifies the codec, e.g. "sz:abs". It is the name written into
 	// container headers, so renaming a codec orphans existing archives.
 	Name string
-	// New constructs a ready-to-use compressor instance.
-	New func() Compressor
-	// Caps describes what the codec can do.
-	Caps Capabilities
+	// MinRank and MaxRank bound the data ranks the codec accepts.
+	MinRank, MaxRank int
+	// Param is the domain of the tunable parameter.
+	Param Param
+	// Encode and Decode are the kernel: Encode compresses the buffer at the
+	// given parameter value, Decode reverses it at the given element width.
+	// Both must be safe for concurrent use and must return freshly allocated
+	// memory that aliases neither their input nor codec-internal state — the
+	// blocked seal and open paths recycle what they return into the pools.
+	// Callers go through Compress and Decompress, which check the shape and
+	// the parameter against the descriptor first.
+	Encode func(buf Buffer, param float64) ([]byte, error)
+	Decode func(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error)
+	// Size, when set, marks a true fixed-rate codec: the parameter is the
+	// storage itself (bits per value), and Size returns the exact length of
+	// Encode's stream for a shape from arithmetic alone. The tuner inverts
+	// it to satisfy a fixed-ratio objective with zero evaluations. zfp:rate
+	// has none: its rate steers an embedded coder whose output length still
+	// depends on the data.
+	Size func(shape grid.Dims, bits int) int
+}
+
+// Compressor is what the tuner, the evaluator and the seal path drive: the
+// two operations, plus the descriptor they read every static fact from.
+// *Codec implements it; a wrapper that embeds a Compressor to instrument
+// one operation keeps the descriptor of what it wraps.
+type Compressor interface {
+	Descriptor() *Codec
+	// Compress compresses the buffer with the tunable parameter set to
+	// param.
+	Compress(buf Buffer, param float64) ([]byte, error)
+	// Decompress reconstructs data previously compressed by this codec at
+	// the given element width.
+	Decompress(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error)
+}
+
+// RateCompressor exists for the frozen benchmark module, which asserts it
+// on a fixed-rate codec to reach Size; in-tree code reads Codec.Size.
+type RateCompressor interface {
+	Compressor
+	CompressedSize(shape grid.Dims, bitsPerValue int) int
+}
+
+// Descriptor returns c.
+func (c *Codec) Descriptor() *Codec { return c }
+
+// SupportsShape reports whether the shape is valid and its rank lies in the
+// codec's window.
+func (c *Codec) SupportsShape(shape grid.Dims) bool {
+	return shape.Validate() == nil && shape.NDims() >= c.MinRank && shape.NDims() <= c.MaxRank
+}
+
+// Compress implements Compressor: Encode, behind the descriptor's checks.
+func (c *Codec) Compress(buf Buffer, param float64) ([]byte, error) {
+	if !c.SupportsShape(buf.Shape) {
+		return nil, fmt.Errorf("%s: unsupported shape %v (ranks %d..%d)", c.Name, buf.Shape, c.MinRank, c.MaxRank)
+	}
+	if err := c.Param.check(param, buf.dtype); err != nil {
+		return nil, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	return c.Encode(buf, param)
+}
+
+// Decompress implements Compressor: Decode, behind the descriptor's checks.
+func (c *Codec) Decompress(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error) {
+	if !c.SupportsShape(shape) {
+		return Buffer{}, fmt.Errorf("%s: unsupported shape %v (ranks %d..%d)", c.Name, shape, c.MinRank, c.MaxRank)
+	}
+	return c.Decode(comp, shape, dtype)
+}
+
+// CompressedSize implements RateCompressor. It must only be called on a
+// codec whose Size is set.
+func (c *Codec) CompressedSize(shape grid.Dims, bitsPerValue int) int {
+	return c.Size(shape, bitsPerValue)
 }
 
 // ErrUnknownCompressor is returned by New and Open for unregistered names.
@@ -100,54 +186,15 @@ var ErrUnknownCompressor = errors.New("pressio: unknown compressor")
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]Codec{}
+	registry   = map[string]*Codec{}
 )
 
-// Register adds a codec descriptor to the registry. It is called from init
-// functions and by tests installing fakes; registering a duplicate name, an
-// empty name, or a nil factory panics, as those are always programming
-// errors.
-//
-// BoundName and ErrorBounded also exist as methods on the Compressor
-// instances the factory produces. To keep the two from drifting, Register
-// instantiates the codec once: empty Caps fields are filled in from the
-// instance, and populated ones that contradict it panic.
-func Register(c Codec) {
+// Register adds a descriptor to the registry. It is called once per table
+// row at start-up and by tests installing fakes; an empty or duplicate name
+// panics, as those are always programming errors.
+func Register(c *Codec) {
 	if c.Name == "" {
 		panic("pressio: Register with empty codec name")
-	}
-	if c.New == nil {
-		panic(fmt.Sprintf("pressio: Register(%q) with nil factory", c.Name))
-	}
-	inst := c.New()
-	if inst == nil {
-		panic(fmt.Sprintf("pressio: Register(%q) factory returned nil", c.Name))
-	}
-	if got := inst.Name(); got != c.Name {
-		panic(fmt.Sprintf("pressio: Register(%q) factory builds compressor named %q", c.Name, got))
-	}
-	if c.Caps.BoundName == "" {
-		c.Caps.BoundName = inst.BoundName()
-		c.Caps.ErrorBounded = inst.ErrorBounded()
-	} else {
-		if c.Caps.BoundName != inst.BoundName() {
-			panic(fmt.Sprintf("pressio: Register(%q): Caps.BoundName %q disagrees with instance %q", c.Name, c.Caps.BoundName, inst.BoundName()))
-		}
-		if c.Caps.ErrorBounded != inst.ErrorBounded() {
-			panic(fmt.Sprintf("pressio: Register(%q): Caps.ErrorBounded disagrees with instance", c.Name))
-		}
-	}
-	if _, isRate := inst.(RateCompressor); isRate != c.Caps.FixedRate {
-		if isRate {
-			panic(fmt.Sprintf("pressio: Register(%q): instance implements RateCompressor but Caps.FixedRate is false", c.Name))
-		}
-		panic(fmt.Sprintf("pressio: Register(%q): Caps.FixedRate promised but instance does not implement RateCompressor", c.Name))
-	}
-	if !c.Caps.Float32 && !c.Caps.Float64 {
-		// The dtype window is declarative; every in-tree adapter dispatches
-		// on the buffer's dtype tag and handles both widths, so an
-		// unspecified window means "both".
-		c.Caps.Float32, c.Caps.Float64 = true, true
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -158,27 +205,29 @@ func Register(c Codec) {
 }
 
 // Lookup returns the descriptor registered under name.
-func Lookup(name string) (Codec, bool) {
+func Lookup(name string) (*Codec, bool) {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	c, ok := registry[name]
 	return c, ok
 }
 
-// New instantiates a registered compressor by name.
+// New resolves a registered codec by name. It returns the interface rather
+// than the *Codec because the frozen benchmark module type-asserts the
+// result; in-tree callers that want the facts call Lookup.
 func New(name string) (Compressor, error) {
 	c, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (available: %v)", ErrUnknownCompressor, name, Names())
 	}
-	return c.New(), nil
+	return c, nil
 }
 
 // Codecs lists the registered descriptors sorted by name.
-func Codecs() []Codec {
+func Codecs() []*Codec {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	out := make([]Codec, 0, len(registry))
+	out := make([]*Codec, 0, len(registry))
 	for _, c := range registry {
 		out = append(out, c)
 	}
@@ -188,27 +237,27 @@ func Codecs() []Codec {
 
 // Names lists the registered codec names in sorted order.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	codecs := Codecs()
+	names := make([]string, len(codecs))
+	for i, c := range codecs {
+		names[i] = c.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Seal compresses the buffer at the given bound and wraps the result in a
-// self-describing container carrying the codec name, the bound, the achieved
-// ratio, the element type, and the shape — everything Open needs to reverse
-// it.
+// Seal compresses the buffer at the given parameter value and wraps the
+// result in a self-describing container carrying the codec name, the value
+// the codec ran at, the achieved ratio, the element type, and the shape —
+// everything Open needs to reverse it.
 func Seal(c Compressor, buf Buffer, bound float64) (container.Container, error) {
+	d := c.Descriptor()
+	bound = d.Param.Snap(bound)
 	comp, err := c.Compress(buf, bound)
 	if err != nil {
-		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", c.Name(), err)
+		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
 	}
 	ratio := metrics.CompressionRatio(buf.Bytes(), len(comp))
-	return container.New(c.Name(), bound, ratio, buf.DType(), buf.Shape, comp)
+	return container.New(d.Name, bound, ratio, buf.DType(), buf.Shape, comp)
 }
 
 // Open routes a decoded container to the codec named in its header and
@@ -220,9 +269,6 @@ func Seal(c Compressor, buf Buffer, bound float64) (container.Container, error) 
 func Open(cn container.Container) (Buffer, error) {
 	if cn.Blocks != nil {
 		return OpenBlocked(context.Background(), cn, 0)
-	}
-	if err := checkDType(cn.Header.DType); err != nil {
-		return Buffer{}, err
 	}
 	c, err := New(cn.Header.Codec)
 	if err != nil {

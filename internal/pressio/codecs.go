@@ -1,0 +1,127 @@
+package pressio
+
+import (
+	"fraz/internal/frsz"
+	"fraz/internal/grid"
+	"fraz/internal/mgard"
+	"fraz/internal/sz"
+	"fraz/internal/szx"
+	"fraz/internal/zfp"
+)
+
+// This file is the codec table: one row per registered codec, and nothing
+// about a codec is stated anywhere else. Error magnitudes admit twelve
+// decades either side of one (squared for a squared error); the bit-valued
+// parameters run from one bit to the float32 width (see Param.Limits for
+// float64).
+
+var (
+	szDecode    = decoder(sz.Decompress[float32], sz.Decompress[float64])
+	zfpDecode   = decoder(zfp.Decompress[float32], zfp.Decompress[float64])
+	mgardDecode = decoder(mgard.Decompress[float32], mgard.Decompress[float64])
+)
+
+// zfpEncode builds the Encode of one ZFP mode.
+func zfpEncode(opts func(param float64) zfp.Options) func(Buffer, float64) ([]byte, error) {
+	return encoder(func(_ Buffer, p float64) zfp.Options { return opts(p) }, zfp.Compress[float32], zfp.Compress[float64])
+}
+
+// mgardEncode builds the Encode of one MGARD norm.
+func mgardEncode(norm mgard.Norm) func(Buffer, float64) ([]byte, error) {
+	return encoder(func(_ Buffer, p float64) mgard.Options { return mgard.Options{Norm: norm, Bound: p} },
+		mgard.Compress[float32], mgard.Compress[float64])
+}
+
+var builtin = []*Codec{
+	{
+		Name: "sz:abs", MinRank: 1, MaxRank: 3,
+		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode: encoder(func(_ Buffer, p float64) sz.Options { return sz.Options{ErrorBound: p} },
+			sz.Compress[float32], sz.Compress[float64]),
+		Decode: szDecode,
+	},
+	{
+		// The configuration most scientific users run: bounds quoted as a
+		// share (say 10^-3) of the value range.
+		Name: "sz:rel", MinRank: 1, MaxRank: 3,
+		Param: Param{Name: "value-range-relative error bound", Unit: UnitRangeFraction, Lo: 1e-12, Hi: 1},
+		Encode: encoder(func(buf Buffer, p float64) sz.Options {
+			vr := buf.ValueRange()
+			if vr <= 0 {
+				vr = 1 // constant field: any positive absolute bound preserves it
+			}
+			return sz.Options{ErrorBound: p * vr}
+		}, sz.Compress[float32], sz.Compress[float64]),
+		Decode: szDecode,
+	},
+	{
+		// The speed tier: roughly an order of magnitude faster than sz:abs at
+		// a data-dependent ratio cost, under the same contract. It predicts
+		// nothing across neighbours, so it is rank-agnostic — the only lossy
+		// error-bounded codec accepting 4-D data.
+		Name: "szx:abs", MinRank: 1, MaxRank: 4,
+		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode: encoder(func(_ Buffer, p float64) szx.Options { return szx.Options{ErrorBound: p} },
+			szx.Compress[float32], szx.Compress[float64]),
+		Decode: decoder(szx.Decompress[float32], szx.Decompress[float64]),
+	},
+	{
+		Name: "zfp:accuracy", MinRank: 1, MaxRank: 3,
+		Param:  Param{Name: "absolute error tolerance", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeAccuracy, Tolerance: p} }),
+		Decode: zfpDecode,
+	},
+	{
+		Name: "zfp:rate", MinRank: 1, MaxRank: 3,
+		Param:  Param{Name: "bits per value", Unit: UnitBits, Lo: 1, Hi: 32},
+		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedRate, Rate: p} }),
+		Decode: zfpDecode,
+	},
+	{
+		// Searched up to 32 planes at either width, so doubles top out near
+		// float32 resolution in this mode; zfp:accuracy, whose bound drives
+		// the plane cutoff through the exponent, reaches all 64.
+		Name: "zfp:precision", MinRank: 1, MaxRank: 3,
+		Param:  Param{Name: "bit planes per block", Unit: UnitPlanes, Lo: 1, Hi: 32, Integer: true},
+		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedPrecision, Precision: int(p)} }),
+		Decode: zfpDecode,
+	},
+	{
+		Name: "mgard:abs", MinRank: 2, MaxRank: 3,
+		Param:  Param{Name: "infinity-norm bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode: mgardEncode(mgard.NormInfinity),
+		Decode: mgardDecode,
+	},
+	{
+		Name: "mgard:l2", MinRank: 2, MaxRank: 3,
+		Param:  Param{Name: "mean-squared-error bound", Unit: UnitSquaredError, Lo: 1e-24, Hi: 1e24},
+		Encode: mgardEncode(mgard.NormL2),
+		Decode: mgardDecode,
+	},
+	{
+		// The one true fixed-rate codec: every value costs exactly the given
+		// number of bits, so Size is arithmetic and a fixed-ratio objective
+		// needs no search (core's direct path).
+		Name: "frsz:rate", MinRank: 1, MaxRank: 4,
+		Param: Param{Name: "bits per value", Unit: UnitBits, Lo: 1, Hi: 32, Integer: true},
+		Encode: encoder(func(_ Buffer, p float64) frsz.Options { return frsz.Options{BitsPerValue: int(p)} },
+			frsz.Compress[float32], frsz.Compress[float64]),
+		Decode: decoder(frsz.Decompress[float32], frsz.Decompress[float64]),
+		Size: func(shape grid.Dims, bits int) int {
+			return frsz.CompressedSize(shape.Len(), shape.NDims(), bits, 0)
+		},
+	},
+	{
+		Name: "flate:lossless", MinRank: 1, MaxRank: 4,
+		Param: Param{Name: "unused (lossless)", Unit: UnitNone, Lo: 1e-12, Hi: 1e12},
+		Encode: encoder(func(Buffer, float64) struct{} { return struct{}{} },
+			losslessCompress[float32], losslessCompress[float64]),
+		Decode: decoder(losslessDecompress[float32], losslessDecompress[float64]),
+	},
+}
+
+func init() {
+	for _, c := range builtin {
+		Register(c)
+	}
+}

@@ -8,14 +8,6 @@ import (
 	"fraz/internal/metrics"
 )
 
-func TestExtraBackendsRegistered(t *testing.T) {
-	for _, name := range []string{"sz:rel", "zfp:precision", "flate:lossless"} {
-		if _, err := New(name); err != nil {
-			t.Errorf("backend %s not registered: %v", name, err)
-		}
-	}
-}
-
 func TestSZRelativeBoundScalesWithRange(t *testing.T) {
 	c, err := New("sz:rel")
 	if err != nil {
@@ -67,9 +59,6 @@ func TestZFPPrecisionBackend(t *testing.T) {
 	c, err := New("zfp:precision")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.ErrorBounded() {
-		t.Errorf("fixed-precision mode should not claim an absolute error bound")
 	}
 	buf := testField3D()
 	lowPrec, _, err := Ratio(c, buf, 8)

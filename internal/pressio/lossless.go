@@ -1,0 +1,130 @@
+package pressio
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"sync"
+
+	"fraz/internal/grid"
+	"fraz/internal/pool"
+)
+
+// This file is the kernel of flate:lossless, the DEFLATE baseline that
+// substantiates the paper's motivating claim that lossless compressors
+// cannot meaningfully reduce floating-point simulation data.
+
+// losslessMagic32 and losslessMagic64 tag the element width of a lossless
+// stream, mirroring the typed magics of the lossy kernels (float32 streams
+// keep the bytes earlier builds wrote).
+const (
+	losslessMagic32 = 0x4C5A4631 // "LZF1"
+	losslessMagic64 = 0x4C5A4632 // "LZF2"
+)
+
+// errLossless is the base error for the lossless baseline codec.
+var errLossless = errors.New("flate:lossless")
+
+// getFloats bridges the generic element type to the pool's concrete free
+// lists. Buffers handed out here flow back via Buffer recycling in the
+// blocked open path (see Codec.Decode's contract).
+func getFloats[T grid.Float](n int) []T {
+	if grid.ElemSize[T]() == 4 {
+		return any(pool.GetFloat32(n)).([]T)
+	}
+	return any(pool.GetFloat64(n)).([]T)
+}
+
+func losslessMagicFor[T grid.Float]() uint32 {
+	if grid.ElemSize[T]() == 4 {
+		return losslessMagic32
+	}
+	return losslessMagic64
+}
+
+// flateReaders and flateWriters recycle DEFLATE state (a 32 KiB window plus
+// decode tables) across calls. The blocked open path decodes one payload per
+// block, so without these pools every block pays the reader's setup
+// allocations again.
+var flateReaders = sync.Pool{New: func() any {
+	return flate.NewReader(bytes.NewReader(nil))
+}}
+
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(io.Discard, flate.BestCompression)
+	if err != nil {
+		panic(err) // the level constant is valid; NewWriter cannot fail on it
+	}
+	return fw
+}}
+
+func losslessCompress[T grid.Float](data []T, _ grid.Dims, _ struct{}) ([]byte, error) {
+	elem := grid.ElemSize[T]()
+	raw := pool.GetBytes(4 + len(data)*elem)
+	defer pool.PutBytes(raw)
+	binary.LittleEndian.PutUint32(raw[:4], losslessMagicFor[T]())
+	if elem == 4 {
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(raw[4+4*i:], math.Float32bits(float32(v)))
+		}
+	} else {
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(raw[4+8*i:], math.Float64bits(float64(v)))
+		}
+	}
+	var out bytes.Buffer
+	fw := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(fw)
+	fw.Reset(&out)
+	if _, err := fw.Write(raw); err != nil {
+		return nil, fmt.Errorf("%w: %v", errLossless, err)
+	}
+	if err := fw.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errLossless, err)
+	}
+	return out.Bytes(), nil
+}
+
+func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error) {
+	fr := flateReaders.Get().(io.ReadCloser)
+	defer flateReaders.Put(fr)
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("%w: %v", errLossless, err)
+	}
+	elem := grid.ElemSize[T]()
+	// The shape fixes the payload size exactly, so the inflated bytes can come
+	// from the pool instead of ReadAll's repeated growth: read the expected
+	// length plus one sentinel byte that must hit EOF.
+	want := 4 + shape.Len()*elem
+	raw := pool.GetBytes(want + 1)
+	defer pool.PutBytes(raw)
+	n, err := io.ReadFull(fr, raw)
+	switch {
+	case err == nil || n > want:
+		return nil, fmt.Errorf("%w: payload longer than shape %v expects", errLossless, shape)
+	case err != io.ErrUnexpectedEOF && err != io.EOF:
+		return nil, fmt.Errorf("%w: %v", errLossless, err)
+	case n != want:
+		return nil, fmt.Errorf("%w: truncated payload", errLossless)
+	}
+	fr.Close()
+	if binary.LittleEndian.Uint32(raw[:4]) != losslessMagicFor[T]() {
+		return nil, fmt.Errorf("%w: bad magic", errLossless)
+	}
+	raw = raw[4:want]
+	out := getFloats[T](shape.Len())
+	if elem == 4 {
+		for i := range out {
+			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
+		}
+	} else {
+		for i := range out {
+			out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+		}
+	}
+	return out, nil
+}

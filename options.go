@@ -119,9 +119,15 @@ func Tolerance(eps float64) Option {
 	}
 }
 
-// MaxError sets U, the largest error bound the search may recommend — the
-// paper's cap on how much fidelity a fixed-ratio request is allowed to
-// spend. Zero (the default) admits bounds up to the data's value range.
+// MaxError sets U, the largest pointwise error, in the data's own units,
+// the search may spend — the paper's cap on how much fidelity a fixed-ratio
+// request is allowed to give up. Zero (the default) admits errors up to the
+// data's value range. What it caps depends on the unit of the codec's
+// parameter: an absolute bound or tolerance (sz:abs, szx:abs, zfp:accuracy,
+// mgard:abs) at u itself, sz:rel's fraction of the range at u/range,
+// mgard:l2's mean squared error at u². The bit-count parameters of zfp:rate,
+// zfp:precision and frsz:rate bound no error, so combining MaxError with one
+// of them is rejected when the client is built.
 func MaxError(u float64) Option {
 	return func(s *settings) error {
 		if u < 0 || math.IsNaN(u) {
@@ -185,9 +191,14 @@ func Seed(seed int64) Option {
 	}
 }
 
-// FixedBound skips tuning entirely and compresses at the given codec
-// parameter — an explicit error bound, or bits-per-value for "zfp:rate".
-// It is the escape hatch for codec-native workflows (e.g. a fixed-rate
+// FixedBound skips tuning entirely and compresses at the given value of the
+// codec's own parameter, in that parameter's unit (CodecInfo.BoundName): an
+// absolute error for sz:abs, szx:abs, zfp:accuracy and mgard:abs, a fraction
+// of the value range in (0, 1] for sz:rel, a mean squared error for
+// mgard:l2, bits per value for zfp:rate and frsz:rate, bit planes for
+// zfp:precision (the last two take whole numbers: the value is rounded, and
+// CompressResult.ErrorBound reports the rounded one). flate:lossless ignores
+// it. It is the escape hatch for codec-native workflows (e.g. a fixed-rate
 // baseline) and for re-sealing at a bound found earlier.
 func FixedBound(bound float64) Option {
 	return func(s *settings) error {

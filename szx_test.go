@@ -1,6 +1,6 @@
 // Integration tests for the szx:abs speed-tier codec through the public
-// fraz API: registry discovery, the max-error objective honoring its bound,
-// and float64 round trips under both container versions.
+// fraz API: the max-error objective honoring its bound, and float64 round
+// trips under both container versions.
 package fraz_test
 
 import (
@@ -11,19 +11,6 @@ import (
 
 	"fraz"
 )
-
-func TestSZXRegistered(t *testing.T) {
-	info, ok := fraz.LookupCodec("szx:abs")
-	if !ok {
-		t.Fatal("szx:abs not in codec registry")
-	}
-	if !info.ErrorBounded {
-		t.Error("szx:abs must advertise an error bound")
-	}
-	if info.MinRank != 1 || info.MaxRank != 4 {
-		t.Errorf("szx:abs rank range %d..%d, want 1..4", info.MinRank, info.MaxRank)
-	}
-}
 
 func TestSZXFixedMaxError(t *testing.T) {
 	data, shape := testField()
