@@ -3,10 +3,13 @@ package fraz_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"fraz"
+	"fraz/internal/experiments"
 )
 
 // TestCodecsGolden pins the public registry as one table: every field of
@@ -93,6 +96,41 @@ func TestReadmeCodecTable(t *testing.T) {
 		for i, w := range want {
 			if got := cells[2+i]; got != w {
 				t.Errorf("README row %s, column %d: %q, registry says %q", ci.Name, 3+i, got, w)
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlyExistingCommands keeps the prose honest about what can be
+// run: every `cmd/<name>` in the README, doc.go, docs/ and the verify skill
+// is a directory under cmd/, and every `frazbench -exp <name>` is an
+// experiment frazbench has.
+func TestDocsNameOnlyExistingCommands(t *testing.T) {
+	files := []string{"README.md", "doc.go", ".claude/skills/verify/SKILL.md"}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, docs...)
+	experimentNames := map[string]bool{}
+	for _, n := range experiments.Names() {
+		experimentNames[n] = true
+	}
+	command := regexp.MustCompile(`\bcmd/([A-Za-z0-9_]+)`)
+	experiment := regexp.MustCompile(`frazbench -exp ([A-Za-z0-9_]+)`)
+	for _, file := range files {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range command.FindAllStringSubmatch(string(text), -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory under cmd/", file, m[0])
+			}
+		}
+		for _, m := range experiment.FindAllStringSubmatch(string(text), -1) {
+			if !experimentNames[m[1]] {
+				t.Errorf("%s names %q, which is not one of frazbench's experiments %v", file, m[0], experiments.Names())
 			}
 		}
 	}

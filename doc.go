@@ -159,7 +159,7 @@
 //   - internal/sz        — SZ-like prediction-based error-bounded compressor
 //   - internal/szx       — SZx-style ultra-fast error-bounded compressor
 //     (constant-block detection + leading-byte truncation; trades ratio for
-//     one to two orders of magnitude more throughput)
+//     several times the throughput)
 //   - internal/frsz      — FRSZ-style true fixed-rate compressor (per-block
 //     exponent scaling to fixed-point, exactly N bits per value); its
 //     closed-form compressed size powers the tuner's zero-evaluation direct
@@ -183,9 +183,10 @@
 //     archive store, graceful drain, and a Prometheus-style /metrics
 //     surface; see docs/http-api.md for the endpoint reference
 //
-// Executables are under cmd/ (fraz, frazd, frazbench, datagen, frazperf, frazlint) and runnable usage
-// examples under examples/; see README.md for a quickstart and the .fraz
-// format table. The benchmarks in bench_test.go regenerate the paper's
-// evaluation (one benchmark per table/figure) plus ablations of the design
-// choices (region parallelism, cutoff, bound reuse, evaluation cache).
+// Executables are under cmd/ (fraz, frazd, frazbench, datagen, frazlint) and
+// runnable usage examples under examples/; see README.md for a quickstart
+// and the .fraz format table. frazbench regenerates the paper's evaluation
+// (one experiment per table/figure) plus ablations of the design choices
+// (regions, bound reuse, evaluation cache); performance is measured by the
+// repository benchmark, `bash benchmark/run.sh` (benchmark/README.md).
 package fraz

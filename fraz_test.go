@@ -335,4 +335,11 @@ func TestShapeValidation(t *testing.T) {
 			t.Errorf("shape %v should be rejected", shape)
 		}
 	}
+	// Extents whose product wraps to zero "fit" an empty field; the shape is
+	// what is wrong, and nothing may be written for it.
+	var out bytes.Buffer
+	_, err := fraz.Compress(context.Background(), &out, []float32{}, []int{1 << 32, 1 << 32}, fraz.Ratio(6))
+	if err == nil || !strings.Contains(err.Error(), "fraz: invalid shape") || out.Len() != 0 {
+		t.Errorf("wrapping shape: err = %v with %d bytes written, want an invalid-shape error and none", err, out.Len())
+	}
 }

@@ -40,15 +40,6 @@ func (w *Writer) WriteBit(bit uint) {
 	}
 }
 
-// WriteBool appends a single bit encoded from a boolean.
-func (w *Writer) WriteBool(b bool) {
-	if b {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-}
-
 // WriteBits appends the n least-significant bits of v, LSB first.
 // n must be in [0, 64].
 //
@@ -86,15 +77,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 		byte(cur>>32), byte(cur>>40), byte(cur>>48), byte(cur>>56))
 	w.cur = v >> (64 - w.nCur)
 	w.nCur = total - 64
-}
-
-// WriteUnary writes v as v one-bits followed by a terminating zero bit.
-// It is used by the group-testing stage of the embedded coder.
-func (w *Writer) WriteUnary(v uint) {
-	for i := uint(0); i < v; i++ {
-		w.WriteBit(1)
-	}
-	w.WriteBit(0)
 }
 
 // Len reports the total number of bits written so far.
@@ -150,12 +132,6 @@ func (r *Reader) ReadBit() (uint, error) {
 	return b, nil
 }
 
-// ReadBool reads a single bit as a boolean.
-func (r *Reader) ReadBool() (bool, error) {
-	b, err := r.ReadBit()
-	return b == 1, err
-}
-
 // ReadBits reads n bits (LSB first) into a uint64. n must be in [0, 64].
 // When fewer than n bits remain it consumes them all and returns
 // ErrOutOfBits.
@@ -207,31 +183,7 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// ReadUnary reads a unary-coded value (count of one-bits before a zero bit).
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
 // BitsRemaining reports the number of unread bits left in the buffer.
 func (r *Reader) BitsRemaining() int {
 	return (len(r.buf)-r.pos)*8 - int(r.bit)
-}
-
-// AlignByte advances the reader to the next byte boundary (no-op if already
-// aligned).
-func (r *Reader) AlignByte() {
-	if r.bit != 0 {
-		r.bit = 0
-		r.pos++
-	}
 }

@@ -27,20 +27,6 @@ func TestWriteReadSingleBits(t *testing.T) {
 	}
 }
 
-func TestWriteReadBool(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBool(true)
-	w.WriteBool(false)
-	w.WriteBool(true)
-	r := NewReader(w.Bytes())
-	for i, want := range []bool{true, false, true} {
-		got, err := r.ReadBool()
-		if err != nil || got != want {
-			t.Errorf("bool %d = %v (%v), want %v", i, got, err, want)
-		}
-	}
-}
-
 func TestWriteReadMultiBitValues(t *testing.T) {
 	w := NewWriter(64)
 	vals := []struct {
@@ -69,33 +55,12 @@ func TestWriteReadMultiBitValues(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	w := NewWriter(0)
-	vals := []uint{0, 1, 2, 5, 13, 0, 7}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("ReadUnary %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("unary %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestOutOfBits(t *testing.T) {
 	r := NewReader(nil)
 	if _, err := r.ReadBit(); err != ErrOutOfBits {
 		t.Errorf("expected ErrOutOfBits, got %v", err)
 	}
 	if _, err := r.ReadBits(4); err != ErrOutOfBits {
-		t.Errorf("expected ErrOutOfBits, got %v", err)
-	}
-	if _, err := r.ReadUnary(); err != ErrOutOfBits {
 		t.Errorf("expected ErrOutOfBits, got %v", err)
 	}
 }
@@ -132,7 +97,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestBitsRemainingAndAlign(t *testing.T) {
+func TestBitsRemaining(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0x1F, 5)
 	buf := w.Bytes()
@@ -143,13 +108,8 @@ func TestBitsRemainingAndAlign(t *testing.T) {
 	if _, err := r.ReadBits(3); err != nil {
 		t.Fatal(err)
 	}
-	r.AlignByte()
-	if r.BitsRemaining() != 0 {
-		t.Errorf("BitsRemaining after align = %d, want 0", r.BitsRemaining())
-	}
-	r.AlignByte() // no-op when already aligned
-	if r.BitsRemaining() != 0 {
-		t.Errorf("second align changed position")
+	if r.BitsRemaining() != 5 {
+		t.Errorf("BitsRemaining after 3 bits = %d, want 5", r.BitsRemaining())
 	}
 }
 
@@ -190,26 +150,6 @@ func TestPropertyBitsRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyUnaryRoundTrip(t *testing.T) {
-	f := func(vals []uint16) bool {
-		w := NewWriter(0)
-		for _, v := range vals {
-			w.WriteUnary(uint(v % 300))
-		}
-		r := NewReader(w.Bytes())
-		for _, v := range vals {
-			got, err := r.ReadUnary()
-			if err != nil || got != uint(v%300) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -40,7 +40,7 @@ func TestTuneBufferCacheEliminatesRepeatedCompressions(t *testing.T) {
 	// hard before the top region lands, which is exactly when overlapping
 	// searches revisit each other's bounds. Workers=1 serialises the regions
 	// so the trajectory (and hence the hit count) is machine-independent.
-	tu, err := NewTuner(fake, Config{TargetRatio: 60, Seed: 1, Workers: 1})
+	tu, err := NewTuner(fake, Config{Objective: FixedRatio(60), Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTuneBufferCacheWithRealCompressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 8, Seed: 2, Workers: 1})
+	tu, err := NewTuner(c, Config{Objective: FixedRatio(8), Seed: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSharedCacheAcrossTuningRuns(t *testing.T) {
 		// One worker: with more, which regions get to start before the first
 		// acceptable one cancels the rest is up to the scheduler, and the
 		// second run may visit bounds the first never did.
-		tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: seed, Cache: cache, Workers: 1})
+		tu, err := NewTuner(fake, Config{Objective: FixedRatio(10), Seed: seed, Cache: cache, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestSharedCacheAcrossTuningRuns(t *testing.T) {
 // per-step counters, including the prediction reuse path.
 func TestSeriesAggregatesCacheCounters(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: 3})
+	tu, err := NewTuner(fake, Config{Objective: FixedRatio(10), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestSealBlockedRequireFeasible(t *testing.T) {
 	// Ratio saturates at 8 regardless of bound, so a target of 1000 is
 	// unreachable for every region.
 	fake := fake("fake", func(bound float64) float64 { return 8 }, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 1000, Tolerance: 0.05, Regions: 2, Seed: 1, MaxIterationsPerRegion: 4})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(1000, 0.05), Regions: 2, Seed: 1, MaxIterationsPerRegion: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSealBlockedRequireFeasible(t *testing.T) {
 // step must reuse it instead of training.
 func TestSealBlockedPrediction(t *testing.T) {
 	fake := fake("fake", func(bound float64) float64 { return 10 }, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 10, Tolerance: 0.1, Regions: 2, Seed: 1})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(10, 0.1), Regions: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,19 +72,10 @@ var Gamma = 0.8 * math.MaxFloat64
 
 // Config controls a Tuner.
 type Config struct {
-	// Objective is the quantity the search drives the error bound toward.
-	// The zero value selects FixedRatio(TargetRatio) with Tolerance, the
-	// paper's fixed-ratio objective; any other objective makes TargetRatio
-	// and Tolerance below irrelevant (the objective carries its own target
-	// and band).
+	// Objective is the quantity the search drives the error bound toward,
+	// with its target and acceptance band: FixedRatio(ρt) is the paper's
+	// fixed-ratio objective. Required.
 	Objective Objective
-	// TargetRatio is ρt, the requested compression ratio. Required > 1 when
-	// no Objective is given.
-	TargetRatio float64
-	// Tolerance is ε, the fractional half-width of the acceptance band
-	// [ρt(1−ε), ρt(1+ε)]. Zero selects DefaultTolerance. Only consulted when
-	// no Objective is given.
-	Tolerance float64
 	// MaxError is U, the maximum allowed pointwise compression error, in the
 	// data's units. When zero, the default upper bound is used: the value
 	// range of the data, which is the largest error bound any of the
@@ -116,9 +107,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Tolerance <= 0 {
-		c.Tolerance = DefaultTolerance
-	}
 	if c.Regions <= 0 {
 		c.Regions = parallel.DefaultRegions
 	}
@@ -259,20 +247,7 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 	if c == nil {
 		return nil, fmt.Errorf("%w: nil compressor", ErrBadConfig)
 	}
-	obj := cfg.Objective
-	if obj.Name == "" {
-		// Legacy fixed-ratio configuration: TargetRatio/Tolerance stand in
-		// for an explicit FixedRatio objective.
-		if !(cfg.TargetRatio > 1) || math.IsNaN(cfg.TargetRatio) || math.IsInf(cfg.TargetRatio, 0) {
-			return nil, fmt.Errorf("%w: target ratio must be > 1, got %v", ErrBadConfig, cfg.TargetRatio)
-		}
-		if cfg.Tolerance < 0 || cfg.Tolerance >= 1 || math.IsNaN(cfg.Tolerance) {
-			return nil, fmt.Errorf("%w: tolerance must be in [0,1), got %v", ErrBadConfig, cfg.Tolerance)
-		}
-		obj = FixedRatio(cfg.TargetRatio)
-		obj.Tolerance = cfg.Tolerance
-	}
-	obj = obj.WithDefaults()
+	obj := cfg.Objective.WithDefaults()
 	if err := obj.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
@@ -290,12 +265,6 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 	}
 	cfg = cfg.withDefaults()
 	cfg.Objective = obj
-	if obj.Name == "ratio" {
-		// Keep the legacy fields coherent with the objective, whichever way
-		// the caller configured it.
-		cfg.TargetRatio = obj.Target
-		cfg.Tolerance = obj.Tolerance
-	}
 	first := obj.LogBoundFor != nil && obj.PreferRatio && codec.Param.Unit.IsError()
 	return &Tuner{compressor: c, codec: codec, cfg: cfg, obj: obj, cache: cache, modelFirst: first}, nil
 }
@@ -404,11 +373,13 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 			t.obj.Name, buf.Shape, t.obj.MinRank, t.obj.MaxRank)
 	}
 	res := Result{
-		Compressor:  t.codec.Name,
-		Objective:   t.obj.Name,
-		Target:      t.obj.Target,
-		TargetRatio: t.cfg.TargetRatio,
-		Tolerance:   t.obj.Tolerance,
+		Compressor: t.codec.Name,
+		Objective:  t.obj.Name,
+		Target:     t.obj.Target,
+		Tolerance:  t.obj.Tolerance,
+	}
+	if t.obj.Name == "ratio" {
+		res.TargetRatio = t.obj.Target
 	}
 	// Direct satisfaction (the zero-evaluation fast path): a fixed-ratio
 	// objective paired with a true fixed-rate codec needs no search — the

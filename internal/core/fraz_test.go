@@ -75,30 +75,36 @@ func smoothRatio(bound float64) float64 {
 	return 1 + 63*bound/(bound+0.05)/(2/(2+0.05))
 }
 
+// fixedRatio is FixedRatio(target) with the fractional tolerance tol.
+func fixedRatio(target, tol float64) Objective {
+	return withTolerance(FixedRatio(target), tol)
+}
+
 func TestNewTunerValidation(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
 	cases := []Config{
-		{TargetRatio: 0.5},
-		{TargetRatio: 1},
-		{TargetRatio: math.NaN()},
-		{TargetRatio: 10, Tolerance: 1.5},
-		{TargetRatio: 10, Tolerance: -0.1},
-		{TargetRatio: 10, MaxError: -1},
+		{},
+		{MaxError: 2},
+		{Objective: FixedRatio(0.5)},
+		{Objective: FixedRatio(1)},
+		{Objective: FixedRatio(math.NaN())},
+		{Objective: fixedRatio(10, 1.5)},
+		{Objective: FixedRatio(10), MaxError: -1},
 	}
 	for _, cfg := range cases {
-		if _, err := NewTuner(fake, cfg); err == nil {
-			t.Errorf("config %+v should be rejected", cfg)
+		if _, err := NewTuner(fake, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("config %+v: error %v, want ErrBadConfig", cfg, err)
 		}
 	}
-	if _, err := NewTuner(nil, Config{TargetRatio: 10}); err == nil {
+	if _, err := NewTuner(nil, Config{Objective: FixedRatio(10)}); err == nil {
 		t.Errorf("nil compressor should be rejected")
 	}
-	tu, err := NewTuner(fake, Config{TargetRatio: 10})
+	tu, err := NewTuner(fake, Config{Objective: FixedRatio(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := tu.Config()
-	if cfg.Tolerance != DefaultTolerance || cfg.Regions == 0 || cfg.MaxIterationsPerRegion == 0 {
+	if cfg.Objective.Tolerance != DefaultTolerance || cfg.Regions == 0 || cfg.MaxIterationsPerRegion == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if tu.Compressor().Descriptor().Name != "fake" {
@@ -146,7 +152,7 @@ func TestPropertyLossBounded(t *testing.T) {
 func TestTuneBufferFeasibleTarget(t *testing.T) {
 	var calls int64
 	fake := fake("fake", smoothRatio, &calls)
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 1})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestTuneBufferInfeasibleTargetReportsClosest(t *testing.T) {
 	fake := fake("fake", func(bound float64) float64 {
 		return 1 + 11*bound/(bound+0.01)
 	}, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 50, Tolerance: 0.05, MaxError: 1, Seed: 2})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(50, 0.05), MaxError: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +213,7 @@ func TestTuneBufferStepFunctionRatio(t *testing.T) {
 	fake := fake("fake-step", func(bound float64) float64 {
 		return math.Pow(2, math.Floor(math.Log2(bound*1e4+1)))
 	}, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 16, Tolerance: 0.1, MaxError: 0.01, Seed: 3})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(16, 0.1), MaxError: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +231,7 @@ func TestTuneBufferNonMonotoneRatio(t *testing.T) {
 	fake := fake("fake-dip", func(bound float64) float64 {
 		return 60 + 40*bound - 25*math.Exp(-(bound-0.25)*(bound-0.25)*200)
 	}, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 45, Tolerance: 0.05, MaxError: 0.5, Seed: 4})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(45, 0.05), MaxError: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestTuneBufferNonMonotoneRatio(t *testing.T) {
 func TestTuneWithPredictionReuse(t *testing.T) {
 	var calls int64
 	fake := fake("fake", smoothRatio, &calls)
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 5})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +280,7 @@ func TestTuneWithPredictionReuse(t *testing.T) {
 
 func TestTuneWithBadPredictionRetrains(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.05, MaxError: 2, Seed: 6})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.05), MaxError: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +306,7 @@ func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 	// A stand-in for a compressor whose parameter validation rejects a bound
 	// that drifted out of range.
 	fake := failing(fake("fake-faulty", smoothRatio, nil), func(bound float64) bool { return bound < 1e-6 })
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, LowerBound: 1e-5, Seed: 7})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, LowerBound: 1e-5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +349,7 @@ func TestTuneSeriesCountsPredictionErrors(t *testing.T) {
 	comp := failing(fake("fake-series-faulty", smoothRatio, nil), func(float64) bool {
 		return step.Load() == 1 && failedOnce.CompareAndSwap(false, true)
 	})
-	tu, err := NewTuner(comp, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 8})
+	tu, err := NewTuner(comp, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +383,7 @@ func TestTuneBufferUnsupportedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 10})
+	tu, err := NewTuner(c, Config{Objective: FixedRatio(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +410,7 @@ func TestTuneSeriesRetrainsOnRegimeChange(t *testing.T) {
 	fake := fake("fake", func(bound float64) float64 {
 		return ratioAt(stepIndex, bound)
 	}, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 7})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +454,7 @@ func TestTuneSeriesRetrainsOnRegimeChange(t *testing.T) {
 
 func TestTuneSeriesValidation(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
-	tu, _ := NewTuner(fake, Config{TargetRatio: 10})
+	tu, _ := NewTuner(fake, Config{Objective: FixedRatio(10)})
 	if _, err := tu.TuneSeries(context.Background(), Series{Field: "x", Steps: 0}); err == nil {
 		t.Errorf("zero steps should fail")
 	}
@@ -459,7 +465,7 @@ func TestTuneSeriesValidation(t *testing.T) {
 
 func TestTuneSeriesCancelled(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
-	tu, _ := NewTuner(fake, Config{TargetRatio: 10, MaxError: 2})
+	tu, _ := NewTuner(fake, Config{Objective: FixedRatio(10), MaxError: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := tu.TuneSeries(ctx, Series{Field: "x", Steps: 3, At: func(i int) (pressio.Buffer, error) {
@@ -472,7 +478,7 @@ func TestTuneSeriesCancelled(t *testing.T) {
 
 func TestTuneFieldsParallel(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 20, Tolerance: 0.1, MaxError: 2, Seed: 8, Workers: 4})
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +520,7 @@ func TestTuneRealSZOnSyntheticHurricane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 10, Tolerance: 0.1, Seed: 9, Regions: 6, MaxIterationsPerRegion: 16})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(10, 0.1), Seed: 9, Regions: 6, MaxIterationsPerRegion: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +561,7 @@ func TestTuneRealZFPAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 8, Tolerance: 0.2, Seed: 10, Regions: 6, MaxIterationsPerRegion: 16})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(8, 0.2), Seed: 10, Regions: 6, MaxIterationsPerRegion: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

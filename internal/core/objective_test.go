@@ -128,25 +128,25 @@ func TestObjectiveValidation(t *testing.T) {
 	}
 }
 
-// TestTunerObjectiveResolution pins how Config maps to the resolved
-// objective: the zero objective selects FixedRatio(TargetRatio, Tolerance),
-// and an explicit ratio objective keeps the legacy fields coherent.
+// TestTunerObjectiveResolution pins how Config.Objective resolves: an
+// explicit tolerance is kept, a zero one takes the objective's default, and
+// the effective Config carries the resolved objective.
 func TestTunerObjectiveResolution(t *testing.T) {
 	c, _ := pressio.New("sz:abs")
-	tu, err := NewTuner(c, Config{TargetRatio: 12, Tolerance: 0.05})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(12, 0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := tu.Objective()
 	if obj.Name != "ratio" || obj.Target != 12 || obj.Tolerance != 0.05 || !obj.Relative {
-		t.Errorf("legacy config resolved to %+v", obj)
+		t.Errorf("ratio objective resolved to %+v", obj)
 	}
 	tu, err = NewTuner(c, Config{Objective: FixedRatio(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := tu.Config(); cfg.TargetRatio != 8 || cfg.Tolerance != DefaultTolerance {
-		t.Errorf("explicit ratio objective left legacy fields at %v/%v", cfg.TargetRatio, cfg.Tolerance)
+	if obj := tu.Config().Objective; obj.Target != 8 || obj.Tolerance != DefaultTolerance {
+		t.Errorf("default-tolerance ratio objective resolved to %v ± %v", obj.Target, obj.Tolerance)
 	}
 	tu, err = NewTuner(c, Config{Objective: FixedPSNR(60)})
 	if err != nil {
@@ -298,7 +298,7 @@ func TestTuneFieldsBoundedCacheMemory(t *testing.T) {
 	const cap = 16
 	cache := pressio.NewCacheSized(cap)
 	fake := fake("fake", smoothRatio, nil)
-	tu, err := NewTuner(fake, Config{TargetRatio: 10, Seed: 13, Workers: 1, Cache: cache})
+	tu, err := NewTuner(fake, Config{Objective: FixedRatio(10), Seed: 13, Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

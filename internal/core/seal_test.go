@@ -35,7 +35,7 @@ func TestSealBlockedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 6, Tolerance: 0.2, Regions: 4, Seed: 3})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSealBlockedMonolithicFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 6, Tolerance: 0.2, Regions: 4, Seed: 3})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSealBlockedDefaultsBlockCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 6, Tolerance: 0.2, Regions: 4, Seed: 3, Workers: 2})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSealBlockedDefaultWorkersStaysBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{TargetRatio: 6, Tolerance: 0.2, Regions: 4, Seed: 3})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,14 +119,21 @@ func mustCompressor(name string) pressio.Compressor {
 	return c
 }
 
+// fixedRatio is the paper's objective with an explicit acceptance band:
+// the target ratio within ±tolerance, a fraction of it.
+func fixedRatio(target, tolerance float64) core.Objective {
+	o := core.FixedRatio(target)
+	o.Tolerance = tolerance
+	return o
+}
+
 // tuneOnce runs FRaZ on a single buffer for one target ratio.
 func tuneOnce(c pressio.Compressor, buf pressio.Buffer, target, tolerance float64, seed int64, workers int) (core.Result, error) {
 	tu, err := core.NewTuner(c, core.Config{
-		TargetRatio: target,
-		Tolerance:   tolerance,
-		Seed:        seed,
-		Workers:     workers,
-		Regions:     6,
+		Objective: fixedRatio(target, tolerance),
+		Seed:      seed,
+		Workers:   workers,
+		Regions:   6,
 	})
 	if err != nil {
 		return core.Result{}, err
@@ -167,91 +174,71 @@ func sliceSSIM(original, reconstructed []float32, shape grid.Dims) (float64, err
 	return metrics.SSIM(origSlice, recSlice, sliceShape)
 }
 
+// experiment is one row of the registry: the name frazbench takes and the
+// function that builds its tables.
+type experiment struct {
+	name string
+	run  func(Config) ([]*report.Table, error)
+}
+
+// registry is the one ordered list of experiments; Run dispatches on it and
+// Names reads it. The fig*/table* entries correspond to the paper's
+// evaluation; "iters", "regions", and "lossless" back specific claims made in
+// its text (§V-B1, §V-C/Fig. 5, and §I), "direct" contrasts the
+// zero-evaluation frsz fast path with the search codecs on fixed-ratio
+// objectives, "cache" charts the evaluations saved by the shared evaluation
+// cache, "objectives" compares convergence cost across the four tuning
+// objectives (ratio, PSNR, SSIM, max-error), "precision" tunes the same
+// fields at float32 versus float64, and "portfolio" pits the per-field codec
+// race (fraz.CodecAuto) against each single global codec on one multi-field
+// snapshot. Wall-clock throughput is not an experiment: benchmark/ measures it.
+var registry = []experiment{
+	{"fig1", one(Figure1)},
+	{"fig3", one(Figure3)},
+	{"fig4", one(Figure4)},
+	{"fig6", one(Figure6)},
+	{"fig7", one(Figure7)},
+	{"fig8", one(Figure8)},
+	{"fig9", Figure9},
+	{"fig10", one(Figure10)},
+	{"table3", one(TableIII)},
+	{"iters", one(IterationComparison)},
+	{"direct", one(Direct)},
+	{"regions", one(RegionAblation)},
+	{"lossless", one(LosslessMotivation)},
+	{"cache", one(CacheSavings)},
+	{"objectives", one(Objectives)},
+	{"precision", one(Precision)},
+	{"portfolio", one(Portfolio)},
+}
+
+// one adapts a single-table experiment to the registry's signature.
+func one(f func(Config) (*report.Table, error)) func(Config) ([]*report.Table, error) {
+	return func(cfg Config) ([]*report.Table, error) {
+		t, err := f(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{t}, nil
+	}
+}
+
 // Run executes the named experiment. It is the dispatcher used by the
 // frazbench command; names follow the paper's figure/table numbering.
 func Run(name string, cfg Config) ([]*report.Table, error) {
-	switch name {
-	case "fig1":
-		t, err := Figure1(cfg)
-		return wrap(t, err)
-	case "fig3":
-		t, err := Figure3(cfg)
-		return wrap(t, err)
-	case "fig4":
-		t, err := Figure4(cfg)
-		return wrap(t, err)
-	case "fig6":
-		t, err := Figure6(cfg)
-		return wrap(t, err)
-	case "fig7":
-		t, err := Figure7(cfg)
-		return wrap(t, err)
-	case "fig8":
-		t, err := Figure8(cfg)
-		return wrap(t, err)
-	case "fig9":
-		return Figure9(cfg)
-	case "fig10":
-		t, err := Figure10(cfg)
-		return wrap(t, err)
-	case "table3":
-		t, err := TableIII(cfg)
-		return wrap(t, err)
-	case "iters":
-		t, err := IterationComparison(cfg)
-		return wrap(t, err)
-	case "direct":
-		t, err := Direct(cfg)
-		return wrap(t, err)
-	case "regions":
-		t, err := RegionAblation(cfg)
-		return wrap(t, err)
-	case "lossless":
-		t, err := LosslessMotivation(cfg)
-		return wrap(t, err)
-	case "cache":
-		t, err := CacheSavings(cfg)
-		return wrap(t, err)
-	case "blocks":
-		t, err := BlockedThroughput(cfg)
-		return wrap(t, err)
-	case "objectives":
-		t, err := Objectives(cfg)
-		return wrap(t, err)
-	case "precision":
-		t, err := Precision(cfg)
-		return wrap(t, err)
-	case "speed":
-		t, err := Speed(cfg)
-		return wrap(t, err)
-	case "portfolio":
-		t, err := Portfolio(cfg)
-		return wrap(t, err)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(cfg)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 }
 
-func wrap(t *report.Table, err error) ([]*report.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
-}
-
-// Names lists the available experiment identifiers. The fig*/table* entries
-// correspond to the paper's evaluation; "iters", "regions", and "lossless"
-// back specific claims made in its text (§V-B1, §V-C/Fig. 5, and §I),
-// "direct" contrasts the zero-evaluation frsz fast path with the search
-// codecs on fixed-ratio objectives,
-// "cache" charts the evaluations saved by the shared evaluation cache,
-// "blocks" measures the blocked (v2) seal/open path against the monolithic
-// one, "objectives" compares convergence cost across the four tuning
-// objectives (ratio, PSNR, SSIM, max-error), "precision" tunes the same
-// fields at float32 versus float64, "speed" compares the codec tiers'
-// raw seal/open throughput (szx versus sz and zfp), and "portfolio" pits the
-// per-field codec race (fraz.CodecAuto) against each single global codec on
-// one multi-field snapshot.
+// Names lists the available experiment identifiers, in registry order.
 func Names() []string {
-	return []string{"fig1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "table3", "iters", "direct", "regions", "lossless", "cache", "blocks", "objectives", "precision", "speed", "portfolio"}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
 }

@@ -35,8 +35,7 @@ func CacheSavings(cfg Config) (*report.Table, error) {
 	for _, field := range fields {
 		for _, target := range targets {
 			tu, err := core.NewTuner(mustCompressor("sz:abs"), core.Config{
-				TargetRatio:            target,
-				Tolerance:              0.1,
+				Objective:              core.FixedRatio(target),
 				Seed:                   cfg.Seed,
 				Workers:                cfg.Workers,
 				Regions:                6,

@@ -39,8 +39,7 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 	for _, v := range variants {
 		c := mustCompressor("sz:abs")
 		tu, err := core.NewTuner(c, core.Config{
-			TargetRatio:            8,
-			Tolerance:              0.1,
+			Objective:              core.FixedRatio(8),
 			Regions:                v.regions,
 			Overlap:                v.overlap,
 			Seed:                   cfg.Seed,

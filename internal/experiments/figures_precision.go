@@ -60,10 +60,10 @@ func Precision(cfg Config) (*report.Table, error) {
 		}
 		for _, buf := range []pressio.Buffer{buf32, buf64} {
 			tu, err := core.NewTuner(comp, core.Config{
-				TargetRatio: ratio,
-				Seed:        cfg.Seed,
-				Workers:     cfg.Workers,
-				Regions:     6,
+				Objective: core.FixedRatio(ratio),
+				Seed:      cfg.Seed,
+				Workers:   cfg.Workers,
+				Regions:   6,
 			})
 			if err != nil {
 				return nil, err

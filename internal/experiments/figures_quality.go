@@ -6,7 +6,6 @@ import (
 	"fraz/internal/dataset"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
-	"fraz/internal/zfp"
 )
 
 // Figure1 reproduces the paper's Fig. 1: ZFP's fixed-accuracy mode versus
@@ -287,10 +286,4 @@ func Figure10(cfg Config) (*report.Table, error) {
 type pressioTuned struct {
 	res      pressio.Result
 	feasible bool
-}
-
-// zfpFixedRateSize is referenced by the ablation benchmarks to document the
-// exact-size property of fixed-rate mode.
-func zfpFixedRateSize(buf pressio.Buffer, rate float64) int {
-	return zfp.CompressedSizeFixedRate(buf.Shape, rate)
 }

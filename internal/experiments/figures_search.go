@@ -113,11 +113,10 @@ func Figure6(cfg Config) (*report.Table, error) {
 
 	run := func(target float64) (core.SeriesResult, error) {
 		tu, err := core.NewTuner(c, core.Config{
-			TargetRatio: target,
-			Tolerance:   0.1,
-			Seed:        cfg.Seed,
-			Workers:     cfg.Workers,
-			Regions:     6,
+			Objective: core.FixedRatio(target),
+			Seed:      cfg.Seed,
+			Workers:   cfg.Workers,
+			Regions:   6,
 		})
 		if err != nil {
 			return core.SeriesResult{}, err
@@ -172,11 +171,10 @@ func Figure7(cfg Config) (*report.Table, error) {
 	for _, target := range targets {
 		timed := newTimedCompressor(mustCompressor("sz:abs"))
 		tu, err := core.NewTuner(timed, core.Config{
-			TargetRatio: target,
-			Tolerance:   0.1,
-			Seed:        cfg.Seed,
-			Workers:     cfg.Workers,
-			Regions:     6,
+			Objective: core.FixedRatio(target),
+			Seed:      cfg.Seed,
+			Workers:   cfg.Workers,
+			Regions:   6,
 			// A tight per-region budget keeps the infeasible cases bounded,
 			// playing the role of the paper's iteration cap.
 			MaxIterationsPerRegion: 12,
@@ -225,8 +223,7 @@ func Figure8(cfg Config) (*report.Table, error) {
 		for _, workers := range workerCounts {
 			c := mustCompressor(name)
 			tu, err := core.NewTuner(c, core.Config{
-				TargetRatio:            8,
-				Tolerance:              0.15,
+				Objective:              fixedRatio(8, 0.15),
 				Seed:                   cfg.Seed,
 				Workers:                workers,
 				Regions:                4,

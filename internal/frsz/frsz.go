@@ -161,11 +161,6 @@ func magicFor[T grid.Float]() uint32 {
 	return magic64
 }
 
-// MaxBits reports the largest valid BitsPerValue for an element width in
-// bytes: the full IEEE width, at which the codec stores one fixed-point
-// word per value and the quantisation step falls below the type's ulp.
-func MaxBits(elemSize int) int { return 8 * elemSize }
-
 // CompressedSize returns the exact stream size in bytes that Compress
 // produces for the given element count, rank, bits per value, and block
 // size (0 selects DefaultBlockSize). It is pure arithmetic — header, one

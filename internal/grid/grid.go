@@ -3,14 +3,15 @@
 //
 // All compressors in this repository operate on flat []float32 or []float64
 // buffers (the Float constraint) whose logical shape is described by a Dims
-// value. The package provides stride computation, bounds-checked indexing,
-// block decomposition (used by the blockwise SZ- and ZFP-like compressors)
+// value. The package provides shape validation, stride computation, block
+// decomposition (used by the blockwise SZ- and ZFP-like compressors)
 // and plane/slice extraction (used by the image-quality metrics).
 package grid
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -34,19 +35,12 @@ func ElemSize[T Float]() int {
 // SDRBench datasets the paper evaluates.
 type Dims []int
 
-// NewDims validates and returns a Dims value. Every extent must be positive
-// and the number of dimensions must be between 1 and 4.
+// NewDims returns a copy of the extents as a Dims value that passed Validate.
 func NewDims(extents ...int) (Dims, error) {
-	if len(extents) == 0 || len(extents) > 4 {
-		return nil, fmt.Errorf("grid: unsupported number of dimensions %d (want 1..4)", len(extents))
+	d := Dims(extents).Clone()
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
-	for i, e := range extents {
-		if e <= 0 {
-			return nil, fmt.Errorf("grid: dimension %d has non-positive extent %d", i, e)
-		}
-	}
-	d := make(Dims, len(extents))
-	copy(d, extents)
 	return d, nil
 }
 
@@ -119,51 +113,32 @@ func (d Dims) String() string {
 	return out
 }
 
-// Validate returns an error if the shape is empty or has a non-positive extent.
+// maxElemSize is the widest element the framework stores (float64).
+const maxElemSize = 8
+
+// Validate is the one rule every shape passes before anything is computed
+// from it: rank 1 to 4, every extent positive, and an element count whose
+// size in bytes at the widest element type still fits in an int — so Len, a
+// byte size or a block span taken from a validated shape cannot wrap,
+// whether the shape came from a caller, a request or a container header.
 func (d Dims) Validate() error {
 	if len(d) == 0 {
 		return errors.New("grid: empty shape")
 	}
 	if len(d) > 4 {
-		return fmt.Errorf("grid: unsupported rank %d", len(d))
+		return fmt.Errorf("grid: unsupported rank %d (want 1..4)", len(d))
 	}
+	n := 1
 	for i, e := range d {
 		if e <= 0 {
 			return fmt.Errorf("grid: dimension %d has non-positive extent %d", i, e)
 		}
+		if e > math.MaxInt/maxElemSize/n {
+			return fmt.Errorf("grid: shape %v has more elements than can be addressed", d)
+		}
+		n *= e
 	}
 	return nil
-}
-
-// Offset converts a multi-index into a flat row-major offset. The number of
-// index components must equal the rank and each component must be in range.
-func (d Dims) Offset(idx ...int) (int, error) {
-	if len(idx) != len(d) {
-		return 0, fmt.Errorf("grid: index rank %d does not match shape rank %d", len(idx), len(d))
-	}
-	off := 0
-	stride := 1
-	for i := len(d) - 1; i >= 0; i-- {
-		if idx[i] < 0 || idx[i] >= d[i] {
-			return 0, fmt.Errorf("grid: index %d out of range [0,%d) in dimension %d", idx[i], d[i], i)
-		}
-		off += idx[i] * stride
-		stride *= d[i]
-	}
-	return off, nil
-}
-
-// Coords converts a flat offset back into a multi-index.
-func (d Dims) Coords(offset int) ([]int, error) {
-	if offset < 0 || offset >= d.Len() {
-		return nil, fmt.Errorf("grid: offset %d out of range [0,%d)", offset, d.Len())
-	}
-	idx := make([]int, len(d))
-	for i := len(d) - 1; i >= 0; i-- {
-		idx[i] = offset % d[i]
-		offset /= d[i]
-	}
-	return idx, nil
 }
 
 // Block describes an axis-aligned sub-box of an N-dimensional array:
@@ -222,59 +197,6 @@ func (d Dims) Blocks(edge int) []Block {
 		}
 	}
 	return blocks
-}
-
-// GatherBlock copies the elements of a block from the flat array into dst,
-// which must have length block.Len(). It returns dst for convenience.
-func GatherBlock[T Float](data []T, shape Dims, b Block, dst []T) []T {
-	if dst == nil {
-		dst = make([]T, b.Len())
-	}
-	strides := shape.Strides()
-	n := b.Len()
-	idx := make([]int, len(shape))
-	for i := 0; i < n; i++ {
-		off := 0
-		for k := range shape {
-			off += (b.Start[k] + idx[k]) * strides[k]
-		}
-		dst[i] = data[off]
-		// advance odometer over the block extents
-		k := len(shape) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < b.Size[k] {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-	}
-	return dst
-}
-
-// ScatterBlock writes the elements of src (length block.Len()) into the
-// corresponding positions of the flat array.
-func ScatterBlock[T Float](data []T, shape Dims, b Block, src []T) {
-	strides := shape.Strides()
-	n := b.Len()
-	idx := make([]int, len(shape))
-	for i := 0; i < n; i++ {
-		off := 0
-		for k := range shape {
-			off += (b.Start[k] + idx[k]) * strides[k]
-		}
-		data[off] = src[i]
-		k := len(shape) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < b.Size[k] {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-	}
 }
 
 // Slice2D extracts a 2-D plane from a 3-D array along the slowest axis

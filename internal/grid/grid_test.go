@@ -1,7 +1,7 @@
 package grid
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -77,39 +77,6 @@ func TestDimsString(t *testing.T) {
 	}
 }
 
-func TestOffsetCoordsRoundTrip(t *testing.T) {
-	d := MustDims(5, 7, 3)
-	for off := 0; off < d.Len(); off++ {
-		idx, err := d.Coords(off)
-		if err != nil {
-			t.Fatalf("Coords(%d): %v", off, err)
-		}
-		back, err := d.Offset(idx...)
-		if err != nil {
-			t.Fatalf("Offset(%v): %v", idx, err)
-		}
-		if back != off {
-			t.Fatalf("round trip %d -> %v -> %d", off, idx, back)
-		}
-	}
-}
-
-func TestOffsetErrors(t *testing.T) {
-	d := MustDims(2, 2)
-	if _, err := d.Offset(1); err == nil {
-		t.Errorf("rank mismatch should fail")
-	}
-	if _, err := d.Offset(2, 0); err == nil {
-		t.Errorf("out of range index should fail")
-	}
-	if _, err := d.Coords(4); err == nil {
-		t.Errorf("out of range offset should fail")
-	}
-	if _, err := d.Coords(-1); err == nil {
-		t.Errorf("negative offset should fail")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := MustDims(3, 3).Validate(); err != nil {
 		t.Errorf("valid shape flagged: %v", err)
@@ -125,6 +92,20 @@ func TestValidate(t *testing.T) {
 	big := Dims{1, 1, 1, 1, 1}
 	if err := big.Validate(); err == nil {
 		t.Errorf("rank 5 should be invalid")
+	}
+	// An element count that wraps int, or whose float64 byte size does, is
+	// invalid however plausible the wrapped product looks; the largest count
+	// that still has a byte size is not.
+	for _, wraps := range []Dims{{1 << 32, 1 << 32}, {2305843009213693951, 2}, {3037000500, 3037000500}, {math.MaxInt/8 + 1}} {
+		if err := wraps.Validate(); err == nil {
+			t.Errorf("shape %v (Len wraps to %d) should be invalid", wraps, wraps.Len())
+		}
+		if _, err := NewDims(wraps...); err == nil {
+			t.Errorf("NewDims(%v) should fail", wraps)
+		}
+	}
+	if err := (Dims{math.MaxInt / 8}).Validate(); err != nil {
+		t.Errorf("largest addressable shape flagged: %v", err)
 	}
 }
 
@@ -173,42 +154,6 @@ func TestBlocksNonPositiveEdge(t *testing.T) {
 	blocks := MustDims(4).Blocks(0)
 	if len(blocks) != 4 {
 		t.Errorf("edge 0 should degrade to edge 1, got %d blocks", len(blocks))
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	shape := MustDims(5, 6, 7)
-	rng := rand.New(rand.NewSource(1))
-	data := make([]float32, shape.Len())
-	for i := range data {
-		data[i] = rng.Float32()
-	}
-	out := make([]float32, shape.Len())
-	for _, b := range shape.Blocks(4) {
-		buf := GatherBlock(data, shape, b, nil)
-		ScatterBlock(out, shape, b, buf)
-	}
-	for i := range data {
-		if data[i] != out[i] {
-			t.Fatalf("mismatch at %d: %v vs %v", i, data[i], out[i])
-		}
-	}
-}
-
-func TestGatherBlockReusesDst(t *testing.T) {
-	shape := MustDims(4, 4)
-	data := make([]float32, shape.Len())
-	for i := range data {
-		data[i] = float32(i)
-	}
-	b := shape.Blocks(2)[1] // second block starts at column 2
-	dst := make([]float32, b.Len())
-	got := GatherBlock(data, shape, b, dst)
-	if &got[0] != &dst[0] {
-		t.Errorf("GatherBlock should reuse provided dst")
-	}
-	if got[0] != 2 || got[1] != 3 || got[2] != 6 || got[3] != 7 {
-		t.Errorf("unexpected block contents %v", got)
 	}
 }
 
@@ -269,22 +214,6 @@ func TestMinMaxAndValueRange(t *testing.T) {
 	}
 	if ValueRange(data) != 9 {
 		t.Errorf("ValueRange = %v", ValueRange(data))
-	}
-}
-
-func TestPropertyOffsetCoordsInverse(t *testing.T) {
-	f := func(a, b, c uint8, off uint16) bool {
-		d := Dims{int(a%7) + 1, int(b%7) + 1, int(c%7) + 1}
-		o := int(off) % d.Len()
-		idx, err := d.Coords(o)
-		if err != nil {
-			return false
-		}
-		back, err := d.Offset(idx...)
-		return err == nil && back == o
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

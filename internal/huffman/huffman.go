@@ -282,32 +282,3 @@ func Decode(buf []byte) ([]int32, error) {
 	}
 	return out, nil
 }
-
-// EstimatedBits returns the number of payload bits an encoding of data would
-// use (excluding the header). It is a convenience for compression-ratio
-// modelling in tests.
-func EstimatedBits(data []int32) int {
-	freqMap := make(map[int32]uint64)
-	for _, s := range data {
-		freqMap[s]++
-	}
-	symbols := make([]int32, 0, len(freqMap))
-	for s := range freqMap {
-		symbols = append(symbols, s)
-	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
-	freqs := make([]uint64, len(symbols))
-	for i, s := range symbols {
-		freqs[i] = freqMap[s]
-	}
-	entries := buildCodeLengths(symbols, freqs)
-	lenOf := make(map[int32]uint8, len(entries))
-	for _, e := range entries {
-		lenOf[e.symbol] = e.length
-	}
-	bits := 0
-	for _, s := range data {
-		bits += int(lenOf[s])
-	}
-	return bits
-}

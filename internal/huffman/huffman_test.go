@@ -121,19 +121,6 @@ func TestDecodeCorruptCodeLength(t *testing.T) {
 	}
 }
 
-func TestEstimatedBits(t *testing.T) {
-	data := []int32{0, 0, 0, 0, 1, 1, 2, 3}
-	bits := EstimatedBits(data)
-	if bits <= 0 {
-		t.Fatalf("EstimatedBits = %d", bits)
-	}
-	// Entropy of this distribution is 1.75 bits/symbol * 8 = 14; Huffman
-	// should be exactly 14 bits here.
-	if bits != 14 {
-		t.Errorf("EstimatedBits = %d, want 14", bits)
-	}
-}
-
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(raw []int16, skew uint8) bool {
 		data := make([]int32, len(raw))

@@ -69,15 +69,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	elems := 1
-	for _, e := range p.shape {
-		elems *= e
-	}
-	elemSize := 4
-	if p.wide {
-		elemSize = 8
-	}
-	want := int64(elems) * int64(elemSize)
+	want, elemSize := p.fieldBytes()
 	if want > s.cfg.MaxFieldBytes {
 		s.fail(w, epDatasets, http.StatusRequestEntityTooLarge,
 			apiError{Error: fmt.Sprintf("each field of %d bytes exceeds the %d-byte limit", want, s.cfg.MaxFieldBytes)})

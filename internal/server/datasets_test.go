@@ -197,11 +197,14 @@ func TestDatasetErrors(t *testing.T) {
 		t.Errorf("non-multipart POST = %d: %s, want 400", resp.StatusCode, body)
 	}
 
-	// Wrong field size.
-	resp = postDataset(t, ts.URL, map[string][]float32{"F": make([]float32, 7)},
-		map[string]string{"X-Fraz-Shape": "16x12x10"})
-	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("short field POST = %d: %s, want 400", resp.StatusCode, body)
+	// Wrong field size, and shapes whose element count wraps int (to a
+	// negative and to a plausible positive count).
+	for _, shape := range []string{"16x12x10", "2305843009213693951x2", "3037000500x3037000500"} {
+		resp = postDataset(t, ts.URL, map[string][]float32{"F": make([]float32, 7)},
+			map[string]string{"X-Fraz-Shape": shape})
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("7-value field POSTed as shape %s = %d: %s, want 400", shape, resp.StatusCode, body)
+		}
 	}
 
 	// Unknown dataset id.

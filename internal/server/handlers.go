@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fraz"
+	"fraz/internal/grid"
 )
 
 // Endpoint names used in metrics labels.
@@ -87,7 +88,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 
 // compressParams is the tuning request distilled from headers/query.
 type compressParams struct {
-	shape     []int
+	shape     grid.Dims
 	wide      bool // element width: false=float32, true=float64
 	codec     string
 	objective string
@@ -98,23 +99,37 @@ type compressParams struct {
 	store     bool
 }
 
-func parseShape(s string) ([]int, error) {
+// parseShape reads "100x500x500" into a shape that passed grid's validation:
+// 1-4 positive extents whose element count cannot wrap, so every size the
+// handlers derive from it is a true size.
+func parseShape(s string) (grid.Dims, error) {
 	if s == "" {
 		return nil, errors.New("missing shape (X-Fraz-Shape header or ?shape=, e.g. 100x500x500)")
 	}
 	parts := strings.Split(s, "x")
-	if len(parts) < 1 || len(parts) > 4 {
-		return nil, fmt.Errorf("shape %q must have 1-4 extents", s)
-	}
-	shape := make([]int, len(parts))
+	extents := make([]int, len(parts))
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad shape extent %q", p)
 		}
-		shape[i] = v
+		extents[i] = v
+	}
+	shape, err := grid.NewDims(extents...)
+	if err != nil {
+		return nil, fmt.Errorf("bad shape %q: %v", s, err)
 	}
 	return shape, nil
+}
+
+// fieldBytes returns the exact size in bytes of one raw field of the
+// request's shape and dtype, and the element size it was computed with.
+func (p compressParams) fieldBytes() (want int64, elemSize int) {
+	elemSize = 4
+	if p.wide {
+		elemSize = 8
+	}
+	return int64(p.shape.Len()) * int64(elemSize), elemSize
 }
 
 func parseCompressParams(r *http.Request) (compressParams, error) {
@@ -224,15 +239,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	elems := 1
-	for _, e := range p.shape {
-		elems *= e
-	}
-	elemSize := 4
-	if p.wide {
-		elemSize = 8
-	}
-	want := int64(elems) * int64(elemSize)
+	want, elemSize := p.fieldBytes()
 	if want > s.cfg.MaxFieldBytes {
 		s.fail(w, epCompress, http.StatusRequestEntityTooLarge,
 			apiError{Error: fmt.Sprintf("field of %d bytes exceeds the %d-byte limit", want, s.cfg.MaxFieldBytes)})

@@ -2,9 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -93,6 +97,84 @@ func TestSharedCachePayoffAcrossRequests(t *testing.T) {
 	}
 	if m["frazd_cache_hit_rate"] <= 0 || m["frazd_cache_hit_rate"] >= 1 {
 		t.Fatalf("frazd_cache_hit_rate = %g, want in (0,1)", m["frazd_cache_hit_rate"])
+	}
+}
+
+// TestConcurrentUploadsShareCache drives the shared evaluation cache the way
+// real traffic does: three clients uploading at once, two distinct fields
+// between them so that tunes of the same field overlap and tunes of different
+// fields interleave. Every upload is answered 200 with an archive smaller than
+// its field that the service decompresses back to the field's size. Run under
+// the race detector, it is what shows the cache, the admission counters and
+// the metrics are safe to share.
+func TestConcurrentUploadsShareCache(t *testing.T) {
+	// Headroom for every client (one anonymous tenant) whatever GOMAXPROCS
+	// is; refusals have their own tests in limits_test.go.
+	s, ts := newTestServer(t, Config{Concurrency: 4, QueueDepth: 16, PerTenant: 16})
+	scaled := testField32()
+	for i := range scaled {
+		scaled[i] = 2*scaled[i] + 1
+	}
+	fields := [][]byte{rawBody(false), encodeRaw32(scaled)}
+
+	const clients, uploadsEach = 3, 3
+	upload := func(field []byte) error {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compress", bytes.NewReader(field))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("X-Fraz-Shape", "16x12x10")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		archive, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("upload: status %d: %s", resp.StatusCode, archive)
+		}
+		if len(archive) == 0 || len(archive) >= len(field) {
+			return fmt.Errorf("archive of %d bytes for a %d-byte field", len(archive), len(field))
+		}
+		dresp, err := http.Post(ts.URL+"/v1/decompress", "application/x-fraz", bytes.NewReader(archive))
+		if err != nil {
+			return err
+		}
+		raw, err := io.ReadAll(dresp.Body)
+		dresp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if dresp.StatusCode != http.StatusOK || len(raw) != len(field) {
+			return fmt.Errorf("decompress: status %d, %d bytes, want 200 and %d", dresp.StatusCode, len(raw), len(field))
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < uploadsEach; i++ {
+				if err := upload(fields[(c+i)%len(fields)]); err != nil {
+					t.Errorf("client %d upload %d: %v", c, i, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// Nine tunes of two fields cannot all have been fresh work.
+	if st := s.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("cache after %d uploads of 2 fields: %+v, want both hits and misses", clients*uploadsEach, st)
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if got := m[`frazd_requests_total{endpoint="compress",code="200"}`]; got != clients*uploadsEach {
+		t.Errorf("compress 200s = %g, want %d", got, clients*uploadsEach)
 	}
 }
 

@@ -360,6 +360,10 @@ func TestBadRequests(t *testing.T) {
 		{"objective without target", map[string]string{"X-Fraz-Shape": "16x12x10", "X-Fraz-Objective": "psnr"}, rawBody(false), http.StatusBadRequest},
 		{"short body", map[string]string{"X-Fraz-Shape": "16x12x10"}, rawBody(false)[:100], http.StatusBadRequest},
 		{"oversized field", map[string]string{"X-Fraz-Shape": "1024x1024"}, nil, http.StatusRequestEntityTooLarge},
+		// Extents whose product wraps int: to a negative count, which used to
+		// panic in make, and to a plausible one, which used to be believed.
+		{"shape wraps negative", map[string]string{"X-Fraz-Shape": "2305843009213693951x2"}, make([]byte, 4), http.StatusBadRequest},
+		{"shape wraps positive", map[string]string{"X-Fraz-Shape": "3037000500x3037000500"}, make([]byte, 4), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
