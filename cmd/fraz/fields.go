@@ -236,7 +236,7 @@ func runDatasetDecompress(inPath, fieldName string, step int, outPath string, ve
 	case outPath != "":
 		var werr error
 		if res.Data64 != nil {
-			werr = dataset.WriteRaw64(outPath, res.Data64)
+			werr = dataset.WriteRaw(outPath, res.Data64)
 		} else {
 			werr = dataset.WriteRaw(outPath, res.Data)
 		}

@@ -486,7 +486,7 @@ func runDecompress(inPath, outPath string, verify bool, wantDType string, ref re
 	case outPath != "":
 		var werr error
 		if res.Data64 != nil {
-			werr = dataset.WriteRaw64(outPath, res.Data64)
+			werr = dataset.WriteRaw(outPath, res.Data64)
 		} else {
 			werr = dataset.WriteRaw(outPath, res.Data)
 		}
@@ -575,9 +575,9 @@ func loadField(inPath, dims, dsName, fieldName string, timeStep int, scaleName s
 		}
 		f := inputField{shape: shape, label: inPath}
 		if wide {
-			f.f64, err = dataset.ReadRaw64(inPath, shape)
+			f.f64, err = dataset.ReadRaw[float64](inPath, shape)
 		} else {
-			f.f32, err = dataset.ReadRaw(inPath, shape)
+			f.f32, err = dataset.ReadRaw[float32](inPath, shape)
 		}
 		if err != nil {
 			return inputField{}, err

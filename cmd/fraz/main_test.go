@@ -118,7 +118,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	if !shape.Equal(cn.Header.Shape) {
 		t.Fatalf("container shape %v, dataset shape %v", cn.Header.Shape, shape)
 	}
-	rec, err := dataset.ReadRaw(rawFile, shape)
+	rec, err := dataset.ReadRaw[float32](rawFile, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBlockedCompressDecompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := dataset.ReadRaw(rawFile, shape)
+	rec, err := dataset.ReadRaw[float32](rawFile, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"fraz/internal/grid"
 )
 
 // This file makes the CLI pipeline-friendly: `-in -` reads the raw field
@@ -50,14 +50,10 @@ func stdinField(dims string, wide bool) (inputField, error) {
 	f := inputField{shape: shape, label: "<stdin>"}
 	if wide {
 		f.f64 = make([]float64, shape.Len())
-		for i := range f.f64 {
-			f.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
+		grid.DecodeLE(f.f64, raw)
 	} else {
 		f.f32 = make([]float32, shape.Len())
-		for i := range f.f32 {
-			f.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-		}
+		grid.DecodeLE(f.f32, raw)
 	}
 	return f, nil
 }
@@ -66,15 +62,7 @@ func stdinField(dims string, wide bool) (inputField, error) {
 // the same layout ReadRaw/WriteRaw use for files.
 func writeRawTo(w io.Writer, f32 []float32, f64 []float64) (int, error) {
 	if f64 != nil {
-		buf := make([]byte, len(f64)*8)
-		for i, v := range f64 {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		return w.Write(buf)
+		return w.Write(grid.AppendLE(nil, f64))
 	}
-	buf := make([]byte, len(f32)*4)
-	for i, v := range f32 {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	return w.Write(buf)
+	return w.Write(grid.AppendLE(nil, f32))
 }

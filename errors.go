@@ -30,8 +30,8 @@ var ErrUnknownCodec = errors.New("fraz: unknown codec")
 
 // ErrCorrupt reports a stream that is not a decodable .fraz container or
 // .frazd dataset archive: bad magic, a header field out of range, a
-// truncated payload or directory, a CRC mismatch, or a format version newer
-// than this build reads.
+// truncated payload or directory, a CRC mismatch, a payload its codec
+// refuses, or a format version newer than this build reads.
 var ErrCorrupt = errors.New("fraz: invalid or corrupt .fraz stream")
 
 // ErrFieldNotFound reports a Dataset lookup for a (field, step) pair the
@@ -58,7 +58,8 @@ func wrapStreamErr(err error) error {
 		errors.Is(err, archive.ErrBadMagic),
 		errors.Is(err, archive.ErrVersion),
 		errors.Is(err, archive.ErrTruncated),
-		errors.Is(err, archive.ErrCorrupt):
+		errors.Is(err, archive.ErrCorrupt),
+		errors.Is(err, pressio.ErrPayload):
 		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	case errors.Is(err, archive.ErrNotFound):
 		return fmt.Errorf("%w: %w", ErrFieldNotFound, err)

@@ -1,19 +1,18 @@
 // Package poolcheck verifies the lifecycle discipline of fraz/internal/pool
-// buffers: every pool.Get* acquisition must reach a matching pool.Put* (or
-// be handed to the caller by returning it) on every path out of the
-// function, including early error returns. It also flags double puts and
-// puts of a reslice alias, both of which poison the free lists for later
-// gets.
+// buffers: every pool.Get acquisition (pool.Get[T], pool.GetFlateWriter)
+// must reach a matching pool.Put (or be handed to the caller by returning
+// it) on every path out of the function, including early error returns. It
+// also flags double puts and puts of a reslice alias, both of which poison
+// the free lists for later gets.
 //
 // The checker is an AST-level path walk, not a full CFG dataflow: within a
 // function it tracks pooled slices held in local variables (and in fields of
 // local structs, the container writer idiom), follows branches of
 // if/for/switch independently, and reports at each return statement any
 // acquisition that is neither put, deferred-put, nor part of the returned
-// value. Local helpers that merely wrap the pool (a function whose body
-// returns a pool.Get result, or one that puts its argument) are treated as
-// getters and putters themselves, so the sz kernels' generic getFloats /
-// putFloats bridges stay visible to the check. A pooled slice captured by a
+// value. The pool's accessors are generic, so code that is itself generic
+// over the element type calls them directly and every get and put is a call
+// into the pool package that the walk can see. A pooled slice captured by a
 // non-deferred closure or stored into a longer-lived structure leaves the
 // function's custody and is conservatively dropped from tracking rather
 // than reported.
@@ -28,11 +27,11 @@ import (
 	"fraz/internal/analysis"
 )
 
-// Analyzer flags pool.Get* buffers that can leak, be put twice, or be put
+// Analyzer flags pool.Get buffers that can leak, be put twice, or be put
 // through a reslice alias.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolcheck",
-	Doc: "check that every pool.Get* is matched by a pool.Put* on all paths " +
+	Doc: "check that every pool.Get is matched by a pool.Put on all paths " +
 		"(or ownership is transferred by returning the buffer), with no double " +
 		"puts and no puts of reslice aliases",
 	Run: run,
@@ -44,12 +43,7 @@ func run(pass *analysis.Pass) error {
 	if strings.HasSuffix(pass.Pkg.Path(), poolPathSuffix) {
 		return nil // the pool's own plumbing necessarily handles raw slices
 	}
-	c := &checker{
-		pass:    pass,
-		getters: map[types.Object]bool{},
-		putters: map[types.Object]bool{},
-	}
-	c.classifyWrappers()
+	c := &checker{pass: pass}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -70,55 +64,7 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	getters map[types.Object]bool // local funcs whose result is a pooled slice
-	putters map[types.Object]bool // local funcs that put their argument
-}
-
-// classifyWrappers finds package-local functions that wrap the pool: a
-// getter returns a pool.Get result (possibly through a conversion), a
-// putter contains a pool.Put call. Calls to them count as gets and puts.
-func (c *checker) classifyWrappers() {
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil {
-				c.classifyWrapper(fd)
-			}
-		}
-	}
-}
-
-func (c *checker) classifyWrapper(fd *ast.FuncDecl) {
-	obj := c.pass.TypesInfo.Defs[fd.Name]
-	if obj == nil {
-		return
-	}
-	returnsGet, puts := false, false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				ast.Inspect(r, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok && c.isPoolCall(call, "Get") {
-						returnsGet = true
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			if c.isPoolCall(n, "Put") {
-				puts = true
-			}
-		}
-		return true
-	})
-	if returnsGet {
-		c.getters[obj] = true
-	}
-	if puts && !returnsGet {
-		c.putters[obj] = true
-	}
+	pass *analysis.Pass
 }
 
 // isPoolCall reports whether call invokes fraz/internal/pool.<prefix>*.
@@ -130,22 +76,11 @@ func (c *checker) isPoolCall(call *ast.CallExpr, prefix string) bool {
 	return strings.HasSuffix(obj.Pkg().Path(), poolPathSuffix) && strings.HasPrefix(obj.Name(), prefix)
 }
 
-// isGetCall reports whether call acquires a pooled slice (directly or via a
-// local getter wrapper).
-func (c *checker) isGetCall(call *ast.CallExpr) bool {
-	if c.isPoolCall(call, "Get") {
-		return true
-	}
-	return c.getters[c.calleeObject(call)]
-}
+// isGetCall reports whether call acquires a pooled buffer.
+func (c *checker) isGetCall(call *ast.CallExpr) bool { return c.isPoolCall(call, "Get") }
 
-// isPutCall reports whether call releases a pooled slice.
-func (c *checker) isPutCall(call *ast.CallExpr) bool {
-	if c.isPoolCall(call, "Put") {
-		return true
-	}
-	return c.putters[c.calleeObject(call)]
-}
+// isPutCall reports whether call releases a pooled buffer.
+func (c *checker) isPutCall(call *ast.CallExpr) bool { return c.isPoolCall(call, "Put") }
 
 // calleeObject resolves the function object a call invokes, looking through
 // generic instantiation.
@@ -470,7 +405,7 @@ func (w *walker) handleAssign(s *ast.AssignStmt) {
 func (w *walker) assignOne(lhs, rhs ast.Expr) {
 	rhs = unparen(rhs)
 
-	// v := pool.GetX(n) or v := pool.GetX(n)[:0]
+	// v := pool.Get[T](n) or v := pool.Get[T](n)[:0]
 	if call, ok := unwrapGetExpr(rhs); ok && w.c.isGetCall(call) {
 		if rf, ok := w.refOf(lhs); ok {
 			w.s.live[rf] = call.Pos()
@@ -481,7 +416,7 @@ func (w *walker) assignOne(lhs, rhs ast.Expr) {
 		return
 	}
 
-	// w := writer{buf: pool.GetBytes(n)} / enc := &encoder{codes: pool.GetInt32(n)[:0]}
+	// w := writer{buf: pool.Get[byte](n)} / enc := &encoder{codes: pool.Get[int32](n)[:0]}
 	if lit := compositeLit(rhs); lit != nil {
 		if target, ok := lhs.(*ast.Ident); ok {
 			obj := w.objOf(target)
@@ -744,7 +679,7 @@ func (w *walker) objOf(id *ast.Ident) types.Object {
 	return w.c.pass.TypesInfo.Defs[id]
 }
 
-// unwrapGetExpr strips the reslice-at-acquisition idiom pool.GetX(n)[:0]
+// unwrapGetExpr strips the reslice-at-acquisition idiom pool.Get[T](n)[:0]
 // down to the underlying call.
 func unwrapGetExpr(e ast.Expr) (*ast.CallExpr, bool) {
 	e = unparen(e)

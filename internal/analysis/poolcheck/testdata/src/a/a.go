@@ -7,24 +7,24 @@ import "fraz/internal/pool"
 // --- correct lifecycles: no diagnostics ---
 
 func putBeforeReturn(n int) int {
-	buf := pool.GetBytes(n)
+	buf := pool.Get[byte](n)
 	s := len(buf)
-	pool.PutBytes(buf)
+	pool.Put(buf)
 	return s
 }
 
 func deferredPut(n int) int {
-	buf := pool.GetFloat64(n)
-	defer pool.PutFloat64(buf)
+	buf := pool.Get[float64](n)
+	defer pool.Put(buf)
 	return len(buf)
 }
 
 func deferredClosurePut(n int) int {
-	kept := pool.GetBytes(n)[:0]
-	planes := pool.GetBytes(n)[:0]
+	kept := pool.Get[byte](n)[:0]
+	planes := pool.Get[byte](n)[:0]
 	defer func() {
-		pool.PutBytes(kept)
-		pool.PutBytes(planes)
+		pool.Put(kept)
+		pool.Put(planes)
 	}()
 	kept = append(kept, 1)
 	planes = append(planes, 2)
@@ -32,20 +32,20 @@ func deferredClosurePut(n int) int {
 }
 
 func ownershipByReturn(n int) []byte {
-	buf := pool.GetBytes(n)
+	buf := pool.Get[byte](n)
 	return buf
 }
 
 func getInReturn(n int) []byte {
-	return pool.GetBytes(n)
+	return pool.Get[byte](n)
 }
 
 func doneGuard(n int, fail bool) ([]float32, error) {
-	out := pool.GetFloat32(n)
+	out := pool.Get[float32](n)
 	done := false
 	defer func() {
 		if !done {
-			pool.PutFloat32(out)
+			pool.Put(out)
 		}
 	}()
 	if fail {
@@ -56,12 +56,12 @@ func doneGuard(n int, fail bool) ([]float32, error) {
 }
 
 func putOnBothBranches(n int, cond bool) int {
-	buf := pool.GetUint32(n)
+	buf := pool.Get[int32](n)
 	if cond {
-		pool.PutUint32(buf)
+		pool.Put(buf)
 		return 1
 	}
-	pool.PutUint32(buf)
+	pool.Put(buf)
 	return 0
 }
 
@@ -70,33 +70,30 @@ type writer struct {
 }
 
 func structFieldLifecycle(n int) int {
-	w := writer{buf: pool.GetBytes(n)[:0]}
+	w := writer{buf: pool.Get[byte](n)[:0]}
 	w.buf = append(w.buf, 0xAB)
 	s := len(w.buf)
-	pool.PutBytes(w.buf)
+	pool.Put(w.buf)
 	return s
 }
 
-// getFloats / putFloats mirror the sz kernels' generic pool bridges; the
-// checker must classify them as wrappers so calls count as gets and puts.
+// The kernels are generic over their element type and call the generic
+// accessors with their own type parameter; a get and a put spelled that way
+// (inferred, or explicitly instantiated) must be seen like any other.
 
-func getFloats(n int) []float64 { return pool.GetFloat64(n) }
-
-func putFloats(s []float64) { pool.PutFloat64(s) }
-
-func viaWrappers(n int) float64 {
-	recon := getFloats(n)
-	defer putFloats(recon)
+func genericLifecycle[T pool.Elem](n int) T {
+	recon := pool.Get[T](n)
+	defer pool.Put[T](recon)
 	return recon[0]
 }
 
 func escapeToClosure(n int) func() {
-	buf := pool.GetBytes(n)
-	return func() { pool.PutBytes(buf) } // custody leaves with the closure
+	buf := pool.Get[byte](n)
+	return func() { pool.Put(buf) } // custody leaves with the closure
 }
 
 func custodyTransfer(n int) []byte {
-	buf := pool.GetBytes(n)
+	buf := pool.Get[byte](n)
 	other := buf // the second name owns it now; tracking stops
 	return other
 }
@@ -104,54 +101,69 @@ func custodyTransfer(n int) []byte {
 // --- violations ---
 
 func leakOnEarlyReturn(n int) ([]byte, error) {
-	buf := pool.GetBytes(n)
+	buf := pool.Get[byte](n)
 	if n > 1024 {
 		return nil, errFail // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
 	}
-	pool.PutBytes(buf)
+	pool.Put(buf)
 	return nil, nil
 }
 
 func leakOnFallthrough(n int) {
-	buf := pool.GetFloat64(n)
+	buf := pool.Get[float64](n)
 	buf[0] = 1
 } // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
 
 func leakOneBranchMissing(n int, cond bool) int {
-	buf := pool.GetBytes(n)
+	buf := pool.Get[byte](n)
 	if cond {
-		pool.PutBytes(buf)
+		pool.Put(buf)
 	}
 	return n // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
 }
 
 func doublePut(n int) {
-	buf := pool.GetBytes(n)
-	pool.PutBytes(buf)
-	pool.PutBytes(buf) // want `double put of pooled buffer buf`
+	buf := pool.Get[byte](n)
+	pool.Put(buf)
+	pool.Put(buf) // want `double put of pooled buffer buf`
 }
 
 func putAfterDefer(n int) {
-	buf := pool.GetUint64(n)
-	defer pool.PutUint64(buf)
-	pool.PutUint64(buf) // want `put of pooled buffer buf that is already put by a defer`
+	buf := pool.Get[uint64](n)
+	defer pool.Put(buf)
+	pool.Put(buf) // want `put of pooled buffer buf that is already put by a defer`
 }
 
 func putOfReslice(n int) {
-	buf := pool.GetBytes(n)
-	pool.PutBytes(buf[:4]) // want `put of a reslice of pooled buffer buf`
-	pool.PutBytes(buf)
+	buf := pool.Get[byte](n)
+	pool.Put(buf[:4]) // want `put of a reslice of pooled buffer buf`
+	pool.Put(buf)
 }
 
 func putOfAlias(n int) {
-	buf := pool.GetUint32(n)
+	buf := pool.Get[int32](n)
 	bits := buf[:n/2]
-	pool.PutUint32(bits) // want `put of bits, a reslice alias of pooled buffer buf`
-	pool.PutUint32(buf)
+	pool.Put(bits) // want `put of bits, a reslice alias of pooled buffer buf`
+	pool.Put(buf)
+}
+
+func genericLeak[T pool.Elem](n int, fail bool) error {
+	buf := pool.Get[T](n)
+	if fail {
+		return errFail // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
+	}
+	pool.Put(buf)
+	return nil
+}
+
+func genericDoublePut[T pool.Elem](n int) {
+	buf := pool.Get[T](n)
+	pool.Put(buf)
+	pool.Put[T](buf) // want `double put of pooled buffer buf`
 }
 
 func unassignedGet(n int) {
-	pool.GetBytes(n) // want `pooled Get result is neither stored in a trackable variable nor returned`
+	pool.Get[byte](n) // want `pooled Get result is neither stored in a trackable variable nor returned`
 }
 
 var errFail = errOf("fail")

@@ -410,7 +410,7 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 		}
 		version = VersionBlocked
 	}
-	w := writer{buf: pool.GetBytes(c.EncodedSize() - len(c.Payload))[:0]}
+	w := writer{buf: pool.Get[byte](c.EncodedSize() - len(c.Payload))[:0]}
 	w.bytes(magic[:])
 	w.u16(version)
 	w.u8(uint8(c.Header.DType))
@@ -443,7 +443,7 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 		w.u32(crc32.ChecksumIEEE(c.Payload))
 	}
 	n, err := dst.Write(w.buf)
-	pool.PutBytes(w.buf)
+	pool.Put(w.buf)
 	written := int64(n)
 	if err != nil {
 		return written, err

@@ -293,7 +293,7 @@ func TestWriteReadRawRoundTrip(t *testing.T) {
 	if err := WriteRaw(path, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRaw(path, grid.MustDims(6))
+	got, err := ReadRaw[float32](path, grid.MustDims(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +302,10 @@ func TestWriteReadRawRoundTrip(t *testing.T) {
 			t.Fatalf("raw round trip mismatch at %d: %v vs %v", i, got[i], data[i])
 		}
 	}
-	if _, err := ReadRaw(path, grid.MustDims(5)); err == nil {
+	if _, err := ReadRaw[float32](path, grid.MustDims(5)); err == nil {
 		t.Errorf("length mismatch should fail")
 	}
-	if _, err := ReadRaw(filepath.Join(dir, "missing.f32"), grid.MustDims(6)); err == nil {
+	if _, err := ReadRaw[float32](filepath.Join(dir, "missing.f32"), grid.MustDims(6)); err == nil {
 		t.Errorf("missing file should fail")
 	}
 }
@@ -323,7 +323,7 @@ func TestExport(t *testing.T) {
 	if n != 2 {
 		t.Errorf("expected 2 files, wrote %d", n)
 	}
-	got, err := ReadRaw(filepath.Join(dir, "NYX", "temperature_t000.f32"), d.Fields[0].Shape)
+	got, err := ReadRaw[float32](filepath.Join(dir, "NYX", "temperature_t000.f32"), d.Fields[0].Shape)
 	if err != nil {
 		t.Fatal(err)
 	}

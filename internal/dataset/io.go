@@ -1,94 +1,36 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"fraz/internal/grid"
 )
 
-// WriteRaw writes a field as little-endian float32 binary, the layout used
-// by the SDRBench archives (one bare .f32/.dat file per field and
-// time-step).
-func WriteRaw(path string, data []float32) error {
-	return writeRaw(path, data)
-}
-
-// WriteRaw64 writes a field as little-endian float64 binary (SDRBench's
-// .f64/.d64 layout).
-func WriteRaw64(path string, data []float64) error {
-	return writeRaw(path, data)
-}
-
-func writeRaw[T grid.Float](path string, data []T) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: create %s: %w", path, err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	elem := grid.ElemSize[T]()
-	var tmp [8]byte
-	for _, v := range data {
-		if elem == 4 {
-			binary.LittleEndian.PutUint32(tmp[:4], math.Float32bits(float32(v)))
-		} else {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(float64(v)))
-		}
-		if _, err := w.Write(tmp[:elem]); err != nil {
-			return fmt.Errorf("dataset: write %s: %w", path, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("dataset: flush %s: %w", path, err)
+// WriteRaw writes a field as little-endian IEEE-754 binary at its own
+// width, the layout used by the SDRBench archives (one bare .f32/.dat or
+// .f64/.d64 file per field and time-step).
+func WriteRaw[T grid.Float](path string, data []T) error {
+	if err := os.WriteFile(path, grid.AppendLE(nil, data), 0o666); err != nil {
+		return fmt.Errorf("dataset: write %s: %w", path, err)
 	}
 	return nil
 }
 
-// ReadRaw reads a little-endian float32 binary file and validates its length
-// against the expected shape.
-func ReadRaw(path string, shape grid.Dims) ([]float32, error) {
-	return readRaw[float32](path, shape)
-}
-
-// ReadRaw64 reads a little-endian float64 binary file and validates its
+// ReadRaw reads a little-endian binary file of T values and validates its
 // length against the expected shape.
-func ReadRaw64(path string, shape grid.Dims) ([]float64, error) {
-	return readRaw[float64](path, shape)
-}
-
-func readRaw[T grid.Float](path string, shape grid.Dims) ([]T, error) {
-	f, err := os.Open(path)
+func ReadRaw[T grid.Float](path string, shape grid.Dims) ([]T, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
+		return nil, fmt.Errorf("dataset: read %s: %w", path, err)
 	}
-	defer f.Close()
-	want := shape.Len()
-	data := make([]T, 0, want)
-	r := bufio.NewReader(f)
 	elem := grid.ElemSize[T]()
-	var tmp [8]byte
-	for {
-		if _, err := io.ReadFull(r, tmp[:elem]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("dataset: read %s: %w", path, err)
-		}
-		if elem == 4 {
-			data = append(data, T(math.Float32frombits(binary.LittleEndian.Uint32(tmp[:4]))))
-		} else {
-			data = append(data, T(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))))
-		}
+	if len(raw) != shape.Len()*elem {
+		return nil, fmt.Errorf("dataset: %s holds %d bytes, shape %v at %d bytes/value expects %d", path, len(raw), shape, elem, shape.Len()*elem)
 	}
-	if len(data) != want {
-		return nil, fmt.Errorf("dataset: %s holds %d values, shape %v expects %d", path, len(data), shape, want)
-	}
+	data := make([]T, shape.Len())
+	grid.DecodeLE(data, raw)
 	return data, nil
 }
 

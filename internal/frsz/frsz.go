@@ -22,7 +22,15 @@
 // v̂ = q·2^(e−N+1).
 //
 // The codec is dtype-generic over float32 and float64 and shape-agnostic
-// (no neighbour prediction, so any rank 1..4 compresses identically).
+// (no neighbour prediction, so any rank 1..4 compresses identically). Each
+// direction is one function generic over the element type (kernel.go): a
+// value is widened to float64 as it is read and narrowed as it is written,
+// and everything between — scaling, rounding, clamping — is float64 and
+// integer arithmetic that does not care which width it came from. The
+// per-width facts (exponent window, largest finite value) are looked up
+// once per call. Unlike szx the kernel never looks at IEEE-754 fields, so it
+// needs neither a bit view nor unsafe; the one such question it has, whether
+// an input is finite, is asked arithmetically.
 //
 // # Stream layout (all integers little-endian)
 //
@@ -192,10 +200,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if grid.ElemSize[T]() == 4 {
-		return compress32(any(data).([]float32), shape, o)
-	}
-	return compress64(any(data).([]float64), shape, o)
+	return compress(data, shape, o)
 }
 
 // Decompress reconstructs the data from a stream produced by Compress. A
@@ -213,18 +218,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if shape != nil && !hdr.shape.Equal(shape) {
 		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdr.shape, shape)
 	}
-	if hdr.elemSize == 4 {
-		out, err := decompress32(hdr, body)
-		if err != nil {
-			return nil, err
-		}
-		return any(out).([]T), nil
-	}
-	out, err := decompress64(hdr, body)
-	if err != nil {
-		return nil, err
-	}
-	return any(out).([]T), nil
+	return decompress[T](hdr, body)
 }
 
 // HeaderShape extracts the shape stored in a compressed stream.

@@ -305,6 +305,31 @@ func TestNearOverflowClamp(t *testing.T) {
 	}
 }
 
+// TestNearOverflowOneBit is the float64 end of the same edge, found by
+// FuzzDecode: at one bit per value a block near MaxFloat64 has a quantum of
+// 2^1024, which float64 cannot hold, and a zero code used to decode as
+// 0·Inf = NaN. Zeros must come back as zeros and the rest finite.
+func TestNearOverflowOneBit(t *testing.T) {
+	shape := grid.MustDims(4)
+	data := []float64{-math.MaxFloat64, 0, 1e300, 0}
+	stream, err := Compress(data, shape, Options{BitsPerValue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, err := Decompress[float64](stream, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range recon {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("element %d decoded non-finite %v", i, v)
+		}
+	}
+	if recon[1] != 0 || recon[3] != 0 {
+		t.Errorf("zeros decoded as %v and %v", recon[1], recon[3])
+	}
+}
+
 func TestCorruptStreams(t *testing.T) {
 	shape := grid.MustDims(40)
 	good, err := Compress(sineField32(40), shape, Options{BitsPerValue: 9})

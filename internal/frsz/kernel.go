@@ -59,7 +59,10 @@ func signExtend(u uint64, bits int) int64 {
 	return int64(u<<s) >> s
 }
 
-func compress32(data []float32, shape grid.Dims, o Options) ([]byte, error) {
+// compress is the encoder at either width. Finiteness is tested
+// arithmetically (nothing finite exceeds MaxFloat64, and NaN fails every
+// ordered comparison), so no view of the IEEE-754 fields is needed.
+func compress[T grid.Float](data []T, shape grid.Dims, o Options) ([]byte, error) {
 	n := len(data)
 	bs := o.BlockSize
 	nBlocks := (n + bs - 1) / bs
@@ -67,7 +70,7 @@ func compress32(data []float32, shape grid.Dims, o Options) ([]byte, error) {
 	total := CompressedSize(n, len(shape), bits, bs)
 
 	out := make([]byte, 0, total)
-	out = appendHeader(out, magic32, shape, o)
+	out = appendHeader(out, magicFor[T](), shape, o)
 	expOff := len(out)
 	out = append(out, make([]byte, 2*nBlocks)...)
 
@@ -77,18 +80,15 @@ func compress32(data []float32, shape grid.Dims, o Options) ([]byte, error) {
 
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * bs
-		hi := lo + bs
-		if hi > n {
-			hi = n
-		}
-		block := data[lo:hi]
+		block := data[lo:min(lo+bs, n)]
 
 		maxAbs := 0.0
 		for i, v := range block {
-			if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			a := math.Abs(float64(v))
+			if !(a <= math.MaxFloat64) {
 				return nil, fmt.Errorf("%w: non-finite value %v at element %d: frsz has no exponent to scale NaN/Inf against", ErrInvalidInput, v, lo+i)
 			}
-			if a := math.Abs(float64(v)); a > maxAbs {
+			if a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -122,188 +122,79 @@ func compress32(data []float32, shape grid.Dims, o Options) ([]byte, error) {
 	return append(out, w.Bytes()...), nil
 }
 
-func compress64(data []float64, shape grid.Dims, o Options) ([]byte, error) {
-	n := len(data)
-	bs := o.BlockSize
-	nBlocks := (n + bs - 1) / bs
-	bits := o.BitsPerValue
-	total := CompressedSize(n, len(shape), bits, bs)
-
-	out := make([]byte, 0, total)
-	out = appendHeader(out, magic64, shape, o)
-	expOff := len(out)
-	out = append(out, make([]byte, 2*nBlocks)...)
-
-	w := bitstream.NewWriter(total - len(out))
-	minQ, maxQ, mask := codeRange(bits)
-	limit := math.Ldexp(1, bits-1)
-
-	for bi := 0; bi < nBlocks; bi++ {
-		lo := bi * bs
-		hi := lo + bs
-		if hi > n {
-			hi = n
-		}
-		block := data[lo:hi]
-
-		maxAbs := 0.0
-		for i, v := range block {
-			if math.Float64bits(v)&0x7ff0000000000000 == 0x7ff0000000000000 {
-				return nil, fmt.Errorf("%w: non-finite value %v at element %d: frsz has no exponent to scale NaN/Inf against", ErrInvalidInput, v, lo+i)
-			}
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-
-		if maxAbs == 0 {
-			binary.LittleEndian.PutUint16(out[expOff+2*bi:], expZeroBits)
-			for range block {
-				w.WriteBits(0, uint(bits))
-			}
-			continue
-		}
-
-		_, e := math.Frexp(maxAbs)
-		binary.LittleEndian.PutUint16(out[expOff+2*bi:], uint16(int16(e)))
-		shift := bits - 1 - e
-		scale := math.Ldexp(1, shift)
-		if scale > 0 && !math.IsInf(scale, 0) {
-			for _, v := range block {
-				q := quantize(v*scale, limit, minQ, maxQ)
-				w.WriteBits(uint64(q)&mask, uint(bits))
-			}
-		} else {
-			for _, v := range block {
-				q := quantize(math.Ldexp(v, shift), limit, minQ, maxQ)
-				w.WriteBits(uint64(q)&mask, uint(bits))
-			}
-		}
-	}
-	return append(out, w.Bytes()...), nil
-}
-
-func decompress32(h header, body []byte) ([]float32, error) {
+// decompress is the decoder at either width: codes are scaled back in
+// float64 and narrowed to T last.
+func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 	n := h.shape.Len()
 	nBlocks := (n + h.blockSize - 1) / h.blockSize
 	exps := body[:2*nBlocks]
 	r := bitstream.NewReader(body[2*nBlocks:])
 	bits := h.bits
+	minExp, maxExp, maxFinite := minExp64, maxExp64, math.MaxFloat64
+	if h.elemSize == 4 {
+		minExp, maxExp, maxFinite = minExp32, maxExp32, math.MaxFloat32
+	}
 
 	// The output comes from the element pool: the blocked open path recycles
 	// block buffers after scattering them. Every element is written below,
 	// so the pool's stale contents never leak. It transfers to the caller
 	// only on success; error returns must recycle it.
-	out := pool.GetFloat32(n)
+	out := pool.Get[T](n)
 	done := false
 	defer func() {
 		if !done {
-			pool.PutFloat32(out)
+			pool.Put(out)
 		}
 	}()
 
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * h.blockSize
-		hi := lo + h.blockSize
-		if hi > n {
-			hi = n
-		}
-		dst := out[lo:hi]
+		dst := out[lo:min(lo+h.blockSize, n)]
 
 		e := int(int16(binary.LittleEndian.Uint16(exps[2*bi:])))
-		if e != expZero && (e < minExp32 || e > maxExp32) {
-			return nil, fmt.Errorf("%w: block %d exponent %d outside the float32 window [%d,%d]", ErrCorrupt, bi, e, minExp32, maxExp32)
+		if e != expZero && (e < minExp || e > maxExp) {
+			return nil, fmt.Errorf("%w: block %d exponent %d outside the %d-byte float window [%d,%d]", ErrCorrupt, bi, e, h.elemSize, minExp, maxExp)
 		}
 		shift := e - bits + 1
 		quantum := math.Ldexp(1, shift)
+		// 2^shift leaves the float64 range at both ends of the float64
+		// exponent window (a denormal-only block at high N underflows it, a
+		// block near MaxFloat64 at N = 1 overflows it). Ldexp per value then
+		// keeps the gradual-underflow rounding a multiply by zero would
+		// destroy, and keeps a zero code zero where 0·Inf would be NaN.
+		exact := quantum > 0 && !math.IsInf(quantum, 0)
 		if e == expZero {
-			quantum = 0 // codes decode to exact zeros whatever their content
+			quantum, exact = 0, true // codes decode to zeros whatever their content
 		}
 
+		if !exact {
+			for i := range dst {
+				u, err := r.ReadBits(uint(bits))
+				if err != nil {
+					return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
+				}
+				dst[i] = clamp(T(math.Ldexp(float64(signExtend(u, bits)), shift)), maxFinite)
+			}
+			continue
+		}
 		for i := range dst {
 			u, err := r.ReadBits(uint(bits))
 			if err != nil {
 				return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
 			}
-			v := float32(float64(signExtend(u, bits)) * quantum)
-			if math.IsInf(float64(v), 0) {
-				// maxabs within one quantisation step of the float32
-				// overflow threshold: clamp instead of forging an Inf.
-				v = float32(math.Copysign(math.MaxFloat32, float64(v)))
-			}
-			dst[i] = v
+			dst[i] = clamp(T(float64(signExtend(u, bits))*quantum), maxFinite)
 		}
 	}
 	done = true
 	return out, nil
 }
 
-func decompress64(h header, body []byte) ([]float64, error) {
-	n := h.shape.Len()
-	nBlocks := (n + h.blockSize - 1) / h.blockSize
-	exps := body[:2*nBlocks]
-	r := bitstream.NewReader(body[2*nBlocks:])
-	bits := h.bits
-
-	out := pool.GetFloat64(n)
-	done := false
-	defer func() {
-		if !done {
-			pool.PutFloat64(out)
-		}
-	}()
-
-	for bi := 0; bi < nBlocks; bi++ {
-		lo := bi * h.blockSize
-		hi := lo + h.blockSize
-		if hi > n {
-			hi = n
-		}
-		dst := out[lo:hi]
-
-		e := int(int16(binary.LittleEndian.Uint16(exps[2*bi:])))
-		if e != expZero && (e < minExp64 || e > maxExp64) {
-			return nil, fmt.Errorf("%w: block %d exponent %d outside the float64 window [%d,%d]", ErrCorrupt, bi, e, minExp64, maxExp64)
-		}
-		shift := e - bits + 1
-		quantum := math.Ldexp(1, shift)
-		zero := e == expZero
-
-		switch {
-		case zero:
-			for range dst {
-				if _, err := r.ReadBits(uint(bits)); err != nil {
-					return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
-				}
-			}
-			for i := range dst {
-				dst[i] = 0
-			}
-		case quantum == 0:
-			// 2^shift underflows float64 (denormal-only block at high N):
-			// Ldexp per value preserves the gradual-underflow rounding a
-			// plain multiply by zero would destroy.
-			for i := range dst {
-				u, err := r.ReadBits(uint(bits))
-				if err != nil {
-					return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
-				}
-				dst[i] = math.Ldexp(float64(signExtend(u, bits)), shift)
-			}
-		default:
-			for i := range dst {
-				u, err := r.ReadBits(uint(bits))
-				if err != nil {
-					return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
-				}
-				v := float64(signExtend(u, bits)) * quantum
-				if math.IsInf(v, 0) {
-					v = math.Copysign(math.MaxFloat64, v)
-				}
-				dst[i] = v
-			}
-		}
+// clamp replaces an overflowed reconstruction (maxabs within one
+// quantisation step of the type's overflow threshold) by the largest finite
+// value of its sign instead of forging an Inf.
+func clamp[T grid.Float](v T, maxFinite float64) T {
+	if math.IsInf(float64(v), 0) {
+		return T(math.Copysign(maxFinite, float64(v)))
 	}
-	done = true
-	return out, nil
+	return v
 }

@@ -25,6 +25,17 @@ import (
 // it exists to bound the decoder tables.
 const maxCodeLen = 58
 
+// MaxSymbols is the longest symbol stream a container can hold: the count is
+// stored in 32 bits.
+const MaxSymbols = 1<<32 - 1
+
+// MaxEncodedLen bounds the size of the container Encode produces for count
+// symbols of which at most distinct differ: the two counts, one table entry
+// per distinct symbol, and no code longer than maxCodeLen bits.
+func MaxEncodedLen(count, distinct int64) int64 {
+	return 8 + 5*min(count, distinct) + (count*maxCodeLen+7)/8
+}
+
 // ErrCorrupt is returned when a Huffman container fails to parse.
 var ErrCorrupt = errors.New("huffman: corrupt stream")
 
@@ -223,7 +234,9 @@ func Decode(buf []byte) ([]int32, error) {
 	if count == 0 {
 		return []int32{}, nil
 	}
-	if numEntries == 0 {
+	// Every symbol costs at least one bit, so the count is checked against
+	// the bits that follow the table before it sizes the output.
+	if numEntries == 0 || count > 8*(len(buf)-pos-5*numEntries) {
 		return nil, ErrCorrupt
 	}
 	entries := make([]codeEntry, numEntries)

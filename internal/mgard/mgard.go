@@ -20,16 +20,13 @@
 package mgard
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
+	"fraz/internal/codestream"
 	"fraz/internal/grid"
-	"fraz/internal/huffman"
 	"fraz/internal/pool"
 	"fraz/internal/quantize"
 )
@@ -120,8 +117,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	// and the codes are scratch of this call, every element of both written
 	// before it is read, so they come from the pool: a search compresses the
 	// same field once per candidate bound.
-	work := pool.GetFloat64(len(data))
-	defer pool.PutFloat64(work)
+	work := pool.Get[float64](len(data))
+	defer pool.Put(work)
 	for i, v := range data {
 		work[i] = float64(v)
 	}
@@ -132,8 +129,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	codes := pool.GetInt32(len(work))
-	defer pool.PutInt32(codes)
+	codes := pool.Get[int32](len(work))
+	defer pool.Put(codes)
 	literals := make([]T, 0)
 	for i, c := range work {
 		code, recon, ok := q.Quantize(c, 0)
@@ -146,56 +143,31 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		work[i] = recon
 	}
 
-	huffBytes, err := huffman.Encode(codes)
+	// The shared back end (internal/codestream): Huffman-coded codes, then
+	// the literals, then the dictionary stage over both.
+	body, dictFlag, err := codestream.Encode(codes, literals, true)
 	if err != nil {
-		return nil, fmt.Errorf("mgard: huffman stage: %w", err)
+		return nil, fmt.Errorf("mgard: %w", err)
 	}
 
-	// The buffers are sized up front — the payload and the stream exactly,
-	// the DEFLATE output to the size at which it is discarded for being no
-	// smaller — so none grows by reallocation.
-	var payload bytes.Buffer
-	payload.Grow(8 + len(huffBytes) + len(literals)*grid.ElemSize[T]())
-	writeUint32(&payload, uint32(len(huffBytes)))
-	payload.Write(huffBytes)
-	writeUint32(&payload, uint32(len(literals)))
-	writeLiterals(&payload, literals)
-
-	body := payload.Bytes()
-	var comp bytes.Buffer
-	comp.Grow(len(body))
-	fw := pool.GetFlateWriter(&comp)
-	defer pool.PutFlateWriter(fw)
-	if _, err := fw.Write(body); err != nil {
-		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("mgard: dictionary stage: %w", err)
-	}
-	dictFlag := byte(0)
-	if comp.Len() < len(body) {
-		body = comp.Bytes()
-		dictFlag = 1
-	}
-
-	var out bytes.Buffer
-	out.Grow(15 + 4*nd + len(body))
-	writeUint32(&out, magicFor[T]())
-	out.WriteByte(byte(opts.Norm))
-	out.WriteByte(dictFlag)
-	out.WriteByte(byte(nd))
-	writeUint64(&out, math.Float64bits(step))
+	out := make([]byte, 0, fixedHeaderLen+4*nd+len(body))
+	out = binary.LittleEndian.AppendUint32(out, magicFor[T]())
+	out = append(out, byte(opts.Norm), dictFlag, byte(nd))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(step))
 	for _, d := range shape {
-		writeUint32(&out, uint32(d))
+		out = binary.LittleEndian.AppendUint32(out, uint32(d))
 	}
-	out.Write(body)
-	return out.Bytes(), nil
+	return append(out, body...), nil
 }
+
+// fixedHeaderLen is the header size before the shape extents: magic (4),
+// norm (1), dictionary flag (1), rank (1), quantisation step (8).
+const fixedHeaderLen = 15
 
 // Decompress reconstructs the field from a stream produced by Compress. If
 // shape is non-nil it is validated against the header.
 func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	if len(buf) < 4+3+8 {
+	if len(buf) < fixedHeaderLen {
 		return nil, ErrCorrupt
 	}
 	switch binary.LittleEndian.Uint32(buf[0:4]) {
@@ -214,7 +186,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if !(step > 0) {
 		return nil, fmt.Errorf("%w: bad quantization step %v", ErrCorrupt, step)
 	}
-	pos := 15
+	pos := fixedHeaderLen
 	if len(buf) < pos+4*nd {
 		return nil, ErrCorrupt
 	}
@@ -230,33 +202,12 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdrShape, shape)
 	}
 
-	body := buf[pos:]
-	if dictFlag == 1 {
-		fr := flate.NewReader(bytes.NewReader(body))
-		raw, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
-		}
-		fr.Close()
-		body = raw
-	}
-	rd := bytes.NewReader(body)
-	huffBytes, err := readChunk(rd)
-	if err != nil {
-		return nil, err
-	}
-	numLit, err := readUint32(rd)
-	if err != nil {
-		return nil, err
-	}
-	literals, err := readLiterals[T](rd, int(numLit))
-	if err != nil {
-		return nil, err
-	}
-	codes, err := huffman.Decode(huffBytes)
+	limit := codestream.MaxBody(hdrShape.Len(), grid.ElemSize[T](), quantize.DefaultIntervals+1, 0)
+	_, codes, literals, err := codestream.Decode[T](buf[pos:], dictFlag, limit, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	defer pool.Put(literals)
 	if len(codes) != hdrShape.Len() {
 		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), hdrShape)
 	}
@@ -442,85 +393,4 @@ func interpolate(work []float64, shape grid.Dims, strides []int, coords []int, s
 		}
 	}
 	return sum
-}
-
-func writeUint32(w *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	w.Write(tmp[:])
-}
-
-func writeUint64(w *bytes.Buffer, v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.Write(tmp[:])
-}
-
-// writeLiterals appends the unpredictable coefficients' raw IEEE-754 bits:
-// 4 bytes per element for float32 streams, 8 for float64, so double-
-// precision coefficients survive the literal path without rounding.
-func writeLiterals[T grid.Float](w *bytes.Buffer, literals []T) {
-	if grid.ElemSize[T]() == 4 {
-		for _, v := range literals {
-			writeUint32(w, math.Float32bits(float32(v)))
-		}
-		return
-	}
-	for _, v := range literals {
-		writeUint64(w, math.Float64bits(float64(v)))
-	}
-}
-
-// readLiterals is the inverse of writeLiterals.
-func readLiterals[T grid.Float](r *bytes.Reader, n int) ([]T, error) {
-	out := make([]T, n)
-	if grid.ElemSize[T]() == 4 {
-		for i := range out {
-			v, err := readUint32(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = T(math.Float32frombits(v))
-		}
-		return out, nil
-	}
-	for i := range out {
-		v, err := readUint64(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = T(math.Float64frombits(v))
-	}
-	return out, nil
-}
-
-func readUint64(r *bytes.Reader) (uint64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return binary.LittleEndian.Uint64(tmp[:]), nil
-}
-
-func readUint32(r *bytes.Reader) (uint32, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return binary.LittleEndian.Uint32(tmp[:]), nil
-}
-
-func readChunk(r *bytes.Reader) ([]byte, error) {
-	n, err := readUint32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("%w: chunk length %d exceeds remaining %d", ErrCorrupt, n, r.Len())
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return buf, nil
 }

@@ -1,11 +1,14 @@
 package mgard
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"fraz/internal/codestream/codestreamtest"
 	"fraz/internal/grid"
 	"fraz/internal/metrics"
 )
@@ -197,24 +200,70 @@ func TestInvalidOptions(t *testing.T) {
 	}
 }
 
-func TestDecompressCorrupt(t *testing.T) {
-	if _, err := Decompress[float32]([]byte{0, 1, 2}, nil); err == nil {
-		t.Errorf("short buffer should fail")
+// hostileStreams returns a valid stream of 64 values and its two forgeries
+// (codestreamtest.Forge): a literal count of two billion, and a DEFLATE bomb
+// of bombSize bytes for a body.
+func hostileStreams[T grid.Float](t testing.TB, bombSize int) (valid, forged, bomb []byte) {
+	t.Helper()
+	data := make([]T, 64)
+	for i := range data {
+		data[i] = T(i%9) / 4
 	}
-	data, shape := field2D(10, 10, 10)
-	comp, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: 0.1})
+	valid, err := Compress(data, grid.MustDims(8, 8), Options{Norm: NormInfinity, Bound: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), comp...)
-	bad[1] ^= 0xFF
-	if _, err := Decompress[float32](bad, shape); err == nil {
-		t.Errorf("bad magic should fail")
+	forged, bomb, err = codestreamtest.Forge(valid, codestreamtest.Layout{HeaderLen: fixedHeaderLen + 8, FlagOffset: 5}, bombSize)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Decompress[float32](comp, grid.MustDims(9, 10)); err == nil {
-		t.Errorf("shape mismatch should fail")
+	return valid, forged, bomb
+}
+
+// TestDecompressCorrupt is the corruption table: every row must fail with
+// ErrCorrupt, and must do so cheaply — a stream of a few hundred bytes that
+// makes the decoder allocate gigabytes (or inflate a bomb) before it notices
+// is a denial of service even when the error is right.
+func TestDecompressCorrupt(t *testing.T) {
+	valid32, forged32, bomb32 := hostileStreams[float32](t, 64<<20)
+	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
+	badMagic := append([]byte(nil), valid32...)
+	badMagic[1] ^= 0xFF
+	rows := []struct {
+		name   string
+		stream []byte
+		shape  grid.Dims
+		wide   bool
+	}{
+		{"short buffer", []byte{0, 1, 2}, nil, false},
+		{"bad magic", badMagic, nil, false},
+		{"shape mismatch", valid32, grid.MustDims(9, 8), false},
+		{"truncated body", valid32[:len(valid32)-3], nil, false},
+		{"forged literal count f32", forged32, nil, false},
+		{"forged literal count f64", forged64, nil, true},
+		{"deflate bomb f32", bomb32, nil, false},
+		{"deflate bomb f64", bomb64, nil, true},
 	}
-	if _, err := Decompress[float32](comp, nil); err != nil {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if row.wide {
+				_, err = Decompress[float64](row.stream, row.shape)
+			} else {
+				_, err = Decompress[float32](row.stream, row.shape)
+			}
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want an error wrapping ErrCorrupt", err)
+			}
+			if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
+				t.Errorf("rejecting a %d-byte stream allocated %d bytes, want under 1 MiB", len(row.stream), allocated)
+			}
+		})
+	}
+	if _, err := Decompress[float32](valid32, nil); err != nil {
 		t.Errorf("nil shape should use header shape: %v", err)
 	}
 }

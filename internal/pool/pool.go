@@ -7,6 +7,15 @@
 // recycles instead of allocating. The DEFLATE writers of the codecs'
 // dictionary stage are recycled here too (GetFlateWriter).
 //
+// There is one accessor pair, Get[T] and Put[T], generic over the pooled
+// element types (Elem). The kernels are generic over their element type, so
+// they pass their own type parameter straight through — pool.Get[T](n) in a
+// decoder over grid.Float, pool.Get[I](n) in zfp's coder over its
+// coefficient type — and nothing above this package matches a width to a
+// free list. frazlint's poolcheck follows every Get to its Put by the
+// callee's package and name, so it needs no knowledge of the element types
+// either.
+//
 // Ownership discipline: a slice handed to Put must not be referenced again
 // by the caller — the next Get may hand it to anyone. Slices returned by Get
 // carry arbitrary stale contents; callers must fully overwrite the length
@@ -74,57 +83,54 @@ func (p *slicePool[T]) put(s []T) {
 	p.buckets[b].Put(s[:0:c])
 }
 
+// Elem lists the element types that have a free list, one per scratch class
+// a codec burns through: payload and header bytes, decoded fields at either
+// width, the quantisation codes of sz, mgard and zfp's float32 coder
+// (int32), zfp's float64 coefficients (int64) and its negabinary words
+// (uint64). A type earns its place here by having a caller.
+type Elem interface {
+	byte | int32 | int64 | uint64 | float32 | float64
+}
+
 var (
-	bytesPool slicePool[byte]
-	f32Pool   slicePool[float32]
-	f64Pool   slicePool[float64]
-	u32Pool   slicePool[uint32]
-	u64Pool   slicePool[uint64]
-	i32Pool   slicePool[int32]
-	i64Pool   slicePool[int64]
+	bytePool    slicePool[byte]
+	int32Pool   slicePool[int32]
+	int64Pool   slicePool[int64]
+	uint64Pool  slicePool[uint64]
+	float32Pool slicePool[float32]
+	float64Pool slicePool[float64]
 )
 
-// GetBytes returns a byte slice of length n with arbitrary contents.
-func GetBytes(n int) []byte { return bytesPool.get(n) }
+// classOf returns T's free list. Go has no generic package variable, so the
+// element type is matched here, once, for every accessor.
+func classOf[T Elem]() *slicePool[T] {
+	var p any
+	switch any((*T)(nil)).(type) {
+	case *byte:
+		p = &bytePool
+	case *int32:
+		p = &int32Pool
+	case *int64:
+		p = &int64Pool
+	case *uint64:
+		p = &uint64Pool
+	case *float32:
+		p = &float32Pool
+	case *float64:
+		p = &float64Pool
+	}
+	return p.(*slicePool[T])
+}
 
-// PutBytes parks a byte slice for reuse; the caller must not touch it again.
-func PutBytes(s []byte) { bytesPool.put(s) }
+// Get returns a slice of n elements with arbitrary contents. A caller that
+// is itself generic over the element type (a kernel over grid.Float, zfp's
+// coder over its coefficient type) instantiates it with its own parameter,
+// so no layer above the pool spells out the element types again.
+func Get[T Elem](n int) []T { return classOf[T]().get(n) }
 
-// GetFloat32 returns a float32 slice of length n with arbitrary contents.
-func GetFloat32(n int) []float32 { return f32Pool.get(n) }
-
-// PutFloat32 parks a float32 slice for reuse.
-func PutFloat32(s []float32) { f32Pool.put(s) }
-
-// GetFloat64 returns a float64 slice of length n with arbitrary contents.
-func GetFloat64(n int) []float64 { return f64Pool.get(n) }
-
-// PutFloat64 parks a float64 slice for reuse.
-func PutFloat64(s []float64) { f64Pool.put(s) }
-
-// GetUint32 returns a uint32 slice of length n with arbitrary contents.
-func GetUint32(n int) []uint32 { return u32Pool.get(n) }
-
-// PutUint32 parks a uint32 slice for reuse.
-func PutUint32(s []uint32) { u32Pool.put(s) }
-
-// GetInt32 returns an int32 slice of length n with arbitrary contents.
-func GetInt32(n int) []int32 { return i32Pool.get(n) }
-
-// PutInt32 parks an int32 slice for reuse.
-func PutInt32(s []int32) { i32Pool.put(s) }
-
-// GetUint64 returns a uint64 slice of length n with arbitrary contents.
-func GetUint64(n int) []uint64 { return u64Pool.get(n) }
-
-// PutUint64 parks a uint64 slice for reuse.
-func PutUint64(s []uint64) { u64Pool.put(s) }
-
-// GetInt64 returns an int64 slice of length n with arbitrary contents.
-func GetInt64(n int) []int64 { return i64Pool.get(n) }
-
-// PutInt64 parks an int64 slice for reuse.
-func PutInt64(s []int64) { i64Pool.put(s) }
+// Put parks a slice for reuse; the caller must not touch it again. A nil or
+// foreign slice is fine (see the package comment).
+func Put[T Elem](s []T) { classOf[T]().put(s) }
 
 // flateWriters recycles the DEFLATE state of the codecs' dictionary stage. A
 // flate.Writer at BestSpeed is 1.2 MB that NewWriter allocates and clears;

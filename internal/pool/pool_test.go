@@ -8,21 +8,21 @@ import (
 
 func TestGetLengthAndReuse(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 1000, 1 << 20} {
-		s := GetBytes(n)
+		s := Get[byte](n)
 		if len(s) != n {
-			t.Fatalf("GetBytes(%d) returned length %d", n, len(s))
+			t.Fatalf("Get[byte](%d) returned length %d", n, len(s))
 		}
-		PutBytes(s)
+		Put(s)
 	}
 	// A put slice should come back for a fitting request (sync.Pool gives no
 	// hard guarantee, but single-goroutine put/get without an intervening GC
 	// reuses in practice; tolerate either outcome, just exercise the path).
-	s := GetFloat64(100)
+	s := Get[float64](100)
 	s[0] = 42
-	PutFloat64(s)
-	r := GetFloat64(100)
+	Put(s)
+	r := Get[float64](100)
 	_ = r[99]
-	PutFloat64(r)
+	Put(r)
 }
 
 func TestBucketFor(t *testing.T) {
@@ -47,16 +47,16 @@ func TestBucketFor(t *testing.T) {
 func TestPutUndersizedDropped(t *testing.T) {
 	// A slice below the minimum class must be dropped, not filed where a
 	// larger get could receive it.
-	PutBytes(make([]byte, 8))
-	s := GetBytes(64)
+	Put(make([]byte, 8))
+	s := Get[byte](64)
 	if len(s) != 64 {
 		t.Fatalf("got length %d", len(s))
 	}
-	PutBytes(s)
+	Put(s)
 }
 
 func TestOutOfRangeGet(t *testing.T) {
-	s := GetUint32(1<<maxBucket + 1)
+	s := Get[byte](1<<maxBucket + 1)
 	if len(s) != 1<<maxBucket+1 {
 		t.Fatalf("oversized get returned length %d", len(s))
 	}

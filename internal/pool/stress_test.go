@@ -26,34 +26,34 @@ func TestConcurrentGetPut(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				n := sizes[(id+r)%len(sizes)]
 				stampF64 := float64(id*rounds + r)
-				stampU32 := uint32(id*rounds + r)
+				stampI64 := int64(id*rounds + r)
 
-				b := GetBytes(n)
-				f32 := GetFloat32(n)
-				f64 := GetFloat64(n)
-				u32 := GetUint32(n)
-				u64 := GetUint64(n)
-				i32 := GetInt32(n)
+				b := Get[byte](n)
+				f32 := Get[float32](n)
+				f64 := Get[float64](n)
+				i64 := Get[int64](n)
+				u64 := Get[uint64](n)
+				i32 := Get[int32](n)
 
 				for i := range b {
 					b[i] = byte(id)
 					f32[i] = float32(stampF64)
 					f64[i] = stampF64
-					u32[i] = stampU32
-					u64[i] = uint64(stampU32)
+					i64[i] = stampI64
+					u64[i] = uint64(stampI64)
 					i32[i] = int32(id)
 				}
 				// A second batch of gets while the first is still held
 				// forces bucket contention before the stamps are checked.
-				extra := GetFloat64(n)
+				extra := Get[float64](n)
 				for i := range extra {
 					extra[i] = -stampF64
 				}
 
 				for i := range b {
 					if b[i] != byte(id) || f32[i] != float32(stampF64) ||
-						f64[i] != stampF64 || u32[i] != stampU32 ||
-						u64[i] != uint64(stampU32) || i32[i] != int32(id) {
+						f64[i] != stampF64 || i64[i] != stampI64 ||
+						u64[i] != uint64(stampI64) || i32[i] != int32(id) {
 						t.Errorf("worker %d round %d: buffer contents changed while held — pooled slice shared between holders", id, r)
 						return
 					}
@@ -63,13 +63,13 @@ func TestConcurrentGetPut(t *testing.T) {
 					}
 				}
 
-				PutFloat64(extra)
-				PutBytes(b)
-				PutFloat32(f32)
-				PutFloat64(f64)
-				PutUint32(u32)
-				PutUint64(u64)
-				PutInt32(i32)
+				Put(extra)
+				Put(b)
+				Put(f32)
+				Put(f64)
+				Put(i64)
+				Put(u64)
+				Put(i32)
 			}
 		}(g)
 	}

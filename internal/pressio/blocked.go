@@ -24,7 +24,7 @@ import (
 // variable so the failure-path tests can count the calls: sync.Pool drops
 // items at random under the race detector, so what comes back out of the
 // pool proves nothing there.
-var recyclePayload = pool.PutBytes
+var recyclePayload = pool.Put[byte]
 
 // SealBlocked compresses the buffer as numBlocks independent slowest-axis
 // blocks at the given bound (snapped to the codec's domain, like Seal),

@@ -65,7 +65,7 @@ func (p *probe) encode(Buffer, float64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	out := pool.GetBytes(512)
+	out := pool.Get[byte](512)
 	for i := range out {
 		out[i] = byte(call)
 	}

@@ -172,8 +172,18 @@ func (c *Codec) Decompress(comp []byte, shape grid.Dims, dtype container.DType) 
 	if !c.SupportsShape(shape) {
 		return Buffer{}, fmt.Errorf("%s: unsupported shape %v (ranks %d..%d)", c.Name, shape, c.MinRank, c.MaxRank)
 	}
-	return c.Decode(comp, shape, dtype)
+	buf, err := c.Decode(comp, shape, dtype)
+	if err != nil {
+		return Buffer{}, fmt.Errorf("%w: %w", ErrPayload, err)
+	}
+	return buf, nil
 }
+
+// ErrPayload is returned by Decompress when the kernel refuses the payload:
+// the container around it was intact (its CRC matched), what it carries is
+// not a stream of the codec it names. To a caller that is a corrupt archive,
+// not an internal failure.
+var ErrPayload = errors.New("pressio: payload does not decode")
 
 // CompressedSize implements RateCompressor. It must only be called on a
 // codec whose Size is set.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"fraz/internal/grid"
@@ -28,16 +27,6 @@ const (
 
 // errLossless is the base error for the lossless baseline codec.
 var errLossless = errors.New("flate:lossless")
-
-// getFloats bridges the generic element type to the pool's concrete free
-// lists. Buffers handed out here flow back via Buffer recycling in the
-// blocked open path (see Codec.Decode's contract).
-func getFloats[T grid.Float](n int) []T {
-	if grid.ElemSize[T]() == 4 {
-		return any(pool.GetFloat32(n)).([]T)
-	}
-	return any(pool.GetFloat64(n)).([]T)
-}
 
 func losslessMagicFor[T grid.Float]() uint32 {
 	if grid.ElemSize[T]() == 4 {
@@ -63,19 +52,10 @@ var flateWriters = sync.Pool{New: func() any {
 }}
 
 func losslessCompress[T grid.Float](data []T, _ grid.Dims, _ struct{}) ([]byte, error) {
-	elem := grid.ElemSize[T]()
-	raw := pool.GetBytes(4 + len(data)*elem)
-	defer pool.PutBytes(raw)
-	binary.LittleEndian.PutUint32(raw[:4], losslessMagicFor[T]())
-	if elem == 4 {
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(raw[4+4*i:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(raw[4+8*i:], math.Float64bits(float64(v)))
-		}
-	}
+	raw := pool.Get[byte](4 + len(data)*grid.ElemSize[T]())[:0]
+	defer pool.Put(raw)
+	raw = binary.LittleEndian.AppendUint32(raw, losslessMagicFor[T]())
+	raw = grid.AppendLE(raw, data)
 	var out bytes.Buffer
 	fw := flateWriters.Get().(*flate.Writer)
 	defer flateWriters.Put(fw)
@@ -95,13 +75,12 @@ func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error)
 	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", errLossless, err)
 	}
-	elem := grid.ElemSize[T]()
 	// The shape fixes the payload size exactly, so the inflated bytes can come
 	// from the pool instead of ReadAll's repeated growth: read the expected
 	// length plus one sentinel byte that must hit EOF.
-	want := 4 + shape.Len()*elem
-	raw := pool.GetBytes(want + 1)
-	defer pool.PutBytes(raw)
+	want := 4 + shape.Len()*grid.ElemSize[T]()
+	raw := pool.Get[byte](want + 1)
+	defer pool.Put(raw)
 	n, err := io.ReadFull(fr, raw)
 	switch {
 	case err == nil || n > want:
@@ -115,16 +94,7 @@ func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error)
 	if binary.LittleEndian.Uint32(raw[:4]) != losslessMagicFor[T]() {
 		return nil, fmt.Errorf("%w: bad magic", errLossless)
 	}
-	raw = raw[4:want]
-	out := getFloats[T](shape.Len())
-	if elem == 4 {
-		for i := range out {
-			out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
-		}
-	} else {
-		for i := range out {
-			out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
-		}
-	}
+	out := pool.Get[T](shape.Len())
+	grid.DecodeLE(out, raw[4:want])
 	return out, nil
 }

@@ -31,9 +31,7 @@ func (b Buffer) RawBytes() []byte {
 // contract makes this safe: Decompress returns freshly allocated data, so
 // the slice aliases nothing the codec or caller retains.
 func (b Buffer) recycle() {
-	if b.dtype == container.Float64 {
-		pool.PutFloat64(b.f64)
-		return
-	}
-	pool.PutFloat32(b.f32)
+	// One of the two views is nil, and a nil slice is dropped by Put.
+	pool.Put(b.f32)
+	pool.Put(b.f64)
 }

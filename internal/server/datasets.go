@@ -132,9 +132,9 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var res *fraz.FieldResult
 		if p.wide {
-			res, err = ds.AddField64(ctx, name, decodeRaw64(body), p.shape)
+			res, err = ds.AddField64(ctx, name, decodeRaw[float64](body), p.shape)
 		} else {
-			res, err = ds.AddField(ctx, name, decodeRaw32(body), p.shape)
+			res, err = ds.AddField(ctx, name, decodeRaw[float32](body), p.shape)
 		}
 		if err != nil {
 			s.datasetFieldError(w, name, err)
@@ -306,12 +306,7 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var raw []byte
-	if res.Data64 != nil {
-		raw = encodeRaw64(res.Data64)
-	} else {
-		raw = encodeRaw32(res.Data)
-	}
+	raw := encodeRaw(res.Data, res.Data64)
 	s.met.bytesOpened.add(uint64(len(raw)))
 
 	h := w.Header()

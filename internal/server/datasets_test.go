@@ -7,6 +7,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"testing"
+
+	"fraz/internal/grid"
 )
 
 // noisyField32 is a rougher second field so the per-field codec race has
@@ -34,7 +36,7 @@ func postDataset(t *testing.T, url string, fields map[string][]float32, hdr map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := part.Write(encodeRaw32(data)); err != nil {
+		if _, err := part.Write(grid.AppendLE(nil, data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +140,7 @@ func TestDatasetUploadAndFieldDownload(t *testing.T) {
 		if resp.Header.Get("X-Fraz-Codec") == "" {
 			t.Errorf("field %s response missing X-Fraz-Codec", name)
 		}
-		recon := decodeRaw32(raw)
+		recon := decodeRaw[float32](raw)
 		if len(recon) != len(orig) {
 			t.Fatalf("field %s: %d values back, want %d", name, len(recon), len(orig))
 		}

@@ -275,9 +275,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var res *fraz.CompressResult
 	if p.wide {
-		res, err = client.Compress64(ctx, &arc, decodeRaw64(body), p.shape)
+		res, err = client.Compress64(ctx, &arc, decodeRaw[float64](body), p.shape)
 	} else {
-		res, err = client.Compress(ctx, &arc, decodeRaw32(body), p.shape)
+		res, err = client.Compress(ctx, &arc, decodeRaw[float32](body), p.shape)
 	}
 	s.met.sealSeconds.get(p.codec).observe(time.Since(start).Seconds())
 	if err != nil {
@@ -423,12 +423,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var raw []byte
-	if res.Data64 != nil {
-		raw = encodeRaw64(res.Data64)
-	} else {
-		raw = encodeRaw32(res.Data)
-	}
+	raw := encodeRaw(res.Data, res.Data64)
 
 	h := w.Header()
 	h.Set("X-Fraz-Codec", res.Codec)

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fraz/internal/grid"
 )
 
 func scrapeMetrics(t *testing.T, url string) map[string]float64 {
@@ -115,7 +117,7 @@ func TestConcurrentUploadsShareCache(t *testing.T) {
 	for i := range scaled {
 		scaled[i] = 2*scaled[i] + 1
 	}
-	fields := [][]byte{rawBody(false), encodeRaw32(scaled)}
+	fields := [][]byte{rawBody(false), grid.AppendLE(nil, scaled)}
 
 	const clients, uploadsEach = 3, 3
 	upload := func(field []byte) error {

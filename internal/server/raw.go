@@ -1,42 +1,24 @@
 package server
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "fraz/internal/grid"
 
 // Raw field bodies are little-endian IEEE-754 on the wire — the layout
 // SDRBench archives, the datagen tool, and the fraz CLI's -in/-out files
-// all share — regardless of host byte order.
+// all share — regardless of host byte order (grid.AppendLE / DecodeLE).
 
-func decodeRaw32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
+// decodeRaw turns a request body whose length the handler has already
+// checked against the shape into values.
+func decodeRaw[T grid.Float](b []byte) []T {
+	out := make([]T, len(b)/grid.ElemSize[T]())
+	grid.DecodeLE(out, b)
 	return out
 }
 
-func decodeRaw64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+// encodeRaw is the response body for a decoded field, whichever of the two
+// views the result carries.
+func encodeRaw(f32 []float32, f64 []float64) []byte {
+	if f64 != nil {
+		return grid.AppendLE(nil, f64)
 	}
-	return out
-}
-
-func encodeRaw32(data []float32) []byte {
-	out := make([]byte, len(data)*4)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
-func encodeRaw64(data []float64) []byte {
-	out := make([]byte, len(data)*8)
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
+	return grid.AppendLE(nil, f32)
 }

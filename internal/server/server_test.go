@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fraz"
+	"fraz/internal/grid"
 )
 
 // testField synthesizes the same smooth compressible field the root package
@@ -45,9 +46,9 @@ func testField64() []float64 {
 
 func rawBody(wide bool) []byte {
 	if wide {
-		return encodeRaw64(testField64())
+		return grid.AppendLE(nil, testField64())
 	}
-	return encodeRaw32(testField32())
+	return grid.AppendLE(nil, testField32())
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -192,7 +193,7 @@ func checkWithinBound(t *testing.T, wide bool, raw []byte, bound float64) {
 	// Allow slack: sz:abs quantizes against the sampled block's range.
 	limit := bound * 1.5
 	if wide {
-		orig, got := testField64(), decodeRaw64(raw)
+		orig, got := testField64(), decodeRaw[float64](raw)
 		for i := range orig {
 			if d := math.Abs(orig[i] - got[i]); d > limit {
 				t.Fatalf("value %d off by %g, bound %g", i, d, bound)
@@ -200,7 +201,7 @@ func checkWithinBound(t *testing.T, wide bool, raw []byte, bound float64) {
 		}
 		return
 	}
-	orig, got := testField32(), decodeRaw32(raw)
+	orig, got := testField32(), decodeRaw[float32](raw)
 	for i := range orig {
 		if d := math.Abs(float64(orig[i] - got[i])); d > limit {
 			t.Fatalf("value %d off by %g, bound %g", i, d, bound)

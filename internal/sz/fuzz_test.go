@@ -1,0 +1,54 @@
+package sz
+
+import (
+	"testing"
+
+	"fraz/internal/grid"
+)
+
+// fuzzMaxValues keeps one fuzz execution small: a stream of all-predictable
+// codes legitimately decodes to thousands of values per byte, and the fuzzer
+// has nothing to learn from the big ones that it cannot learn from these.
+const fuzzMaxValues = 1 << 16
+
+// fuzzSeeds adds valid streams of ranks 1 to 3 at element type T, with and
+// without regression blocks and the dictionary stage, plus the two hostile
+// streams of the corruption table.
+func fuzzSeeds[T grid.Float](f *testing.F) {
+	for _, shape := range []grid.Dims{grid.MustDims(200), grid.MustDims(14, 15), grid.MustDims(7, 8, 9)} {
+		data := make([]T, shape.Len())
+		for i := range data {
+			data[i] = T(i%13)/8 + T(i)/64
+		}
+		for _, o := range []Options{{ErrorBound: 1e-2}, {ErrorBound: 1e-5, DisableDictionary: true}} {
+			comp, err := Compress(data, shape, o)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(comp)
+		}
+	}
+	_, forged, bomb := hostileStreams[T](f, 1<<20)
+	f.Add(forged)
+	f.Add(bomb)
+}
+
+// FuzzDecompress feeds arbitrary bytes to the decoder at both element
+// widths: it returns an error, or exactly as many values as the header's
+// shape holds — never a panic.
+func FuzzDecompress(f *testing.F) {
+	fuzzSeeds[float32](f)
+	fuzzSeeds[float64](f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		shape, err := DecompressHeaderShape(data)
+		if err != nil || shape.Len() > fuzzMaxValues {
+			return
+		}
+		if out, err := Decompress[float32](data, nil); err == nil && len(out) != shape.Len() {
+			t.Fatalf("decoded %d float32 values for shape %v", len(out), shape)
+		}
+		if out, err := Decompress[float64](data, nil); err == nil && len(out) != shape.Len() {
+			t.Fatalf("decoded %d float64 values for shape %v", len(out), shape)
+		}
+	})
+}

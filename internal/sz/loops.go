@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fraz/internal/grid"
-	"fraz/internal/pool"
 	"fraz/internal/quantize"
 )
 
@@ -427,23 +426,5 @@ func (d *decoder[T]) regressBlock(strides []int, b grid.Block, coeffs [4]float64
 				}
 			}
 		}
-	}
-}
-
-// getFloats and putFloats bridge the generic element type to the pool's
-// concrete free lists.
-func getFloats[T grid.Float](n int) []T {
-	if grid.ElemSize[T]() == 4 {
-		return any(pool.GetFloat32(n)).([]T)
-	}
-	return any(pool.GetFloat64(n)).([]T)
-}
-
-func putFloats[T grid.Float](s []T) {
-	switch v := any(s).(type) {
-	case []float32:
-		pool.PutFloat32(v)
-	case []float64:
-		pool.PutFloat64(v)
 	}
 }

@@ -20,16 +20,13 @@
 package sz
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
+	"fraz/internal/codestream"
 	"fraz/internal/grid"
-	"fraz/internal/huffman"
 	"fraz/internal/pool"
 	"fraz/internal/quantize"
 )
@@ -126,13 +123,13 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		q:        q,
 		bound:    o.ErrorBound,
 		data:     data,
-		recon:    getFloats[T](len(data)),
-		codes:    pool.GetInt32(len(data))[:0],
+		recon:    pool.Get[T](len(data)),
+		codes:    pool.Get[int32](len(data))[:0],
 		literals: make([]T, 0),
 	}
 	defer func() {
-		putFloats(enc.recon)
-		pool.PutInt32(enc.codes)
+		pool.Put(enc.recon)
+		pool.Put(enc.codes)
 	}()
 	blockMeta := make([]byte, 0, len(blocks)*17)
 
@@ -148,10 +145,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		}
 		if useRegress {
 			blockMeta = append(blockMeta, predRegress)
-			var tmp [8]byte
 			for _, c := range coeffs {
-				binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(c))
-				blockMeta = append(blockMeta, tmp[:]...)
+				blockMeta = binary.LittleEndian.AppendUint64(blockMeta, math.Float64bits(c))
 			}
 			enc.regressBlock(strides, b, coeffs)
 		} else {
@@ -159,59 +154,24 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 			enc.lorenzoBlock(strides, b)
 		}
 	}
-	literals := enc.literals
-
-	huffBytes, err := huffman.Encode(enc.codes)
+	// The shared back end (internal/codestream): the block records go first
+	// as one chunk, then the Huffman-coded codes and the literals, and the
+	// dictionary stage runs over all of it.
+	body, dictFlag, err := codestream.Encode(enc.codes, enc.literals, !o.DisableDictionary, blockMeta)
 	if err != nil {
-		return nil, fmt.Errorf("sz: huffman stage: %w", err)
+		return nil, fmt.Errorf("sz: %w", err)
 	}
 
-	// Assemble the uncompressed container, then run the dictionary stage.
-	// The buffers are sized up front — the payload and the stream exactly,
-	// the DEFLATE output to the size at which it is discarded for being no
-	// smaller — so none grows by reallocation, once per evaluation of a
-	// search.
-	var payload bytes.Buffer
-	payload.Grow(12 + len(blockMeta) + len(huffBytes) + len(literals)*grid.ElemSize[T]())
-	writeUint32(&payload, uint32(len(blockMeta)))
-	payload.Write(blockMeta)
-	writeUint32(&payload, uint32(len(huffBytes)))
-	payload.Write(huffBytes)
-	writeUint32(&payload, uint32(len(literals)))
-	writeLiterals(&payload, literals)
-
-	body := payload.Bytes()
-	dictFlag := byte(0)
-	if !o.DisableDictionary {
-		var comp bytes.Buffer
-		comp.Grow(len(body))
-		fw := pool.GetFlateWriter(&comp)
-		defer pool.PutFlateWriter(fw)
-		if _, err := fw.Write(body); err != nil {
-			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
-		}
-		if err := fw.Close(); err != nil {
-			return nil, fmt.Errorf("sz: dictionary stage: %w", err)
-		}
-		if comp.Len() < len(body) {
-			body = comp.Bytes()
-			dictFlag = 1
-		}
-	}
-
-	var out bytes.Buffer
-	out.Grow(22 + 4*shape.NDims() + len(body))
-	writeUint32(&out, magicFor[T]())
-	out.WriteByte(dictFlag)
-	out.WriteByte(byte(shape.NDims()))
-	writeUint64(&out, math.Float64bits(o.ErrorBound))
-	writeUint32(&out, uint32(o.BlockSize))
-	writeUint32(&out, uint32(o.Intervals))
+	out := make([]byte, 0, fixedHeaderLen+4*shape.NDims()+len(body))
+	out = binary.LittleEndian.AppendUint32(out, magicFor[T]())
+	out = append(out, dictFlag, byte(shape.NDims()))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(o.ErrorBound))
+	out = binary.LittleEndian.AppendUint32(out, uint32(o.BlockSize))
+	out = binary.LittleEndian.AppendUint32(out, uint32(o.Intervals))
 	for _, d := range shape {
-		writeUint32(&out, uint32(d))
+		out = binary.LittleEndian.AppendUint32(out, uint32(d))
 	}
-	out.Write(body)
-	return out.Bytes(), nil
+	return append(out, body...), nil
 }
 
 // Decompress reconstructs the data from a stream produced by Compress. The
@@ -249,9 +209,18 @@ type header struct {
 	shape      grid.Dims
 }
 
+// fixedHeaderLen is the header size before the shape extents: magic (4),
+// dictionary flag (1), rank (1), error bound (8), block size (4), intervals
+// (4).
+const fixedHeaderLen = 22
+
+// maxBlockRecord is the most one block adds to the block-record chunk: the
+// predictor selector and four float64 regression coefficients.
+const maxBlockRecord = 33
+
 func parseHeader(buf []byte) (header, []byte, error) {
 	var h header
-	if len(buf) < 4+1+1+8+4+4 {
+	if len(buf) < fixedHeaderLen {
 		return h, nil, ErrCorrupt
 	}
 	switch binary.LittleEndian.Uint32(buf[0:4]) {
@@ -270,7 +239,7 @@ func parseHeader(buf []byte) (header, []byte, error) {
 	h.errorBound = math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
 	h.blockSize = int(binary.LittleEndian.Uint32(buf[14:18]))
 	h.intervals = int(binary.LittleEndian.Uint32(buf[18:22]))
-	pos := 22
+	pos := fixedHeaderLen
 	if len(buf) < pos+4*ndims {
 		return h, nil, ErrCorrupt
 	}
@@ -286,42 +255,18 @@ func parseHeader(buf []byte) (header, []byte, error) {
 }
 
 func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
-	if h.dictFlag == 1 {
-		fr := flate.NewReader(bytes.NewReader(body))
-		raw, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
-		}
-		fr.Close()
-		body = raw
-	}
-	rd := bytes.NewReader(body)
-	blockMeta, err := readChunk(rd)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.PutBytes(blockMeta)
-	//frazlint:allow poolcheck -- readChunk gets-and-returns a pooled buffer; its error-path put misreads as releasing rd
-	huffBytes, err := readChunk(rd)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.PutBytes(huffBytes)
-	numLit, err := readUint32(rd)
-	if err != nil {
-		return nil, err
-	}
-	literals, err := readLiterals[T](rd, int(numLit))
-	if err != nil {
-		return nil, err
-	}
-	defer putFloats(literals)
-
-	codes, err := huffman.Decode(huffBytes)
+	n := h.shape.Len()
+	// A block holds at least one value, so the record chunk (its length,
+	// then the records) adds at most maxBlockRecord bytes per value.
+	limit := 4 + codestream.MaxBody(n, h.elemSize, h.intervals+1, maxBlockRecord)
+	head, codes, literals, err := codestream.Decode[T](body, h.dictFlag, limit, 1)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if len(codes) != h.shape.Len() {
+	blockMeta := head[0]
+	defer pool.Put(literals)
+	defer pool.Put(codes)
+	if len(codes) != n {
 		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
 
@@ -333,27 +278,28 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 	// The output comes from the element pool: the blocked open path recycles
 	// block buffers after scattering them. Every element is written before a
 	// successful return (the blocks tile the domain and each point is
-	// assigned), so the pool's stale contents never leak.
-	dec := &decoder[T]{
-		q:        q,
-		codes:    codes,
-		literals: literals,
-		recon:    getFloats[T](h.shape.Len()),
-	}
+	// assigned), so the pool's stale contents never leak. It transfers to
+	// the caller only on success; every error return below recycles it.
+	recon := pool.Get[T](n)
+	done := false
+	defer func() {
+		if !done {
+			pool.Put(recon)
+		}
+	}()
+	dec := &decoder[T]{q: q, codes: codes, literals: literals, recon: recon}
 	strides := h.shape.Strides()
 	blocks := h.shape.Blocks(h.blockSize)
 
 	metaPos := 0
 	for _, b := range blocks {
 		if metaPos >= len(blockMeta) {
-			putFloats(dec.recon)
 			return nil, fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
 		}
 		sel := blockMeta[metaPos]
 		metaPos++
 		if sel == predRegress {
 			if metaPos+32 > len(blockMeta) {
-				putFloats(dec.recon)
 				return nil, fmt.Errorf("%w: truncated regression coefficients", ErrCorrupt)
 			}
 			var coeffs [4]float64
@@ -365,16 +311,14 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 		} else if sel == predLorenzo {
 			dec.lorenzoBlock(strides, b)
 		} else {
-			putFloats(dec.recon)
 			return nil, fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
 		}
 		if dec.err != nil {
-			putFloats(dec.recon)
 			return nil, dec.err
 		}
 	}
-	pool.PutInt32(codes)
-	return dec.recon, nil
+	done = true
+	return recon, nil
 }
 
 // forEachBlockPoint visits every point of the block in row-major order,
@@ -541,90 +485,4 @@ func regressionBeatsLorenzo[T grid.Float](data []T, shape grid.Dims, strides []i
 		errLorenzo += math.Abs(v - pred)
 	})
 	return errRegress < errLorenzo
-}
-
-func writeUint32(w *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	w.Write(tmp[:])
-}
-
-func writeUint64(w *bytes.Buffer, v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.Write(tmp[:])
-}
-
-func readUint32(r *bytes.Reader) (uint32, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return binary.LittleEndian.Uint32(tmp[:]), nil
-}
-
-// writeLiterals appends the unpredictable values' raw IEEE-754 bits: 4 bytes
-// per element for float32 streams, 8 for float64.
-func writeLiterals[T grid.Float](w *bytes.Buffer, literals []T) {
-	if grid.ElemSize[T]() == 4 {
-		for _, v := range literals {
-			writeUint32(w, math.Float32bits(float32(v)))
-		}
-		return
-	}
-	for _, v := range literals {
-		writeUint64(w, math.Float64bits(float64(v)))
-	}
-}
-
-// readLiterals is the inverse of writeLiterals. The returned slice comes
-// from the element pool; decompressBody recycles it after the block loop.
-func readLiterals[T grid.Float](r *bytes.Reader, n int) ([]T, error) {
-	out := getFloats[T](n)
-	if grid.ElemSize[T]() == 4 {
-		for i := range out {
-			v, err := readUint32(r)
-			if err != nil {
-				putFloats(out)
-				return nil, err
-			}
-			out[i] = T(math.Float32frombits(v))
-		}
-		return out, nil
-	}
-	for i := range out {
-		v, err := readUint64(r)
-		if err != nil {
-			putFloats(out)
-			return nil, err
-		}
-		out[i] = T(math.Float64frombits(v))
-	}
-	return out, nil
-}
-
-func readUint64(r *bytes.Reader) (uint64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return binary.LittleEndian.Uint64(tmp[:]), nil
-}
-
-func readChunk(r *bytes.Reader) ([]byte, error) {
-	n, err := readUint32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("%w: chunk length %d exceeds remaining %d", ErrCorrupt, n, r.Len())
-	}
-	// Chunk buffers come from the byte pool; decompressBody recycles them
-	// once parsed, so the blocked open path reuses them across blocks.
-	buf := pool.GetBytes(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		pool.PutBytes(buf)
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return buf, nil
 }

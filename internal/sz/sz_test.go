@@ -1,11 +1,14 @@
 package sz
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"fraz/internal/codestream/codestreamtest"
 	"fraz/internal/grid"
 	"fraz/internal/metrics"
 )
@@ -187,18 +190,66 @@ func TestInvalidInputs(t *testing.T) {
 	}
 }
 
-func TestDecompressCorrupt(t *testing.T) {
-	if _, err := Decompress[float32]([]byte{1, 2, 3}, nil); err == nil {
-		t.Errorf("short buffer should fail")
+// hostileStreams returns a valid stream of 64 values and its two forgeries
+// (codestreamtest.Forge): a literal count of two billion, and a DEFLATE bomb
+// of bombSize bytes for a body.
+func hostileStreams[T grid.Float](t testing.TB, bombSize int) (valid, forged, bomb []byte) {
+	t.Helper()
+	data := make([]T, 64)
+	for i := range data {
+		data[i] = T(i%9) / 4
 	}
-	data, shape := synthetic1D(100, 3)
-	comp, err := Compress(data, shape, Options{ErrorBound: 1e-3})
+	valid, err := Compress(data, grid.MustDims(64), Options{ErrorBound: 1e-3, DisableDictionary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp[0] ^= 0xFF // break magic
-	if _, err := Decompress[float32](comp, shape); err == nil {
-		t.Errorf("bad magic should fail")
+	forged, bomb, err = codestreamtest.Forge(valid, codestreamtest.Layout{HeaderLen: fixedHeaderLen + 4, FlagOffset: 4, HeadChunks: 1}, bombSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return valid, forged, bomb
+}
+
+// TestDecompressCorrupt is the corruption table: every row must fail with
+// ErrCorrupt, and must do so cheaply — a stream of a few hundred bytes that
+// makes the decoder allocate gigabytes (or inflate a bomb) before it notices
+// is a denial of service even when the error is right.
+func TestDecompressCorrupt(t *testing.T) {
+	valid32, forged32, bomb32 := hostileStreams[float32](t, 64<<20)
+	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
+	badMagic := append([]byte(nil), valid32...)
+	badMagic[0] ^= 0xFF
+	rows := []struct {
+		name   string
+		stream []byte
+		wide   bool
+	}{
+		{"short buffer", []byte{1, 2, 3}, false},
+		{"bad magic", badMagic, false},
+		{"truncated body", valid32[:len(valid32)-3], false},
+		{"forged literal count f32", forged32, false},
+		{"forged literal count f64", forged64, true},
+		{"deflate bomb f32", bomb32, false},
+		{"deflate bomb f64", bomb64, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if row.wide {
+				_, err = Decompress[float64](row.stream, nil)
+			} else {
+				_, err = Decompress[float32](row.stream, nil)
+			}
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want an error wrapping ErrCorrupt", err)
+			}
+			if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 1<<20 {
+				t.Errorf("rejecting a %d-byte stream allocated %d bytes, want under 1 MiB", len(row.stream), allocated)
+			}
+		})
 	}
 }
 

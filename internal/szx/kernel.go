@@ -4,16 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"fraz/internal/grid"
 	"fraz/internal/pool"
-)
-
-// expBits32 and expBits64 are the IEEE-754 exponent field widths; a kept
-// prefix of k bytes therefore carries 8k−1−expBits mantissa bits.
-const (
-	expBits32 = 8
-	expBits64 = 11
 )
 
 func appendHeader(out []byte, magic uint32, shape grid.Dims, bound float64, blockSize int) []byte {
@@ -27,48 +21,50 @@ func appendHeader(out []byte, magic uint32, shape grid.Dims, bound float64, bloc
 	return out
 }
 
-func compress32(data []float32, shape grid.Dims, o Options) []byte {
+// compress is the encoder at either width: T is the element type and U the
+// unsigned word of the same width, through which every block is read as
+// IEEE-754 bit patterns in place (grid.Bits).
+func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) []byte {
 	n := len(data)
 	bs := o.BlockSize
+	elem := grid.ElemSize[T]()
 	nBlocks := (n + bs - 1) / bs
 	bitmapLen := (nBlocks + 7) / 8
 	headerLen := fixedHeaderLen + 4*len(shape)
 
 	out := make([]byte, 0, headerLen+bitmapLen)
-	out = appendHeader(out, magic32, shape, o.ErrorBound, bs)
+	out = appendHeader(out, magicFor[T](), shape, o.ErrorBound, bs)
 	out = append(out, make([]byte, bitmapLen)...)
 	bitmap := out[headerLen:]
 
-	consts := make([]byte, 0, 64)
-	kept := pool.GetBytes(nBlocks)[:0]
-	planes := pool.GetBytes(n)[:0] // grows as needed; n bytes ≈ 4x ratio start
-	scratch := pool.GetUint32(bs)
+	var consts []T
+	kept := pool.Get[byte](nBlocks)[:0]
+	planes := pool.Get[byte](n)[:0] // grows as needed; n bytes ≈ 4x ratio start
 	// Deferred puts so the scratch cannot leak if an early return is ever
 	// added to the block loop; the closure parks whichever backing arrays
 	// kept and planes hold after append growth.
 	defer func() {
-		pool.PutBytes(kept)
-		pool.PutBytes(planes)
+		pool.Put(kept)
+		pool.Put(planes)
 	}()
-	defer pool.PutUint32(scratch)
 
 	lb := boundExp(o.ErrorBound)
 	twice := 2 * o.ErrorBound
+	words := grid.Bits[T, U](data)
+	expMask := grid.ExpMask[U]()
+	expBits := bits.OnesCount64(uint64(expMask))
 
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * bs
-		hi := lo + bs
-		if hi > n {
-			hi = n
-		}
-		block := data[lo:hi]
+		hi := min(lo+bs, n)
+		block, pats := data[lo:hi], words[lo:hi]
 
 		// Pass 1: min/max scan with finiteness check on the raw bits (NaN
 		// breaks ordered comparisons, so the scan cannot rely on them).
 		finite := true
 		bmin, bmax := block[0], block[0]
-		for _, v := range block {
-			if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+		for i, v := range block {
+			if pats[i]&expMask == expMask {
 				finite = false
 				break
 			}
@@ -86,10 +82,10 @@ func compress32(data []float32, shape grid.Dims, o Options) []byte {
 				// Constant candidate: the midrange is within the bound of
 				// every member; re-check after the narrowing cast so
 				// float32 rounding cannot break the guarantee.
-				rep := float32(float64(bmin) + spread/2)
+				rep := T(float64(bmin) + spread/2)
 				if float64(rep)-float64(bmin) <= o.ErrorBound && float64(bmax)-float64(rep) <= o.ErrorBound {
 					bitmap[bi>>3] |= 1 << (bi & 7)
-					consts = binary.LittleEndian.AppendUint32(consts, math.Float32bits(rep))
+					consts = append(consts, rep)
 					continue
 				}
 			}
@@ -97,252 +93,96 @@ func compress32(data []float32, shape grid.Dims, o Options) []byte {
 
 		// Nonconstant: derive the kept byte count from the block's largest
 		// magnitude (full width for non-finite blocks) and pack byte planes.
-		k := 4
+		k := elem
 		if finite {
-			maxAbs := float64(bmax)
-			if a := -float64(bmin); a > maxAbs {
-				maxAbs = a
-			}
+			maxAbs := max(float64(bmax), -float64(bmin))
 			_, e := math.Frexp(maxAbs)
-			k = keptBytes(e, lb, expBits32, 4)
+			k = keptBytes(e, lb, expBits, elem)
 		}
 		kept = append(kept, byte(k))
-		bits := scratch[:len(block)]
-		for i, v := range block {
-			bits[i] = math.Float32bits(v)
-		}
 		for p := 0; p < k; p++ {
-			shift := uint(8 * (3 - p))
-			for _, b := range bits {
+			shift := uint(8 * (elem - 1 - p))
+			for _, b := range pats {
 				planes = append(planes, byte(b>>shift))
 			}
 		}
 	}
 
-	out = append(out, consts...)
+	out = grid.AppendLE(out, consts)
 	out = append(out, kept...)
 	out = append(out, planes...)
 	return out
 }
 
-func compress64(data []float64, shape grid.Dims, o Options) []byte {
-	n := len(data)
-	bs := o.BlockSize
-	nBlocks := (n + bs - 1) / bs
-	bitmapLen := (nBlocks + 7) / 8
-	headerLen := fixedHeaderLen + 4*len(shape)
+// recycled, when a test sets it, is told each time a failed decode returns
+// its output buffer to the pool. The failure-path test counts calls instead
+// of looking for the buffer in the pool afterwards: sync.Pool drops items at
+// random under the race detector, so what comes back out proves nothing.
+var recycled func()
 
-	out := make([]byte, 0, headerLen+bitmapLen)
-	out = appendHeader(out, magic64, shape, o.ErrorBound, bs)
-	out = append(out, make([]byte, bitmapLen)...)
-	bitmap := out[headerLen:]
-
-	consts := make([]byte, 0, 64)
-	kept := pool.GetBytes(nBlocks)[:0]
-	planes := pool.GetBytes(n)[:0]
-	scratch := pool.GetUint64(bs)
-	defer func() {
-		pool.PutBytes(kept)
-		pool.PutBytes(planes)
-	}()
-	defer pool.PutUint64(scratch)
-
-	lb := boundExp(o.ErrorBound)
-	twice := 2 * o.ErrorBound
-
-	for bi := 0; bi < nBlocks; bi++ {
-		lo := bi * bs
-		hi := lo + bs
-		if hi > n {
-			hi = n
-		}
-		block := data[lo:hi]
-
-		finite := true
-		bmin, bmax := block[0], block[0]
-		for _, v := range block {
-			if math.Float64bits(v)&0x7ff0000000000000 == 0x7ff0000000000000 {
-				finite = false
-				break
-			}
-			if v < bmin {
-				bmin = v
-			}
-			if v > bmax {
-				bmax = v
-			}
-		}
-
-		if finite {
-			spread := bmax - bmin
-			if spread <= twice {
-				rep := bmin + spread/2
-				if rep-bmin <= o.ErrorBound && bmax-rep <= o.ErrorBound {
-					bitmap[bi>>3] |= 1 << (bi & 7)
-					consts = binary.LittleEndian.AppendUint64(consts, math.Float64bits(rep))
-					continue
-				}
-			}
-		}
-
-		k := 8
-		if finite {
-			maxAbs := bmax
-			if a := -bmin; a > maxAbs {
-				maxAbs = a
-			}
-			_, e := math.Frexp(maxAbs)
-			k = keptBytes(e, lb, expBits64, 8)
-		}
-		kept = append(kept, byte(k))
-		bits := scratch[:len(block)]
-		for i, v := range block {
-			bits[i] = math.Float64bits(v)
-		}
-		for p := 0; p < k; p++ {
-			shift := uint(8 * (7 - p))
-			for _, b := range bits {
-				planes = append(planes, byte(b>>shift))
-			}
-		}
-	}
-
-	out = append(out, consts...)
-	out = append(out, kept...)
-	out = append(out, planes...)
-	return out
-}
-
-func decompress32(h header, body []byte) ([]float32, error) {
+// decompress is the decoder at either width; like compress it works on the
+// bit view, so the byte planes are OR-ed straight into the output.
+func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
 	bitmap, consts, kept, planes, nBlocks, err := bodySections(h, body)
 	if err != nil {
 		return nil, err
 	}
 	n := h.shape.Len()
+	elem := grid.ElemSize[T]()
 	// The output comes from the element pool: the blocked open path recycles
 	// block buffers after scattering them, so a steady-state decode pipeline
 	// reuses instead of allocating. Every element is written below (constant
 	// blocks fill dst, nonconstant blocks assign every index), so the pool's
 	// stale contents never leak.
-	out := pool.GetFloat32(n)
-	scratch := pool.GetUint32(h.blockSize)
-	defer pool.PutUint32(scratch)
+	out := pool.Get[T](n)
 	// out transfers to the caller only on success; every error return below
 	// must recycle it or the pooled buffer leaks on corrupt streams.
 	done := false
 	defer func() {
 		if !done {
-			pool.PutFloat32(out)
+			pool.Put(out)
+			if recycled != nil {
+				recycled()
+			}
 		}
 	}()
+	words := grid.Bits[T, U](out)
 
 	ci, ki, pi := 0, 0, 0
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * h.blockSize
-		hi := lo + h.blockSize
-		if hi > n {
-			hi = n
-		}
-		dst := out[lo:hi]
+		hi := min(lo+h.blockSize, n)
 
 		if constant(bitmap, bi) {
-			rep := math.Float32frombits(binary.LittleEndian.Uint32(consts[ci:]))
-			ci += 4
+			var rep [1]T
+			grid.DecodeLE(rep[:], consts[ci:])
+			ci += elem
+			dst := out[lo:hi]
 			for i := range dst {
-				dst[i] = rep
+				dst[i] = rep[0]
 			}
 			continue
 		}
 
 		k := int(kept[ki])
 		ki++
-		if k < 2 || k > 4 {
-			return nil, fmt.Errorf("%w: kept bytes %d for float32 block", ErrCorrupt, k)
+		if k < 2 || k > elem {
+			return nil, fmt.Errorf("%w: kept bytes %d for a block of %d-byte values", ErrCorrupt, k, elem)
 		}
-		need := k * len(dst)
-		if pi+need > len(planes) {
+		pats := words[lo:hi]
+		if pi+k*len(pats) > len(planes) {
 			return nil, fmt.Errorf("%w: truncated byte planes", ErrCorrupt)
 		}
-		bits := scratch[:len(dst)]
-		for i := range bits {
-			bits[i] = 0
+		for i := range pats {
+			pats[i] = 0
 		}
 		for p := 0; p < k; p++ {
-			shift := uint(8 * (3 - p))
-			plane := planes[pi : pi+len(dst)]
-			pi += len(dst)
+			shift := uint(8 * (elem - 1 - p))
+			plane := planes[pi : pi+len(pats)]
+			pi += len(pats)
 			for i, b := range plane {
-				bits[i] |= uint32(b) << shift
+				pats[i] |= U(b) << shift
 			}
-		}
-		for i, b := range bits {
-			dst[i] = math.Float32frombits(b)
-		}
-	}
-	if pi != len(planes) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after byte planes", ErrCorrupt, len(planes)-pi)
-	}
-	done = true
-	return out, nil
-}
-
-func decompress64(h header, body []byte) ([]float64, error) {
-	bitmap, consts, kept, planes, nBlocks, err := bodySections(h, body)
-	if err != nil {
-		return nil, err
-	}
-	n := h.shape.Len()
-	out := pool.GetFloat64(n)
-	scratch := pool.GetUint64(h.blockSize)
-	defer pool.PutUint64(scratch)
-	done := false
-	defer func() {
-		if !done {
-			pool.PutFloat64(out)
-		}
-	}()
-
-	ci, ki, pi := 0, 0, 0
-	for bi := 0; bi < nBlocks; bi++ {
-		lo := bi * h.blockSize
-		hi := lo + h.blockSize
-		if hi > n {
-			hi = n
-		}
-		dst := out[lo:hi]
-
-		if constant(bitmap, bi) {
-			rep := math.Float64frombits(binary.LittleEndian.Uint64(consts[ci:]))
-			ci += 8
-			for i := range dst {
-				dst[i] = rep
-			}
-			continue
-		}
-
-		k := int(kept[ki])
-		ki++
-		if k < 2 || k > 8 {
-			return nil, fmt.Errorf("%w: kept bytes %d for float64 block", ErrCorrupt, k)
-		}
-		need := k * len(dst)
-		if pi+need > len(planes) {
-			return nil, fmt.Errorf("%w: truncated byte planes", ErrCorrupt)
-		}
-		bits := scratch[:len(dst)]
-		for i := range bits {
-			bits[i] = 0
-		}
-		for p := 0; p < k; p++ {
-			shift := uint(8 * (7 - p))
-			plane := planes[pi : pi+len(dst)]
-			pi += len(dst)
-			for i, b := range plane {
-				bits[i] |= uint64(b) << shift
-			}
-		}
-		for i, b := range bits {
-			dst[i] = math.Float64frombits(b)
 		}
 	}
 	if pi != len(planes) {

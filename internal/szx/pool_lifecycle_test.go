@@ -2,92 +2,57 @@ package szx
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"fraz/internal/grid"
-	"fraz/internal/pool"
 )
 
-// drainPools empties the pool's primary and victim caches so the recycling
-// assertions below see a deterministic free-list state. sync.Pool keeps one
-// GC generation of victims, so two collections clear both.
-func drainPools() {
-	runtime.GC()
-	runtime.GC()
-}
-
-// noisyField returns data no block of which is constant at the given bound,
-// so decompression walks the byte-plane path where the corruption checks
-// (and the historical leak) live.
-func noisyField32(n int) []float32 {
-	data := make([]float32, n)
+// noisyField returns data no block of which is constant at the bounds used
+// below, so decompression walks the byte-plane path where the corruption
+// checks (and the historical leak) live.
+func noisyField[T grid.Float](n int) []T {
+	data := make([]T, n)
 	for i := range data {
-		data[i] = float32(math.Sin(float64(i)))*100 + float32(i%7)
+		data[i] = T(math.Sin(float64(i))*100 + float64(i%7))
 	}
 	return data
 }
 
-func noisyField64(n int) []float64 {
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Sin(float64(i))*100 + float64(i%7)
-	}
-	return data
+// countRecycled routes the decoder's failure-path hook to a counter for the
+// length of the test. The count, not the pool's contents, is the evidence:
+// sync.Pool drops items at random under the race detector, so a marker
+// buffer parked before the call need not be the one a later Get returns.
+func countRecycled(t *testing.T) *int {
+	t.Helper()
+	n := new(int)
+	recycled = func() { *n++ }
+	t.Cleanup(func() { recycled = nil })
+	return n
 }
 
-// TestDecompressErrorRecyclesOutput32 pins the fix for the pooled-output
-// leak: a decode that fails mid-stream must return its output buffer to the
-// pool. The test parks a marker slice in the exact capacity class the
-// decoder will request; the decoder's Get hands the marker out, the error
-// path must Put it back, and the final Get observes the same backing array.
-func TestDecompressErrorRecyclesOutput32(t *testing.T) {
-	const n = 100 // capacity class 128
-	data := noisyField32(n)
+// TestDecompressErrorRecyclesOutput pins the fix for the pooled-output leak:
+// a decode that fails after acquiring its output buffer must return it to
+// the pool, exactly once, at either width.
+func TestDecompressErrorRecyclesOutput(t *testing.T) {
+	t.Run("float32", func(t *testing.T) { errorRecyclesOutput[float32](t, 1e-3) })
+	t.Run("float64", func(t *testing.T) { errorRecyclesOutput[float64](t, 1e-6) })
+}
+
+func errorRecyclesOutput[T grid.Float](t *testing.T, bound float64) {
+	const n = 100
 	shape := grid.Dims{n}
-	comp, err := Compress[float32](data, shape, Options{ErrorBound: 1e-3})
+	comp, err := Compress(noisyField[T](n), shape, Options{ErrorBound: bound})
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
 	corrupt := comp[:len(comp)-1] // chop one plane byte: fails after output acquisition
 
-	drainPools()
-	marker := make([]float32, 128)
-	pool.PutFloat32(marker)
-
-	if _, err := Decompress[float32](corrupt, shape); err == nil {
+	puts := countRecycled(t)
+	if _, err := Decompress[T](corrupt, shape); err == nil {
 		t.Fatal("truncated stream decompressed without error")
 	}
-
-	got := pool.GetFloat32(n)
-	defer pool.PutFloat32(got)
-	if &got[0] != &marker[0] {
-		t.Error("failed decode did not return its pooled output buffer; the error path leaks")
-	}
-}
-
-func TestDecompressErrorRecyclesOutput64(t *testing.T) {
-	const n = 100
-	data := noisyField64(n)
-	shape := grid.Dims{n}
-	comp, err := Compress[float64](data, shape, Options{ErrorBound: 1e-6})
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	corrupt := comp[:len(comp)-1]
-
-	drainPools()
-	marker := make([]float64, 128)
-	pool.PutFloat64(marker)
-
-	if _, err := Decompress[float64](corrupt, shape); err == nil {
-		t.Fatal("truncated stream decompressed without error")
-	}
-
-	got := pool.GetFloat64(n)
-	defer pool.PutFloat64(got)
-	if &got[0] != &marker[0] {
-		t.Error("failed decode did not return its pooled output buffer; the error path leaks")
+	if *puts != 1 {
+		t.Errorf("failed decode returned its pooled output buffer %d times, want once; the error path leaks (0) or double-puts (>1)", *puts)
 	}
 }
 
@@ -96,22 +61,17 @@ func TestDecompressErrorRecyclesOutput64(t *testing.T) {
 // a double-custody bug would alias the caller's data with the next Get.
 func TestDecompressSuccessKeepsOwnership(t *testing.T) {
 	const n = 100
-	data := noisyField32(n)
 	shape := grid.Dims{n}
-	comp, err := Compress[float32](data, shape, Options{ErrorBound: 1e-3})
+	comp, err := Compress(noisyField[float32](n), shape, Options{ErrorBound: 1e-3})
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
 
-	drainPools()
-	dec, err := Decompress[float32](comp, shape)
-	if err != nil {
+	puts := countRecycled(t)
+	if _, err := Decompress[float32](comp, shape); err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
-
-	got := pool.GetFloat32(n)
-	defer pool.PutFloat32(got)
-	if len(dec) > 0 && len(got) > 0 && &got[0] == &dec[0] {
+	if *puts != 0 {
 		t.Error("successful decode put its output back in the pool while the caller still holds it")
 	}
 }

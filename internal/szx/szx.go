@@ -18,6 +18,23 @@
 // over the flat value stream, so any rank the framework supports (1..4)
 // compresses identically.
 //
+// # One kernel, on a bit view
+//
+// Each direction is one function, generic over the element type T and the
+// unsigned word U of the same width (kernel.go). What the codec does to a
+// value — test its exponent field, keep its leading bytes, put them back —
+// is an operation on its IEEE-754 bit pattern, so the kernel reads and
+// writes the field through grid.Bits, a []U over the same memory as the
+// []T, made with unsafe.Slice. That is why unsafe is here: the safe
+// alternative copies every block into a scratch []U with math.Float32bits
+// and back, a pass and a buffer the codec's whole point is not to pay, and
+// written per width it was two copies of every loop. The view is
+// endian-neutral: an element read through it is the value
+// math.Float32bits/Float64bits would return, in a register, and the planes
+// are cut from it with shifts, so the stream's bytes do not depend on the
+// host's byte order (the constants go through grid.AppendLE, which is
+// explicit about it). Compress and Decompress pair T with U, once each.
+//
 // # Stream layout (all integers little-endian)
 //
 // The stream is self-describing; Decompress needs no side information. The
@@ -148,10 +165,12 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if grid.ElemSize[T]() == 4 {
-		return compress32(any(data).([]float32), shape, o), nil
+	// Go cannot derive the word type from T, so the pairing is spelled out
+	// here and in Decompress, once per direction.
+	if d, ok := any(data).([]float32); ok {
+		return compress[float32, uint32](d, shape, o), nil
 	}
-	return compress64(any(data).([]float64), shape, o), nil
+	return compress[float64, uint64](any(data).([]float64), shape, o), nil
 }
 
 // Decompress reconstructs the data from a stream produced by Compress. A
@@ -168,18 +187,16 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if shape != nil && !hdr.shape.Equal(shape) {
 		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdr.shape, shape)
 	}
+	var out any
 	if hdr.elemSize == 4 {
-		out, err := decompress32(hdr, body)
-		if err != nil {
-			return nil, err
-		}
-		return any(out).([]T), nil
+		out, err = decompress[float32, uint32](hdr, body)
+	} else {
+		out, err = decompress[float64, uint64](hdr, body)
 	}
-	out, err := decompress64(hdr, body)
 	if err != nil {
 		return nil, err
 	}
-	return any(out).([]T), nil
+	return out.([]T), nil
 }
 
 // HeaderShape extracts the shape stored in a compressed stream.

@@ -1,0 +1,72 @@
+package zfp
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"fraz/internal/grid"
+)
+
+// fuzzMaxValues keeps one fuzz execution small: an all-zero block is one
+// bit, so a stream legitimately decodes to 512 values per byte, and the
+// fuzzer has nothing to learn from the big ones that it cannot learn from
+// these.
+const fuzzMaxValues = 1 << 16
+
+// fuzzSeeds adds valid streams of ranks 1 to 3 at element type T in every
+// mode.
+func fuzzSeeds[T grid.Float](f *testing.F) {
+	for _, shape := range []grid.Dims{grid.MustDims(150), grid.MustDims(14, 15), grid.MustDims(7, 8, 9)} {
+		data := make([]T, shape.Len())
+		for i := range data {
+			data[i] = T(i%13)/8 + T(i)/64
+		}
+		for _, o := range []Options{
+			{Mode: ModeAccuracy, Tolerance: 1e-2},
+			{Mode: ModeFixedRate, Rate: 6},
+			{Mode: ModeFixedPrecision, Precision: 14},
+		} {
+			comp, err := Compress(data, shape, o)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(comp)
+		}
+	}
+}
+
+// headerValues reads the element count a stream's header declares, 0 when
+// there is no whole header to read.
+func headerValues(data []byte) int {
+	if len(data) < 14 || data[5] < 1 || data[5] > 3 || len(data) < 14+4*int(data[5]) {
+		return 0
+	}
+	shape := make(grid.Dims, data[5])
+	for i := range shape {
+		shape[i] = int(binary.LittleEndian.Uint32(data[14+4*i:]))
+	}
+	if shape.Validate() != nil {
+		return 0
+	}
+	return shape.Len()
+}
+
+// FuzzDecompress feeds arbitrary bytes to the decoder at both element
+// widths: it returns an error, or exactly as many values as the header's
+// shape holds — never a panic.
+func FuzzDecompress(f *testing.F) {
+	fuzzSeeds[float32](f)
+	fuzzSeeds[float64](f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := headerValues(data)
+		if n > fuzzMaxValues {
+			return
+		}
+		if out, err := Decompress[float32](data, nil); err == nil && len(out) != n {
+			t.Fatalf("decoded %d float32 values, header declares %d", len(out), n)
+		}
+		if out, err := Decompress[float64](data, nil); err == nil && len(out) != n {
+			t.Fatalf("decoded %d float64 values, header declares %d", len(out), n)
+		}
+	})
+}

@@ -192,8 +192,8 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	w := bitstream.NewWriter(len(data) / 2)
 	blocks := shape.Blocks(4)
 	strides := shape.Strides()
-	blockBuf := pool.GetFloat64(blockValues)
-	defer pool.PutFloat64(blockBuf)
+	blockBuf := pool.Get[float64](blockValues)
+	defer pool.Put(blockBuf)
 	perm := sequencyPermutation(nd)
 	wide := intprec == 64
 
@@ -307,21 +307,31 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	}
 
 	r := bitstream.NewReader(buf[pos:])
+	// A block costs at least one bit (an all-zero block is exactly that), so
+	// a shape with more blocks than the body has bits is forged; refuse it
+	// here, before it sizes the output.
+	numBlocks := 1
+	for _, d := range hdrShape {
+		numBlocks *= (d + 3) / 4
+	}
+	if numBlocks > r.BitsRemaining() {
+		return nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, hdrShape, numBlocks, r.BitsRemaining())
+	}
 	// The output comes from the element pool: the blocked open path recycles
 	// block buffers after scattering them, and every element is written
 	// before a successful return (the 4^d blocks tile the domain), so the
 	// pool's stale contents never leak.
-	out := getFloats[T](hdrShape.Len())
+	out := pool.Get[T](hdrShape.Len())
 	done := false
 	defer func() {
 		if !done {
-			putFloats(out)
+			pool.Put(out)
 		}
 	}()
 	blocks := hdrShape.Blocks(4)
 	strides := hdrShape.Strides()
-	blockBuf := pool.GetFloat64(blockValues)
-	defer pool.PutFloat64(blockBuf)
+	blockBuf := pool.Get[float64](blockValues)
+	defer pool.Put(blockBuf)
 	perm := sequencyPermutation(nd)
 	wide := intprec == 64
 	var s64 blockScratch[int64]
@@ -357,24 +367,6 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	}
 	done = true
 	return out, nil
-}
-
-// getFloats and putFloats bridge the generic element type to the pool's
-// concrete free lists.
-func getFloats[T grid.Float](n int) []T {
-	if intprecFor[T]() == 32 {
-		return any(pool.GetFloat32(n)).([]T)
-	}
-	return any(pool.GetFloat64(n)).([]T)
-}
-
-func putFloats[T grid.Float](s []T) {
-	switch v := any(s).(type) {
-	case []float32:
-		pool.PutFloat32(v)
-	case []float64:
-		pool.PutFloat64(v)
-	}
 }
 
 // CompressedSizeFixedRate predicts the compressed size in bytes of a
@@ -484,27 +476,15 @@ type blockScratch[I coeff] struct {
 	neg  []uint64
 }
 
-// getScratch's field stores are custody transfers into the returned struct;
-// release is the matching put. poolcheck cannot track struct-field custody.
+// getScratch hands the pooled slices to the caller inside the struct;
+// release is the matching put.
 func getScratch[I coeff](size int) blockScratch[I] {
-	var s blockScratch[I]
-	if intprecOf[I]() == 32 {
-		s.ints = any(pool.GetInt32(size)).([]I) //frazlint:allow poolcheck -- custody moves into the struct; release() puts it
-	} else {
-		s.ints = any(pool.GetInt64(size)).([]I) //frazlint:allow poolcheck -- custody moves into the struct; release() puts it
-	}
-	s.neg = pool.GetUint64(size) //frazlint:allow poolcheck -- custody moves into the struct; release() puts it
-	return s
+	return blockScratch[I]{ints: pool.Get[I](size), neg: pool.Get[uint64](size)}
 }
 
 func (s blockScratch[I]) release() {
-	switch v := any(s.ints).(type) {
-	case []int32:
-		pool.PutInt32(v)
-	case []int64:
-		pool.PutInt64(v)
-	}
-	pool.PutUint64(s.neg)
+	pool.Put(s.ints)
+	pool.Put(s.neg)
 }
 
 // encodeBlock encodes one 4^d block with coefficient domain I (int32 for

@@ -1,6 +1,8 @@
 package zfp
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -393,6 +395,13 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 	if _, err := Decompress[float32](comp[:20], nil); err == nil {
 		t.Errorf("truncated stream should fail")
+	}
+	// A billion values declared over a body of a few dozen bytes: refused
+	// from the header, not after the output has been sized for it.
+	forged := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint32(forged[14:], 1<<30)
+	if _, err := Decompress[float32](forged, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("forged extent: got %v, want ErrCorrupt", err)
 	}
 }
 
