@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
-	"fraz/internal/blocks"
 	"fraz/internal/core"
 	"fraz/internal/pressio"
 )
@@ -143,21 +141,35 @@ func (c *Client) autoClient(name string) (*Client, error) {
 	return sub, nil
 }
 
-// resolveAuto races the eligible codecs on a sampled block of buf and
-// returns the winner's sub-client alongside the full selection record. The
-// winner's tuned bound is recorded as its sub-client's next prediction, so
-// the seal that follows re-validates the bound from the cache instead of
-// searching again.
-func (c *Client) resolveAuto(ctx context.Context, buf pressio.Buffer) (*Client, *AutoSelection, error) {
+// raceAndRetry races the eligible codecs on a sampled block of buf and runs
+// attempt with the winner's sub-client. The race scored candidates on a
+// sample, so its winner can still miss the band on the whole field: while
+// attempt fails with an *InfeasibleError, the winner is demoted and the
+// next-best raced candidate tried instead of surfacing the heuristic's miss.
+// The error returned is attempt's last. Each sub-client starts from the bound
+// it tuned in the race (recorded as its next prediction), so the attempt
+// re-validates that bound from the cache instead of searching again.
+func (c *Client) raceAndRetry(ctx context.Context, buf pressio.Buffer, attempt func(sub *Client) error) (*AutoSelection, error) {
 	sel, err := c.selectCodec(ctx, buf)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sub, err := c.autoClient(sel.Codec)
-	if err != nil {
-		return nil, nil, err
+	for err == nil {
+		err = attempt(sub)
+		var inf *InfeasibleError
+		if !errors.As(err, &inf) {
+			return sel, err
+		}
+		cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio))
+		if !ok {
+			return sel, err
+		}
+		if sub, err = c.autoClient(sel.Codec); err == nil {
+			sub.recordBound(cand.ErrorBound)
+		}
 	}
-	return sub, sel, nil
+	return nil, err
 }
 
 // selectCodec runs the CodecAuto race on a sampled block of buf: capability
@@ -172,16 +184,19 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 	rank := len(buf.Shape)
 	dtype := buf.DType().String()
 
-	sample, sampleBlock, err := c.sampleBlock(buf)
+	// The race tunes on the block the blocked seal would tune on, so the
+	// winner's bound doubles as the seal's prediction; a shape that cannot
+	// split (or Blocks(1)) races on the whole field.
+	layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
 	}
+	sample := layout.Sample
 
-	sel := &AutoSelection{SampleBlock: sampleBlock}
+	sel := &AutoSelection{SampleBlock: layout.SampleBlock}
 	best := -1
 	bestScore := math.Inf(-1)
-	anyRaced := false
-	var closest *core.InfeasibleError
+	var closest *InfeasibleError
 	for _, ci := range Codecs() {
 		cand := AutoCandidate{Codec: ci.Name}
 		switch {
@@ -224,10 +239,9 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 		cand.Evaluations = res.Iterations
 		cand.CacheHits = res.CacheHits
 		if !res.Feasible {
-			anyRaced = true
 			cand.Skipped = "no bound reaches the acceptance band on the sample"
-			if ie := infeasibleOf(res); closest == nil || ie.ClosestRatio > closest.ClosestRatio {
-				closest = ie
+			if miss := res.Check().(*InfeasibleError); nearerMiss(miss, closest) {
+				closest = miss
 			}
 			sel.Candidates = append(sel.Candidates, cand)
 			continue
@@ -238,7 +252,6 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 			sel.Candidates = append(sel.Candidates, cand)
 			continue
 		}
-		anyRaced = true
 		cand.Score = score
 		sel.Candidates = append(sel.Candidates, cand)
 		if score > bestScore {
@@ -247,7 +260,7 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 		}
 	}
 	if best < 0 {
-		if anyRaced && closest != nil {
+		if closest != nil {
 			// Every raced candidate tuned but missed the band: surface the
 			// closest configuration the same way a single-codec tune would.
 			return nil, closest
@@ -260,34 +273,6 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 		sub.recordBound(sel.Candidates[best].ErrorBound)
 	}
 	return sel, nil
-}
-
-// sampleBlock picks the block the race tunes on — the same middle block the
-// blocked seal would tune on, so the winner's bound doubles as the seal's
-// prediction. A shape that cannot split (or Blocks(1)) races on the whole
-// field.
-func (c *Client) sampleBlock(buf pressio.Buffer) (pressio.Buffer, int, error) {
-	workers := c.set.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	numBlocks := c.set.blocks
-	if numBlocks <= 0 {
-		numBlocks = blocks.DefaultCount(buf.Shape, workers)
-	}
-	plan, err := blocks.Plan(buf.Shape, numBlocks)
-	if err != nil {
-		return pressio.Buffer{}, 0, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
-	}
-	if len(plan) <= 1 {
-		return buf, 0, nil
-	}
-	idx := len(plan) / 2
-	sub, err := buf.Slice(plan[idx])
-	if err != nil {
-		return pressio.Buffer{}, 0, fmt.Errorf("fraz: %s sampling block %d: %w", CodecAuto, idx, err)
-	}
-	return sub, idx, nil
 }
 
 // candidateScore turns one feasible tune into the race's comparison key.
@@ -310,15 +295,10 @@ func (c *Client) candidateScore(sub *Client, sample pressio.Buffer, res core.Res
 	return rep.PSNR, nil
 }
 
-// infeasibleOf rebuilds the InfeasibleError a Result.Check would produce,
-// used to report the best near-miss when every candidate fails.
-func infeasibleOf(res core.Result) *core.InfeasibleError {
-	err := res.Check()
-	var ie *core.InfeasibleError
-	if errors.As(err, &ie) {
-		return ie
-	}
-	return &core.InfeasibleError{}
+// nearerMiss reports whether the infeasible outcome a came closer to its
+// target than b did, in the tuned quantity's own units; any miss beats none.
+func nearerMiss(a, b *InfeasibleError) bool {
+	return b == nil || math.Abs(a.ClosestValue-a.Target) < math.Abs(b.ClosestValue-b.Target)
 }
 
 // skipSummary compacts the skip reasons for the no-eligible-codec error.

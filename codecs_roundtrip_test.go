@@ -194,7 +194,7 @@ func TestRecordedParameterIsTheOneTheCodecRanAt(t *testing.T) {
 		for _, target := range []float64{8, 4, 16} {
 			tuned.Reset()
 			res, err = fraz.Compress(ctx, &tuned, data, shape,
-				fraz.Codec(info.Name), fraz.Ratio(target), fraz.Blocks(1), fraz.Workers(1), fraz.Seed(1))
+				fraz.Codec(info.Name), fraz.Ratio(target), fraz.Blocks(1), fraz.Seed(1))
 			if !errors.Is(err, fraz.ErrInfeasible) {
 				break
 			}

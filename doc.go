@@ -53,13 +53,21 @@
 // form for a uniform quantiser (for PSNR, bound ≈ range·√3·10^(−dB/20)), so
 // the tuner measures the model's bound and corrects a miss with a
 // sequential bracket — one to eight evaluations, CompressResult.Evaluations
-// says how many, and the same archive at any Workers setting. Only a
-// measured in-band evaluation is ever sealed. Where the bracket finds none
-// (a staircase curve, an unreachable target) the region-parallel search
-// runs as the fallback and decides, ErrInfeasible included. Fixed-ratio and
-// SSIM targets, and every target on zfp:rate, zfp:precision and frsz:rate,
-// take the region-parallel search. Which path runs follows from the
-// objective and the codec; there is nothing to configure.
+// says how many, a few more where the curve has teeth and the bracket is
+// bisected further. Only a measured in-band evaluation is ever sealed. Where
+// the bracket finds none (a staircase curve, an unreachable target) the
+// region-parallel search runs as the fallback and decides, ErrInfeasible
+// included. Fixed-ratio and SSIM targets, and every target on zfp:rate,
+// zfp:precision and frsz:rate, take the region-parallel search. Which path
+// runs follows from the objective and the codec; there is nothing to
+// configure.
+//
+// Whichever path runs, the answer is the one a single worker computes: the
+// region search goes through its regions in order and stops after the first
+// that finds an in-band bound, and Workers beyond one only search the next
+// regions ahead of time. The same data, options and Seed therefore give the
+// same bound, the same Evaluations count and — at a pinned Blocks count —
+// the same archive bytes at any Workers setting and on any number of cores.
 //
 // Decompression needs no configuration — the container header carries the
 // codec, tuned bound, achieved ratio, shape, element type, and (for

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
-	"fraz/internal/blocks"
 	"fraz/internal/container"
 	"fraz/internal/core"
 	"fraz/internal/grid"
@@ -233,51 +231,23 @@ func CompressT[T Element](ctx context.Context, c *Client, w io.Writer, data []T,
 // compressBuffer is the dtype-agnostic core of Compress/Compress64.
 func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Buffer) (*CompressResult, error) {
 	if c.auto {
-		sub, sel, err := c.resolveAuto(ctx, buf)
+		var res *CompressResult
+		sel, err := c.raceAndRetry(ctx, buf, func(sub *Client) (err error) {
+			// Infeasibility is detected before any container byte is
+			// written, so retrying into the same writer is safe.
+			res, err = sub.compressBuffer(ctx, w, buf)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		for {
-			res, cerr := sub.compressBuffer(ctx, w, buf)
-			if cerr == nil {
-				res.Selection = sel
-				return res, nil
-			}
-			// The race scored candidates on a sampled block, so its winner
-			// can still miss the band on the whole field. Fall back to the
-			// next-best raced candidate instead of surfacing the heuristic's
-			// miss; infeasibility is detected before any container byte is
-			// written, so retrying into the same writer is safe.
-			var inf *InfeasibleError
-			if !errors.As(cerr, &inf) {
-				return nil, cerr
-			}
-			cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio))
-			if !ok {
-				return nil, cerr
-			}
-			if sub, err = c.autoClient(sel.Codec); err != nil {
-				return nil, err
-			}
-			sub.recordBound(cand.ErrorBound)
-		}
+		res.Selection = sel
+		return res, nil
 	}
-	if c.set.fixedBound > 0 {
-		return c.compressFixed(ctx, w, buf)
-	}
-	if c.tuner == nil {
-		return nil, fmt.Errorf("fraz: Compress requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.FixedBound to New")
-	}
-	cn, sr, err := c.tuner.SealBlocked(ctx, buf, core.SealOptions{
-		Blocks:          c.set.blocks,
-		Workers:         c.set.workers,
-		Prediction:      c.prediction(),
-		RequireFeasible: true,
-	})
+	cn, sr, err := c.seal(ctx, buf)
 	if err != nil {
 		return nil, err
 	}
-	c.recordBound(sr.Tuning.ErrorBound)
 	n, err := cn.WriteTo(w)
 	if err != nil {
 		return nil, fmt.Errorf("fraz: writing container: %w", err)
@@ -301,32 +271,30 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 	}, nil
 }
 
-// compressFixed seals at the explicit FixedBound parameter, skipping the
-// tuner entirely.
-func (c *Client) compressFixed(ctx context.Context, w io.Writer, buf pressio.Buffer) (*CompressResult, error) {
-	workers := c.set.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// seal builds the container for one field: at the explicit FixedBound
+// parameter when there is one, skipping the tuner entirely (the zero
+// SealResult says that nothing was tuned), else at the bound the tuner finds.
+func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Container, core.SealResult, error) {
+	if c.set.fixedBound > 0 {
+		layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)
+		if err != nil {
+			return container.Container{}, core.SealResult{}, fmt.Errorf("fraz: seal at a fixed bound: %w", err)
+		}
+		cn, err := pressio.SealBlocked(ctx, c.comp, buf, c.set.fixedBound, layout.Blocks, layout.Workers)
+		return cn, core.SealResult{}, err
 	}
-	numBlocks := c.set.blocks
-	if numBlocks <= 0 {
-		numBlocks = blocks.DefaultCount(buf.Shape, workers)
+	if c.tuner == nil {
+		return container.Container{}, core.SealResult{}, fmt.Errorf("fraz: Compress requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.FixedBound to New")
 	}
-	cn, err := pressio.SealBlocked(ctx, c.comp, buf, c.set.fixedBound, numBlocks, workers)
-	if err != nil {
-		return nil, err
+	cn, sr, err := c.tuner.SealBlocked(ctx, buf, core.SealOptions{
+		Blocks:          c.set.blocks,
+		Prediction:      c.prediction(),
+		RequireFeasible: true,
+	})
+	if err == nil {
+		c.recordBound(sr.Tuning.ErrorBound)
 	}
-	n, err := cn.WriteTo(w)
-	if err != nil {
-		return nil, fmt.Errorf("fraz: writing container: %w", err)
-	}
-	return &CompressResult{
-		Codec:        cn.Header.Codec,
-		ErrorBound:   cn.Header.Bound,
-		Ratio:        cn.Header.Ratio,
-		Blocks:       cn.NumBlocks(),
-		BytesWritten: n,
-	}, nil
+	return cn, sr, err
 }
 
 func (c *Client) prediction() float64 {
@@ -513,16 +481,14 @@ type TuneResult struct {
 	// tune. Nil when the client names a fixed codec.
 	Selection *AutoSelection
 
-	targetRatio float64
-	tolerance   float64
+	// infeasible is the core result's Check() outcome, what Err returns.
+	infeasible error
 }
 
 // Err returns nil for a feasible result and an error matching
 // errors.Is(err, ErrInfeasible) — with the closest observed configuration
 // in its *InfeasibleError — otherwise.
-func (r *TuneResult) Err() error {
-	return tuneCore(*r).Check()
-}
+func (r *TuneResult) Err() error { return r.infeasible }
 
 func tuneResult(res core.Result) *TuneResult {
 	return &TuneResult{
@@ -539,25 +505,7 @@ func tuneResult(res core.Result) *TuneResult {
 		CacheHits:      res.CacheHits,
 		Direct:         res.Direct,
 		Elapsed:        res.Elapsed,
-		targetRatio:    res.TargetRatio,
-		tolerance:      res.Tolerance,
-	}
-}
-
-// tuneCore rebuilds the slice of core.Result that Result.Check needs from a
-// public TuneResult.
-func tuneCore(r TuneResult) core.Result {
-	return core.Result{
-		Compressor:     r.Codec,
-		Objective:      r.Objective,
-		Target:         r.Target,
-		AchievedValue:  r.AchievedValue,
-		TargetRatio:    r.targetRatio,
-		Tolerance:      r.tolerance,
-		ErrorBound:     r.ErrorBound,
-		AchievedRatio:  r.Ratio,
-		CompressedSize: r.CompressedSize,
-		Feasible:       r.Feasible,
+		infeasible:     res.Check(),
 	}
 }
 
@@ -587,35 +535,26 @@ func TuneT[T Element](ctx context.Context, c *Client, data []T, shape []int) (*T
 		return nil, err
 	}
 	if c.auto {
-		sub, sel, err := c.resolveAuto(ctx, buf)
-		if err != nil {
+		var tr *TuneResult
+		sel, err := c.raceAndRetry(ctx, buf, func(sub *Client) (err error) {
+			if tr, err = sub.tuneBuffer(ctx, buf); err != nil {
+				return err
+			}
+			return tr.Err()
+		})
+		// With no candidate left to promote, the last miss is returned as
+		// data, like any other infeasible tune.
+		if err != nil && (tr == nil || !errors.Is(err, ErrInfeasible)) {
 			return nil, err
 		}
-		for {
-			res, terr := sub.tuner.TuneWithPrediction(ctx, buf, sub.prediction())
-			if terr != nil {
-				return nil, terr
-			}
-			if !res.Feasible {
-				// Same fallback as compressBuffer: the sample race's winner
-				// missed the band on the full field, so promote the runner-up.
-				cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", infeasibleOf(res).ClosestRatio))
-				if ok {
-					if sub, err = c.autoClient(sel.Codec); err != nil {
-						return nil, err
-					}
-					sub.recordBound(cand.ErrorBound)
-					continue
-				}
-			}
-			if res.Feasible {
-				sub.recordBound(res.ErrorBound)
-			}
-			tr := tuneResult(res)
-			tr.Selection = sel
-			return tr, nil
-		}
+		tr.Selection = sel
+		return tr, nil
 	}
+	return c.tuneBuffer(ctx, buf)
+}
+
+// tuneBuffer is the dtype-agnostic core of Tune for a fixed codec.
+func (c *Client) tuneBuffer(ctx context.Context, buf pressio.Buffer) (*TuneResult, error) {
 	res, err := c.tuner.TuneWithPrediction(ctx, buf, c.prediction())
 	if err != nil {
 		return nil, err

@@ -13,8 +13,9 @@
 //     global minimiser (MaxLIPO + trust region) with an early-termination
 //     cutoff of ε²ρt² (§V-B3, Algorithm 1);
 //   - the range is split into K slightly overlapping regions searched in
-//     parallel, and outstanding regions are cancelled as soon as one region
-//     finds an acceptable bound (Algorithm 2, Fig. 5);
+//     parallel (Algorithm 2, Fig. 5); where the paper cancels every
+//     outstanding region as soon as any one finds an acceptable bound, here
+//     the lowest acceptable region wins, whichever finishes first (sweep);
 //   - multiple time-steps of a field reuse the previously found bound and
 //     retrain only when the reused bound falls outside the acceptance band,
 //     and different fields are tuned in parallel (Algorithm 3, §V-C).
@@ -24,9 +25,16 @@
 // leaving the decision of relaxing ε or U (or switching compressors) to the
 // user, exactly as §V-B3 prescribes.
 //
-// Which search a tuning run takes, and over what interval, follows from the
-// objective and the codec's descriptor (pressio.Codec), never from a setting
-// or a codec's name:
+// A tuning run is a ladder (TuneWithPrediction): arithmetic, a reused bound,
+// the objective's closed form, the region search — each rung tried only when
+// the one above did not settle the run, a bisection (bisect) closing what gap
+// either search left the target in, and one rule (Objective.better) picking
+// the answer from whatever they measured. Every measurement runs at its
+// evaluation-cache slot's own bound (pressio.Param.Slot), so the result is a
+// function of the data, the configuration and the seed: not of Workers,
+// GOMAXPROCS, or what the cache already held. Which rungs a run takes, and
+// over what interval, follows from the objective and the codec's descriptor
+// (pressio.Codec), never from a setting or a codec's name:
 //
 //   - the parameter is searched in its own unit (Tuner.searchRange): an
 //     error magnitude over an interval scaled to the data's value range, a
@@ -37,19 +45,21 @@
 //     magnitude (pressio.Unit.IsError: sz:abs, sz:rel, zfp:accuracy,
 //     mgard:abs, mgard:l2, szx:abs) are tuned model first (model.go): the
 //     objective's closed form names the first bound and a sequential
-//     bracket corrects a miss, within eight evaluations; the region search
-//     above is its fallback, for staircase curves and unreachable targets;
+//     bracket corrects a miss, within eight evaluations; bisection and then
+//     the region search above are its fallbacks, for curves with teeth,
+//     staircases and unreachable targets;
 //   - everything else — FixedRatio, FixedSSIM, and any objective on
 //     zfp:rate, zfp:precision or frsz:rate — takes the region search.
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"fraz/internal/metrics"
@@ -86,8 +96,9 @@ type Config struct {
 	// data's units like MaxError. When zero, a small fraction (1e-9) of the
 	// data's value range is used.
 	LowerBound float64
-	// Regions is K, the number of overlapping error-bound regions searched
-	// in parallel. Zero selects parallel.DefaultRegions (12).
+	// Regions is K, the number of overlapping error-bound regions the range
+	// is split into; they are searched lowest first, Workers at a time. Zero
+	// selects parallel.DefaultRegions (12).
 	Regions int
 	// Overlap is the fractional overlap between adjacent regions. Zero
 	// selects parallel.DefaultOverlap (10%).
@@ -96,9 +107,11 @@ type Config struct {
 	// selects DefaultMaxIterationsPerRegion.
 	MaxIterationsPerRegion int
 	// Workers bounds the number of concurrently searched regions (and, in
-	// TuneFields, concurrently tuned fields). Zero uses GOMAXPROCS.
+	// TuneFields, concurrently tuned fields). Zero uses GOMAXPROCS. It has
+	// no say in a Result beyond Elapsed and the cache counters.
 	Workers int
-	// Seed makes the search deterministic.
+	// Seed seeds each region's minimiser; with the data and the rest of the
+	// configuration it determines the Result.
 	Seed int64
 	// Cache memoises compressor evaluations across the K overlapping region
 	// searches (and across tuning runs, when shared between tuners). Nil
@@ -138,13 +151,15 @@ type Evaluation struct {
 	Report *metrics.Report
 }
 
-// RegionResult summarises the search within one error-bound region.
+// RegionResult summarises one stage of a search: the model-first probes, the
+// minimiser's run within one error-bound region, or a bisection.
 type RegionResult struct {
-	Region      parallel.Region
+	Region parallel.Region
+	// Iterations counts the stage's evaluations, CacheHits those of them the
+	// evaluation cache answered.
 	Iterations  int
-	Best        Evaluation
+	CacheHits   int
 	Acceptable  bool
-	Started     bool
 	Err         error
 	Evaluations []Evaluation
 }
@@ -173,7 +188,9 @@ type Result struct {
 	CompressedSize int
 	// Feasible is true when the achieved value lies in the acceptance band.
 	Feasible bool
-	// Iterations is the total number of compressor invocations performed.
+	// Iterations is the number of evaluations the answer rests on: what one
+	// worker would have performed. Evaluations that extra workers ran ahead,
+	// in regions above the winning one, are not counted.
 	Iterations int
 	// Direct is true when the objective was satisfied directly from codec
 	// capability — a fixed-rate codec's size formula inverted into its
@@ -189,40 +206,21 @@ type Result struct {
 	// from "the compressor could not evaluate the reused bound at all",
 	// which TuneSeries reporting would otherwise conflate.
 	PredictionErr error
-	// CacheHits counts evaluations served from the shared evaluation cache
-	// without invoking the compressor; CacheMisses counts the evaluations
+	// CacheHits counts the evaluations, of Iterations, served from the shared
+	// evaluation cache without invoking the compressor; CacheMisses the ones
 	// that were not (those that compressed, plus failed evaluations).
 	// Iterations = CacheHits + CacheMisses.
 	CacheHits   int
 	CacheMisses int
-	// Regions reports the per-region search results (empty when the
-	// prediction was reused). A model-first run lists its probes, in probe
-	// order, as the first entry; the regions of a fallback search follow.
+	// Regions reports the search stages the answer was picked from (empty
+	// when the prediction was reused). A model-first run lists its probes, in
+	// probe order, as the first entry; the regions of a sweep follow, from
+	// the lowest up to the first acceptable one. Regions above that one were
+	// speculation and are not reported. Either is followed by a stage with no
+	// Region when a bisection (bisect) had to measure anything.
 	Regions []RegionResult
 	// Elapsed is the wall-clock tuning time.
 	Elapsed time.Duration
-}
-
-// InBand reports whether a ratio lies within the acceptance band around the
-// target, i.e. ρt(1−ε) ≤ ratio ≤ ρt(1+ε) (Eq. 1).
-func InBand(ratio, target, tolerance float64) bool {
-	return ratio >= target*(1-tolerance) && ratio <= target*(1+tolerance)
-}
-
-// Loss is the paper's clamped-quadratic loss l(e) = min((ρr − ρt)², γ).
-func Loss(achieved, target, gamma float64) float64 {
-	d := achieved - target
-	v := d * d
-	if v > gamma || math.IsNaN(v) {
-		return gamma
-	}
-	return v
-}
-
-// Cutoff returns the early-termination threshold ε²ρt² used by the modified
-// global minimiser (§V-B3).
-func Cutoff(target, tolerance float64) float64 {
-	return tolerance * tolerance * target * target
 }
 
 // Tuner searches error bounds for one compressor.
@@ -269,18 +267,9 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 	return &Tuner{compressor: c, codec: codec, cfg: cfg, obj: obj, cache: cache, modelFirst: first}, nil
 }
 
-// Compressor returns the compressor being tuned.
-func (t *Tuner) Compressor() pressio.Compressor { return t.compressor }
-
-// Objective returns the resolved objective the tuner searches for.
-func (t *Tuner) Objective() Objective { return t.obj }
-
 // Cache returns the evaluation cache the tuner records compressor
 // evaluations in (the one from Config.Cache, or the private default).
 func (t *Tuner) Cache() *pressio.Cache { return t.cache }
-
-// Config returns the effective (defaulted) configuration.
-func (t *Tuner) Config() Config { return t.cfg }
 
 // searchRange determines the parameter interval [lo, hi] searched for a
 // buffer, in the parameter's own units. An error magnitude is searched from
@@ -324,45 +313,27 @@ func (t *Tuner) TuneBuffer(ctx context.Context, buf pressio.Buffer) (Result, err
 	return t.TuneWithPrediction(ctx, buf, 0)
 }
 
-// measure returns the single black-box evaluation the search performs for
-// the tuner's objective: a cached compression for the fixed-ratio objective,
-// a cached compress+decompress round trip (with the full metric report) for
-// quality objectives. Either way the returned Evaluation carries the bound
-// the measurement actually ran at and the objective's achieved Value.
-func (t *Tuner) measure(eval *pressio.Evaluator) func(bound float64) (Evaluation, error) {
-	if !t.obj.NeedsReport {
-		return func(bound float64) (Evaluation, error) {
-			ratio, size, evaluated, err := eval.Ratio(bound)
-			if err != nil {
-				return Evaluation{}, err
-			}
-			ev := Evaluation{ErrorBound: evaluated, Ratio: ratio, CompressedSize: size}
-			ev.Value = t.obj.Achieved(ev)
-			return ev, nil
-		}
-	}
-	return func(bound float64) (Evaluation, error) {
-		rep, evaluated, err := eval.Full(bound)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		ev := Evaluation{
-			ErrorBound:     evaluated,
-			Ratio:          rep.CompressionRatio,
-			CompressedSize: rep.CompressedBytes,
-			Report:         &rep,
-		}
-		ev.Value = t.obj.Achieved(ev)
-		return ev, nil
-	}
+// run is the state of one tuning run: what the rungs of TuneWithPrediction's
+// ladder share, and what they leave for its epilogue.
+type run struct {
+	t    *Tuner
+	ctx  context.Context
+	buf  pressio.Buffer
+	eval *pressio.Evaluator
+	res  *Result
+	// seen holds every evaluation the answer may be picked from, in an order
+	// no scheduler decides.
+	seen []Evaluation
 }
 
-// TuneWithPrediction implements the worker-task algorithm (Algorithm 1): if
-// a prediction (a previously successful error bound) is provided it is tried
-// first, and only if it misses the acceptance band does the training run —
-// the model-first search where the objective and the codec allow it (with
-// the missed prediction as its first point), the region-parallel search
-// otherwise and as its fallback.
+// TuneWithPrediction implements the worker-task algorithm (Algorithm 1) as a
+// ladder of four rungs, cheapest first — exact, reuse of the prediction (a
+// previously successful bound, when one is given), model, sweep — each tried
+// only when the one above it did not settle the run, and a search that left
+// the target between two of its evaluations bisected before the next begins
+// (descend). A rung only measures. The epilogue here is the one place that
+// picks the answer — by Objective.better, over everything the rungs saw —
+// bills the run and stamps the clock.
 func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, error) {
 	start := time.Now()
 	if !t.codec.SupportsShape(buf.Shape) {
@@ -381,219 +352,265 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	if t.obj.Name == "ratio" {
 		res.TargetRatio = t.obj.Target
 	}
-	// Direct satisfaction (the zero-evaluation fast path): a fixed-ratio
-	// objective paired with a true fixed-rate codec needs no search — the
-	// codec's size formula is inverted into a whole-bit rate, and the
-	// achieved ratio is the same number a real evaluation would measure
-	// (raw bytes over the codec's stream size). Prediction is skipped too:
-	// arithmetic is cheaper than even one cached evaluation. When no
-	// whole-bit rate lands in the acceptance band the normal search runs
-	// and reports infeasibility the usual way.
-	if t.obj.DirectlySatisfiable() && t.codec.Size != nil {
-		if ev, ok := t.directRate(buf); ok {
-			res.fill(ev, true)
-			res.Direct = true
-			res.Elapsed = time.Since(start)
-			return res, nil
+	r := &run{t: t, ctx: ctx, buf: buf, res: &res}
+	err := r.descend(prediction)
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		return Result{}, err // a configuration that admits no search
+	}
+	// The earliest evaluation none of the others is better than: the pick
+	// follows from the order of seen alone.
+	var best *Evaluation
+	for i := range r.seen {
+		if best == nil || t.obj.better(r.seen[i], *best) {
+			best = &r.seen[i]
 		}
 	}
-
-	// One evaluator per tuning run: the buffer fingerprint is computed once
-	// and every region search below shares the memoised evaluations.
-	eval := pressio.NewEvaluator(t.cache, t.compressor, buf)
-	measure := t.measure(eval)
-
-	// missed is the evaluation of a prediction that ran and fell outside the
-	// band: no answer, but a measured point the model-first search starts
-	// from.
-	var missed *Evaluation
-	if prediction > 0 {
-		ev, err := measure(prediction)
-		res.Iterations++
-		if err != nil {
-			// A compressor failure at the predicted bound is not the same
-			// as "the prediction missed the band": record it so series
-			// reporting can tell the two apart, then retrain as usual.
-			res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, err)
-		} else if t.obj.InBand(ev.Value) {
-			res.fill(ev, true)
-			res.UsedPrediction = true
-			res.CacheHits, res.CacheMisses = eval.Stats()
-			res.Elapsed = time.Since(start)
-			return res, nil
-		} else if !math.IsNaN(ev.Value) {
-			missed = &ev
-		}
+	if err == nil && best == nil {
+		err = fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.codec.Name)
 	}
+	if err == nil {
+		res.ErrorBound, res.AchievedValue = best.ErrorBound, best.Value
+		res.AchievedRatio, res.CompressedSize = best.Ratio, best.CompressedSize
+		res.Feasible = t.obj.InBand(best.Value)
+	}
+	res.CacheMisses = res.Iterations - res.CacheHits
+	res.Elapsed = time.Since(start)
+	return res, err
+}
 
-	lo, hi, err := t.searchRange(buf)
+// descend runs the rungs in order and returns at the first that settles the
+// run, or with why the search could not start or finish.
+func (r *run) descend(prediction float64) error {
+	if r.exact() {
+		return nil
+	}
+	// One evaluator per run, built only once arithmetic has had its turn:
+	// the buffer fingerprint is computed once and every rung below shares the
+	// memoised evaluations.
+	r.eval = pressio.NewEvaluator(r.t.cache, r.t.compressor, r.buf)
+	missed, done := r.reuse(prediction)
+	if done {
+		return nil
+	}
+	lo, hi, err := r.t.searchRange(r.buf)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	if t.modelFirst {
-		rr, found := t.modelSearch(ctx, measure, buf, lo, hi, missed)
-		res.Regions = append(res.Regions, rr)
-		res.Iterations += rr.Iterations
-		if found != nil {
-			res.fill(*found, true)
-			res.CacheHits, res.CacheMisses = eval.Stats()
-			res.Elapsed = time.Since(start)
-			return res, nil
+	if r.t.modelFirst && (r.model(lo, hi, missed) || r.bisect()) {
+		return nil
+	}
+	// No in-band bound among the probes: the sweep decides, and finds them in
+	// the cache.
+	if err = r.sweep(lo, hi); err == nil && !r.bisect() {
+		// A cancelled or timed-out search is not a verdict on the data: the
+		// caller gets its own ctx.Err() back, never a "no evaluation" or
+		// "infeasible" conclusion drawn from a truncated search.
+		err = r.ctx.Err()
+	}
+	return err
+}
+
+// measure is the single black-box evaluation every rung performs: a cached
+// compression for the fixed-ratio objective, a cached compress+decompress
+// round trip (with the full metric report) for quality objectives. The
+// Evaluation carries the bound the measurement ran at and the objective's
+// achieved Value; the evaluation is billed to the stage that asked for it.
+func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
+	entry, hit, err := r.eval.Evaluate(bound, r.t.obj.NeedsReport)
+	stage.Iterations++
+	if hit {
+		stage.CacheHits++
+	}
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ev := Evaluation{ErrorBound: entry.Bound, Ratio: entry.Ratio, CompressedSize: entry.Size}
+	if r.t.obj.NeedsReport {
+		ev.Report = &entry.Report
+	}
+	ev.Value = r.t.obj.Achieved(ev)
+	return ev, nil
+}
+
+// list bills one finished search stage and offers its evaluations to the
+// epilogue's pick.
+func (r *run) list(rr RegionResult) {
+	r.res.Regions = append(r.res.Regions, rr)
+	r.res.Iterations += rr.Iterations
+	r.res.CacheHits += rr.CacheHits
+	r.seen = append(r.seen, rr.Evaluations...)
+}
+
+// exact is the first rung, the zero-evaluation fast path: a fixed-ratio
+// objective paired with a true fixed-rate codec needs no search. The wanted
+// stream size is rawBytes/ρt, the codec's affine size formula
+// size(N) = overhead + ⌈elements·N/8⌉ is solved for N, and the floor and
+// ceil whole-bit candidates that land in the acceptance band are offered to
+// the epilogue; their ratios are the numbers a real evaluation would measure
+// (raw bytes over the codec's stream size). When neither lands — the band is
+// narrower than one bit's worth of ratio at this size — the rungs below run
+// and report infeasibility the usual way.
+func (r *run) exact() bool {
+	t := r.t
+	rawBytes, elements := r.buf.Bytes(), r.buf.Shape.Len()
+	if !t.obj.DirectlySatisfiable() || t.codec.Size == nil || rawBytes == 0 || elements == 0 {
+		return false
+	}
+	minBits, maxBits := t.codec.Param.Limits(r.buf.DType())
+	overhead := t.codec.Size(r.buf.Shape, 0)
+	want := float64(rawBytes)/t.obj.Target - float64(overhead)
+	exact := math.Min(math.Max(want*8/float64(elements), minBits), maxBits)
+	for _, n := range []int{int(math.Floor(exact)), int(math.Ceil(exact))} {
+		size := t.codec.Size(r.buf.Shape, n)
+		ratio := float64(rawBytes) / float64(size)
+		if t.obj.InBand(ratio) {
+			r.seen = append(r.seen, Evaluation{ErrorBound: float64(n), Ratio: ratio, CompressedSize: size, Value: ratio})
 		}
-		// No in-band bound among the probes: the region search below decides,
-		// and finds them in the cache.
 	}
+	r.res.Direct = len(r.seen) > 0
+	return r.res.Direct
+}
+
+// reuse is the second rung, Algorithm 3's time-step reuse: the bound a
+// previous step succeeded with is measured once and settles the run if it
+// lands in band. missed is the evaluation of a prediction that ran and fell
+// outside the band: no answer, but a measured point the model-first search
+// starts from.
+func (r *run) reuse(prediction float64) (missed *Evaluation, done bool) {
+	if prediction <= 0 {
+		return nil, false
+	}
+	var stage RegionResult // billed, but not listed: it is not part of a search
+	ev, err := r.measure(&stage, prediction)
+	r.res.Iterations, r.res.CacheHits = stage.Iterations, stage.CacheHits
+	switch {
+	case err != nil:
+		// A compressor failure at the predicted bound is not the same as "the
+		// prediction missed the band": record it so series reporting can
+		// tell the two apart, then retrain as usual.
+		r.res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, err)
+	case r.t.obj.InBand(ev.Value):
+		r.seen = append(r.seen, ev)
+		r.res.UsedPrediction = true
+		return nil, true
+	case !math.IsNaN(ev.Value):
+		return &ev, false
+	}
+	return nil, false
+}
+
+// sweep is the last rung, the paper's region-parallel search (Algorithm 2)
+// under a winner rule no scheduler can influence: the answer is what one
+// worker computes going through the regions in order and stopping after the
+// first acceptable one. More workers only speculate ahead. winner holds the
+// lowest acceptable region index so far; a region above it is skipped, or
+// stops at its next evaluation, while a region below it always runs to its
+// end — so when the sweep is over, regions 0..winner hold exactly what the
+// single worker would have, and they alone are listed. Whatever a stopped
+// region did is never read, and what it left in the evaluation cache is
+// harmless: a slot holds the same entry whoever filled it.
+func (r *run) sweep(lo, hi float64) error {
+	t := r.t
 	// Quality metrics respond to the order of magnitude of the bound rather
 	// than its absolute value, so their objectives search in log space: the
 	// regions partition [ln lo, ln hi] and every candidate is exponentiated
 	// before being handed to the compressor. The ratio search stays linear,
 	// as in the paper.
-	sLo, sHi := lo, hi
 	if t.obj.LogSpace {
-		sLo, sHi = math.Log(lo), math.Log(hi)
+		lo, hi = math.Log(lo), math.Log(hi)
 	}
-	regions, err := parallel.SplitRegions(sLo, sHi, t.cfg.Regions, t.cfg.Overlap)
+	regions, err := parallel.SplitRegions(lo, hi, t.cfg.Regions, t.cfg.Overlap)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-
-	cutoff := t.obj.SearchCutoff()
-	tasks := make([]parallel.Task[RegionResult], len(regions))
-	for i, region := range regions {
-		i, region := i, region
-		tasks[i] = func(taskCtx context.Context) (RegionResult, bool, error) {
-			rr := t.searchRegion(taskCtx, measure, region, cutoff, t.cfg.Seed+int64(i))
-			return rr, rr.Acceptable, rr.Err
+	results := make([]RegionResult, len(regions))
+	var winner atomic.Int64
+	winner.Store(int64(len(regions) - 1))
+	err = parallel.ForEach(r.ctx, len(regions), t.cfg.Workers, func(ctx context.Context, i int) error {
+		idx := int64(i)
+		stop := func() bool { return ctx.Err() != nil || idx > winner.Load() }
+		if stop() {
+			return nil
 		}
-	}
-	outcomes := parallel.RunUntilAcceptable(ctx, t.cfg.Workers, tasks)
-
-	for _, o := range outcomes {
-		rr := o.Value
-		rr.Started = o.Started
-		res.Regions = append(res.Regions, rr)
-		res.Iterations += rr.Iterations
-	}
-	// Pick the recommendation from everything observed (the model-first
-	// probes, when there were any, are the first entry): among in-band
-	// evaluations the closest to the target (Algorithm 2, lines 17–26) — or,
-	// for PreferRatio objectives, the highest-ratio in-band one — otherwise
-	// the evaluation whose value is closest to the target.
-	var best *Evaluation
-	bestDist := math.Inf(1)
-	feasible := false
-	for _, rr := range res.Regions {
-		if !rr.Started || rr.Err != nil {
-			continue
-		}
-		for i := range rr.Evaluations {
-			ev := rr.Evaluations[i]
-			d := math.Abs(ev.Value - t.obj.Target)
-			inBand := t.obj.InBand(ev.Value)
-			var better bool
-			switch {
-			case feasible && !inBand:
-				better = false
-			case !feasible && inBand:
-				better = true
-				feasible = true
-			case feasible && t.obj.PreferRatio:
-				// Both in band: the quality is already good enough, so take
-				// the size win.
-				better = ev.Ratio > best.Ratio
-			default:
-				better = d < bestDist
-			}
-			if better {
-				bestDist = d
-				best = &rr.Evaluations[i]
+		results[i] = r.searchRegion(stop, regions[i], t.cfg.Seed+idx)
+		if results[i].Acceptable {
+			for w := winner.Load(); idx < w && !winner.CompareAndSwap(w, idx); w = winner.Load() {
 			}
 		}
+		return nil
+	})
+	for _, rr := range results[:winner.Load()+1] {
+		r.list(rr)
 	}
-	res.CacheHits, res.CacheMisses = eval.Stats()
-	// A cancelled or timed-out search is not a verdict on the data: unless
-	// an in-band bound was already found before the cancellation landed, the
-	// caller gets its own ctx.Err() back — never a spurious "no evaluation"
-	// or "infeasible" conclusion drawn from a truncated search.
-	if cerr := ctx.Err(); cerr != nil && (best == nil || !t.obj.InBand(best.Value)) {
-		res.Elapsed = time.Since(start)
-		return res, cerr
-	}
-	if best == nil {
-		res.Elapsed = time.Since(start)
-		return res, fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.codec.Name)
-	}
-	res.fill(*best, t.obj.InBand(best.Value))
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return err
 }
 
-// directRate inverts the fixed-ratio target into a bits-per-value setting:
-// the wanted stream size is rawBytes/ρt, the codec's affine size formula
-// size(N) = overhead + ⌈elements·N/8⌉ is solved for N, and the floor and
-// ceil whole-bit candidates are scored against the acceptance band — the
-// in-band candidate whose achieved ratio is closest to the target wins
-// (the paper's closest-to-target rule, applied to a two-point grid). ok is
-// false when neither lands in the band, i.e. the band is narrower than one
-// bit's worth of ratio at this size; the caller falls back to the search.
-func (t *Tuner) directRate(buf pressio.Buffer) (Evaluation, bool) {
-	rawBytes := buf.Bytes()
-	elements := buf.Shape.Len()
-	if rawBytes == 0 || elements == 0 {
-		return Evaluation{}, false
+// bisect follows a search that found no in-band bound, and reports whether
+// there is one now. Where two evaluations, neighbours in bound order, lie on
+// opposite sides of the target, the curve passes through the band between
+// them or jumps over it, and the search sampled it too thinly to tell. Each
+// such gap, lowest first, is halved until a bound lands in band or no
+// unmeasured cache slot is left inside it (a jump: nothing there to find),
+// within one region's budget. What it measured is listed as a stage of its
+// own, with no Region.
+func (r *run) bisect() bool {
+	t := r.t
+	var rr RegionResult
+	pts := slices.Clone(r.seen)
+	slices.SortFunc(pts, func(a, b Evaluation) int { return cmp.Compare(a.ErrorBound, b.ErrorBound) })
+	if slices.ContainsFunc(pts, func(ev Evaluation) bool { return t.obj.InBand(ev.Value) }) {
+		return true
 	}
-	minBits, maxBits := t.codec.Param.Limits(buf.DType())
-	overhead := t.codec.Size(buf.Shape, 0)
-	want := float64(rawBytes)/t.obj.Target - float64(overhead)
-	exact := math.Min(math.Max(want*8/float64(elements), minBits), maxBits)
-	var best Evaluation
-	bestDist := math.Inf(1)
-	found := false
-	for _, n := range []int{int(math.Floor(exact)), int(math.Ceil(exact))} {
-		size := t.codec.Size(buf.Shape, n)
-		ratio := float64(rawBytes) / float64(size)
-		if !t.obj.InBand(ratio) {
-			continue
-		}
-		if d := math.Abs(ratio - t.obj.Target); d < bestDist {
-			bestDist = d
-			best = Evaluation{ErrorBound: float64(n), Ratio: ratio, CompressedSize: size, Value: ratio}
-			found = true
+	under := func(ev Evaluation) bool { return ev.Value < t.obj.Target }
+	for i := 1; i < len(pts); i++ {
+		lo, hi := pts[i-1], pts[i]
+		for !rr.Acceptable && under(lo) != under(hi) && rr.Iterations < t.cfg.MaxIterationsPerRegion && r.ctx.Err() == nil {
+			// The geometric mean: cache slots are evenly spaced in the logarithm.
+			mid := math.Sqrt(lo.ErrorBound * hi.ErrorBound)
+			if q := t.codec.Param.Slot(mid); q <= lo.ErrorBound || q >= hi.ErrorBound {
+				break
+			}
+			ev, err := r.measure(&rr, mid)
+			if err != nil || math.IsNaN(ev.Value) {
+				break
+			}
+			rr.Evaluations = append(rr.Evaluations, ev)
+			rr.Acceptable = t.obj.InBand(ev.Value)
+			if under(ev) == under(lo) {
+				lo = ev
+			} else {
+				hi = ev
+			}
 		}
 	}
-	return best, found
+	if rr.Iterations > 0 {
+		r.list(rr)
+	}
+	return rr.Acceptable
 }
 
-// fill copies one chosen evaluation into the result.
-func (r *Result) fill(ev Evaluation, feasible bool) {
-	r.ErrorBound = ev.ErrorBound
-	r.AchievedValue = ev.Value
-	r.AchievedRatio = ev.Ratio
-	r.CompressedSize = ev.CompressedSize
-	r.Feasible = feasible
-}
-
-// searchRegion runs the cutoff-modified global minimiser within one region.
+// searchRegion runs the cutoff-modified global minimiser within one region
+// until it converges, spends its iterations, or stop reports true.
 // Evaluations go through the shared evaluator, so bounds already measured by
 // an overlapping region (or an earlier tuning run on the same data) are
 // served from the cache instead of re-compressing (or re-round-tripping, for
 // quality objectives).
-func (t *Tuner) searchRegion(ctx context.Context, measure func(float64) (Evaluation, error), region parallel.Region, cutoff float64, seed int64) RegionResult {
-	rr := RegionResult{Region: region, Started: true}
-	// rr.Iterations counts evaluations (cached or not), not optimizer
-	// steps: once the region is cancelled the objective short-circuits
-	// without compressing, and those steps must not be billed.
+func (r *run) searchRegion(stop func() bool, region parallel.Region, seed int64) RegionResult {
+	t := r.t
+	rr := RegionResult{Region: region}
+	// rr.Iterations counts evaluations (cached or not), not optimizer steps:
+	// once the region is stopped the objective short-circuits without
+	// compressing, and those steps must not be billed.
 	objective := func(x float64) float64 {
-		if ctx.Err() != nil {
-			// Cancelled: report the clamp so the optimizer loses interest.
+		if stop() {
+			// Report the clamp so the optimizer loses interest.
 			return Gamma
 		}
-		rr.Iterations++
 		bound := x
 		if t.obj.LogSpace {
 			bound = math.Exp(x)
 		}
-		ev, err := measure(bound)
+		ev, err := r.measure(&rr, bound)
 		if err != nil || math.IsNaN(ev.Value) {
 			return Gamma
 		}
@@ -604,15 +621,11 @@ func (t *Tuner) searchRegion(ctx context.Context, measure func(float64) (Evaluat
 		Lower:         region.Lower,
 		Upper:         region.Upper,
 		MaxIterations: t.cfg.MaxIterationsPerRegion,
-		Cutoff:        cutoff,
+		Cutoff:        t.obj.SearchCutoff(),
 		Seed:          seed,
 	})
-	if err != nil {
-		rr.Err = err
-		return rr
-	}
-	rr.Acceptable = optRes.Converged && ctx.Err() == nil
-	rr.Best = closest(rr.Evaluations, t.obj.Target)
+	rr.Err = err
+	rr.Acceptable = err == nil && optRes.Converged
 	return rr
 }
 
@@ -708,34 +721,9 @@ func (t *Tuner) TuneSeries(ctx context.Context, s Series) (SeriesResult, error) 
 // loop), bounded by Config.Workers.
 func (t *Tuner) TuneFields(ctx context.Context, series []Series) ([]SeriesResult, error) {
 	results := make([]SeriesResult, len(series))
-	var mu sync.Mutex
-	var firstErr error
-	err := parallel.ForEach(ctx, len(series), t.cfg.Workers, func(ctx context.Context, idx int) error {
-		r, err := t.TuneSeries(ctx, series[idx])
-		mu.Lock()
-		defer mu.Unlock()
-		results[idx] = r
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	err := parallel.ForEach(ctx, len(series), t.cfg.Workers, func(ctx context.Context, idx int) (err error) {
+		results[idx], err = t.TuneSeries(ctx, series[idx])
 		return err
 	})
-	if firstErr != nil {
-		return results, firstErr
-	}
 	return results, err
-}
-
-// ClosestObserved returns, among all evaluations of a result's regions, the
-// ones sorted by distance to the objective's target. It is a reporting
-// helper used by the CLI to explain infeasible requests.
-func ClosestObserved(res Result) []Evaluation {
-	var all []Evaluation
-	for _, rr := range res.Regions {
-		all = append(all, rr.Evaluations...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		return math.Abs(all[i].Value-res.Target) < math.Abs(all[j].Value-res.Target)
-	})
-	return all
 }

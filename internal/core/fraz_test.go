@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fraz/internal/container"
 	"fraz/internal/dataset"
@@ -103,45 +106,47 @@ func TestNewTunerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tu.Config()
+	cfg := tu.cfg
 	if cfg.Objective.Tolerance != DefaultTolerance || cfg.Regions == 0 || cfg.MaxIterationsPerRegion == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if tu.Compressor().Descriptor().Name != "fake" {
+	if tu.compressor.Descriptor().Name != "fake" {
 		t.Errorf("Compressor accessor wrong")
 	}
 }
 
 func TestLossAndCutoff(t *testing.T) {
-	if Loss(10, 10, Gamma) != 0 {
+	obj := fixedRatio(10, 0.1)
+	if obj.Loss(10) != 0 {
 		t.Errorf("exact match should have zero loss")
 	}
-	if got := Loss(12, 10, Gamma); got != 4 {
-		t.Errorf("Loss(12,10) = %v, want 4", got)
+	if got := obj.Loss(12); got != 4 {
+		t.Errorf("Loss(12) around 10 = %v, want 4", got)
 	}
-	if got := Loss(math.Inf(1), 10, Gamma); got != Gamma {
+	if got := obj.Loss(math.Inf(1)); got != Gamma {
 		t.Errorf("infinite ratio should clamp to gamma")
 	}
-	if got := Loss(math.NaN(), 10, Gamma); got != Gamma {
+	if got := obj.Loss(math.NaN()); got != Gamma {
 		t.Errorf("NaN should clamp to gamma")
 	}
-	if got := Cutoff(10, 0.1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cutoff(10, 0.1) = %v, want 1", got)
+	if got := obj.SearchCutoff(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("SearchCutoff of 10 ± 10%% = %v, want 1", got)
 	}
 }
 
 func TestInBand(t *testing.T) {
-	if !InBand(10, 10, 0.1) || !InBand(9, 10, 0.1) || !InBand(11, 10, 0.1) {
+	obj := fixedRatio(10, 0.1)
+	if !obj.InBand(10) || !obj.InBand(9) || !obj.InBand(11) {
 		t.Errorf("values inside the band misclassified")
 	}
-	if InBand(8.9, 10, 0.1) || InBand(11.1, 10, 0.1) {
+	if obj.InBand(8.9) || obj.InBand(11.1) {
 		t.Errorf("values outside the band misclassified")
 	}
 }
 
 func TestPropertyLossBounded(t *testing.T) {
 	f := func(achieved, target float64) bool {
-		l := Loss(achieved, target, Gamma)
+		l := FixedRatio(target).Loss(achieved)
 		return l >= 0 && l <= Gamma
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -152,7 +157,10 @@ func TestPropertyLossBounded(t *testing.T) {
 func TestTuneBufferFeasibleTarget(t *testing.T) {
 	var calls int64
 	fake := fake("fake", smoothRatio, &calls)
-	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 1})
+	// One worker, so that compressor calls can be counted against
+	// Iterations: more workers also compress ahead, in regions the answer
+	// does not rest on.
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +171,7 @@ func TestTuneBufferFeasibleTarget(t *testing.T) {
 	if !res.Feasible {
 		t.Fatalf("target 20 should be feasible, got %+v", res)
 	}
-	if !InBand(res.AchievedRatio, 20, 0.1) {
+	if !fixedRatio(20, 0.1).InBand(res.AchievedRatio) {
 		t.Errorf("achieved ratio %v outside band", res.AchievedRatio)
 	}
 	if res.ErrorBound <= 0 || res.ErrorBound > 2 {
@@ -196,14 +204,17 @@ func TestTuneBufferInfeasibleTargetReportsClosest(t *testing.T) {
 	if res.AchievedRatio < 10 || res.AchievedRatio > 12.5 {
 		t.Errorf("closest observed ratio should approach the saturation value, got %v", res.AchievedRatio)
 	}
-	closest := ClosestObserved(res)
-	if len(closest) == 0 {
-		t.Fatalf("expected observed evaluations")
-	}
-	for i := 1; i < len(closest); i++ {
-		if math.Abs(closest[i-1].Ratio-50) > math.Abs(closest[i].Ratio-50) {
-			t.Errorf("ClosestObserved not sorted by distance to target")
+	observed := 0
+	for _, rr := range res.Regions {
+		for _, ev := range rr.Evaluations {
+			observed++
+			if math.Abs(ev.Ratio-50) < math.Abs(res.AchievedRatio-50) {
+				t.Errorf("observed ratio %v is nearer the target than the reported %v", ev.Ratio, res.AchievedRatio)
+			}
 		}
+	}
+	if observed == 0 {
+		t.Fatalf("expected observed evaluations")
 	}
 }
 
@@ -476,6 +487,37 @@ func TestTuneSeriesCancelled(t *testing.T) {
 	}
 }
 
+// TestTuneCancelledOrUnsearchable pins what a run that could not finish
+// returns. A search a cancelled context cut short returns the context's
+// error, never a verdict on the data; a rung that settles the run without
+// searching (here: a reused bound that lands in band) is not cut short by
+// it; a configuration that admits no search returns no Result at all.
+func TestTuneCancelledOrUnsearchable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tu, _ := NewTuner(fake("fake", smoothRatio, nil), Config{Objective: FixedRatio(20), MaxError: 2, Seed: 1})
+	buf := smallBuffer(256)
+
+	if res, err := tu.TuneBuffer(ctx, buf); !errors.Is(err, context.Canceled) || res.Feasible {
+		t.Errorf("cancelled search: err = %v, feasible = %v, want context.Canceled and no verdict", err, res.Feasible)
+	}
+
+	found, err := tu.TuneBuffer(context.Background(), buf)
+	if err != nil || !found.Feasible {
+		t.Fatalf("uncancelled search: %v, %+v", err, found)
+	}
+	reused, err := tu.TuneWithPrediction(ctx, buf, found.ErrorBound)
+	if err != nil || !reused.UsedPrediction || reused.ErrorBound != found.ErrorBound {
+		t.Errorf("reused bound under a cancelled context: err = %v, %+v", err, reused)
+	}
+
+	empty, _ := NewTuner(fake("fake", smoothRatio, nil), Config{Objective: FixedRatio(20), LowerBound: 3, MaxError: 2})
+	res, err := empty.TuneBuffer(context.Background(), buf)
+	if !errors.Is(err, ErrBadConfig) || !reflect.DeepEqual(res, Result{}) {
+		t.Errorf("empty range: err = %v, result %+v, want ErrBadConfig and the zero Result", err, res)
+	}
+}
+
 func TestTuneFieldsParallel(t *testing.T) {
 	fake := fake("fake", smoothRatio, nil)
 	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 8, Workers: 4})
@@ -536,7 +578,7 @@ func TestTuneRealSZOnSyntheticHurricane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !InBand(ratio, 10, 0.1) {
+	if !fixedRatio(10, 0.1).InBand(ratio) {
 		t.Errorf("recommended bound %v re-evaluates to ratio %.2f outside the band", res.ErrorBound, ratio)
 	}
 }
@@ -575,7 +617,75 @@ func TestTuneRealZFPAccuracy(t *testing.T) {
 	if res.AchievedRatio <= 0 || math.IsInf(res.AchievedRatio, 0) {
 		t.Errorf("nonsensical achieved ratio %v", res.AchievedRatio)
 	}
-	if res.Feasible && !InBand(res.AchievedRatio, 8, 0.2) {
+	if res.Feasible && !fixedRatio(8, 0.2).InBand(res.AchievedRatio) {
 		t.Errorf("feasible flag inconsistent with achieved ratio %v", res.AchievedRatio)
+	}
+}
+
+// TestSweepDeterministicLowestRegionWins is the winner rule under the worst
+// schedule: the ratio curve has an in-band bump in region 1 and another in
+// region 4 of six, all six regions start at once, and every compression at a
+// bound inside region 1 is held back until region 4 has measured the in-band
+// ratio that makes it acceptable. The lower region must still win, and the result
+// must be the one a single worker computes on an ungated codec — field for
+// field, apart from the clock and which evaluations the cache answered.
+func TestSweepDeterministicLowestRegionWins(t *testing.T) {
+	twoBumps := func(bound float64) float64 {
+		bump := func(c float64) float64 { return 15 * math.Exp(-(bound-c)*(bound-c)/(0.15*0.15)) }
+		return 5 + bump(0.5) + bump(1.5)
+	}
+	cfg := Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Regions: 6, Seed: 1}
+	tune := func(c *pressio.Codec, workers int) Result {
+		t.Helper()
+		cfg := cfg
+		cfg.Workers = workers
+		tu, err := NewTuner(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tu.TuneBuffer(context.Background(), smallBuffer(4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed, res.CacheHits, res.CacheMisses = 0, 0, 0
+		for i := range res.Regions {
+			res.Regions[i].CacheHits = 0
+		}
+		return res
+	}
+	want := tune(fake("fake", twoBumps, nil), 1)
+	if !want.Feasible || len(want.Regions) != 2 || want.ErrorBound > 0.7 {
+		t.Fatalf("one worker should stop after region 1, at the lower bump: %+v", want)
+	}
+
+	// [0.35, 0.65] lies inside region 1 and outside the overlap with its
+	// neighbours; [1.35, 1.65] likewise for region 4.
+	highAccepted := make(chan struct{})
+	var once sync.Once
+	var held atomic.Int64
+	watchdog := time.AfterFunc(30*time.Second, func() { once.Do(func() { close(highAccepted) }) })
+	defer watchdog.Stop()
+	gated := fake("fake", twoBumps, nil)
+	encode := gated.Encode
+	gated.Encode = func(buf pressio.Buffer, bound float64) ([]byte, error) {
+		if bound > 0.35 && bound < 0.65 {
+			held.Add(1)
+			<-highAccepted
+		}
+		out, err := encode(buf, bound)
+		if ratio := float64(buf.Bytes()) / float64(len(out)); bound > 1.35 && bound < 1.65 && cfg.Objective.InBand(ratio) {
+			once.Do(func() { close(highAccepted) })
+		}
+		return out, err
+	}
+	got := tune(gated, 6)
+	if !watchdog.Stop() {
+		t.Fatal("region 4 never measured an in-band ratio: the gate was opened by the watchdog")
+	}
+	if held.Load() == 0 {
+		t.Fatal("no compression of region 1 was held back: the schedule under test did not happen")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("six workers, high region accepted first:\n%+v\none worker:\n%+v", got, want)
 	}
 }

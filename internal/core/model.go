@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"fraz/internal/parallel"
-	"fraz/internal/pressio"
 )
 
 // This file implements the model-first search: predict, then bracket.
@@ -19,9 +17,11 @@ import (
 // unit slope. Every probe is an ordinary evaluation — through the shared
 // cache, judged by the same InBand test on the measured value — and only a
 // measured in-band evaluation is ever accepted; the model decides where to
-// look, never what to believe. When the probes run out, or the bracket
-// closes on a step of a staircase curve with no in-band bound found, the
-// region search runs as before, with these probes already in the cache.
+// look, never what to believe. When the probes run out with the target
+// still between two of them — a curve with teeth narrower than the band —
+// the bisection (run.bisect) goes on halving that gap; when it closes on a
+// step of a staircase curve with no in-band bound found, the region search
+// runs as before, with these probes already in the cache.
 //
 // The probes are sequential, so the outcome depends on the data and the
 // objective alone — not on Workers, GOMAXPROCS or the seed.
@@ -33,19 +33,21 @@ import (
 // range) to be corrected along the way.
 const modelProbeBudget = 8
 
-// modelSearch probes at most modelProbeBudget bounds in [lo, hi] and returns
-// them in probe order as a region result, plus the evaluation to seal at —
-// nil when none of them landed in band. seed is a reused prediction that
-// was measured and missed; it is the first point of the search and counts
-// against the budget, but not in the returned Iterations (its caller
-// already billed it).
+// model is the third rung: it probes at most modelProbeBudget bounds in
+// [lo, hi], lists them in probe order as one search stage, and reports
+// whether any of them landed in band (which of those the run seals at is the
+// epilogue's pick: the highest ratio). seed is a reused prediction that was
+// measured and missed; it is the first point of the search and counts
+// against the budget, but not in the stage's Iterations (reuse already
+// billed it).
 //
 // The search runs in (x, y) = (ln bound, LogBoundFor(measured value)), where
 // a codec that follows the model lies on y = x. It aims an eighth of the
 // band in from the high-ratio edge: inside the band by enough to absorb the
 // model's error, near the edge because that is where the ratio is.
-func (t *Tuner) modelSearch(ctx context.Context, measure func(float64) (Evaluation, error), buf pressio.Buffer, lo, hi float64, seed *Evaluation) (RegionResult, *Evaluation) {
-	vr := buf.ValueRange()
+func (r *run) model(lo, hi float64, seed *Evaluation) bool {
+	t := r.t
+	vr := r.buf.ValueRange()
 	toY := func(v float64) float64 { return t.obj.LogBoundFor(v, vr) }
 	// The high-ratio edge of the band is the one the model gives the larger
 	// bound.
@@ -54,9 +56,10 @@ func (t *Tuner) modelSearch(ctx context.Context, measure func(float64) (Evaluati
 		far, edge = edge, far
 	}
 	yAim := toY(edge + (far-edge)/8)
-	rr := RegionResult{Region: parallel.Region{Lower: math.Log(lo), Upper: math.Log(hi)}, Started: true}
+	rr := RegionResult{Region: parallel.Region{Lower: math.Log(lo), Upper: math.Log(hi)}}
 	if math.IsNaN(yAim) || math.IsInf(yAim, 0) {
-		return rr, nil // a constant field, or a target the model has no bound for
+		r.list(rr)
+		return false // a constant field, or a target the model has no bound for
 	}
 
 	// below and above are the probes that bracket the aim most tightly in x;
@@ -108,29 +111,27 @@ func (t *Tuner) modelSearch(ctx context.Context, measure func(float64) (Evaluati
 		return math.Min(math.Max(x, below.x+w/4), above.x-w/4)
 	}
 
-	var tried []uint64 // cache slots probed: bounds that share one are one probe
+	var tried []float64 // cache slots probed: bounds that share one are one probe
 	x := yAim
 	if seed != nil {
 		rr.Evaluations = append(rr.Evaluations, *seed)
-		tried = append(tried, slot(seed.ErrorBound))
+		tried = append(tried, seed.ErrorBound)
 		if note(*seed) {
 			x = next()
 		}
 	}
-	best := -1
 	refining := false
 probing:
-	for len(rr.Evaluations) < modelProbeBudget && ctx.Err() == nil {
+	for len(rr.Evaluations) < modelProbeBudget && r.ctx.Err() == nil {
 		bound := math.Min(math.Max(math.Exp(x), lo), hi)
-		q := slot(bound)
+		q := t.codec.Param.Slot(bound)
 		for _, seen := range tried {
-			if seen == q {
+			if seen == q { //frazlint:allow floateq -- slot values are grid points, equal or a spacing apart
 				break probing // the bracket has closed, or the range has ended
 			}
 		}
 		tried = append(tried, q)
-		ev, err := measure(bound)
-		rr.Iterations++
+		ev, err := r.measure(&rr, bound)
 		if err != nil || math.IsNaN(ev.Value) {
 			break
 		}
@@ -139,9 +140,7 @@ probing:
 			break
 		}
 		if t.obj.InBand(ev.Value) {
-			if best < 0 || ev.Ratio > rr.Evaluations[best].Ratio {
-				best = len(rr.Evaluations) - 1
-			}
+			rr.Acceptable = true
 			// A hit in the high-ratio half of the band is taken as it is. One
 			// in the other half buys a single further probe toward the aim,
 			// and the higher ratio of the two in-band points is kept.
@@ -154,26 +153,6 @@ probing:
 		}
 		x = next()
 	}
-	rr.Best = closest(rr.Evaluations, t.obj.Target)
-	if best < 0 {
-		return rr, nil
-	}
-	rr.Acceptable = true
-	return rr, &rr.Evaluations[best]
-}
-
-// slot identifies the evaluation-cache slot a bound falls in.
-func slot(bound float64) uint64 { return math.Float64bits(pressio.QuantizeBound(bound)) }
-
-// closest returns the evaluation whose value is nearest the target (the
-// zero Evaluation for an empty list).
-func closest(evs []Evaluation, target float64) Evaluation {
-	var out Evaluation
-	bestDist := math.Inf(1)
-	for _, ev := range evs {
-		if d := math.Abs(ev.Value - target); d < bestDist {
-			bestDist, out = d, ev
-		}
-	}
-	return out
+	r.list(rr)
+	return rr.Acceptable
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"fraz/internal/pressio"
@@ -46,7 +47,7 @@ func TestModelSearchResultShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Feasible || !tu.Objective().InBand(res.AchievedValue) {
+		if !res.Feasible || !tu.obj.InBand(res.AchievedValue) {
 			t.Fatalf("60 dB on mgard:abs should be reachable: %+v", res)
 		}
 		if res.Iterations < 1 || res.Iterations > modelProbeBudget {
@@ -58,9 +59,6 @@ func TestModelSearchResultShape(t *testing.T) {
 		if res.Iterations != res.CacheHits+res.CacheMisses {
 			t.Errorf("iterations %d != hits %d + misses %d", res.Iterations, res.CacheHits, res.CacheMisses)
 		}
-		if got := ClosestObserved(res); len(got) != res.Iterations {
-			t.Errorf("ClosestObserved sees %d of %d probes", len(got), res.Iterations)
-		}
 		if i == 0 {
 			first = res
 		} else if res.ErrorBound != first.ErrorBound || res.Iterations != first.Iterations {
@@ -71,16 +69,17 @@ func TestModelSearchResultShape(t *testing.T) {
 
 // TestModelSearchFallsBackToRegions drives the fallback: szx:abs's PSNR is
 // a staircase in the bound, and on Hurricane/CLOUDf no step lies in the band
-// around 50 dB. The probes close on the step edge, the region search runs
-// after them, and the verdict is the region search's: infeasible, with the
-// closest value taken over everything observed.
+// around 50 dB. The probes bracket the step edge, the bisection closes the
+// bracket on it, the region search runs after them, and the verdict is the
+// region search's: infeasible, with the closest value taken over everything
+// observed.
 func TestModelSearchFallsBackToRegions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the fallback is a full region search of round trips")
 	}
 	buf := datasetBuffer(t, "Hurricane", "CLOUDf")
 	c, _ := pressio.New("szx:abs")
-	tu, err := NewTuner(c, Config{Objective: FixedPSNR(50), Regions: 4, Workers: 1, Seed: 1})
+	tu, err := NewTuner(c, Config{Objective: FixedPSNR(50), Regions: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +90,11 @@ func TestModelSearchFallsBackToRegions(t *testing.T) {
 	if res.Feasible {
 		t.Fatalf("no szx:abs step reaches 50 dB ± 5%% on CLOUDf, got %+v", res)
 	}
-	if len(res.Regions) != 1+4 {
-		t.Fatalf("want the model entry plus 4 searched regions, got %d entries", len(res.Regions))
+	if len(res.Regions) != 1+1+4 {
+		t.Fatalf("want the model entry, the bisection and 4 searched regions, got %d entries", len(res.Regions))
+	}
+	if closing := res.Regions[1]; closing.Iterations == 0 || closing.Iterations > DefaultMaxIterationsPerRegion || closing.Acceptable {
+		t.Errorf("bisection: %d evaluations, acceptable=%v", closing.Iterations, closing.Acceptable)
 	}
 	probes := res.Regions[0]
 	if n := len(probes.Evaluations); n < 2 || n > modelProbeBudget || probes.Acceptable {
@@ -104,8 +106,12 @@ func TestModelSearchFallsBackToRegions(t *testing.T) {
 	if res.Iterations != res.CacheHits+res.CacheMisses {
 		t.Errorf("iterations %d != hits %d + misses %d", res.Iterations, res.CacheHits, res.CacheMisses)
 	}
-	if got := ClosestObserved(res)[0].Value; got != res.AchievedValue {
-		t.Errorf("reported closest value %v, closest observed %v", res.AchievedValue, got)
+	for _, rr := range res.Regions {
+		for _, ev := range rr.Evaluations {
+			if math.Abs(ev.Value-50) < math.Abs(res.AchievedValue-50) {
+				t.Errorf("observed value %v is nearer the target than the reported %v", ev.Value, res.AchievedValue)
+			}
+		}
 	}
 }
 
@@ -120,7 +126,7 @@ func TestTuneSeriesRetrainStartsFromMissedPrediction(t *testing.T) {
 		loud.Float32()[i] = v * 30 // +29.5 dB at an unchanged bound
 	}
 	c, _ := pressio.New("sz:abs")
-	tu, err := NewTuner(c, Config{Objective: FixedPSNR(60), Workers: 1})
+	tu, err := NewTuner(c, Config{Objective: FixedPSNR(60)})
 	if err != nil {
 		t.Fatal(err)
 	}

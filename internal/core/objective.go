@@ -66,9 +66,9 @@ type Objective struct {
 	// the paper.
 	LogSpace bool
 	// PreferRatio selects, among in-band evaluations, the one with the
-	// highest compression ratio instead of the value closest to Target:
-	// quality is already good enough, so take the size win. The fixed-ratio
-	// objective keeps the paper's closest-to-target rule.
+	// highest compression ratio instead of the value closest to Target (see
+	// better). The fixed-ratio objective keeps the paper's closest-to-target
+	// rule.
 	PreferRatio bool
 	// Achieved extracts the objective's value from one evaluation. It must
 	// tolerate a nil Evaluation.Report (return NaN) so compress-only
@@ -249,17 +249,38 @@ func (o Objective) Band() (lo, hi float64) {
 }
 
 // InBand reports whether an achieved value lies inside the acceptance band
-// (false for NaN).
+// (false for NaN): for the fixed-ratio objective, ρt(1−ε) ≤ ρr ≤ ρt(1+ε)
+// (Eq. 1).
 func (o Objective) InBand(v float64) bool {
 	lo, hi := o.Band()
 	return v >= lo && v <= hi
+}
+
+// better is the one rule that ranks two evaluations (TuneWithPrediction's
+// epilogue applies it): in band beats out of band; of two in-band evaluations
+// the higher ratio wins for a PreferRatio objective (the quality is already
+// good enough, so take the size win) and the value nearer the target
+// otherwise (Algorithm 2, lines 17–26); out of band, the nearer value.
+func (o Objective) better(a, b Evaluation) bool {
+	inA, inB := o.InBand(a.Value), o.InBand(b.Value)
+	switch {
+	case inA != inB:
+		return inA
+	case inA && o.PreferRatio:
+		return a.Ratio > b.Ratio
+	}
+	return math.Abs(a.Value-o.Target) < math.Abs(b.Value-o.Target)
 }
 
 // Loss is the clamped quadratic l(v) = min((v − target)², γ) the search
 // minimises — the paper's §V-B2 loss with the objective's value in place of
 // the ratio.
 func (o Objective) Loss(achieved float64) float64 {
-	return Loss(achieved, o.Target, Gamma)
+	d := achieved - o.Target
+	if v := d * d; v <= Gamma {
+		return v
+	}
+	return Gamma // too far, or not a number
 }
 
 // DirectlySatisfiable reports whether the objective can be satisfied by
@@ -282,7 +303,7 @@ func (o Objective) DirectlySatisfiable() bool {
 // the fixed-ratio objective is the paper's ε²ρt² (§V-B3).
 func (o Objective) SearchCutoff() float64 {
 	if o.Relative {
-		return Cutoff(o.Target, o.Tolerance)
+		return o.Tolerance * o.Tolerance * o.Target * o.Target
 	}
 	return o.Tolerance * o.Tolerance
 }

@@ -137,7 +137,7 @@ func TestTunerObjectiveResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := tu.Objective()
+	obj := tu.obj
 	if obj.Name != "ratio" || obj.Target != 12 || obj.Tolerance != 0.05 || !obj.Relative {
 		t.Errorf("ratio objective resolved to %+v", obj)
 	}
@@ -145,14 +145,14 @@ func TestTunerObjectiveResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj := tu.Config().Objective; obj.Target != 8 || obj.Tolerance != DefaultTolerance {
+	if obj := tu.cfg.Objective; obj.Target != 8 || obj.Tolerance != DefaultTolerance {
 		t.Errorf("default-tolerance ratio objective resolved to %v ± %v", obj.Target, obj.Tolerance)
 	}
 	tu, err = NewTuner(c, Config{Objective: FixedPSNR(60)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj := tu.Objective(); obj.Name != "psnr" || obj.Tolerance != DefaultPSNRTolerance {
+	if obj := tu.obj; obj.Name != "psnr" || obj.Tolerance != DefaultPSNRTolerance {
 		t.Errorf("psnr objective resolved to %+v", obj)
 	}
 }
@@ -181,7 +181,7 @@ func TestTunePSNRTarget(t *testing.T) {
 	if res.Objective != "psnr" || res.Target != 60 {
 		t.Errorf("result objective metadata wrong: %q target %v", res.Objective, res.Target)
 	}
-	if !tu.Objective().InBand(res.AchievedValue) {
+	if !tu.obj.InBand(res.AchievedValue) {
 		t.Errorf("achieved PSNR %v outside the band", res.AchievedValue)
 	}
 	// Verify independently: compressing at the recommended bound reproduces
@@ -269,7 +269,7 @@ func TestQualityTuneSeriesReusesBoundsAndCache(t *testing.T) {
 	}
 	buf := nyxBuffer(t)
 	c, _ := pressio.New("sz:abs")
-	tu, err := NewTuner(c, Config{Objective: FixedPSNR(60), Regions: 4, MaxIterationsPerRegion: 12, Seed: 11, Workers: 1})
+	tu, err := NewTuner(c, Config{Objective: FixedPSNR(60), Regions: 4, MaxIterationsPerRegion: 12, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +298,9 @@ func TestTuneFieldsBoundedCacheMemory(t *testing.T) {
 	const cap = 16
 	cache := pressio.NewCacheSized(cap)
 	fake := fake("fake", smoothRatio, nil)
+	// One worker: the cap binds completed entries, and an evaluation in
+	// flight is never evicted — with W workers there are up to W fields × W
+	// regions of those, which on a large machine is more than this cap.
 	tu, err := NewTuner(fake, Config{Objective: FixedRatio(10), Seed: 13, Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestSearchIsScaleInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tu, err := NewTuner(codec, Config{Objective: FixedRatio(8), Workers: 1, Seed: 1})
+			tu, err := NewTuner(codec, Config{Objective: FixedRatio(8), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,13 +22,10 @@ import (
 
 // SealOptions controls Tuner.SealBlocked.
 type SealOptions struct {
-	// Blocks is the number of slowest-axis blocks. Zero picks
-	// blocks.DefaultCount for the configured worker count; 1 seals
-	// monolithically (a version-1 container).
+	// Blocks is the number of slowest-axis blocks, compressed Config.Workers
+	// at a time. Zero picks blocks.DefaultCount for that worker count; 1
+	// seals monolithically (a version-1 container).
 	Blocks int
-	// Workers bounds the concurrent block compressions. Zero uses the
-	// tuner's Config.Workers, which itself defaults to GOMAXPROCS.
-	Workers int
 	// Prediction, when positive, is an error bound to try before training —
 	// typically the bound the previous time-step sealed at (Algorithm 3's
 	// reuse). If it lands in the acceptance band the search is skipped.
@@ -59,29 +56,52 @@ type SealResult struct {
 	AchievedValue float64
 }
 
-// SealBlocked tunes the error bound on one sampled block of the buffer and
-// compresses all blocks concurrently at the tuned bound, returning the
-// ready-to-encode container. The sample is the middle block — on the
-// spatially-coherent fields FRaZ targets, the interior is more
-// representative of the whole than a boundary block. With Blocks <= 1 (or a
-// shape that cannot be split) the result is a monolithic version-1
-// container sealed at a bound tuned on the full buffer, so callers can use
-// SealBlocked unconditionally.
-func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOptions) (container.Container, SealResult, error) {
-	workers := opts.Workers
+// BlockLayout is how a field is split for a blocked seal, and which block
+// stands in for the whole while a bound is tuned.
+type BlockLayout struct {
+	// Workers is the resolved concurrency and Blocks the number of blocks
+	// the shape splits into (1 = monolithic).
+	Workers, Blocks int
+	// Sample is block SampleBlock — the middle one: on the
+	// spatially-coherent fields FRaZ targets, the interior is more
+	// representative of the whole than a boundary block — or the whole
+	// buffer when there is only one.
+	Sample      pressio.Buffer
+	SampleBlock int
+}
+
+// PlanBlocks resolves a requested block and worker count (zero or less:
+// choose for me) into the layout every sealing path shares: workers default
+// to GOMAXPROCS — resolved here rather than left to parallel.ForEach,
+// because blocks.DefaultCount needs the real count, else the default
+// configuration would degenerate to one block — and blocks to
+// blocks.DefaultCount for those workers, clamped by blocks.Plan to what the
+// shape can split into.
+func PlanBlocks(buf pressio.Buffer, numBlocks, workers int) (BlockLayout, error) {
 	if workers <= 0 {
-		workers = t.cfg.Workers
-	}
-	if workers <= 0 {
-		// Resolve the GOMAXPROCS sentinel here rather than leaving it to
-		// parallel.ForEach: blocks.DefaultCount needs the real worker count,
-		// else the default configuration would degenerate to one block.
 		workers = runtime.GOMAXPROCS(0)
 	}
-	numBlocks := opts.Blocks
 	if numBlocks <= 0 {
 		numBlocks = blocks.DefaultCount(buf.Shape, workers)
 	}
+	plan, err := blocks.Plan(buf.Shape, numBlocks)
+	if err != nil {
+		return BlockLayout{}, err
+	}
+	out := BlockLayout{Workers: workers, Blocks: len(plan), Sample: buf, SampleBlock: len(plan) / 2}
+	if len(plan) > 1 {
+		out.Sample, err = buf.Slice(plan[out.SampleBlock])
+	}
+	return out, err
+}
+
+// SealBlocked tunes the error bound on one sampled block of the buffer
+// (PlanBlocks) and compresses all blocks concurrently at the tuned bound,
+// returning the ready-to-encode container. With Blocks <= 1 (or a shape that
+// cannot be split) the result is a monolithic version-1 container sealed at
+// a bound tuned on the full buffer, so callers can use SealBlocked
+// unconditionally.
+func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOptions) (container.Container, SealResult, error) {
 	if t.obj.NeedsReport {
 		// Quality objectives tune — and seal — the whole field monolithically.
 		// PSNR and SSIM are global statistics, so a sampled block's quality
@@ -90,23 +110,14 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		// reconstruction the promise was measured on. A monolithic seal makes
 		// the archived payload byte-identical to the tuned evaluation, so the
 		// recorded achieved value is exact.
-		numBlocks = 1
+		opts.Blocks = 1
 	}
-	plan, err := blocks.Plan(buf.Shape, numBlocks)
+	layout, err := PlanBlocks(buf, opts.Blocks, t.cfg.Workers)
 	if err != nil {
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: %w", err)
 	}
-
-	out := SealResult{Blocks: len(plan), SampleBlock: len(plan) / 2}
-	sample := buf
-	if len(plan) > 1 {
-		sub, err := buf.Slice(plan[out.SampleBlock])
-		if err != nil {
-			return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: %w", err)
-		}
-		sample = sub
-	}
-	res, err := t.TuneWithPrediction(ctx, sample, opts.Prediction)
+	out := SealResult{Blocks: layout.Blocks, SampleBlock: layout.SampleBlock}
+	res, err := t.TuneWithPrediction(ctx, layout.Sample, opts.Prediction)
 	if err != nil {
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
 	}
@@ -117,7 +128,7 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		}
 	}
 
-	cn, err := pressio.SealBlocked(ctx, t.compressor, buf, res.ErrorBound, len(plan), workers)
+	cn, err := pressio.SealBlocked(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers)
 	if err != nil {
 		return container.Container{}, SealResult{}, err
 	}

@@ -35,12 +35,12 @@ func TestSealBlockedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3})
+	tu, err := NewTuner(c, Config{Objective: fixedRatio(6, 0.2), Regions: 4, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := sealTestBuffer(t)
-	cn, sr, err := tu.SealBlocked(context.Background(), buf, SealOptions{Blocks: 4, Workers: 2})
+	cn, sr, err := tu.SealBlocked(context.Background(), buf, SealOptions{Blocks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,8 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 		}
 		elapsed := time.Since(start)
 		winning := res.Iterations
-		for _, rr := range res.Regions {
-			if rr.Acceptable && rr.Iterations > 0 && rr.Iterations < winning {
-				winning = rr.Iterations
-			}
+		if n := len(res.Regions); n > 0 && res.Regions[n-1].Acceptable {
+			winning = res.Regions[n-1].Iterations // the sweep lists regions up to the winner
 		}
 		tab.AddRow(v.regions, v.overlap*100, res.Feasible, res.Iterations, winning,
 			float64(elapsed.Microseconds())/1000)

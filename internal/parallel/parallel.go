@@ -1,12 +1,15 @@
 // Package parallel provides the task-parallel building blocks of FRaZ's
 // orchestrator: splitting an error-bound search range into slightly
-// overlapping regions (paper Fig. 5), running a set of tasks with bounded
-// concurrency, and cancelling outstanding tasks as soon as one of them
-// produces an acceptable result (paper Algorithm 2, lines 7–14).
+// overlapping regions (paper Fig. 5) and running a set of indexed tasks, in
+// index order, with bounded concurrency.
 //
-// The paper's implementation distributes these tasks over MPI ranks; here
-// they are goroutines coordinated by contexts, which expresses the same task
-// graph — including the early-termination semantics — on a single node.
+// The paper distributes these tasks over MPI ranks and cancels every
+// outstanding region the moment any one finds an acceptable bound (Algorithm
+// 2, lines 7–14), which makes the answer depend on which rank finishes
+// first. Here the tasks are goroutines, and the early termination is the
+// caller's: internal/core keeps the lowest acceptable region index and lets
+// only the regions above it stop, so extra workers speculate ahead without
+// changing what one worker would have computed.
 package parallel
 
 import (
@@ -88,8 +91,10 @@ var workerScratch = sync.Pool{
 }
 
 // ForEach runs fn for every input index with at most workers concurrent
-// goroutines, stopping early if the context is cancelled. It returns the
-// first non-nil error (other tasks still run to completion of the ones
+// goroutines, stopping early if the context is cancelled. Indices are handed
+// out in increasing order, so index i never starts after index i+1 — which
+// is what lets a caller treat the higher indices as speculation. It returns
+// the first non-nil error (other tasks still run to completion of the ones
 // already started).
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, idx int) error) error {
 	if n <= 0 {
@@ -175,86 +180,4 @@ func mergeErrors(errs []workerErr) error {
 		}
 	}
 	return cancelled
-}
-
-// TaskOutcome reports the result of one task run by RunUntilAcceptable.
-type TaskOutcome[R any] struct {
-	// Index identifies the task in the input slice.
-	Index int
-	// Value is the task's result (zero value when Err != nil).
-	Value R
-	// Acceptable is true when the task declared its result acceptable.
-	Acceptable bool
-	// Started is false when the task was cancelled before it began.
-	Started bool
-	// Err is the task's error, if any.
-	Err error
-}
-
-// Task is a unit of work that reports whether its result satisfies the
-// caller's acceptance criterion (for FRaZ: whether the achieved compression
-// ratio falls inside the target band).
-type Task[R any] func(ctx context.Context) (result R, acceptable bool, err error)
-
-// RunUntilAcceptable runs the tasks with at most workers concurrent
-// goroutines. As soon as any task reports an acceptable result, tasks that
-// have not yet started are skipped and running tasks are signalled to stop
-// through their context, mirroring Algorithm 2's cancellation of outstanding
-// MPI tasks. Every task that started is reported in the returned slice,
-// indexed like the input.
-func RunUntilAcceptable[R any](ctx context.Context, workers int, tasks []Task[R]) []TaskOutcome[R] {
-	n := len(tasks)
-	outcomes := make([]TaskOutcome[R], n)
-	for i := range outcomes {
-		outcomes[i].Index = i
-	}
-	if n == 0 {
-		return outcomes
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex
-	accepted := false
-
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				mu.Lock()
-				skip := accepted || runCtx.Err() != nil
-				mu.Unlock()
-				if skip {
-					continue
-				}
-				outcomes[idx].Started = true
-				value, ok, err := tasks[idx](runCtx)
-				outcomes[idx].Value = value
-				outcomes[idx].Acceptable = ok
-				outcomes[idx].Err = err
-				if ok && err == nil {
-					mu.Lock()
-					accepted = true
-					mu.Unlock()
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	return outcomes
 }

@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -213,109 +212,21 @@ func TestForEachDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestRunUntilAcceptableCancelsRemaining(t *testing.T) {
-	// Task 2 succeeds quickly; slow tasks should be cancelled or skipped, so
-	// the total wall time stays far below the sum of task durations.
-	n := 8
-	tasks := make([]Task[int], n)
-	var started int64
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = func(ctx context.Context) (int, bool, error) {
-			atomic.AddInt64(&started, 1)
-			if i == 2 {
-				return 42, true, nil
+// TestForEachHandsOutIndicesInOrder pins the dispatch order core's region
+// sweep builds on: an index is never started before a lower one.
+func TestForEachHandsOutIndicesInOrder(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var next atomic.Int64
+		err := ForEach(context.Background(), 64, workers, func(ctx context.Context, idx int) error {
+			// Every lower index was handed out first; of those, at most the
+			// other workers' current ones have not been counted yet.
+			if seen := next.Add(1) - 1; int64(idx) > seen+int64(workers)-1 {
+				t.Errorf("workers=%d: index %d started when only %d had", workers, idx, seen)
 			}
-			select {
-			case <-ctx.Done():
-				return 0, false, ctx.Err()
-			case <-time.After(2 * time.Second):
-				return i, false, nil
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	start := time.Now()
-	outcomes := RunUntilAcceptable(context.Background(), 4, tasks)
-	elapsed := time.Since(start)
-	if elapsed > time.Second {
-		t.Errorf("early termination too slow: %v", elapsed)
-	}
-	found := false
-	for _, o := range outcomes {
-		if o.Acceptable && o.Err == nil {
-			if o.Value != 42 || o.Index != 2 {
-				t.Errorf("unexpected acceptable outcome %+v", o)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no acceptable outcome reported")
-	}
-}
-
-func TestRunUntilAcceptableAllComplete(t *testing.T) {
-	tasks := make([]Task[float64], 5)
-	for i := range tasks {
-		i := i
-		tasks[i] = func(ctx context.Context) (float64, bool, error) {
-			return float64(i) * 1.5, false, nil
-		}
-	}
-	outcomes := RunUntilAcceptable(context.Background(), 2, tasks)
-	if len(outcomes) != 5 {
-		t.Fatalf("expected 5 outcomes")
-	}
-	for i, o := range outcomes {
-		if !o.Started || o.Acceptable || o.Err != nil {
-			t.Errorf("outcome %d unexpected: %+v", i, o)
-		}
-		if math.Abs(o.Value-float64(i)*1.5) > 1e-12 {
-			t.Errorf("outcome %d value %v", i, o.Value)
-		}
-	}
-}
-
-func TestRunUntilAcceptableReportsErrors(t *testing.T) {
-	sentinel := errors.New("task failed")
-	tasks := []Task[int]{
-		func(ctx context.Context) (int, bool, error) { return 0, false, sentinel },
-		func(ctx context.Context) (int, bool, error) { return 7, true, nil },
-	}
-	outcomes := RunUntilAcceptable(context.Background(), 1, tasks)
-	if !errors.Is(outcomes[0].Err, sentinel) {
-		t.Errorf("expected first task error to be reported, got %+v", outcomes[0])
-	}
-	if !outcomes[1].Acceptable {
-		t.Errorf("second task should still be able to succeed")
-	}
-}
-
-func TestRunUntilAcceptableEmpty(t *testing.T) {
-	outcomes := RunUntilAcceptable[int](context.Background(), 4, nil)
-	if len(outcomes) != 0 {
-		t.Errorf("empty task list should produce no outcomes")
-	}
-}
-
-func TestRunUntilAcceptableParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tasks := []Task[int]{
-		func(ctx context.Context) (int, bool, error) {
-			if ctx.Err() != nil {
-				return 0, false, ctx.Err()
-			}
-			return 1, false, nil
-		},
-	}
-	outcomes := RunUntilAcceptable(ctx, 1, tasks)
-	if len(outcomes) != 1 {
-		t.Fatalf("expected one outcome")
-	}
-	// With an already-cancelled parent the task is either skipped or
-	// observes the cancellation.
-	if outcomes[0].Started && outcomes[0].Err == nil {
-		t.Errorf("task under cancelled parent should not report success: %+v", outcomes[0])
 	}
 }

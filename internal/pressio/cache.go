@@ -27,15 +27,26 @@ import (
 const quantDropBits = 44
 
 // QuantizeBound snaps a positive error bound down onto a logarithmic grid
-// with ≈0.4% relative spacing. Bounds on the same grid point share one cache
-// slot: the compressor runs for the first of them, and the measured
-// (bound, ratio, size) triple answers the rest. Non-positive and non-finite
-// bounds are returned unchanged.
+// with ≈0.4% relative spacing. Bounds that snap to the same grid point share
+// one cache slot, and the grid point is the bound they are all evaluated at
+// (Param.Slot). Non-positive and non-finite bounds are returned unchanged.
 func QuantizeBound(bound float64) float64 {
 	if !(bound > 0) || math.IsInf(bound, 0) {
 		return bound
 	}
 	return math.Float64frombits(math.Float64bits(bound) &^ (1<<quantDropBits - 1))
+}
+
+// Slot returns the value every request that shares v's cache slot is
+// evaluated at: v snapped to the codec's domain, then down onto the
+// QuantizeBound grid, and back up to Lo where that took an admissible v below
+// the domain (a v below Lo stays what it is, for the codec to reject). It
+// never exceeds Snap(v), so an evaluation never runs looser than the caller
+// asked (a user's maximum error holds), and because it depends on v alone,
+// what a slot holds does not depend on which request filled it.
+func (p Param) Slot(v float64) float64 {
+	v = p.Snap(v)
+	return math.Max(QuantizeBound(v), math.Min(v, p.Lo))
 }
 
 // FNV-1a (64-bit) constants; the hash is hand-rolled so fingerprinting
@@ -96,10 +107,9 @@ type CacheKey struct {
 	Full bool
 }
 
-// CacheEntry is one memoised evaluation: the bound the compressor actually
-// ran with (callers mapping to the same quantized key receive this bound, so
-// the reported ratio is always exact for the reported bound) and its
-// outcome.
+// CacheEntry is one memoised evaluation: the bound the compressor ran at —
+// the slot's own (Param.Slot), so the reported ratio is exact for the
+// reported bound whichever request in the slot asked — and its outcome.
 type CacheEntry struct {
 	// Bound is the error bound the entry was measured at.
 	Bound float64
@@ -238,19 +248,17 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Evaluator performs cached ratio evaluations of one (compressor, buffer)
-// pair. It computes the buffer fingerprint once at construction and keeps
-// its own hit/miss counters, so a tuning run can report savings even when
-// the underlying Cache is shared with other runs. It is safe for concurrent
-// use by the parallel region searches.
+// Evaluator performs cached evaluations of one (compressor, buffer) pair. It
+// computes the buffer fingerprint once at construction and tells its caller
+// which evaluations the cache answered, so a tuning run can report savings
+// even when the underlying Cache is shared with other runs. It is safe for
+// concurrent use by the parallel region searches.
 type Evaluator struct {
-	cache  *Cache
-	comp   Compressor
-	codec  *Codec
-	buf    Buffer
-	fp     uint64
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	cache *Cache
+	comp  Compressor
+	codec *Codec
+	buf   Buffer
+	fp    uint64
 }
 
 // NewEvaluator binds a cache to one compressor/buffer pair. A nil cache is
@@ -263,16 +271,16 @@ func NewEvaluator(cache *Cache, comp Compressor, buf Buffer) *Evaluator {
 	return e
 }
 
-// evaluate is the evaluation both entry points share. The requested bound
-// is first snapped to the codec's domain: on an integer domain 7.6 and 8.2
-// are one evaluation, reported at 8. On a miss the compressor runs at exactly
-// that bound (so an uncontended search follows the same trajectory it would
-// without the cache); on a hit the caller receives the cached entry, whose
-// bound, ratio, and size are mutually exact and never more than the
-// quantization spacing (≈0.4%) from the request. full selects the round
+// Evaluate is the evaluation every entry point shares. The compressor runs
+// at the requested bound's slot value (Param.Slot) — on an integer domain 7.6
+// and 8.2 are one evaluation, reported at 8; elsewhere the value is at most
+// the quantization spacing (≈0.4%) below the request — with or without a
+// cache, so the entry a request receives is the same whether it filled the
+// slot, found it filled by a neighbouring request, or by an earlier run. hit
+// reports which; nothing else tells the two apart. full selects the round
 // trip with its quality report, kept in its own slots (CacheKey.Full).
-func (e *Evaluator) evaluate(bound float64, full bool) (CacheEntry, error) {
-	bound = e.codec.Param.Snap(bound)
+func (e *Evaluator) Evaluate(bound float64, full bool) (entry CacheEntry, hit bool, err error) {
+	bound = e.codec.Param.Slot(bound)
 	run := func() (CacheEntry, error) {
 		if !full {
 			r, s, err := Ratio(e.comp, e.buf, bound)
@@ -282,24 +290,17 @@ func (e *Evaluator) evaluate(bound float64, full bool) (CacheEntry, error) {
 		return CacheEntry{Bound: bound, Ratio: res.Report.CompressionRatio, Size: res.Compressed, Report: res.Report}, err
 	}
 	if e.cache == nil {
-		e.misses.Add(1)
-		return run()
+		entry, err = run()
+		return entry, false, err
 	}
-	key := CacheKey{Codec: e.codec.Name, Fingerprint: e.fp, Bound: math.Float64bits(QuantizeBound(bound)), Full: full}
-	entry, hit, err := e.cache.do(key, run)
-	if hit {
-		e.hits.Add(1)
-	} else {
-		e.misses.Add(1)
-	}
-	return entry, err
+	key := CacheKey{Codec: e.codec.Name, Fingerprint: e.fp, Bound: math.Float64bits(bound), Full: full}
+	return e.cache.do(key, run)
 }
 
 // Ratio evaluates the compression ratio at the given bound, serving repeats
-// from the cache. The returned bound is the one the ratio was actually
-// measured at.
+// from the cache. The returned bound is the one the ratio was measured at.
 func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated float64, err error) {
-	entry, err := e.evaluate(bound, false)
+	entry, _, err := e.Evaluate(bound, false)
 	return entry.Ratio, entry.Size, entry.Bound, err
 }
 
@@ -308,12 +309,6 @@ func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated flo
 // call this at every iteration; without the cache each probe of a revisited
 // bound would redundantly re-run the whole round trip.
 func (e *Evaluator) Full(bound float64) (rep metrics.Report, evaluated float64, err error) {
-	entry, err := e.evaluate(bound, true)
+	entry, _, err := e.Evaluate(bound, true)
 	return entry.Report, entry.Bound, err
-}
-
-// Stats reports this evaluator's own hit and miss counts (a subset of the
-// shared cache's totals).
-func (e *Evaluator) Stats() (hits, misses int) {
-	return int(e.hits.Load()), int(e.misses.Load())
 }

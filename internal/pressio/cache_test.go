@@ -39,6 +39,27 @@ func TestQuantizeBound(t *testing.T) {
 	}
 }
 
+// TestSlotStaysInsideTheDomainItWasAskedIn: a slot value is a grid point at
+// or below the request, except that the grid never takes an admissible
+// request out of the domain, and never takes an inadmissible one into it.
+func TestSlotStaysInsideTheDomainItWasAskedIn(t *testing.T) {
+	p := Param{Unit: UnitAbsError, Lo: 1.001, Hi: 10}
+	if got := p.Slot(3.3333); got != QuantizeBound(3.3333) || got > 3.3333 {
+		t.Errorf("Slot(3.3333) = %v, want the grid point %v below it", got, QuantizeBound(3.3333))
+	}
+	if got := p.Slot(1.002); got != p.Lo {
+		t.Errorf("Slot(1.002) = %v, want Lo: the grid point %v is outside the domain", got, QuantizeBound(1.002))
+	}
+	if got := p.Slot(0.9); got != 0.9 {
+		t.Errorf("Slot(0.9) = %v, want the request itself, left for the codec to reject", got)
+	}
+	// An out-of-domain request fails as it did before there were slots.
+	c, _ := New("sz:rel")
+	if _, _, _, err := NewEvaluator(nil, c, testField3D()).Ratio(-0.5); err == nil {
+		t.Error("a negative bound was evaluated")
+	}
+}
+
 func TestFingerprintDistinguishesDataAndShape(t *testing.T) {
 	buf1, err := NewBuffer([]float32{1, 2, 3, 4}, grid.MustDims(4))
 	if err != nil {
@@ -103,9 +124,6 @@ func TestEvaluatorServesRepeatsFromCache(t *testing.T) {
 	if got := comp.calls.Load(); got != 1 {
 		t.Errorf("compressor invoked %d times, want 1", got)
 	}
-	if hits, misses := ev.Stats(); hits != 2 || misses != 1 {
-		t.Errorf("evaluator stats = %d hits / %d misses, want 2/1", hits, misses)
-	}
 	if hits, misses, _ := cache.Stats(); hits != 2 || misses != 1 {
 		t.Errorf("cache stats = %d hits / %d misses, want 2/1", hits, misses)
 	}
@@ -137,8 +155,8 @@ func TestEvaluatorNilCacheCompressesEveryTime(t *testing.T) {
 	comp := &countingCompressor{Compressor: inner}
 	ev := NewEvaluator(nil, comp, testField3D())
 	for i := 0; i < 3; i++ {
-		if _, _, q, err := ev.Ratio(0.01); err != nil || q != 0.01 {
-			t.Fatalf("nil-cache Ratio = bound %v, err %v; want exact bound and nil", q, err)
+		if _, _, q, err := ev.Ratio(0.01); err != nil || q != QuantizeBound(0.01) {
+			t.Fatalf("nil-cache Ratio = bound %v, err %v; want the slot's bound %v and nil", q, err, QuantizeBound(0.01))
 		}
 	}
 	if got := comp.calls.Load(); got != 3 {
@@ -264,19 +282,19 @@ func TestEvaluatorFullCachesReports(t *testing.T) {
 	if cache.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2 (one full, one ratio)", cache.Len())
 	}
-	if hits, misses := ev.Stats(); hits != 1 || misses != 2 {
-		t.Errorf("evaluator stats = %d/%d, want 1 hit / 2 misses", hits, misses)
+	if hits, misses, _ := cache.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("cache stats = %d/%d, want 1 hit / 2 misses", hits, misses)
 	}
 }
 
 // TestEvaluatorFullNilCache mirrors the nil-cache ratio contract: every call
-// runs the round trip at exactly the requested bound.
+// runs the round trip, at the bound a cached evaluation would have run at.
 func TestEvaluatorFullNilCache(t *testing.T) {
 	inner, _ := New("sz:abs")
 	comp := &countingCompressor{Compressor: inner}
 	ev := NewEvaluator(nil, comp, testField3D())
 	for i := 0; i < 2; i++ {
-		if _, q, err := ev.Full(0.01); err != nil || q != 0.01 {
+		if _, q, err := ev.Full(0.01); err != nil || q != QuantizeBound(0.01) {
 			t.Fatalf("nil-cache Full = bound %v, err %v", q, err)
 		}
 	}
@@ -390,11 +408,8 @@ func TestEvaluatorMirrorsFailedWaitAccounting(t *testing.T) {
 	if _, _, _, err := ev.Ratio(7); err == nil {
 		t.Fatal("expected the retried bound to fail")
 	}
-	if hits, misses := ev.Stats(); hits != 0 || misses != 2 {
-		t.Errorf("evaluator stats = %d hits / %d misses, want 0/2", hits, misses)
-	}
-	if hits, _, _ := cache.Stats(); hits != 0 {
-		t.Errorf("cache hits = %d, want 0", hits)
+	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("cache stats = %d hits / %d misses, want 0/2", hits, misses)
 	}
 }
 

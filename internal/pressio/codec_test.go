@@ -211,7 +211,8 @@ func TestIntegerParameterIsSnappedBeforeItIsKeyedOrRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := NewEvaluator(NewCache(), c, buf)
+	cache := NewCache()
+	ev := NewEvaluator(cache, c, buf)
 	for _, req := range []float64{7.6, 8.2} {
 		_, size, evaluated, err := ev.Ratio(req)
 		if err != nil {
@@ -221,7 +222,7 @@ func TestIntegerParameterIsSnappedBeforeItIsKeyedOrRecorded(t *testing.T) {
 			t.Errorf("Ratio(%v) evaluated at %v (%d bytes), want 8 (%d bytes)", req, evaluated, size, len(at8))
 		}
 	}
-	if hits, misses := ev.Stats(); hits != 1 || misses != 1 {
+	if hits, misses, _ := cache.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("7.6 and 8.2 cost %d compressions and %d hits, want one of each", misses, hits)
 	}
 

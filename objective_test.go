@@ -236,7 +236,7 @@ func TestQualitySeriesServedFromCache(t *testing.T) {
 		t.Skip("quality tuning compresses and decompresses repeatedly")
 	}
 	data, shape := tinyField(t)
-	c, err := fraz.New("sz:abs", fraz.TargetPSNR(60), fraz.Regions(4), fraz.Seed(3), fraz.Workers(1))
+	c, err := fraz.New("sz:abs", fraz.TargetPSNR(60), fraz.Regions(4), fraz.Seed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,10 @@ func Blocks(n int) Option {
 
 // Workers bounds the goroutines used for region-parallel tuning and for
 // block-parallel compression and decompression. Zero (the default) uses
-// GOMAXPROCS.
+// GOMAXPROCS. It buys time, never a different answer: the tuned bound and
+// CompressResult.Evaluations are what one worker would have found. The
+// default Blocks count does follow it; pin Blocks for archives that must be
+// byte-identical across machines.
 func Workers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -170,8 +173,10 @@ func Workers(n int) Option {
 	}
 }
 
-// Regions sets K, the number of overlapping error-bound regions searched in
-// parallel. Zero (the default) uses the tuner's default (12).
+// Regions sets K, the number of overlapping regions the error-bound range is
+// split into. They are searched lowest first, Workers at a time, and the
+// lowest one that finds an in-band bound decides. Zero (the default) uses the
+// tuner's default (12).
 func Regions(k int) Option {
 	return func(s *settings) error {
 		if k < 0 {

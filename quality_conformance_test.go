@@ -70,16 +70,21 @@ func sealAndRemeasure[T fraz.Element](t *testing.T, c *fraz.Client, obj fraz.Obj
 	return res, archive, measured, nil
 }
 
-// jaggedCells are the cells of TestQualityBudgetConformance whose curve is
-// not monotone at the scale of the band, so that a bracket cannot close on
-// an in-band bound and only the region search's coverage finds one (here
-// after ~250 evaluations). On Hurricane/QCLOUDf mgard:abs measures a maximum
-// error of 4.05e-6 at bound 2.598e-5, 5.32e-6 at 2.624e-5 and 4.47e-6 at
-// 2.686e-5, around a band of 4.27e-6..5.22e-6. These may exceed the budget;
-// the band still binds them.
+// jaggedCells are the cells of TestQualityBudgetConformance whose curve has
+// teeth narrower than the band where the bracket closes, so that the model's
+// eight probes end with the target still between two of them and the
+// bisection that follows takes a few more to land on a tooth. On
+// Hurricane/QRAINf mgard:abs measures a maximum error of 3.38e-6 at bound
+// 2.700e-5, 3.83e-6 at 2.724e-5 and 6.90e-6 at 2.760e-5, around a band of
+// 4.11e-6..5.03e-6; on CESM/PHIS mgard:l2 measures 29.51 at 7056, 29.58 at
+// 7600 and 38.89 at 7808, around 30.89..37.75. Which side of a tooth a probe
+// lands on follows from the last bits of its bound. These may exceed the
+// budget, by no more than as much again; the band still binds them.
 var jaggedCells = map[string]bool{
-	"Hurricane/QCLOUDf/mgard:abs/max-error/f32": true,
-	"Hurricane/QCLOUDf/mgard:abs/max-error/f64": true,
+	"Hurricane/QRAINf/mgard:abs/max-error/f32": true,
+	"Hurricane/QRAINf/mgard:abs/max-error/f64": true,
+	"CESM/PHIS/mgard:l2/max-error/f32":         true,
+	"CESM/PHIS/mgard:l2/max-error/f64":         true,
 }
 
 // TestQualityBudgetConformance is the model-first path's contract, cell by
@@ -87,10 +92,9 @@ var jaggedCells = map[string]bool{
 // on every field of the repo's datasets either seals an archive whose
 // reconstruction re-measures inside the requested band, for at most
 // qualityBudget evaluations, or fails with ErrInfeasible. A feasible answer
-// that needed the region-search fallback — more evaluations than the budget
-// — is a failure here, jaggedCells apart: the fallback is for targets no
-// bound reaches. Workers(1) makes that fallback, and so which cells are
-// infeasible, the same on every run.
+// that took more evaluations than the budget is a failure here — jaggedCells
+// apart, and those within twice the budget: none may need the region-search
+// fallback, which is for targets no bound reaches.
 func TestQualityBudgetConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tunes every error-magnitude codec × quality objective × width × dataset field")
@@ -115,7 +119,7 @@ func TestQualityBudgetConformance(t *testing.T) {
 					for _, bits := range []int{32, 64} {
 						name := fmt.Sprintf("%s/%s/%s/%s/f%d", ds.Name, field, ci.Name, obj.Name(), bits)
 						t.Run(name, func(t *testing.T) {
-							c, err := fraz.New(ci.Name, fraz.Target(obj), fraz.Workers(1))
+							c, err := fraz.New(ci.Name, fraz.Target(obj))
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -134,8 +138,12 @@ func TestQualityBudgetConformance(t *testing.T) {
 								t.Fatal(err)
 							}
 							feasible++
-							if res.Evaluations > qualityBudget && !jaggedCells[name] {
-								t.Errorf("feasible after %d evaluations, budget is %d", res.Evaluations, qualityBudget)
+							budget := qualityBudget
+							if jaggedCells[name] {
+								budget *= 2
+							}
+							if res.Evaluations > budget {
+								t.Errorf("feasible after %d evaluations, budget is %d", res.Evaluations, budget)
 							}
 							if bandLo, bandHi := obj.Band(); measured < bandLo || measured > bandHi {
 								t.Errorf("re-measured %s %v outside the requested band [%v, %v]", obj.Name(), measured, bandLo, bandHi)
@@ -230,7 +238,7 @@ func TestQualityStaircaseStaysInfeasible(t *testing.T) {
 		t.Skip("runs a full region search of round trips")
 	}
 	data, shape, obj := qualityCell{codec: "szx:abs", dataset: "Hurricane", field: "CLOUDf", psnr: 50}.load(t)
-	c, err := fraz.New("szx:abs", fraz.Target(obj), fraz.Workers(1))
+	c, err := fraz.New("szx:abs", fraz.Target(obj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,31 +256,62 @@ func TestQualityStaircaseStaysInfeasible(t *testing.T) {
 	}
 }
 
-// TestQualityTuneDeterministicAcrossWorkers: the model-first search is
-// sequential, so a quality archive is a function of the data and the
-// options alone. One field sealed at 1, 2, 4 and 8 workers, under a PSNR and
-// under a max-error target, must give byte-identical archives.
+// TestQualityTuneDeterministicAcrossWorkers is the contract that an archive
+// is a function of the data and the options alone, for every objective (the
+// name dates from when only the quality objectives kept it): the model-first
+// search is sequential, and the region sweep answers what one worker would
+// have found however many speculate ahead of it. Every cell — three codecs ×
+// the four objectives × a monolithic and a four-block seal (pinned: the
+// default block count follows Workers) — is sealed at 1, 2, 4 and 8 workers,
+// and must give byte-identical archives for the same number of evaluations,
+// or, where no bound reaches the band, the same closest value.
 func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
-	data, shape := tinyField(t)
-	for _, obj := range []fraz.Objective{fraz.FixedPSNR(60), fraz.FixedMaxError(0.05)} {
-		var want [sha256.Size]byte
-		for i, workers := range []int{1, 2, 4, 8} {
-			c, err := fraz.New("sz:abs", fraz.Target(obj), fraz.Workers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, archive, _, err := sealAndRemeasure(t, c, obj, data, shape)
-			if err != nil {
-				t.Fatalf("%s at %d workers: %v", obj.Name(), workers, err)
-			}
-			if res.Evaluations > qualityBudget {
-				t.Fatalf("%s at %d workers took %d evaluations: not the model-first path", obj.Name(), workers, res.Evaluations)
-			}
-			sum := sha256.Sum256(archive)
-			if i == 0 {
-				want = sum
-			} else if sum != want {
-				t.Errorf("%s: archive at %d workers has SHA-256 %x, at 1 worker %x", obj.Name(), workers, sum, want)
+	field, fieldShape := tinyField(t)
+	objectives := []fraz.Objective{fraz.FixedRatio(12), fraz.FixedRatio(30), fraz.FixedSSIM(0.9), fraz.FixedPSNR(60), fraz.FixedMaxError(0.05)}
+	type outcome struct {
+		archive     [sha256.Size]byte
+		evaluations int
+		closest     float64
+	}
+	for _, codec := range []string{"sz:abs", "mgard:abs", "zfp:accuracy"} {
+		for _, obj := range objectives {
+			for _, blocks := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s%g/blocks%d", codec, obj.Name(), obj.Target(), blocks), func(t *testing.T) {
+					data, shape := field, fieldShape
+					if obj.Name() == "ssim" {
+						// An SSIM cell is a hundred round trips at each worker
+						// count and the race job runs the table twenty times:
+						// the field's two lowest levels, as one 32×16 image.
+						data, shape = field[:32*16], []int{32, 16}
+					}
+					var want outcome
+					for i, workers := range []int{1, 2, 4, 8} {
+						c, err := fraz.New(codec, fraz.Target(obj), fraz.Blocks(blocks), fraz.Workers(workers), fraz.Regions(6))
+						if err != nil {
+							t.Fatal(err)
+						}
+						var got outcome
+						res, archive, _, err := sealAndRemeasure(t, c, obj, data, shape)
+						var inf *fraz.InfeasibleError
+						switch {
+						case errors.As(err, &inf):
+							got.closest = inf.ClosestValue
+						case err != nil:
+							t.Fatalf("at %d workers: %v", workers, err)
+						case (obj.Name() == "psnr" || obj.Name() == "max-error") && res.Evaluations > qualityBudget:
+							t.Fatalf("at %d workers took %d evaluations: not the model-first path", workers, res.Evaluations)
+						default:
+							got.archive, got.evaluations = sha256.Sum256(archive), res.Evaluations
+						}
+						if i == 0 {
+							want = got
+						} else if got != want {
+							t.Errorf("at %d workers: archive %x after %d evaluations (closest %v), at 1 worker %x after %d (closest %v)",
+								workers, got.archive[:8], got.evaluations, got.closest, want.archive[:8], want.evaluations, want.closest)
+						}
+					}
+					t.Logf("%d evaluations (0: infeasible, closest %v)", want.evaluations, want.closest)
+				})
 			}
 		}
 	}

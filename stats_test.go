@@ -32,9 +32,12 @@ func TestSharedCacheRejectsNil(t *testing.T) {
 func TestSharedCachePoolsEvaluationsAcrossClients(t *testing.T) {
 	data, shape := testField()
 	shared := fraz.NewEvalCache(0)
+	// One worker, because this test counts fresh compressions: more workers
+	// also compress ahead in regions the answer does not rest on, how far
+	// ahead being up to the scheduler.
 	opts := []fraz.Option{
 		fraz.Ratio(10), fraz.Tolerance(0.25), fraz.Regions(4), fraz.Seed(3),
-		fraz.SharedCache(shared),
+		fraz.SharedCache(shared), fraz.Workers(1),
 	}
 
 	a, err := fraz.New("sz:abs", opts...)
