@@ -265,8 +265,8 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 			// closest configuration the same way a single-codec tune would.
 			return nil, closest
 		}
-		return nil, fmt.Errorf("fraz: %s found no eligible codec for rank-%d %s data (objective %s): %s",
-			CodecAuto, rank, dtype, c.set.objective.Name, skipSummary(sel.Candidates))
+		return nil, fmt.Errorf("%w: %s found no eligible codec for rank-%d %s data (objective %s): %s",
+			ErrUnsupported, CodecAuto, rank, dtype, c.set.objective.Name, skipSummary(sel.Candidates))
 	}
 	sel.Codec = sel.Candidates[best].Codec
 	if sub, err := c.autoClient(sel.Codec); err == nil {

@@ -44,10 +44,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"fraz"
+	"fraz/internal/container"
 	"fraz/internal/dataset"
 	"fraz/internal/grid"
 	"fraz/internal/report"
@@ -69,186 +69,282 @@ func codecNames() []string {
 	return names
 }
 
-func run(args []string, out io.Writer) error {
+// source names where one field comes from: a raw little-endian file (or "-"
+// for standard input) of a given shape, or a field of a built-in synthetic
+// dataset. It is the input flags, and what -fields derives from them per
+// field.
+type source struct {
+	in, dims, dataset, field string
+	timeStep                 int
+	scale                    string
+}
+
+func (src source) provided() bool { return src.in != "" || src.dataset != "" }
+
+// flags is the parsed command line.
+type flags struct {
+	set *flag.FlagSet
+	source
+	decompress, dtype, compressor, fields, out string
+	auto, verify                               bool
+	step, regions, blocks, workers             int
+	ratio, psnr, ssim, maxErrTgt               float64
+	tolerance, maxError                        float64
+	seed                                       int64
+}
+
+// wasSet reports whether the user passed the named flag explicitly.
+func (f *flags) wasSet(name string) bool {
+	set := false
+	f.set.Visit(func(fl *flag.Flag) { set = set || fl.Name == name })
+	return set
+}
+
+func parseFlags(args []string) (*flags, error) {
 	fs := flag.NewFlagSet("fraz", flag.ContinueOnError)
-	var (
-		decompress = fs.String("decompress", "", "decompress this .fraz container (codec, bound, and shape come from its header)")
-		inPath     = fs.String("in", "", "raw little-endian float input file (element width set by -dtype)")
-		dims       = fs.String("dims", "", "input dimensions, slowest first, e.g. 100x500x500 (required with -in)")
-		dtypeName  = fs.String("dtype", "float32", "element type of the input field: float32 or float64 (raw -in files and -dataset generation)")
-		dsName     = fs.String("dataset", "", "built-in synthetic dataset name (Hurricane, HACC, CESM, EXAALT, NYX)")
-		fieldName  = fs.String("field", "", "field name within the dataset")
-		timeStep   = fs.Int("timestep", 0, "time-step within the dataset")
-		scaleName  = fs.String("scale", "small", "synthetic dataset scale: tiny, small, medium")
-		compressor = fs.String("compressor", fraz.DefaultCodec, "compressor to tune: "+strings.Join(codecNames(), ", ")+", or "+fraz.CodecAuto)
-		auto       = fs.Bool("auto", false, "race every capable codec per field and seal with the winner (shorthand for -compressor "+fraz.CodecAuto+")")
-		fieldsSpec = fs.String("fields", "", "compress several fields into one .frazd dataset archive: name=path,... (raw files, shared -dims) or name,... with -dataset")
-		step       = fs.Int("step", 0, "with -decompress on a .frazd archive: the time step of -field to extract")
-		ratio      = fs.Float64("ratio", 10, "target compression ratio")
-		psnr       = fs.Float64("psnr", 0, "tune to this reconstruction PSNR in dB instead of a ratio")
-		ssim       = fs.Float64("ssim", 0, "tune to this mid-slice SSIM instead of a ratio")
-		maxErrTgt  = fs.Float64("target-max-error", 0, "tune to this measured maximum pointwise error instead of a ratio")
-		tolerance  = fs.Float64("tolerance", 0.1, "acceptance half-width: fractional for -ratio/-psnr, absolute for -ssim/-target-max-error")
-		verify     = fs.Bool("verify", false, "with -decompress: recompute the archive's recorded objective and exit non-zero if it misses the stored band (quality objectives need the original field via -in or -dataset)")
-		maxError   = fs.Float64("max-error", 0, "maximum allowed compression error U (0 = value range of the data)")
-		regions    = fs.Int("regions", 12, "number of overlapping error-bound search regions")
-		blocksN    = fs.Int("blocks", 0, "split the field into N slowest-axis blocks, tune on one sampled block, and compress the blocks in parallel into a blocked (v2) container (0 or 1 = monolithic)")
-		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		seed       = fs.Int64("seed", 1, "search seed")
-		outPath    = fs.String("out", "", "compress: write a .fraz container here; decompress: write raw float32 here")
-	)
-	if err := fs.Parse(args); err != nil {
+	f := &flags{set: fs}
+	fs.StringVar(&f.decompress, "decompress", "", "decompress this .fraz container (codec, bound, and shape come from its header)")
+	fs.StringVar(&f.in, "in", "", "raw little-endian float input file (element width set by -dtype)")
+	fs.StringVar(&f.dims, "dims", "", "input dimensions, slowest first, e.g. 100x500x500 (required with -in)")
+	fs.StringVar(&f.dtype, "dtype", "float32", "element type of the input field: float32 or float64 (raw -in files and -dataset generation)")
+	fs.StringVar(&f.dataset, "dataset", "", "built-in synthetic dataset name (Hurricane, HACC, CESM, EXAALT, NYX)")
+	fs.StringVar(&f.field, "field", "", "field name within the dataset")
+	fs.IntVar(&f.timeStep, "timestep", 0, "time-step within the dataset")
+	fs.StringVar(&f.scale, "scale", "small", "synthetic dataset scale: tiny, small, medium")
+	fs.StringVar(&f.compressor, "compressor", fraz.DefaultCodec, "compressor to tune: "+strings.Join(codecNames(), ", ")+", or "+fraz.CodecAuto)
+	fs.BoolVar(&f.auto, "auto", false, "race every capable codec per field and seal with the winner (shorthand for -compressor "+fraz.CodecAuto+")")
+	fs.StringVar(&f.fields, "fields", "", "compress several fields into one .frazd dataset archive: name=path,... (raw files, shared -dims) or name,... with -dataset")
+	fs.IntVar(&f.step, "step", 0, "with -decompress on a .frazd archive: the time step of -field to extract")
+	fs.Float64Var(&f.ratio, "ratio", 10, "target compression ratio")
+	fs.Float64Var(&f.psnr, "psnr", 0, "tune to this reconstruction PSNR in dB instead of a ratio")
+	fs.Float64Var(&f.ssim, "ssim", 0, "tune to this mid-slice SSIM instead of a ratio")
+	fs.Float64Var(&f.maxErrTgt, "target-max-error", 0, "tune to this measured maximum pointwise error instead of a ratio")
+	fs.Float64Var(&f.tolerance, "tolerance", 0.1, "acceptance half-width: fractional for -ratio/-psnr, absolute for -ssim/-target-max-error")
+	fs.BoolVar(&f.verify, "verify", false, "with -decompress: recompute the archive's recorded objective and exit non-zero if it misses the stored band (quality objectives need the original field via -in or -dataset)")
+	fs.Float64Var(&f.maxError, "max-error", 0, "maximum allowed compression error U (0 = value range of the data)")
+	fs.IntVar(&f.regions, "regions", 12, "number of overlapping error-bound search regions")
+	fs.IntVar(&f.blocks, "blocks", 0, "split the field into N slowest-axis blocks, tune on one sampled block, and compress the blocks in parallel into a blocked (v2) container (0 or 1 = monolithic)")
+	fs.IntVar(&f.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.Int64Var(&f.seed, "seed", 1, "search seed")
+	fs.StringVar(&f.out, "out", "", "compress: write a .fraz container here; decompress: write raw float32 here")
+	return f, fs.Parse(args)
+}
+
+// run parses the command line and hands it to one of the three modes:
+// decompress (a container or a dataset archive), compress several fields
+// into a dataset archive, compress one field into a container.
+func run(args []string, out io.Writer) error {
+	f, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
 	// With -out - the data stream owns standard output, so the report moves
 	// to standard error to keep pipelines clean.
-	if *outPath == "-" {
+	if f.out == "-" {
 		out = stderr
 	}
-
-	if *decompress != "" {
-		// Every decompression parameter comes from the container header, so
-		// any other flag the user set would be silently ignored — reject it
-		// instead of letting them believe it took effect. -verify is the
-		// exception: it re-measures the archive's promise, and quality
-		// promises need the original field, so the input flags are legal
-		// alongside it. -field and -step address entries of a .frazd dataset
-		// archive.
-		allowed := map[string]bool{"decompress": true, "out": true, "verify": true, "field": true, "step": true}
-		if *verify {
-			for _, name := range []string{"in", "dims", "dataset", "field", "timestep", "scale", "dtype"} {
-				allowed[name] = true
-			}
-		}
-		var extra []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				extra = append(extra, "-"+f.Name)
-			}
-		})
-		if len(extra) > 0 {
-			return fmt.Errorf("-decompress reads the codec, bound, and shape from the container header; remove %s", strings.Join(extra, ", "))
-		}
-		// -dtype is validated even here, and cross-checked against the
-		// archive: the header is authoritative, so a contradictory flag is a
-		// user error, not a conversion request.
-		wide, err := parseDType(*dtypeName)
-		if err != nil {
-			return err
-		}
-		var wantDType string
-		if flagWasSet(fs, "dtype") {
-			wantDType = "float32"
-			if wide {
-				wantDType = "float64"
-			}
-		}
-		ref := refLoader{in: *inPath, dims: *dims, dataset: *dsName, field: *fieldName, timeStep: *timeStep, scale: *scaleName}
-		if *decompress != "-" && isDatasetArchive(*decompress) {
-			return runDatasetDecompress(*decompress, *fieldName, *step, *outPath, *verify, wantDType, ref, out)
-		}
-		if flagWasSet(fs, "step") {
-			return fmt.Errorf("-step addresses entries of a .frazd dataset archive; %s is a single-field container", *decompress)
-		}
-		return runDecompress(*decompress, *outPath, *verify, wantDType, ref, out)
+	// -dtype is validated in every mode.
+	dtype, err := container.ParseDType(f.dtype)
+	if err != nil {
+		return err
+	}
+	wide := dtype == container.Float64
+	if f.decompress != "" {
+		return f.runDecompress(dtype, out)
 	}
 
 	// -auto is shorthand for -compressor auto; naming both a concrete codec
 	// and the race is a contradiction, not a preference.
-	if *auto {
-		if flagWasSet(fs, "compressor") && *compressor != fraz.CodecAuto {
-			return fmt.Errorf("-auto races the codecs, -compressor %s names one; pick one of the two", *compressor)
+	if f.auto {
+		if f.wasSet("compressor") && f.compressor != fraz.CodecAuto {
+			return fmt.Errorf("-auto races the codecs, -compressor %s names one; pick one of the two", f.compressor)
 		}
-		*compressor = fraz.CodecAuto
+		f.compressor = fraz.CodecAuto
 	}
-
-	target, targetDesc, err := selectTarget(fs, *ratio, *psnr, *ssim, *maxErrTgt)
+	target, targetDesc, err := f.selectTarget()
 	if err != nil {
 		return err
-	}
-
-	blocks := *blocksN
-	if blocks <= 1 {
-		blocks = 1 // 0 and 1 both mean a monolithic (v1) container
 	}
 	opts := []fraz.Option{
 		target,
-		fraz.MaxError(*maxError),
-		fraz.Regions(*regions),
-		fraz.Blocks(blocks),
-		fraz.Workers(*workers),
-		fraz.Seed(*seed),
+		fraz.MaxError(f.maxError),
+		fraz.Regions(f.regions),
+		fraz.Blocks(max(f.blocks, 1)), // 0 and 1 both mean a monolithic (v1) container
+		fraz.Workers(f.workers),
+		fraz.Seed(f.seed),
 	}
-	if flagWasSet(fs, "tolerance") {
-		opts = append(opts, fraz.Tolerance(*tolerance))
+	if f.wasSet("tolerance") {
+		opts = append(opts, fraz.Tolerance(f.tolerance))
 	}
+	if f.fields != "" {
+		return f.runCompressFields(wide, opts, targetDesc, out)
+	}
+	return f.runCompress(wide, opts, targetDesc, out)
+}
 
-	wide, err := parseDType(*dtypeName)
-	if err != nil {
-		return err
-	}
-
-	if *fieldsSpec != "" {
-		// Multi-field mode: every named field goes into one dataset archive.
-		// The codec policy defaults to the race unless one was named.
-		codec := *compressor
-		if !*auto && !flagWasSet(fs, "compressor") {
-			codec = fraz.CodecAuto
+// runDecompress is the -decompress mode. Every decompression parameter
+// comes from the archive's own header, so any other flag the user set would
+// be silently ignored — reject it instead of letting them believe it took
+// effect. -verify is the exception: it re-measures the archive's promise,
+// and quality promises need the original field, so the input flags are
+// legal alongside it. -field and -step address entries of a .frazd dataset
+// archive.
+func (f *flags) runDecompress(dtype container.DType, out io.Writer) error {
+	allowed := map[string]bool{"decompress": true, "out": true, "verify": true, "field": true, "step": true}
+	if f.verify {
+		for _, name := range []string{"in", "dims", "dataset", "field", "timestep", "scale", "dtype"} {
+			allowed[name] = true
 		}
-		fields, err := parseFieldsSpec(*fieldsSpec, *dims, *dsName, *timeStep, *scaleName, wide)
+	}
+	var extra []string
+	f.set.Visit(func(fl *flag.Flag) {
+		if !allowed[fl.Name] {
+			extra = append(extra, "-"+fl.Name)
+		}
+	})
+	if len(extra) > 0 {
+		return fmt.Errorf("-decompress reads the codec, bound, and shape from the container header; remove %s", strings.Join(extra, ", "))
+	}
+	// -dtype is cross-checked against the archive: the header is
+	// authoritative, so a contradictory flag is a user error, not a
+	// conversion request.
+	wantDType := ""
+	if f.wasSet("dtype") {
+		wantDType = dtype.String()
+	}
+	if f.decompress != "-" && isDatasetArchive(f.decompress) {
+		return f.runDatasetDecompress(wantDType, out)
+	}
+	if f.wasSet("step") {
+		return fmt.Errorf("-step addresses entries of a .frazd dataset archive; %s is a single-field container", f.decompress)
+	}
+
+	// A .fraz container: every parameter needed — codec, bound, shape — is
+	// read from its header, so the only input is the file itself.
+	var r io.Reader = stdin
+	name := "<stdin>"
+	if f.decompress != "-" {
+		file, err := os.Open(f.decompress)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "target:           %s\n", targetDesc)
-		return runCompressFields(fields, codec, opts, *outPath, out)
+		defer file.Close()
+		r, name = file, f.decompress
 	}
+	res, err := fraz.DecompressFull(context.Background(), r)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return f.finishDecompress(res, name, fmt.Sprintf("container:        %s (.fraz v%d ", name, res.Version), wantDType, out)
+}
 
-	field, err := loadField(*inPath, *dims, *dsName, *fieldName, *timeStep, *scaleName, wide)
+// finishDecompress is the tail both decompression paths share once a field
+// is in memory: the -dtype cross-check, the report (headline is the opening
+// of its first line, up to where the header facts go), -out, and -verify
+// against the reference field the input flags name.
+func (f *flags) finishDecompress(res *fraz.DecompressResult, what, headline, wantDType string, out io.Writer) error {
+	if wantDType != "" && wantDType != res.DType {
+		return fmt.Errorf("%s holds %s data, but -dtype %s was requested; the header is authoritative, so drop the flag", what, res.DType, wantDType)
+	}
+	shape := grid.Dims(res.Shape)
+	fmt.Fprintf(out, "%scodec=%s dtype=%s shape=%s bound=%g ratio=%.2f)\n", headline, res.Codec, res.DType, shape, res.ErrorBound, res.Ratio)
+	if res.Version == 2 {
+		fmt.Fprintf(out, "blocks:           %d (independently verified and decoded in parallel)\n", res.Blocks)
+	}
+	if res.Objective != nil {
+		fmt.Fprintf(out, "objective:        %s target %g (±%g), achieved %.6g at seal time\n",
+			res.Objective.Name, res.Objective.Target, res.Objective.Tolerance, res.Objective.Achieved)
+	}
+	values, elemSize := decodedValues(res)
+	fmt.Fprintf(out, "reconstructed:    %d values (%s %s, %.2f MB)\n", values, shape, res.DType, float64(elemSize*values)/1e6)
+	if ci, ok := fraz.LookupCodec(res.Codec); ok {
+		switch {
+		case ci.Lossless:
+			fmt.Fprintf(out, "error guarantee:  lossless (bit-exact reconstruction)\n")
+		case ci.ErrorBounded:
+			fmt.Fprintf(out, "error guarantee:  %s <= %g\n", ci.BoundName, res.ErrorBound)
+		}
+	}
+	switch {
+	case f.out == "-":
+		if _, err := writeRawTo(stdout, res.Data, res.Data64); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %d bytes to <stdout>\n", elemSize*values)
+	case f.out != "":
+		var werr error
+		if res.Data64 != nil {
+			werr = dataset.WriteRaw(f.out, res.Data64)
+		} else {
+			werr = dataset.WriteRaw(f.out, res.Data)
+		}
+		if werr != nil {
+			return werr
+		}
+		fmt.Fprintf(out, "wrote %d bytes to %s\n", elemSize*values, f.out)
+	}
+	if f.verify {
+		return runVerify(res, f.source, out)
+	}
+	return nil
+}
+
+// publish runs write on the destination path names: nothing for "" (the
+// container is still produced — compression is the point of the tuning
+// report — but discarded), standard output for "-", and otherwise a
+// temporary file beside path that is renamed over it only once write and the
+// close have succeeded, so a failed run never truncates or deletes an
+// archive already at that path.
+func publish(path string, write func(io.Writer) error) error {
+	switch path {
+	case "":
+		return write(io.Discard)
+	case "-":
+		return write(stdout)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	client, err := fraz.New(*compressor, opts...)
+	// CreateTemp makes the file 0600; restore the 0644 a direct create would
+	// have produced so the published archive stays readable by consumers
+	// other than its owner.
+	if err = tmp.Chmod(0o644); err == nil {
+		err = write(tmp)
+	}
+	// Close before declaring success so write-back errors surface.
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// runCompress is the single-field mode: tune, seal, report.
+func (f *flags) runCompress(wide bool, opts []fraz.Option, targetDesc string, out io.Writer) error {
+	field, err := f.source.load(wide)
 	if err != nil {
 		return err
 	}
-
-	// Without -out the container is still produced (compression is the
-	// point of the tuning report) but discarded. With -out, the container
-	// streams into a temporary file that is renamed over the destination
-	// only on success, so a failed run never truncates or deletes an
-	// archive already at that path.
-	var w io.Writer = io.Discard
-	var tmp *os.File
-	if *outPath == "-" {
-		w = stdout
-	} else if *outPath != "" {
-		tmp, err = os.CreateTemp(filepath.Dir(*outPath), filepath.Base(*outPath)+".tmp-*")
-		if err != nil {
-			return err
-		}
-		// CreateTemp makes the file 0600; restore the 0644 a direct create
-		// would have produced so the published archive stays readable by
-		// consumers other than its owner.
-		if err := tmp.Chmod(0o644); err != nil {
-			return err
-		}
-		defer func() {
-			if tmp != nil {
-				tmp.Close()
-				os.Remove(tmp.Name())
-			}
-		}()
-		w = tmp
+	client, err := fraz.New(f.compressor, opts...)
+	if err != nil {
+		return err
 	}
-
 	printTuningHeader(out, field, client.Codec(), targetDesc)
-	res, err := field.compress(context.Background(), client, w)
+	var res *fraz.CompressResult
+	err = publish(f.out, func(w io.Writer) (err error) {
+		res, err = field.compress(context.Background(), client, w)
+		return err
+	})
 	var infeasible *fraz.InfeasibleError
 	if errors.As(err, &infeasible) {
 		// Report how close the search got and exit non-zero: an archive
 		// that misses its contract must not look like success to scripts.
-		// The deferred cleanup discards the temporary file.
 		fmt.Fprintf(out, "recommended bound: %g (closest observed)\n", infeasible.ErrorBound)
 		if infeasible.Objective != "" && infeasible.Objective != "ratio" {
 			fmt.Fprintf(out, "achieved %s:  %.4g (want %g)\n", infeasible.Objective, infeasible.ClosestValue, infeasible.Target)
@@ -260,21 +356,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-	if tmp != nil {
-		// Close before declaring success so write-back errors surface, then
-		// publish the finished archive atomically.
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			tmp = nil
-			return err
-		}
-		if err := os.Rename(tmp.Name(), *outPath); err != nil {
-			os.Remove(tmp.Name())
-			tmp = nil
-			return err
-		}
-		tmp = nil
 	}
 
 	if res.Blocks > 1 {
@@ -295,8 +376,8 @@ func run(args []string, out io.Writer) error {
 	if res.Direct {
 		fmt.Fprintf(out, "direct:           fixed-rate codec satisfied the ratio target arithmetically (no search)\n")
 	}
-	if *outPath != "" {
-		dest := *outPath
+	if f.out != "" {
+		dest := f.out
 		if dest == "-" {
 			dest = "<stdout>"
 		}
@@ -306,20 +387,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// flagWasSet reports whether the user passed the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 // selectTarget maps the mutually exclusive target flags onto one objective
 // option and a human-readable description of the request.
-func selectTarget(fs *flag.FlagSet, ratio, psnr, ssim, maxErrTgt float64) (fraz.Option, string, error) {
+func (f *flags) selectTarget() (fraz.Option, string, error) {
 	type candidate struct {
 		flag string
 		set  bool
@@ -327,9 +397,9 @@ func selectTarget(fs *flag.FlagSet, ratio, psnr, ssim, maxErrTgt float64) (fraz.
 		desc string
 	}
 	candidates := []candidate{
-		{"psnr", flagWasSet(fs, "psnr"), fraz.TargetPSNR(psnr), fmt.Sprintf("PSNR %.2f dB", psnr)},
-		{"ssim", flagWasSet(fs, "ssim"), fraz.TargetSSIM(ssim), fmt.Sprintf("SSIM %.4f", ssim)},
-		{"target-max-error", flagWasSet(fs, "target-max-error"), fraz.TargetMaxError(maxErrTgt), fmt.Sprintf("max error %g", maxErrTgt)},
+		{"psnr", f.wasSet("psnr"), fraz.TargetPSNR(f.psnr), fmt.Sprintf("PSNR %.2f dB", f.psnr)},
+		{"ssim", f.wasSet("ssim"), fraz.TargetSSIM(f.ssim), fmt.Sprintf("SSIM %.4f", f.ssim)},
+		{"target-max-error", f.wasSet("target-max-error"), fraz.TargetMaxError(f.maxErrTgt), fmt.Sprintf("max error %g", f.maxErrTgt)},
 	}
 	var chosen []candidate
 	for _, c := range candidates {
@@ -337,9 +407,9 @@ func selectTarget(fs *flag.FlagSet, ratio, psnr, ssim, maxErrTgt float64) (fraz.
 			chosen = append(chosen, c)
 		}
 	}
-	if len(chosen) > 1 || (len(chosen) == 1 && flagWasSet(fs, "ratio")) {
+	if len(chosen) > 1 || (len(chosen) == 1 && f.wasSet("ratio")) {
 		var names []string
-		if flagWasSet(fs, "ratio") {
+		if f.wasSet("ratio") {
 			names = append(names, "-ratio")
 		}
 		for _, c := range chosen {
@@ -350,7 +420,7 @@ func selectTarget(fs *flag.FlagSet, ratio, psnr, ssim, maxErrTgt float64) (fraz.
 	if len(chosen) == 1 {
 		return chosen[0].opt, chosen[0].desc, nil
 	}
-	return fraz.Ratio(ratio), fmt.Sprintf("ratio %.2f", ratio), nil
+	return fraz.Ratio(f.ratio), fmt.Sprintf("ratio %.2f", f.ratio), nil
 }
 
 // printTuningHeader writes the report lines shared by the monolithic and
@@ -407,105 +477,11 @@ func (f inputField) compress(ctx context.Context, client *fraz.Client, w io.Writ
 	return client.Compress(ctx, w, f.f32, []int(f.shape))
 }
 
-// parseDType maps the -dtype flag onto the container's element widths.
-func parseDType(s string) (wide bool, err error) {
-	switch strings.ToLower(s) {
-	case "float32", "f32", "":
-		return false, nil
-	case "float64", "f64":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown dtype %q (want float32 or float64)", s)
-	}
-}
-
-// refLoader carries the input flags a -verify run uses to load the
-// reference (original) field at the width the archive records.
-type refLoader struct {
-	in, dims, dataset, field string
-	timeStep                 int
-	scale                    string
-}
-
-func (r refLoader) provided() bool { return r.in != "" || r.dataset != "" }
-
-func (r refLoader) load(wide bool) (inputField, error) {
-	return loadField(r.in, r.dims, r.dataset, r.field, r.timeStep, r.scale, wide)
-}
-
-// runDecompress reverses a .fraz container: every parameter needed — codec,
-// bound, shape — is read from the container header, so the only inputs are
-// the file itself, an optional raw float32 output path, and (with -verify)
-// the reference field the archive's promise is re-measured against.
-func runDecompress(inPath, outPath string, verify bool, wantDType string, ref refLoader, out io.Writer) error {
-	var r io.Reader
-	if inPath == "-" {
-		r = stdin
-		inPath = "<stdin>"
-	} else {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	res, err := fraz.DecompressFull(context.Background(), r)
-	if err != nil {
-		return fmt.Errorf("%s: %w", inPath, err)
-	}
-	if wantDType != "" && wantDType != res.DType {
-		return fmt.Errorf("%s holds %s data, but -dtype %s was requested; the header is authoritative, so drop the flag", inPath, res.DType, wantDType)
-	}
-	shape := grid.Dims(res.Shape)
-	fmt.Fprintf(out, "container:        %s (.fraz v%d codec=%s dtype=%s shape=%s bound=%g ratio=%.2f)\n",
-		inPath, res.Version, res.Codec, res.DType, shape, res.ErrorBound, res.Ratio)
-	if res.Version == 2 {
-		fmt.Fprintf(out, "blocks:           %d (independently verified and decoded in parallel)\n", res.Blocks)
-	}
-	if res.Objective != nil {
-		fmt.Fprintf(out, "objective:        %s target %g (±%g), achieved %.6g at seal time\n",
-			res.Objective.Name, res.Objective.Target, res.Objective.Tolerance, res.Objective.Achieved)
-	}
-	values, elemSize := decodedValues(res)
-	fmt.Fprintf(out, "reconstructed:    %d values (%s %s, %.2f MB)\n", values, shape, res.DType, float64(elemSize*values)/1e6)
-	if ci, ok := fraz.LookupCodec(res.Codec); ok {
-		switch {
-		case ci.Lossless:
-			fmt.Fprintf(out, "error guarantee:  lossless (bit-exact reconstruction)\n")
-		case ci.ErrorBounded:
-			fmt.Fprintf(out, "error guarantee:  %s <= %g\n", ci.BoundName, res.ErrorBound)
-		}
-	}
-	switch {
-	case outPath == "-":
-		if _, err := writeRawTo(stdout, res.Data, res.Data64); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %d bytes to <stdout>\n", elemSize*values)
-	case outPath != "":
-		var werr error
-		if res.Data64 != nil {
-			werr = dataset.WriteRaw(outPath, res.Data64)
-		} else {
-			werr = dataset.WriteRaw(outPath, res.Data)
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(out, "wrote %d bytes to %s\n", elemSize*values, outPath)
-	}
-	if verify {
-		return runVerify(res, ref, out)
-	}
-	return nil
-}
-
 // runVerify recomputes the archive's recorded objective and fails (non-zero
 // exit through main) if the re-measured value misses the stored band. An
 // archive without an objective extension promised only its ratio, which is
 // re-derived from the payload and field sizes.
-func runVerify(res *fraz.DecompressResult, ref refLoader, out io.Writer) error {
+func runVerify(res *fraz.DecompressResult, ref source, out io.Writer) error {
 	values, elemSize := decodedValues(res)
 	if res.Objective == nil {
 		// Pre-extension (or plain fixed-ratio) archive: the promise is the
@@ -561,45 +537,45 @@ func decodedValues(res *fraz.DecompressResult) (values, elemSize int) {
 	return len(res.Data), 4
 }
 
-// loadField loads the input field at the requested width: raw files are
-// parsed with the matching element size, synthetic datasets generate
-// natively at either precision.
-func loadField(inPath, dims, dsName, fieldName string, timeStep int, scaleName string, wide bool) (inputField, error) {
+// load loads the field at the requested width: raw files are parsed with the
+// matching element size, synthetic datasets generate natively at either
+// precision.
+func (src source) load(wide bool) (inputField, error) {
 	switch {
-	case inPath == "-":
-		return stdinField(dims, wide)
-	case inPath != "":
-		shape, err := parseDims(dims)
+	case src.in == "-":
+		return stdinField(src.dims, wide)
+	case src.in != "":
+		shape, err := grid.ParseDims(src.dims)
 		if err != nil {
-			return inputField{}, err
+			return inputField{}, fmt.Errorf("-dims (required with -in): %w", err)
 		}
-		f := inputField{shape: shape, label: inPath}
+		f := inputField{shape: shape, label: src.in}
 		if wide {
-			f.f64, err = dataset.ReadRaw[float64](inPath, shape)
+			f.f64, err = dataset.ReadRaw[float64](src.in, shape)
 		} else {
-			f.f32, err = dataset.ReadRaw[float32](inPath, shape)
+			f.f32, err = dataset.ReadRaw[float32](src.in, shape)
 		}
 		if err != nil {
 			return inputField{}, err
 		}
 		return f, nil
-	case dsName != "":
-		if fieldName == "" {
+	case src.dataset != "":
+		if src.field == "" {
 			return inputField{}, fmt.Errorf("-field is required with -dataset")
 		}
-		scale, err := parseScale(scaleName)
+		scale, err := parseScale(src.scale)
 		if err != nil {
 			return inputField{}, err
 		}
-		d, err := dataset.New(dsName, scale)
+		d, err := dataset.New(src.dataset, scale)
 		if err != nil {
 			return inputField{}, err
 		}
-		f := inputField{label: fmt.Sprintf("%s/%s t=%d", dsName, fieldName, timeStep)}
+		f := inputField{label: fmt.Sprintf("%s/%s t=%d", src.dataset, src.field, src.timeStep)}
 		if wide {
-			f.f64, f.shape, err = d.Generate64(fieldName, timeStep)
+			f.f64, f.shape, err = d.Generate64(src.field, src.timeStep)
 		} else {
-			f.f32, f.shape, err = d.Generate(fieldName, timeStep)
+			f.f32, f.shape, err = d.Generate(src.field, src.timeStep)
 		}
 		if err != nil {
 			return inputField{}, err
@@ -608,22 +584,6 @@ func loadField(inPath, dims, dsName, fieldName string, timeStep int, scaleName s
 	default:
 		return inputField{}, fmt.Errorf("either -in or -dataset must be provided")
 	}
-}
-
-func parseDims(s string) (grid.Dims, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-dims is required with -in")
-	}
-	parts := strings.Split(s, "x")
-	extents := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad dimension %q: %w", p, err)
-		}
-		extents = append(extents, v)
-	}
-	return grid.NewDims(extents...)
 }
 
 func parseScale(s string) (dataset.Scale, error) {

@@ -11,7 +11,6 @@ import (
 	"fraz"
 	"fraz/internal/container"
 	"fraz/internal/dataset"
-	"fraz/internal/grid"
 )
 
 func TestRunWithSyntheticDataset(t *testing.T) {
@@ -299,25 +298,6 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v should fail", args)
 		}
-	}
-}
-
-func TestParseDims(t *testing.T) {
-	d, err := parseDims("100x500x500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Equal(grid.MustDims(100, 500, 500)) {
-		t.Errorf("parsed %v", d)
-	}
-	if _, err := parseDims(""); err == nil {
-		t.Errorf("empty dims should fail")
-	}
-	if _, err := parseDims("10xabc"); err == nil {
-		t.Errorf("non-numeric dims should fail")
-	}
-	if _, err := parseDims("10x0"); err == nil {
-		t.Errorf("zero extent should fail")
 	}
 }
 

@@ -31,9 +31,9 @@ var (
 // stdinField reads a whole raw little-endian field from standard input at
 // the given width.
 func stdinField(dims string, wide bool) (inputField, error) {
-	shape, err := parseDims(dims)
+	shape, err := grid.ParseDims(dims)
 	if err != nil {
-		return inputField{}, err
+		return inputField{}, fmt.Errorf("-dims (required with -in): %w", err)
 	}
 	elemSize := 4
 	if wide {
@@ -49,11 +49,9 @@ func stdinField(dims string, wide bool) (inputField, error) {
 	}
 	f := inputField{shape: shape, label: "<stdin>"}
 	if wide {
-		f.f64 = make([]float64, shape.Len())
-		grid.DecodeLE(f.f64, raw)
+		f.f64 = grid.FromLE[float64](raw)
 	} else {
-		f.f32 = make([]float32, shape.Len())
-		grid.DecodeLE(f.f32, raw)
+		f.f32 = grid.FromLE[float32](raw)
 	}
 	return f, nil
 }

@@ -106,6 +106,7 @@
 // registered back end's capabilities (bound semantics, error-boundedness,
 // supported ranks and element types — see CodecInfo.SupportsRank and
 // CodecInfo.SupportsDType). Failures are errors.Is-able: ErrInfeasible,
+// ErrUnsupported (a shape the codec or objective cannot serve at all),
 // ErrUnknownCodec, ErrCorrupt.
 //
 // # Multi-field datasets

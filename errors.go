@@ -43,7 +43,14 @@ var ErrFieldNotFound = errors.New("fraz: field not found in dataset")
 // must go to a new archive.
 var ErrDuplicateField = errors.New("fraz: duplicate field in dataset")
 
-// wrapStreamErr maps internal container and registry failures onto the
+// ErrUnsupported reports a request this client can never serve, whatever
+// the data: a shape outside the codec's rank window, an objective that is
+// not measurable at the field's rank, or bounds that leave the codec's
+// parameter no range to search. Unlike ErrInfeasible, no other target value
+// helps; the caller has to change the codec, the objective or the shape.
+var ErrUnsupported = errors.New("fraz: codec or objective cannot serve this request")
+
+// wrapStreamErr maps internal container, registry and tuner failures onto the
 // package's public sentinels, keeping the original error in the chain for
 // diagnostics without making callers depend on internal error values.
 func wrapStreamErr(err error) error {
@@ -67,6 +74,8 @@ func wrapStreamErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrDuplicateField, err)
 	case errors.Is(err, pressio.ErrUnknownCompressor):
 		return fmt.Errorf("%w: %w", ErrUnknownCodec, err)
+	case errors.Is(err, core.ErrBadConfig):
+		return fmt.Errorf("%w: %w", ErrUnsupported, err)
 	}
 	return err
 }

@@ -294,7 +294,7 @@ func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Contai
 	if err == nil {
 		c.recordBound(sr.Tuning.ErrorBound)
 	}
-	return cn, sr, err
+	return cn, sr, wrapStreamErr(err)
 }
 
 func (c *Client) prediction() float64 {
@@ -557,7 +557,7 @@ func TuneT[T Element](ctx context.Context, c *Client, data []T, shape []int) (*T
 func (c *Client) tuneBuffer(ctx context.Context, buf pressio.Buffer) (*TuneResult, error) {
 	res, err := c.tuner.TuneWithPrediction(ctx, buf, c.prediction())
 	if err != nil {
-		return nil, err
+		return nil, wrapStreamErr(err)
 	}
 	if res.Feasible {
 		c.recordBound(res.ErrorBound)

@@ -156,6 +156,39 @@ func TestCompressInfeasible(t *testing.T) {
 	}
 }
 
+// TestUnsupportedRequest pins the other typed refusal: a codec or objective
+// that cannot serve the field's rank fails Compress and Tune with
+// fraz.ErrUnsupported — not ErrInfeasible, since no other target helps, and
+// not an untyped error a service would have to report as its own fault.
+func TestUnsupportedRequest(t *testing.T) {
+	data, _ := testField()
+	line := []int{len(data)}
+	for _, row := range []struct {
+		codec  string
+		target fraz.Option
+	}{
+		{"mgard:abs", fraz.Ratio(10)},          // mgard's rank window starts at 2
+		{"sz:abs", fraz.TargetSSIM(0.9)},       // SSIM is measured on a 2-D slice
+		{fraz.CodecAuto, fraz.TargetSSIM(0.9)}, // so the race has no candidate either
+	} {
+		c, err := fraz.New(row.codec, row.target)
+		if err != nil {
+			t.Fatalf("%s: %v", row.codec, err)
+		}
+		var stream bytes.Buffer
+		_, err = c.Compress(context.Background(), &stream, data, line)
+		if !errors.Is(err, fraz.ErrUnsupported) || errors.Is(err, fraz.ErrInfeasible) {
+			t.Errorf("%s Compress on shape %v: err = %v, want ErrUnsupported", row.codec, line, err)
+		}
+		if stream.Len() != 0 {
+			t.Errorf("%s: refused Compress wrote %d bytes", row.codec, stream.Len())
+		}
+		if _, err := c.Tune(context.Background(), data, line); !errors.Is(err, fraz.ErrUnsupported) {
+			t.Errorf("%s Tune on shape %v: err = %v, want ErrUnsupported", row.codec, line, err)
+		}
+	}
+}
+
 func TestTuneReportsInfeasibleAsData(t *testing.T) {
 	data, shape := testField()
 	c, err := fraz.New("sz:abs", fraz.Ratio(1e6), fraz.Tolerance(0.01), fraz.Regions(2), fraz.Seed(1))

@@ -56,11 +56,11 @@ func ReadChunk(body []byte) (chunk, rest []byte, err error) {
 }
 
 // Encode builds a body: the head chunks, each length-prefixed, then the
-// entropy-coded codes and the literals — and, when dictionary is set, runs
-// the result through DEFLATE, keeping whichever is smaller. flag is the byte
-// the caller records in its header and hands back to Decode: 1 when body is
-// the DEFLATE stream, 0 when it is the plain body.
-func Encode[T grid.Float](codes []int32, literals []T, dictionary bool, head ...[]byte) (body []byte, flag byte, err error) {
+// entropy-coded codes and the literals — and runs the result through DEFLATE
+// (the dictionary stage), keeping whichever is smaller. flag is the byte the
+// caller records in its header and hands back to Decode: 1 when body is the
+// DEFLATE stream, 0 when it is the plain body.
+func Encode[T grid.Float](codes []int32, literals []T, head ...[]byte) (body []byte, flag byte, err error) {
 	huff, err := huffman.Encode(codes)
 	if err != nil {
 		return nil, 0, fmt.Errorf("huffman stage: %w", err)
@@ -79,9 +79,6 @@ func Encode[T grid.Float](codes []int32, literals []T, dictionary bool, head ...
 	body = appendChunk(body, huff)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(literals)))
 	body = grid.AppendLE(body, literals)
-	if !dictionary {
-		return body, 0, nil
-	}
 	var comp bytes.Buffer
 	comp.Grow(len(body))
 	fw := pool.GetFlateWriter(&comp)

@@ -9,14 +9,12 @@ import (
 	"fraz/internal/pool"
 )
 
-func roundTrip[T grid.Float](t *testing.T, codes []int32, literals []T, dictionary bool, head ...[]byte) {
+// roundTrip encodes, decodes and compares, and returns the flag Encode chose.
+func roundTrip[T grid.Float](t *testing.T, codes []int32, literals []T, head ...[]byte) byte {
 	t.Helper()
-	body, flag, err := Encode(codes, literals, dictionary, head...)
+	body, flag, err := Encode(codes, literals, head...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if flag == 1 && !dictionary {
-		t.Fatal("deflated without the dictionary stage")
 	}
 	limit := MaxBody(len(codes), grid.ElemSize[T](), len(codes), 0)
 	for _, chunk := range head {
@@ -45,6 +43,7 @@ func roundTrip[T grid.Float](t *testing.T, codes []int32, literals []T, dictiona
 			t.Fatalf("literal %d: %v, want %v", i, gotLits[i], literals[i])
 		}
 	}
+	return flag
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -54,10 +53,14 @@ func TestRoundTrip(t *testing.T) {
 		skewed[i] = int32(i % 3)
 		distinct[i] = int32(i * 7919)
 	}
-	for _, dictionary := range []bool{true, false} {
-		roundTrip(t, skewed, []float32{1.5, -2.25}, dictionary, []byte("block records"), nil)
-		roundTrip(t, distinct, []float64{1e300, -1e-300, 0}, dictionary)
-		roundTrip[float32](t, nil, nil, dictionary)
+	// Both of Decode's branches are reached: the skewed codes deflate, the
+	// empty body cannot shrink and is stored as it is.
+	if flag := roundTrip(t, skewed, []float32{1.5, -2.25}, []byte("block records"), nil); flag != 1 {
+		t.Errorf("5000 codes over three symbols stored with flag %d, want the DEFLATE stream", flag)
+	}
+	roundTrip(t, distinct, []float64{1e300, -1e-300, 0})
+	if flag := roundTrip[float32](t, nil, nil); flag != 0 {
+		t.Errorf("an empty body stored with flag %d, want the plain body", flag)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestReadChunk(t *testing.T) {
 }
 
 func TestInflateStopsAtLimit(t *testing.T) {
-	body, flag, err := Encode[float32](make([]int32, 1<<16), nil, true)
+	body, flag, err := Encode[float32](make([]int32, 1<<16), nil)
 	if err != nil || flag != 1 {
 		t.Fatalf("flag=%d, %v", flag, err)
 	}
@@ -99,7 +102,10 @@ func TestInflateStopsAtLimit(t *testing.T) {
 }
 
 func TestDecodeChecksLiteralCountFirst(t *testing.T) {
-	body, _, err := Encode([]int32{1, 2, 3}, []float64{4, 5}, false)
+	body, flag, err := Encode([]int32{1, 2, 3}, []float64{4, 5})
+	if err == nil && flag == 1 {
+		body, err = Inflate(body, 1<<10) // the truncations below are of the plain body
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,6 +70,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"fraz/internal/grid"
 	"fraz/internal/pool"
@@ -129,6 +130,19 @@ func (d DType) String() string {
 		return "float64"
 	}
 	return fmt.Sprintf("dtype(%d)", uint8(d))
+}
+
+// ParseDType is the inverse of String for element types that arrive as text
+// (a command-line flag, a request header); "f32"/"f64" are accepted as
+// shorthands, and the empty string is the float32 default.
+func ParseDType(s string) (DType, error) {
+	switch strings.ToLower(s) {
+	case "", "float32", "f32":
+		return Float32, nil
+	case "float64", "f64":
+		return Float64, nil
+	}
+	return 0, fmt.Errorf("unknown dtype %q (want float32 or float64)", s)
 }
 
 // Sentinel errors returned (wrapped) by Decode.

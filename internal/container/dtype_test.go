@@ -38,6 +38,22 @@ func TestFloat64HeaderRoundTrip(t *testing.T) {
 	}
 }
 
+func TestParseDType(t *testing.T) {
+	for name, want := range map[string]DType{"": Float32, "float32": Float32, "f32": Float32, "Float64": Float64, "f64": Float64} {
+		if got, err := ParseDType(name); err != nil || got != want {
+			t.Errorf("ParseDType(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for _, d := range []DType{Float32, Float64} {
+		if got, err := ParseDType(d.String()); err != nil || got != d {
+			t.Errorf("ParseDType(%q) = %v, %v", d.String(), got, err)
+		}
+	}
+	if _, err := ParseDType("int8"); err == nil {
+		t.Error("ParseDType(int8) should fail")
+	}
+}
+
 // TestUnknownDTypeRejected pins that constructors and the decoder both
 // reject dtype bytes this build does not understand, instead of carrying an
 // undecodable payload around.

@@ -337,11 +337,11 @@ type run struct {
 func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, error) {
 	start := time.Now()
 	if !t.codec.SupportsShape(buf.Shape) {
-		return Result{}, fmt.Errorf("fraz: compressor %s does not support shape %v", t.codec.Name, buf.Shape)
+		return Result{}, fmt.Errorf("%w: compressor %s does not support shape %v", ErrBadConfig, t.codec.Name, buf.Shape)
 	}
 	if !t.obj.SupportsRank(buf.Shape.NDims()) {
-		return Result{}, fmt.Errorf("fraz: objective %s is not measurable on shape %v (needs rank %d..%d)",
-			t.obj.Name, buf.Shape, t.obj.MinRank, t.obj.MaxRank)
+		return Result{}, fmt.Errorf("%w: objective %s is not measurable on shape %v (needs rank %d..%d)",
+			ErrBadConfig, t.obj.Name, buf.Shape, t.obj.MinRank, t.obj.MaxRank)
 	}
 	res := Result{
 		Compressor: t.codec.Name,

@@ -29,9 +29,7 @@ func ReadRaw[T grid.Float](path string, shape grid.Dims) ([]T, error) {
 	if len(raw) != shape.Len()*elem {
 		return nil, fmt.Errorf("dataset: %s holds %d bytes, shape %v at %d bytes/value expects %d", path, len(raw), shape, elem, shape.Len()*elem)
 	}
-	data := make([]T, shape.Len())
-	grid.DecodeLE(data, raw)
-	return data, nil
+	return grid.FromLE[T](raw), nil
 }
 
 // ExportSnapshot writes every field of one time-step side by side under

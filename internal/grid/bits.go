@@ -83,3 +83,11 @@ func DecodeLE[T Float](dst []T, src []byte) {
 		}
 	}
 }
+
+// FromLE is DecodeLE into a slice of its own: all of src, which the caller
+// has checked is a whole number of elements, as values.
+func FromLE[T Float](src []byte) []T {
+	dst := make([]T, len(src)/ElemSize[T]())
+	DecodeLE(dst, src)
+	return dst
+}

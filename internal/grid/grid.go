@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"unsafe"
 )
 
@@ -111,6 +113,26 @@ func (d Dims) String() string {
 		out += fmt.Sprintf("%d", e)
 	}
 	return out
+}
+
+// ParseDims is the inverse of String: it reads "100x500x500" into a shape
+// that passed Validate, so every size a caller derives from it is a true
+// size. It is the one parser of shapes that arrive as text — a command-line
+// flag, a request header.
+func ParseDims(s string) (Dims, error) {
+	if s == "" {
+		return nil, errors.New("grid: empty shape (want extents, slowest first, e.g. 100x500x500)")
+	}
+	parts := strings.Split(s, "x")
+	extents := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("grid: bad extent %q in shape %q", p, s)
+		}
+		extents[i] = v
+	}
+	return NewDims(extents...)
 }
 
 // maxElemSize is the widest element the framework stores (float64).

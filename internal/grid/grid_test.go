@@ -77,6 +77,26 @@ func TestDimsString(t *testing.T) {
 	}
 }
 
+func TestParseDims(t *testing.T) {
+	d, err := ParseDims("100x500x500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Equal(MustDims(100, 500, 500)) {
+		t.Errorf("parsed %v", d)
+	}
+	if got, err := ParseDims(d.String()); err != nil || !got.Equal(d) {
+		t.Errorf("ParseDims(%q) = %v, %v", d.String(), got, err)
+	}
+	for _, bad := range []string{"", "10xabc", "10x0", "x", "1x2x3x4x5",
+		// Extents whose product wraps int, to a negative and to a plausible count.
+		"2305843009213693951x2", "3037000500x3037000500"} {
+		if _, err := ParseDims(bad); err == nil {
+			t.Errorf("ParseDims(%q) should fail", bad)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := MustDims(3, 3).Validate(); err != nil {
 		t.Errorf("valid shape flagged: %v", err)

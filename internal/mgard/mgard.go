@@ -145,7 +145,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 
 	// The shared back end (internal/codestream): Huffman-coded codes, then
 	// the literals, then the dictionary stage over both.
-	body, dictFlag, err := codestream.Encode(codes, literals, true)
+	body, dictFlag, err := codestream.Encode(codes, literals)
 	if err != nil {
 		return nil, fmt.Errorf("mgard: %w", err)
 	}

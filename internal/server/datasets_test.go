@@ -6,6 +6,7 @@ import (
 	"math"
 	"mime/multipart"
 	"net/http"
+	"strings"
 	"testing"
 
 	"fraz/internal/grid"
@@ -140,7 +141,7 @@ func TestDatasetUploadAndFieldDownload(t *testing.T) {
 		if resp.Header.Get("X-Fraz-Codec") == "" {
 			t.Errorf("field %s response missing X-Fraz-Codec", name)
 		}
-		recon := decodeRaw[float32](raw)
+		recon := grid.FromLE[float32](raw)
 		if len(recon) != len(orig) {
 			t.Fatalf("field %s: %d values back, want %d", name, len(recon), len(orig))
 		}
@@ -206,6 +207,18 @@ func TestDatasetErrors(t *testing.T) {
 			map[string]string{"X-Fraz-Shape": shape})
 		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("7-value field POSTed as shape %s = %d: %s, want 400", shape, resp.StatusCode, body)
+		}
+	}
+
+	// A part the pinned codec, or the objective whichever codec races,
+	// cannot serve at its rank (these answered 500).
+	for _, hdr := range []map[string]string{
+		{"X-Fraz-Shape": "64", "X-Fraz-Codec": "mgard:abs"},
+		{"X-Fraz-Shape": "64", "X-Fraz-Objective": "ssim", "X-Fraz-Target": "0.9"},
+	} {
+		resp = postDataset(t, ts.URL, map[string][]float32{"F": make([]float32, 64)}, hdr)
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "field F") {
+			t.Errorf("dataset part with %v = %d: %s, want 400 naming the field", hdr, resp.StatusCode, body)
 		}
 	}
 

@@ -1,40 +1,38 @@
 // Package server implements frazd, the long-running compression service
-// over the public fraz package: streaming upload of raw field data, tuned
-// (tune→seal→archive) server-side against a fixed-ratio or quality
-// objective, archive download, and decompress-with-verify — with the
-// production plumbing a multi-tenant deployment needs.
+// over the public fraz package: raw fields up, tuned (tune→seal→archive)
+// server-side against a fixed-ratio or quality objective, archives and
+// multi-field datasets shelved and served back, decompress-with-verify.
+// docs/http-api.md is the reference for endpoints, X-Fraz-* headers (or
+// query parameters of the same lowercase names), statuses and metrics.
 //
-// # Request path
+// # The request path
 //
-//	POST /v1/compress      raw little-endian field in, .fraz archive out
-//	                       (?store=1 keeps the archive server-side instead)
-//	GET  /v1/archives/{id} download a stored archive
-//	POST /v1/decompress    .fraz archive in (body or ?id=), raw field out
-//	                       (?verify=1 re-checks the recorded promises)
+// Every API request takes one path, written once (server.go):
 //
-// Field geometry and tuning intent travel in X-Fraz-* headers (or query
-// parameters of the same lowercase names): shape, dtype, codec, objective,
-// target, tolerance, blocks, tenant. See docs/http-api.md for the full
-// reference.
+//	route table → serve → handler → error map
 //
-// # Admission and backpressure
-//
-// CPU-bound work (tuning, sealing, opening) runs on a worker pool sized to
-// the machine (Config.Concurrency, default GOMAXPROCS) behind a bounded
-// admission queue. A request beyond the queue bound — or beyond its tenant's
-// concurrency allowance — is rejected immediately with 429 and a Retry-After
-// hint rather than queueing unboundedly; a server that is draining rejects
-// new work with 503 while in-flight seals run to completion. Request
-// deadlines (Config.RequestTimeout) cancel the tune mid-search through the
-// context threaded into the public API.
+// The route table says, per endpoint, its metrics label, the methods it
+// serves and whether a request is admitted work. serve owns what follows
+// from that: 405 with Allow; for admitted work the drain check (503) and
+// the tenant and queue seats (429), refused at once rather than queued
+// unboundedly; the deadline (Config.RequestTimeout) on the request's
+// context, which cancels a tune mid-search, and on reads of its body, so a
+// stalled upload ends when a stalled tune would; request.work, the wait for
+// one of the Config.Concurrency worker slots that bound CPU work, which a
+// handler calls once its body is in memory; the one count in
+// frazd_requests_total; and the write. A handler only parses, reads exactly
+// the bytes the shape fixes, calls the public package and returns a response
+// or an error; errorResponse is the one place an error becomes a status and
+// a JSON body, and describe the one writer of X-Fraz-* response headers.
+// /healthz, /readyz (drain-aware) and /metrics stand beside the table,
+// neither admitted nor counted.
 //
 // # The shared evaluation-cache tier
 //
 // All requests tune through one size-bounded fraz.EvalCache keyed by data
 // fingerprint: a request re-tuning a field the server has seen — any
 // tenant, any connection — is answered from memory instead of re-running
-// the compressor. The /metrics endpoint exports its hit/miss/eviction
-// counters alongside queue depth, tunes in flight, bytes sealed, and
-// per-codec seal-latency histograms in Prometheus text format; /healthz and
-// /readyz serve liveness and drain-aware readiness.
+// the compressor. /metrics exports its hit/miss/eviction counters alongside
+// queue depth, tunes in flight, bytes sealed, and per-codec seal-latency
+// histograms in Prometheus text format, all rendered from one table.
 package server

@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements frazd's admission control: the decision, made before
@@ -16,11 +16,11 @@ import (
 
 // errTenantSaturated rejects a request whose tenant already has its full
 // concurrency allowance in the system (queued or running).
-var errTenantSaturated = errors.New("server: tenant concurrency limit reached")
+var errTenantSaturated = &statusError{http.StatusTooManyRequests, "tenant", errors.New("the tenant has reached its concurrency limit")}
 
 // errQueueFull rejects a request when the admission queue (everything
 // admitted but not yet finished) is at capacity.
-var errQueueFull = errors.New("server: admission queue full")
+var errQueueFull = &statusError{http.StatusTooManyRequests, "queue", errors.New("admission queue is full")}
 
 // admission is the two-stage gate: enter() reserves a seat in the bounded
 // system (per-tenant fairness + global queue bound, both non-blocking), and
@@ -28,16 +28,15 @@ var errQueueFull = errors.New("server: admission queue full")
 // CPU work.
 type admission struct {
 	// slots is the worker pool: a buffered channel used as a counting
-	// semaphore, capacity = Config.Concurrency.
+	// semaphore, capacity = Config.Concurrency. Its length is the number of
+	// requests running.
 	slots chan struct{}
 	// maxAdmitted bounds everything in the system: running + queued.
-	maxAdmitted int
-	admitted    atomic.Int64
-	running     atomic.Int64
+	maxAdmitted, perTenant int
 
-	perTenant int
-	mu        sync.Mutex
-	tenants   map[string]int
+	mu       sync.Mutex
+	admitted int
+	tenants  map[string]int
 }
 
 func newAdmission(concurrency, queueDepth, perTenant int) *admission {
@@ -55,36 +54,26 @@ func newAdmission(concurrency, queueDepth, perTenant int) *admission {
 // (success or failure).
 func (a *admission) enter(tenant string) (leave func(), err error) {
 	a.mu.Lock()
-	if a.tenants[tenant] >= a.perTenant {
-		a.mu.Unlock()
+	defer a.mu.Unlock()
+	switch {
+	case a.tenants[tenant] >= a.perTenant:
 		return nil, errTenantSaturated
-	}
-	a.tenants[tenant]++
-	a.mu.Unlock()
-
-	if a.admitted.Add(1) > int64(a.maxAdmitted) {
-		a.admitted.Add(-1)
-		a.leaveTenant(tenant)
+	case a.admitted >= a.maxAdmitted:
 		return nil, errQueueFull
 	}
-
+	a.tenants[tenant]++
+	a.admitted++
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			a.admitted.Add(-1)
-			a.leaveTenant(tenant)
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			a.admitted--
+			if a.tenants[tenant]--; a.tenants[tenant] == 0 {
+				delete(a.tenants, tenant)
+			}
 		})
 	}, nil
-}
-
-func (a *admission) leaveTenant(tenant string) {
-	a.mu.Lock()
-	if a.tenants[tenant] <= 1 {
-		delete(a.tenants, tenant)
-	} else {
-		a.tenants[tenant]--
-	}
-	a.mu.Unlock()
 }
 
 // acquire blocks until a worker slot frees up or the context ends; the
@@ -96,21 +85,13 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	a.running.Add(1)
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.running.Add(-1)
-			<-a.slots
-		})
-	}, nil
+	return func() { once.Do(func() { <-a.slots }) }, nil
 }
 
 // queued reports admitted requests not currently holding a worker slot.
 func (a *admission) queued() int64 {
-	q := a.admitted.Load() - a.running.Load()
-	if q < 0 {
-		q = 0
-	}
-	return q
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int64(max(a.admitted-len(a.slots), 0))
 }

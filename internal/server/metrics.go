@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file is the ops surface's measurement layer: a minimal, stdlib-only
@@ -15,81 +16,59 @@ import (
 // label — and hand-rolling them keeps the binary dependency-free while
 // /metrics stays scrapeable by any Prometheus-compatible collector.
 
-// counter is a monotonically increasing uint64 metric.
-type counter struct {
-	v atomic.Uint64
-}
-
-func (c *counter) add(n uint64) { c.v.Add(n) }
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) value() uint64 {
-	return c.v.Load()
-}
-
-// labeledCounters is a counter family keyed by one pre-rendered label set,
-// e.g. `endpoint="compress",code="200"`.
-type labeledCounters struct {
+// family is a set of instruments of one shape keyed by one pre-rendered
+// label set, e.g. `endpoint="compress",code="200"` for a counter
+// (atomic.Uint64) or `codec="sz:abs"` for a histogram. The zero value of T
+// is a ready instrument.
+type family[T any] struct {
 	mu sync.Mutex
-	m  map[string]*counter
+	m  map[string]*T
 }
 
-func (l *labeledCounters) get(labels string) *counter {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.m == nil {
-		l.m = make(map[string]*counter)
+func (f *family[T]) get(labels string) *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.m == nil {
+		f.m = make(map[string]*T)
 	}
-	c, ok := l.m[labels]
+	v, ok := f.m[labels]
 	if !ok {
-		c = &counter{}
-		l.m[labels] = c
+		v = new(T)
+		f.m[labels] = v
 	}
-	return c
+	return v
 }
 
-// snapshot returns the label sets in deterministic order, so consecutive
-// scrapes diff cleanly.
-func (l *labeledCounters) snapshot() []struct {
-	labels string
-	value  uint64
-} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]string, 0, len(l.m))
-	for k := range l.m {
+// each visits the family in label order, so consecutive scrapes diff
+// cleanly.
+func (f *family[T]) each(visit func(labels string, v *T)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := make([]string, 0, len(f.m))
+	for k := range f.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]struct {
-		labels string
-		value  uint64
-	}, len(keys))
-	for i, k := range keys {
-		out[i].labels = k
-		out[i].value = l.m[k].value()
+	for _, k := range keys {
+		visit(k, f.m[k])
 	}
-	return out
 }
 
 // sealBuckets are the upper bounds (seconds) of the per-codec seal-latency
 // histogram: log-spaced from 1ms to 10s, the plausible range from an szx
 // seal of a tiny field to a quality-objective tune of a large one.
-var sealBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+var sealBuckets = [...]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // histogram is a Prometheus-style cumulative histogram. The sum is kept as
 // float64 bits in an atomic CAS loop so observe stays lock-free.
 type histogram struct {
-	counts  []atomic.Uint64 // one per bucket, non-cumulative; rendered cumulatively
+	counts  [len(sealBuckets) + 1]atomic.Uint64 // one per bucket, non-cumulative; rendered cumulatively
 	sumBits atomic.Uint64
 	count   atomic.Uint64
 }
 
-func newHistogram() *histogram {
-	return &histogram{counts: make([]atomic.Uint64, len(sealBuckets)+1)}
-}
-
 func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(sealBuckets, v)
+	i := sort.SearchFloat64s(sealBuckets[:], v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -101,143 +80,110 @@ func (h *histogram) observe(v float64) {
 	}
 }
 
-// histogramVec is a histogram family keyed by one label value (codec name).
-type histogramVec struct {
-	mu sync.Mutex
-	m  map[string]*histogram
-}
-
-func (hv *histogramVec) get(key string) *histogram {
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	if hv.m == nil {
-		hv.m = make(map[string]*histogram)
-	}
-	h, ok := hv.m[key]
-	if !ok {
-		h = newHistogram()
-		hv.m[key] = h
-	}
-	return h
-}
-
-func (hv *histogramVec) keys() []string {
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	keys := make([]string, 0, len(hv.m))
-	for k := range hv.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // serverMetrics is every instrument the server exports.
 type serverMetrics struct {
-	requests    labeledCounters // frazd_requests_total{endpoint,code}
-	rejected    labeledCounters // frazd_rejected_total{reason}
-	bytesIn     counter         // raw field bytes accepted for compression
-	bytesSealed counter         // archive bytes produced
-	bytesOpened counter         // raw field bytes reconstructed
-	sealSeconds histogramVec    // frazd_seal_seconds{codec}
+	requests    family[atomic.Uint64] // frazd_requests_total{endpoint,code}
+	rejected    family[atomic.Uint64] // frazd_rejected_total{reason}
+	bytesIn     atomic.Uint64         // raw field bytes accepted for compression
+	bytesSealed atomic.Uint64         // archive bytes produced
+	bytesOpened atomic.Uint64         // raw field bytes reconstructed
+	sealSeconds family[histogram]     // frazd_seal_seconds{codec}
 }
 
 func (m *serverMetrics) observeRequest(endpoint string, code int) {
-	m.requests.get(fmt.Sprintf("endpoint=%q,code=\"%d\"", endpoint, code)).inc()
+	m.requests.get(fmt.Sprintf("endpoint=%q,code=\"%d\"", endpoint, code)).Add(1)
 }
 
 func (m *serverMetrics) observeRejection(reason string) {
-	m.rejected.get(fmt.Sprintf("reason=%q", reason)).inc()
+	m.rejected.get(fmt.Sprintf("reason=%q", reason)).Add(1)
 }
 
-// writeMetrics renders the exposition. The gauge values that live outside
-// serverMetrics (queue depth, in-flight tunes, cache counters) are passed in
-// by the server at scrape time, so this layer holds no back-pointer.
-func (m *serverMetrics) writeTo(w io.Writer, g gaugeSnapshot) {
-	fmt.Fprintf(w, "# HELP frazd_tunes_in_flight Requests currently holding a worker slot.\n")
-	fmt.Fprintf(w, "# TYPE frazd_tunes_in_flight gauge\n")
-	fmt.Fprintf(w, "frazd_tunes_in_flight %d\n", g.running)
-	fmt.Fprintf(w, "# HELP frazd_queue_depth Admitted requests waiting for a worker slot.\n")
-	fmt.Fprintf(w, "# TYPE frazd_queue_depth gauge\n")
-	fmt.Fprintf(w, "frazd_queue_depth %d\n", g.queued)
-	fmt.Fprintf(w, "# HELP frazd_draining Whether the server is draining (rejecting new work).\n")
-	fmt.Fprintf(w, "# TYPE frazd_draining gauge\n")
-	fmt.Fprintf(w, "frazd_draining %d\n", g.draining)
+func (m *serverMetrics) observeSeal(codec string, took time.Duration) {
+	m.sealSeconds.get(fmt.Sprintf("codec=%q", codec)).observe(took.Seconds())
+}
 
-	fmt.Fprintf(w, "# HELP frazd_requests_total Completed requests by endpoint and status code.\n")
-	fmt.Fprintf(w, "# TYPE frazd_requests_total counter\n")
-	for _, c := range m.requests.snapshot() {
-		fmt.Fprintf(w, "frazd_requests_total{%s} %d\n", c.labels, c.value)
-	}
-	fmt.Fprintf(w, "# HELP frazd_rejected_total Requests rejected before doing work, by reason.\n")
-	fmt.Fprintf(w, "# TYPE frazd_rejected_total counter\n")
-	for _, c := range m.rejected.snapshot() {
-		fmt.Fprintf(w, "frazd_rejected_total{%s} %d\n", c.labels, c.value)
-	}
+// counterSamples is a counter family's series, one per label set.
+func counterSamples(name string, f *family[atomic.Uint64]) (out []sample) {
+	f.each(func(labels string, c *atomic.Uint64) {
+		out = append(out, sample{name + "{" + labels + "}", c.Load()})
+	})
+	return out
+}
 
-	fmt.Fprintf(w, "# HELP frazd_field_bytes_total Raw field bytes accepted for compression.\n")
-	fmt.Fprintf(w, "# TYPE frazd_field_bytes_total counter\n")
-	fmt.Fprintf(w, "frazd_field_bytes_total %d\n", m.bytesIn.value())
-	fmt.Fprintf(w, "# HELP frazd_sealed_bytes_total Archive bytes produced by seals (rate() of this is bytes sealed per second).\n")
-	fmt.Fprintf(w, "# TYPE frazd_sealed_bytes_total counter\n")
-	fmt.Fprintf(w, "frazd_sealed_bytes_total %d\n", m.bytesSealed.value())
-	fmt.Fprintf(w, "# HELP frazd_opened_bytes_total Raw field bytes reconstructed by decompressions.\n")
-	fmt.Fprintf(w, "# TYPE frazd_opened_bytes_total counter\n")
-	fmt.Fprintf(w, "frazd_opened_bytes_total %d\n", m.bytesOpened.value())
-
-	fmt.Fprintf(w, "# HELP frazd_cache_hits_total Evaluation-cache hits across all requests.\n")
-	fmt.Fprintf(w, "# TYPE frazd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "frazd_cache_hits_total %d\n", g.cacheHits)
-	fmt.Fprintf(w, "# HELP frazd_cache_misses_total Evaluation-cache misses (compressor evaluations performed).\n")
-	fmt.Fprintf(w, "# TYPE frazd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "frazd_cache_misses_total %d\n", g.cacheMisses)
-	fmt.Fprintf(w, "# HELP frazd_cache_evictions_total Evaluation-cache entries evicted to stay under the size cap.\n")
-	fmt.Fprintf(w, "# TYPE frazd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "frazd_cache_evictions_total %d\n", g.cacheEvictions)
-	fmt.Fprintf(w, "# HELP frazd_cache_entries Evaluation-cache entries currently resident.\n")
-	fmt.Fprintf(w, "# TYPE frazd_cache_entries gauge\n")
-	fmt.Fprintf(w, "frazd_cache_entries %d\n", g.cacheEntries)
-	fmt.Fprintf(w, "# HELP frazd_cache_hit_rate Hits over hits+misses since start.\n")
-	fmt.Fprintf(w, "# TYPE frazd_cache_hit_rate gauge\n")
-	fmt.Fprintf(w, "frazd_cache_hit_rate %g\n", g.cacheHitRate)
-
-	fmt.Fprintf(w, "# HELP frazd_archive_store_bytes Bytes held by the server-side archive store.\n")
-	fmt.Fprintf(w, "# TYPE frazd_archive_store_bytes gauge\n")
-	fmt.Fprintf(w, "frazd_archive_store_bytes %d\n", g.storeBytes)
-	fmt.Fprintf(w, "# HELP frazd_archive_store_entries Archives held by the server-side archive store.\n")
-	fmt.Fprintf(w, "# TYPE frazd_archive_store_entries gauge\n")
-	fmt.Fprintf(w, "frazd_archive_store_entries %d\n", g.storeEntries)
-
-	fmt.Fprintf(w, "# HELP frazd_seal_seconds Tune+seal wall time per codec.\n")
-	fmt.Fprintf(w, "# TYPE frazd_seal_seconds histogram\n")
-	for _, codec := range m.sealSeconds.keys() {
-		h := m.sealSeconds.get(codec)
+// histogramSamples renders every histogram of the family the Prometheus
+// way: cumulative buckets, then sum and count.
+func histogramSamples(name string, f *family[histogram]) (out []sample) {
+	f.each(func(labels string, h *histogram) {
 		cum := uint64(0)
 		for i, le := range sealBuckets {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "frazd_seal_seconds_bucket{codec=%q,le=%q} %d\n", codec, trimFloat(le), cum)
+			out = append(out, sample{fmt.Sprintf("%s_bucket{%s,le=\"%g\"}", name, labels, le), cum})
 		}
 		cum += h.counts[len(sealBuckets)].Load()
-		fmt.Fprintf(w, "frazd_seal_seconds_bucket{codec=%q,le=\"+Inf\"} %d\n", codec, cum)
-		fmt.Fprintf(w, "frazd_seal_seconds_sum{codec=%q} %g\n", codec, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "frazd_seal_seconds_count{codec=%q} %d\n", codec, h.count.Load())
+		out = append(out,
+			sample{fmt.Sprintf("%s_bucket{%s,le=\"+Inf\"}", name, labels), cum},
+			sample{fmt.Sprintf("%s_sum{%s}", name, labels), math.Float64frombits(h.sumBits.Load())},
+			sample{fmt.Sprintf("%s_count{%s}", name, labels), h.count.Load()})
+	})
+	return out
+}
+
+// metric is one row of the exposition: a family's name, help and type, and
+// its value at scrape time — a number, or the samples of a labelled family.
+type metric struct {
+	name, help, kind string
+	value            any
+}
+
+// sample is one series of a labelled family: its full name, suffix and
+// labels included, and its value.
+type sample struct {
+	series string
+	value  any
+}
+
+// metrics is the table /metrics renders, in exposition order. The gauges
+// that live outside serverMetrics (queue depth, in-flight tunes, cache and
+// store counters) are read here, at scrape time.
+func (s *Server) metrics() []metric {
+	cache := s.cache.Stats()
+	storeBytes, storeEntries := s.store.stats()
+	draining := 0
+	if s.draining.Load() {
+		draining = 1
+	}
+	m := &s.met
+	return []metric{
+		{"frazd_tunes_in_flight", "Requests currently holding a worker slot.", "gauge", len(s.adm.slots)},
+		{"frazd_queue_depth", "Admitted requests waiting for a worker slot.", "gauge", s.adm.queued()},
+		{"frazd_draining", "Whether the server is draining (rejecting new work).", "gauge", draining},
+		{"frazd_requests_total", "Completed requests by endpoint and status code.", "counter", counterSamples("frazd_requests_total", &m.requests)},
+		{"frazd_rejected_total", "Requests rejected before doing work, by reason.", "counter", counterSamples("frazd_rejected_total", &m.rejected)},
+		{"frazd_field_bytes_total", "Raw field bytes accepted for compression.", "counter", m.bytesIn.Load()},
+		{"frazd_sealed_bytes_total", "Archive bytes produced by seals (rate() of this is bytes sealed per second).", "counter", m.bytesSealed.Load()},
+		{"frazd_opened_bytes_total", "Raw field bytes reconstructed by decompressions.", "counter", m.bytesOpened.Load()},
+		{"frazd_cache_hits_total", "Evaluation-cache hits across all requests.", "counter", cache.Hits},
+		{"frazd_cache_misses_total", "Evaluation-cache misses (compressor evaluations performed).", "counter", cache.Misses},
+		{"frazd_cache_evictions_total", "Evaluation-cache entries evicted to stay under the size cap.", "counter", cache.Evictions},
+		{"frazd_cache_entries", "Evaluation-cache entries currently resident.", "gauge", cache.Entries},
+		{"frazd_cache_hit_rate", "Hits over hits+misses since start.", "gauge", cache.HitRate()},
+		{"frazd_archive_store_bytes", "Bytes held by the server-side archive store.", "gauge", storeBytes},
+		{"frazd_archive_store_entries", "Archives held by the server-side archive store.", "gauge", storeEntries},
+		{"frazd_seal_seconds", "Tune+seal wall time per codec.", "histogram", histogramSamples("frazd_seal_seconds", &m.sealSeconds)},
 	}
 }
 
-// gaugeSnapshot carries the point-in-time gauge values the server computes
-// at scrape time.
-type gaugeSnapshot struct {
-	running, queued                        int64
-	draining                               int
-	cacheHits, cacheMisses, cacheEvictions uint64
-	cacheEntries                           int
-	cacheHitRate                           float64
-	storeBytes                             int64
-	storeEntries                           int
-}
-
-// trimFloat renders a bucket bound the way Prometheus clients conventionally
-// do: shortest decimal form.
-func trimFloat(v float64) string {
-	return fmt.Sprintf("%g", v)
+// writeMetrics renders the table in Prometheus text format; %v prints an
+// integer as %d would and a float64 in its shortest form, as %g would.
+func writeMetrics(w io.Writer, table []metric) {
+	for _, m := range table {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.kind)
+		samples, labelled := m.value.([]sample)
+		if !labelled {
+			samples = []sample{{m.name, m.value}}
+		}
+		for _, sm := range samples {
+			fmt.Fprintf(w, "%s %v\n", sm.series, sm.value)
+		}
+	}
 }

@@ -3,12 +3,17 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fraz/internal/grid"
@@ -241,5 +246,89 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if m2[`frazd_draining`] != 1 {
 		t.Error("frazd_draining gauge not set")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden from this run")
+
+// TestMetricsGolden pins the whole exposition — every HELP and TYPE line,
+// their order, every series name and value — after a fixed sequence: one
+// streamed compress, one stored compress of the same field, one decompress
+// by id, one unknown archive id, and one tenant refusal (with the request
+// that caused it finishing afterwards). Only what depends on the clock is
+// masked: the seal histogram's bucket counts and sum.
+func TestMetricsGolden(t *testing.T) {
+	s := New(Config{Concurrency: 2, QueueDepth: 4, PerTenant: 1})
+	var holding atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.sealHook = func() {
+		if holding.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hdr := map[string]string{"X-Fraz-Shape": "16x12x10"}
+	expect := func(resp *http.Response, want int) []byte {
+		t.Helper()
+		body := readAll(t, resp)
+		if resp.StatusCode != want {
+			t.Fatalf("status %d, want %d: %s", resp.StatusCode, want, body)
+		}
+		return body
+	}
+
+	expect(postCompress(t, ts.URL, rawBody(false), hdr), http.StatusOK)
+	var stored struct {
+		ID string `json:"id"`
+	}
+	created := expect(postCompress(t, ts.URL, rawBody(false), map[string]string{"X-Fraz-Shape": "16x12x10", "X-Fraz-Store": "1"}), http.StatusCreated)
+	if err := json.Unmarshal(created, &stored); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/decompress?id="+stored.ID, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(resp, http.StatusOK)
+	resp, err = http.Get(ts.URL + "/v1/archives/deadbeefdeadbeef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(resp, http.StatusNotFound)
+
+	holding.Store(true)
+	held := make(chan *http.Response, 1)
+	go func() { held <- postCompress(t, ts.URL, rawBody(false), hdr) }()
+	<-entered
+	expect(postCompress(t, ts.URL, rawBody(false), hdr), http.StatusTooManyRequests)
+	holding.Store(false)
+	release <- struct{}{}
+	expect(<-held, http.StatusOK)
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, line := range strings.SplitAfter(string(expect(resp, http.StatusOK)), "\n") {
+		if strings.HasPrefix(line, "frazd_seal_seconds_bucket") || strings.HasPrefix(line, "frazd_seal_seconds_sum") {
+			line = line[:strings.LastIndexByte(line, ' ')] + " MASKED\n"
+		}
+		got.WriteString(line)
+	}
+	const golden = "testdata/metrics.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metrics differs from %s (rerun with -update only if the exposition is meant to change)\n--- got\n%s--- want\n%s", golden, got.Bytes(), want)
 	}
 }

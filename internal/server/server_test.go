@@ -199,7 +199,7 @@ func checkWithinBound(t *testing.T, wide bool, raw []byte, bound float64) {
 	// Allow slack: sz:abs quantizes against the sampled block's range.
 	limit := bound * 1.5
 	if wide {
-		orig, got := testField64(), decodeRaw[float64](raw)
+		orig, got := testField64(), grid.FromLE[float64](raw)
 		for i := range orig {
 			if d := math.Abs(orig[i] - got[i]); d > limit {
 				t.Fatalf("value %d off by %g, bound %g", i, d, bound)
@@ -207,7 +207,7 @@ func checkWithinBound(t *testing.T, wide bool, raw []byte, bound float64) {
 		}
 		return
 	}
-	orig, got := testField32(), decodeRaw[float32](raw)
+	orig, got := testField32(), grid.FromLE[float32](raw)
 	for i := range orig {
 		if d := math.Abs(float64(orig[i] - got[i])); d > limit {
 			t.Fatalf("value %d off by %g, bound %g", i, d, bound)
@@ -371,6 +371,10 @@ func TestBadRequests(t *testing.T) {
 		// panic in make, and to a plausible one, which used to be believed.
 		{"shape wraps negative", map[string]string{"X-Fraz-Shape": "2305843009213693951x2"}, make([]byte, 4), http.StatusBadRequest},
 		{"shape wraps positive", map[string]string{"X-Fraz-Shape": "3037000500x3037000500"}, make([]byte, 4), http.StatusBadRequest},
+		// A well-formed request the codec or the objective can never serve is
+		// the client's error, not the server's: these answered 500.
+		{"codec cannot serve the rank", map[string]string{"X-Fraz-Shape": "64", "X-Fraz-Codec": "mgard:abs"}, make([]byte, 256), http.StatusBadRequest},
+		{"objective cannot serve the rank", map[string]string{"X-Fraz-Shape": "64", "X-Fraz-Objective": "ssim", "X-Fraz-Target": "0.9"}, make([]byte, 256), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

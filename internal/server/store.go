@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"net/http"
 	"sync"
 )
 
@@ -14,24 +15,11 @@ import (
 // is size-bounded with FIFO eviction — it is a staging area between
 // pipeline stages, not durable storage.
 
-// archiveMeta is what the store remembers about an archive beyond its
-// bytes; it is rendered into response headers on download.
-type archiveMeta struct {
-	Codec      string
-	DType      string
-	Shape      string
-	ErrorBound float64
-	Ratio      float64
-	Blocks     int
-	Objective  string
-	Target     float64
-	Achieved   float64
-}
-
+// storedArchive is an archive and the headers that describe it (describe),
+// kept as they were answered at upload and replayed on download.
 type storedArchive struct {
-	id   string
-	data []byte
-	meta archiveMeta
+	data   []byte
+	header http.Header
 }
 
 // archiveStore is a bounded in-memory map of id → archive with FIFO
@@ -62,10 +50,10 @@ func archiveID(data []byte) string {
 }
 
 // put stores the archive and returns its id. The caller must not mutate
-// data afterwards (the store keeps it by reference). An archive larger than
+// data or header afterwards (the store keeps both by reference). An archive larger than
 // the whole budget is refused with ok=false rather than evicting everything
 // else for nothing.
-func (s *archiveStore) put(data []byte, meta archiveMeta) (id string, ok bool) {
+func (s *archiveStore) put(data []byte, header http.Header) (id string, ok bool) {
 	if int64(len(data)) > s.maxBytes {
 		return "", false
 	}
@@ -83,7 +71,7 @@ func (s *archiveStore) put(data []byte, meta archiveMeta) (id string, ok bool) {
 			delete(s.m, oldest)
 		}
 	}
-	s.m[id] = &storedArchive{id: id, data: data, meta: meta}
+	s.m[id] = &storedArchive{data: data, header: header}
 	s.order = append(s.order, id)
 	s.bytes += int64(len(data))
 	return id, true

@@ -11,16 +11,15 @@ import (
 // has nothing to learn from the big ones that it cannot learn from these.
 const fuzzMaxValues = 1 << 16
 
-// fuzzSeeds adds valid streams of ranks 1 to 3 at element type T, with and
-// without regression blocks and the dictionary stage, plus the two hostile
-// streams of the corruption table.
+// fuzzSeeds adds valid streams of ranks 1 to 3 at element type T, at a loose
+// and a tight bound, plus the two hostile streams of the corruption table.
 func fuzzSeeds[T grid.Float](f *testing.F) {
 	for _, shape := range []grid.Dims{grid.MustDims(200), grid.MustDims(14, 15), grid.MustDims(7, 8, 9)} {
 		data := make([]T, shape.Len())
 		for i := range data {
 			data[i] = T(i%13)/8 + T(i)/64
 		}
-		for _, o := range []Options{{ErrorBound: 1e-2}, {ErrorBound: 1e-5, DisableDictionary: true}} {
+		for _, o := range []Options{{ErrorBound: 1e-2}, {ErrorBound: 1e-5}} {
 			comp, err := Compress(data, shape, o)
 			if err != nil {
 				f.Fatal(err)

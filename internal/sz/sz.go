@@ -67,11 +67,6 @@ type Options struct {
 	// Intervals is the number of linear-scaling quantization intervals;
 	// 0 selects the SZ default of 65536.
 	Intervals int
-	// DisableRegression forces the Lorenzo predictor everywhere. Used by
-	// ablation benchmarks.
-	DisableRegression bool
-	// DisableDictionary skips the DEFLATE stage. Used by ablation benchmarks.
-	DisableDictionary bool
 }
 
 func (o *Options) withDefaults(ndims int) Options {
@@ -137,7 +132,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	for _, b := range blocks {
 		useRegress := false
 		var coeffs [4]float64
-		if !o.DisableRegression && b.Len() >= 8 {
+		if b.Len() >= 8 {
 			coeffs = fitRegression(data, shape, strides, b)
 			if regressionBeatsLorenzo(data, shape, strides, b, coeffs) {
 				useRegress = true
@@ -157,7 +152,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	// The shared back end (internal/codestream): the block records go first
 	// as one chunk, then the Huffman-coded codes and the literals, and the
 	// dictionary stage runs over all of it.
-	body, dictFlag, err := codestream.Encode(enc.codes, enc.literals, !o.DisableDictionary, blockMeta)
+	body, dictFlag, err := codestream.Encode(enc.codes, enc.literals, blockMeta)
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}

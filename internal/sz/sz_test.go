@@ -199,7 +199,7 @@ func hostileStreams[T grid.Float](t testing.TB, bombSize int) (valid, forged, bo
 	for i := range data {
 		data[i] = T(i%9) / 4
 	}
-	valid, err := Compress(data, grid.MustDims(64), Options{ErrorBound: 1e-3, DisableDictionary: true})
+	valid, err := Compress(data, grid.MustDims(64), Options{ErrorBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +286,6 @@ func TestDecompressHeaderShape(t *testing.T) {
 func TestAblationOptions(t *testing.T) {
 	data, shape := synthetic3D(16, 16, 16, 8)
 	for _, opts := range []Options{
-		{ErrorBound: 1e-3, DisableRegression: true},
-		{ErrorBound: 1e-3, DisableDictionary: true},
-		{ErrorBound: 1e-3, DisableRegression: true, DisableDictionary: true},
 		{ErrorBound: 1e-3, BlockSize: 4, Intervals: 256},
 	} {
 		comp, err := Compress(data, shape, opts)
