@@ -46,28 +46,32 @@
 // zero compressor evaluations. CompressResult.Direct reports when this fast
 // path ran; CodecInfo.FixedRate identifies the codecs that enable it.
 //
-// Two more need very little of it: PSNR and max-error targets on a codec
-// whose parameter is an error magnitude (CodecInfo.ErrorBounded and not
+// Most others need very little of it: ratio, PSNR and max-error targets on a
+// codec whose parameter is an error magnitude (CodecInfo.ErrorBounded and not
 // Lossless: sz:abs, sz:rel, szx:abs, zfp:accuracy, mgard:abs, mgard:l2) are
-// tuned model first. Both follow the bound monotonically and have a closed
-// form for a uniform quantiser (for PSNR, bound ≈ range·√3·10^(−dB/20)), so
-// the tuner measures the model's bound and corrects a miss with a
-// sequential bracket — one to eight evaluations, CompressResult.Evaluations
-// says how many, a few more where the curve has teeth and the bracket is
-// bisected further. Only a measured in-band evaluation is ever sealed. Where
-// the bracket finds none (a staircase curve, an unreachable target) the
-// region-parallel search runs as the fallback and decides, ErrInfeasible
-// included. Fixed-ratio and SSIM targets, and every target on zfp:rate,
-// zfp:precision and frsz:rate, take the region-parallel search. Which path
-// runs follows from the objective and the codec; there is nothing to
-// configure.
+// tuned model first. PSNR and max-error follow the bound monotonically and
+// have a closed form for a uniform quantiser (for PSNR, bound ≈
+// range·√3·10^(−dB/20)); the ratio has the same form up to an offset that
+// belongs to the data — halving the bound costs about one bit per value — so
+// its first bound is a pilot whose measurement supplies the offset. The tuner
+// measures the model's bound and corrects a miss with a sequential bracket —
+// one to eight evaluations, CompressResult.Evaluations says how many, a few
+// more where the curve has teeth (SZ's ratio curve, the paper's Fig. 3) and
+// the bracket is bisected further. Only a measured in-band evaluation is ever
+// sealed. Where the bracket finds none (a staircase curve, an unreachable
+// target) the region-parallel search of the paper's Algorithm 2 runs as the
+// fallback and decides, ErrInfeasible included. SSIM targets, and every
+// target on zfp:rate, zfp:precision and frsz:rate, take the region-parallel
+// search. Which path runs follows from the objective and the codec; there is
+// nothing to configure.
 //
 // Whichever path runs, the answer is the one a single worker computes: the
 // region search goes through its regions in order and stops after the first
 // that finds an in-band bound, and Workers beyond one only search the next
 // regions ahead of time. The same data, options and Seed therefore give the
 // same bound, the same Evaluations count and — at a pinned Blocks count —
-// the same archive bytes at any Workers setting and on any number of cores.
+// the same archive bytes at any Workers setting and on any number of cores;
+// where the model-first search settles the run, at any Seed as well.
 //
 // Decompression needs no configuration — the container header carries the
 // codec, tuned bound, achieved ratio, shape, element type, and (for
@@ -151,8 +155,8 @@
 //
 //   - internal/core      — the FRaZ autotuner and parallel orchestrator: the
 //     objective-generic search (ratio/PSNR/SSIM/max-error through one
-//     region-parallel loop), the model-first search that PSNR and max-error
-//     take ahead of it on error-magnitude codecs, plus the blocked sealing
+//     region-parallel loop), the model-first search that ratio, PSNR and
+//     max-error take ahead of it on error-magnitude codecs, plus the blocked sealing
 //     path (tune on a sampled block, compress all blocks concurrently)
 //   - internal/pressio   — the generic codec layer (libpressio analogue): codec
 //     registry with capabilities, the shared evaluation cache (compress-only

@@ -48,7 +48,7 @@ func TestTuneBufferCacheEliminatesRepeatedCompressions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tu.TuneBuffer(context.Background(), smallBuffer(512))
+		res, err := tu.SweepOnly().TuneBuffer(context.Background(), smallBuffer(512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestTuneBufferCacheWithRealCompressor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tu.TuneBuffer(context.Background(), hurricaneBuffer(t))
+		res, err := tu.SweepOnly().TuneBuffer(context.Background(), hurricaneBuffer(t))
 		if err != nil {
 			t.Fatal(err)
 		}

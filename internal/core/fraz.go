@@ -31,8 +31,9 @@
 // either search left the target in, and one rule (Objective.better) picking
 // the answer from whatever they measured. Every measurement runs at its
 // evaluation-cache slot's own bound (pressio.Param.Slot), so the result is a
-// function of the data, the configuration and the seed: not of Workers,
-// GOMAXPROCS, or what the cache already held. Which rungs a run takes, and
+// function of the data, the configuration and the seed — which only the
+// region search reads — not of Workers, GOMAXPROCS, or what the cache
+// already held. Which rungs a run takes, and
 // over what interval, follows from the objective and the codec's descriptor
 // (pressio.Codec), never from a setting or a codec's name:
 //
@@ -41,15 +42,17 @@
 //     bit count over its declared domain whatever the data's scale;
 //   - FixedRatio on a true fixed-rate codec (one with a Size: frsz:rate) is
 //     satisfied directly, by arithmetic, with no evaluation;
-//   - FixedPSNR and FixedMaxError on a codec whose parameter is an error
-//     magnitude (pressio.Unit.IsError: sz:abs, sz:rel, zfp:accuracy,
+//   - FixedRatio, FixedPSNR and FixedMaxError on a codec whose parameter is
+//     an error magnitude (pressio.Unit.IsError: sz:abs, sz:rel, zfp:accuracy,
 //     mgard:abs, mgard:l2, szx:abs) are tuned model first (model.go): the
-//     objective's closed form names the first bound and a sequential
+//     objective's closed form names the first bound — for the ratio, whose
+//     closed form leaves an offset to the data, a pilot — and a sequential
 //     bracket corrects a miss, within eight evaluations; bisection and then
-//     the region search above are its fallbacks, for curves with teeth,
-//     staircases and unreachable targets;
-//   - everything else — FixedRatio, FixedSSIM, and any objective on
-//     zfp:rate, zfp:precision or frsz:rate — takes the region search.
+//     the region search above are its fallbacks, for curves with teeth
+//     (SZ's ratio, paper Fig. 3), staircases and unreachable targets;
+//   - everything else — FixedSSIM, and any objective on zfp:rate,
+//     zfp:precision or frsz:rate — takes the region search, which
+//     Tuner.SweepOnly also reaches directly.
 package core
 
 import (
@@ -111,7 +114,8 @@ type Config struct {
 	// no say in a Result beyond Elapsed and the cache counters.
 	Workers int
 	// Seed seeds each region's minimiser; with the data and the rest of the
-	// configuration it determines the Result.
+	// configuration it determines the Result. A run the rungs above the sweep
+	// settle never reads it.
 	Seed int64
 	// Cache memoises compressor evaluations across the K overlapping region
 	// searches (and across tuning runs, when shared between tuners). Nil
@@ -234,9 +238,8 @@ type Tuner struct {
 	cache *pressio.Cache
 	// modelFirst selects the predict-then-bracket search of model.go ahead
 	// of the region search. It follows from the objective and the codec: an
-	// objective that is monotone in the bound with a closed-form model,
-	// preferring the highest in-band ratio (which is what places the aim), on
-	// a codec whose parameter is an error magnitude.
+	// objective with a closed-form model of how its value follows the bound,
+	// on a codec whose parameter is an error magnitude.
 	modelFirst bool
 }
 
@@ -263,8 +266,18 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 	}
 	cfg = cfg.withDefaults()
 	cfg.Objective = obj
-	first := obj.LogBoundFor != nil && obj.PreferRatio && codec.Param.Unit.IsError()
+	first := obj.LogBoundFor != nil && codec.Param.Unit.IsError()
 	return &Tuner{compressor: c, codec: codec, cfg: cfg, obj: obj, cache: cache, modelFirst: first}, nil
+}
+
+// SweepOnly returns a tuner that takes the region search where this one
+// would try the model first — the paper's Algorithm 2 as published, for the
+// experiments that reproduce its figures and the tests that pin the sweep —
+// and shares this one's evaluation cache.
+func (t *Tuner) SweepOnly() *Tuner {
+	s := *t
+	s.modelFirst = false
+	return &s
 }
 
 // Cache returns the evaluation cache the tuner records compressor
@@ -293,18 +306,24 @@ func (t *Tuner) searchRange(buf pressio.Buffer) (float64, float64, error) {
 		if eHi <= 0 {
 			eHi = vr
 		}
-		switch p.Unit {
-		case pressio.UnitSquaredError:
-			eLo, eHi = eLo*eLo, eHi*eHi
-		case pressio.UnitRangeFraction:
-			eLo, eHi = eLo/vr, eHi/vr
-		}
-		lo, hi = math.Max(lo, eLo), math.Min(hi, eHi)
+		lo, hi = math.Max(lo, t.inUnit(eLo, vr)), math.Min(hi, t.inUnit(eHi, vr))
 	}
 	if !(lo < hi) {
 		return 0, 0, fmt.Errorf("%w: empty range [%v, %v] for %s", ErrBadConfig, lo, hi, p.Name)
 	}
 	return lo, hi, nil
+}
+
+// inUnit restates a pointwise error e, in the units of data whose value range
+// is vr, in the unit of the codec's error-magnitude parameter.
+func (t *Tuner) inUnit(e, vr float64) float64 {
+	switch t.codec.Param.Unit {
+	case pressio.UnitSquaredError:
+		return e * e
+	case pressio.UnitRangeFraction:
+		return e / vr
+	}
+	return e
 }
 
 // TuneBuffer tunes a single field/time-step buffer with no prediction
@@ -396,8 +415,14 @@ func (r *run) descend(prediction float64) error {
 	if err != nil {
 		return err
 	}
-	if r.t.modelFirst && (r.model(lo, hi, missed) || r.bisect()) {
-		return nil
+	if r.t.modelFirst {
+		if r.model(lo, hi, missed) || r.bisect() {
+			return nil
+		}
+	} else if missed != nil {
+		// Paid for, so the pick may fall on it (the model lists it itself, as
+		// the first point of its stage).
+		r.seen = append(r.seen, *missed)
 	}
 	// No in-band bound among the probes: the sweep decides, and finds them in
 	// the cache.

@@ -237,16 +237,18 @@ func TestTuneBufferStepFunctionRatio(t *testing.T) {
 	}
 }
 
+// dipRatio is a non-monotonic curve like SZ's (Fig. 3): it rises from 60
+// with a dip to 45 around bound 0.25, the only place a target of 45 is met.
+func dipRatio(bound float64) float64 {
+	return 60 + 40*bound - 25*math.Exp(-(bound-0.25)*(bound-0.25)*200)
+}
+
 func TestTuneBufferNonMonotoneRatio(t *testing.T) {
-	// Non-monotonic curve like SZ's (Fig. 3): a dip in the middle.
-	fake := fake("fake-dip", func(bound float64) float64 {
-		return 60 + 40*bound - 25*math.Exp(-(bound-0.25)*(bound-0.25)*200)
-	}, nil)
-	tu, err := NewTuner(fake, Config{Objective: fixedRatio(45, 0.05), MaxError: 0.5, Seed: 4})
+	tu, err := NewTuner(fake("fake-dip", dipRatio, nil), Config{Objective: fixedRatio(45, 0.05), MaxError: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tu.TuneBuffer(context.Background(), smallBuffer(8192))
+	res, err := tu.SweepOnly().TuneBuffer(context.Background(), smallBuffer(8192))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +645,7 @@ func TestSweepDeterministicLowestRegionWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tu.TuneBuffer(context.Background(), smallBuffer(4096))
+		res, err := tu.SweepOnly().TuneBuffer(context.Background(), smallBuffer(4096))
 		if err != nil {
 			t.Fatal(err)
 		}

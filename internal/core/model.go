@@ -9,19 +9,20 @@ import (
 // This file implements the model-first search: predict, then bracket.
 //
 // The region search exists because SZ's ratio curve is not monotone (paper
-// Fig. 3). PSNR and maximum error are: on a codec whose parameter is an
-// error magnitude both follow the bound, and both have a closed form for a
-// uniform quantiser (Objective.LogBoundFor). So instead of K regions × 24
-// MaxLIPO iterations of compress + decompress + metrics, the tuner asks the
-// model for the bound, measures it, and corrects a miss along the model's
-// unit slope. Every probe is an ordinary evaluation — through the shared
-// cache, judged by the same InBand test on the measured value — and only a
-// measured in-band evaluation is ever accepted; the model decides where to
-// look, never what to believe. When the probes run out with the target
-// still between two of them — a curve with teeth narrower than the band —
-// the bisection (run.bisect) goes on halving that gap; when it closes on a
-// step of a staircase curve with no in-band bound found, the region search
-// runs as before, with these probes already in the cache.
+// Fig. 3). It is monotone between its teeth, though, and PSNR and maximum
+// error are throughout: on a codec whose parameter is an error magnitude all
+// three follow the bound, and all three have a closed form for a uniform
+// quantiser (Objective.LogBoundFor). So instead of K regions × 24 MaxLIPO
+// iterations, the tuner asks the model for the bound, measures it, and
+// corrects a miss along the model's unit slope. Every probe is an ordinary
+// evaluation — through the shared cache, judged by the same InBand test on
+// the measured value — and only a measured in-band evaluation is ever
+// accepted; the model decides where to look, never what to believe. When the
+// probes run out with the target still between two of them — a curve with
+// teeth narrower than the band — the bisection (run.bisect) goes on halving
+// that gap; when it closes on a step of a staircase curve with no in-band
+// bound found, the region search (the paper's Algorithm 2) runs as before,
+// with these probes already in the cache.
 //
 // The probes are sequential, so the outcome depends on the data and the
 // objective alone — not on Workers, GOMAXPROCS or the seed.
@@ -36,27 +37,46 @@ const modelProbeBudget = 8
 // model is the third rung: it probes at most modelProbeBudget bounds in
 // [lo, hi], lists them in probe order as one search stage, and reports
 // whether any of them landed in band (which of those the run seals at is the
-// epilogue's pick: the highest ratio). seed is a reused prediction that was
+// epilogue's pick). seed is a reused prediction that was
 // measured and missed; it is the first point of the search and counts
 // against the budget, but not in the stage's Iterations (reuse already
 // billed it).
 //
 // The search runs in (x, y) = (ln bound, LogBoundFor(measured value)), where
-// a codec that follows the model lies on y = x. It aims an eighth of the
-// band in from the high-ratio edge: inside the band by enough to absorb the
-// model's error, near the edge because that is where the ratio is.
+// a codec that follows the model lies on y = x. Objective.better says where
+// in the band to aim, and so which in-band hit is taken as it is (settled). A
+// PreferRatio objective aims an eighth of the band in from the high-ratio
+// edge — inside the band by enough to absorb the model's error, near the
+// edge because that is where the ratio is — and takes a hit in the high-ratio
+// half. The ratio is ranked by distance to its target, so it aims there and
+// takes a hit in the inner half of the band: the archive's ratio is the
+// sample's only roughly. Its model leaves the offset to the data, so the
+// first bound is a pilot: an error in data units, restated in the
+// parameter's unit as searchRange does MaxError.
 func (r *run) model(lo, hi float64, seed *Evaluation) bool {
 	t := r.t
-	vr := r.buf.ValueRange()
-	toY := func(v float64) float64 { return t.obj.LogBoundFor(v, vr) }
-	// The high-ratio edge of the band is the one the model gives the larger
-	// bound.
-	far, edge := t.obj.Band()
-	if toY(t.obj.Target) > toY(edge) {
-		far, edge = edge, far
+	vr, bits := r.buf.ValueRange(), 8*r.buf.DType().Size()
+	toY := func(v float64) float64 { return t.obj.LogBoundFor(v, vr, bits) }
+	yAim := toY(t.obj.Target)
+	first := math.Log(t.inUnit(math.Exp(yAim), vr))
+	settled := func(v float64) bool { return 2*math.Abs(v-t.obj.Target) <= t.obj.HalfWidth() }
+	if t.obj.PreferRatio {
+		// The high-ratio edge of the band is the one the model gives the
+		// larger bound.
+		far, edge := t.obj.Band()
+		if yAim > toY(edge) {
+			far, edge = edge, far
+		}
+		yAim = toY(edge + (far-edge)/8)
+		first = yAim
+		settled = func(v float64) bool { return (v-t.obj.Target)*(edge-t.obj.Target) >= 0 }
 	}
-	yAim := toY(edge + (far-edge)/8)
 	rr := RegionResult{Region: parallel.Region{Lower: math.Log(lo), Upper: math.Log(hi)}}
+	var tried []float64 // cache slots probed: bounds that share one are one probe
+	if seed != nil {
+		rr.Evaluations = append(rr.Evaluations, *seed)
+		tried = append(tried, seed.ErrorBound)
+	}
 	if math.IsNaN(yAim) || math.IsInf(yAim, 0) {
 		r.list(rr)
 		return false // a constant field, or a target the model has no bound for
@@ -111,14 +131,9 @@ func (r *run) model(lo, hi float64, seed *Evaluation) bool {
 		return math.Min(math.Max(x, below.x+w/4), above.x-w/4)
 	}
 
-	var tried []float64 // cache slots probed: bounds that share one are one probe
-	x := yAim
-	if seed != nil {
-		rr.Evaluations = append(rr.Evaluations, *seed)
-		tried = append(tried, seed.ErrorBound)
-		if note(*seed) {
-			x = next()
-		}
+	x := first
+	if seed != nil && note(*seed) {
+		x = next()
 	}
 	refining := false
 probing:
@@ -141,10 +156,10 @@ probing:
 		}
 		if t.obj.InBand(ev.Value) {
 			rr.Acceptable = true
-			// A hit in the high-ratio half of the band is taken as it is. One
-			// in the other half buys a single further probe toward the aim,
-			// and the higher ratio of the two in-band points is kept.
-			if refining || (ev.Value-t.obj.Target)*(edge-t.obj.Target) >= 0 {
+			// A settled hit is taken as it is. Any other buys a single further
+			// probe toward the aim, and the better of the two in-band points
+			// is kept.
+			if refining || settled(ev.Value) {
 				break
 			}
 			refining = true

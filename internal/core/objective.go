@@ -17,9 +17,9 @@ import (
 // early-termination cutoff, and the time-step bound-reuse loop — so the
 // objective only states what is measured, what value is wanted, and how
 // acceptance is judged. Objectives that also state a model of how their
-// value follows an error-magnitude bound (LogBoundFor: PSNR and max-error)
-// are tuned model first on codecs with such a bound, and reach that search
-// machinery only as the fallback; see model.go.
+// value follows an error-magnitude bound (LogBoundFor: ratio, PSNR and
+// max-error) are tuned model first on codecs with such a bound, and reach
+// that search machinery only as the fallback; see model.go.
 
 // Default acceptance tolerances per built-in objective. Ratio and PSNR
 // tolerances are fractional (the band is target·(1±ε), matching the paper's
@@ -76,14 +76,15 @@ type Objective struct {
 	Achieved func(ev Evaluation) float64
 	// LogBoundFor, when set, is the objective's closed-form model: the
 	// natural log of the error-magnitude bound at which a uniform-quantising
-	// codec reconstructs a field of the given value range with the given
-	// objective value. It must be monotone in value. Setting it selects the
-	// model-first search (model.go) on codecs whose parameter is an error
-	// magnitude: the model names the first bound, and the same function
-	// linearises measured values, because a codec that follows the model
-	// measures LogBoundFor(value) ≈ ln(bound) — unit slope — so the distance
-	// to the wanted value is the step in ln(bound) that corrects a miss.
-	LogBoundFor func(value, valueRange float64) float64
+	// codec reconstructs a field of the given value range, stored in elements
+	// of the given width in bits, with the given objective value. It must be
+	// monotone in value. Setting it selects the model-first search (model.go)
+	// on codecs whose parameter is an error magnitude: the model names the
+	// first bound, and the same function linearises measured values, because
+	// a codec that follows the model measures LogBoundFor(value) ≈ ln(bound)
+	// — unit slope — so the distance to the wanted value is the step in
+	// ln(bound) that corrects a miss.
+	LogBoundFor func(value, valueRange float64, bits int) float64
 	// MinRank and MaxRank bound the data ranks the objective is measurable
 	// on (zero = unbounded). SSIM is an image metric: it needs a 2-D slice,
 	// so tuning it on 1-D data would burn the whole round-trip budget
@@ -111,6 +112,16 @@ func FixedRatio(target float64) Objective {
 		Target:   target,
 		Relative: true,
 		Achieved: func(ev Evaluation) float64 { return ev.Ratio },
+		// High-rate quantisation (the result behind Tao et al.'s closed form,
+		// and the ratio-estimation line in Di et al.'s survey): halving the
+		// bound costs one bit per value, so the bits per value, bits/ρ, fall
+		// on a unit-slope line in log2(bound). Its offset belongs to the data
+		// and is not known beforehand; the three bits under log2(range/bound)
+		// written here only place the pilot probe, whose measurement then
+		// takes their place.
+		LogBoundFor: func(ratio, valueRange float64, bits int) float64 {
+			return math.Log(valueRange) - (float64(bits)/ratio+3)*math.Ln2
+		},
 	}
 }
 
@@ -133,7 +144,7 @@ func FixedPSNR(db float64) Objective {
 		},
 		// Fixed-PSNR (Tao et al.): errors uniform in [−eb, eb] have RMSE
 		// eb/√3, so PSNR = 20·log10(vr·√3/eb) and eb = vr·√3·10^(−PSNR/20).
-		LogBoundFor: func(db, valueRange float64) float64 {
+		LogBoundFor: func(db, valueRange float64, _ int) float64 {
 			return math.Log(valueRange*math.Sqrt(3)) - db*math.Ln10/20
 		},
 	}
@@ -181,7 +192,7 @@ func FixedMaxError(u float64) Objective {
 		},
 		// An error-bounded codec spends at most its bound, and on all but
 		// the smoothest fields nearly all of it.
-		LogBoundFor: func(u, _ float64) float64 { return math.Log(u) },
+		LogBoundFor: func(u, _ float64, _ int) float64 { return math.Log(u) },
 	}
 }
 
@@ -288,10 +299,10 @@ func (o Objective) Loss(achieved float64) float64 {
 // fixed-ratio objective qualifies: its achieved value is a pure function of
 // the compressed size, so a true fixed-rate codec (one whose descriptor has
 // a pressio.Codec.Size) can invert the target into its bits-per-value
-// parameter arithmetically. Quality objectives (PSNR/SSIM/max-error) are
-// measured on the reconstruction, which no capability predicts exactly, so
-// a sealed quality archive always rests on at least one measured
-// evaluation: PSNR and max-error on an error-magnitude codec take the
+// parameter arithmetically. On any other codec a ratio rests on at least one
+// measured evaluation, as every quality objective (PSNR/SSIM/max-error) does
+// — those are measured on the reconstruction, which no capability predicts
+// exactly: ratio, PSNR and max-error on an error-magnitude codec take the
 // model-first search (model.go, one to eight evaluations), SSIM and the
 // remaining codecs the region search.
 func (o Objective) DirectlySatisfiable() bool {

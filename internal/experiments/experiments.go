@@ -127,14 +127,19 @@ func fixedRatio(target, tolerance float64) core.Objective {
 	return o
 }
 
-// tuneOnce runs FRaZ on a single buffer for one target ratio.
-func tuneOnce(c pressio.Compressor, buf pressio.Buffer, target, tolerance float64, seed int64, workers int) (core.Result, error) {
-	tu, err := core.NewTuner(c, core.Config{
+// ratioTuner is the fixed-ratio tuner the single-buffer experiments share.
+func ratioTuner(c pressio.Compressor, target, tolerance float64, seed int64, workers int) (*core.Tuner, error) {
+	return core.NewTuner(c, core.Config{
 		Objective: fixedRatio(target, tolerance),
 		Seed:      seed,
 		Workers:   workers,
 		Regions:   6,
 	})
+}
+
+// tuneOnce runs FRaZ on a single buffer for one target ratio.
+func tuneOnce(c pressio.Compressor, buf pressio.Buffer, target, tolerance float64, seed int64, workers int) (core.Result, error) {
+	tu, err := ratioTuner(c, target, tolerance, seed, workers)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -251,19 +251,24 @@ func TestIterationComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTable(t, tab, 6)
+	checkTable(t, tab, 8)
 	for _, row := range tab.Rows {
 		calls := row[2].(int)
 		if calls <= 0 {
 			t.Errorf("call count missing in row %v", row)
 		}
 	}
-	// The winning-region count must never exceed the parallel total.
-	for i := 0; i+1 < len(tab.Rows); i += 3 {
+	// The winning-region count must never exceed the parallel total, and the
+	// model-first probes must not cost more than the sweep they go ahead of.
+	for i := 0; i+3 < len(tab.Rows); i += 4 {
 		winning := tab.Rows[i][2].(int)
 		total := tab.Rows[i+1][2].(int)
 		if winning > total {
 			t.Errorf("winning region calls %d exceed parallel total %d", winning, total)
+		}
+		model := tab.Rows[i+3]
+		if model[1] != "FRaZ (model first)" || model[2].(int) > total || model[4] != tab.Rows[i+1][4] {
+			t.Errorf("model-first row %v against the sweep's %v", model, tab.Rows[i+1])
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // RegionAblation quantifies the design choices behind the paper's parallel
 // orchestrator (Fig. 5, §V-C): how the number of overlapping error-bound
 // regions and the overlap fraction affect the number of compressor calls on
-// the critical path and the wall-clock tuning time.
+// the critical path and the wall-clock tuning time. It calls the region
+// search directly (Tuner.SweepOnly), without the model-first probes that
+// settle this target before any region is searched.
 func RegionAblation(cfg Config) (*report.Table, error) {
 	d, err := dataset.New("Hurricane", cfg.Scale)
 	if err != nil {
@@ -50,7 +52,7 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := tu.TuneBuffer(context.Background(), buf)
+		res, err := tu.SweepOnly().TuneBuffer(context.Background(), buf)
 		if err != nil {
 			return nil, err
 		}

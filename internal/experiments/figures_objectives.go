@@ -62,7 +62,7 @@ func Objectives(cfg Config) (*report.Table, error) {
 				res.Iterations, res.CacheHits, res.Feasible, res.Elapsed.Milliseconds())
 		}
 	}
-	tab.AddNote("evaluations are counted as they ran: psnr and max-error on these error-magnitude codecs are tuned model first (closed-form first bound, sequential bracket, at most 8), ratio and ssim by the region-parallel MaxLIPO search")
+	tab.AddNote("evaluations are counted as they ran: ratio, psnr and max-error on these error-magnitude codecs are tuned model first (closed-form first bound, or for the ratio a pilot; sequential bracket, at most 8), ssim by the region-parallel MaxLIPO search")
 	tab.AddNote("a quality evaluation (psnr/ssim/max-error) is a compress+decompress round trip, a ratio evaluation a compression alone")
 	return tab, nil
 }

@@ -160,9 +160,11 @@ func Blocks(n int) Option {
 // Workers bounds the goroutines used for region-parallel tuning and for
 // block-parallel compression and decompression. Zero (the default) uses
 // GOMAXPROCS. It buys time, never a different answer: the tuned bound and
-// CompressResult.Evaluations are what one worker would have found. The
-// default Blocks count does follow it; pin Blocks for archives that must be
-// byte-identical across machines.
+// CompressResult.Evaluations are what one worker would have found. A tune
+// uses more than one only when the region search runs — the model-first
+// probes that settle most ratio, PSNR and max-error targets are sequential.
+// The default Blocks count does follow it; pin Blocks for archives that must
+// be byte-identical across machines.
 func Workers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -176,7 +178,9 @@ func Workers(n int) Option {
 // Regions sets K, the number of overlapping regions the error-bound range is
 // split into. They are searched lowest first, Workers at a time, and the
 // lowest one that finds an in-band bound decides. Zero (the default) uses the
-// tuner's default (12).
+// tuner's default (12). It matters only when the region search runs: always
+// for SSIM and bit-count codecs, otherwise as the fallback of the model-first
+// search.
 func Regions(k int) Option {
 	return func(s *settings) error {
 		if k < 0 {
@@ -187,8 +191,9 @@ func Regions(k int) Option {
 	}
 }
 
-// Seed fixes the search's random seed, making tuning deterministic for a
-// given input and configuration.
+// Seed fixes the region search's random seed, making tuning deterministic
+// for a given input and configuration. A run the model-first search settles
+// reads no seed and gives the same answer at every one.
 func Seed(seed int64) Option {
 	return func(s *settings) error {
 		s.seed = seed

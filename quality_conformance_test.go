@@ -18,8 +18,8 @@ import (
 const qualityBudget = 8
 
 // magnitudeCodecs lists the codecs whose parameter is an error magnitude —
-// error-bounded and not lossless — which is where PSNR and max-error targets
-// are tuned model first.
+// error-bounded and not lossless — which is where ratio, PSNR and max-error
+// targets are tuned model first.
 func magnitudeCodecs() []fraz.CodecInfo {
 	var out []fraz.CodecInfo
 	for _, ci := range fraz.Codecs() {
@@ -80,26 +80,50 @@ func sealAndRemeasure[T fraz.Element](t *testing.T, c *fraz.Client, obj fraz.Obj
 // 7600 and 38.89 at 7808, around 30.89..37.75. Which side of a tooth a probe
 // lands on follows from the last bits of its bound. These may exceed the
 // budget, by no more than as much again; the band still binds them.
+//
+// The three ratio cells are fields of zeros with a few plumes, where
+// mgard:l2's ratio has a floor the target sits on: on Hurricane/QCLOUDf it
+// falls from 24.3 at 2.2e-10 to 18.4 at 6.1e-14 over the eight probes, each a
+// step toward a band of 14.4..17.6 that only the bottom of the range, 17.50
+// at 1e-24, is inside; the bisection's one evaluation finds it.
 var jaggedCells = map[string]bool{
 	"Hurricane/QRAINf/mgard:abs/max-error/f32": true,
 	"Hurricane/QRAINf/mgard:abs/max-error/f64": true,
 	"CESM/PHIS/mgard:l2/max-error/f32":         true,
 	"CESM/PHIS/mgard:l2/max-error/f64":         true,
+	"Hurricane/QCLOUDf/mgard:l2/ratio16/f32":   true,
+	"Hurricane/QGRAUPf/mgard:l2/ratio16/f32":   true,
+	"Hurricane/QSNOWf/mgard:l2/ratio16/f32":    true,
 }
 
+// steppedRatio names the codecs whose ratio curve on these 2,048-value fields
+// is a staircase, so that every ratio cell of theirs is jagged. szx:abs
+// stores a block of 128 values as one constant as soon as the bound covers the
+// block's spread: sixteen blocks, at most sixteen steps, most of them within
+// a few per cent of one bound. On HACC/y it reads 1.99 at bound 3.13, 5.14 at
+// 4.03, 8.52 at 4.11, 14.1 at 4.20, 24.9 at 4.41 and 40.4 from 4.44 up; the
+// probes bracket that cliff and the bisection picks the step out of it.
+var steppedRatio = map[string]bool{"szx:abs": true}
+
 // TestQualityBudgetConformance is the model-first path's contract, cell by
-// cell: every error-magnitude codec × {psnr, max-error} × {float32, float64}
-// on every field of the repo's datasets either seals an archive whose
-// reconstruction re-measures inside the requested band, for at most
+// cell: every error-magnitude codec × {psnr, max-error, ratio 8, ratio 16} ×
+// {float32, float64} on every field of the repo's datasets either seals an
+// archive that re-measures inside the requested band, for at most
 // qualityBudget evaluations, or fails with ErrInfeasible. A feasible answer
 // that took more evaluations than the budget is a failure here — jaggedCells
 // apart, and those within twice the budget: none may need the region-search
-// fallback, which is for targets no bound reaches.
+// fallback, which is for targets no bound reaches. The quality cells seal in
+// the default configuration, blocks tuned on the middle one. A ratio is a
+// property of the bytes, not of the values, so a block's ratio is not the
+// archive's: the ratio cells seal monolithic, so that what was tuned is what
+// is sealed, and on one worker, so that the evaluations logged for them are
+// what the runs were billed and not what a second worker ran ahead in a sweep.
 func TestQualityBudgetConformance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("tunes every error-magnitude codec × quality objective × width × dataset field")
+		t.Skip("tunes every error-magnitude codec × model-first objective × width × dataset field")
 	}
-	feasible, cells := 0, 0
+	type tally struct{ feasible, cells, evaluations int }
+	tallies := map[string]*tally{}
 	for _, ds := range dataset.All(dataset.ScaleTiny) {
 		for _, field := range ds.FieldNames() {
 			f32, shape, err := ds.Generate(field, 0)
@@ -110,16 +134,28 @@ func TestQualityBudgetConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			objectives := []fraz.Objective{fraz.FixedPSNR(60), fraz.FixedMaxError(1e-2 * valueRange(f64))}
+			objectives := []fraz.Objective{fraz.FixedPSNR(60), fraz.FixedMaxError(1e-2 * valueRange(f64)), fraz.FixedRatio(8), fraz.FixedRatio(16)}
 			for _, ci := range magnitudeCodecs() {
 				if !ci.SupportsRank(len(shape)) {
 					continue
 				}
 				for _, obj := range objectives {
+					label := obj.Name()
+					if label == "ratio" {
+						label = fmt.Sprintf("ratio%g", obj.Target())
+					}
+					if tallies[obj.Name()] == nil {
+						tallies[obj.Name()] = &tally{}
+					}
+					sum := tallies[obj.Name()]
 					for _, bits := range []int{32, 64} {
-						name := fmt.Sprintf("%s/%s/%s/%s/f%d", ds.Name, field, ci.Name, obj.Name(), bits)
+						name := fmt.Sprintf("%s/%s/%s/%s/f%d", ds.Name, field, ci.Name, label, bits)
 						t.Run(name, func(t *testing.T) {
-							c, err := fraz.New(ci.Name, fraz.Target(obj))
+							opts := []fraz.Option{fraz.Target(obj)}
+							if obj.Name() == "ratio" {
+								opts = append(opts, fraz.Blocks(1), fraz.Workers(1))
+							}
+							c, err := fraz.New(ci.Name, opts...)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -130,16 +166,18 @@ func TestQualityBudgetConformance(t *testing.T) {
 							} else {
 								res, _, measured, err = sealAndRemeasure(t, c, obj, f32, []int(shape))
 							}
-							cells++
+							sum.cells++
+							stats := c.Stats()
+							sum.evaluations += int(stats.Hits + stats.Misses)
 							if errors.Is(err, fraz.ErrInfeasible) {
 								return
 							}
 							if err != nil {
 								t.Fatal(err)
 							}
-							feasible++
+							sum.feasible++
 							budget := qualityBudget
-							if jaggedCells[name] {
+							if jaggedCells[name] || (obj.Name() == "ratio" && steppedRatio[ci.Name]) {
 								budget *= 2
 							}
 							if res.Evaluations > budget {
@@ -154,8 +192,11 @@ func TestQualityBudgetConformance(t *testing.T) {
 			}
 		}
 	}
-	if feasible*2 < cells {
-		t.Errorf("only %d of %d cells were feasible: the table no longer exercises the model-first path", feasible, cells)
+	for name, sum := range tallies {
+		t.Logf("%s: %d of %d cells feasible, %d evaluations in all", name, sum.feasible, sum.cells, sum.evaluations)
+		if sum.feasible*2 < sum.cells {
+			t.Errorf("%s: only %d of %d cells were feasible: the table no longer exercises the model-first path", name, sum.feasible, sum.cells)
+		}
 	}
 }
 
@@ -256,6 +297,53 @@ func TestQualityStaircaseStaysInfeasible(t *testing.T) {
 	}
 }
 
+// TestRatioStaircaseNeedsNoRetry: zfp:accuracy's ratio is a staircase in the
+// bound, a step per power of two, and which step the region sweep settled on,
+// after how many evaluations — on some fields, whether it found one at all —
+// followed its seed; callers retried on another. The field is 64×64×64,
+// tuned on the middle of two blocks as the default configuration does on one
+// processor, and the target is what a monolithic seal at 1e-2 of the range
+// achieves. The model-first probes are sequential and unseeded: every seed
+// gets the same bound for the same evaluations, first time.
+func TestRatioStaircaseNeedsNoRetry(t *testing.T) {
+	ds, err := dataset.New("NYX", dataset.ScaleMedium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, dims, err := ds.Generate("temperature", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := []int(dims)
+	ref, err := fraz.New("zfp:accuracy", fraz.FixedBound(1e-2*valueRange(data)), fraz.Blocks(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ref.Compress(context.Background(), &bytes.Buffer{}, data, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *fraz.CompressResult
+	for seed := int64(1); seed <= 40; seed++ {
+		c, err := fraz.New("zfp:accuracy", fraz.Ratio(sealed.Ratio), fraz.Seed(seed), fraz.Blocks(2), fraz.Workers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Compress(context.Background(), &bytes.Buffer{}, data, shape)
+		if err != nil {
+			t.Errorf("seed %d: ratio %.2f, reached at bound %v, was not found: %v", seed, sealed.Ratio, sealed.ErrorBound, err)
+			continue
+		}
+		if first == nil {
+			first = res
+		}
+		if res.ErrorBound != first.ErrorBound || res.Evaluations != first.Evaluations || res.Evaluations > qualityBudget {
+			t.Errorf("seed %d: bound %v after %d evaluations, seed 1 %v after %d (budget %d)",
+				seed, res.ErrorBound, res.Evaluations, first.ErrorBound, first.Evaluations, qualityBudget)
+		}
+	}
+}
+
 // TestQualityTuneDeterministicAcrossWorkers is the contract that an archive
 // is a function of the data and the options alone, for every objective (the
 // name dates from when only the quality objectives kept it): the model-first
@@ -264,7 +352,11 @@ func TestQualityStaircaseStaysInfeasible(t *testing.T) {
 // the four objectives × a monolithic and a four-block seal (pinned: the
 // default block count follows Workers) — is sealed at 1, 2, 4 and 8 workers,
 // and must give byte-identical archives for the same number of evaluations,
-// or, where no bound reaches the band, the same closest value.
+// or, where no bound reaches the band, the same closest value. Every feasible
+// cell but SSIM's — ratio, PSNR and max-error alike — must be settled model
+// first, within its budget, and so by no seed at all: those get another seed
+// at each worker count above one. An infeasible cell's closest value is the
+// sweep's, which reads the seed, and keeps the one it has.
 func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
 	field, fieldShape := tinyField(t)
 	objectives := []fraz.Objective{fraz.FixedRatio(12), fraz.FixedRatio(30), fraz.FixedSSIM(0.9), fraz.FixedPSNR(60), fraz.FixedMaxError(0.05)}
@@ -284,9 +376,16 @@ func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
 						// the field's two lowest levels, as one 32×16 image.
 						data, shape = field[:32*16], []int{32, 16}
 					}
+					modelFirst := obj.Name() != "ssim"
 					var want outcome
 					for i, workers := range []int{1, 2, 4, 8} {
-						c, err := fraz.New(codec, fraz.Target(obj), fraz.Blocks(blocks), fraz.Workers(workers), fraz.Regions(6))
+						opts := []fraz.Option{fraz.Target(obj), fraz.Blocks(blocks), fraz.Workers(workers), fraz.Regions(6)}
+						if modelFirst && want.evaluations > 0 {
+							// Feasible at one worker, so within the budget: the
+							// model settled it, and no seed is read.
+							opts = append(opts, fraz.Seed(int64(workers)))
+						}
+						c, err := fraz.New(codec, opts...)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -298,7 +397,7 @@ func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
 							got.closest = inf.ClosestValue
 						case err != nil:
 							t.Fatalf("at %d workers: %v", workers, err)
-						case (obj.Name() == "psnr" || obj.Name() == "max-error") && res.Evaluations > qualityBudget:
+						case modelFirst && res.Evaluations > qualityBudget:
 							t.Fatalf("at %d workers took %d evaluations: not the model-first path", workers, res.Evaluations)
 						default:
 							got.archive, got.evaluations = sha256.Sum256(archive), res.Evaluations
