@@ -161,6 +161,30 @@ func codecRoundTrip[T grid.Float](t *testing.T, info fraz.CodecInfo, data []T, s
 			t.Errorf("%s violated: max error %g > bound %g", info.BoundName, maxErr, bound)
 		}
 	}
+
+	// A decoded field is the caller's own: a plain allocation of exactly its
+	// length, whichever layout the archive has. 33×40×50 values is no power
+	// of two, so a slice handed out at a size class's capacity would show.
+	wide := grid.MustDims(33, 40, 50)
+	field := make([]T, wide.Len())
+	for i, v := range smoothField(len(field)) {
+		field[i] = T(v)
+	}
+	for _, numBlocks := range []int{1, 4} {
+		var archive bytes.Buffer
+		if _, err := fraz.Compress(context.Background(), &archive, field, wide,
+			fraz.Codec(info.Name), fraz.FixedBound(bound), fraz.Blocks(numBlocks)); err != nil {
+			t.Fatalf("Blocks(%d): compress: %v", numBlocks, err)
+		}
+		res, err := fraz.DecompressFull(context.Background(), &archive)
+		if err != nil {
+			t.Fatalf("Blocks(%d): decompress: %v", numBlocks, err)
+		}
+		if n := len(res.Data) + len(res.Data64); n != len(field) || cap(res.Data) != len(res.Data) || cap(res.Data64) != len(res.Data64) {
+			t.Errorf("Blocks(%d): decoded %d of %d values with capacity %d behind them",
+				numBlocks, n, len(field), cap(res.Data)+cap(res.Data64))
+		}
+	}
 }
 
 func bufFloat64(b pressio.Buffer) []float64 {

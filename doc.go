@@ -179,15 +179,17 @@
 //     path for fixed-ratio objectives
 //   - internal/zfp       — ZFP-like transform compressor (accuracy + fixed-rate)
 //   - internal/mgard     — MGARD-like multilevel compressor
-//   - internal/pool      — size-bucketed free lists for hot-path scratch
+//   - internal/pool      — size-bucketed free lists for scratch borrowed
+//     inside one function; what a function returns is never pooled
 //   - internal/optim     — Dlib-style global minimiser with cutoff + baselines
 //   - internal/dataset   — synthetic SDRBench stand-ins (Hurricane, HACC, CESM, EXAALT, NYX)
 //   - internal/metrics   — PSNR, SSIM, ACF(error), ratio/bit-rate metrics
 //   - internal/experiments — regenerates every table and figure of the paper
 //   - internal/analysis  — frazlint, the project's own static-analysis suite
 //     (stdlib-only go/analysis analogue): poolcheck, magiccheck, dtypecheck,
-//     floateq, and errdrop machine-check the pool-lifecycle, stream-magic,
-//     dtype-dispatch, float-comparison, and error-propagation invariants;
+//     floateq, and errdrop machine-check the borrow-and-defer rule of the
+//     pool and the stream-magic, dtype-dispatch, float-comparison, and
+//     error-propagation invariants;
 //     run it with `go run ./cmd/frazlint ./...`
 //   - internal/server    — the frazd HTTP service: tune→seal→archive over
 //     HTTP with worker-pool admission control (bounded queue, per-tenant

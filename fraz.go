@@ -287,9 +287,8 @@ func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Contai
 		return container.Container{}, core.SealResult{}, fmt.Errorf("fraz: Compress requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.FixedBound to New")
 	}
 	cn, sr, err := c.tuner.SealBlocked(ctx, buf, core.SealOptions{
-		Blocks:          c.set.blocks,
-		Prediction:      c.prediction(),
-		RequireFeasible: true,
+		Blocks:     c.set.blocks,
+		Prediction: c.prediction(),
 	})
 	if err == nil {
 		c.recordBound(sr.Tuning.ErrorBound)

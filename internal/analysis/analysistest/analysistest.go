@@ -4,7 +4,7 @@
 // line expected to be flagged with a comment holding one double-quoted Go
 // regular expression per expected diagnostic:
 //
-//	kept := pool.Get[byte](n) // want `leaks on this return path`
+//	kept := pool.Get[byte](n) // want `has no deferred release`
 //
 // Lines without a want comment must not be flagged; both directions are
 // asserted, so every analyzer test carries flagging and non-flagging cases

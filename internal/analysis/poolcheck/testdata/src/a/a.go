@@ -1,17 +1,14 @@
-// Package a exercises poolcheck: each function is one lifecycle scenario,
-// flagged lines carry want comments, and the rest must stay silent.
+// Package a exercises poolcheck: one silent function per borrowing idiom in
+// the tree, one flagged function per way of breaking the rule.
 package a
 
-import "fraz/internal/pool"
+import (
+	"bytes"
 
-// --- correct lifecycles: no diagnostics ---
+	"fraz/internal/pool"
+)
 
-func putBeforeReturn(n int) int {
-	buf := pool.Get[byte](n)
-	s := len(buf)
-	pool.Put(buf)
-	return s
-}
+// --- borrows: no diagnostics ---
 
 func deferredPut(n int) int {
 	buf := pool.Get[float64](n)
@@ -19,7 +16,16 @@ func deferredPut(n int) int {
 	return len(buf)
 }
 
-func deferredClosurePut(n int) int {
+func emptyAtAcquisition(n int) int {
+	raw := pool.Get[byte](n)[:0]
+	defer pool.Put(raw)
+	raw = append(raw, 1)
+	return len(raw)
+}
+
+// The closure releases whichever backing arrays the locals hold after
+// append growth.
+func deferredClosure(n int) int {
 	kept := pool.Get[byte](n)[:0]
 	planes := pool.Get[byte](n)[:0]
 	defer func() {
@@ -31,143 +37,89 @@ func deferredClosurePut(n int) int {
 	return len(kept) + len(planes)
 }
 
-func ownershipByReturn(n int) []byte {
-	buf := pool.Get[byte](n)
-	return buf
-}
-
-func getInReturn(n int) []byte {
-	return pool.Get[byte](n)
-}
-
-func doneGuard(n int, fail bool) ([]float32, error) {
-	out := pool.Get[float32](n)
-	done := false
-	defer func() {
-		if !done {
-			pool.Put(out)
-		}
-	}()
-	if fail {
-		return nil, errFail
-	}
-	done = true
-	return out, nil
-}
-
-func putOnBothBranches(n int, cond bool) int {
-	buf := pool.Get[int32](n)
-	if cond {
-		pool.Put(buf)
-		return 1
-	}
-	pool.Put(buf)
-	return 0
-}
-
-type writer struct {
-	buf []byte
-}
-
-func structFieldLifecycle(n int) int {
-	w := writer{buf: pool.Get[byte](n)[:0]}
-	w.buf = append(w.buf, 0xAB)
-	s := len(w.buf)
-	pool.Put(w.buf)
-	return s
-}
-
-// The kernels are generic over their element type and call the generic
-// accessors with their own type parameter; a get and a put spelled that way
-// (inferred, or explicitly instantiated) must be seen like any other.
-
-func genericLifecycle[T pool.Elem](n int) T {
+// The kernels are generic over their element type and call the accessors
+// with their own type parameter, inferred or explicitly instantiated.
+func generic[T pool.Elem](n int) T {
 	recon := pool.Get[T](n)
 	defer pool.Put[T](recon)
 	return recon[0]
 }
 
-func escapeToClosure(n int) func() {
-	buf := pool.Get[byte](n)
-	return func() { pool.Put(buf) } // custody leaves with the closure
+func flateWriter(p []byte) (int, error) {
+	var out bytes.Buffer
+	fw := pool.GetFlateWriter(&out)
+	defer pool.PutFlateWriter(fw)
+	if _, err := fw.Write(p); err != nil {
+		return 0, err
+	}
+	return out.Len(), fw.Close()
 }
 
-func custodyTransfer(n int) []byte {
-	buf := pool.Get[byte](n)
-	other := buf // the second name owns it now; tracking stops
-	return other
+// A function literal is a function of its own: it borrows and releases
+// inside itself.
+func perItem(n int) func() int {
+	return func() int {
+		buf := pool.Get[int32](n)
+		defer pool.Put(buf)
+		return len(buf)
+	}
 }
 
 // --- violations ---
 
-func leakOnEarlyReturn(n int) ([]byte, error) {
-	buf := pool.Get[byte](n)
-	if n > 1024 {
-		return nil, errFail // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
-	}
-	pool.Put(buf)
-	return nil, nil
-}
-
-func leakOnFallthrough(n int) {
-	buf := pool.Get[float64](n)
+func neverReleased(n int) {
+	buf := pool.Get[float64](n) // want `pooled buffer buf has no deferred release in the function that got it`
 	buf[0] = 1
-} // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
-
-func leakOneBranchMissing(n int, cond bool) int {
-	buf := pool.Get[byte](n)
-	if cond {
-		pool.Put(buf)
-	}
-	return n // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
 }
 
-func doublePut(n int) {
+func releaseNotDeferred(n int) int {
 	buf := pool.Get[byte](n)
-	pool.Put(buf)
-	pool.Put(buf) // want `double put of pooled buffer buf`
+	s := len(buf)
+	pool.Put(buf) // want `release of pooled buffer buf is not deferred`
+	return s
 }
 
-func putAfterDefer(n int) {
-	buf := pool.Get[uint64](n)
+func releaseOfForeign(p []byte) {
+	defer pool.Put(p) // want `release of p, which this function did not get from the pool`
+}
+
+type writer struct{ buf []byte }
+
+func releaseOfField(n int) {
+	w := writer{buf: pool.Get[byte](n)} // want `pool.Get result is not assigned to a local variable`
+	defer pool.Put(w.buf)               // want `release of w.buf, which this function did not get from the pool`
+}
+
+func returned(n int) []byte {
+	buf := pool.Get[byte](n)
 	defer pool.Put(buf)
-	pool.Put(buf) // want `put of pooled buffer buf that is already put by a defer`
+	return buf[:n/2] // want `pooled buffer buf is returned`
 }
 
-func putOfReslice(n int) {
+func releaseOfReslice(n int) {
 	buf := pool.Get[byte](n)
-	pool.Put(buf[:4]) // want `put of a reslice of pooled buffer buf`
-	pool.Put(buf)
+	defer pool.Put(buf[:4]) // want `release of a reslice of pooled buffer buf`
 }
 
-func putOfAlias(n int) {
-	buf := pool.Get[int32](n)
-	bits := buf[:n/2]
-	pool.Put(bits) // want `put of bits, a reslice alias of pooled buffer buf`
-	pool.Put(buf)
-}
-
-func genericLeak[T pool.Elem](n int, fail bool) error {
+func releasedTwice[T pool.Elem](n int) {
 	buf := pool.Get[T](n)
-	if fail {
-		return errFail // want `pooled buffer buf \(acquired at line \d+\) is not put on this return path`
+	defer pool.Put(buf)
+	defer pool.Put[T](buf) // want `pooled buffer buf is released twice`
+}
+
+// The closure is not deferred, so it is a function of its own and buf is not
+// its to release.
+func releaseInClosure(n int) func() {
+	buf := pool.Get[byte](n) // want `pooled buffer buf has no deferred release in the function that got it`
+	return func() {
+		pool.Put(buf) // want `release of buf, which this function did not get from the pool`
 	}
-	pool.Put(buf)
-	return nil
 }
 
-func genericDoublePut[T pool.Elem](n int) {
-	buf := pool.Get[T](n)
-	pool.Put(buf)
-	pool.Put[T](buf) // want `double put of pooled buffer buf`
+func unbound(n int) {
+	pool.Get[byte](n) // want `pool.Get result is not assigned to a local variable`
 }
 
-func unassignedGet(n int) {
-	pool.Get[byte](n) // want `pooled Get result is neither stored in a trackable variable nor returned`
-}
-
-var errFail = errOf("fail")
-
-type errOf string
-
-func (e errOf) Error() string { return string(e) }
+// A release reached through a function value is a release no function can
+// be seen to defer.
+var giveBack = pool.Put[byte] // want `pool.Put is used as a value`

@@ -124,9 +124,9 @@ func Inflate(body []byte, limit int64) ([]byte, error) {
 // Decode is the inverse of Encode: given the header's flag it inflates the
 // body (to at most limit bytes, the caller's MaxBody plus its head), takes
 // off the heads chunks the caller put first, and reads the codes and the
-// literals. The literals come from the pool and are the caller's to Put;
-// their count is checked against the bytes that are there before anything
-// is allocated for it. The head chunks alias the (inflated) body.
+// literals. The literals' count is checked against the bytes that are there
+// before anything is allocated for it. The head chunks alias the (inflated)
+// body; codes and literals are the caller's own.
 func Decode[T grid.Float](body []byte, flag byte, limit int64, heads int) (head [][]byte, codes []int32, literals []T, err error) {
 	if flag == 1 {
 		if body, err = Inflate(body, limit); err != nil {
@@ -151,7 +151,7 @@ func Decode[T grid.Float](body []byte, flag byte, limit int64, heads int) (head 
 	if codes, err = huffman.Decode(head[heads]); err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	literals = pool.Get[T](int(numLit))
+	literals = make([]T, numLit)
 	grid.DecodeLE(literals, body)
 	return head[:heads], codes, literals, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fraz/internal/grid"
-	"fraz/internal/pool"
 )
 
 // roundTrip encodes, decodes and compares, and returns the flag Encode chose.
@@ -29,7 +28,6 @@ func roundTrip[T grid.Float](t *testing.T, codes []int32, literals []T, head ...
 			t.Fatalf("head chunk %q read back as %q", want, gotHead[i])
 		}
 	}
-	defer pool.Put(gotLits)
 	if len(gotCodes) != len(codes) || len(gotLits) != len(literals) {
 		t.Fatalf("decoded %d codes and %d literals, want %d and %d", len(gotCodes), len(gotLits), len(codes), len(literals))
 	}

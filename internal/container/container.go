@@ -424,7 +424,9 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 		}
 		version = VersionBlocked
 	}
-	w := writer{buf: pool.Get[byte](c.EncodedSize() - len(c.Payload))[:0]}
+	head := pool.Get[byte](c.EncodedSize() - len(c.Payload))[:0]
+	defer pool.Put(head)
+	w := writer{buf: head}
 	w.bytes(magic[:])
 	w.u16(version)
 	w.u8(uint8(c.Header.DType))
@@ -457,7 +459,6 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 		w.u32(crc32.ChecksumIEEE(c.Payload))
 	}
 	n, err := dst.Write(w.buf)
-	pool.Put(w.buf)
 	written := int64(n)
 	if err != nil {
 		return written, err

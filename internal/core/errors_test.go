@@ -33,9 +33,8 @@ func TestResultCheck(t *testing.T) {
 	}
 }
 
-// TestSealBlockedRequireFeasible asks for a ratio no bound can reach: with
-// RequireFeasible the seal must fail with the infeasible sentinel (and no
-// container), while the default still seals at the closest observed bound.
+// TestSealBlockedRequireFeasible asks for a ratio no bound can reach: the
+// seal must fail with the infeasible sentinel (and no container).
 func TestSealBlockedRequireFeasible(t *testing.T) {
 	// Ratio saturates at 8 regardless of bound, so a target of 1000 is
 	// unreachable for every region.
@@ -46,9 +45,9 @@ func TestSealBlockedRequireFeasible(t *testing.T) {
 	}
 	buf := smallBuffer(64)
 
-	cn, sr, err := tu.SealBlocked(context.Background(), buf, SealOptions{Blocks: 4, RequireFeasible: true})
+	cn, sr, err := tu.SealBlocked(context.Background(), buf, SealOptions{Blocks: 4})
 	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("RequireFeasible seal err = %v, want ErrInfeasible", err)
+		t.Fatalf("infeasible seal err = %v, want ErrInfeasible", err)
 	}
 	var ie *InfeasibleError
 	if !errors.As(err, &ie) || ie.ClosestRatio <= 0 {
@@ -59,14 +58,6 @@ func TestSealBlockedRequireFeasible(t *testing.T) {
 	}
 	if sr.Tuning.Feasible || sr.Tuning.Iterations == 0 {
 		t.Errorf("SealResult should carry the tuning outcome, got %+v", sr.Tuning)
-	}
-
-	cn, _, err = tu.SealBlocked(context.Background(), buf, SealOptions{Blocks: 4})
-	if err != nil {
-		t.Fatalf("default seal should fall back to the closest bound: %v", err)
-	}
-	if cn.Payload == nil {
-		t.Errorf("default infeasible seal should still produce a container")
 	}
 }
 

@@ -30,11 +30,6 @@ type SealOptions struct {
 	// typically the bound the previous time-step sealed at (Algorithm 3's
 	// reuse). If it lands in the acceptance band the search is skipped.
 	Prediction float64
-	// RequireFeasible makes SealBlocked fail with an *InfeasibleError
-	// (matching errors.Is(err, ErrInfeasible)) instead of sealing at the
-	// closest observed bound when the tuned ratio misses the acceptance
-	// band. The returned SealResult still carries the tuning outcome.
-	RequireFeasible bool
 }
 
 // SealResult reports what SealBlocked did: the tuning outcome on the
@@ -100,7 +95,9 @@ func PlanBlocks(buf pressio.Buffer, numBlocks, workers int) (BlockLayout, error)
 // returning the ready-to-encode container. With Blocks <= 1 (or a shape that
 // cannot be split) the result is a monolithic version-1 container sealed at
 // a bound tuned on the full buffer, so callers can use SealBlocked
-// unconditionally.
+// unconditionally. A tune that misses the acceptance band seals nothing: the
+// error is the *InfeasibleError (errors.Is(err, ErrInfeasible)) and the
+// SealResult still carries the tuning outcome.
 func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOptions) (container.Container, SealResult, error) {
 	if t.obj.NeedsReport {
 		// Quality objectives tune — and seal — the whole field monolithically.
@@ -122,10 +119,8 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
 	}
 	out.Tuning = res
-	if opts.RequireFeasible {
-		if err := res.Check(); err != nil {
-			return container.Container{}, out, err
-		}
+	if err := res.Check(); err != nil {
+		return container.Container{}, out, err
 	}
 
 	cn, err := pressio.SealBlocked(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers)

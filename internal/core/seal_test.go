@@ -67,7 +67,7 @@ func TestSealBlockedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pressio.Open(dec)
+	out, err := pressio.OpenBlocked(context.Background(), dec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func Precision(cfg Config) (*report.Table, error) {
 				return nil, fmt.Errorf("precision: evaluating %s/%s %s: %w", tg.app, tg.field, buf.DType(), err)
 			}
 			sealStart := time.Now()
-			if _, err := pressio.Seal(comp, buf, res.ErrorBound); err != nil {
+			if _, err := pressio.SealBlocked(context.Background(), comp, buf, res.ErrorBound, 1, 1); err != nil {
 				return nil, err
 			}
 			sealMBps := float64(buf.Bytes()) / 1e6 / time.Since(sealStart).Seconds()

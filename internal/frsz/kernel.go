@@ -7,7 +7,6 @@ import (
 
 	"fraz/internal/bitstream"
 	"fraz/internal/grid"
-	"fraz/internal/pool"
 )
 
 func appendHeader(out []byte, magic uint32, shape grid.Dims, o Options) []byte {
@@ -135,18 +134,7 @@ func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 		minExp, maxExp, maxFinite = minExp32, maxExp32, math.MaxFloat32
 	}
 
-	// The output comes from the element pool: the blocked open path recycles
-	// block buffers after scattering them. Every element is written below,
-	// so the pool's stale contents never leak. It transfers to the caller
-	// only on success; error returns must recycle it.
-	out := pool.Get[T](n)
-	done := false
-	defer func() {
-		if !done {
-			pool.Put(out)
-		}
-	}()
-
+	out := make([]T, n)
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * h.blockSize
 		dst := out[lo:min(lo+h.blockSize, n)]
@@ -185,7 +173,6 @@ func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 			dst[i] = clamp(T(float64(signExtend(u, bits))*quantum), maxFinite)
 		}
 	}
-	done = true
 	return out, nil
 }
 

@@ -207,7 +207,6 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	defer pool.Put(literals)
 	if len(codes) != hdrShape.Len() {
 		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), hdrShape)
 	}

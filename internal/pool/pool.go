@@ -1,27 +1,29 @@
 // Package pool provides size-bucketed free lists for the scratch slices the
-// hot paths burn through: per-block compressed payloads on the blocked seal
-// path, per-block decode buffers on the blocked open path, container header
-// staging, and codec-internal bit scratch. Each element type keeps one
-// sync.Pool per power-of-two capacity class, so a Get is answered by a slice
-// whose capacity is within 2x of the request and a steady-state pipeline
-// recycles instead of allocating. The DEFLATE writers of the codecs'
-// dictionary stage are recycled here too (GetFlateWriter).
+// hot paths burn through inside one call: a codec's reconstruction, code and
+// bit-plane working sets, the lossless codec's byte staging, container
+// header staging. Each element type keeps one sync.Pool per power-of-two
+// capacity class, so a Get is answered by a slice whose capacity is within
+// 2x of the request and a search that evaluates one codec many times reuses
+// its scratch instead of allocating it per evaluation. The DEFLATE writers
+// of the codecs' dictionary stage are kept here too (GetFlateWriter).
 //
 // There is one accessor pair, Get[T] and Put[T], generic over the pooled
 // element types (Elem). The kernels are generic over their element type, so
-// they pass their own type parameter straight through — pool.Get[T](n) in a
-// decoder over grid.Float, pool.Get[I](n) in zfp's coder over its
+// they pass their own type parameter straight through — pool.Get[T](n) in
+// an encoder over grid.Float, pool.Get[I](n) in zfp's coder over its
 // coefficient type — and nothing above this package matches a width to a
-// free list. frazlint's poolcheck follows every Get to its Put by the
-// callee's package and name, so it needs no knowledge of the element types
-// either.
+// free list.
 //
-// Ownership discipline: a slice handed to Put must not be referenced again
-// by the caller — the next Get may hand it to anyone. Slices returned by Get
-// carry arbitrary stale contents; callers must fully overwrite the length
-// they asked for. It is always safe to Put a slice that did not come from
-// Get (it joins the free list) or to never Put one that did (it falls to the
-// garbage collector).
+// The rule: scratch is borrowed, results are owned. What Get (or
+// GetFlateWriter) returns is assigned to a local variable and released by a
+// defer in the function that got it — `defer pool.Put(v)`, or a Put inside a
+// deferred closure when the variable may be re-pointed by append — and by
+// nothing else. It is never returned, never stored where it outlives the
+// call, and no function Puts what it did not Get: anything a function hands
+// back to its caller is a plain allocation, so no capacity class or stale
+// neighbour ever shows through an API. frazlint's poolcheck enforces exactly
+// this, syntactically. Slices returned by Get carry arbitrary stale
+// contents; callers must fully overwrite the length they asked for.
 package pool
 
 import (
@@ -84,8 +86,9 @@ func (p *slicePool[T]) put(s []T) {
 }
 
 // Elem lists the element types that have a free list, one per scratch class
-// a codec burns through: payload and header bytes, decoded fields at either
-// width, the quantisation codes of sz, mgard and zfp's float32 coder
+// a codec burns through: staging bytes and szx's byte planes, sz's
+// reconstruction at either width and mgard's and zfp's float64 working
+// fields, the quantisation codes of sz, mgard and zfp's float32 coder
 // (int32), zfp's float64 coefficients (int64) and its negabinary words
 // (uint64). A type earns its place here by having a caller.
 type Elem interface {
@@ -128,8 +131,8 @@ func classOf[T Elem]() *slicePool[T] {
 // so no layer above the pool spells out the element types again.
 func Get[T Elem](n int) []T { return classOf[T]().get(n) }
 
-// Put parks a slice for reuse; the caller must not touch it again. A nil or
-// foreign slice is fine (see the package comment).
+// Put parks a slice from Get for reuse (or the array append moved it to);
+// the caller must not touch it again.
 func Put[T Elem](s []T) { classOf[T]().put(s) }
 
 // flateWriters recycles the DEFLATE state of the codecs' dictionary stage. A

@@ -8,37 +8,33 @@ import (
 	"fraz/internal/container"
 	"fraz/internal/metrics"
 	"fraz/internal/parallel"
-	"fraz/internal/pool"
 )
 
-// This file implements the blocked (format v2) seal/open path: the buffer is
-// split along its slowest axis into independent sub-buffers, each compressed
-// and decompressed on its own — turning one monolithic compressor invocation
-// into an embarrassingly parallel batch, the structure SZx's fixed-size
-// block pipeline and FZ-GPU's block-parallel kernels exploit for their
-// throughput. Every block is a complete N-d field, so the existing codecs
-// run on blocks unchanged; the container's block index (per-block offset,
-// length, CRC) is what lets Open decode the blocks concurrently too.
+// This file is the seal/open path, monolithic (format v1) and blocked (format
+// v2): blocked, the buffer is split along its slowest axis into independent
+// sub-buffers, each compressed and decompressed on its own — turning one
+// monolithic compressor invocation into an embarrassingly parallel batch,
+// the structure SZx's fixed-size block pipeline and FZ-GPU's block-parallel
+// kernels exploit for their throughput. Every block is a complete N-d field,
+// so the existing codecs run on blocks unchanged; the container's block
+// index (per-block offset, length, CRC) is what lets OpenBlocked decode the
+// blocks concurrently too.
 
-// recyclePayload returns a dead block payload to the byte pool. It is a
-// variable so the failure-path tests can count the calls: sync.Pool drops
-// items at random under the race detector, so what comes back out of the
-// pool proves nothing there.
-var recyclePayload = pool.Put[byte]
-
-// SealBlocked compresses the buffer as numBlocks independent slowest-axis
-// blocks at the given bound (snapped to the codec's domain, like Seal),
-// running up to `workers` compressions concurrently (0 = GOMAXPROCS), and
-// wraps the payloads in a version-2 blocked container. numBlocks <= 1 (or a
-// shape whose slowest axis cannot be split) falls back to the monolithic
-// Seal and a version-1 container, so callers can pass the requested block
-// count straight through.
+// SealBlocked compresses the buffer at the given parameter value (snapped to
+// the codec's domain, so what is recorded is what was run) and wraps the
+// result in a self-describing container carrying the codec name, that value,
+// the achieved ratio, the element type and the shape — everything
+// OpenBlocked needs to reverse it. The buffer is compressed as numBlocks
+// independent slowest-axis blocks, up to `workers` at a time (0 =
+// GOMAXPROCS), into a version-2 blocked container; numBlocks <= 1 (or a
+// shape whose slowest axis cannot be split) is one compression into a
+// version-1 container, so callers can pass the requested block count
+// straight through.
 //
 // The recorded ratio is the achieved whole-field ratio: uncompressed bytes
-// over the summed block payload sizes (index overhead excluded, matching how
-// Seal reports the monolithic payload ratio).
+// over the summed payload sizes (index overhead excluded).
 func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, numBlocks, workers int) (container.Container, error) {
-	// The monolithic fallback below never consults ctx (Seal is
+	// The one-block branch below never consults ctx (one compression is
 	// synchronous), so honour a cancellation that happened before the call
 	// either way — symmetric with OpenBlocked.
 	if err := ctx.Err(); err != nil {
@@ -48,10 +44,19 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 	bound = d.Param.Snap(bound)
 	plan, err := blocks.Plan(buf.Shape, numBlocks)
 	if err != nil {
-		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", d.Name, err)
+		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
 	}
-	if len(plan) <= 1 {
-		return Seal(c, buf, bound)
+	if len(plan) == 1 {
+		// One block is the whole field: compressed on the caller's goroutine
+		// (a worker would start on a cold stack, which a small field's seal
+		// is short enough to notice: 0.58 → 0.71 ms on psnr-search) and
+		// stored in the version-1 layout, which keeps the payload by
+		// reference.
+		comp, err := c.Compress(buf, bound)
+		if err != nil {
+			return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
+		}
+		return container.New(d.Name, bound, metrics.CompressionRatio(buf.Bytes(), len(comp)), buf.DType(), buf.Shape, comp)
 	}
 	payloads := make([][]byte, len(plan))
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
@@ -67,51 +72,41 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 		return nil
 	})
 	if err != nil {
-		// ForEach has drained its workers, so every non-nil payload is a
-		// completed compression nobody will consume — a cancellation (or one
-		// block's failure) must hand them back to the pool, or every aborted
-		// seal leaks one buffer per finished block.
-		for _, p := range payloads {
-			if p != nil {
-				recyclePayload(p)
-			}
-		}
-		return container.Container{}, fmt.Errorf("pressio: seal blocked with %s: %w", d.Name, err)
+		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
 	}
 	total := 0
 	for _, p := range payloads {
 		total += len(p)
 	}
 	ratio := metrics.CompressionRatio(buf.Bytes(), total)
-	cn, err := container.NewBlocked(d.Name, bound, ratio, buf.DType(), buf.Shape, payloads)
-	// NewBlocked copied every payload into the container's contiguous
-	// payload area, so the per-block buffers are dead — recycle them for the
-	// next seal's compressions. (The monolithic Seal path must NOT do this:
-	// container.New keeps its payload by reference.)
-	for _, p := range payloads {
-		recyclePayload(p)
-	}
-	return cn, err
+	return container.NewBlocked(d.Name, bound, ratio, buf.DType(), buf.Shape, payloads)
 }
 
-// OpenBlocked reconstructs the buffer of a blocked (version-2) container,
-// decompressing up to `workers` blocks concurrently (0 = GOMAXPROCS).
-// Monolithic containers are routed to Open, so OpenBlocked accepts any
-// container.
+// OpenBlocked routes a decoded container to the codec named in its header
+// and reconstructs the original buffer at the element width the header
+// records. It is the inverse of SealBlocked and the only decompression entry
+// point that needs no out-of-band knowledge: a blocked container is detected
+// by its block index and its blocks are decompressed up to `workers` at a
+// time (0 = GOMAXPROCS), a monolithic one is a single decompression.
 func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buffer, error) {
-	// The monolithic route below never consults ctx (Open is synchronous),
-	// so honour a cancellation that happened before the call either way.
+	// The monolithic branch below never consults ctx (one decompression is
+	// synchronous), so honour a cancellation that happened before the call
+	// either way.
 	if err := ctx.Err(); err != nil {
-		return Buffer{}, err
-	}
-	if cn.Blocks == nil {
-		return Open(cn)
-	}
-	if err := checkDType(cn.Header.DType); err != nil {
 		return Buffer{}, err
 	}
 	c, err := New(cn.Header.Codec)
 	if err != nil {
+		return Buffer{}, err
+	}
+	if cn.Blocks == nil {
+		buf, err := c.Decompress(cn.Payload, cn.Header.Shape, cn.Header.DType)
+		if err != nil {
+			return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
+		}
+		return buf, nil
+	}
+	if err := checkDType(cn.Header.DType); err != nil {
 		return Buffer{}, err
 	}
 	plan, err := blocks.Plan(cn.Header.Shape, len(cn.Blocks))
@@ -132,17 +127,7 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 		if err != nil {
 			return fmt.Errorf("block %d (%s): %w", i, plan[i].Shape, err)
 		}
-		if err := out.scatterFrom(plan[i], dec); err != nil {
-			// The decoded block is dead on this path too: recycle it before
-			// surfacing the error, symmetric with the success path below.
-			dec.recycle()
-			return err
-		}
-		// The block's decode buffer is dead once scattered into out;
-		// recycle it so the pool-aware codecs allocate each block buffer
-		// once per pipeline instead of once per block.
-		dec.recycle()
-		return nil
+		return out.scatterFrom(plan[i], dec)
 	})
 	if err != nil {
 		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %w", cn.Header.Codec, err)

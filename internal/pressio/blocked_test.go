@@ -19,11 +19,11 @@ func TestSealBlockedLosslessBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := Seal(c, buf, 1)
+	mono, err := SealBlocked(context.Background(), c, buf, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoOut, err := Open(mono)
+	monoOut, err := OpenBlocked(context.Background(), mono, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSealBlockedLosslessBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Open(dec) // auto-routes to the blocked path
+	out, err := OpenBlocked(context.Background(), dec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestOpenBlockedRoutesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn, err := Seal(c, buf, 0.01)
+	cn, err := SealBlocked(context.Background(), c, buf, 0.01, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

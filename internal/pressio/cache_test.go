@@ -1,6 +1,7 @@
 package pressio
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -420,7 +421,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 0.01
-	cn, err := Seal(c, buf, bound)
+	cn, err := SealBlocked(context.Background(), c, buf, bound, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Open(dec)
+	out, err := OpenBlocked(context.Background(), dec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ func TestOpenRejectsUnknownCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cn); !errors.Is(err, ErrUnknownCompressor) {
+	if _, err := OpenBlocked(context.Background(), cn, 1); !errors.Is(err, ErrUnknownCompressor) {
 		t.Errorf("err = %v, want ErrUnknownCompressor", err)
 	}
 }
@@ -470,7 +471,7 @@ func TestOpenRejectsUnknownDType(t *testing.T) {
 		t.Fatal(err)
 	}
 	cn.Header.DType = 7
-	if _, err := Open(cn); err == nil {
+	if _, err := OpenBlocked(context.Background(), cn, 1); err == nil {
 		t.Errorf("unknown dtype should fail")
 	}
 }

@@ -1,7 +1,6 @@
 package pressio
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 
 	"fraz/internal/container"
 	"fraz/internal/grid"
-	"fraz/internal/metrics"
 )
 
 // Unit says what a codec's one tunable parameter measures. It is the fact
@@ -111,8 +109,9 @@ type Codec struct {
 	// Encode and Decode are the kernel: Encode compresses the buffer at the
 	// given parameter value, Decode reverses it at the given element width.
 	// Both must be safe for concurrent use and must return freshly allocated
-	// memory that aliases neither their input nor codec-internal state — the
-	// blocked seal and open paths recycle what they return into the pools.
+	// memory that aliases neither their input nor codec-internal state: what
+	// they return is the caller's, at its exact length (cap == len), and is
+	// never pooled.
 	// Callers go through Compress and Decompress, which check the shape and
 	// the parameter against the descriptor first.
 	Encode func(buf Buffer, param float64) ([]byte, error)
@@ -136,7 +135,8 @@ type Compressor interface {
 	// param.
 	Compress(buf Buffer, param float64) ([]byte, error)
 	// Decompress reconstructs data previously compressed by this codec at
-	// the given element width.
+	// the given element width. The returned buffer is the caller's own, a
+	// plain allocation of exactly the shape's length.
 	Decompress(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error)
 }
 
@@ -191,7 +191,8 @@ func (c *Codec) CompressedSize(shape grid.Dims, bitsPerValue int) int {
 	return c.Size(shape, bitsPerValue)
 }
 
-// ErrUnknownCompressor is returned by New and Open for unregistered names.
+// ErrUnknownCompressor is returned by New and OpenBlocked for unregistered
+// names.
 var ErrUnknownCompressor = errors.New("pressio: unknown compressor")
 
 var (
@@ -253,40 +254,4 @@ func Names() []string {
 		names[i] = c.Name
 	}
 	return names
-}
-
-// Seal compresses the buffer at the given parameter value and wraps the
-// result in a self-describing container carrying the codec name, the value
-// the codec ran at, the achieved ratio, the element type, and the shape —
-// everything Open needs to reverse it.
-func Seal(c Compressor, buf Buffer, bound float64) (container.Container, error) {
-	d := c.Descriptor()
-	bound = d.Param.Snap(bound)
-	comp, err := c.Compress(buf, bound)
-	if err != nil {
-		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
-	}
-	ratio := metrics.CompressionRatio(buf.Bytes(), len(comp))
-	return container.New(d.Name, bound, ratio, buf.DType(), buf.Shape, comp)
-}
-
-// Open routes a decoded container to the codec named in its header and
-// reconstructs the original buffer at the element width the header records.
-// It is the inverse of Seal (and, through OpenBlocked, of SealBlocked:
-// blocked containers are detected by their block index and decoded
-// block-parallel) and the only decompression entry point that needs no
-// out-of-band knowledge.
-func Open(cn container.Container) (Buffer, error) {
-	if cn.Blocks != nil {
-		return OpenBlocked(context.Background(), cn, 0)
-	}
-	c, err := New(cn.Header.Codec)
-	if err != nil {
-		return Buffer{}, err
-	}
-	buf, err := c.Decompress(cn.Payload, cn.Header.Shape, cn.Header.DType)
-	if err != nil {
-		return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
-	}
-	return buf, nil
 }

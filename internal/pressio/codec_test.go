@@ -226,12 +226,12 @@ func TestIntegerParameterIsSnappedBeforeItIsKeyedOrRecorded(t *testing.T) {
 		t.Errorf("7.6 and 8.2 cost %d compressions and %d hits, want one of each", misses, hits)
 	}
 
-	mono, err := Seal(c, buf, 7.6)
+	mono, err := SealBlocked(context.Background(), c, buf, 7.6, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mono.Header.Bound != 8 || !bytes.Equal(mono.Payload, at8) {
-		t.Errorf("Seal(7.6) records %v; the stream is the one coded at 8: %v", mono.Header.Bound, bytes.Equal(mono.Payload, at8))
+		t.Errorf("a one-block SealBlocked(7.6) records %v; the stream is the one coded at 8: %v", mono.Header.Bound, bytes.Equal(mono.Payload, at8))
 	}
 	blocked, err := SealBlocked(context.Background(), c, buf, 8.2, 3, 1)
 	if err != nil {

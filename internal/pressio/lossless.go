@@ -35,7 +35,7 @@ func losslessMagicFor[T grid.Float]() uint32 {
 	return losslessMagic64
 }
 
-// flateReaders and flateWriters recycle DEFLATE state (a 32 KiB window plus
+// flateReaders and flateWriters reuse DEFLATE state (a 32 KiB window plus
 // decode tables) across calls. The blocked open path decodes one payload per
 // block, so without these pools every block pays the reader's setup
 // allocations again.
@@ -94,7 +94,7 @@ func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error)
 	if binary.LittleEndian.Uint32(raw[:4]) != losslessMagicFor[T]() {
 		return nil, fmt.Errorf("%w: bad magic", errLossless)
 	}
-	out := pool.Get[T](shape.Len())
+	out := make([]T, shape.Len())
 	grid.DecodeLE(out, raw[4:want])
 	return out, nil
 }

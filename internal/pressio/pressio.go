@@ -137,9 +137,9 @@ func newZeroBuffer(dt container.DType, shape grid.Dims) Buffer {
 }
 
 // checkDType is the one place an element-type tag is validated before a
-// decode path commits to it: Open, OpenBlocked, and the per-codec
-// decompression dispatch all report unsupported dtypes through this helper,
-// so the error message cannot drift between them.
+// decode path commits to it: OpenBlocked and the per-codec decompression
+// dispatch both report unsupported dtypes through this helper, so the error
+// message cannot drift between them.
 func checkDType(d container.DType) error {
 	if d.Size() == 0 {
 		return fmt.Errorf("pressio: cannot decode %s payloads (this build reads float32 and float64)", d)

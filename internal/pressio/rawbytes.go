@@ -4,7 +4,6 @@ import (
 	"unsafe"
 
 	"fraz/internal/container"
-	"fraz/internal/pool"
 )
 
 // RawBytes returns the buffer's contents as a byte view over the same
@@ -23,15 +22,4 @@ func (b Buffer) RawBytes() []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&b.f32[0])), len(b.f32)*4)
-}
-
-// recycle parks the buffer's backing slice in the element pool. Only for
-// buffers whose data is provably dead — the blocked open path calls it after
-// scattering a block's decode buffer into the output field. The Compressor
-// contract makes this safe: Decompress returns freshly allocated data, so
-// the slice aliases nothing the codec or caller retains.
-func (b Buffer) recycle() {
-	// One of the two views is nil, and a nil slice is dropped by Put.
-	pool.Put(b.f32)
-	pool.Put(b.f64)
 }

@@ -113,19 +113,19 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	// offsets already reconstructed (block-major row-major order guarantees
 	// every Lorenzo neighbour is written first), and exactly one code is
 	// emitted per point, so the pooled capacity is never exceeded.
+	recon := pool.Get[T](len(data))
+	defer pool.Put(recon)
+	codes := pool.Get[int32](len(data))[:0]
+	defer pool.Put(codes)
 	blocks := shape.Blocks(o.BlockSize)
 	enc := &encoder[T]{
 		q:        q,
 		bound:    o.ErrorBound,
 		data:     data,
-		recon:    pool.Get[T](len(data)),
-		codes:    pool.Get[int32](len(data))[:0],
+		recon:    recon,
+		codes:    codes,
 		literals: make([]T, 0),
 	}
-	defer func() {
-		pool.Put(enc.recon)
-		pool.Put(enc.codes)
-	}()
 	blockMeta := make([]byte, 0, len(blocks)*17)
 
 	strides := shape.Strides()
@@ -259,8 +259,6 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	blockMeta := head[0]
-	defer pool.Put(literals)
-	defer pool.Put(codes)
 	if len(codes) != n {
 		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
@@ -270,18 +268,7 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	// The output comes from the element pool: the blocked open path recycles
-	// block buffers after scattering them. Every element is written before a
-	// successful return (the blocks tile the domain and each point is
-	// assigned), so the pool's stale contents never leak. It transfers to
-	// the caller only on success; every error return below recycles it.
-	recon := pool.Get[T](n)
-	done := false
-	defer func() {
-		if !done {
-			pool.Put(recon)
-		}
-	}()
+	recon := make([]T, n)
 	dec := &decoder[T]{q: q, codes: codes, literals: literals, recon: recon}
 	strides := h.shape.Strides()
 	blocks := h.shape.Blocks(h.blockSize)
@@ -312,7 +299,6 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 			return nil, dec.err
 		}
 	}
-	done = true
 	return recon, nil
 }
 

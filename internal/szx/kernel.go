@@ -114,12 +114,6 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 	return out
 }
 
-// recycled, when a test sets it, is told each time a failed decode returns
-// its output buffer to the pool. The failure-path test counts calls instead
-// of looking for the buffer in the pool afterwards: sync.Pool drops items at
-// random under the race detector, so what comes back out proves nothing.
-var recycled func()
-
 // decompress is the decoder at either width; like compress it works on the
 // bit view, so the byte planes are OR-ed straight into the output.
 func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
@@ -129,23 +123,7 @@ func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
 	}
 	n := h.shape.Len()
 	elem := grid.ElemSize[T]()
-	// The output comes from the element pool: the blocked open path recycles
-	// block buffers after scattering them, so a steady-state decode pipeline
-	// reuses instead of allocating. Every element is written below (constant
-	// blocks fill dst, nonconstant blocks assign every index), so the pool's
-	// stale contents never leak.
-	out := pool.Get[T](n)
-	// out transfers to the caller only on success; every error return below
-	// must recycle it or the pooled buffer leaks on corrupt streams.
-	done := false
-	defer func() {
-		if !done {
-			pool.Put(out)
-			if recycled != nil {
-				recycled()
-			}
-		}
-	}()
+	out := make([]T, n)
 	words := grid.Bits[T, U](out)
 
 	ci, ki, pi := 0, 0, 0
@@ -188,6 +166,5 @@ func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
 	if pi != len(planes) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after byte planes", ErrCorrupt, len(planes)-pi)
 	}
-	done = true
 	return out, nil
 }

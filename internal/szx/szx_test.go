@@ -258,6 +258,18 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 	if _, err := Decompress[float64](comp, shape); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("dtype mismatch: got %v, want ErrCorrupt", err)
 	}
+	// One plane byte short: the decoder has allocated and half filled its
+	// output by the time it notices, and must not hand that back.
+	if out, err := Decompress[float32](comp[:len(comp)-1], shape); !errors.Is(err, ErrCorrupt) || out != nil {
+		t.Errorf("float32, one plane byte short: got %d values and %v, want none and ErrCorrupt", len(out), err)
+	}
+	comp64, err := Compress(synth64(256, 6), shape, Options{ErrorBound: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Decompress[float64](comp64[:len(comp64)-1], shape); !errors.Is(err, ErrCorrupt) || out != nil {
+		t.Errorf("float64, one plane byte short: got %d values and %v, want none and ErrCorrupt", len(out), err)
+	}
 }
 
 // binary32to64 rewrites a float32 magic to the float64 one, leaving the rest

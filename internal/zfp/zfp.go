@@ -162,7 +162,6 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	var minexp int
 	var maxbits int
 	precision := 0
-	blockValues := 1 << (2 * nd) // 4^d
 	switch opts.Mode {
 	case ModeAccuracy:
 		if !(opts.Tolerance > 0) || math.IsInf(opts.Tolerance, 0) || math.IsNaN(opts.Tolerance) {
@@ -175,7 +174,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		if opts.Rate < 1 || opts.Rate > 64 || math.IsNaN(opts.Rate) {
 			return nil, fmt.Errorf("%w: rate must be in [1,64], got %v", ErrInvalidInput, opts.Rate)
 		}
-		maxbits = int(math.Round(opts.Rate * float64(blockValues)))
+		maxbits = int(math.Round(opts.Rate * float64(blockValues(nd))))
 		if maxbits < 18 {
 			maxbits = 18 // room for the block header
 		}
@@ -190,37 +189,10 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	w := bitstream.NewWriter(len(data) / 2)
-	blocks := shape.Blocks(4)
-	strides := shape.Strides()
-	blockBuf := pool.Get[float64](blockValues)
-	defer pool.Put(blockBuf)
-	perm := sequencyPermutation(nd)
-	wide := intprec == 64
-
-	var s64 blockScratch[int64]
-	var s32 blockScratch[int32]
-	if wide {
-		s64 = getScratch[int64](blockValues)
-		defer s64.release()
+	if intprec == 64 {
+		encodeBlocks[T, int64](w, data, shape, opts.Mode, minexp, precision, maxbits)
 	} else {
-		s32 = getScratch[int32](blockValues)
-		defer s32.release()
-	}
-
-	for _, b := range blocks {
-		gatherPadded(data, strides, b, blockBuf, nd)
-		startBits := w.Len()
-		if wide {
-			encodeBlock(w, blockBuf, nd, perm, opts.Mode, minexp, precision, maxbits, s64)
-		} else {
-			encodeBlock(w, blockBuf, nd, perm, opts.Mode, minexp, precision, maxbits, s32)
-		}
-		if opts.Mode == ModeFixedRate {
-			used := w.Len() - startBits
-			for ; used < maxbits; used++ {
-				w.WriteBit(0)
-			}
-		}
+		encodeBlocks[T, int32](w, data, shape, opts.Mode, minexp, precision, maxbits)
 	}
 	payload := w.Bytes()
 
@@ -279,7 +251,6 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdrShape, shape)
 	}
 
-	blockValues := 1 << (2 * nd)
 	var minexp, maxbits, precision int
 	switch mode {
 	case ModeAccuracy:
@@ -292,7 +263,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 		if param < 1 || param > 64 {
 			return nil, fmt.Errorf("%w: bad rate %v", ErrCorrupt, param)
 		}
-		maxbits = int(math.Round(param * float64(blockValues)))
+		maxbits = int(math.Round(param * float64(blockValues(nd))))
 		if maxbits < 18 {
 			maxbits = 18
 		}
@@ -317,55 +288,16 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	if numBlocks > r.BitsRemaining() {
 		return nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, hdrShape, numBlocks, r.BitsRemaining())
 	}
-	// The output comes from the element pool: the blocked open path recycles
-	// block buffers after scattering them, and every element is written
-	// before a successful return (the 4^d blocks tile the domain), so the
-	// pool's stale contents never leak.
-	out := pool.Get[T](hdrShape.Len())
-	done := false
-	defer func() {
-		if !done {
-			pool.Put(out)
-		}
-	}()
-	blocks := hdrShape.Blocks(4)
-	strides := hdrShape.Strides()
-	blockBuf := pool.Get[float64](blockValues)
-	defer pool.Put(blockBuf)
-	perm := sequencyPermutation(nd)
-	wide := intprec == 64
-	var s64 blockScratch[int64]
-	var s32 blockScratch[int32]
-	if wide {
-		s64 = getScratch[int64](blockValues)
-		defer s64.release()
+	out := make([]T, hdrShape.Len())
+	var err error
+	if intprec == 64 {
+		err = decodeBlocks[T, int64](r, out, hdrShape, mode, minexp, precision, maxbits)
 	} else {
-		s32 = getScratch[int32](blockValues)
-		defer s32.release()
+		err = decodeBlocks[T, int32](r, out, hdrShape, mode, minexp, precision, maxbits)
 	}
-
-	for _, b := range blocks {
-		startRemaining := r.BitsRemaining()
-		var err error
-		if wide {
-			err = decodeBlock(r, blockBuf, nd, perm, mode, minexp, precision, maxbits, s64)
-		} else {
-			err = decodeBlock(r, blockBuf, nd, perm, mode, minexp, precision, maxbits, s32)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if mode == ModeFixedRate {
-			used := startRemaining - r.BitsRemaining()
-			for ; used < maxbits; used++ {
-				if _, err := r.ReadBit(); err != nil {
-					return nil, fmt.Errorf("%w: truncated fixed-rate padding", ErrCorrupt)
-				}
-			}
-		}
-		scatterPadded(out, strides, b, blockBuf, nd)
+	if err != nil {
+		return nil, err
 	}
-	done = true
 	return out, nil
 }
 
@@ -375,8 +307,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 // budgeting despite its poor rate distortion.
 func CompressedSizeFixedRate(shape grid.Dims, rate float64) int {
 	nd := shape.NDims()
-	blockValues := 1 << (2 * nd)
-	maxbits := int(math.Round(rate * float64(blockValues)))
+	maxbits := int(math.Round(rate * float64(blockValues(nd))))
 	if maxbits < 18 {
 		maxbits = 18
 	}
@@ -468,31 +399,71 @@ func blockExponent(block []float64) (int, bool) {
 	return e, true
 }
 
-// blockScratch holds the per-block working slices of the coder. One
-// instance is borrowed from the pool per Compress/Decompress call and shared
-// by every 4^d block, so the hot loop itself never allocates.
-type blockScratch[I coeff] struct {
-	ints []I
-	neg  []uint64
+// blockValues is the number of samples in one block of an nd-dimensional
+// field: 4^nd, at most 64.
+func blockValues(nd int) int { return 1 << (2 * nd) }
+
+// encodeBlocks is Compress's block loop with coefficient domain I. The three
+// working slices are borrowed once and shared by every block, so the loop
+// itself never allocates.
+func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, shape grid.Dims, mode Mode, minexp, precision, maxbits int) {
+	nd := shape.NDims()
+	block := pool.Get[float64](blockValues(nd))
+	defer pool.Put(block)
+	ints := pool.Get[I](len(block))
+	defer pool.Put(ints)
+	neg := pool.Get[uint64](len(block))
+	defer pool.Put(neg)
+	strides := shape.Strides()
+	perm := sequencyPermutation(nd)
+	for _, b := range shape.Blocks(4) {
+		gatherPadded(data, strides, b, block, nd)
+		startBits := w.Len()
+		encodeBlock(w, block, nd, perm, mode, minexp, precision, maxbits, ints, neg)
+		if mode == ModeFixedRate {
+			used := w.Len() - startBits
+			for ; used < maxbits; used++ {
+				w.WriteBit(0)
+			}
+		}
+	}
 }
 
-// getScratch hands the pooled slices to the caller inside the struct;
-// release is the matching put.
-func getScratch[I coeff](size int) blockScratch[I] {
-	return blockScratch[I]{ints: pool.Get[I](size), neg: pool.Get[uint64](size)}
-}
-
-func (s blockScratch[I]) release() {
-	pool.Put(s.ints)
-	pool.Put(s.neg)
+// decodeBlocks is Decompress's block loop, the inverse of encodeBlocks: it
+// writes every element of out (the 4^d blocks tile the domain).
+func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, shape grid.Dims, mode Mode, minexp, precision, maxbits int) error {
+	nd := shape.NDims()
+	block := pool.Get[float64](blockValues(nd))
+	defer pool.Put(block)
+	ints := pool.Get[I](len(block))
+	defer pool.Put(ints)
+	neg := pool.Get[uint64](len(block))
+	defer pool.Put(neg)
+	strides := shape.Strides()
+	perm := sequencyPermutation(nd)
+	for _, b := range shape.Blocks(4) {
+		startRemaining := r.BitsRemaining()
+		if err := decodeBlock(r, block, nd, perm, mode, minexp, precision, maxbits, ints, neg); err != nil {
+			return err
+		}
+		if mode == ModeFixedRate {
+			used := startRemaining - r.BitsRemaining()
+			for ; used < maxbits; used++ {
+				if _, err := r.ReadBit(); err != nil {
+					return fmt.Errorf("%w: truncated fixed-rate padding", ErrCorrupt)
+				}
+			}
+		}
+		scatterPadded(out, strides, b, block, nd)
+	}
+	return nil
 }
 
 // encodeBlock encodes one 4^d block with coefficient domain I (int32 for
 // float32 streams, int64 for float64).
-func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, s blockScratch[I]) {
+func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, ints []I, neg []uint64) {
 	intprec := intprecOf[I]()
 	emax, nonzero := blockExponent(block)
-	size := len(block)
 
 	// Determine how many bit planes to keep.
 	kmin := 0
@@ -534,7 +505,6 @@ func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []i
 	// enter the lifting transform with two guard bits of headroom.
 	scale := math.Ldexp(1, intprec-2-emax)
 	qmax := math.Ldexp(1, intprec-2) - 1
-	ints := s.ints[:size]
 	for i, v := range block {
 		q := v * scale
 		if q > qmax {
@@ -549,7 +519,6 @@ func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []i
 	forwardTransform(ints, nd)
 
 	// Reorder by total sequency and convert to negabinary.
-	neg := s.neg[:size]
 	for i, p := range perm {
 		neg[i] = toNegabinary(ints[p])
 	}
@@ -564,7 +533,7 @@ func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []i
 	encodeInts(w, neg, kmin, budget, intprec)
 }
 
-func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, s blockScratch[I]) error {
+func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, ints []I, neg []uint64) error {
 	intprec := intprecOf[I]()
 	flag, err := r.ReadBit()
 	if err != nil {
@@ -581,7 +550,6 @@ func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []i
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	emax := int(e) - 16384
-	size := len(block)
 
 	kmin := 0
 	switch mode {
@@ -604,11 +572,9 @@ func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []i
 			budget = 0
 		}
 	}
-	neg := s.neg[:size]
 	if err := decodeInts(r, neg, kmin, budget, intprec); err != nil {
 		return err
 	}
-	ints := s.ints[:size]
 	for i, p := range perm {
 		ints[p] = fromNegabinary[I](neg[i])
 	}
