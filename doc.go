@@ -58,7 +58,9 @@
 // one to eight evaluations, CompressResult.Evaluations says how many, a few
 // more where the curve has teeth (SZ's ratio curve, the paper's Fig. 3) and
 // the bracket is bisected further. Only a measured in-band evaluation is ever
-// sealed. Where the bracket finds none (a staircase curve, an unreachable
+// sealed, and as measured: its bytes are the sampled block's payload (the
+// whole archive for a monolithic seal) unless the evaluation cache answered
+// it. Where the bracket finds none (a staircase curve, an unreachable
 // target) the region-parallel search of the paper's Algorithm 2 runs as the
 // fallback and decides, ErrInfeasible included. SSIM targets, and every
 // target on zfp:rate, zfp:precision and frsz:rate, take the region-parallel

@@ -166,6 +166,15 @@ type RegionResult struct {
 	Acceptable  bool
 	Err         error
 	Evaluations []Evaluation
+	// kept holds the stream of each in-band evaluation the stage ran the
+	// compressor for; run.list moves it out, so a listed stage holds none.
+	kept []stream
+}
+
+// stream is what one evaluation compressed the tuned buffer into at bound.
+type stream struct {
+	bound float64
+	bytes []byte
 }
 
 // Result is the outcome of tuning one field/time-step.
@@ -341,8 +350,10 @@ type run struct {
 	eval *pressio.Evaluator
 	res  *Result
 	// seen holds every evaluation the answer may be picked from, in an order
-	// no scheduler decides.
+	// no scheduler decides; kept the streams of those in band that the run
+	// compressed itself.
 	seen []Evaluation
+	kept []stream
 }
 
 // TuneWithPrediction implements the worker-task algorithm (Algorithm 1) as a
@@ -354,12 +365,20 @@ type run struct {
 // picks the answer — by Objective.better, over everything the rungs saw —
 // bills the run and stamps the clock.
 func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, error) {
+	res, _, err := t.tune(ctx, buf, prediction)
+	return res, err
+}
+
+// tune is TuneWithPrediction that also returns the stream of the evaluation
+// it picked — nil when the cache answered every evaluation at that bound —
+// for SealBlocked to seal instead of compressing buf again.
+func (t *Tuner) tune(ctx context.Context, buf pressio.Buffer, prediction float64) (Result, []byte, error) {
 	start := time.Now()
 	if !t.codec.SupportsShape(buf.Shape) {
-		return Result{}, fmt.Errorf("%w: compressor %s does not support shape %v", ErrBadConfig, t.codec.Name, buf.Shape)
+		return Result{}, nil, fmt.Errorf("%w: compressor %s does not support shape %v", ErrBadConfig, t.codec.Name, buf.Shape)
 	}
 	if !t.obj.SupportsRank(buf.Shape.NDims()) {
-		return Result{}, fmt.Errorf("%w: objective %s is not measurable on shape %v (needs rank %d..%d)",
+		return Result{}, nil, fmt.Errorf("%w: objective %s is not measurable on shape %v (needs rank %d..%d)",
 			ErrBadConfig, t.obj.Name, buf.Shape, t.obj.MinRank, t.obj.MaxRank)
 	}
 	res := Result{
@@ -374,7 +393,7 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	r := &run{t: t, ctx: ctx, buf: buf, res: &res}
 	err := r.descend(prediction)
 	if err != nil && !errors.Is(err, ctx.Err()) {
-		return Result{}, err // a configuration that admits no search
+		return Result{}, nil, err // a configuration that admits no search
 	}
 	// The earliest evaluation none of the others is better than: the pick
 	// follows from the order of seen alone.
@@ -387,14 +406,21 @@ func (t *Tuner) TuneWithPrediction(ctx context.Context, buf pressio.Buffer, pred
 	if err == nil && best == nil {
 		err = fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.codec.Name)
 	}
+	var picked []byte
 	if err == nil {
 		res.ErrorBound, res.AchievedValue = best.ErrorBound, best.Value
 		res.AchievedRatio, res.CompressedSize = best.Ratio, best.CompressedSize
 		res.Feasible = t.obj.InBand(best.Value)
+		// Every evaluation in best's slot compressed the same bytes.
+		for _, s := range r.kept {
+			if math.Float64bits(s.bound) == math.Float64bits(best.ErrorBound) {
+				picked = s.bytes
+			}
+		}
 	}
 	res.CacheMisses = res.Iterations - res.CacheHits
 	res.Elapsed = time.Since(start)
-	return res, err
+	return res, picked, err
 }
 
 // descend runs the rungs in order and returns at the first that settles the
@@ -439,9 +465,10 @@ func (r *run) descend(prediction float64) error {
 // compression for the fixed-ratio objective, a cached compress+decompress
 // round trip (with the full metric report) for quality objectives. The
 // Evaluation carries the bound the measurement ran at and the objective's
-// achieved Value; the evaluation is billed to the stage that asked for it.
+// achieved Value; the evaluation is billed to the stage that asked for it,
+// which also keeps the stream of an in-band one that ran the compressor.
 func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
-	entry, hit, err := r.eval.Evaluate(bound, r.t.obj.NeedsReport)
+	entry, comp, hit, err := r.eval.Evaluate(bound, r.t.obj.NeedsReport)
 	stage.Iterations++
 	if hit {
 		stage.CacheHits++
@@ -454,12 +481,16 @@ func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
 		ev.Report = &entry.Report
 	}
 	ev.Value = r.t.obj.Achieved(ev)
+	if comp != nil && r.t.obj.InBand(ev.Value) {
+		stage.kept = append(stage.kept, stream{entry.Bound, comp})
+	}
 	return ev, nil
 }
 
-// list bills one finished search stage and offers its evaluations to the
-// epilogue's pick.
+// list bills one finished search stage and offers its evaluations, and the
+// streams it kept, to the epilogue's pick.
 func (r *run) list(rr RegionResult) {
+	r.kept, rr.kept = append(r.kept, rr.kept...), nil
 	r.res.Regions = append(r.res.Regions, rr)
 	r.res.Iterations += rr.Iterations
 	r.res.CacheHits += rr.CacheHits
@@ -515,7 +546,7 @@ func (r *run) reuse(prediction float64) (missed *Evaluation, done bool) {
 		// tell the two apart, then retrain as usual.
 		r.res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, err)
 	case r.t.obj.InBand(ev.Value):
-		r.seen = append(r.seen, ev)
+		r.seen, r.kept = append(r.seen, ev), stage.kept
 		r.res.UsedPrediction = true
 		return nil, true
 	case !math.IsNaN(ev.Value):

@@ -61,6 +61,17 @@ func failing(c *pressio.Codec, fail func(bound float64) bool) *pressio.Codec {
 
 var errFaulty = errors.New("faulty compressor: bound rejected")
 
+// counting returns a copy of the codec that counts its Encode calls into
+// calls, the way fake does.
+func counting(c *pressio.Codec, calls *int64) *pressio.Codec {
+	out := *c
+	out.Encode = func(buf pressio.Buffer, bound float64) ([]byte, error) {
+		atomic.AddInt64(calls, 1)
+		return c.Encode(buf, bound)
+	}
+	return &out
+}
+
 func smallBuffer(n int) pressio.Buffer {
 	data := make([]float32, n)
 	for i := range data {

@@ -14,11 +14,13 @@ import (
 // compressing one monolithic buffer — which serialises the whole hot path
 // onto a single compressor invocation — the field is split along its
 // slowest axis, the error bound is tuned once on a single sampled block,
-// and every block is then compressed concurrently at that bound into a
-// version-2 (blocked) container. Tuning cost drops with the sample size
-// (each search evaluation compresses one block, not the whole field) and
-// the final compression parallelises across however many cores are
-// available, which is where the fixed-ratio workflow spends its time.
+// and the other blocks are then compressed concurrently at that bound into
+// a version-2 (blocked) container; the sampled block's payload is the
+// winning evaluation's stream, unless the evaluation cache answered it.
+// Tuning cost drops with the sample size (each search evaluation compresses
+// one block, not the whole field) and the final compression parallelises
+// across however many cores are available, which is where the fixed-ratio
+// workflow spends its time.
 
 // SealOptions controls Tuner.SealBlocked.
 type SealOptions struct {
@@ -91,10 +93,12 @@ func PlanBlocks(buf pressio.Buffer, numBlocks, workers int) (BlockLayout, error)
 }
 
 // SealBlocked tunes the error bound on one sampled block of the buffer
-// (PlanBlocks) and compresses all blocks concurrently at the tuned bound,
-// returning the ready-to-encode container. With Blocks <= 1 (or a shape that
-// cannot be split) the result is a monolithic version-1 container sealed at
-// a bound tuned on the full buffer, so callers can use SealBlocked
+// (PlanBlocks) and compresses the other blocks concurrently at the tuned
+// bound, returning the ready-to-encode container; the sampled block's payload
+// is the winning evaluation's stream (pressio.SealWith). With Blocks <= 1 (or
+// a shape that cannot be split) the result is a monolithic version-1
+// container sealed at a bound tuned on the full buffer — the winning
+// evaluation is then the whole archive — so callers can use SealBlocked
 // unconditionally. A tune that misses the acceptance band seals nothing: the
 // error is the *InfeasibleError (errors.Is(err, ErrInfeasible)) and the
 // SealResult still carries the tuning outcome.
@@ -104,9 +108,9 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		// PSNR and SSIM are global statistics, so a sampled block's quality
 		// does not bound the field's; and independently compressing blocks
 		// shifts transform alignment and prediction contexts, changing the
-		// reconstruction the promise was measured on. A monolithic seal makes
-		// the archived payload byte-identical to the tuned evaluation, so the
-		// recorded achieved value is exact.
+		// reconstruction the promise was measured on. A monolithic seal
+		// archives the tuned evaluation's own payload, so the recorded
+		// achieved value is exact.
 		opts.Blocks = 1
 	}
 	layout, err := PlanBlocks(buf, opts.Blocks, t.cfg.Workers)
@@ -114,7 +118,7 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: %w", err)
 	}
 	out := SealResult{Blocks: layout.Blocks, SampleBlock: layout.SampleBlock}
-	res, err := t.TuneWithPrediction(ctx, layout.Sample, opts.Prediction)
+	res, sampled, err := t.tune(ctx, layout.Sample, opts.Prediction)
 	if err != nil {
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
 	}
@@ -123,17 +127,17 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		return container.Container{}, out, err
 	}
 
-	cn, err := pressio.SealBlocked(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers)
+	cn, err := pressio.SealWith(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers, layout.SampleBlock, sampled)
 	if err != nil {
 		return container.Container{}, SealResult{}, err
 	}
 	out.Blocks = cn.NumBlocks()
 	out.AchievedRatio = cn.Header.Ratio
 	if t.obj.Name != "ratio" {
-		// Record the archive's promise in the container header. The tuning
-		// evaluation compressed the same whole field at the same bound the
-		// seal just did, so the tuned achieved value is exactly what a
-		// verifier recomputes from the archive.
+		// Record the archive's promise in the container header. The archive
+		// is the whole field compressed at the tuned bound — the winning
+		// evaluation's own stream when it ran in this tune — so the tuned
+		// achieved value is exactly what a verifier recomputes from it.
 		out.AchievedValue = res.AchievedValue
 		cn.Header.Objective = container.Objective{
 			Name:      t.obj.Name,

@@ -32,8 +32,18 @@ import (
 // straight through.
 //
 // The recorded ratio is the achieved whole-field ratio: uncompressed bytes
-// over the summed payload sizes (index overhead excluded).
+// over the summed payload sizes (index overhead excluded). SealWith is this
+// seal with one block's stream already in hand.
 func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, numBlocks, workers int) (container.Container, error) {
+	return SealWith(ctx, c, buf, bound, numBlocks, workers, 0, nil)
+}
+
+// SealWith is SealBlocked with block `block`'s stream in hand — a tune's
+// winning evaluation of that block — sealed as it is. It must be what
+// c.Compress returns for that block at Param.Snap(bound), which an
+// evaluation's stream is: it ran at Param.Slot(bound), which Snap keeps. A
+// nil stream is compressed like every other block.
+func SealWith(ctx context.Context, c Compressor, buf Buffer, bound float64, numBlocks, workers, block int, stream []byte) (container.Container, error) {
 	// The one-block branch below never consults ctx (one compression is
 	// synchronous), so honour a cancellation that happened before the call
 	// either way — symmetric with OpenBlocked.
@@ -46,20 +56,31 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 	if err != nil {
 		return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
 	}
+	payloads := make([][]byte, len(plan))
+	if stream != nil {
+		if block < 0 || block >= len(plan) {
+			return container.Container{}, fmt.Errorf("pressio: seal with %s: block %d in hand, the plan has %d", d.Name, block, len(plan))
+		}
+		payloads[block] = stream
+	}
 	if len(plan) == 1 {
 		// One block is the whole field: compressed on the caller's goroutine
 		// (a worker would start on a cold stack, which a small field's seal
 		// is short enough to notice: 0.58 → 0.71 ms on psnr-search) and
 		// stored in the version-1 layout, which keeps the payload by
 		// reference.
-		comp, err := c.Compress(buf, bound)
-		if err != nil {
-			return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
+		comp := payloads[0]
+		if comp == nil {
+			if comp, err = c.Compress(buf, bound); err != nil {
+				return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
+			}
 		}
 		return container.New(d.Name, bound, metrics.CompressionRatio(buf.Bytes(), len(comp)), buf.DType(), buf.Shape, comp)
 	}
-	payloads := make([][]byte, len(plan))
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
+		if payloads[i] != nil {
+			return nil // in hand
+		}
 		sub, err := buf.Slice(plan[i])
 		if err != nil {
 			return err

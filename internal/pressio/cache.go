@@ -251,8 +251,9 @@ func (c *Cache) Len() int {
 // Evaluator performs cached evaluations of one (compressor, buffer) pair. It
 // computes the buffer fingerprint once at construction and tells its caller
 // which evaluations the cache answered, so a tuning run can report savings
-// even when the underlying Cache is shared with other runs. It is safe for
-// concurrent use by the parallel region searches.
+// even when the underlying Cache is shared with other runs, and hands over
+// the stream of each it did not, for the winner to be sealed as it is. It is
+// safe for concurrent use by the parallel region searches.
 type Evaluator struct {
 	cache *Cache
 	comp  Compressor
@@ -277,30 +278,29 @@ func NewEvaluator(cache *Cache, comp Compressor, buf Buffer) *Evaluator {
 // the quantization spacing (≈0.4%) below the request — with or without a
 // cache, so the entry a request receives is the same whether it filled the
 // slot, found it filled by a neighbouring request, or by an earlier run. hit
-// reports which; nothing else tells the two apart. full selects the round
-// trip with its quality report, kept in its own slots (CacheKey.Full).
-func (e *Evaluator) Evaluate(bound float64, full bool) (entry CacheEntry, hit bool, err error) {
+// reports which; so does stream, the caller's compressed buffer when this call
+// ran the compressor and nil when the cache answered — the cache keeps no
+// streams, which would pin up to DefaultMaxEntries compressed buffers. full
+// selects the round trip with its quality report, kept in its own slots.
+func (e *Evaluator) Evaluate(bound float64, full bool) (entry CacheEntry, stream []byte, hit bool, err error) {
 	bound = e.codec.Param.Slot(bound)
-	run := func() (CacheEntry, error) {
-		if !full {
-			r, s, err := Ratio(e.comp, e.buf, bound)
-			return CacheEntry{Bound: bound, Ratio: r, Size: s}, err
-		}
-		res, err := Run(e.comp, e.buf, bound)
-		return CacheEntry{Bound: bound, Ratio: res.Report.CompressionRatio, Size: res.Compressed, Report: res.Report}, err
+	run := func() (entry CacheEntry, err error) {
+		entry, stream, err = evaluate(e.comp, e.buf, bound, full)
+		return entry, err
 	}
 	if e.cache == nil {
 		entry, err = run()
-		return entry, false, err
+		return entry, stream, false, err
 	}
 	key := CacheKey{Codec: e.codec.Name, Fingerprint: e.fp, Bound: math.Float64bits(bound), Full: full}
-	return e.cache.do(key, run)
+	entry, hit, err = e.cache.do(key, run)
+	return entry, stream, hit, err
 }
 
 // Ratio evaluates the compression ratio at the given bound, serving repeats
 // from the cache. The returned bound is the one the ratio was measured at.
 func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated float64, err error) {
-	entry, _, err := e.Evaluate(bound, false)
+	entry, _, _, err := e.Evaluate(bound, false)
 	return entry.Ratio, entry.Size, entry.Bound, err
 }
 
@@ -309,6 +309,6 @@ func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated flo
 // call this at every iteration; without the cache each probe of a revisited
 // bound would redundantly re-run the whole round trip.
 func (e *Evaluator) Full(bound float64) (rep metrics.Report, evaluated float64, err error) {
-	entry, _, err := e.Evaluate(bound, true)
+	entry, _, _, err := e.Evaluate(bound, true)
 	return entry.Report, entry.Bound, err
 }

@@ -199,6 +199,24 @@ func TestParamSnap(t *testing.T) {
 	}
 }
 
+// TestSnapKeepsSlot pins what lets a tune's winning stream be sealed as it
+// is (SealWith): an evaluation runs at Slot(v), the seal records and would
+// run at Snap of that, and the two must be one value — for every registered
+// domain, inside it, below Lo, above Hi, and at whole numbers past the
+// quantisation grid's 9 significant bits (257 on a bit count).
+func TestSnapKeepsSlot(t *testing.T) {
+	for _, c := range Codecs() {
+		p := c.Param
+		vs := []float64{-3.4, 0, 0.3, 0.7, 1, 1.5, 7.6, 8.2, 12, 31.5, 257, 513, 1e6 + 1, math.Inf(1),
+			p.Lo, p.Lo / 3, p.Lo * 1.0001, p.Hi, p.Hi * 3, p.Hi * 0.9999, math.Sqrt(p.Lo * p.Hi)}
+		for _, v := range vs {
+			if s := p.Slot(v); p.Snap(s) != s {
+				t.Errorf("%s: Slot(%v) = %v, but Snap of it is %v", c.Name, v, s, p.Snap(s))
+			}
+		}
+	}
+}
+
 // TestIntegerParameterIsSnappedBeforeItIsKeyedOrRecorded drives a
 // whole-number domain with the reals a search proposes: 7.6 and 8.2 are one
 // evaluation, reported at 8, and both seal paths record the 8 the stream

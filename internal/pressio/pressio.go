@@ -213,28 +213,39 @@ func Evaluate(orig, dec Buffer, compressedBytes int) (metrics.Report, error) {
 // experiment harness; FRaZ's inner loop uses Ratio instead, which skips the
 // decompression when only the size is needed.
 func Run(c Compressor, buf Buffer, bound float64) (Result, error) {
-	comp, err := c.Compress(buf, bound)
+	entry, _, err := evaluate(c, buf, bound, true)
 	if err != nil {
 		return Result{}, err
 	}
-	dec, err := c.Decompress(comp, buf.Shape, buf.dtype)
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := Evaluate(buf, dec, len(comp))
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Compressor: c.Descriptor().Name, Bound: bound, Compressed: len(comp), Report: rep}, nil
+	return Result{Compressor: c.Descriptor().Name, Bound: bound, Compressed: entry.Size, Report: entry.Report}, nil
 }
 
 // Ratio compresses the buffer with the given bound and returns the achieved
 // compression ratio and compressed size. This is the single black-box
 // evaluation FRaZ's optimizer performs at every iteration.
 func Ratio(c Compressor, buf Buffer, bound float64) (float64, int, error) {
+	entry, _, err := evaluate(c, buf, bound, false)
+	return entry.Ratio, entry.Size, err
+}
+
+// evaluate is the one compress body behind Ratio, Run and Evaluator.Evaluate:
+// it compresses the buffer at bound and, when full, reports on the round trip.
+// The stream it measured is returned, the caller's to keep.
+func evaluate(c Compressor, buf Buffer, bound float64, full bool) (CacheEntry, []byte, error) {
 	comp, err := c.Compress(buf, bound)
 	if err != nil {
-		return 0, 0, err
+		return CacheEntry{}, nil, err
 	}
-	return metrics.CompressionRatio(buf.Bytes(), len(comp)), len(comp), nil
+	entry := CacheEntry{Bound: bound, Ratio: metrics.CompressionRatio(buf.Bytes(), len(comp)), Size: len(comp)}
+	if !full {
+		return entry, comp, nil
+	}
+	dec, err := c.Decompress(comp, buf.Shape, buf.dtype)
+	if err != nil {
+		return CacheEntry{}, nil, err
+	}
+	if entry.Report, err = Evaluate(buf, dec, len(comp)); err != nil {
+		return CacheEntry{}, nil, err
+	}
+	return entry, comp, nil
 }
