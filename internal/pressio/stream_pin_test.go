@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -16,20 +17,25 @@ import (
 // are multiples of no codec's block edge (sz 6, zfp 4, szx/frsz 128 flat).
 var pinShape = grid.Dims{10, 18, 26}
 
-// pinField is the deterministic field the stream pins are taken on. It is
-// built from integer arithmetic and power-of-two scalings only, so every
+// pinField is the deterministic field the stream pins are taken on, at any
+// rank: a shape of rank below 3 takes its missing slow coordinates as zero,
+// so at pinShape the field is the one the table was first generated on. It
+// is built from integer arithmetic and power-of-two scalings only, so every
 // value is exact in float64 and the field is the same on any platform (no
 // libm, nothing a compiler may fuse). It holds what the kernels branch on:
 // a smooth trend (predictable), noise (unpredictable at tight bounds), a
 // run of exact zeros (frsz's zero block) and a run of one repeated value
-// (szx's constant block).
-func pinField[T grid.Float]() []T {
-	out := make([]T, pinShape.Len())
+// (szx's constant block). With nonFinite set it also holds scattered NaNs
+// and infinities of both signs.
+func pinField[T grid.Float](shape grid.Dims, nonFinite bool) []T {
+	ext := [3]int{1, 1, 1}
+	copy(ext[3-len(shape):], shape)
+	out := make([]T, shape.Len())
 	lcg := uint64(0x9E3779B97F4A7C15)
 	n := 0
-	for i := 0; i < pinShape[0]; i++ {
-		for j := 0; j < pinShape[1]; j++ {
-			for k := 0; k < pinShape[2]; k++ {
+	for i := 0; i < ext[0]; i++ {
+		for j := 0; j < ext[1]; j++ {
+			for k := 0; k < ext[2]; k++ {
 				lcg = lcg*6364136223846793005 + 1442695040888963407
 				smooth := float64(3*i*i+2*j*k-5*k) / 16
 				noise := float64(int64(lcg>>40)-1<<23) / (1 << 26)
@@ -38,6 +44,12 @@ func pinField[T grid.Float]() []T {
 					out[n] = 0
 				case n >= 900 && n < 1300:
 					out[n] = 7.25
+				case nonFinite && n%97 == 5:
+					out[n] = T(math.NaN())
+				case nonFinite && n%101 == 7:
+					out[n] = T(math.Inf(1))
+				case nonFinite && n%103 == 11:
+					out[n] = T(math.Inf(-1))
 				default:
 					out[n] = T(smooth + noise)
 				}
@@ -91,6 +103,71 @@ func shaValues(b Buffer) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// pinBuffer is pinField at the given width, as a Buffer.
+func pinBuffer(t *testing.T, shape grid.Dims, dt container.DType, nonFinite bool) Buffer {
+	t.Helper()
+	var buf Buffer
+	var err error
+	if dt == container.Float64 {
+		buf, err = NewBufferOf(pinField[float64](shape, nonFinite), shape)
+	} else {
+		buf, err = NewBufferOf(pinField[float32](shape, nonFinite), shape)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// pinTable compresses buf at each of the codec's pin parameters, decodes the
+// stream back, and records the row's key and hashes in got.
+func pinTable(t *testing.T, got map[string][2]string, keys *[]string, prefix string, c *Codec, buf Buffer) {
+	t.Helper()
+	for _, param := range pinParams(c.Param) {
+		key := prefix + pinKey(c.Name, buf.DType(), param)
+		comp, err := c.Compress(buf, param)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", key, err)
+		}
+		dec, err := c.Decompress(comp, buf.Shape, buf.DType())
+		if err != nil {
+			t.Fatalf("%s: decompress: %v", key, err)
+		}
+		got[key] = [2]string{sha(comp), shaValues(dec)}
+		*keys = append(*keys, key)
+	}
+}
+
+// checkPins compares the produced rows with the pinned ones; on any
+// difference it logs the produced table in source form.
+func checkPins(t *testing.T, got map[string][2]string, keys []string, pins map[string][2]string) {
+	t.Helper()
+	var regenerated strings.Builder
+	failed := false
+	for _, key := range keys {
+		fmt.Fprintf(&regenerated, "\t%q: {%q, %q},\n", key, got[key][0], got[key][1])
+		want, ok := pins[key]
+		switch {
+		case !ok:
+			failed = true
+			t.Errorf("%s: no pinned hashes", key)
+		case got[key][0] != want[0]:
+			failed = true
+			t.Errorf("%s: stream bytes changed: sha256 %s, pinned %s", key, got[key][0], want[0])
+		case got[key][1] != want[1]:
+			failed = true
+			t.Errorf("%s: reconstruction changed: sha256 %s, pinned %s", key, got[key][1], want[1])
+		}
+	}
+	if len(keys) != len(pins) {
+		failed = true
+		t.Errorf("%d rows pinned, %d produced: a codec left the registry or a row is stale", len(pins), len(keys))
+	}
+	if failed {
+		t.Logf("table as this build produces it:\n%s", regenerated.String())
+	}
+}
+
 // TestStreamsByteIdentical pins the exact bytes every registered codec
 // writes, and the exact reconstruction it reads back, at both element
 // widths. A kernel rewrite that is meant to keep the format is reviewable
@@ -98,56 +175,52 @@ func shaValues(b Buffer) string {
 // bumps the codec's magic and regenerates the row (the failure log prints
 // the whole table in source form).
 func TestStreamsByteIdentical(t *testing.T) {
-	var regenerated strings.Builder
-	failed := false
-	seen := 0
+	got := map[string][2]string{}
+	var keys []string
 	for _, c := range Codecs() {
 		for _, dt := range []container.DType{container.Float32, container.Float64} {
-			var buf Buffer
-			var err error
-			if dt == container.Float64 {
-				buf, err = NewBufferOf(pinField[float64](), pinShape)
-			} else {
-				buf, err = NewBufferOf(pinField[float32](), pinShape)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, param := range pinParams(c.Param) {
-				key := pinKey(c.Name, dt, param)
-				comp, err := c.Compress(buf, param)
-				if err != nil {
-					t.Fatalf("%s: compress: %v", key, err)
-				}
-				dec, err := c.Decompress(comp, pinShape, dt)
-				if err != nil {
-					t.Fatalf("%s: decompress: %v", key, err)
-				}
-				got := [2]string{sha(comp), shaValues(dec)}
-				fmt.Fprintf(&regenerated, "\t%q: {%q, %q},\n", key, got[0], got[1])
-				seen++
-				want, ok := streamPins[key]
-				switch {
-				case !ok:
-					failed = true
-					t.Errorf("%s: no pinned hashes", key)
-				case got[0] != want[0]:
-					failed = true
-					t.Errorf("%s: stream bytes changed (%d bytes): sha256 %s, pinned %s", key, len(comp), got[0], want[0])
-				case got[1] != want[1]:
-					failed = true
-					t.Errorf("%s: reconstruction changed: sha256 %s, pinned %s", key, got[1], want[1])
-				}
-			}
+			pinTable(t, got, &keys, "", c, pinBuffer(t, pinShape, dt, false))
 		}
 	}
-	if seen != len(streamPins) {
-		failed = true
-		t.Errorf("%d rows pinned, %d produced: a codec left the registry or a row is stale", len(streamPins), seen)
+	checkPins(t, got, keys, streamPins)
+}
+
+// edgePinCases are the streams pinShape does not reach: sz at ranks 1 and 2
+// and mgard at rank 2, a 64³ field whose Huffman stage writes codes longer
+// than 11 bits (the quantisation codes at the tight pin bound spread over
+// thousands of symbols), and sz on a field holding NaN and ±Inf, which drives
+// the non-finite paths of predictor selection (a 0·Inf product is NaN).
+var edgePinCases = []struct {
+	codec     string
+	shape     grid.Dims
+	nonFinite bool
+}{
+	{"sz:abs", grid.Dims{3001}, false},
+	{"sz:abs", grid.Dims{45, 61}, false},
+	{"mgard:abs", grid.Dims{45, 61}, false},
+	{"sz:abs", grid.Dims{64, 64, 64}, false},
+	{"mgard:abs", grid.Dims{64, 64, 64}, false},
+	{"sz:abs", pinShape, true},
+}
+
+// TestEdgeStreamsByteIdentical is TestStreamsByteIdentical for edgePinCases.
+func TestEdgeStreamsByteIdentical(t *testing.T) {
+	got := map[string][2]string{}
+	var keys []string
+	for _, ec := range edgePinCases {
+		c, ok := Lookup(ec.codec)
+		if !ok {
+			t.Fatalf("%s is not registered", ec.codec)
+		}
+		prefix := ec.shape.String() + "/"
+		if ec.nonFinite {
+			prefix += "nonfinite/"
+		}
+		for _, dt := range []container.DType{container.Float32, container.Float64} {
+			pinTable(t, got, &keys, prefix, c, pinBuffer(t, ec.shape, dt, ec.nonFinite))
+		}
 	}
-	if failed {
-		t.Logf("table as this build produces it:\n%s", regenerated.String())
-	}
+	checkPins(t, got, keys, edgePins)
 }
 
 // streamPins maps codec/dtype/parameter to the SHA-256 of the stream and of
@@ -210,4 +283,46 @@ var streamPins = map[string][2]string{
 	"zfp:rate/float64/4":          {"47b60759e1e007b27f1cf21778712796aecb8253f00b13947126f92d640a1daf", "314038ca4a0d181b073f1cd16cdc37f6faaec3b4fef3d2b74fcc603c05cb16ee"},
 	"zfp:rate/float64/9":          {"443e4cf677f25f8bb041a755bb9f35976c3834091f243c1346cf7f0f68acbc09", "07c757bf77d2ec8b7d1a7793101a43a2170f7de7e7a43b8e2864a0236bb03cbe"},
 	"zfp:rate/float64/16":         {"4d6d2b2ec2c12f7adc4f5e8a5719e49d79dba7542704438d7f8b0e6ccb49ed23", "d8ad5581a79ae18198ba26f8f73c694f9f63938d246d8e77d8a4551b4d10c9b2"},
+}
+
+// edgePins is streamPins for edgePinCases, keyed shape/[nonfinite/]codec/
+// dtype/parameter. Generated at the commit before sz's predictor selection,
+// mgard's level walk and the Huffman stage were rewritten.
+var edgePins = map[string][2]string{
+	"3001/sz:abs/float32/2":                    {"ef932a52bdcae7f2d9320c7d75ce02593384fe53a8c8629032ff6ad65f3fdb28", "f049ce87df998adabf1223caac013cf92955060361ef324def6dde3402916093"},
+	"3001/sz:abs/float32/0.05":                 {"e761a929505ac82ef9f88d73f8ff632430a8b7e926e088aab966b68220739b8a", "c76aed4f9ff9383c9f31586498a5b10866912165508b2bf27f43b8b5d0d3319b"},
+	"3001/sz:abs/float32/0.0001":               {"90c115b2659c73165e56876ebb76d3189db725d2eb32e81e1c55bc207d0fba55", "b6861c020043416e0c69333fff77bedd2856eb242d3da2fa79339631ce94e02e"},
+	"3001/sz:abs/float64/2":                    {"12935bb56953470d75c01130b16fe7922741e2c1d6eff2ccc3bb4692fb389560", "1aa056108ffddcc2f24dd0dc83a04e2195e980c1f8c8979bdad50588ee29096a"},
+	"3001/sz:abs/float64/0.05":                 {"1176eb47fcc3c5585997fc9e2330f41f358803d5a7ce572d4e44ed279757ba09", "40acdf01f1841f019334df94f146f211f763438a310fdab827bfb040b5a3c168"},
+	"3001/sz:abs/float64/0.0001":               {"4ac0fa82a1260e6375dd56bdd3dad5377048871d1e1f12ff3c5ea3081d301e43", "265f413c151098d96a1f240b38847d46850fc40365d064a907ceec37a56fbfd9"},
+	"45x61/sz:abs/float32/2":                   {"a97ed35dccd11f9e7099e20a6d0037ec6645f4fadfac58ab6380a9c7a41c51f0", "d9547bffdce6c4e5177a9842683a621f1f31b6a34faaaa4a4deeb3ccf3c662ef"},
+	"45x61/sz:abs/float32/0.05":                {"37f8706f060ae42b22cfe0bf5436de2d7a7bed7a9f3e29e1d24f1d7336a702d3", "0d55578348ef04bc24d14c33f46166bcce7cfc06fd5cde79f877c6208ca75bb7"},
+	"45x61/sz:abs/float32/0.0001":              {"8d6fbd89e3f6881c2d62c62a7354cb966a3510411170453c204ecbd66f421c09", "546f09a79350860b0084ae3192fbcb80759c0d669edcc95974f4fb7f4628cde9"},
+	"45x61/sz:abs/float64/2":                   {"2ab104b380bbbe3e163f2a41c437864d1a924976318567315bc184714864e5f9", "07738486e4004a8cf1536263132a6023dfe87d58126dc18d3af26da2ed301f66"},
+	"45x61/sz:abs/float64/0.05":                {"87e96b430e2f77cd8d4ca381ad95b2426df8b8a3044c374be2d271924b027997", "dd78995a4f1aeb514477a3d7e3f4ad767905b339aed506499a59906568a3261d"},
+	"45x61/sz:abs/float64/0.0001":              {"b15c918d216ba4b392fe6a514a58af2c31f6373f6e8082c510153c678f032d47", "b28f8d7268d8653f7efd85617c2a60e8a1921c611a7157b224882d940ae787d1"},
+	"45x61/mgard:abs/float32/2":                {"7a43b2b9a27e75a61d2f50c058cd2b29b75c31d1847900b77acc1c1a07a1b657", "209f7772973fb620ca74060b72cf9540feb9ad14c04ce7099894de914643a18e"},
+	"45x61/mgard:abs/float32/0.05":             {"1913e22236e54e9c4dbfc6d2c18089cd79a1cb085dd535a348fc4aa2a829fc14", "daca0ed013fcd78603f8aa2a64e0ba2722b83d7ffce14ebd3286a2dfb9273f76"},
+	"45x61/mgard:abs/float32/0.0001":           {"0292e144fd325a9d7cb8c36ff06343046757bcd249ea91937cd9e7306b82cc3a", "18c9246e1db673ff1c407cca3af039dec84b7f280fff984ca80acdcc78b6f80a"},
+	"45x61/mgard:abs/float64/2":                {"0cc1d833ddf2f812bb63e514fb8c47ec1c93655cfa60e0bcccd5ff6c2ed94057", "4d521093cde041b4f868e3f293b9cc05f8235019e14dc2c3056e9562047529be"},
+	"45x61/mgard:abs/float64/0.05":             {"f0c2d5f44d273975902d070ca2aa2cdeca524fc8a253a05f3d4ad211a4998132", "db0eca5d77938593c04ebbca945cfeafb5f8e53b0dbeb3dc62b472df5312015b"},
+	"45x61/mgard:abs/float64/0.0001":           {"62d4771d4ce409963f8a0924b1ccd4e24f528fdf605bd46a1707d6efa4867a07", "09c0bd57a5c1a9c4d60455ecea4d3d7692e44bcbc9ba4e22118dd8b35766c024"},
+	"64x64x64/sz:abs/float32/2":                {"1f5a2ff908d85912a90a7111225a30d169536f963dadc936716be5853ddf68bb", "09fd079fcd67fe4f427019e0076cab9c6eb2193d6656e3d150d12d776616c635"},
+	"64x64x64/sz:abs/float32/0.05":             {"b402b3a71ede7bf7076d561c8700f4b0fef8d71b31c89c678c54938690cac1e5", "be8dbf777da8f0cb290e491d5e3b1daec517719f41d10c20f05d0fb00e6864e5"},
+	"64x64x64/sz:abs/float32/0.0001":           {"a390d38f80cd67c0900587b6842a25c98a81f0c23cd05baf1e3dc0fa886ed2df", "2dfe0d6559b9cb37016e1c50031a9d7c8115f5ed2fac9696919d69f8acea9175"},
+	"64x64x64/sz:abs/float64/2":                {"deccc728a4930fecdb5e1f015456243841177a2e944b19ff1345bf7b3622857b", "f9e2fab40a2cb387557789036721736903b1b4d518bd1976fa2605eaaeba31ae"},
+	"64x64x64/sz:abs/float64/0.05":             {"87d144b6b6eaba4963d4c7182a91b39f97d3eee081af7b5accb56ecba7ff370a", "f5200a60607938974f948d394d9f0b60e28a18b4247d9904fc0c748cf6f0e74f"},
+	"64x64x64/sz:abs/float64/0.0001":           {"407b268df0f331668415feab7d11e36a65ad8a27c62c34d5ef368412f8259886", "f26f872df926f1212ad990c01e215521b8e83c5dc6f0525134cec76a4c3f28e0"},
+	"64x64x64/mgard:abs/float32/2":             {"0b1055d71582193bc2ae7023b9e0bc957c526294a69aa1214501b1fe0d32e1fa", "d6ad9e379876ca9640f471c8f181a26f057369ed47e2eeced17dc5e6d1018033"},
+	"64x64x64/mgard:abs/float32/0.05":          {"7c1b045fe6c0973d5995357caec85718a4d0c4a4c66316778254ff2c7399b3d7", "f00067d0e5b8596c4364cc403d12e1dd51bfc3080f2951b376b3929860e0bf65"},
+	"64x64x64/mgard:abs/float32/0.0001":        {"25c2b513c9663f9a53aa38e50513e099615f6849a945eb316e65559316bd5d4f", "130d2eda6475da4162c724cf28f6b9680fce4ba77ecdfc932134bdae7285c5d1"},
+	"64x64x64/mgard:abs/float64/2":             {"d2b82ec44d73d94347071e5526cde6d789544729f609a114f87321f6b5ab9a12", "1385263b62ead2611d4b798b7511f0f8ca3c48c33ed940edc793e7e9ffb4d264"},
+	"64x64x64/mgard:abs/float64/0.05":          {"c03335d9ba825e4c68ba520aaaebb94a1184a0389ad66637d954054bc70c130e", "26ae38812f588bfa3024f2bb201e64a32b21af20547f7083ef9521438cb783f7"},
+	"64x64x64/mgard:abs/float64/0.0001":        {"b58b350cb977baf2c3c9b8d6d5d49311fa3346a3663868d2ff152156f0210869", "57d815f4fe544ab833f9784997ad60c1ef4ac11f228754d86467f603cd347763"},
+	"10x18x26/nonfinite/sz:abs/float32/2":      {"771e5342d8c05bcda2ce96cd7afe01d43a12a69c05df4323074d81840128a141", "050a54b0c579b4b6a5aa4f860daeca481aa991af131fd210596c79c3da5fbb5b"},
+	"10x18x26/nonfinite/sz:abs/float32/0.05":   {"5ebd56ac073f9703a194f8c17fb26d8269d8005330be1cd4fb64fa59573cf7da", "0663f068a0ce317a57d61aa633854dbb299d837925b766f30196cb56f78bef8d"},
+	"10x18x26/nonfinite/sz:abs/float32/0.0001": {"e9a9afb89102c80cef36aa521f920b7e4a6431eb0efda8377a42c1c78368ae97", "e6ff1a1fad7e771f743e1ef0c277df090ed9d7e051e9eee5a4ea4781a94549f5"},
+	"10x18x26/nonfinite/sz:abs/float64/2":      {"4ba6fb7a185527824e4b74fc1bb1b65e64a0cfe381f52e84d23ea675ec5f0285", "fa771b9f2d19898602ed90ce674878479bb607eef849e3c85a7fde1de801d74a"},
+	"10x18x26/nonfinite/sz:abs/float64/0.05":   {"98eca2932b34d925e4fc1c58f24b426384d356ae6cac8c859a6a728c9985cf38", "771cb3f2d4cfc8e211e998843004b0ad7835e3d0fc31269021705f33b087ae01"},
+	"10x18x26/nonfinite/sz:abs/float64/0.0001": {"7c9da792f9dcb1f881df76c8ca80ea05cc75f0959686e657c1c55daedcca377e", "ac11eef88f07235b75a0cd7e58d51d41c68382bad31f5e8b8c2b8eb470ee3369"},
 }
