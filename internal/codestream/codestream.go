@@ -35,10 +35,22 @@ import (
 // in their own ErrCorrupt.
 var ErrCorrupt = errors.New("codestream: corrupt body")
 
+// appendCount appends the 32-bit count of n things, or fails when n does
+// not fit: a wrapped count reads back as a different, valid-looking one.
+func appendCount(dst []byte, n int, what string) ([]byte, error) {
+	if err := huffman.CheckCount(n, what); err != nil {
+		return nil, fmt.Errorf("codestream: %w", err)
+	}
+	return binary.LittleEndian.AppendUint32(dst, uint32(n)), nil
+}
+
 // appendChunk appends a length-prefixed run of bytes.
-func appendChunk(dst, chunk []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(chunk)))
-	return append(dst, chunk...)
+func appendChunk(dst, chunk []byte) ([]byte, error) {
+	dst, err := appendCount(dst, len(chunk), "chunk bytes")
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, chunk...), nil
 }
 
 // ReadChunk splits a length-prefixed run off the front of body. The chunk
@@ -74,10 +86,16 @@ func Encode[T grid.Float](codes []int32, literals []T, head ...[]byte) (body []b
 	}
 	body = make([]byte, 0, size)
 	for _, chunk := range head {
-		body = appendChunk(body, chunk)
+		if body, err = appendChunk(body, chunk); err != nil {
+			return nil, 0, err
+		}
 	}
-	body = appendChunk(body, huff)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(literals)))
+	if body, err = appendChunk(body, huff); err != nil {
+		return nil, 0, err
+	}
+	if body, err = appendCount(body, len(literals), "literals"); err != nil {
+		return nil, 0, err
+	}
 	body = grid.AppendLE(body, literals)
 	var comp bytes.Buffer
 	comp.Grow(len(body))

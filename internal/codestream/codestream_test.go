@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fraz/internal/grid"
+	"fraz/internal/huffman"
 )
 
 // roundTrip encodes, decodes and compares, and returns the flag Encode chose.
@@ -63,7 +64,13 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadChunk(t *testing.T) {
-	body := appendChunk(appendChunk(nil, []byte("ab")), nil)
+	body, err := appendChunk(nil, []byte("ab"))
+	if err == nil {
+		body, err = appendChunk(body, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	chunk, rest, err := ReadChunk(body)
 	if err != nil || string(chunk) != "ab" {
 		t.Fatalf("first chunk %q, %v", chunk, err)
@@ -117,5 +124,18 @@ func TestDecodeChecksLiteralCountFirst(t *testing.T) {
 	// of two, so the narrower reading is fine and the wider one is not.
 	if _, _, lits, err := Decode[float32](body, 0, 0, 0); err != nil || len(lits) != 2 {
 		t.Errorf("float32 reading: %d literals, %v", len(lits), err)
+	}
+}
+
+// A field of 2^32 or more values sealed whole would store its counts
+// wrapped — an archive that reads back as some other, shorter stream — so
+// the count is refused instead.
+func TestAppendCountRefusesWrap(t *testing.T) {
+	got, err := appendCount(nil, huffman.MaxSymbols, "literals")
+	if err != nil || len(got) != 4 {
+		t.Fatalf("the largest count: % x, %v", got, err)
+	}
+	if _, err := appendCount(nil, huffman.MaxSymbols+1, "literals"); err == nil {
+		t.Error("a count of 2^32 was written; it reads back as 0")
 	}
 }

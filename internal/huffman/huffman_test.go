@@ -1,9 +1,17 @@
 package huffman
 
 import (
+	"container/heap"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"fraz/internal/bitstream"
 )
 
 func roundTrip(t *testing.T, data []int32) {
@@ -151,16 +159,31 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeSkewed(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	data := make([]int32, 100000)
+// szLikeCodes draws n quantisation codes the way sz produces them on a
+// smooth field at a moderate bound: a two-sided geometric spread around zero
+// wide enough that the common codes are several bits long and the rare ones
+// longer than Decode's table, plus a few in a hundred values stored verbatim
+// (the 1<<30 marker).
+func szLikeCodes(n int, seed int64) []int32 {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]int32, n)
 	for i := range data {
-		if rng.Float64() < 0.9 {
-			data[i] = 0
-		} else {
-			data[i] = int32(rng.Intn(256) - 128)
+		if rng.Float64() < 0.02 {
+			data[i] = 1 << 30
+			continue
 		}
+		mag := int32(rng.ExpFloat64() * 12)
+		if rng.Intn(2) == 0 {
+			mag = -mag
+		}
+		data[i] = mag
 	}
+	return data
+}
+
+func BenchmarkEncodeSkewed(b *testing.B) {
+	data := szLikeCodes(100000, 3)
+	b.SetBytes(int64(4 * len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,19 +194,11 @@ func BenchmarkEncodeSkewed(b *testing.B) {
 }
 
 func BenchmarkDecodeSkewed(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	data := make([]int32, 100000)
-	for i := range data {
-		if rng.Float64() < 0.9 {
-			data[i] = 0
-		} else {
-			data[i] = int32(rng.Intn(256) - 128)
-		}
-	}
-	enc, err := Encode(data)
+	enc, err := Encode(szLikeCodes(100000, 3))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.SetBytes(4 * 100000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,4 +206,414 @@ func BenchmarkDecodeSkewed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The reference coder: the map-counting, container/heap, bit-at-a-time
+// implementation Encode and Decode replaced. The tests below hold the
+// replacement to its bytes and to its verdicts.
+
+type refNode struct {
+	freq        uint64
+	symbol      int32
+	left, right int // indices into node slice, -1 for leaves
+	order       int
+}
+
+type refHeap struct {
+	nodes []int
+	pool  []refNode
+}
+
+func (h refHeap) Len() int { return len(h.nodes) }
+func (h refHeap) Less(i, j int) bool {
+	a, b := h.pool[h.nodes[i]], h.pool[h.nodes[j]]
+	if a.freq != b.freq {
+		return a.freq < b.freq
+	}
+	return a.order < b.order
+}
+func (h refHeap) Swap(i, j int)       { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
+func (h *refHeap) Push(x interface{}) { h.nodes = append(h.nodes, x.(int)) }
+func (h *refHeap) Pop() interface{} {
+	old := h.nodes
+	n := len(old)
+	x := old[n-1]
+	h.nodes = old[:n-1]
+	return x
+}
+
+type refEntry struct {
+	symbol int32
+	length uint8
+	code   uint64
+}
+
+func refCodeLengths(symbols []int32, freqs []uint64) []refEntry {
+	n := len(symbols)
+	if n == 0 {
+		return nil
+	}
+	if n == 1 {
+		return []refEntry{{symbol: symbols[0], length: 1}}
+	}
+	h := &refHeap{}
+	for i := 0; i < n; i++ {
+		h.pool = append(h.pool, refNode{freq: freqs[i], symbol: symbols[i], left: -1, right: -1, order: i})
+		h.nodes = append(h.nodes, i)
+	}
+	heap.Init(h)
+	order := n
+	for h.Len() > 1 {
+		a := heap.Pop(h).(int)
+		b := heap.Pop(h).(int)
+		h.pool = append(h.pool, refNode{freq: h.pool[a].freq + h.pool[b].freq, left: a, right: b, order: order})
+		order++
+		heap.Push(h, len(h.pool)-1)
+	}
+	var entries []refEntry
+	type frame struct {
+		idx   int
+		depth uint8
+	}
+	stack := []frame{{h.nodes[0], 0}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := h.pool[f.idx]
+		if nd.left < 0 {
+			entries = append(entries, refEntry{symbol: nd.symbol, length: max(f.depth, 1)})
+			continue
+		}
+		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	}
+	return entries
+}
+
+func refAssignCanonical(entries []refEntry) {
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].length != entries[j].length {
+			return entries[i].length < entries[j].length
+		}
+		return entries[i].symbol < entries[j].symbol
+	})
+	var code uint64
+	var prevLen uint8
+	for i := range entries {
+		if i > 0 {
+			code++
+			code <<= entries[i].length - prevLen
+		}
+		entries[i].code = code
+		prevLen = entries[i].length
+	}
+}
+
+// refBits writes each symbol's code MSB-first, one bit per call.
+func refBits(w *bitstream.Writer, data []int32, codeOf map[int32]refEntry) {
+	for _, s := range data {
+		e := codeOf[s]
+		for b := int(e.length) - 1; b >= 0; b-- {
+			w.WriteBit(uint(e.code>>uint(b)) & 1)
+		}
+	}
+}
+
+func refEncode(data []int32) []byte {
+	freqMap := make(map[int32]uint64)
+	for _, s := range data {
+		freqMap[s]++
+	}
+	symbols := make([]int32, 0, len(freqMap))
+	for s := range freqMap {
+		symbols = append(symbols, s)
+	}
+	slices.Sort(symbols)
+	freqs := make([]uint64, len(symbols))
+	for i, s := range symbols {
+		freqs[i] = freqMap[s]
+	}
+	entries := refCodeLengths(symbols, freqs)
+	refAssignCanonical(entries)
+	codeOf := make(map[int32]refEntry, len(entries))
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
+	for _, e := range entries {
+		codeOf[e.symbol] = e
+		out = binary.LittleEndian.AppendUint32(out, uint32(e.symbol))
+		out = append(out, e.length)
+	}
+	w := bitstream.NewWriter(0)
+	refBits(w, data, codeOf)
+	return append(out, w.Bytes()...)
+}
+
+func refDecode(buf []byte) ([]int32, error) {
+	if len(buf) < 8 {
+		return nil, ErrCorrupt
+	}
+	count := int(binary.LittleEndian.Uint32(buf[0:4]))
+	numEntries := int(binary.LittleEndian.Uint32(buf[4:8]))
+	pos := 8
+	if numEntries < 0 || pos+numEntries*5 > len(buf) {
+		return nil, ErrCorrupt
+	}
+	if count == 0 {
+		return []int32{}, nil
+	}
+	if numEntries == 0 || count > 8*(len(buf)-pos-5*numEntries) {
+		return nil, ErrCorrupt
+	}
+	entries := make([]refEntry, numEntries)
+	for i := 0; i < numEntries; i++ {
+		sym := int32(binary.LittleEndian.Uint32(buf[pos : pos+4]))
+		length := buf[pos+4]
+		pos += 5
+		if length == 0 || length > maxCodeLen {
+			return nil, ErrCorrupt
+		}
+		entries[i] = refEntry{symbol: sym, length: length}
+	}
+	refAssignCanonical(entries)
+	firstCode := make([]uint64, maxCodeLen+2)
+	firstIndex := make([]int, maxCodeLen+2)
+	countsByLen := make([]int, maxCodeLen+2)
+	for _, e := range entries {
+		countsByLen[e.length]++
+	}
+	idx := 0
+	var code uint64
+	for l := 1; l <= maxCodeLen; l++ {
+		firstCode[l] = code
+		firstIndex[l] = idx
+		code += uint64(countsByLen[l])
+		idx += countsByLen[l]
+		code <<= 1
+	}
+	r := bitstream.NewReader(buf[pos:])
+	out := make([]int32, 0, count)
+	for len(out) < count {
+		var acc uint64
+		var l uint8
+		for {
+			bit, err := r.ReadBit()
+			if err != nil {
+				return nil, ErrCorrupt
+			}
+			acc = acc<<1 | uint64(bit)
+			l++
+			if l > maxCodeLen {
+				return nil, ErrCorrupt
+			}
+			if countsByLen[l] > 0 {
+				offset := acc - firstCode[l]
+				if acc >= firstCode[l] && offset < uint64(countsByLen[l]) {
+					out = append(out, entries[firstIndex[l]+int(offset)].symbol)
+					break
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestEncodeMatchesReference: Encode writes the reference's bytes on streams
+// that reach every branch of its counting — dense symbols only, the verbatim
+// marker, the int32 extremes, and symbols spread wider than the dense range
+// on either side of it.
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	streams := map[string][]int32{
+		"empty":       {},
+		"one symbol":  {7, 7, 7},
+		"extremes":    {math.MinInt32, math.MaxInt32, 1 << 30, 0, math.MinInt32, -1, 1 << 30, 1 << 30},
+		"sz-like":     szLikeCodes(50000, 1),
+		"range edges": {-denseReach - 1, -denseReach, denseReach - 1, denseReach, 0, 0, denseReach},
+	}
+	wide := make([]int32, 20000)
+	full := make([]int32, 3000)
+	mixed := make([]int32, 30000)
+	for i := range wide {
+		wide[i] = int32(rng.NormFloat64() * 4 * denseReach)
+	}
+	for i := range full {
+		full[i] = int32(rng.Uint32())
+	}
+	for i := range mixed {
+		switch rng.Intn(4) {
+		case 0:
+			mixed[i] = int32(rng.Uint32())
+		case 1:
+			mixed[i] = 1 << 30
+		default:
+			mixed[i] = int32(rng.Intn(64) - 32)
+		}
+	}
+	streams["wider than dense"], streams["full int32"], streams["mixed"] = wide, full, mixed
+	for name, data := range streams {
+		got, err := Encode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := refEncode(data); !slices.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the reference's %d", name, len(got), len(want))
+		}
+		dec, err := Decode(got)
+		if err != nil || !slices.Equal(dec, data) {
+			t.Errorf("%s: round trip: %v", name, err)
+		}
+	}
+}
+
+// forgeTable returns a Kraft-complete set of code lengths of at most
+// maxCodeLen bits: leaves of a random binary tree, grown by splitting a leaf
+// at a time. With skew the tree grows down one side, which reaches the
+// longest codes.
+func forgeTable(rng *rand.Rand, leaves int, skew bool) []uint8 {
+	lengths := []uint8{1, 1}
+	for len(lengths) < leaves {
+		i := rng.Intn(len(lengths))
+		if skew {
+			i = len(lengths) - 1
+		}
+		if lengths[i] == maxCodeLen {
+			break
+		}
+		lengths[i]++
+		lengths = append(lengths, lengths[i])
+	}
+	return lengths
+}
+
+// forgeStream builds a container over the given code lengths, its table in
+// shuffled order, holding count symbols drawn uniformly from the table (so
+// the longest codes occur as often as the shortest) and written with the
+// reference's canonical codes.
+func forgeStream(rng *rand.Rand, lengths []uint8, count int) []byte {
+	entries := make([]refEntry, len(lengths))
+	for i, l := range lengths {
+		entries[i] = refEntry{symbol: int32(rng.Uint32()), length: l}
+	}
+	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	out := binary.LittleEndian.AppendUint32(nil, uint32(count))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
+	for _, e := range entries {
+		out = binary.LittleEndian.AppendUint32(out, uint32(e.symbol))
+		out = append(out, e.length)
+	}
+	refAssignCanonical(entries)
+	codeOf := make(map[int32]refEntry, len(entries))
+	data := make([]int32, count)
+	for i := range data {
+		e := entries[rng.Intn(len(entries))]
+		codeOf[e.symbol] = e
+		data[i] = e.symbol
+	}
+	w := bitstream.NewWriter(0)
+	refBits(w, data, codeOf)
+	return append(out, w.Bytes()...)
+}
+
+// sameDecode fails unless Decode and the reference agree on buf: the same
+// values, or an error from both.
+func sameDecode(t *testing.T, name string, buf []byte) {
+	t.Helper()
+	got, err := Decode(buf)
+	want, refErr := refDecode(buf)
+	switch {
+	case (err == nil) != (refErr == nil):
+		t.Fatalf("%s: Decode error %v, reference error %v", name, err, refErr)
+	case err == nil && !slices.Equal(got, want):
+		t.Fatalf("%s: Decode and the reference read different values", name)
+	case err != nil && !errors.Is(err, ErrCorrupt):
+		t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+	}
+}
+
+// TestDecodeMatchesReference: on forged Kraft-complete tables with codes up
+// to maxCodeLen bits, on random bit payloads and on every truncation of a
+// payload, Decode reads what the reference reads, or fails where it fails.
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		lengths := forgeTable(rng, 2+rng.Intn(300), trial%3 == 0)
+		buf := forgeStream(rng, lengths, 1+rng.Intn(400))
+		sameDecode(t, "forged", buf)
+		for cut := 1; cut < 24 && cut < len(buf); cut++ {
+			sameDecode(t, "truncated", buf[:len(buf)-cut])
+		}
+		// The same table over random bits: every bit string decodes under a
+		// complete code until it runs out, so the count decides.
+		head := 8 + 5*len(lengths)
+		noise := append([]byte(nil), buf[:head]...)
+		for i := 0; i < 64; i++ {
+			noise = append(noise, byte(rng.Uint32()))
+		}
+		binary.LittleEndian.PutUint32(noise, uint32(1+rng.Intn(300)))
+		sameDecode(t, "random bits", noise)
+	}
+	// An incomplete code (a lone symbol has code 0 and nothing starts with
+	// a 1) fails on the first 1 bit in both.
+	one, err := Encode([]int32{5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecode(t, "lone symbol", one)
+	one[len(one)-1] = 0x02
+	sameDecode(t, "lone symbol, a 1 bit", one)
+}
+
+// The reference accepts a table whose lengths over-subscribe the code space
+// (three codes of one bit), decoding whatever its walk meets first; no
+// encoder writes such a table, and Decode refuses it.
+func TestDecodeRejectsOverSubscribedTable(t *testing.T) {
+	buf := binary.LittleEndian.AppendUint32(nil, 4)
+	buf = binary.LittleEndian.AppendUint32(buf, 3)
+	for sym := int32(1); sym <= 3; sym++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(sym))
+		buf = append(buf, 1)
+	}
+	buf = append(buf, 0x0a)
+	if _, err := refDecode(buf); err != nil {
+		t.Fatalf("the reference refused the table: %v", err)
+	}
+	if _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("over-subscribed table: %v, want ErrCorrupt", err)
+	}
+}
+
+func TestCheckCount(t *testing.T) {
+	if err := CheckCount(MaxSymbols, "symbols"); err != nil {
+		t.Errorf("MaxSymbols: %v", err)
+	}
+	if err := CheckCount(MaxSymbols+1, "symbols"); err == nil {
+		t.Error("MaxSymbols+1 symbols passed; a 32-bit count would wrap to 0")
+	}
+}
+
+// FuzzDecode: no input panics Decode, and any symbol stream (the input read
+// as int32s) decodes back from what Encode wrote for it.
+func FuzzDecode(f *testing.F) {
+	for _, data := range [][]int32{{}, {3}, {1, 2, 1, 1, 1 << 30}, szLikeCodes(300, 5)} {
+		enc, err := Encode(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add(forgeStream(rand.New(rand.NewSource(1)), forgeTable(rand.New(rand.NewSource(2)), 64, true), 40))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		_, _ = Decode(buf) // an error is fine, a panic is not
+		data := make([]int32, len(buf)/4)
+		for i := range data {
+			data[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		enc, err := Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(enc)
+		if err != nil || !slices.Equal(dec, data) {
+			t.Fatalf("%d symbols did not round-trip: %v", len(data), err)
+		}
+	})
 }

@@ -8,20 +8,66 @@ import (
 	"fraz/internal/quantize"
 )
 
-// This file holds the quantization hot loops, restructured from the original
-// per-point closure walk (odometer + stride sum + div/mod coordinate recovery
-// for every element) into per-rank row kernels: a row is a contiguous run
+// This file holds the hot loops: the predict/quantize walks of the encoder
+// and decoder, and the Lorenzo residual row of the predictor selection
+// (fitRegression and regressionBeatsLorenzo in sz.go walk blocks the same
+// way). Every one walks a block a row at a time — a row is a contiguous run
 // along the fastest axis, so within a row the flat offset advances by 1 and
-// every slower-axis Lorenzo guard (y>0, z>0) is a row constant hoisted out of
-// the inner loop. Only the first element of a domain-edge row (global x == 0)
-// needs special handling, peeled off before the guard-free loop body.
+// every slower-axis Lorenzo guard (y>0, z>0) is a row constant hoisted out
+// of the inner loop. Only the first element of a domain-edge row (global
+// x == 0) needs special handling, peeled off before the guard-free loop
+// body.
+//
+// One walk serves ranks 1 to 3: a block is padded to three axes, a lower
+// rank's missing slow axes having extent 1 at coordinate 0. There every
+// Lorenzo guard on them is false, which leaves exactly the 1-D or 2-D
+// predictor, and the regression prediction omits their terms.
 //
 // Bit-compatibility contract: every kernel evaluates the exact floating-point
-// expressions of the original lorenzoPredictor/predictRegression walk, with
-// identical association order, so streams and reconstructions are unchanged.
-// The only deviation is dropping "+ 0.0" terms for absent neighbours, which
-// can flip a prediction between -0.0 and +0.0 — invisible to the quantizer:
-// v-pred, round(diff/2e), and pred+2e*code are identical for both zero signs.
+// expressions of the original per-point walk, with identical association
+// order, so streams and reconstructions are unchanged. The only deviation is
+// dropping "+ 0.0" terms for absent neighbours, which can flip a prediction
+// between -0.0 and +0.0 — invisible to the quantizer and to the selection's
+// absolute residuals: v-pred, round(diff/2e), pred+2e*code and |v-pred| are
+// identical for both zero signs.
+
+// block is a grid.Block padded to three axes, slowest first, with the
+// field's strides (0 on a padded axis, which is never read along).
+type block struct {
+	nd                  int // the field's rank
+	start, size, stride [3]int
+}
+
+func padBlock(b grid.Block, strides []int) block {
+	p := block{nd: len(b.Size), size: [3]int{1, 1, 1}}
+	o := 3 - p.nd
+	copy(p.start[o:], b.Start)
+	copy(p.size[o:], b.Size)
+	copy(p.stride[o:], strides)
+	return p
+}
+
+// row returns the flat offset and the global slow coordinates (z, y) of the
+// block-local row (l0, l1).
+func (p *block) row(l0, l1 int) (base, z, y int) {
+	z, y = p.start[0]+l0, p.start[1]+l1
+	return z*p.stride[0] + y*p.stride[1] + p.start[2], z, y
+}
+
+// regressRow returns the row-constant part of the regression prediction at
+// block-local row (l0, l1): c0 plus each slower coordinate's term, summed in
+// the prediction's order c0 + c1·i0 + c2·i1 + c3·i2 over the field's axes.
+// A point at i along the row adds c[nd]·i.
+func (p *block) regressRow(c *[4]float64, l0, l1 int) float64 {
+	pred := c[0]
+	if p.nd == 3 {
+		pred += c[1] * float64(l0)
+	}
+	if p.nd >= 2 {
+		pred += c[p.nd-1] * float64(l1)
+	}
+	return pred
+}
 
 // encoder carries the per-field compression state threaded through the row
 // kernels: the quantizer, the original data, the running reconstruction the
@@ -35,8 +81,7 @@ type encoder[T grid.Float] struct {
 	literals []T
 }
 
-// point quantizes one value against its prediction — the body of the original
-// per-point closure, unchanged.
+// point quantizes one value against its prediction.
 func (e *encoder[T]) point(off int, pred float64) {
 	v := float64(e.data[off])
 	code, rec, ok := e.q.Quantize(v, pred)
@@ -59,82 +104,17 @@ func (e *encoder[T]) point(off int, pred float64) {
 	}
 }
 
-// lorenzoBlock encodes one block with the Lorenzo predictor, dispatching to
-// the rank-specialized row kernels.
-func (e *encoder[T]) lorenzoBlock(strides []int, b grid.Block) {
-	switch len(b.Start) {
-	case 1:
-		e.lorenzoRow1(b.Start[0], b.Size[0], b.Start[0])
-	case 2:
-		sy := strides[0]
-		for ly := 0; ly < b.Size[0]; ly++ {
-			y := b.Start[0] + ly
-			e.lorenzoRow2(y*sy+b.Start[1], b.Size[1], y, b.Start[1], sy)
-		}
-	case 3:
-		sz, sy := strides[0], strides[1]
-		for lz := 0; lz < b.Size[0]; lz++ {
-			z := b.Start[0] + lz
-			for ly := 0; ly < b.Size[1]; ly++ {
-				y := b.Start[1] + ly
-				e.lorenzoRow3(z*sz+y*sy+b.Start[2], b.Size[2], z, y, b.Start[2], sz, sy)
-			}
-		}
-	default:
-		// 4-D: previous element along the fastest axis, like the 1-D kernel.
-		for l0 := 0; l0 < b.Size[0]; l0++ {
-			for l1 := 0; l1 < b.Size[1]; l1++ {
-				for l2 := 0; l2 < b.Size[2]; l2++ {
-					base := (b.Start[0]+l0)*strides[0] + (b.Start[1]+l1)*strides[1] +
-						(b.Start[2]+l2)*strides[2] + b.Start[3]
-					e.lorenzoRow1(base, b.Size[3], b.Start[3])
-				}
-			}
+// lorenzoBlock encodes one block with the Lorenzo predictor.
+func (e *encoder[T]) lorenzoBlock(p *block) {
+	for l0 := 0; l0 < p.size[0]; l0++ {
+		for l1 := 0; l1 < p.size[1]; l1++ {
+			base, z, y := p.row(l0, l1)
+			e.lorenzoRow(base, p.size[2], z, y, p.start[2], p.stride[0], p.stride[1])
 		}
 	}
 }
 
-func (e *encoder[T]) lorenzoRow1(base, n, x0 int) {
-	off := base
-	if x0 == 0 {
-		e.point(off, 0)
-		off++
-		n--
-	}
-	r := e.recon
-	for i := 0; i < n; i++ {
-		e.point(off, float64(r[off-1]))
-		off++
-	}
-}
-
-func (e *encoder[T]) lorenzoRow2(base, n, y, x0, sy int) {
-	off := base
-	r := e.recon
-	if x0 == 0 {
-		var pred float64
-		if y > 0 {
-			pred = float64(r[off-sy])
-		}
-		e.point(off, pred)
-		off++
-		n--
-	}
-	if y > 0 {
-		for i := 0; i < n; i++ {
-			pred := float64(r[off-1]) + float64(r[off-sy]) - float64(r[off-sy-1])
-			e.point(off, pred)
-			off++
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			e.point(off, float64(r[off-1]))
-			off++
-		}
-	}
-}
-
-func (e *encoder[T]) lorenzoRow3(base, n, z, y, x0, sz, sy int) {
+func (e *encoder[T]) lorenzoRow(base, n, z, y, x0, sz, sy int) {
 	off := base
 	r := e.recon
 	if x0 == 0 {
@@ -184,50 +164,15 @@ func (e *encoder[T]) lorenzoRow3(base, n, z, y, x0, sz, sy int) {
 	}
 }
 
-// regressBlock encodes one block with the regression predictor. Along a row
-// only the fastest-axis coordinate varies, so the row-constant part of the
-// prediction is accumulated once, in predictRegression's association order.
-func (e *encoder[T]) regressBlock(strides []int, b grid.Block, coeffs [4]float64) {
-	switch len(b.Start) {
-	case 1:
-		base := b.Start[0]
-		for i := 0; i < b.Size[0]; i++ {
-			e.point(base+i, coeffs[0]+coeffs[1]*float64(i))
-		}
-	case 2:
-		for ly := 0; ly < b.Size[0]; ly++ {
-			base := (b.Start[0]+ly)*strides[0] + b.Start[1]
-			p0 := coeffs[0] + coeffs[1]*float64(ly)
-			for i := 0; i < b.Size[1]; i++ {
-				e.point(base+i, p0+coeffs[2]*float64(i))
-			}
-		}
-	case 3:
-		for lz := 0; lz < b.Size[0]; lz++ {
-			pz := coeffs[0] + coeffs[1]*float64(lz)
-			for ly := 0; ly < b.Size[1]; ly++ {
-				base := (b.Start[0]+lz)*strides[0] + (b.Start[1]+ly)*strides[1] + b.Start[2]
-				p0 := pz + coeffs[2]*float64(ly)
-				for i := 0; i < b.Size[2]; i++ {
-					e.point(base+i, p0+coeffs[3]*float64(i))
-				}
-			}
-		}
-	default:
-		// 4-D: the model uses only the three slowest coordinates, so the
-		// prediction is constant along a row.
-		for l0 := 0; l0 < b.Size[0]; l0++ {
-			p0 := coeffs[0] + coeffs[1]*float64(l0)
-			for l1 := 0; l1 < b.Size[1]; l1++ {
-				p1 := p0 + coeffs[2]*float64(l1)
-				for l2 := 0; l2 < b.Size[2]; l2++ {
-					p2 := p1 + coeffs[3]*float64(l2)
-					base := (b.Start[0]+l0)*strides[0] + (b.Start[1]+l1)*strides[1] +
-						(b.Start[2]+l2)*strides[2] + b.Start[3]
-					for i := 0; i < b.Size[3]; i++ {
-						e.point(base+i, p2)
-					}
-				}
+// regressBlock encodes one block with the regression predictor.
+func (e *encoder[T]) regressBlock(p *block, coeffs [4]float64) {
+	ci := coeffs[p.nd]
+	for l0 := 0; l0 < p.size[0]; l0++ {
+		for l1 := 0; l1 < p.size[1]; l1++ {
+			base, _, _ := p.row(l0, l1)
+			pred := p.regressRow(&coeffs, l0, l1)
+			for i := 0; i < p.size[2]; i++ {
+				e.point(base+i, pred+ci*float64(i))
 			}
 		}
 	}
@@ -263,79 +208,16 @@ func (d *decoder[T]) point(off int, pred float64) {
 	d.recon[off] = T(d.q.Dequantize(pred, code))
 }
 
-func (d *decoder[T]) lorenzoBlock(strides []int, b grid.Block) {
-	switch len(b.Start) {
-	case 1:
-		d.lorenzoRow1(b.Start[0], b.Size[0], b.Start[0])
-	case 2:
-		sy := strides[0]
-		for ly := 0; ly < b.Size[0]; ly++ {
-			y := b.Start[0] + ly
-			d.lorenzoRow2(y*sy+b.Start[1], b.Size[1], y, b.Start[1], sy)
-		}
-	case 3:
-		sz, sy := strides[0], strides[1]
-		for lz := 0; lz < b.Size[0]; lz++ {
-			z := b.Start[0] + lz
-			for ly := 0; ly < b.Size[1]; ly++ {
-				y := b.Start[1] + ly
-				d.lorenzoRow3(z*sz+y*sy+b.Start[2], b.Size[2], z, y, b.Start[2], sz, sy)
-			}
-		}
-	default:
-		for l0 := 0; l0 < b.Size[0]; l0++ {
-			for l1 := 0; l1 < b.Size[1]; l1++ {
-				for l2 := 0; l2 < b.Size[2]; l2++ {
-					base := (b.Start[0]+l0)*strides[0] + (b.Start[1]+l1)*strides[1] +
-						(b.Start[2]+l2)*strides[2] + b.Start[3]
-					d.lorenzoRow1(base, b.Size[3], b.Start[3])
-				}
-			}
+func (d *decoder[T]) lorenzoBlock(p *block) {
+	for l0 := 0; l0 < p.size[0]; l0++ {
+		for l1 := 0; l1 < p.size[1]; l1++ {
+			base, z, y := p.row(l0, l1)
+			d.lorenzoRow(base, p.size[2], z, y, p.start[2], p.stride[0], p.stride[1])
 		}
 	}
 }
 
-func (d *decoder[T]) lorenzoRow1(base, n, x0 int) {
-	off := base
-	if x0 == 0 {
-		d.point(off, 0)
-		off++
-		n--
-	}
-	r := d.recon
-	for i := 0; i < n; i++ {
-		d.point(off, float64(r[off-1]))
-		off++
-	}
-}
-
-func (d *decoder[T]) lorenzoRow2(base, n, y, x0, sy int) {
-	off := base
-	r := d.recon
-	if x0 == 0 {
-		var pred float64
-		if y > 0 {
-			pred = float64(r[off-sy])
-		}
-		d.point(off, pred)
-		off++
-		n--
-	}
-	if y > 0 {
-		for i := 0; i < n; i++ {
-			pred := float64(r[off-1]) + float64(r[off-sy]) - float64(r[off-sy-1])
-			d.point(off, pred)
-			off++
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			d.point(off, float64(r[off-1]))
-			off++
-		}
-	}
-}
-
-func (d *decoder[T]) lorenzoRow3(base, n, z, y, x0, sz, sy int) {
+func (d *decoder[T]) lorenzoRow(base, n, z, y, x0, sz, sy int) {
 	off := base
 	r := d.recon
 	if x0 == 0 {
@@ -385,46 +267,66 @@ func (d *decoder[T]) lorenzoRow3(base, n, z, y, x0, sz, sy int) {
 	}
 }
 
-func (d *decoder[T]) regressBlock(strides []int, b grid.Block, coeffs [4]float64) {
-	switch len(b.Start) {
-	case 1:
-		base := b.Start[0]
-		for i := 0; i < b.Size[0]; i++ {
-			d.point(base+i, coeffs[0]+coeffs[1]*float64(i))
-		}
-	case 2:
-		for ly := 0; ly < b.Size[0]; ly++ {
-			base := (b.Start[0]+ly)*strides[0] + b.Start[1]
-			p0 := coeffs[0] + coeffs[1]*float64(ly)
-			for i := 0; i < b.Size[1]; i++ {
-				d.point(base+i, p0+coeffs[2]*float64(i))
-			}
-		}
-	case 3:
-		for lz := 0; lz < b.Size[0]; lz++ {
-			pz := coeffs[0] + coeffs[1]*float64(lz)
-			for ly := 0; ly < b.Size[1]; ly++ {
-				base := (b.Start[0]+lz)*strides[0] + (b.Start[1]+ly)*strides[1] + b.Start[2]
-				p0 := pz + coeffs[2]*float64(ly)
-				for i := 0; i < b.Size[2]; i++ {
-					d.point(base+i, p0+coeffs[3]*float64(i))
-				}
-			}
-		}
-	default:
-		for l0 := 0; l0 < b.Size[0]; l0++ {
-			p0 := coeffs[0] + coeffs[1]*float64(l0)
-			for l1 := 0; l1 < b.Size[1]; l1++ {
-				p1 := p0 + coeffs[2]*float64(l1)
-				for l2 := 0; l2 < b.Size[2]; l2++ {
-					p2 := p1 + coeffs[3]*float64(l2)
-					base := (b.Start[0]+l0)*strides[0] + (b.Start[1]+l1)*strides[1] +
-						(b.Start[2]+l2)*strides[2] + b.Start[3]
-					for i := 0; i < b.Size[3]; i++ {
-						d.point(base+i, p2)
-					}
-				}
+func (d *decoder[T]) regressBlock(p *block, coeffs [4]float64) {
+	ci := coeffs[p.nd]
+	for l0 := 0; l0 < p.size[0]; l0++ {
+		for l1 := 0; l1 < p.size[1]; l1++ {
+			base, _, _ := p.row(l0, l1)
+			pred := p.regressRow(&coeffs, l0, l1)
+			for i := 0; i < p.size[2]; i++ {
+				d.point(base+i, pred+ci*float64(i))
 			}
 		}
 	}
+}
+
+// lorenzoResidualRow adds to acc, one point at a time, |v − pred| for the n
+// values of a row at base, pred being the Lorenzo prediction from the
+// original data — the selection's estimate, exactly as SZ makes it.
+func lorenzoResidualRow[T grid.Float](acc float64, d []T, base, n, z, y, x0, sz, sy int) float64 {
+	off := base
+	if x0 == 0 {
+		var pred float64
+		switch {
+		case z > 0 && y > 0:
+			pred = float64(d[off-sy]) + float64(d[off-sz]) - float64(d[off-sy-sz])
+		case z > 0:
+			pred = float64(d[off-sz])
+		case y > 0:
+			pred = float64(d[off-sy])
+		}
+		acc += math.Abs(float64(d[off]) - pred)
+		off++
+		n--
+	}
+	switch {
+	case z > 0 && y > 0:
+		for i := 0; i < n; i++ {
+			fx := float64(d[off-1])
+			fy := float64(d[off-sy])
+			fz := float64(d[off-sz])
+			fxy := float64(d[off-1-sy])
+			fxz := float64(d[off-1-sz])
+			fyz := float64(d[off-sy-sz])
+			fxyz := float64(d[off-1-sy-sz])
+			acc += math.Abs(float64(d[off]) - (fx + fy + fz - fxy - fxz - fyz + fxyz))
+			off++
+		}
+	case z > 0:
+		for i := 0; i < n; i++ {
+			acc += math.Abs(float64(d[off]) - (float64(d[off-1]) + float64(d[off-sz]) - float64(d[off-1-sz])))
+			off++
+		}
+	case y > 0:
+		for i := 0; i < n; i++ {
+			acc += math.Abs(float64(d[off]) - (float64(d[off-1]) + float64(d[off-sy]) - float64(d[off-1-sy])))
+			off++
+		}
+	default:
+		for i := 0; i < n; i++ {
+			acc += math.Abs(float64(d[off]) - float64(d[off-1]))
+			off++
+		}
+	}
+	return acc
 }

@@ -103,6 +103,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
 	}
+	if shape.NDims() > 3 {
+		return nil, fmt.Errorf("%w: rank %d (want 1..3)", ErrInvalidInput, shape.NDims())
+	}
 	o := opts.withDefaults(shape.NDims())
 	q, err := quantize.NewWithIntervals(o.ErrorBound, o.Intervals)
 	if err != nil {
@@ -129,24 +132,23 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	blockMeta := make([]byte, 0, len(blocks)*17)
 
 	strides := shape.Strides()
-	for _, b := range blocks {
-		useRegress := false
+	for _, gb := range blocks {
+		b := padBlock(gb, strides)
 		var coeffs [4]float64
-		if b.Len() >= 8 {
-			coeffs = fitRegression(data, shape, strides, b)
-			if regressionBeatsLorenzo(data, shape, strides, b, coeffs) {
-				useRegress = true
-			}
+		useRegress := false
+		if gb.Len() >= 8 {
+			coeffs = fitRegression(data, &b)
+			useRegress = regressionBeatsLorenzo(data, &b, coeffs)
 		}
 		if useRegress {
 			blockMeta = append(blockMeta, predRegress)
 			for _, c := range coeffs {
 				blockMeta = binary.LittleEndian.AppendUint64(blockMeta, math.Float64bits(c))
 			}
-			enc.regressBlock(strides, b, coeffs)
+			enc.regressBlock(&b, coeffs)
 		} else {
 			blockMeta = append(blockMeta, predLorenzo)
-			enc.lorenzoBlock(strides, b)
+			enc.lorenzoBlock(&b)
 		}
 	}
 	// The shared back end (internal/codestream): the block records go first
@@ -228,7 +230,7 @@ func parseHeader(buf []byte) (header, []byte, error) {
 	}
 	h.dictFlag = buf[4]
 	ndims := int(buf[5])
-	if ndims < 1 || ndims > 4 {
+	if ndims < 1 || ndims > 3 {
 		return h, nil, fmt.Errorf("%w: bad rank %d", ErrCorrupt, ndims)
 	}
 	h.errorBound = math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
@@ -274,7 +276,8 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 	blocks := h.shape.Blocks(h.blockSize)
 
 	metaPos := 0
-	for _, b := range blocks {
+	for _, gb := range blocks {
+		b := padBlock(gb, strides)
 		if metaPos >= len(blockMeta) {
 			return nil, fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
 		}
@@ -289,9 +292,9 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 				coeffs[i] = math.Float64frombits(binary.LittleEndian.Uint64(blockMeta[metaPos : metaPos+8]))
 				metaPos += 8
 			}
-			dec.regressBlock(strides, b, coeffs)
+			dec.regressBlock(&b, coeffs)
 		} else if sel == predLorenzo {
-			dec.lorenzoBlock(strides, b)
+			dec.lorenzoBlock(&b)
 		} else {
 			return nil, fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
 		}
@@ -302,53 +305,62 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 	return recon, nil
 }
 
-// forEachBlockPoint visits every point of the block in row-major order,
-// passing the flat offset and the block-local coordinates.
-func forEachBlockPoint(shape grid.Dims, b grid.Block, fn func(off int, local []int)) {
-	strides := shape.Strides()
-	nd := shape.NDims()
-	local := make([]int, nd)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		off := 0
-		for k := 0; k < nd; k++ {
-			off += (b.Start[k] + local[k]) * strides[k]
-		}
-		fn(off, local)
-		k := nd - 1
-		for k >= 0 {
-			local[k]++
-			if local[k] < b.Size[k] {
-				break
-			}
-			local[k] = 0
-			k--
+// fitRegression fits value ~ c0 + c1·i0 + c2·i1 + c3·i2 over the block's
+// original data by least squares (normal equations on a small, well-
+// conditioned system), i0 being the slowest block-local coordinate. A
+// coordinate the rank lacks has a zero column and gets coefficient 0.
+//
+// AᵀA holds sums of products of block-local coordinates: integers, every
+// partial sum of which float64 holds exactly while the block's Σi² stays
+// under 2^53 (any edge up to 1,900 at rank 3; the default is 6), so it is
+// computed from the extents in closed form. Aᵀb is summed in row-major
+// point order, one sum per column, and a column the rank lacks keeps its
+// 0·v products: 0·Inf is NaN, so a non-finite value poisons that column as
+// it always has.
+func fitRegression[T grid.Float](data []T, b *block) [4]float64 {
+	n := b.size[0] * b.size[1] * b.size[2]
+	var ata [4][4]float64
+	ata[0][0] = float64(n)
+	var sum [3]int // Σi over one axis of the block, per real axis
+	for j := 0; j < b.nd; j++ {
+		e := b.size[3-b.nd+j]
+		sum[j] = e * (e - 1) / 2
+		ata[0][j+1] = float64(sum[j] * (n / e))
+		ata[j+1][0] = ata[0][j+1]
+		ata[j+1][j+1] = float64((e - 1) * e * (2*e - 1) / 6 * (n / e))
+		for k := 0; k < j; k++ {
+			ata[k+1][j+1] = float64(sum[k] * sum[j] * (n / (e * b.size[3-b.nd+k])))
+			ata[j+1][k+1] = ata[k+1][j+1]
 		}
 	}
-}
-
-// fitRegression fits value ~ b0 + b1*i0 + b2*i1 + b3*i2 over the block's
-// original data by least squares (normal equations on a small, well-
-// conditioned system). Unused dimensions have zero coefficients.
-func fitRegression[T grid.Float](data []T, shape grid.Dims, strides []int, b grid.Block) [4]float64 {
-	nd := shape.NDims()
-	// Design matrix columns: 1, i0, i1, i2 (block-local coordinates).
-	var ata [4][4]float64
-	var atb [4]float64
-	forEachBlockPoint(shape, b, func(off int, local []int) {
-		var row [4]float64
-		row[0] = 1
-		for k := 0; k < nd && k < 3; k++ {
-			row[k+1] = float64(local[k])
-		}
-		v := float64(data[off])
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				ata[r][c] += row[r] * row[c]
+	// Aᵀb by padded axis: Σv, then Σ l·v for each of the three coordinates.
+	var s0 float64
+	var s [3]float64
+	for l0 := 0; l0 < b.size[0]; l0++ {
+		f0 := float64(l0)
+		for l1 := 0; l1 < b.size[1]; l1++ {
+			f1 := float64(l1)
+			base, _, _ := b.row(l0, l1)
+			for i, v := range data[base : base+b.size[2]] {
+				fv := float64(v)
+				s0 += fv
+				s[0] += f0 * fv
+				s[1] += f1 * fv
+				s[2] += float64(i) * fv
 			}
-			atb[r] += row[r] * v
 		}
-	})
+	}
+	// A real axis j feeds column j+1; a padded axis, always at coordinate 0,
+	// holds the 0·v sums of a column past the rank.
+	atb := [4]float64{s0}
+	o := 3 - b.nd
+	for q := range s {
+		if q >= o {
+			atb[q-o+1] = s[q]
+		} else {
+			atb[b.nd+1+q] = s[q]
+		}
+	}
 	return solve4(ata, atb)
 }
 
@@ -394,76 +406,23 @@ func solve4(a [4][4]float64, b [4]float64) [4]float64 {
 	return x
 }
 
-func predictRegression(coeffs [4]float64, local []int) float64 {
-	pred := coeffs[0]
-	for k := 0; k < len(local) && k < 3; k++ {
-		pred += coeffs[k+1] * float64(local[k])
-	}
-	return pred
-}
-
 // regressionBeatsLorenzo estimates, on the original (not reconstructed)
 // data, whether the regression predictor yields a lower absolute residual
 // than the Lorenzo predictor over the block, mirroring SZ 2.x's sampling-
-// based predictor selection.
-func regressionBeatsLorenzo[T grid.Float](data []T, shape grid.Dims, strides []int, b grid.Block, coeffs [4]float64) bool {
-	nd := shape.NDims()
-	var errLorenzo, errRegress float64
-	forEachBlockPoint(shape, b, func(off int, local []int) {
-		v := float64(data[off])
-		errRegress += math.Abs(v - predictRegression(coeffs, local))
-
-		// Lorenzo estimate on original data (approximation used only for
-		// selection, exactly as SZ does).
-		var pred float64
-		switch nd {
-		case 1:
-			if local[0] > 0 || b.Start[0] > 0 {
-				pred = float64(data[off-1])
+// based predictor selection. Both residual sums run in row-major point
+// order, each prediction summed as the encoder sums it.
+func regressionBeatsLorenzo[T grid.Float](data []T, b *block, coeffs [4]float64) bool {
+	var errRegress, errLorenzo float64
+	ci := coeffs[b.nd]
+	for l0 := 0; l0 < b.size[0]; l0++ {
+		for l1 := 0; l1 < b.size[1]; l1++ {
+			base, z, y := b.row(l0, l1)
+			pred := b.regressRow(&coeffs, l0, l1)
+			for i, v := range data[base : base+b.size[2]] {
+				errRegress += math.Abs(float64(v) - (pred + ci*float64(i)))
 			}
-		case 2:
-			y := b.Start[0] + local[0]
-			x := b.Start[1] + local[1]
-			var a2, b2, c2 float64
-			if x > 0 {
-				a2 = float64(data[off-strides[1]])
-			}
-			if y > 0 {
-				b2 = float64(data[off-strides[0]])
-			}
-			if x > 0 && y > 0 {
-				c2 = float64(data[off-strides[0]-strides[1]])
-			}
-			pred = a2 + b2 - c2
-		default:
-			z := b.Start[0] + local[0]
-			y := b.Start[1] + local[1]
-			x := b.Start[2] + local[2]
-			var fx, fy, fz, fxy, fxz, fyz, fxyz float64
-			if x > 0 {
-				fx = float64(data[off-strides[2]])
-			}
-			if y > 0 {
-				fy = float64(data[off-strides[1]])
-			}
-			if z > 0 {
-				fz = float64(data[off-strides[0]])
-			}
-			if x > 0 && y > 0 {
-				fxy = float64(data[off-strides[2]-strides[1]])
-			}
-			if x > 0 && z > 0 {
-				fxz = float64(data[off-strides[2]-strides[0]])
-			}
-			if y > 0 && z > 0 {
-				fyz = float64(data[off-strides[1]-strides[0]])
-			}
-			if x > 0 && y > 0 && z > 0 {
-				fxyz = float64(data[off-strides[2]-strides[1]-strides[0]])
-			}
-			pred = fx + fy + fz - fxy - fxz - fyz + fxyz
+			errLorenzo = lorenzoResidualRow(errLorenzo, data, base, b.size[2], z, y, b.start[2], b.stride[0], b.stride[1])
 		}
-		errLorenzo += math.Abs(v - pred)
-	})
+	}
 	return errRegress < errLorenzo
 }

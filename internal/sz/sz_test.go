@@ -190,6 +190,29 @@ func TestInvalidInputs(t *testing.T) {
 	}
 }
 
+// sz is registered for ranks 1 to 3 and has no predictor for a fourth axis:
+// a 4-D field is refused on the way in, and a header declaring one on the
+// way out.
+func TestRankFourRefused(t *testing.T) {
+	if _, err := Compress(make([]float32, 16), grid.MustDims(2, 2, 2, 2), Options{ErrorBound: 0.1}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("4-D Compress: %v, want ErrInvalidInput", err)
+	}
+	valid, err := Compress(make([]float32, 8), grid.MustDims(2, 2, 2), Options{ErrorBound: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 4 with the fourth extent 1: the same values, were it accepted.
+	forged := append(append([]byte(nil), valid[:fixedHeaderLen+12]...), 1, 0, 0, 0)
+	forged = append(forged, valid[fixedHeaderLen+12:]...)
+	forged[5] = 4
+	if _, err := DecompressHeaderShape(forged); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("4-D header shape: %v, want ErrCorrupt", err)
+	}
+	if _, err := Decompress[float32](forged, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("4-D Decompress: %v, want ErrCorrupt", err)
+	}
+}
+
 // hostileStreams returns a valid stream of 64 values and its two forgeries
 // (codestreamtest.Forge): a literal count of two billion, and a DEFLATE bomb
 // of bombSize bytes for a body.
