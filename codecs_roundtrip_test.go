@@ -170,19 +170,39 @@ func codecRoundTrip[T grid.Float](t *testing.T, info fraz.CodecInfo, data []T, s
 	for i, v := range smoothField(len(field)) {
 		field[i] = T(v)
 	}
-	for _, numBlocks := range []int{1, 4} {
-		var archive bytes.Buffer
-		if _, err := fraz.Compress(context.Background(), &archive, field, wide,
-			fraz.Codec(info.Name), fraz.FixedBound(bound), fraz.Blocks(numBlocks)); err != nil {
-			t.Fatalf("Blocks(%d): compress: %v", numBlocks, err)
+	type row struct {
+		data  []T
+		shape grid.Dims
+	}
+	rows := []row{{field, wide}}
+	// A constant field of 2^22 values is the densest archive a codec writes
+	// (sz and mgard reach thousands of values per byte): every one must open
+	// under the guard that refuses a shape its payload cannot carry. The
+	// race detector makes these rows ten times slower and has nothing to find
+	// in them that the small field does not already exercise.
+	if !raceEnabled {
+		dense := grid.MustDims(256, 128, 128)
+		constant := make([]T, dense.Len())
+		for i := range constant {
+			constant[i] = 1.5
 		}
-		res, err := fraz.DecompressFull(context.Background(), &archive)
-		if err != nil {
-			t.Fatalf("Blocks(%d): decompress: %v", numBlocks, err)
-		}
-		if n := len(res.Data) + len(res.Data64); n != len(field) || cap(res.Data) != len(res.Data) || cap(res.Data64) != len(res.Data64) {
-			t.Errorf("Blocks(%d): decoded %d of %d values with capacity %d behind them",
-				numBlocks, n, len(field), cap(res.Data)+cap(res.Data64))
+		rows = append(rows, row{constant, dense})
+	}
+	for _, row := range rows {
+		for _, numBlocks := range []int{1, 4} {
+			var archive bytes.Buffer
+			if _, err := fraz.Compress(context.Background(), &archive, row.data, row.shape,
+				fraz.Codec(info.Name), fraz.FixedBound(bound), fraz.Blocks(numBlocks)); err != nil {
+				t.Fatalf("%v, Blocks(%d): compress: %v", row.shape, numBlocks, err)
+			}
+			res, err := fraz.DecompressFull(context.Background(), &archive)
+			if err != nil {
+				t.Fatalf("%v, Blocks(%d): decompress: %v", row.shape, numBlocks, err)
+			}
+			if n := len(res.Data) + len(res.Data64); n != len(row.data) || cap(res.Data) != len(res.Data) || cap(res.Data64) != len(res.Data64) {
+				t.Errorf("%v, Blocks(%d): decoded %d of %d values with capacity %d behind them",
+					row.shape, numBlocks, n, len(row.data), cap(res.Data)+cap(res.Data64))
+			}
 		}
 	}
 }
@@ -249,6 +269,33 @@ func TestRecordedParameterIsTheOneTheCodecRanAt(t *testing.T) {
 		}
 		if !bytes.Equal(first.Payload, second.Payload) {
 			t.Errorf("%s: the stream was not coded at the recorded %s %v", info.Name, info.BoundName, res.ErrorBound)
+		}
+	}
+}
+
+// TestDecompressRefusesAShapeThePayloadCannotCarry opens a 106-byte blocked
+// archive whose header claims 2×2^20×2^14 float32 values (128 GiB) over two
+// 3-byte blocks with correct CRCs. The CRCs cover the payload, not the
+// shape, and sizing the output from that shape ended the process with
+// "fatal error: runtime: out of memory", which nothing can recover from. It
+// must be ErrCorrupt, in the monolithic layout too.
+func TestDecompressRefusesAShapeThePayloadCannotCarry(t *testing.T) {
+	shape := grid.MustDims(2, 1<<20, 1<<14)
+	blocked, err := container.NewBlocked("szx:abs", 1e-3, 4, container.Float32, shape, [][]byte{{1, 2, 3}, {4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monolithic, err := container.New("szx:abs", 1e-3, 4, container.Float32, shape, []byte{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cn := range map[string]container.Container{"blocked": blocked, "monolithic": monolithic} {
+		archive, err := cn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fraz.DecompressFull(context.Background(), bytes.NewReader(archive)); !errors.Is(err, fraz.ErrCorrupt) {
+			t.Errorf("%s, %d bytes: err = %v, want ErrCorrupt", name, len(archive), err)
 		}
 	}
 }

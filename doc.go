@@ -163,14 +163,17 @@
 //   - internal/pressio   — the generic codec layer (libpressio analogue): codec
 //     registry with capabilities, the shared evaluation cache (compress-only
 //     and full round-trip entries, bounded with FIFO eviction), and the
-//     block-parallel SealBlocked/OpenBlocked pipeline
+//     block-parallel SealBlocked/OpenBlocked pipeline; as in libpressio the
+//     caller owns the output, so OpenBlocked allocates a field once and every
+//     block decodes straight into its slice of it
 //   - internal/container — the self-describing .fraz on-disk container format
 //     (v1 monolithic payload, v2 block index + independently-decodable
 //     blocks), with streaming WriteTo/ReadFrom and incremental CRC checks
 //   - internal/archive   — the .frazd dataset super-container: many named
 //     .fraz payloads (field@step) behind a CRC-guarded trailing directory,
 //     append-friendly and lazily readable; see docs/format.md
-//   - internal/blocks    — slowest-axis block decomposition (split/reassemble)
+//   - internal/blocks    — slowest-axis block decomposition (contiguous blocks,
+//     read and written in place)
 //   - internal/sz        — SZ-like prediction-based error-bounded compressor
 //   - internal/szx       — SZx-style ultra-fast error-bounded compressor
 //     (constant-block detection + leading-byte truncation; trades ratio for
@@ -181,6 +184,9 @@
 //     path for fixed-ratio objectives
 //   - internal/zfp       — ZFP-like transform compressor (accuracy + fixed-rate)
 //   - internal/mgard     — MGARD-like multilevel compressor
+//   - internal/grid      — shapes and blocks, float serialisation, and the
+//     preamble every kernel stream opens with (width-tagged magic and shape,
+//     checked once); each kernel's DecompressInto decodes into caller memory
 //   - internal/pool      — size-bucketed free lists for scratch borrowed
 //     inside one function; what a function returns is never pooled
 //   - internal/optim     — Dlib-style global minimiser with cutoff + baselines

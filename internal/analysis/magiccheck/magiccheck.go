@@ -4,12 +4,9 @@
 // sharing a magic would silently mis-route decodes — must carry the element
 // width it tags in its trailing ASCII digit ('1' for the float32 variant of
 // a *32 constant, '2' for the float64 variant of a *64 constant, matching
-// SZG1/SZG2, ZFP1/ZFP2, SZX1/SZX2, …), and must be reachable from the
-// package's decode dispatch: a magic only ever written but never matched in
-// a switch case or equality comparison marks a stream no decoder will ever
-// accept. Reachability looks through one level of helper function (the
-// magicFor[T] idiom), so a magic returned by a helper that is itself
-// compared in the decode path counts as reachable.
+// SZG1/SZG2, ZFP1/ZFP2, SZX1/SZX2, …). Whether a magic is matched on
+// decode is not checked here: every kernel hands its pair to one
+// grid.Stream, which both writes and matches it.
 package magiccheck
 
 import (
@@ -22,13 +19,11 @@ import (
 	"fraz/internal/analysis"
 )
 
-// Analyzer flags duplicate, wrongly width-tagged, or decode-unreachable
-// stream magics.
+// Analyzer flags duplicate or wrongly width-tagged stream magics.
 var Analyzer = &analysis.Analyzer{
 	Name: "magiccheck",
-	Doc: "check that 4-byte stream-magic constants are unique across packages, " +
-		"carry the right width digit, and are matched somewhere on a decode path",
-	Run: run,
+	Doc:  "check that 4-byte stream-magic constants are unique across packages and carry the right width digit",
+	Run:  run,
 }
 
 // seenKey namespaces the cross-package duplicate table in the session.
@@ -41,7 +36,6 @@ type prior struct {
 }
 
 type magicConst struct {
-	obj  types.Object
 	name string
 	val  uint32
 	pos  token.Pos
@@ -66,14 +60,6 @@ func run(pass *analysis.Pass) error {
 	for _, m := range magics {
 		checkWidthTag(pass, m)
 	}
-
-	reachable := decodeReachable(pass)
-	for _, m := range magics {
-		if !reachable[m.obj] {
-			pass.Reportf(m.pos, "magic %s (%q) is never matched in a switch case or comparison: no decode path accepts its streams",
-				m.name, asciiBytes(m.val))
-		}
-	}
 	return nil
 }
 
@@ -96,8 +82,7 @@ func collect(pass *analysis.Pass) []magicConst {
 					if !strings.Contains(strings.ToLower(name.Name), "magic") {
 						continue
 					}
-					obj := pass.TypesInfo.Defs[name]
-					cnst, ok := obj.(*types.Const)
+					cnst, ok := pass.TypesInfo.Defs[name].(*types.Const)
 					if !ok {
 						continue
 					}
@@ -105,7 +90,7 @@ func collect(pass *analysis.Pass) []magicConst {
 					if !ok || v > 0xFFFFFFFF {
 						continue
 					}
-					out = append(out, magicConst{obj: obj, name: name.Name, val: uint32(v), pos: name.Pos()})
+					out = append(out, magicConst{name: name.Name, val: uint32(v), pos: name.Pos()})
 				}
 			}
 		}
@@ -149,99 +134,4 @@ func checkWidthTag(pass *analysis.Pass, m magicConst) {
 // order the repository's comments quote them in.
 func asciiBytes(v uint32) string {
 	return string([]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-// decodeReachable computes which magic constants can match an incoming
-// stream: used directly in a case clause or ==/!= comparison, or returned
-// by a helper function that is itself called in such a position.
-func decodeReachable(pass *analysis.Pass) map[types.Object]bool {
-	// helperReturns maps a function object to the magic constants its body
-	// returns (the magicFor[T] pattern).
-	helperReturns := map[types.Object][]types.Object{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fobj := pass.TypesInfo.Defs[fd.Name]
-			if fobj == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				for _, r := range ret.Results {
-					ast.Inspect(r, func(m ast.Node) bool {
-						if id, ok := m.(*ast.Ident); ok {
-							if obj := pass.TypesInfo.Uses[id]; obj != nil {
-								if _, isConst := obj.(*types.Const); isConst {
-									helperReturns[fobj] = append(helperReturns[fobj], obj)
-								}
-							}
-						}
-						return true
-					})
-				}
-				return true
-			})
-		}
-	}
-
-	reachable := map[types.Object]bool{}
-	markExpr := func(e ast.Expr) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if obj := pass.TypesInfo.Uses[n]; obj != nil {
-					reachable[obj] = true
-				}
-			case *ast.CallExpr:
-				if fobj := calleeObject(pass, n); fobj != nil {
-					for _, c := range helperReturns[fobj] {
-						reachable[c] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CaseClause:
-				for _, e := range n.List {
-					markExpr(e)
-				}
-			case *ast.BinaryExpr:
-				if n.Op == token.EQL || n.Op == token.NEQ {
-					markExpr(n.X)
-					markExpr(n.Y)
-				}
-			}
-			return true
-		})
-	}
-	return reachable
-}
-
-// calleeObject resolves the function object a call invokes, looking through
-// generic instantiation.
-func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
-	fun := call.Fun
-	switch fn := fun.(type) {
-	case *ast.IndexExpr:
-		fun = fn.X
-	case *ast.IndexListExpr:
-		fun = fn.X
-	}
-	switch fn := fun.(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[fn]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[fn.Sel]
-	}
-	return nil
 }

@@ -12,9 +12,8 @@ func TestMagiccheck(t *testing.T) {
 }
 
 // TestMagiccheckFRZMagics pins the analyzer's treatment of the frsz codec's
-// real stream magics: FRZ1/FRZ2 satisfy the width-tag digit rule, helper
-// dispatch makes them decode-reachable, and re-declaring either value is a
-// collision.
+// real stream magics: FRZ1/FRZ2 satisfy the width-tag digit rule, and
+// re-declaring either value is a collision.
 func TestMagiccheckFRZMagics(t *testing.T) {
 	analysistest.Run(t, "testdata/src/frz", magiccheck.Analyzer)
 }

@@ -1,15 +1,12 @@
-// Package a exercises magiccheck: uniqueness, the width-tag digit
-// convention, and decode reachability (directly and through a helper).
+// Package a exercises magiccheck: uniqueness and the width-tag digit
+// convention.
 package a
 
 const (
 	// Well-formed pair: unique values, digit matches the name's width
-	// suffix, matched in the decode switch below.
+	// suffix.
 	magicOK32 = 0x4F4B4731 // "OKG1"
 	magicOK64 = 0x4F4B4732 // "OKG2"
-
-	// Reached through the helper function, not a literal case expression.
-	magicVia32 = 0x56494131 // "VIA1"
 
 	// No width suffix in the name: exempt from the digit rule.
 	sentinelMagic = 0x53454E54 // "SENT"
@@ -20,41 +17,6 @@ const (
 	magicBadDigit32 = 0x42414432 // want `magic magicBadDigit32 \("BAD2"\) tags the wrong width`
 	magicNoDigit64  = 0x4E4F4E45 // want `magic magicNoDigit64 \("NONE"\) must carry exactly one width-tag digit, found 0`
 
-	// Written by an encoder somewhere but never compared on any decode
-	// path: streams carrying it can never be opened.
-	magicOrphan32 = 0x4F525031 // want `magic magicOrphan32 \("ORP1"\) is never matched in a switch case or comparison`
-
 	// Not a magic at all; the analyzer must ignore it.
 	headerLen = 16
 )
-
-func magicForWidth(w int) uint32 {
-	if w == 64 {
-		return magicOK64
-	}
-	return magicVia32
-}
-
-func dispatch(m uint32) int {
-	switch m {
-	case magicOK32:
-		return 32
-	case magicForWidth(64), magicForWidth(32):
-		return 64
-	default:
-		return 0
-	}
-}
-
-func accepts(m uint32) bool {
-	if m == sentinelMagic {
-		return true
-	}
-	return m == magicDup32 || m != magicDupTwin32 ||
-		m == magicBadDigit32 || m == magicNoDigit64
-}
-
-func emit() []uint32 {
-	// Encoder-side writes do not make a magic decode-reachable.
-	return []uint32{magicOrphan32, headerLen}
-}

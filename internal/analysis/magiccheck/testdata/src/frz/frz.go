@@ -1,8 +1,7 @@
 // Package frz pins the magiccheck conventions for the frsz codec's stream
 // magics: the real FRZ1/FRZ2 values must pass the width-tag rule (trailing
-// ASCII digit '1' on the *32 constant, '2' on the *64 one), count as
-// decode-reachable through the magicFor helper idiom the codec uses, and
-// any re-declaration of the same 4 bytes must be flagged as a collision.
+// ASCII digit '1' on the *32 constant, '2' on the *64 one), and any
+// re-declaration of the same 4 bytes must be flagged as a collision.
 package frz
 
 const (
@@ -21,29 +20,3 @@ const (
 	magicSwap32 = 0x32505753 // want `magic magicSwap32 \("2PWS"\) tags the wrong width`
 	magicSwap64 = 0x31505753 // want `magic magicSwap64 \("1PWS"\) tags the wrong width`
 )
-
-// magicFor mirrors the frsz width-dispatch idiom: the decode switch matches
-// the helper's result, which must make both magics reachable.
-func magicFor(wide bool) uint32 {
-	if wide {
-		return magicFRSZ64
-	}
-	return magicFRSZ32
-}
-
-func decode(m uint32) int {
-	switch m {
-	case magicFor(false):
-		return 32
-	case magicFor(true):
-		return 64
-	case magicImposter32:
-		return 32
-	default:
-		return 0
-	}
-}
-
-func rejectsSwapped(m uint32) bool {
-	return m != magicSwap32 && m != magicSwap64
-}

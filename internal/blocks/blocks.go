@@ -4,9 +4,10 @@
 //
 // Splitting along the slowest axis only — rather than into the small cubic
 // cells the compressors themselves use internally — keeps every block
-// contiguous in the row-major flat array, so "extracting" a block is a
-// zero-copy subslice and reassembly after decompression is a sequential
-// copy. Each block is a complete N-d field in its own right (same rank,
+// contiguous in the row-major flat array, so a block is a zero-copy
+// subslice both ways: compression reads it in place, and decompression
+// writes it in place, with nothing to reassemble. Each block is a complete
+// N-d field in its own right (same rank,
 // same fast-axis extents), which is what lets the existing compressors run
 // on a block unchanged; this is the same layout trick SZx's fixed-size
 // block pipeline and FZ-GPU's block-parallel kernels use to turn one big
@@ -81,27 +82,14 @@ func Plan(shape grid.Dims, n int) ([]Block, error) {
 }
 
 // Slice returns the block's sub-buffer as a zero-copy subslice of the flat
-// source array, which must hold exactly the plan's source shape.
+// array, which must hold exactly the plan's shape: the values to compress,
+// or the output a block decodes into.
 func Slice[T grid.Float](data []T, b Block) ([]T, error) {
 	end := b.Start + b.Len()
 	if b.Start < 0 || end > len(data) {
 		return nil, fmt.Errorf("%w: block %d spans [%d,%d) of %d elements", ErrBadPlan, b.Index, b.Start, end, len(data))
 	}
 	return data[b.Start:end], nil
-}
-
-// Scatter copies a block's decompressed elements back into place in the
-// destination array. src must hold exactly the block's element count.
-func Scatter[T grid.Float](dst []T, b Block, src []T) error {
-	if len(src) != b.Len() {
-		return fmt.Errorf("%w: block %d holds %d elements, source has %d", ErrBadPlan, b.Index, b.Len(), len(src))
-	}
-	end := b.Start + b.Len()
-	if b.Start < 0 || end > len(dst) {
-		return fmt.Errorf("%w: block %d spans [%d,%d) of %d elements", ErrBadPlan, b.Index, b.Start, end, len(dst))
-	}
-	copy(dst[b.Start:end], src)
-	return nil
 }
 
 // DefaultCount suggests a block count for a shape: enough blocks to keep

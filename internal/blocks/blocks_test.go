@@ -63,25 +63,19 @@ func TestPlanClampsAndDegenerateCounts(t *testing.T) {
 	}
 }
 
-func TestSliceAndScatterBounds(t *testing.T) {
+func TestSliceBounds(t *testing.T) {
 	data := make([]float32, 12)
 	bad := Block{Index: 0, Start: 8, Shape: grid.MustDims(2, 4)}
 	if _, err := Slice(data, bad); !errors.Is(err, ErrBadPlan) {
 		t.Errorf("out-of-range Slice: err = %v, want ErrBadPlan", err)
 	}
-	if err := Scatter(data, bad, make([]float32, 8)); !errors.Is(err, ErrBadPlan) {
-		t.Errorf("out-of-range Scatter: err = %v, want ErrBadPlan", err)
-	}
-	ok := Block{Index: 0, Start: 4, Shape: grid.MustDims(2, 4)}
-	if err := Scatter(data, ok, make([]float32, 3)); !errors.Is(err, ErrBadPlan) {
-		t.Errorf("short source Scatter: err = %v, want ErrBadPlan", err)
-	}
 }
 
 // TestPropertySplitReassembleRoundTrip checks, over random 1-d/2-d/3-d odd
 // shapes and block counts, that the plan partitions the buffer exactly: the
-// blocks are contiguous, disjoint, cover every element, and scattering the
-// slices back reproduces the original bit for bit.
+// blocks are contiguous, disjoint, cover every element, and writing each
+// block's values into its slice of an output reproduces the original bit for
+// bit, the way a blocked open decodes in place.
 func TestPropertySplitReassembleRoundTrip(t *testing.T) {
 	f := func(d0s, d1s, d2s uint8, ranks, ns uint8) bool {
 		rank := int(ranks%3) + 1
@@ -117,11 +111,12 @@ func TestPropertySplitReassembleRoundTrip(t *testing.T) {
 			if err != nil || len(sub) != b.Len() {
 				return false
 			}
-			// Simulate decompression producing an independent copy.
-			dec := append([]float32(nil), sub...)
-			if err := Scatter(out, b, dec); err != nil {
+			// Simulate decompression writing into the block's slice.
+			dst, err := Slice(out, b)
+			if err != nil {
 				return false
 			}
+			copy(dst, sub)
 			covered += b.Len()
 			// Row counts differ by at most one across blocks.
 			if i > 0 && abs(plan[i-1].Shape[0]-b.Shape[0]) > 1 {

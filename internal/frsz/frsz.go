@@ -34,9 +34,10 @@
 //
 // # Stream layout (all integers little-endian)
 //
-// The stream is self-describing; Decompress needs no side information. The
-// element width is part of the magic — FRZ1 marks float32 streams, FRZ2
-// float64 — so a stream can never be reinterpreted at the wrong precision:
+// The stream is self-describing; DecompressInto needs no side information
+// beyond the caller's expected shape. The element width is part of the
+// magic — FRZ1 marks float32 streams, FRZ2 float64 — so a stream can never
+// be reinterpreted at the wrong precision:
 //
 //	offset  size      field
 //	0       4         magic "FRZ1" (float32) or "FRZ2" (float64)
@@ -101,13 +102,6 @@ const DefaultBlockSize = 128
 // requesting absurd buffers.
 const maxBlockSize = 1 << 24
 
-// maxDecodeElements caps the element count a stream header may declare
-// (2^28 ≈ 268M values). A 1-bit-per-value stream expands 32–64x, so without
-// a cap a small hostile header could demand an arbitrarily large allocation
-// before any payload is validated. Compression of larger fields goes
-// through the blocked pipeline, which splits well below this limit.
-const maxDecodeElements = 1 << 28
-
 // expZero is the per-block exponent sentinel for an all-zero block. Its
 // codes are still present in the bitstream (the rate is fixed) but decode
 // to exact zeros regardless of their content. expZeroBits is its
@@ -133,8 +127,11 @@ const (
 // including non-finite input values.
 var ErrInvalidInput = errors.New("frsz: invalid input")
 
-// ErrCorrupt is returned by Decompress for unparsable streams.
+// ErrCorrupt is returned by DecompressInto for unparsable streams.
 var ErrCorrupt = errors.New("frsz: corrupt stream")
+
+// stream is frsz's preamble (internal/grid): its magics and ranks 1 to 4.
+var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 1, MaxRank: 4, Corrupt: ErrCorrupt}
 
 // Options configures compression.
 type Options struct {
@@ -161,14 +158,6 @@ func (o Options) withDefaults(elemSize int) (Options, error) {
 	return o, nil
 }
 
-// magicFor returns the stream magic for element type T.
-func magicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return magic32
-	}
-	return magic64
-}
-
 // CompressedSize returns the exact stream size in bytes that Compress
 // produces for the given element count, rank, bits per value, and block
 // size (0 selects DefaultBlockSize). It is pure arithmetic — header, one
@@ -193,9 +182,6 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
 	}
-	if len(data) > maxDecodeElements {
-		return nil, fmt.Errorf("%w: %d elements exceeds the %d-element stream limit (use the blocked pipeline)", ErrInvalidInput, len(data), maxDecodeElements)
-	}
 	o, err := opts.withDefaults(grid.ElemSize[T]())
 	if err != nil {
 		return nil, err
@@ -203,31 +189,19 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	return compress(data, shape, o)
 }
 
-// Decompress reconstructs the data from a stream produced by Compress. A
-// non-nil shape must match the shape recorded in the header. Malformed
-// input of any kind returns an error wrapping ErrCorrupt; Decompress never
-// panics.
-func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	hdr, body, err := parseHeader(buf)
+// DecompressInto reconstructs the field of a stream produced by Compress
+// into dst, which holds exactly the values of shape, the stream's shape. It
+// writes every value of dst or returns an error; malformed input of any kind
+// is an error wrapping ErrCorrupt, never a panic.
+func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
+	h, body, err := parseHeader(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if hdr.elemSize != grid.ElemSize[T]() {
-		return nil, fmt.Errorf("%w: stream holds %d-byte elements, caller expects %d-byte", ErrCorrupt, hdr.elemSize, grid.ElemSize[T]())
+	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
+		return err
 	}
-	if shape != nil && !hdr.shape.Equal(shape) {
-		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdr.shape, shape)
-	}
-	return decompress[T](hdr, body)
-}
-
-// HeaderShape extracts the shape stored in a compressed stream.
-func HeaderShape(buf []byte) (grid.Dims, error) {
-	hdr, _, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.shape, nil
+	return decompress(dst, h, body)
 }
 
 type header struct {
@@ -241,52 +215,27 @@ type header struct {
 // rank (1), bits per value (1), block size (4).
 const fixedHeaderLen = 10
 
-func parseHeader(buf []byte) (header, []byte, error) {
-	if len(buf) < fixedHeaderLen {
-		return header{}, nil, fmt.Errorf("%w: %d-byte stream is shorter than the %d-byte fixed header", ErrCorrupt, len(buf), fixedHeaderLen)
-	}
-	var h header
-	switch binary.LittleEndian.Uint32(buf) {
-	case magic32:
-		h.elemSize = 4
-	case magic64:
-		h.elemSize = 8
-	default:
-		return header{}, nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(buf))
-	}
-	rank := int(buf[4])
-	if rank < 1 || rank > 4 {
-		return header{}, nil, fmt.Errorf("%w: rank %d (want 1..4)", ErrCorrupt, rank)
+// parseHeader reads the fixed fields and the preamble's shape, returning the
+// body that follows them, which must be exactly the size the header implies.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
+		return h, nil, err
 	}
 	h.bits = int(buf[5])
 	if h.bits < 1 || h.bits > 8*h.elemSize {
-		return header{}, nil, fmt.Errorf("%w: %d bits per value (want 1..%d)", ErrCorrupt, h.bits, 8*h.elemSize)
+		return h, nil, fmt.Errorf("%w: %d bits per value (want 1..%d)", ErrCorrupt, h.bits, 8*h.elemSize)
 	}
 	h.blockSize = int(binary.LittleEndian.Uint32(buf[6:]))
 	if h.blockSize < 1 || h.blockSize > maxBlockSize {
-		return header{}, nil, fmt.Errorf("%w: block size %d (want 1..%d)", ErrCorrupt, h.blockSize, maxBlockSize)
+		return h, nil, fmt.Errorf("%w: block size %d (want 1..%d)", ErrCorrupt, h.blockSize, maxBlockSize)
 	}
-	if len(buf) < fixedHeaderLen+4*rank {
-		return header{}, nil, fmt.Errorf("%w: truncated shape extents", ErrCorrupt)
+	if h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[4])); err != nil {
+		return h, nil, err
 	}
-	h.shape = make(grid.Dims, rank)
-	n := 1
-	for i := 0; i < rank; i++ {
-		e := binary.LittleEndian.Uint32(buf[fixedHeaderLen+4*i:])
-		if e == 0 || e > math.MaxInt32 {
-			return header{}, nil, fmt.Errorf("%w: shape extent %d out of range", ErrCorrupt, e)
-		}
-		h.shape[i] = int(e)
-		if n > maxDecodeElements/int(e) {
-			return header{}, nil, fmt.Errorf("%w: shape %v exceeds the %d-element stream limit", ErrCorrupt, h.shape[:i+1], maxDecodeElements)
-		}
-		n *= int(e)
-	}
-	body := buf[fixedHeaderLen+4*rank:]
+	n := h.shape.Len()
 	nBlocks := (n + h.blockSize - 1) / h.blockSize
-	want := 2*nBlocks + (n*h.bits+7)/8
-	if len(body) != want {
-		return header{}, nil, fmt.Errorf("%w: body is %d bytes, header implies %d", ErrCorrupt, len(body), want)
+	if want := 2*nBlocks + (n*h.bits+7)/8; len(body) != want {
+		return h, nil, fmt.Errorf("%w: body is %d bytes, header implies %d", ErrCorrupt, len(body), want)
 	}
 	return h, body, nil
 }

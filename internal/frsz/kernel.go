@@ -13,10 +13,7 @@ func appendHeader(out []byte, magic uint32, shape grid.Dims, o Options) []byte {
 	out = binary.LittleEndian.AppendUint32(out, magic)
 	out = append(out, byte(len(shape)), byte(o.BitsPerValue))
 	out = binary.LittleEndian.AppendUint32(out, uint32(o.BlockSize))
-	for _, e := range shape {
-		out = binary.LittleEndian.AppendUint32(out, uint32(e))
-	}
-	return out
+	return grid.AppendShape(out, shape)
 }
 
 // codeRange returns the two's-complement clamp range and packing mask for
@@ -69,7 +66,7 @@ func compress[T grid.Float](data []T, shape grid.Dims, o Options) ([]byte, error
 	total := CompressedSize(n, len(shape), bits, bs)
 
 	out := make([]byte, 0, total)
-	out = appendHeader(out, magicFor[T](), shape, o)
+	out = appendHeader(out, stream.Magic(grid.ElemSize[T]()), shape, o)
 	expOff := len(out)
 	out = append(out, make([]byte, 2*nBlocks)...)
 
@@ -122,9 +119,9 @@ func compress[T grid.Float](data []T, shape grid.Dims, o Options) ([]byte, error
 }
 
 // decompress is the decoder at either width: codes are scaled back in
-// float64 and narrowed to T last.
-func decompress[T grid.Float](h header, body []byte) ([]T, error) {
-	n := h.shape.Len()
+// float64 and narrowed to T last, into out.
+func decompress[T grid.Float](out []T, h header, body []byte) error {
+	n := len(out)
 	nBlocks := (n + h.blockSize - 1) / h.blockSize
 	exps := body[:2*nBlocks]
 	r := bitstream.NewReader(body[2*nBlocks:])
@@ -134,14 +131,13 @@ func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 		minExp, maxExp, maxFinite = minExp32, maxExp32, math.MaxFloat32
 	}
 
-	out := make([]T, n)
 	for bi := 0; bi < nBlocks; bi++ {
 		lo := bi * h.blockSize
 		dst := out[lo:min(lo+h.blockSize, n)]
 
 		e := int(int16(binary.LittleEndian.Uint16(exps[2*bi:])))
 		if e != expZero && (e < minExp || e > maxExp) {
-			return nil, fmt.Errorf("%w: block %d exponent %d outside the %d-byte float window [%d,%d]", ErrCorrupt, bi, e, h.elemSize, minExp, maxExp)
+			return fmt.Errorf("%w: block %d exponent %d outside the %d-byte float window [%d,%d]", ErrCorrupt, bi, e, h.elemSize, minExp, maxExp)
 		}
 		shift := e - bits + 1
 		quantum := math.Ldexp(1, shift)
@@ -159,7 +155,7 @@ func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 			for i := range dst {
 				u, err := r.ReadBits(uint(bits))
 				if err != nil {
-					return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
+					return fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
 				}
 				dst[i] = clamp(T(math.Ldexp(float64(signExtend(u, bits)), shift)), maxFinite)
 			}
@@ -168,12 +164,12 @@ func decompress[T grid.Float](h header, body []byte) ([]T, error) {
 		for i := range dst {
 			u, err := r.ReadBits(uint(bits))
 			if err != nil {
-				return nil, fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
+				return fmt.Errorf("%w: truncated bitstream in block %d", ErrCorrupt, bi)
 			}
 			dst[i] = clamp(T(float64(signExtend(u, bits))*quantum), maxFinite)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // clamp replaces an overflowed reconstruction (maxabs within one

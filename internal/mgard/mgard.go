@@ -40,13 +40,8 @@ const (
 	magic64 = 0x4D475232 // "MGR2"
 )
 
-// magicFor returns the stream magic for element type T.
-func magicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return magic32
-	}
-	return magic64
-}
+// stream is mgard's preamble (internal/grid): its magics and ranks 2 and 3.
+var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 2, MaxRank: 3, Corrupt: ErrCorrupt}
 
 // unpredictable marks coefficients stored verbatim.
 const unpredictable = int32(1 << 30)
@@ -85,7 +80,7 @@ type Options struct {
 // ErrInvalidInput is returned for malformed data or options.
 var ErrInvalidInput = errors.New("mgard: invalid input")
 
-// ErrCorrupt is returned by Decompress for unparsable streams.
+// ErrCorrupt is returned by DecompressInto for unparsable streams.
 var ErrCorrupt = errors.New("mgard: corrupt stream")
 
 // ErrUnsupportedRank is returned for 1-D or 4-D inputs.
@@ -151,12 +146,10 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	out := make([]byte, 0, fixedHeaderLen+4*nd+len(body))
-	out = binary.LittleEndian.AppendUint32(out, magicFor[T]())
+	out = binary.LittleEndian.AppendUint32(out, stream.Magic(grid.ElemSize[T]()))
 	out = append(out, byte(opts.Norm), dictFlag, byte(nd))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(step))
-	for _, d := range shape {
-		out = binary.LittleEndian.AppendUint32(out, uint32(d))
-	}
+	out = grid.AppendShape(out, shape)
 	return append(out, body...), nil
 }
 
@@ -164,56 +157,52 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 // norm (1), dictionary flag (1), rank (1), quantisation step (8).
 const fixedHeaderLen = 15
 
-// Decompress reconstructs the field from a stream produced by Compress. If
-// shape is non-nil it is validated against the header.
-func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	if len(buf) < fixedHeaderLen {
-		return nil, ErrCorrupt
+type header struct {
+	elemSize int
+	dictFlag byte
+	step     float64
+	shape    grid.Dims
+}
+
+// parseHeader reads the fixed fields and the preamble's shape, returning the
+// body that follows them.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
+		return h, nil, err
 	}
-	switch binary.LittleEndian.Uint32(buf[0:4]) {
-	case magicFor[T]():
-	case magic32, magic64:
-		return nil, fmt.Errorf("%w: stream element width does not match caller's %d-byte elements", ErrCorrupt, grid.ElemSize[T]())
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	h.dictFlag = buf[5]
+	h.step = math.Float64frombits(binary.LittleEndian.Uint64(buf[7:15]))
+	if !(h.step > 0) {
+		return h, nil, fmt.Errorf("%w: bad quantization step %v", ErrCorrupt, h.step)
 	}
-	dictFlag := buf[5]
-	nd := int(buf[6])
-	if nd != 2 && nd != 3 {
-		return nil, fmt.Errorf("%w: bad rank %d", ErrCorrupt, nd)
+	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[6]))
+	return h, body, err
+}
+
+// DecompressInto reconstructs the field of a stream produced by Compress
+// into dst, which holds exactly the values of shape, the stream's shape. It
+// writes every value of dst or returns an error; a stream it cannot decode
+// is an error wrapping ErrCorrupt.
+func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
+	h, body, err := parseHeader(buf)
+	if err != nil {
+		return err
 	}
-	step := math.Float64frombits(binary.LittleEndian.Uint64(buf[7:15]))
-	if !(step > 0) {
-		return nil, fmt.Errorf("%w: bad quantization step %v", ErrCorrupt, step)
+	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
+		return err
 	}
-	pos := fixedHeaderLen
-	if len(buf) < pos+4*nd {
-		return nil, ErrCorrupt
+	limit := codestream.MaxBody(len(dst), h.elemSize, quantize.DefaultIntervals+1, 0)
+	_, codes, literals, err := codestream.Decode[T](body, h.dictFlag, limit, 0)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	hdrShape := make(grid.Dims, nd)
-	for i := 0; i < nd; i++ {
-		hdrShape[i] = int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-	}
-	if err := hdrShape.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if shape != nil && !hdrShape.Equal(shape) {
-		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdrShape, shape)
+	if len(codes) != len(dst) {
+		return fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
 
-	limit := codestream.MaxBody(hdrShape.Len(), grid.ElemSize[T](), quantize.DefaultIntervals+1, 0)
-	_, codes, literals, err := codestream.Decode[T](buf[pos:], dictFlag, limit, 0)
+	q, err := quantize.NewWithIntervals(h.step, quantize.DefaultIntervals)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if len(codes) != hdrShape.Len() {
-		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), hdrShape)
-	}
-
-	q, err := quantize.NewWithIntervals(step, quantize.DefaultIntervals)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// Not pooled: a borrowed field-sized buffer outlives the call in the free
 	// list, and the series-reuse benchmark's next large allocation (szx on a
@@ -223,7 +212,7 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 	for i, code := range codes {
 		if code == unpredictable {
 			if litPos >= len(literals) {
-				return nil, fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
+				return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
 			}
 			work[i] = float64(literals[litPos])
 			litPos++
@@ -232,14 +221,11 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 		work[i] = q.Dequantize(0, code)
 	}
 
-	levels := numLevels(hdrShape)
-	inverseReconstruct(work, hdrShape, levels)
-
-	out := make([]T, len(work))
+	inverseReconstruct(work, h.shape, numLevels(h.shape))
 	for i, v := range work {
-		out[i] = T(v)
+		dst[i] = T(v)
 	}
-	return out, nil
+	return nil
 }
 
 // numLevels returns the number of dyadic refinement levels for the shape:

@@ -42,13 +42,19 @@ func field2D(ny, nx int, seed int64) ([]float32, grid.Dims) {
 	return data, shape
 }
 
+// decoded is DecompressInto into a field of its own.
+func decoded[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
+	dst := make([]T, shape.Len())
+	return dst, DecompressInto(dst, buf, shape)
+}
+
 func infRoundTrip(t *testing.T, data []float32, shape grid.Dims, bound float64) []float32 {
 	t.Helper()
 	comp, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: bound})
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	dec, err := Decompress[float32](comp, shape)
+	dec, err := decoded[float32](comp, shape)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -133,7 +139,7 @@ func TestL2NormControlsMSE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,26 +229,28 @@ func hostileStreams[T grid.Float](t testing.TB, bombSize int) (valid, forged, bo
 // TestDecompressCorrupt is the corruption table: every row must fail with
 // ErrCorrupt, and must do so cheaply — a stream of a few hundred bytes that
 // makes the decoder allocate gigabytes (or inflate a bomb) before it notices
-// is a denial of service even when the error is right.
+// is a denial of service even when the error is right. The header rows are
+// smoke rows: the preamble they reach is tested in full in internal/grid.
 func TestDecompressCorrupt(t *testing.T) {
 	valid32, forged32, bomb32 := hostileStreams[float32](t, 64<<20)
 	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
 	badMagic := append([]byte(nil), valid32...)
 	badMagic[1] ^= 0xFF
+	shape := grid.MustDims(8, 8)
 	rows := []struct {
 		name   string
 		stream []byte
 		shape  grid.Dims
 		wide   bool
 	}{
-		{"short buffer", []byte{0, 1, 2}, nil, false},
-		{"bad magic", badMagic, nil, false},
+		{"short buffer", []byte{0, 1, 2}, shape, false},
+		{"bad magic", badMagic, shape, false},
 		{"shape mismatch", valid32, grid.MustDims(9, 8), false},
-		{"truncated body", valid32[:len(valid32)-3], nil, false},
-		{"forged literal count f32", forged32, nil, false},
-		{"forged literal count f64", forged64, nil, true},
-		{"deflate bomb f32", bomb32, nil, false},
-		{"deflate bomb f64", bomb64, nil, true},
+		{"truncated body", valid32[:len(valid32)-3], shape, false},
+		{"forged literal count f32", forged32, shape, false},
+		{"forged literal count f64", forged64, shape, true},
+		{"deflate bomb f32", bomb32, shape, false},
+		{"deflate bomb f64", bomb64, shape, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -250,9 +258,9 @@ func TestDecompressCorrupt(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			var err error
 			if row.wide {
-				_, err = Decompress[float64](row.stream, row.shape)
+				err = DecompressInto(make([]float64, row.shape.Len()), row.stream, row.shape)
 			} else {
-				_, err = Decompress[float32](row.stream, row.shape)
+				err = DecompressInto(make([]float32, row.shape.Len()), row.stream, row.shape)
 			}
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrCorrupt) {
@@ -263,8 +271,8 @@ func TestDecompressCorrupt(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Decompress[float32](valid32, nil); err != nil {
-		t.Errorf("nil shape should use header shape: %v", err)
+	if _, err := decoded[float32](valid32, shape); err != nil {
+		t.Errorf("the valid stream: %v", err)
 	}
 }
 
@@ -314,7 +322,7 @@ func TestPropertyInfinityBoundHolds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			return false
 		}

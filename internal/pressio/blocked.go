@@ -6,6 +6,7 @@ import (
 
 	"fraz/internal/blocks"
 	"fraz/internal/container"
+	"fraz/internal/grid"
 	"fraz/internal/metrics"
 	"fraz/internal/parallel"
 )
@@ -106,9 +107,15 @@ func SealWith(ctx context.Context, c Compressor, buf Buffer, bound float64, numB
 // OpenBlocked routes a decoded container to the codec named in its header
 // and reconstructs the original buffer at the element width the header
 // records. It is the inverse of SealBlocked and the only decompression entry
-// point that needs no out-of-band knowledge: a blocked container is detected
-// by its block index and its blocks are decompressed up to `workers` at a
-// time (0 = GOMAXPROCS), a monolithic one is a single decompression.
+// point that needs no out-of-band knowledge. The output is allocated once; a
+// blocked container's blocks are decoded straight into their slices of it
+// (slowest-axis blocks are contiguous), up to `workers` at a time (0 =
+// GOMAXPROCS), and a monolithic one is a single decode.
+//
+// Nothing is allocated for a header that claims more values than its
+// payload can carry (grid.MaxElementsPerByte per byte): the container's CRCs
+// cover the payload, not the shape, so a forged header of a hundred bytes
+// could otherwise demand any allocation it liked.
 func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buffer, error) {
 	// The monolithic branch below never consults ctx (one decompression is
 	// synchronous), so honour a cancellation that happened before the call
@@ -116,39 +123,46 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 	if err := ctx.Err(); err != nil {
 		return Buffer{}, err
 	}
-	c, err := New(cn.Header.Codec)
+	c, err := lookup(cn.Header.Codec)
 	if err != nil {
 		return Buffer{}, err
 	}
+	shape := cn.Header.Shape
+	if n := shape.Len(); n > grid.MaxElementsPerByte*len(cn.Payload) {
+		return Buffer{}, fmt.Errorf("pressio: open %s container: %w: shape %v holds %d values, more than %d payload bytes can carry",
+			cn.Header.Codec, ErrPayload, shape, n, len(cn.Payload))
+	}
+	out, err := c.output(shape, cn.Header.DType)
+	if err != nil {
+		return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
+	}
 	if cn.Blocks == nil {
-		buf, err := c.Decompress(cn.Payload, cn.Header.Shape, cn.Header.DType)
-		if err != nil {
+		if err := c.decode(cn.Payload, out); err != nil {
 			return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
 		}
-		return buf, nil
+		return out, nil
 	}
-	if err := checkDType(cn.Header.DType); err != nil {
-		return Buffer{}, err
-	}
-	plan, err := blocks.Plan(cn.Header.Shape, len(cn.Blocks))
+	plan, err := blocks.Plan(shape, len(cn.Blocks))
 	if err != nil {
 		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %w", cn.Header.Codec, err)
 	}
 	if len(plan) != len(cn.Blocks) {
 		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %d blocks indexed, shape %s splits into %d",
-			cn.Header.Codec, len(cn.Blocks), cn.Header.Shape, len(plan))
+			cn.Header.Codec, len(cn.Blocks), shape, len(plan))
 	}
-	out := newZeroBuffer(cn.Header.DType, cn.Header.Shape)
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
 		payload, err := cn.BlockPayload(i)
 		if err != nil {
 			return err
 		}
-		dec, err := c.Decompress(payload, plan[i].Shape, cn.Header.DType)
+		sub, err := out.Slice(plan[i])
 		if err != nil {
+			return err
+		}
+		if err := c.decode(payload, sub); err != nil {
 			return fmt.Errorf("block %d (%s): %w", i, plan[i].Shape, err)
 		}
-		return out.scatterFrom(plan[i], dec)
+		return nil
 	})
 	if err != nil {
 		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %w", cn.Header.Codec, err)

@@ -9,15 +9,18 @@ import (
 )
 
 // TestOpenBlockedAllocBudget pins the allocation count of the blocked open
-// path: per-block scratch (chunk buffers, coder working sets, DEFLATE state)
-// is borrowed from internal/pool, so a warm pipeline must stay within a
-// small per-codec budget instead of re-allocating per block. Each block's
-// decode output is not scratch: it is a plain allocation, one per block
-// (measured 50 / 169 / 57 / 21 / 25 allocs/op in the order below). The
-// ceilings carry slack for map/interface noise but sit far below the
-// pre-pooling counts (flate:lossless ~95, zfp ~900, sz ~505 allocs/op at
-// this block count), so scratch leaking back to make() trips the test.
+// path. Per-block scratch (chunk buffers, coder working sets, DEFLATE state)
+// is borrowed from internal/pool, and the output is allocated once and
+// decoded into in place, so nothing is allocated per block for the output.
+// Each budget is the count measured on a warm pipeline once the per-block
+// output allocation was removed (four fewer than before, one per block):
+// scratch leaking back to make(), or an output allocated per block again,
+// trips the test. Under the race detector sync.Pool drops a quarter of its
+// puts at random, so the counts are not exact there and the test skips.
 func TestOpenBlockedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
 	shape := grid.MustDims(64, 64)
 	f32 := make([]float32, shape.Len())
 	for i := range f32 {
@@ -32,11 +35,11 @@ func TestOpenBlockedAllocBudget(t *testing.T) {
 		bound  float64
 		budget float64
 	}{
-		{"flate:lossless", 1, 80},
-		{"sz:abs", 1e-3, 280},
-		{"zfp:accuracy", 1e-3, 120},
-		{"szx:abs", 1e-3, 60},
-		{"frsz:rate", 8, 60},
+		{"flate:lossless", 1, 46},
+		{"sz:abs", 1e-3, 157},
+		{"zfp:accuracy", 1e-3, 53},
+		{"szx:abs", 1e-3, 17},
+		{"frsz:rate", 8, 21},
 	}
 	for _, tc := range cases {
 		t.Run(tc.codec, func(t *testing.T) {
@@ -55,7 +58,7 @@ func TestOpenBlockedAllocBudget(t *testing.T) {
 			}
 			open() // warm the pools; first iteration pays one-time priming
 			if got := testing.AllocsPerRun(20, open); got > tc.budget {
-				t.Errorf("blocked open of %s costs %.0f allocs/op, budget %.0f — per-block scratch is being allocated again", tc.codec, got, tc.budget)
+				t.Errorf("blocked open of %s costs %.0f allocs/op, budget %.0f — per-block scratch or output is being allocated again", tc.codec, got, tc.budget)
 			}
 		})
 	}

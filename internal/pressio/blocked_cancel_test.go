@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"fraz/internal/container"
 	"fraz/internal/grid"
 )
 
@@ -29,8 +28,8 @@ func (p *probe) codec() *Codec {
 		Name: "test:probe", MinRank: 1, MaxRank: 4,
 		Param:  Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1},
 		Encode: p.encode,
-		Decode: func([]byte, grid.Dims, container.DType) (Buffer, error) {
-			return Buffer{}, errors.New("probe codec does not decompress")
+		Decode: func([]byte, Buffer) error {
+			return errors.New("probe codec does not decompress")
 		},
 	}
 }

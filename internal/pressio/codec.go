@@ -106,16 +106,17 @@ type Codec struct {
 	MinRank, MaxRank int
 	// Param is the domain of the tunable parameter.
 	Param Param
-	// Encode and Decode are the kernel: Encode compresses the buffer at the
-	// given parameter value, Decode reverses it at the given element width.
-	// Both must be safe for concurrent use and must return freshly allocated
-	// memory that aliases neither their input nor codec-internal state: what
-	// they return is the caller's, at its exact length (cap == len), and is
-	// never pooled.
-	// Callers go through Compress and Decompress, which check the shape and
-	// the parameter against the descriptor first.
+	// Encode and Decode are the kernel, and both must be safe for concurrent
+	// use. Encode compresses the buffer at the given parameter value and
+	// returns freshly allocated memory that aliases neither its input nor
+	// codec-internal state: the caller's, at its exact length (cap == len),
+	// never pooled. Decode reverses it into dst, whose shape and element type
+	// are what the stream must hold: it writes exactly dst.Len() values or
+	// fails, and never allocates the output.
+	// Callers go through Compress, Decompress and OpenBlocked, which check
+	// the shape and the parameter against the descriptor first.
 	Encode func(buf Buffer, param float64) ([]byte, error)
-	Decode func(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error)
+	Decode func(comp []byte, dst Buffer) error
 	// Size, when set, marks a true fixed-rate codec: the parameter is the
 	// storage itself (bits per value), and Size returns the exact length of
 	// Encode's stream for a shape from arithmetic alone. The tuner inverts
@@ -167,22 +168,49 @@ func (c *Codec) Compress(buf Buffer, param float64) ([]byte, error) {
 	return c.Encode(buf, param)
 }
 
-// Decompress implements Compressor: Decode, behind the descriptor's checks.
+// Decompress implements Compressor: Decode into a new buffer, behind the
+// descriptor's checks.
 func (c *Codec) Decompress(comp []byte, shape grid.Dims, dtype container.DType) (Buffer, error) {
+	out, err := c.output(shape, dtype)
+	if err != nil {
+		return Buffer{}, err
+	}
+	if err := c.decode(comp, out); err != nil {
+		return Buffer{}, err
+	}
+	return out, nil
+}
+
+// output allocates the buffer a decode of the given shape and element type
+// writes into, once the shape is one the codec takes. It is the one place a
+// decode output is allocated: Decompress fills it from one stream,
+// OpenBlocked from one stream per block, each into its own slice.
+func (c *Codec) output(shape grid.Dims, dtype container.DType) (Buffer, error) {
 	if !c.SupportsShape(shape) {
 		return Buffer{}, fmt.Errorf("%s: unsupported shape %v (ranks %d..%d)", c.Name, shape, c.MinRank, c.MaxRank)
 	}
-	buf, err := c.Decode(comp, shape, dtype)
-	if err != nil {
-		return Buffer{}, fmt.Errorf("%w: %w", ErrPayload, err)
+	switch dtype {
+	case container.Float32:
+		return Buffer{Shape: shape, dtype: dtype, f32: make([]float32, shape.Len())}, nil
+	case container.Float64:
+		return Buffer{Shape: shape, dtype: dtype, f64: make([]float64, shape.Len())}, nil
 	}
-	return buf, nil
+	return Buffer{}, fmt.Errorf("pressio: cannot decode %s payloads (this build reads float32 and float64)", dtype)
 }
 
-// ErrPayload is returned by Decompress when the kernel refuses the payload:
-// the container around it was intact (its CRC matched), what it carries is
-// not a stream of the codec it names. To a caller that is a corrupt archive,
-// not an internal failure.
+// decode is Decode, with a refusal reported as ErrPayload.
+func (c *Codec) decode(comp []byte, dst Buffer) error {
+	if err := c.Decode(comp, dst); err != nil {
+		return fmt.Errorf("%w: %w", ErrPayload, err)
+	}
+	return nil
+}
+
+// ErrPayload is returned by Decompress and OpenBlocked when the kernel
+// refuses the payload, or a container's shape holds more values than its
+// payload can carry: the container around it was intact (its CRC matched),
+// what it carries is not a stream of the codec it names. To a caller that
+// is a corrupt archive, not an internal failure.
 var ErrPayload = errors.New("pressio: payload does not decode")
 
 // CompressedSize implements RateCompressor. It must only be called on a
@@ -227,6 +255,15 @@ func Lookup(name string) (*Codec, bool) {
 // than the *Codec because the frozen benchmark module type-asserts the
 // result; in-tree callers that want the facts call Lookup.
 func New(name string) (Compressor, error) {
+	c, err := lookup(name)
+	if err != nil {
+		return nil, err // not a nil *Codec in a non-nil interface
+	}
+	return c, nil
+}
+
+// lookup is Lookup with ErrUnknownCompressor for a name not registered.
+func lookup(name string) (*Codec, error) {
 	c, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (available: %v)", ErrUnknownCompressor, name, Names())

@@ -16,9 +16,9 @@ import (
 // float64).
 
 var (
-	szDecode    = decoder(sz.Decompress[float32], sz.Decompress[float64])
-	zfpDecode   = decoder(zfp.Decompress[float32], zfp.Decompress[float64])
-	mgardDecode = decoder(mgard.Decompress[float32], mgard.Decompress[float64])
+	szDecode    = decoder(sz.DecompressInto[float32], sz.DecompressInto[float64])
+	zfpDecode   = decoder(zfp.DecompressInto[float32], zfp.DecompressInto[float64])
+	mgardDecode = decoder(mgard.DecompressInto[float32], mgard.DecompressInto[float64])
 )
 
 // zfpEncode builds the Encode of one ZFP mode.
@@ -63,7 +63,7 @@ var builtin = []*Codec{
 		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
 		Encode: encoder(func(_ Buffer, p float64) szx.Options { return szx.Options{ErrorBound: p} },
 			szx.Compress[float32], szx.Compress[float64]),
-		Decode: decoder(szx.Decompress[float32], szx.Decompress[float64]),
+		Decode: decoder(szx.DecompressInto[float32], szx.DecompressInto[float64]),
 	},
 	{
 		Name: "zfp:accuracy", MinRank: 1, MaxRank: 3,
@@ -106,7 +106,7 @@ var builtin = []*Codec{
 		Param: Param{Name: "bits per value", Unit: UnitBits, Lo: 1, Hi: 32, Integer: true},
 		Encode: encoder(func(_ Buffer, p float64) frsz.Options { return frsz.Options{BitsPerValue: int(p)} },
 			frsz.Compress[float32], frsz.Compress[float64]),
-		Decode: decoder(frsz.Decompress[float32], frsz.Decompress[float64]),
+		Decode: decoder(frsz.DecompressInto[float32], frsz.DecompressInto[float64]),
 		Size: func(shape grid.Dims, bits int) int {
 			return frsz.CompressedSize(shape.Len(), shape.NDims(), bits, 0)
 		},
@@ -116,7 +116,7 @@ var builtin = []*Codec{
 		Param: Param{Name: "unused (lossless)", Unit: UnitNone, Lo: 1e-12, Hi: 1e12},
 		Encode: encoder(func(Buffer, float64) struct{} { return struct{}{} },
 			losslessCompress[float32], losslessCompress[float64]),
-		Decode: decoder(losslessDecompress[float32], losslessDecompress[float64]),
+		Decode: decoder(losslessDecompressInto[float32], losslessDecompressInto[float64]),
 	},
 }
 

@@ -28,12 +28,9 @@ const (
 // errLossless is the base error for the lossless baseline codec.
 var errLossless = errors.New("flate:lossless")
 
-func losslessMagicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return losslessMagic32
-	}
-	return losslessMagic64
-}
+// losslessStream is the lossless kernel's preamble (internal/grid). Its
+// magic opens the inflated bytes; the shape is the caller's, not stored.
+var losslessStream = grid.Stream{Magic32: losslessMagic32, Magic64: losslessMagic64, Corrupt: errLossless}
 
 // flateReaders and flateWriters reuse DEFLATE state (a 32 KiB window plus
 // decode tables) across calls. The blocked open path decodes one payload per
@@ -54,7 +51,7 @@ var flateWriters = sync.Pool{New: func() any {
 func losslessCompress[T grid.Float](data []T, _ grid.Dims, _ struct{}) ([]byte, error) {
 	raw := pool.Get[byte](4 + len(data)*grid.ElemSize[T]())[:0]
 	defer pool.Put(raw)
-	raw = binary.LittleEndian.AppendUint32(raw, losslessMagicFor[T]())
+	raw = binary.LittleEndian.AppendUint32(raw, losslessStream.Magic(grid.ElemSize[T]()))
 	raw = grid.AppendLE(raw, data)
 	var out bytes.Buffer
 	fw := flateWriters.Get().(*flate.Writer)
@@ -69,11 +66,11 @@ func losslessCompress[T grid.Float](data []T, _ grid.Dims, _ struct{}) ([]byte, 
 	return out.Bytes(), nil
 }
 
-func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error) {
+func losslessDecompressInto[T grid.Float](dst []T, comp []byte, shape grid.Dims) error {
 	fr := flateReaders.Get().(io.ReadCloser)
 	defer flateReaders.Put(fr)
 	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		return nil, fmt.Errorf("%w: %v", errLossless, err)
+		return fmt.Errorf("%w: %v", errLossless, err)
 	}
 	// The shape fixes the payload size exactly, so the inflated bytes can come
 	// from the pool instead of ReadAll's repeated growth: read the expected
@@ -84,17 +81,20 @@ func losslessDecompress[T grid.Float](comp []byte, shape grid.Dims) ([]T, error)
 	n, err := io.ReadFull(fr, raw)
 	switch {
 	case err == nil || n > want:
-		return nil, fmt.Errorf("%w: payload longer than shape %v expects", errLossless, shape)
+		return fmt.Errorf("%w: payload longer than shape %v expects", errLossless, shape)
 	case err != io.ErrUnexpectedEOF && err != io.EOF:
-		return nil, fmt.Errorf("%w: %v", errLossless, err)
+		return fmt.Errorf("%w: %v", errLossless, err)
 	case n != want:
-		return nil, fmt.Errorf("%w: truncated payload", errLossless)
+		return fmt.Errorf("%w: truncated payload", errLossless)
 	}
 	fr.Close()
-	if binary.LittleEndian.Uint32(raw[:4]) != losslessMagicFor[T]() {
-		return nil, fmt.Errorf("%w: bad magic", errLossless)
+	width, err := losslessStream.Width(raw[:want], 4)
+	if err != nil {
+		return err
 	}
-	out := make([]T, shape.Len())
-	grid.DecodeLE(out, raw[4:want])
-	return out, nil
+	if err := grid.Expect(&losslessStream, dst, width, shape, shape); err != nil {
+		return err
+	}
+	grid.DecodeLE(dst, raw[4:want])
+	return nil
 }

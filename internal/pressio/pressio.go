@@ -17,6 +17,11 @@
 // without caring which width it is. Only the codec kernels — and the
 // encoder/decoder helpers in this package that dispatch to them — know the
 // element width.
+//
+// Decoding follows libpressio's contract, in which the caller owns the
+// output: a kernel decodes into a Buffer it is handed and allocates none.
+// Decompress allocates that Buffer for one stream; OpenBlocked allocates it
+// once for a whole archive and hands each block its slice of it.
 package pressio
 
 import (
@@ -115,38 +120,6 @@ func (b Buffer) Slice(blk blocks.Block) (Buffer, error) {
 	return Buffer{Shape: blk.Shape, dtype: b.dtype, f32: sub}, nil
 }
 
-// scatterFrom copies a decompressed block buffer into place inside b, the
-// write half of the blocked open path.
-func (b Buffer) scatterFrom(blk blocks.Block, src Buffer) error {
-	if src.dtype != b.dtype {
-		return fmt.Errorf("pressio: scatter %s block into %s buffer", src.dtype, b.dtype)
-	}
-	if b.dtype == container.Float64 {
-		return blocks.Scatter(b.f64, blk, src.f64)
-	}
-	return blocks.Scatter(b.f32, blk, src.f32)
-}
-
-// newZeroBuffer allocates an empty buffer of the given dtype and shape. The
-// caller must have validated the dtype with checkDType.
-func newZeroBuffer(dt container.DType, shape grid.Dims) Buffer {
-	if dt == container.Float64 {
-		return Buffer{Shape: shape, dtype: dt, f64: make([]float64, shape.Len())}
-	}
-	return Buffer{Shape: shape, dtype: dt, f32: make([]float32, shape.Len())}
-}
-
-// checkDType is the one place an element-type tag is validated before a
-// decode path commits to it: OpenBlocked and the per-codec decompression
-// dispatch both report unsupported dtypes through this helper, so the error
-// message cannot drift between them.
-func checkDType(d container.DType) error {
-	if d.Size() == 0 {
-		return fmt.Errorf("pressio: cannot decode %s payloads (this build reads float32 and float64)", d)
-	}
-	return nil
-}
-
 // encoder builds a Codec.Encode from a kernel package's generic Compress:
 // opts turns the parameter value into the kernel's options, and the buffer
 // is routed to the instantiation matching its element width. This is the
@@ -162,28 +135,16 @@ func encoder[O any](opts func(buf Buffer, param float64) O,
 	}
 }
 
-// decoder builds a Codec.Decode from a kernel package's generic Decompress,
-// routing to the instantiation matching the requested dtype and tagging the
-// result with it.
-func decoder(f32 func([]byte, grid.Dims) ([]float32, error),
-	f64 func([]byte, grid.Dims) ([]float64, error)) func([]byte, grid.Dims, container.DType) (Buffer, error) {
-	return func(comp []byte, shape grid.Dims, dt container.DType) (Buffer, error) {
-		switch dt {
-		case container.Float32:
-			data, err := f32(comp, shape)
-			if err != nil {
-				return Buffer{}, err
-			}
-			return NewBufferOf(data, shape)
-		case container.Float64:
-			data, err := f64(comp, shape)
-			if err != nil {
-				return Buffer{}, err
-			}
-			return NewBufferOf(data, shape)
-		default:
-			return Buffer{}, checkDType(dt)
+// decoder builds a Codec.Decode from a kernel package's generic
+// DecompressInto, routing the destination to the instantiation matching its
+// element width. It is the decode-side twin of encoder.
+func decoder(f32 func([]float32, []byte, grid.Dims) error,
+	f64 func([]float64, []byte, grid.Dims) error) func([]byte, Buffer) error {
+	return func(comp []byte, dst Buffer) error {
+		if dst.dtype == container.Float64 {
+			return f64(dst.f64, comp, dst.Shape)
 		}
+		return f32(dst.f32, comp, dst.Shape)
 	}
 }
 

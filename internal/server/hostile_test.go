@@ -15,9 +15,12 @@ import (
 // TestDecompressHostilePayloads wraps the two forged code streams of the sz
 // and mgard corruption tables — a literal count of two billion, a DEFLATE
 // bomb — in containers whose CRCs are right, so nothing ahead of the kernel
-// can refuse them, and uploads them. The daemon must answer 400 and keep
-// serving; before the shared code-stream reader checked counts and bounded
-// inflation, the first died with "out of memory" inside the handler.
+// can refuse them, and uploads them, then a 106-byte blocked archive whose
+// header claims 2×2^20×2^14 values over two 3-byte blocks. The daemon must
+// answer 400 and keep serving; before the shared code-stream reader checked
+// counts and bounded inflation, the first died with "out of memory" inside
+// the handler, and before the open checked a shape against its payload, so
+// did the last.
 func TestDecompressHostilePayloads(t *testing.T) {
 	data := make([]float32, 64)
 	for i := range data {
@@ -41,29 +44,36 @@ func TestDecompressHostilePayloads(t *testing.T) {
 		{"mgard:abs", grid.MustDims(8, 8), mgardStream, codestreamtest.Layout{HeaderLen: 15 + 8, FlagOffset: 5}},
 	}
 
-	_, ts := newTestServer(t, Config{})
+	archives := map[string]container.Container{}
 	for _, c := range codecs {
 		forged, bomb, err := codestreamtest.Forge(c.stream, c.layout, 64<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for kind, payload := range map[string][]byte{"forged literal count": forged, "deflate bomb": bomb} {
-			cn, err := container.New(c.name, 1e-3, 4, container.Float32, c.shape, payload)
-			if err != nil {
+			if archives[c.name+", "+kind], err = container.New(c.name, 1e-3, 4, container.Float32, c.shape, payload); err != nil {
 				t.Fatal(err)
 			}
-			archive, err := cn.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(ts.URL+"/v1/decompress", "application/x-fraz", bytes.NewReader(archive))
-			if err != nil {
-				t.Fatalf("%s, %s: %v", c.name, kind, err)
-			}
-			body := readAll(t, resp)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s, %s: status %d, want 400: %s", c.name, kind, resp.StatusCode, body)
-			}
+		}
+	}
+	if archives["shape its payload cannot carry"], err = container.NewBlocked("szx:abs", 1e-3, 4, container.Float32,
+		grid.MustDims(2, 1<<20, 1<<14), [][]byte{{1, 2, 3}, {4, 5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	for name, cn := range archives {
+		archive, err := cn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/decompress", "application/x-fraz", bytes.NewReader(archive))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, body)
 		}
 	}
 

@@ -40,13 +40,8 @@ const (
 	magic64 = 0x535A4732 // "SZG2"
 )
 
-// magicFor returns the stream magic for element type T.
-func magicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return magic32
-	}
-	return magic64
-}
+// stream is sz's preamble (internal/grid): its magics and ranks 1 to 3.
+var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 1, MaxRank: 3, Corrupt: ErrCorrupt}
 
 // unpredictable is the quantization-code marker for values stored verbatim.
 const unpredictable = int32(1 << 30)
@@ -90,12 +85,12 @@ func (o *Options) withDefaults(ndims int) Options {
 // ErrInvalidInput is returned when the data or options are malformed.
 var ErrInvalidInput = errors.New("sz: invalid input")
 
-// ErrCorrupt is returned by Decompress for unparsable streams.
+// ErrCorrupt is returned by DecompressInto for unparsable streams.
 var ErrCorrupt = errors.New("sz: corrupt stream")
 
 // Compress compresses data of the given shape under the options' absolute
 // error bound and returns the compressed byte stream, which is
-// self-describing (Decompress needs no side information).
+// self-describing.
 func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
@@ -160,41 +155,28 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 
 	out := make([]byte, 0, fixedHeaderLen+4*shape.NDims()+len(body))
-	out = binary.LittleEndian.AppendUint32(out, magicFor[T]())
+	out = binary.LittleEndian.AppendUint32(out, stream.Magic(grid.ElemSize[T]()))
 	out = append(out, dictFlag, byte(shape.NDims()))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(o.ErrorBound))
 	out = binary.LittleEndian.AppendUint32(out, uint32(o.BlockSize))
 	out = binary.LittleEndian.AppendUint32(out, uint32(o.Intervals))
-	for _, d := range shape {
-		out = binary.LittleEndian.AppendUint32(out, uint32(d))
-	}
+	out = grid.AppendShape(out, shape)
 	return append(out, body...), nil
 }
 
-// Decompress reconstructs the data from a stream produced by Compress. The
-// shape argument must match the shape used at compression time; it is
-// validated against the header.
-func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	hdr, body, err := parseHeader(buf)
+// DecompressInto reconstructs the field of a stream produced by Compress
+// into dst, which holds exactly the values of shape, the stream's shape. It
+// writes every value of dst or returns an error; a stream it cannot decode
+// is an error wrapping ErrCorrupt.
+func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
+	h, body, err := parseHeader(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if hdr.elemSize != grid.ElemSize[T]() {
-		return nil, fmt.Errorf("%w: stream holds %d-byte elements, caller expects %d-byte", ErrCorrupt, hdr.elemSize, grid.ElemSize[T]())
+	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
+		return err
 	}
-	if shape != nil && !hdr.shape.Equal(shape) {
-		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdr.shape, shape)
-	}
-	return decompressBody[T](hdr, body)
-}
-
-// DecompressHeaderShape extracts the shape stored in a compressed stream.
-func DecompressHeaderShape(buf []byte) (grid.Dims, error) {
-	hdr, _, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.shape, nil
+	return decompressBody(dst, h, body)
 }
 
 type header struct {
@@ -215,62 +197,42 @@ const fixedHeaderLen = 22
 // predictor selector and four float64 regression coefficients.
 const maxBlockRecord = 33
 
-func parseHeader(buf []byte) (header, []byte, error) {
-	var h header
-	if len(buf) < fixedHeaderLen {
-		return h, nil, ErrCorrupt
-	}
-	switch binary.LittleEndian.Uint32(buf[0:4]) {
-	case magic32:
-		h.elemSize = 4
-	case magic64:
-		h.elemSize = 8
-	default:
-		return h, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+// parseHeader reads the fixed fields and the preamble's shape, returning the
+// body that follows them.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
+		return h, nil, err
 	}
 	h.dictFlag = buf[4]
-	ndims := int(buf[5])
-	if ndims < 1 || ndims > 3 {
-		return h, nil, fmt.Errorf("%w: bad rank %d", ErrCorrupt, ndims)
-	}
 	h.errorBound = math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
 	h.blockSize = int(binary.LittleEndian.Uint32(buf[14:18]))
 	h.intervals = int(binary.LittleEndian.Uint32(buf[18:22]))
-	pos := fixedHeaderLen
-	if len(buf) < pos+4*ndims {
-		return h, nil, ErrCorrupt
-	}
-	h.shape = make(grid.Dims, ndims)
-	for i := 0; i < ndims; i++ {
-		h.shape[i] = int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-	}
-	if err := h.shape.Validate(); err != nil {
-		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return h, buf[pos:], nil
+	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[5]))
+	return h, body, err
 }
 
-func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
+// decompressBody decodes the body into recon, every value of which the
+// block walk writes before it reads it as a Lorenzo neighbour — the order
+// Compress relies on for its pooled scratch.
+func decompressBody[T grid.Float](recon []T, h header, body []byte) error {
 	n := h.shape.Len()
 	// A block holds at least one value, so the record chunk (its length,
 	// then the records) adds at most maxBlockRecord bytes per value.
 	limit := 4 + codestream.MaxBody(n, h.elemSize, h.intervals+1, maxBlockRecord)
 	head, codes, literals, err := codestream.Decode[T](body, h.dictFlag, limit, 1)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	blockMeta := head[0]
 	if len(codes) != n {
-		return nil, fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
+		return fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
 
 	q, err := quantize.NewWithIntervals(h.errorBound, h.intervals)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	recon := make([]T, n)
 	dec := &decoder[T]{q: q, codes: codes, literals: literals, recon: recon}
 	strides := h.shape.Strides()
 	blocks := h.shape.Blocks(h.blockSize)
@@ -279,13 +241,13 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 	for _, gb := range blocks {
 		b := padBlock(gb, strides)
 		if metaPos >= len(blockMeta) {
-			return nil, fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
+			return fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
 		}
 		sel := blockMeta[metaPos]
 		metaPos++
 		if sel == predRegress {
 			if metaPos+32 > len(blockMeta) {
-				return nil, fmt.Errorf("%w: truncated regression coefficients", ErrCorrupt)
+				return fmt.Errorf("%w: truncated regression coefficients", ErrCorrupt)
 			}
 			var coeffs [4]float64
 			for i := 0; i < 4; i++ {
@@ -296,13 +258,13 @@ func decompressBody[T grid.Float](h header, body []byte) ([]T, error) {
 		} else if sel == predLorenzo {
 			dec.lorenzoBlock(&b)
 		} else {
-			return nil, fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
+			return fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
 		}
 		if dec.err != nil {
-			return nil, dec.err
+			return dec.err
 		}
 	}
-	return recon, nil
+	return nil
 }
 
 // fitRegression fits value ~ c0 + c1·i0 + c2·i1 + c3·i2 over the block's

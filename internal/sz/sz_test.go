@@ -43,13 +43,19 @@ func synthetic1D(n int, seed int64) ([]float32, grid.Dims) {
 	return data, shape
 }
 
+// decoded is DecompressInto into a field of its own.
+func decoded[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
+	dst := make([]T, shape.Len())
+	return dst, DecompressInto(dst, buf, shape)
+}
+
 func roundTrip(t *testing.T, data []float32, shape grid.Dims, eb float64) []float32 {
 	t.Helper()
 	comp, err := Compress(data, shape, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	dec, err := Decompress[float32](comp, shape)
+	dec, err := decoded[float32](comp, shape)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -114,7 +120,7 @@ func TestConstantField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress[float32](comp, shape)
+	dec, err := decoded[float32](comp, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +211,10 @@ func TestRankFourRefused(t *testing.T) {
 	forged := append(append([]byte(nil), valid[:fixedHeaderLen+12]...), 1, 0, 0, 0)
 	forged = append(forged, valid[fixedHeaderLen+12:]...)
 	forged[5] = 4
-	if _, err := DecompressHeaderShape(forged); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := parseHeader(forged); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("4-D header shape: %v, want ErrCorrupt", err)
 	}
-	if _, err := Decompress[float32](forged, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := decoded[float32](forged, grid.MustDims(2, 2, 2, 1)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("4-D Decompress: %v, want ErrCorrupt", err)
 	}
 }
@@ -236,7 +242,8 @@ func hostileStreams[T grid.Float](t testing.TB, bombSize int) (valid, forged, bo
 // TestDecompressCorrupt is the corruption table: every row must fail with
 // ErrCorrupt, and must do so cheaply — a stream of a few hundred bytes that
 // makes the decoder allocate gigabytes (or inflate a bomb) before it notices
-// is a denial of service even when the error is right.
+// is a denial of service even when the error is right. The header rows are
+// smoke rows: the preamble they reach is tested in full in internal/grid.
 func TestDecompressCorrupt(t *testing.T) {
 	valid32, forged32, bomb32 := hostileStreams[float32](t, 64<<20)
 	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
@@ -261,9 +268,9 @@ func TestDecompressCorrupt(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			var err error
 			if row.wide {
-				_, err = Decompress[float64](row.stream, nil)
+				err = DecompressInto(make([]float64, 64), row.stream, grid.MustDims(64))
 			} else {
-				_, err = Decompress[float32](row.stream, nil)
+				err = DecompressInto(make([]float32, 64), row.stream, grid.MustDims(64))
 			}
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrCorrupt) {
@@ -282,12 +289,14 @@ func TestDecompressShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress[float32](comp, grid.MustDims(50)); err == nil {
-		t.Errorf("shape mismatch should fail")
+	if _, err := decoded[float32](comp, grid.MustDims(50)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("shape mismatch: %v, want ErrCorrupt", err)
 	}
-	// nil shape uses the embedded one
-	if _, err := Decompress[float32](comp, nil); err != nil {
-		t.Errorf("nil shape should use header shape: %v", err)
+	if _, err := decoded[float32](comp, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("no shape: %v, want ErrCorrupt", err)
+	}
+	if _, err := decoded[float32](comp, shape); err != nil {
+		t.Errorf("matching shape: %v", err)
 	}
 }
 
@@ -297,12 +306,12 @@ func TestDecompressHeaderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressHeaderShape(comp)
+	h, _, err := parseHeader(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(shape) {
-		t.Errorf("header shape = %v, want %v", got, shape)
+	if !h.shape.Equal(shape) {
+		t.Errorf("header shape = %v, want %v", h.shape, shape)
 	}
 }
 
@@ -315,7 +324,7 @@ func TestAblationOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compress(%+v): %v", opts, err)
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			t.Fatalf("Decompress(%+v): %v", opts, err)
 		}
@@ -338,7 +347,7 @@ func TestPropertyErrorBoundHolds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			return false
 		}
@@ -367,11 +376,12 @@ func BenchmarkDecompress3D(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dst := make([]float32, len(data))
 	b.SetBytes(int64(len(data) * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress[float32](comp, shape); err != nil {
+		if err := DecompressInto(dst, comp, shape); err != nil {
 			b.Fatal(err)
 		}
 	}

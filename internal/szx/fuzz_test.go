@@ -8,9 +8,8 @@ import (
 )
 
 // FuzzDecompress feeds arbitrary bytes to the stream decoder at both element
-// widths. The contract under test: Decompress returns an error for anything
-// it cannot parse and never panics; when a stream does parse, the decoded
-// length must match the header shape.
+// widths, into a field of the header's shape. The contract under test:
+// DecompressInto fills it or returns an error, and never panics.
 func FuzzDecompress(f *testing.F) {
 	seed32 := func(data []float32, shape grid.Dims, bound float64, bs int) {
 		comp, err := Compress(data, shape, Options{ErrorBound: bound, BlockSize: bs})
@@ -26,25 +25,16 @@ func FuzzDecompress(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out32, err := Decompress[float32](data, nil)
-		if err == nil {
-			shape, herr := HeaderShape(data)
-			if herr != nil {
-				t.Fatalf("decode succeeded but HeaderShape failed: %v", herr)
-			}
-			if len(out32) != shape.Len() {
-				t.Fatalf("decoded %d float32 values for shape %v", len(out32), shape)
-			}
+		h, _, err := parseHeader(data)
+		if err != nil || h.shape.Len() > fuzzMaxValues {
+			return
 		}
-		out64, err := Decompress[float64](data, nil)
-		if err == nil {
-			shape, herr := HeaderShape(data)
-			if herr != nil {
-				t.Fatalf("decode succeeded but HeaderShape failed: %v", herr)
-			}
-			if len(out64) != shape.Len() {
-				t.Fatalf("decoded %d float64 values for shape %v", len(out64), shape)
-			}
-		}
+		_ = DecompressInto(make([]float32, h.shape.Len()), data, h.shape)
+		_ = DecompressInto(make([]float64, h.shape.Len()), data, h.shape)
 	})
 }
+
+// fuzzMaxValues keeps one fuzz execution small: an all-constant stream
+// legitimately decodes to dozens of values per byte, and the fuzzer has
+// nothing to learn from the big ones that it cannot learn from these.
+const fuzzMaxValues = 1 << 16

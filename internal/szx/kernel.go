@@ -15,10 +15,7 @@ func appendHeader(out []byte, magic uint32, shape grid.Dims, bound float64, bloc
 	out = append(out, byte(len(shape)))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(bound))
 	out = binary.LittleEndian.AppendUint32(out, uint32(blockSize))
-	for _, e := range shape {
-		out = binary.LittleEndian.AppendUint32(out, uint32(e))
-	}
-	return out
+	return grid.AppendShape(out, shape)
 }
 
 // compress is the encoder at either width: T is the element type and U the
@@ -33,7 +30,7 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 	headerLen := fixedHeaderLen + 4*len(shape)
 
 	out := make([]byte, 0, headerLen+bitmapLen)
-	out = appendHeader(out, magicFor[T](), shape, o.ErrorBound, bs)
+	out = appendHeader(out, stream.Magic(elem), shape, o.ErrorBound, bs)
 	out = append(out, make([]byte, bitmapLen)...)
 	bitmap := out[headerLen:]
 
@@ -115,15 +112,14 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 }
 
 // decompress is the decoder at either width; like compress it works on the
-// bit view, so the byte planes are OR-ed straight into the output.
-func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
+// bit view, so the byte planes are OR-ed straight into out.
+func decompress[T grid.Float, U grid.Word](out []T, h header, body []byte) error {
 	bitmap, consts, kept, planes, nBlocks, err := bodySections(h, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := h.shape.Len()
+	n := len(out)
 	elem := grid.ElemSize[T]()
-	out := make([]T, n)
 	words := grid.Bits[T, U](out)
 
 	ci, ki, pi := 0, 0, 0
@@ -145,11 +141,11 @@ func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
 		k := int(kept[ki])
 		ki++
 		if k < 2 || k > elem {
-			return nil, fmt.Errorf("%w: kept bytes %d for a block of %d-byte values", ErrCorrupt, k, elem)
+			return fmt.Errorf("%w: kept bytes %d for a block of %d-byte values", ErrCorrupt, k, elem)
 		}
 		pats := words[lo:hi]
 		if pi+k*len(pats) > len(planes) {
-			return nil, fmt.Errorf("%w: truncated byte planes", ErrCorrupt)
+			return fmt.Errorf("%w: truncated byte planes", ErrCorrupt)
 		}
 		for i := range pats {
 			pats[i] = 0
@@ -164,7 +160,7 @@ func decompress[T grid.Float, U grid.Word](h header, body []byte) ([]T, error) {
 		}
 	}
 	if pi != len(planes) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after byte planes", ErrCorrupt, len(planes)-pi)
+		return fmt.Errorf("%w: %d trailing bytes after byte planes", ErrCorrupt, len(planes)-pi)
 	}
-	return out, nil
+	return nil
 }

@@ -33,13 +33,14 @@
 // math.Float32bits/Float64bits would return, in a register, and the planes
 // are cut from it with shifts, so the stream's bytes do not depend on the
 // host's byte order (the constants go through grid.AppendLE, which is
-// explicit about it). Compress and Decompress pair T with U, once each.
+// explicit about it). Compress and DecompressInto pair T with U, once each.
 //
 // # Stream layout (all integers little-endian)
 //
-// The stream is self-describing; Decompress needs no side information. The
-// element width is part of the magic — SZX1 marks float32 streams, SZX2
-// float64 — so a stream can never be reinterpreted at the wrong precision:
+// The stream is self-describing; DecompressInto needs no side information
+// beyond the caller's expected shape. The element width is part of the
+// magic — SZX1 marks float32 streams, SZX2 float64 — so a stream can never
+// be reinterpreted at the wrong precision:
 //
 //	offset  size  field
 //	0       4     magic "SZX1" (float32) or "SZX2" (float64)
@@ -102,19 +103,14 @@ const DefaultBlockSize = 128
 // requesting absurd plane buffers.
 const maxBlockSize = 1 << 24
 
-// maxDecodeElements caps the element count a stream header may declare
-// (2^28 ≈ 268M values, 1-2 GiB decoded). A tiny all-constant stream
-// legitimately expands to its full field, so without a cap a hostile
-// 40-byte header could demand an arbitrarily large allocation before any
-// payload is validated. Compression of larger fields goes through the
-// blocked pipeline, which splits the field well below this limit.
-const maxDecodeElements = 1 << 28
-
 // ErrInvalidInput is returned when the data or options are malformed.
 var ErrInvalidInput = errors.New("szx: invalid input")
 
-// ErrCorrupt is returned by Decompress for unparsable streams.
+// ErrCorrupt is returned by DecompressInto for unparsable streams.
 var ErrCorrupt = errors.New("szx: corrupt stream")
+
+// stream is szx's preamble (internal/grid): its magics and ranks 1 to 4.
+var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 1, MaxRank: 4, Corrupt: ErrCorrupt}
 
 // Options configures compression.
 type Options struct {
@@ -141,14 +137,6 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// magicFor returns the stream magic for element type T.
-func magicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return magic32
-	}
-	return magic64
-}
-
 // Compress compresses data of the given shape under the options' absolute
 // error bound and returns the self-describing compressed stream.
 func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, error) {
@@ -158,54 +146,34 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
 	}
-	if len(data) > maxDecodeElements {
-		return nil, fmt.Errorf("%w: %d elements exceeds the %d-element stream limit (use the blocked pipeline)", ErrInvalidInput, len(data), maxDecodeElements)
-	}
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	// Go cannot derive the word type from T, so the pairing is spelled out
-	// here and in Decompress, once per direction.
+	// here and in DecompressInto, once per direction.
 	if d, ok := any(data).([]float32); ok {
 		return compress[float32, uint32](d, shape, o), nil
 	}
 	return compress[float64, uint64](any(data).([]float64), shape, o), nil
 }
 
-// Decompress reconstructs the data from a stream produced by Compress. A
-// non-nil shape must match the shape recorded in the header. Malformed input
-// of any kind returns an error wrapping ErrCorrupt; Decompress never panics.
-func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	hdr, body, err := parseHeader(buf)
+// DecompressInto reconstructs the field of a stream produced by Compress
+// into dst, which holds exactly the values of shape, the stream's shape. It
+// writes every value of dst or returns an error; malformed input of any kind
+// is an error wrapping ErrCorrupt, never a panic.
+func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
+	h, body, err := parseHeader(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if hdr.elemSize != grid.ElemSize[T]() {
-		return nil, fmt.Errorf("%w: stream holds %d-byte elements, caller expects %d-byte", ErrCorrupt, hdr.elemSize, grid.ElemSize[T]())
+	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
+		return err
 	}
-	if shape != nil && !hdr.shape.Equal(shape) {
-		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdr.shape, shape)
+	if d, ok := any(dst).([]float32); ok {
+		return decompress[float32, uint32](d, h, body)
 	}
-	var out any
-	if hdr.elemSize == 4 {
-		out, err = decompress[float32, uint32](hdr, body)
-	} else {
-		out, err = decompress[float64, uint64](hdr, body)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out.([]T), nil
-}
-
-// HeaderShape extracts the shape stored in a compressed stream.
-func HeaderShape(buf []byte) (grid.Dims, error) {
-	hdr, _, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	return hdr.shape, nil
+	return decompress[float64, uint64](any(dst).([]float64), h, body)
 }
 
 type header struct {
@@ -217,22 +185,11 @@ type header struct {
 
 const fixedHeaderLen = 4 + 1 + 8 + 4
 
-func parseHeader(buf []byte) (header, []byte, error) {
-	var h header
-	if len(buf) < fixedHeaderLen {
-		return h, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	switch binary.LittleEndian.Uint32(buf[0:4]) {
-	case magic32:
-		h.elemSize = 4
-	case magic64:
-		h.elemSize = 8
-	default:
-		return h, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	rank := int(buf[4])
-	if rank < 1 || rank > 4 {
-		return h, nil, fmt.Errorf("%w: bad rank %d", ErrCorrupt, rank)
+// parseHeader reads the fixed fields and the preamble's shape, returning the
+// body that follows them.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
+		return h, nil, err
 	}
 	h.bound = math.Float64frombits(binary.LittleEndian.Uint64(buf[5:13]))
 	if !(h.bound > 0) || math.IsInf(h.bound, 0) || math.IsNaN(h.bound) {
@@ -242,35 +199,8 @@ func parseHeader(buf []byte) (header, []byte, error) {
 	if h.blockSize < 1 || h.blockSize > maxBlockSize {
 		return h, nil, fmt.Errorf("%w: bad block size %d", ErrCorrupt, h.blockSize)
 	}
-	pos := fixedHeaderLen
-	if len(buf) < pos+4*rank {
-		return h, nil, fmt.Errorf("%w: truncated shape", ErrCorrupt)
-	}
-	h.shape = make(grid.Dims, rank)
-	for i := 0; i < rank; i++ {
-		e := binary.LittleEndian.Uint32(buf[pos : pos+4])
-		if e == 0 || e > math.MaxInt32 {
-			return h, nil, fmt.Errorf("%w: bad extent %d", ErrCorrupt, e)
-		}
-		h.shape[i] = int(e)
-		pos += 4
-	}
-	if err := h.shape.Validate(); err != nil {
-		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// Reject element counts whose section arithmetic could overflow int or
-	// whose decode allocation would be absurd for a hostile header.
-	n := 1
-	for _, e := range h.shape {
-		if n > math.MaxInt/e {
-			return h, nil, fmt.Errorf("%w: shape %v overflows", ErrCorrupt, h.shape)
-		}
-		n *= e
-	}
-	if n > maxDecodeElements {
-		return h, nil, fmt.Errorf("%w: %d elements exceeds decode limit %d", ErrCorrupt, n, maxDecodeElements)
-	}
-	return h, buf[pos:], nil
+	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[4]))
+	return h, body, err
 }
 
 // boundExp returns the exponent lb with 2^(lb-1) <= bound, the quantity the

@@ -15,7 +15,7 @@ func TestFixedPrecisionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("precision %d: %v", prec, err)
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			t.Fatalf("precision %d: %v", prec, err)
 		}
@@ -34,7 +34,7 @@ func TestFixedPrecisionQualityImprovesWithPrecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestFixedPrecisionControlsRelativeError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decompress[float32](comp, shape)
+		dec, err := decoded[float32](comp, shape)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,6 @@
 package zfp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,28 +43,12 @@ const (
 	magic64 = 0x5A465032 // "ZFP2"
 )
 
-// magicFor returns the stream magic for element type T.
-func magicFor[T grid.Float]() uint32 {
-	if grid.ElemSize[T]() == 4 {
-		return magic32
-	}
-	return magic64
-}
+// stream is zfp's preamble (internal/grid): its magics and ranks 1 to 3.
+var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 1, MaxRank: 3, Corrupt: ErrCorrupt}
 
-// checkMagic validates a stream magic against element type T, separating
-// "not a ZFP stream" from "a ZFP stream of the other precision".
-func checkMagic[T grid.Float](m uint32) error {
-	switch m {
-	case magicFor[T]():
-		return nil
-	case magic32:
-		return fmt.Errorf("%w: stream holds float32 data, caller expects %d-byte elements", ErrCorrupt, grid.ElemSize[T]())
-	case magic64:
-		return fmt.Errorf("%w: stream holds float64 data, caller expects %d-byte elements", ErrCorrupt, grid.ElemSize[T]())
-	default:
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-}
+// fixedHeaderLen is the header size before the shape extents: magic (4),
+// mode (1), rank (1), mode parameter (8).
+const fixedHeaderLen = 14
 
 // coeff constrains the block-floating-point coefficient domain: int32 for
 // float32 input (ZFP's single-precision configuration) and int64 for
@@ -137,7 +120,7 @@ type Options struct {
 // ErrInvalidInput is returned for malformed data or options.
 var ErrInvalidInput = errors.New("zfp: invalid input")
 
-// ErrCorrupt is returned by Decompress for unparsable streams.
+// ErrCorrupt is returned by DecompressInto for unparsable streams.
 var ErrCorrupt = errors.New("zfp: corrupt stream")
 
 // guardPlanes is the number of extra bit planes retained beyond the
@@ -174,10 +157,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		if opts.Rate < 1 || opts.Rate > 64 || math.IsNaN(opts.Rate) {
 			return nil, fmt.Errorf("%w: rate must be in [1,64], got %v", ErrInvalidInput, opts.Rate)
 		}
-		maxbits = int(math.Round(opts.Rate * float64(blockValues(nd))))
-		if maxbits < 18 {
-			maxbits = 18 // room for the block header
-		}
+		maxbits = rateBits(opts.Rate, nd)
 	case ModeFixedPrecision:
 		if opts.Precision < 1 || opts.Precision > intprec {
 			return nil, fmt.Errorf("%w: precision must be in [1,%d], got %d", ErrInvalidInput, intprec, opts.Precision)
@@ -196,12 +176,6 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 	payload := w.Bytes()
 
-	var out bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], magicFor[T]())
-	out.Write(tmp[:4])
-	out.WriteByte(byte(opts.Mode))
-	out.WriteByte(byte(nd))
 	param := opts.Tolerance
 	switch opts.Mode {
 	case ModeFixedRate:
@@ -209,96 +183,83 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	case ModeFixedPrecision:
 		param = float64(opts.Precision)
 	}
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(param))
-	out.Write(tmp[:])
-	for _, d := range shape {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(d))
-		out.Write(tmp[:4])
-	}
-	out.Write(payload)
-	return out.Bytes(), nil
+	out := make([]byte, 0, fixedHeaderLen+4*nd+len(payload))
+	out = binary.LittleEndian.AppendUint32(out, stream.Magic(grid.ElemSize[T]()))
+	out = append(out, byte(opts.Mode), byte(nd))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(param))
+	out = grid.AppendShape(out, shape)
+	return append(out, payload...), nil
 }
 
-// Decompress reconstructs the field from a stream produced by Compress. If
-// shape is non-nil it is validated against the header.
-func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
-	if len(buf) < 4+1+1+8 {
-		return nil, ErrCorrupt
-	}
-	if err := checkMagic[T](binary.LittleEndian.Uint32(buf[0:4])); err != nil {
-		return nil, err
-	}
-	intprec := intprecFor[T]()
-	mode := Mode(buf[4])
-	nd := int(buf[5])
-	if nd < 1 || nd > 3 {
-		return nil, fmt.Errorf("%w: bad rank %d", ErrCorrupt, nd)
-	}
-	param := math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
-	pos := 14
-	if len(buf) < pos+4*nd {
-		return nil, ErrCorrupt
-	}
-	hdrShape := make(grid.Dims, nd)
-	for i := 0; i < nd; i++ {
-		hdrShape[i] = int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
-		pos += 4
-	}
-	if err := hdrShape.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if shape != nil && !hdrShape.Equal(shape) {
-		return nil, fmt.Errorf("%w: shape mismatch: stream has %v, caller expects %v", ErrCorrupt, hdrShape, shape)
-	}
+type header struct {
+	elemSize                   int
+	mode                       Mode
+	minexp, precision, maxbits int
+	shape                      grid.Dims
+}
 
-	var minexp, maxbits, precision int
-	switch mode {
+// parseHeader reads the fixed fields and the preamble's shape, returning the
+// body that follows them.
+func parseHeader(buf []byte) (h header, body []byte, err error) {
+	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
+		return h, nil, err
+	}
+	h.mode = Mode(buf[4])
+	nd := int(buf[5])
+	param := math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
+	if h.shape, body, err = stream.Shape(buf, fixedHeaderLen, nd); err != nil {
+		return h, nil, err
+	}
+	switch h.mode {
 	case ModeAccuracy:
 		if !(param > 0) {
-			return nil, fmt.Errorf("%w: bad tolerance %v", ErrCorrupt, param)
+			return h, nil, fmt.Errorf("%w: bad tolerance %v", ErrCorrupt, param)
 		}
-		minexp = int(math.Floor(math.Log2(param)))
-		maxbits = math.MaxInt32
+		h.minexp = int(math.Floor(math.Log2(param)))
+		h.maxbits = math.MaxInt32
 	case ModeFixedRate:
 		if param < 1 || param > 64 {
-			return nil, fmt.Errorf("%w: bad rate %v", ErrCorrupt, param)
+			return h, nil, fmt.Errorf("%w: bad rate %v", ErrCorrupt, param)
 		}
-		maxbits = int(math.Round(param * float64(blockValues(nd))))
-		if maxbits < 18 {
-			maxbits = 18
-		}
+		h.maxbits = rateBits(param, nd)
 	case ModeFixedPrecision:
-		precision = int(math.Round(param))
-		if precision < 1 || precision > intprec {
-			return nil, fmt.Errorf("%w: bad precision %v", ErrCorrupt, param)
+		h.precision = int(math.Round(param))
+		if h.precision < 1 || h.precision > 8*h.elemSize {
+			return h, nil, fmt.Errorf("%w: bad precision %v", ErrCorrupt, param)
 		}
-		maxbits = math.MaxInt32
+		h.maxbits = math.MaxInt32
 	default:
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, mode)
+		return h, nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, h.mode)
 	}
-
-	r := bitstream.NewReader(buf[pos:])
 	// A block costs at least one bit (an all-zero block is exactly that), so
-	// a shape with more blocks than the body has bits is forged; refuse it
-	// here, before it sizes the output.
+	// a shape with more blocks than the body has bits is forged.
 	numBlocks := 1
-	for _, d := range hdrShape {
+	for _, d := range h.shape {
 		numBlocks *= (d + 3) / 4
 	}
-	if numBlocks > r.BitsRemaining() {
-		return nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, hdrShape, numBlocks, r.BitsRemaining())
+	if numBlocks > 8*len(body) {
+		return h, nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, h.shape, numBlocks, 8*len(body))
 	}
-	out := make([]T, hdrShape.Len())
-	var err error
-	if intprec == 64 {
-		err = decodeBlocks[T, int64](r, out, hdrShape, mode, minexp, precision, maxbits)
-	} else {
-		err = decodeBlocks[T, int32](r, out, hdrShape, mode, minexp, precision, maxbits)
-	}
+	return h, body, nil
+}
+
+// DecompressInto reconstructs the field of a stream produced by Compress
+// into dst, which holds exactly the values of shape, the stream's shape. It
+// writes every value of dst or returns an error; a stream it cannot decode
+// is an error wrapping ErrCorrupt.
+func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
+	h, body, err := parseHeader(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
+		return err
+	}
+	r := bitstream.NewReader(body)
+	if h.elemSize == 8 {
+		return decodeBlocks[T, int64](r, dst, h)
+	}
+	return decodeBlocks[T, int32](r, dst, h)
 }
 
 // CompressedSizeFixedRate predicts the compressed size in bytes of a
@@ -307,13 +268,14 @@ func Decompress[T grid.Float](buf []byte, shape grid.Dims) ([]T, error) {
 // budgeting despite its poor rate distortion.
 func CompressedSizeFixedRate(shape grid.Dims, rate float64) int {
 	nd := shape.NDims()
-	maxbits := int(math.Round(rate * float64(blockValues(nd))))
-	if maxbits < 18 {
-		maxbits = 18
-	}
-	totalBits := len(shape.Blocks(4)) * maxbits
-	header := 4 + 1 + 1 + 8 + 4*nd
-	return header + (totalBits+7)/8
+	totalBits := len(shape.Blocks(4)) * rateBits(rate, nd)
+	return fixedHeaderLen + 4*nd + (totalBits+7)/8
+}
+
+// rateBits is a fixed-rate block's bit budget: rate bits per value, and at
+// least the 18 bits a block header takes.
+func rateBits(rate float64, nd int) int {
+	return max(int(math.Round(rate*float64(blockValues(nd)))), 18)
 }
 
 // --- block encoding -------------------------------------------------------
@@ -429,9 +391,10 @@ func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, shape gr
 	}
 }
 
-// decodeBlocks is Decompress's block loop, the inverse of encodeBlocks: it
-// writes every element of out (the 4^d blocks tile the domain).
-func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, shape grid.Dims, mode Mode, minexp, precision, maxbits int) error {
+// decodeBlocks is DecompressInto's block loop, the inverse of encodeBlocks:
+// it writes every element of out (the 4^d blocks tile the domain).
+func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, h header) error {
+	shape, mode, minexp, precision, maxbits := h.shape, h.mode, h.minexp, h.precision, h.maxbits
 	nd := shape.NDims()
 	block := pool.Get[float64](blockValues(nd))
 	defer pool.Put(block)
