@@ -160,8 +160,8 @@ func TestBlockedCompressDecompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cn.Header.Version != container.VersionBlocked || cn.NumBlocks() != 4 {
-		t.Fatalf("written container is v%d with %d blocks, want v2 with 4", cn.Header.Version, cn.NumBlocks())
+	if cn.Header.Version != container.VersionBlocked || len(cn.Blocks) != 4 {
+		t.Fatalf("written container is v%d with %d blocks, want v2 with 4", cn.Header.Version, len(cn.Blocks))
 	}
 
 	var decOut strings.Builder

@@ -281,11 +281,11 @@ func TestRecordedParameterIsTheOneTheCodecRanAt(t *testing.T) {
 // must be ErrCorrupt, in the monolithic layout too.
 func TestDecompressRefusesAShapeThePayloadCannotCarry(t *testing.T) {
 	shape := grid.MustDims(2, 1<<20, 1<<14)
-	blocked, err := container.NewBlocked("szx:abs", 1e-3, 4, container.Float32, shape, [][]byte{{1, 2, 3}, {4, 5, 6}})
+	blocked, err := container.New("szx:abs", 1e-3, 4, container.Float32, shape, [][]byte{{1, 2, 3}, {4, 5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	monolithic, err := container.New("szx:abs", 1e-3, 4, container.Float32, shape, []byte{1, 2, 3, 4, 5, 6})
+	monolithic, err := container.New("szx:abs", 1e-3, 4, container.Float32, shape, [][]byte{{1, 2, 3, 4, 5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"fraz/internal/archive"
@@ -185,15 +184,11 @@ func AddFieldT[T Element](ctx context.Context, d *Dataset, name string, step int
 	if err != nil {
 		return nil, err
 	}
-	offset := int64(archive.HeaderSize)
-	if n := d.w.Len(); n > 0 {
-		last := d.w.Entries()[n-1]
-		offset = last.Offset + last.Length
-	}
-	if err := d.w.Add(name, step, staged.Bytes()); err != nil {
+	e, err := d.w.Add(name, step, staged.Bytes())
+	if err != nil {
 		return nil, wrapStreamErr(err)
 	}
-	return &FieldResult{CompressResult: *res, Name: name, Step: step, Offset: offset}, nil
+	return &FieldResult{CompressResult: *res, Name: name, Step: step, Offset: e.Offset}, nil
 }
 
 // Close completes a writable dataset, writing the directory and footer. The
@@ -223,12 +218,6 @@ func (d *Dataset) Fields() []FieldInfo {
 		entries = d.r.Entries()
 	case d.w != nil:
 		entries = d.w.Entries()
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Name != entries[j].Name {
-				return entries[i].Name < entries[j].Name
-			}
-			return entries[i].Step < entries[j].Step
-		})
 	}
 	out := make([]FieldInfo, len(entries))
 	for i, e := range entries {
@@ -250,8 +239,8 @@ func (d *Dataset) FieldNames() []string {
 	return names
 }
 
-// Steps lists the time steps recorded for one field, ascending; empty when
-// the field is absent.
+// Steps lists the time steps recorded for one field, ascending (Fields is
+// sorted by name, then step); empty when the field is absent.
 func (d *Dataset) Steps(name string) []int {
 	var steps []int
 	for _, f := range d.Fields() {
@@ -259,7 +248,6 @@ func (d *Dataset) Steps(name string) []int {
 			steps = append(steps, f.Step)
 		}
 	}
-	sort.Ints(steps)
 	return steps
 }
 

@@ -3,7 +3,9 @@ package fraz_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,6 +175,80 @@ func TestDatasetAppendPreservesPayloadBytes(t *testing.T) {
 	}
 	if diff := maxAbsDiff(step1, out.Data); diff > 1e-2+1e-3 {
 		t.Errorf("appended step max abs error %g exceeds the target band", diff)
+	}
+}
+
+// TestDatasetAppendReportsWhereTheFieldLanded appends to an archive whose
+// directory lists its entries in reverse offset order, which the format
+// allows: the appended field lands after the last payload, not after the
+// last-listed one, and FieldResult.Offset must say where.
+func TestDatasetAppendReportsWhereTheFieldLanded(t *testing.T) {
+	ctx := context.Background()
+	data, shape := testField()
+	var payloads [2][]byte
+	for i := range payloads {
+		var buf bytes.Buffer
+		if _, err := fraz.Compress(ctx, &buf, data, shape, fraz.Codec("sz:abs"), fraz.FixedBound(float64(i+1)*1e-2), fraz.Blocks(1)); err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = buf.Bytes()
+	}
+	archive := []byte{'F', 'R', 'Z', 0xA1, 1, 0, 0, 0}
+	offsets := make([]int, len(payloads))
+	for i, p := range payloads {
+		offsets[i] = len(archive)
+		archive = append(archive, p...)
+	}
+	dirOff := len(archive)
+	dir := binary.LittleEndian.AppendUint32(nil, uint32(len(payloads)))
+	for i := len(payloads) - 1; i >= 0; i-- {
+		dir = append(dir, 1, byte('a'+i)) // name "a" or "b"
+		dir = binary.LittleEndian.AppendUint32(dir, 0)
+		dir = binary.LittleEndian.AppendUint64(dir, uint64(offsets[i]))
+		dir = binary.LittleEndian.AppendUint64(dir, uint64(len(payloads[i])))
+		dir = binary.LittleEndian.AppendUint32(dir, crc32.ChecksumIEEE(payloads[i]))
+	}
+	dir = binary.LittleEndian.AppendUint32(dir, crc32.ChecksumIEEE(dir))
+	archive = append(archive, dir...)
+	archive = binary.LittleEndian.AppendUint64(archive, uint64(dirOff))
+	archive = binary.LittleEndian.AppendUint32(archive, uint32(len(dir)))
+	archive = append(archive, 'F', 'R', 'Z', 0xA2)
+
+	path := filepath.Join(t.TempDir(), "reversed.frazd")
+	if err := os.WriteFile(path, archive, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rw, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	ds, err := fraz.AppendDataset(rw, fraz.Codec("sz:abs"), fraz.FixedBound(1e-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.AddField(ctx, "c", data, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Offset != int64(dirOff) {
+		t.Errorf("AddField reports offset %d, the field landed at %d", res.Offset, dirOff)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := fraz.OpenDataset(bytes.NewReader(after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rd.Fields() {
+		if f.Name == "c" && (f.Offset != res.Offset || !bytes.HasPrefix(after[f.Offset:], []byte("FRZ\x01"))) {
+			t.Errorf("directory puts c at %d, AddField reported %d", f.Offset, res.Offset)
+		}
 	}
 }
 

@@ -167,8 +167,10 @@
 //     caller owns the output, so OpenBlocked allocates a field once and every
 //     block decodes straight into its slice of it
 //   - internal/container — the self-describing .fraz on-disk container format
-//     (v1 monolithic payload, v2 block index + independently-decodable
-//     blocks), with streaming WriteTo/ReadFrom and incremental CRC checks
+//     (always a block index in memory; one block is written as the v1
+//     single-payload layout, more as v2, a block index + independently
+//     decodable blocks), with streaming WriteTo/ReadFrom and incremental CRC
+//     checks
 //   - internal/archive   — the .frazd dataset super-container: many named
 //     .fraz payloads (field@step) behind a CRC-guarded trailing directory,
 //     append-friendly and lazily readable; see docs/format.md

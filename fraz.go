@@ -260,7 +260,7 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 		ErrorBound:     cn.Header.Bound,
 		Ratio:          cn.Header.Ratio,
 		SampleRatio:    sr.Tuning.AchievedRatio,
-		Blocks:         cn.NumBlocks(),
+		Blocks:         len(cn.Blocks),
 		SampleBlock:    sr.SampleBlock,
 		BytesWritten:   n,
 		Evaluations:    sr.Tuning.Iterations,
@@ -430,7 +430,7 @@ func decompressContainer(ctx context.Context, cn container.Container, workers in
 		Ratio:           cn.Header.Ratio,
 		CompressedBytes: len(cn.Payload),
 		Version:         int(cn.Header.Version),
-		Blocks:          cn.NumBlocks(),
+		Blocks:          len(cn.Blocks),
 	}
 	if o := cn.Header.Objective; o.Name != "" {
 		res.Objective = &ObjectiveRecord{

@@ -65,14 +65,9 @@ const maxVersion = Version
 // allocation a hostile footer can demand before any entry is parsed.
 const MaxEntries = 1 << 20
 
-// HeaderSize is the fixed archive header: magic + version + reserved. It is
-// exported because it is also the offset of the first payload — what a
-// caller tracking entry placement starts from.
-const HeaderSize = 8
-
-// headerSize is the internal alias the format code reads naturally with
-// footerSize and entryFixedSize.
-const headerSize = HeaderSize
+// headerSize is the fixed archive header: magic + version + reserved, and
+// so the offset of the first payload.
+const headerSize = 8
 
 // footerSize is the fixed trailer: directory offset + length + footer magic.
 const footerSize = 16

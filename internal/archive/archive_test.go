@@ -21,11 +21,22 @@ func testContainer(t *testing.T, codec string, seed byte) container.Container {
 	for i := range payload {
 		payload[i] = seed + byte(i)
 	}
-	cn, err := container.New(codec, 1e-3, 4.0, container.Float32, grid.MustDims(4, 4), payload)
+	cn, err := container.New(codec, 1e-3, 4.0, container.Float32, grid.MustDims(4, 4), [][]byte{payload})
 	if err != nil {
 		t.Fatalf("container.New: %v", err)
 	}
 	return cn
+}
+
+// add encodes cn and appends it to w as name@step.
+func add(t testing.TB, w *Writer, name string, step int, cn container.Container) error {
+	t.Helper()
+	enc, err := cn.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Add(name, step, enc)
+	return err
 }
 
 // buildArchive writes an archive with the given (name, step, container)
@@ -42,8 +53,8 @@ func buildArchive(t *testing.T, fields []struct {
 		t.Fatalf("NewWriter: %v", err)
 	}
 	for _, f := range fields {
-		if err := w.AddFrom(f.name, f.step, f.cn); err != nil {
-			t.Fatalf("AddFrom(%s@%d): %v", f.name, f.step, err)
+		if err := add(t, w, f.name, f.step, f.cn); err != nil {
+			t.Fatalf("Add(%s@%d): %v", f.name, f.step, err)
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -71,8 +82,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "pressure" || got[1] != "velocity" {
 		t.Fatalf("Names() = %v", got)
 	}
-	if got := r.Steps("pressure"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("Steps(pressure) = %v", got)
+	if got := r.Entries(); len(got) != 3 || got[0].Name != "pressure" || got[0].Step != 0 || got[1].Step != 1 || got[2].Name != "velocity" {
+		t.Fatalf("Entries() = %+v, want pressure@0, pressure@1, velocity@0", got)
 	}
 	for _, f := range fields {
 		cn, err := r.Open(f.name, f.step)
@@ -101,32 +112,32 @@ func TestAddRejectsDuplicatesAndBadNames(t *testing.T) {
 		t.Fatalf("NewWriter: %v", err)
 	}
 	cn := testContainer(t, "sz:abs", 9)
-	if err := w.AddFrom("f", 0, cn); err != nil {
-		t.Fatalf("AddFrom: %v", err)
+	if err := add(t, w, "f", 0, cn); err != nil {
+		t.Fatalf("Add: %v", err)
 	}
-	if err := w.AddFrom("f", 0, cn); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate AddFrom = %v, want ErrDuplicate", err)
+	if err := add(t, w, "f", 0, cn); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate Add = %v, want ErrDuplicate", err)
 	}
-	if err := w.AddFrom("", 0, cn); err == nil {
+	if err := add(t, w, "", 0, cn); err == nil {
 		t.Error("empty name accepted")
 	}
-	if err := w.AddFrom("f", -1, cn); err == nil {
+	if err := add(t, w, "f", -1, cn); err == nil {
 		t.Error("negative step accepted")
 	}
 	enc, err := cn.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if err := w.Add("raw", 0, enc[4:]); !errors.Is(err, ErrCorrupt) {
+	if _, err := w.Add("raw", 0, enc[4:]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Add of a non-.fraz payload = %v, want ErrCorrupt", err)
 	}
-	if err := w.Add("ok", 0, enc); err != nil {
+	if _, err := w.Add("ok", 0, enc); err != nil {
 		t.Errorf("Add of an encoded container: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := w.AddFrom("late", 0, cn); err == nil {
+	if err := add(t, w, "late", 0, cn); err == nil {
 		t.Error("Add after Close accepted")
 	}
 	if err := w.Close(); err == nil {
@@ -147,10 +158,10 @@ func TestAppendPreservesPriorBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	if err := w.AddFrom("density", 0, testContainer(t, "sz:abs", 11)); err != nil {
+	if err := add(t, w, "density", 0, testContainer(t, "sz:abs", 11)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddFrom("energy", 0, testContainer(t, "mgard:abs", 12)); err != nil {
+	if err := add(t, w, "energy", 0, testContainer(t, "mgard:abs", 12)); err != nil {
 		t.Fatal(err)
 	}
 	before := w.Entries()
@@ -173,13 +184,13 @@ func TestAppendPreservesPriorBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AppendTo: %v", err)
 	}
-	if aw.Len() != 2 {
-		t.Fatalf("AppendTo carried %d entries, want 2", aw.Len())
+	if n := len(aw.Entries()); n != 2 {
+		t.Fatalf("AppendTo carried %d entries, want 2", n)
 	}
-	if err := aw.AddFrom("density", 1, testContainer(t, "sz:abs", 13)); err != nil {
+	if err := add(t, aw, "density", 1, testContainer(t, "sz:abs", 13)); err != nil {
 		t.Fatal(err)
 	}
-	if err := aw.AddFrom("density", 0, testContainer(t, "sz:abs", 14)); !errors.Is(err, ErrDuplicate) {
+	if err := add(t, aw, "density", 0, testContainer(t, "sz:abs", 14)); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("append of an existing (field, step) = %v, want ErrDuplicate", err)
 	}
 	if err := aw.Close(); err != nil {
@@ -197,8 +208,8 @@ func TestAppendPreservesPriorBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenReader after append: %v", err)
 	}
-	if got := r.Steps("density"); len(got) != 2 {
-		t.Fatalf("Steps(density) after append = %v", got)
+	if got := r.Entries(); len(got) != 3 {
+		t.Fatalf("entries after append = %+v, want three", got)
 	}
 	for _, e := range before {
 		after, ok := r.Lookup(e.Name, e.Step)

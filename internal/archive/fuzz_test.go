@@ -18,7 +18,7 @@ func FuzzReader(f *testing.F) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	cn, err := container.New("sz:abs", 1e-3, 4, container.Float32, grid.MustDims(2, 4), payload)
+	cn, err := container.New("sz:abs", 1e-3, 4, container.Float32, grid.MustDims(2, 4), [][]byte{payload})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func FuzzReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.AddFrom("temp", 0, cn); err != nil {
+	if err := add(f, w, "temp", 0, cn); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

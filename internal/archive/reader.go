@@ -115,18 +115,6 @@ func (r *Reader) Names() []string {
 	return names
 }
 
-// Steps lists the time-steps recorded for one field, ascending.
-func (r *Reader) Steps(name string) []int {
-	var steps []int
-	for _, e := range r.entries {
-		if e.Name == name {
-			steps = append(steps, e.Step)
-		}
-	}
-	sort.Ints(steps)
-	return steps
-}
-
 // Lookup returns the directory entry for (name, step).
 func (r *Reader) Lookup(name string, step int) (Entry, bool) {
 	i, ok := r.index[entryKey(name, step)]

@@ -56,79 +56,45 @@ func AppendTo(rw io.ReadWriteSeeker) (*Writer, error) {
 // single-field `.fraz` container stream (the embedded format every entry
 // carries); a payload that does not start with the `.fraz` magic is
 // rejected, catching callers that hand over raw field bytes. Duplicate
-// (name, step) pairs fail with ErrDuplicate.
-func (w *Writer) Add(name string, step int, payload []byte) error {
+// (name, step) pairs fail with ErrDuplicate. It returns the directory entry
+// written, whose Offset is where the payload landed.
+func (w *Writer) Add(name string, step int, payload []byte) (Entry, error) {
 	if w.closed {
-		return fmt.Errorf("archive: Add after Close")
+		return Entry{}, fmt.Errorf("archive: Add after Close")
 	}
 	if err := validateEntry(name, step); err != nil {
-		return err
-	}
-	if len(payload) < 4 || !bytes.Equal(payload[:3], magic[:3]) || payload[3] != 0x01 {
-		return fmt.Errorf("%w: payload for %s is not a .fraz container stream", ErrCorrupt, entryKey(name, step))
+		return Entry{}, err
 	}
 	key := entryKey(name, step)
+	if len(payload) < 4 || !bytes.Equal(payload[:3], magic[:3]) || payload[3] != 0x01 {
+		return Entry{}, fmt.Errorf("%w: payload for %s is not a .fraz container stream", ErrCorrupt, key)
+	}
 	if _, dup := w.seen[key]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicate, key)
+		return Entry{}, fmt.Errorf("%w: %s", ErrDuplicate, key)
 	}
 	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("archive: writing payload for %s: %w", key, err)
+		return Entry{}, fmt.Errorf("archive: writing payload for %s: %w", key, err)
 	}
-	w.entries = append(w.entries, Entry{
+	e := Entry{
 		Name:   name,
 		Step:   step,
 		Offset: w.off,
 		Length: int64(len(payload)),
 		CRC:    crc32.ChecksumIEEE(payload),
-	})
+	}
+	w.entries = append(w.entries, e)
 	w.seen[key] = struct{}{}
-	w.off += int64(len(payload))
-	return nil
+	w.off += e.Length
+	return e, nil
 }
 
-// AddFrom appends one field@step payload streamed from an io.WriterTo (a
-// container.Container, typically), avoiding a staging copy of the encoded
-// stream: the bytes flow to the destination through a CRC accumulator.
-func (w *Writer) AddFrom(name string, step int, payload io.WriterTo) error {
-	if w.closed {
-		return fmt.Errorf("archive: Add after Close")
-	}
-	if err := validateEntry(name, step); err != nil {
-		return err
-	}
-	key := entryKey(name, step)
-	if _, dup := w.seen[key]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicate, key)
-	}
-	sum := crc32.NewIEEE()
-	n, err := payload.WriteTo(io.MultiWriter(w.w, sum))
-	if err != nil {
-		return fmt.Errorf("archive: writing payload for %s: %w", key, err)
-	}
-	if n == 0 {
-		return fmt.Errorf("%w: empty payload for %s", ErrCorrupt, key)
-	}
-	w.entries = append(w.entries, Entry{
-		Name:   name,
-		Step:   step,
-		Offset: w.off,
-		Length: n,
-		CRC:    sum.Sum32(),
-	})
-	w.seen[key] = struct{}{}
-	w.off += n
-	return nil
-}
-
-// Len reports the number of entries added so far (including, in append
-// mode, the entries carried over from the existing archive).
-func (w *Writer) Len() int { return len(w.entries) }
-
-// Entries returns a copy of the directory as it will be written, in
-// insertion order.
+// Entries lists the directory as it will be written (including, in append
+// mode, the entries carried over from the existing archive), sorted by
+// field name, then step, as Reader.Entries is.
 func (w *Writer) Entries() []Entry {
 	out := make([]Entry, len(w.entries))
 	copy(out, w.entries)
+	sortEntries(out)
 	return out
 }
 

@@ -12,7 +12,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FRZ\x01"
-//	4       2     format version (1 = monolithic, 2 = blocked)
+//	4       2     format version (1 = one block, 2 = block index)
 //	6       1     dtype (0 = float32, 1 = float64)
 //	7       1     flags (bit 7: objective extension present) | rank (1..4)
 //	8       1     codec name length L (1..255)
@@ -37,17 +37,19 @@
 //	...     8     acceptance band half-width (IEEE-754 float64, absolute)
 //	...     8     achieved value (IEEE-754 float64)
 //
-// A version-1 stream then carries one monolithic payload:
+// Every container holds its payload as blocks that partition the field
+// along its slowest axis (internal/blocks.Plan over the header shape and the
+// block count reproduces every block's sub-shape), so each payload can be
+// decompressed — and its CRC verified — independently and in parallel. In
+// memory the block index is always present; the wire version follows the
+// block count. One block is written as version 1, one payload:
 //
 //	...     8     payload length N (uint64)
 //	...     4     CRC-32 (IEEE) of the payload
 //	...     N     payload (the codec's compressed stream)
 //
-// A version-2 (blocked) stream instead carries a block index followed by
-// independently-decodable block payloads. Blocks partition the field along
-// its slowest axis (internal/blocks.Plan over the header shape and the block
-// count reproduces every block's sub-shape), so each payload can be
-// decompressed — and its CRC verified — independently and in parallel:
+// Two or more blocks are written as version 2, a block index followed by the
+// block payloads:
 //
 //	...     4     block count B (uint32, 1..shape[0])
 //	per block (B times):
@@ -55,6 +57,10 @@
 //	...     8     payload length (uint64)
 //	...     4     CRC-32 (IEEE) of the block payload
 //	...     ΣN    block payloads, concatenated in index order
+//
+// A version-1 stream decodes to a one-entry index, and a one-block version-2
+// stream (which New never writes, but the format allows) decodes and
+// re-encodes as version 2, so every stream re-encodes to its own bytes.
 //
 // Encoding and decoding use sticky-error readers/writers in the style of
 // internal/bitstream: every field accessor checks and records the first
@@ -76,12 +82,13 @@ import (
 	"fraz/internal/pool"
 )
 
-// Version is the monolithic (single-payload) format version, written by
-// Encode for containers without a block index.
+// Version is the single-payload format version, which New writes for a
+// one-block container.
 const Version = 1
 
 // VersionBlocked is the blocked format version: a block index followed by
-// independently-decodable block payloads.
+// independently-decodable block payloads, which New writes for two or more
+// blocks.
 const VersionBlocked = 2
 
 // maxVersion is the newest format version this build decodes.
@@ -205,7 +212,7 @@ type Header struct {
 	Objective Objective
 }
 
-// BlockEntry locates one block's payload inside a blocked container.
+// BlockEntry locates one block's payload inside a container.
 type BlockEntry struct {
 	// Offset is the byte offset of the block's payload from the start of the
 	// payload area. Entries are contiguous: each offset equals the previous
@@ -217,18 +224,24 @@ type BlockEntry struct {
 	CRC uint32
 }
 
-// Container couples a header with the codec's compressed payload. For a
-// blocked (version-2) container, Payload is the concatenation of the block
-// payloads and Blocks indexes into it; for version 1, Blocks is nil.
+// Container couples a header with the codec's compressed payload: the block
+// payloads concatenated in index order, and Blocks, the index into them,
+// which always has at least one entry. Header.Version names the layout the
+// container is written in.
 type Container struct {
 	Header  Header
 	Payload []byte
 	Blocks  []BlockEntry
 }
 
-// New builds a Container with the current format version, validating the
-// header fields that Encode would otherwise reject later.
-func New(codec string, bound, ratio float64, dtype DType, shape grid.Dims, payload []byte) (Container, error) {
+// New builds a Container from per-block payloads, which must partition the
+// field along its slowest axis in index order (one payload per block of
+// internal/blocks.Plan(shape, len(payloads))), and indexes them with
+// per-block CRCs so each one can be verified and decompressed independently.
+// The version follows the block count: one block is the version-1 layout,
+// its payload kept by reference; two or more are version 2, their payloads
+// concatenated.
+func New(codec string, bound, ratio float64, dtype DType, shape grid.Dims, payloads [][]byte) (Container, error) {
 	c := Container{
 		Header: Header{
 			Version: Version,
@@ -238,72 +251,32 @@ func New(codec string, bound, ratio float64, dtype DType, shape grid.Dims, paylo
 			DType:   dtype,
 			Shape:   shape.Clone(),
 		},
-		Payload: payload,
 	}
 	if err := c.Header.validate(); err != nil {
 		return Container{}, err
 	}
-	return c, nil
-}
-
-// NewBlocked builds a version-2 Container from per-block payloads, which
-// must partition the field along its slowest axis in index order (one
-// payload per block of internal/blocks.Plan(shape, len(payloads))). The
-// payloads are concatenated and indexed with per-block CRCs so each one can
-// be verified and decompressed independently.
-func NewBlocked(codec string, bound, ratio float64, dtype DType, shape grid.Dims, payloads [][]byte) (Container, error) {
-	c := Container{
-		Header: Header{
-			Version: VersionBlocked,
-			Codec:   codec,
-			Bound:   bound,
-			Ratio:   ratio,
-			DType:   dtype,
-			Shape:   shape.Clone(),
-		},
-	}
-	if err := c.Header.validate(); err != nil {
+	if err := c.Header.validateBlockCount(len(payloads)); err != nil {
 		return Container{}, err
 	}
-	if len(payloads) < 1 || len(payloads) > c.Header.Shape[0] || len(payloads) > MaxBlocks {
-		return Container{}, fmt.Errorf("%w: %d blocks for shape %s (want 1..%d)",
-			ErrHeader, len(payloads), c.Header.Shape, min(c.Header.Shape[0], MaxBlocks))
-	}
-	total := 0
-	for _, p := range payloads {
-		total += len(p)
-	}
-	c.Payload = make([]byte, 0, total)
 	c.Blocks = make([]BlockEntry, len(payloads))
+	total := uint64(0)
 	for i, p := range payloads {
-		c.Blocks[i] = BlockEntry{
-			Offset: uint64(len(c.Payload)),
-			Length: uint64(len(p)),
-			CRC:    crc32.ChecksumIEEE(p),
+		c.Blocks[i] = BlockEntry{Offset: total, Length: uint64(len(p)), CRC: crc32.ChecksumIEEE(p)}
+		total += uint64(len(p))
+	}
+	c.Payload = payloads[0]
+	if len(payloads) > 1 {
+		c.Header.Version = VersionBlocked
+		c.Payload = make([]byte, 0, total)
+		for _, p := range payloads {
+			c.Payload = append(c.Payload, p...)
 		}
-		c.Payload = append(c.Payload, p...)
 	}
 	return c, nil
 }
 
-// NumBlocks reports the number of blocks in the container: the index size
-// for a blocked container, 1 for a monolithic one.
-func (c Container) NumBlocks() int {
-	if c.Blocks == nil {
-		return 1
-	}
-	return len(c.Blocks)
-}
-
-// BlockPayload returns block i's payload as a subslice of Payload. For a
-// monolithic container, index 0 returns the whole payload.
+// BlockPayload returns block i's payload as a subslice of Payload.
 func (c Container) BlockPayload(i int) ([]byte, error) {
-	if c.Blocks == nil {
-		if i != 0 {
-			return nil, fmt.Errorf("%w: block %d of a monolithic container", ErrHeader, i)
-		}
-		return c.Payload, nil
-	}
 	if i < 0 || i >= len(c.Blocks) {
 		return nil, fmt.Errorf("%w: block %d of %d", ErrHeader, i, len(c.Blocks))
 	}
@@ -315,28 +288,56 @@ func (c Container) BlockPayload(i int) ([]byte, error) {
 	return c.Payload[b.Offset:end], nil
 }
 
-// validateBlocks checks a blocked container's index/payload consistency: the
-// count fits the shape, entries tile the payload contiguously in order, and
-// (in Decode) the CRCs match.
-func (c Container) validateBlocks() error {
-	if len(c.Blocks) < 1 || len(c.Blocks) > c.Header.Shape[0] || len(c.Blocks) > MaxBlocks {
-		return fmt.Errorf("%w: %d blocks for shape %s (want 1..%d)",
-			ErrHeader, len(c.Blocks), c.Header.Shape, min(c.Header.Shape[0], MaxBlocks))
+// validateBlockCount checks that n blocks can come from a plan of the
+// header's shape.
+func (h Header) validateBlockCount(n int) error {
+	if n < 1 || n > h.Shape[0] || n > MaxBlocks {
+		return fmt.Errorf("%w: %d blocks for shape %s (want 1..%d)", ErrHeader, n, h.Shape, min(h.Shape[0], MaxBlocks))
 	}
+	return nil
+}
+
+// validateBlocks checks the index against the payload and the version it is
+// written as: the version-1 layout holds exactly one block, the count fits
+// the shape, and entries tile the payload contiguously in order. The CRCs
+// are checked on decode.
+func (c Container) validateBlocks() error {
+	switch c.Header.Version {
+	case Version:
+		if len(c.Blocks) != 1 {
+			return fmt.Errorf("%w: the version-1 layout holds one block, the index has %d", ErrHeader, len(c.Blocks))
+		}
+	case VersionBlocked:
+	default:
+		return fmt.Errorf("%w: %d (this build writes 1..%d)", ErrVersion, c.Header.Version, maxVersion)
+	}
+	if err := c.Header.validateBlockCount(len(c.Blocks)); err != nil {
+		return err
+	}
+	end, err := indexEnd(c.Blocks)
+	if err != nil {
+		return err
+	}
+	if end != uint64(len(c.Payload)) {
+		return fmt.Errorf("%w: block index covers %d bytes, payload holds %d", ErrHeader, end, len(c.Payload))
+	}
+	return nil
+}
+
+// indexEnd checks that index entries tile a payload area contiguously in
+// order, and returns the length they cover.
+func indexEnd(blocks []BlockEntry) (uint64, error) {
 	next := uint64(0)
-	for i, b := range c.Blocks {
+	for i, b := range blocks {
 		if b.Offset != next {
-			return fmt.Errorf("%w: block %d at offset %d, want %d (entries must be contiguous)", ErrHeader, i, b.Offset, next)
+			return 0, fmt.Errorf("%w: block %d at offset %d, want %d (entries must be contiguous)", ErrHeader, i, b.Offset, next)
 		}
 		next += b.Length
 		if next < b.Offset {
-			return fmt.Errorf("%w: block %d length %d overflows", ErrHeader, i, b.Length)
+			return 0, fmt.Errorf("%w: block %d length %d overflows", ErrHeader, i, b.Length)
 		}
 	}
-	if next != uint64(len(c.Payload)) {
-		return fmt.Errorf("%w: block index covers %d bytes, payload holds %d", ErrHeader, next, len(c.Payload))
-	}
-	return nil
+	return next, nil
 }
 
 func (h Header) validate() error {
@@ -381,7 +382,7 @@ func (c Container) EncodedSize() int {
 	if c.Header.Objective.Name != "" {
 		header += 1 + len(c.Header.Objective.Name) + 8 + 8 + 8
 	}
-	if c.Blocks != nil {
+	if c.Header.Version == VersionBlocked {
 		return header + 4 + 20*len(c.Blocks) + len(c.Payload)
 	}
 	return header + 8 + 4 + len(c.Payload)
@@ -403,13 +404,13 @@ func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
 func (w *writer) str(s string)   { w.u8(uint8(len(s))); w.bytes([]byte(s)) }
 
 // WriteTo streams the encoded container to w without staging the whole
-// archive in memory: the header (and, for a blocked container, the block
-// index) is assembled in a small buffer pre-sized from EncodedSize, and the
-// payload — by far the bulk of the stream — is handed to w directly. The
-// header and index are validated first, so a Container assembled by hand
-// fails here rather than producing a stream ReadFrom would reject. The
-// version written follows the presence of a block index: nil Blocks encodes
-// as version 1, non-nil as version 2.
+// archive in memory: the header and the block index are assembled in a small
+// buffer pre-sized from EncodedSize, and the payload — by far the bulk of the
+// stream — is handed to w directly. The layout written is the one
+// Header.Version names: version 1 carries its one block's length and CRC,
+// version 2 the whole index. The header and index are validated first, so a
+// Container assembled by hand fails here rather than producing a stream
+// ReadFrom would reject.
 //
 // WriteTo implements io.WriterTo; the returned count is the number of bytes
 // written, which equals EncodedSize on success.
@@ -417,18 +418,14 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 	if err := c.Header.validate(); err != nil {
 		return 0, err
 	}
-	version := uint16(Version)
-	if c.Blocks != nil {
-		if err := c.validateBlocks(); err != nil {
-			return 0, err
-		}
-		version = VersionBlocked
+	if err := c.validateBlocks(); err != nil {
+		return 0, err
 	}
 	head := pool.Get[byte](c.EncodedSize() - len(c.Payload))[:0]
 	defer pool.Put(head)
 	w := writer{buf: head}
 	w.bytes(magic[:])
-	w.u16(version)
+	w.u16(c.Header.Version)
 	w.u8(uint8(c.Header.DType))
 	rankByte := uint8(c.Header.Shape.NDims())
 	if c.Header.Objective.Name != "" {
@@ -447,7 +444,7 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 		w.f64(c.Header.Objective.Tolerance)
 		w.f64(c.Header.Objective.Achieved)
 	}
-	if c.Blocks != nil {
+	if c.Header.Version == VersionBlocked {
 		w.u32(uint32(len(c.Blocks)))
 		for _, b := range c.Blocks {
 			w.u64(b.Offset)
@@ -455,8 +452,8 @@ func (c Container) WriteTo(dst io.Writer) (int64, error) {
 			w.u32(b.CRC)
 		}
 	} else {
-		w.u64(uint64(len(c.Payload)))
-		w.u32(crc32.ChecksumIEEE(c.Payload))
+		w.u64(c.Blocks[0].Length)
+		w.u32(c.Blocks[0].CRC)
 	}
 	n, err := dst.Write(w.buf)
 	written := int64(n)
@@ -603,10 +600,11 @@ type crc32Digest struct{ sum uint32 }
 func (d *crc32Digest) write(p []byte) { d.sum = crc32.Update(d.sum, crc32.IEEETable, p) }
 
 // ReadFrom parses one container from r, verifying the magic, version, header
-// validity, and payload CRC (per block for a blocked stream). The payload is
-// read — and its CRC accumulated — incrementally in bounded chunks, so no
-// whole-archive staging buffer is ever allocated and a hostile header cannot
-// demand memory the stream does not back with bytes.
+// validity, and every block's CRC; a version-1 stream's length and CRC
+// become a one-entry index. The payload is read — and its CRCs accumulated —
+// incrementally in bounded chunks, so no whole-archive staging buffer is
+// ever allocated and a hostile header cannot demand memory the stream does
+// not back with bytes.
 //
 // ReadFrom implements io.ReaderFrom: it consumes exactly one container and
 // leaves any following bytes unread, returning the byte count consumed. The
@@ -661,48 +659,25 @@ func (c *Container) ReadFrom(r io.Reader) (int64, error) {
 		}
 	}
 	if out.Header.Version == VersionBlocked {
-		return readBlocked(&s, &out, c)
+		count := s.u32()
+		if s.err == nil {
+			if err := out.Header.validateBlockCount(int(count)); err != nil {
+				return s.n, err
+			}
+		}
+		// The index grows entry by entry, so its memory too is backed by
+		// bytes actually read.
+		for i := uint32(0); i < count && s.err == nil; i++ {
+			out.Blocks = append(out.Blocks, BlockEntry{Offset: s.u64(), Length: s.u64(), CRC: s.u32()})
+		}
+	} else {
+		out.Blocks = []BlockEntry{{Length: s.u64(), CRC: s.u32()}}
 	}
-	payloadLen := s.u64()
-	declared := s.u32()
-	var sum crc32Digest
-	out.Payload = s.appendPayload(nil, payloadLen, &sum)
 	if s.err != nil {
 		return s.n, s.err
 	}
-	if sum.sum != declared {
-		return s.n, ErrCorrupt
-	}
-	*c = out
-	return s.n, nil
-}
-
-// readBlocked parses the version-2 tail of a stream: the block index and the
-// concatenated block payloads, verifying each block's CRC as its bytes
-// stream past. The index is grown entry by entry, so its memory too is
-// backed by bytes actually read.
-func readBlocked(s *streamReader, out, c *Container) (int64, error) {
-	count := s.u32()
-	if s.err == nil && (count == 0 || count > MaxBlocks || int(count) > out.Header.Shape[0]) {
-		return s.n, fmt.Errorf("%w: block count %d for shape %s", ErrHeader, count, out.Header.Shape)
-	}
-	next := uint64(0)
-	for i := 0; i < int(count) && s.err == nil; i++ {
-		b := BlockEntry{Offset: s.u64(), Length: s.u64(), CRC: s.u32()}
-		if s.err != nil {
-			break
-		}
-		if b.Offset != next {
-			return s.n, fmt.Errorf("%w: block %d at offset %d, want %d (entries must be contiguous)", ErrHeader, i, b.Offset, next)
-		}
-		next += b.Length
-		if next < b.Offset {
-			return s.n, fmt.Errorf("%w: block %d length %d overflows", ErrHeader, i, b.Length)
-		}
-		out.Blocks = append(out.Blocks, b)
-	}
-	if s.err != nil {
-		return s.n, s.err
+	if _, err := indexEnd(out.Blocks); err != nil {
+		return s.n, err
 	}
 	for i, b := range out.Blocks {
 		var sum crc32Digest
@@ -714,7 +689,7 @@ func readBlocked(s *streamReader, out, c *Container) (int64, error) {
 			return s.n, fmt.Errorf("%w (block %d)", ErrCorrupt, i)
 		}
 	}
-	*c = *out
+	*c = out
 	return s.n, nil
 }
 

@@ -14,7 +14,7 @@ import (
 
 func sample(t *testing.T) Container {
 	t.Helper()
-	c, err := New("sz:abs", 1e-3, 11.7, Float32, grid.MustDims(4, 8, 16), []byte{1, 2, 3, 4, 5})
+	c, err := New("sz:abs", 1e-3, 11.7, Float32, grid.MustDims(4, 8, 16), [][]byte{{1, 2, 3, 4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripEmptyPayload(t *testing.T) {
-	c, err := New("flate:lossless", 0, 1, Float32, grid.MustDims(1), nil)
+	c, err := New("flate:lossless", 0, 1, Float32, grid.MustDims(1), [][]byte{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNewValidatesHeader(t *testing.T) {
 		{"nil shape", "sz:abs", 1, 1, nil},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.codec, tc.bound, tc.ratio, Float32, tc.shape, nil); !errors.Is(err, ErrHeader) {
+		if _, err := New(tc.codec, tc.bound, tc.ratio, Float32, tc.shape, [][]byte{nil}); !errors.Is(err, ErrHeader) {
 			t.Errorf("%s: err = %v, want ErrHeader", tc.name, err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestHeaderString(t *testing.T) {
 func sampleBlocked(t *testing.T) Container {
 	t.Helper()
 	payloads := [][]byte{{1, 2, 3}, {4, 5}, {6, 7, 8, 9}}
-	c, err := NewBlocked("sz:abs", 1e-3, 11.7, Float32, grid.MustDims(6, 8, 16), payloads)
+	c, err := New("sz:abs", 1e-3, 11.7, Float32, grid.MustDims(6, 8, 16), payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestBlockedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Header.Version != VersionBlocked || dec.NumBlocks() != 3 {
-		t.Fatalf("decoded version %d with %d blocks, want v%d with 3", dec.Header.Version, dec.NumBlocks(), VersionBlocked)
+	if dec.Header.Version != VersionBlocked || len(dec.Blocks) != 3 {
+		t.Fatalf("decoded version %d with %d blocks, want v%d with 3", dec.Header.Version, len(dec.Blocks), VersionBlocked)
 	}
 	want := [][]byte{{1, 2, 3}, {4, 5}, {6, 7, 8, 9}}
 	for i, w := range want {
@@ -204,6 +204,40 @@ func TestBlockedRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.Payload, c.Payload) {
 		t.Errorf("concatenated payload mismatch")
 	}
+
+	// A one-block version-2 stream is one New never writes, but the format
+	// allows it: it decodes to its one-entry index and re-encodes to itself.
+	one := oneBlockV2Bytes()
+	dec, err = Decode(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Header.Version != VersionBlocked || len(dec.Blocks) != 1 || !bytes.Equal(dec.Payload, []byte{9, 8, 7}) {
+		t.Errorf("one-block v2 stream decoded as v%d with index %+v and payload %v", dec.Header.Version, dec.Blocks, dec.Payload)
+	}
+	if again, err := dec.Encode(); err != nil || !bytes.Equal(again, one) {
+		t.Errorf("one-block v2 stream re-encodes to %x, %v; want %x", again, err, one)
+	}
+}
+
+// oneBlockV2Bytes hand-assembles a version-2 stream with a one-entry block
+// index: a 16-value float32 "sz" field whose one block holds 3 bytes.
+func oneBlockV2Bytes() []byte {
+	payload := []byte{9, 8, 7}
+	var enc []byte
+	enc = append(enc, 'F', 'R', 'Z', 0x01) // magic
+	enc = append(enc, 2, 0)                // version 2
+	enc = append(enc, 0)                   // dtype float32
+	enc = append(enc, 1)                   // rank 1
+	enc = append(enc, 2, 's', 'z')         // codec "sz"
+	enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(0.5))
+	enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(4))
+	enc = binary.LittleEndian.AppendUint64(enc, 16) // shape
+	enc = binary.LittleEndian.AppendUint32(enc, 1)  // block count
+	enc = binary.LittleEndian.AppendUint64(enc, 0)  // block 0 offset
+	enc = binary.LittleEndian.AppendUint64(enc, 3)  // block 0 length
+	enc = binary.LittleEndian.AppendUint32(enc, crc32.ChecksumIEEE(payload))
+	return append(enc, payload...)
 }
 
 func TestBlockedRejectsPerBlockCorruption(t *testing.T) {
@@ -230,14 +264,31 @@ func TestBlockedRejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestNewBlockedValidatesBlockCount(t *testing.T) {
+func TestNewValidatesBlockCount(t *testing.T) {
 	// More blocks than slowest-axis rows cannot come from a valid plan.
 	payloads := [][]byte{{1}, {2}, {3}, {4}}
-	if _, err := NewBlocked("sz:abs", 1e-3, 2, Float32, grid.MustDims(3, 8), payloads); !errors.Is(err, ErrHeader) {
+	if _, err := New("sz:abs", 1e-3, 2, Float32, grid.MustDims(3, 8), payloads); !errors.Is(err, ErrHeader) {
 		t.Errorf("err = %v, want ErrHeader for 4 blocks over 3 rows", err)
 	}
-	if _, err := NewBlocked("sz:abs", 1e-3, 2, Float32, grid.MustDims(3, 8), nil); !errors.Is(err, ErrHeader) {
+	if _, err := New("sz:abs", 1e-3, 2, Float32, grid.MustDims(3, 8), nil); !errors.Is(err, ErrHeader) {
 		t.Errorf("err = %v, want ErrHeader for zero blocks", err)
+	}
+	// The version follows the block count.
+	for n, want := range map[int]uint16{1: Version, 2: VersionBlocked, 3: VersionBlocked} {
+		c, err := New("sz:abs", 1e-3, 2, Float32, grid.MustDims(3, 8), payloads[:n])
+		if err != nil || c.Header.Version != want || len(c.Blocks) != n {
+			t.Errorf("%d blocks: v%d with %d index entries, %v; want v%d with %d", n, c.Header.Version, len(c.Blocks), err, want, n)
+		}
+	}
+	// A hand-assembled index must match the version it is written as.
+	c := sampleBlocked(t)
+	c.Header.Version = Version
+	if _, err := c.Encode(); !errors.Is(err, ErrHeader) {
+		t.Errorf("three blocks in the version-1 layout: err = %v, want ErrHeader", err)
+	}
+	c.Header.Version = 3
+	if _, err := c.Encode(); !errors.Is(err, ErrVersion) {
+		t.Errorf("version 3: err = %v, want ErrVersion", err)
 	}
 }
 
@@ -290,14 +341,26 @@ func TestV1StreamStillDecodes(t *testing.T) {
 		dec.Header.Ratio != 4 || !dec.Header.Shape.Equal(grid.MustDims(16)) {
 		t.Errorf("v1 header mismatch: %+v", dec.Header)
 	}
-	if dec.Blocks != nil || dec.NumBlocks() != 1 {
-		t.Errorf("v1 stream should decode as monolithic, got %d blocks", dec.NumBlocks())
+	if want := (BlockEntry{Offset: 0, Length: 3, CRC: crc32.ChecksumIEEE(payload)}); len(dec.Blocks) != 1 || dec.Blocks[0] != want {
+		t.Errorf("v1 stream decoded to index %+v, want the one entry %+v", dec.Blocks, want)
 	}
 	if !bytes.Equal(dec.Payload, payload) {
 		t.Errorf("v1 payload mismatch: %v", dec.Payload)
 	}
 	if p, err := dec.BlockPayload(0); err != nil || !bytes.Equal(p, payload) {
 		t.Errorf("BlockPayload(0) = %v, %v", p, err)
+	}
+	// A one-block New writes exactly these bytes, and keeps the payload by
+	// reference.
+	c, err := New("sz", 0.5, 4, Float32, grid.MustDims(16), [][]byte{payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.Payload[0] != &payload[0] {
+		t.Error("one-block New copied its payload")
+	}
+	if got, err := c.Encode(); err != nil || !bytes.Equal(got, enc) {
+		t.Errorf("one-block New encodes to %x, %v; want the v1 bytes %x", got, err, enc)
 	}
 }
 
@@ -318,7 +381,7 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		for i := range shape {
 			shape[i] = extent + i
 		}
-		c, err := New(codec, bound, ratio, Float32, shape, payload)
+		c, err := New(codec, bound, ratio, Float32, shape, [][]byte{payload})
 		if err != nil {
 			return // invalid header inputs are allowed to be rejected
 		}
@@ -371,20 +434,24 @@ func FuzzBlockedContainerRoundTrip(f *testing.F) {
 			lo, hi := i*len(blob)/n, (i+1)*len(blob)/n
 			payloads[i] = blob[lo:hi]
 		}
-		c, err := NewBlocked(codec, bound, ratio, Float32, shape, payloads)
+		c, err := New(codec, bound, ratio, Float32, shape, payloads)
 		if err != nil {
 			return // invalid header inputs are allowed to be rejected
 		}
 		enc, err := c.Encode()
 		if err != nil {
-			t.Fatalf("NewBlocked accepted but Encode failed: %v", err)
+			t.Fatalf("New accepted but Encode failed: %v", err)
 		}
 		dec, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode of valid blocked stream failed: %v", err)
 		}
-		if dec.Header.Version != VersionBlocked || dec.NumBlocks() != n {
-			t.Fatalf("decoded v%d with %d blocks, want v%d with %d", dec.Header.Version, dec.NumBlocks(), VersionBlocked, n)
+		version := uint16(VersionBlocked)
+		if n == 1 {
+			version = Version
+		}
+		if dec.Header.Version != version || len(dec.Blocks) != n {
+			t.Fatalf("decoded v%d with %d blocks, want v%d with %d", dec.Header.Version, len(dec.Blocks), version, n)
 		}
 		for i := range payloads {
 			p, err := dec.BlockPayload(i)

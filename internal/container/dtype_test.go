@@ -14,7 +14,7 @@ import (
 // encode/decode round trip at both widths and that element sizes resolve.
 func TestFloat64HeaderRoundTrip(t *testing.T) {
 	for _, dt := range []DType{Float32, Float64} {
-		c, err := New("sz:abs", 1e-3, 9.5, dt, grid.MustDims(3, 4), []byte{1, 2, 3})
+		c, err := New("sz:abs", 1e-3, 9.5, dt, grid.MustDims(3, 4), [][]byte{{1, 2, 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +58,10 @@ func TestParseDType(t *testing.T) {
 // reject dtype bytes this build does not understand, instead of carrying an
 // undecodable payload around.
 func TestUnknownDTypeRejected(t *testing.T) {
-	if _, err := New("sz:abs", 1e-3, 9.5, DType(7), grid.MustDims(4), []byte{1}); !errors.Is(err, ErrHeader) {
+	if _, err := New("sz:abs", 1e-3, 9.5, DType(7), grid.MustDims(4), [][]byte{{1}}); !errors.Is(err, ErrHeader) {
 		t.Errorf("New with dtype 7: err = %v, want ErrHeader", err)
 	}
-	c, err := New("sz:abs", 1e-3, 9.5, Float32, grid.MustDims(4), []byte{1})
+	c, err := New("sz:abs", 1e-3, 9.5, Float32, grid.MustDims(4), [][]byte{{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestFloat64ContainerHandAssembled(t *testing.T) {
 
 // FuzzReadFromFloat64 throws mutated dtype=1 archives at ReadFrom:
 // truncations, corrupted block indexes, and dtype/length mutations must
-// produce errors, never panics, and whatever decodes must re-encode to a
-// stream that decodes identically.
+// produce errors, never panics, and whatever decodes must re-encode to the
+// bytes it was read from, a stream that decodes identically.
 func FuzzReadFromFloat64(f *testing.F) {
 	f.Add(float64ArchiveBytes(f))
 
 	// A blocked (v2) dtype=1 archive with three blocks.
-	blocked, err := NewBlocked("zfp:accuracy", 1e-2, 4, Float64, grid.MustDims(6, 2),
+	blocked, err := New("zfp:accuracy", 1e-2, 4, Float64, grid.MustDims(6, 2),
 		[][]byte{{1, 2, 3}, {4, 5}, {}})
 	if err != nil {
 		f.Fatal(err)
@@ -149,21 +149,28 @@ func FuzzReadFromFloat64(f *testing.F) {
 	flipped2 := append([]byte(nil), float64ArchiveBytes(f)...)
 	flipped2[6] = 42 // unknown dtype must error
 	f.Add(flipped2)
+	f.Add(oneBlockV2Bytes()) // must re-encode in the version-2 layout it came in
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Container
-		if _, err := c.ReadFrom(bytes.NewReader(data)); err != nil {
+		n, err := c.ReadFrom(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		// Whatever decoded must carry a dtype this build understands...
 		if c.Header.DType.Size() == 0 {
 			t.Fatalf("decoded container with unknown dtype %d", c.Header.DType)
 		}
-		// ...and survive a re-encode/decode round trip unchanged.
+		// ...re-encode to the very bytes it was read from, in whichever
+		// layout they came...
 		enc, err := c.Encode()
 		if err != nil {
 			t.Fatalf("decoded container does not re-encode: %v", err)
 		}
+		if !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("v%d stream with %d blocks re-encodes to other bytes:\n got %x\nwant %x", c.Header.Version, len(c.Blocks), enc, data[:n])
+		}
+		// ...and survive a re-encode/decode round trip unchanged.
 		c2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-encoded container does not decode: %v", err)

@@ -39,7 +39,7 @@ func benchSetup(b *testing.B) (Container, []byte) {
 		for i := range payloads {
 			payloads[i] = payload[i*len(payload)/nBlocks : (i+1)*len(payload)/nBlocks]
 		}
-		c, err := NewBlocked("sz:abs", 1e-3, 10, Float32, grid.MustDims(64, 512, 512), payloads)
+		c, err := New("sz:abs", 1e-3, 10, Float32, grid.MustDims(64, 512, 512), payloads)
 		if err != nil {
 			panic(err)
 		}

@@ -131,7 +131,7 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 	if err != nil {
 		return container.Container{}, SealResult{}, err
 	}
-	out.Blocks = cn.NumBlocks()
+	out.Blocks = len(cn.Blocks)
 	out.AchievedRatio = cn.Header.Ratio
 	if t.obj.Name != "ratio" {
 		// Record the archive's promise in the container header. The archive

@@ -110,7 +110,7 @@ func TestSealBlockedMonolithicFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cn.Header.Version != container.Version || cn.Blocks != nil || sr.Blocks != 1 {
+	if cn.Header.Version != container.Version || len(cn.Blocks) != 1 || sr.Blocks != 1 {
 		t.Errorf("Blocks=1 sealed v%d with %d blocks, want monolithic v1", cn.Header.Version, sr.Blocks)
 	}
 	// The monolithic fallback tunes on the whole buffer.
@@ -134,7 +134,7 @@ func TestSealBlockedDefaultsBlockCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DefaultCount(16 rows, 2 workers) = 4 blocks.
-	if sr.Blocks != 4 || cn.NumBlocks() != 4 {
+	if sr.Blocks != 4 || len(cn.Blocks) != 4 {
 		t.Errorf("defaulted to %d blocks, want 4 (2 per worker)", sr.Blocks)
 	}
 }
@@ -159,7 +159,7 @@ func TestSealBlockedDefaultWorkersStaysBlocked(t *testing.T) {
 	}
 	// Even on a single-core host GOMAXPROCS >= 1, so DefaultCount yields at
 	// least 2 blocks and the container must be blocked (v2).
-	if sr.Blocks < 2 || cn.Blocks == nil {
+	if sr.Blocks < 2 || len(cn.Blocks) != sr.Blocks {
 		t.Errorf("all-defaults seal produced %d blocks (v%d), want a blocked container", sr.Blocks, cn.Header.Version)
 	}
 }
@@ -210,12 +210,12 @@ func TestSealCarriesTheFreshStream(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if cn.Header.Bound != fresh.Header.Bound || cn.Header.Ratio != fresh.Header.Ratio || cn.NumBlocks() != fresh.NumBlocks() {
+					if cn.Header.Bound != fresh.Header.Bound || cn.Header.Ratio != fresh.Header.Ratio || len(cn.Blocks) != len(fresh.Blocks) {
 						t.Errorf("%s: sealed bound %v ratio %v in %d blocks, a fresh seal %v, %v, %d", name,
-							cn.Header.Bound, cn.Header.Ratio, cn.NumBlocks(), fresh.Header.Bound, fresh.Header.Ratio, fresh.NumBlocks())
+							cn.Header.Bound, cn.Header.Ratio, len(cn.Blocks), fresh.Header.Bound, fresh.Header.Ratio, len(fresh.Blocks))
 						continue
 					}
-					for i := 0; i < cn.NumBlocks(); i++ {
+					for i := 0; i < len(cn.Blocks); i++ {
 						got, _ := cn.BlockPayload(i)
 						want, _ := fresh.BlockPayload(i)
 						if !bytes.Equal(got, want) {

@@ -15,8 +15,6 @@ import (
 
 	"fraz/internal/core"
 	"fraz/internal/dataset"
-	"fraz/internal/grid"
-	"fraz/internal/metrics"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
 )
@@ -159,24 +157,6 @@ func qualityAt(c pressio.Compressor, buf pressio.Buffer, target, tolerance float
 		return tuned, pressio.Result{}, err
 	}
 	return tuned, full, nil
-}
-
-// sliceSSIM computes the SSIM of the middle 2-D slice of original versus
-// reconstruction, matching the slice-based visual comparison in Fig. 10.
-func sliceSSIM(original, reconstructed []float32, shape grid.Dims) (float64, error) {
-	plane := 0
-	if shape.NDims() == 3 {
-		plane = shape[0] / 2
-	}
-	origSlice, sliceShape, err := grid.Slice2D(original, shape, plane)
-	if err != nil {
-		return 0, err
-	}
-	recSlice, _, err := grid.Slice2D(reconstructed, shape, plane)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.SSIM(origSlice, recSlice, sliceShape)
 }
 
 // experiment is one row of the registry: the name frazbench takes and the

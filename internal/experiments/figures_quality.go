@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"fraz/internal/dataset"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
@@ -27,7 +25,7 @@ func Figure1(cfg Config) (*report.Table, error) {
 		"mode", "bit_rate", "psnr_db", "max_error")
 
 	// Fixed-accuracy curve: sweep tolerances spanning the useful range.
-	vr := valueRangeOf(buf)
+	vr := buf.ValueRange()
 	tolerances := []float64{1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1, 5e-1}
 	acc := mustCompressor("zfp:accuracy")
 	for _, frac := range tolerances {
@@ -61,55 +59,11 @@ func Figure1(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	accSSIM, frSSIM := ssimPair(acc, fixed, buf, accFull.Bound, rate)
 	tab.AddNote("at CR≈%.0f — fixed-accuracy (FRaZ-tuned): CR=%.1f PSNR=%.1f maxErr=%.3g SSIM=%.4f ACF=%.3f",
-		targetCR, accFull.Report.CompressionRatio, accFull.Report.PSNR, accFull.Report.MaxError, accSSIM, accFull.Report.ErrorACF)
+		targetCR, accFull.Report.CompressionRatio, accFull.Report.PSNR, accFull.Report.MaxError, accFull.Report.SSIM, accFull.Report.ErrorACF)
 	tab.AddNote("at CR≈%.0f — fixed-rate:                 CR=%.1f PSNR=%.1f maxErr=%.3g SSIM=%.4f ACF=%.3f",
-		targetCR, frFull.Report.CompressionRatio, frFull.Report.PSNR, frFull.Report.MaxError, frSSIM, frFull.Report.ErrorACF)
+		targetCR, frFull.Report.CompressionRatio, frFull.Report.PSNR, frFull.Report.MaxError, frFull.Report.SSIM, frFull.Report.ErrorACF)
 	return tab, nil
-}
-
-// ssimPair computes slice SSIM for two already-chosen settings of two
-// compressors on the same buffer; failures degrade to NaN rather than
-// aborting the whole experiment.
-func ssimPair(a, b pressio.Compressor, buf pressio.Buffer, boundA, boundB float64) (float64, float64) {
-	compute := func(c pressio.Compressor, bound float64) float64 {
-		comp, err := c.Compress(buf, bound)
-		if err != nil {
-			return math.NaN()
-		}
-		dec, err := c.Decompress(comp, buf.Shape, buf.DType())
-		if err != nil {
-			return math.NaN()
-		}
-		s, err := sliceSSIM(buf.Float32(), dec.Float32(), buf.Shape)
-		if err != nil {
-			return math.NaN()
-		}
-		return s
-	}
-	return compute(a, boundA), compute(b, boundB)
-}
-
-func valueRangeOf(buf pressio.Buffer) float64 {
-	data := buf.Float32()
-	var min, max float32
-	if len(data) > 0 {
-		min, max = data[0], data[0]
-	}
-	for _, v := range data {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	vr := float64(max) - float64(min)
-	if vr <= 0 {
-		vr = 1
-	}
-	return vr
 }
 
 // figure9Case describes one sub-figure of Fig. 9.
@@ -208,7 +162,8 @@ func Figure10(cfg Config) (*report.Table, error) {
 	// accuracy mode can express one, then holds every compressor to it.
 	target := 0.0
 	zfpAcc := mustCompressor("zfp:accuracy")
-	var zfpTuned pressioTuned
+	var zfpFull pressio.Result
+	var zfpFeasible bool
 	candidates := []float64{85, 50, 30, 20, 12}
 	for i, candidate := range candidates {
 		res, full, err := qualityAt(zfpAcc, buf, candidate, 0.1, cfg.Seed, cfg.Workers)
@@ -218,8 +173,7 @@ func Figure10(cfg Config) (*report.Table, error) {
 		// The last candidate is accepted even if infeasible so the figure
 		// still renders with a best-effort target.
 		if res.Feasible || i == len(candidates)-1 {
-			target = candidate
-			zfpTuned = pressioTuned{res: full, feasible: res.Feasible}
+			target, zfpFull, zfpFeasible = candidate, full, res.Feasible
 			break
 		}
 	}
@@ -227,21 +181,8 @@ func Figure10(cfg Config) (*report.Table, error) {
 	tab := report.NewTable("Figure 10: quality at a common compression ratio (NYX temperature)",
 		"compressor", "achieved_ratio", "psnr_db", "ssim_mid_slice", "acf_error", "feasible")
 
-	addRow := func(name string, full pressio.Result, feasible bool) error {
-		comp, err := mustCompressor(full.Compressor).Compress(buf, full.Bound)
-		if err != nil {
-			return err
-		}
-		dec, err := mustCompressor(full.Compressor).Decompress(comp, buf.Shape, buf.DType())
-		if err != nil {
-			return err
-		}
-		ssim, err := sliceSSIM(buf.Float32(), dec.Float32(), buf.Shape)
-		if err != nil {
-			return err
-		}
-		tab.AddRow(name, full.Report.CompressionRatio, full.Report.PSNR, ssim, full.Report.ErrorACF, feasible)
-		return nil
+	addRow := func(name string, full pressio.Result, feasible bool) {
+		tab.AddRow(name, full.Report.CompressionRatio, full.Report.PSNR, full.Report.SSIM, full.Report.ErrorACF, feasible)
 	}
 
 	// SZ via FRaZ.
@@ -249,13 +190,9 @@ func Figure10(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := addRow("SZ (FRaZ)", szFull, szRes.Feasible); err != nil {
-		return nil, err
-	}
+	addRow("SZ (FRaZ)", szFull, szRes.Feasible)
 	// ZFP accuracy via FRaZ (already tuned above).
-	if err := addRow("ZFP (FRaZ)", zfpTuned.res, zfpTuned.feasible); err != nil {
-		return nil, err
-	}
+	addRow("ZFP (FRaZ)", zfpFull, zfpFeasible)
 	// ZFP fixed-rate at the equivalent rate.
 	rate := 32.0 / target
 	if rate < 1 {
@@ -265,25 +202,15 @@ func Figure10(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := addRow("ZFP (fixed-rate)", frFull, true); err != nil {
-		return nil, err
-	}
+	addRow("ZFP (fixed-rate)", frFull, true)
 	// MGARD via FRaZ.
 	mgRes, mgFull, err := qualityAt(mustCompressor("mgard:abs"), buf, target, 0.1, cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := addRow("MGARD (FRaZ)", mgFull, mgRes.Feasible); err != nil {
-		return nil, err
-	}
+	addRow("MGARD (FRaZ)", mgFull, mgRes.Feasible)
 
 	tab.AddNote("common target ratio %.0f:1 (the largest the ZFP accuracy mode could express at this scale)", target)
 	tab.AddNote("compare fixed-accuracy-derived rows against the fixed-rate row: the FRaZ rows should show higher PSNR/SSIM at the same ratio")
 	return tab, nil
-}
-
-// pressioTuned pairs a full evaluation with its feasibility flag.
-type pressioTuned struct {
-	res      pressio.Result
-	feasible bool
 }

@@ -231,8 +231,8 @@ func SSIM[T grid.Float](original, reconstructed []T, shape grid.Dims) (float64, 
 	window := 8
 	stride := 4
 	if h < window || w < window {
-		window = minInt(h, w)
-		stride = maxInt(1, window/2)
+		window = min(h, w)
+		stride = max(1, window/2)
 	}
 	dynRange := grid.ValueRange(original)
 	if dynRange == 0 {
@@ -281,18 +281,4 @@ func windowSSIM[T grid.Float](a, b []T, width, x0, y0, win int, c1, c2 float64) 
 	cov /= n - 1
 	return ((2*meanA*meanB + c1) * (2*cov + c2)) /
 		((meanA*meanA + meanB*meanB + c1) * (varA + varB + c2))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -48,6 +48,28 @@ func TestForEachAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
+// TestForEachLoneTaskAllocatesNothing pins the one-task path every monolithic
+// seal and open takes: the task runs on the caller's goroutine, so no
+// channel, goroutine or worker scratch is allocated for it.
+func TestForEachLoneTaskAllocatesNothing(t *testing.T) {
+	var sink atomic.Int64
+	fn := func(ctx context.Context, idx int) error {
+		sink.Add(int64(idx) + 1)
+		return nil
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ForEach(context.Background(), 1, 4, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ForEach over one task allocates %.0f times per call, want 0", allocs)
+	}
+	if sink.Load() == 0 {
+		t.Error("the task never ran")
+	}
+}
+
 func BenchmarkForEach(b *testing.B) {
 	b.ReportAllocs()
 	var sink atomic.Int64

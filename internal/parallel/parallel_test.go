@@ -141,9 +141,15 @@ func TestForEachZeroItems(t *testing.T) {
 func TestForEachCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForEach(ctx, 50, 4, func(ctx context.Context, idx int) error { return nil })
-	if err == nil {
-		t.Errorf("cancelled context should surface an error")
+	for _, n := range []int{1, 50} {
+		ran := false
+		err := ForEach(ctx, n, 4, func(ctx context.Context, idx int) error { ran = true; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("n=%d: cancelled context = %v, want context.Canceled", n, err)
+		}
+		if n == 1 && ran {
+			t.Errorf("a lone task ran on a cancelled context")
+		}
 	}
 }
 

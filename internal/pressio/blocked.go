@@ -11,15 +11,17 @@ import (
 	"fraz/internal/parallel"
 )
 
-// This file is the seal/open path, monolithic (format v1) and blocked (format
-// v2): blocked, the buffer is split along its slowest axis into independent
-// sub-buffers, each compressed and decompressed on its own — turning one
-// monolithic compressor invocation into an embarrassingly parallel batch,
-// the structure SZx's fixed-size block pipeline and FZ-GPU's block-parallel
-// kernels exploit for their throughput. Every block is a complete N-d field,
-// so the existing codecs run on blocks unchanged; the container's block
-// index (per-block offset, length, CRC) is what lets OpenBlocked decode the
-// blocks concurrently too.
+// This file is the one seal/open path. A field is split along its slowest
+// axis into independent sub-buffers, each compressed and decompressed on its
+// own — turning one compressor invocation into an embarrassingly parallel
+// batch, the structure SZx's fixed-size block pipeline and FZ-GPU's
+// block-parallel kernels exploit for their throughput. Every block is a
+// complete N-d field, so the existing codecs run on blocks unchanged, and the
+// container's block index (per-block offset, length, CRC) is what lets
+// OpenBlocked decode the blocks concurrently too. A monolithic seal or open
+// is the same path with one block: its lone task runs on the caller's
+// goroutine (parallel.ForEach), and the container package writes one block in
+// the version-1 layout.
 
 // SealBlocked compresses the buffer at the given parameter value (snapped to
 // the codec's domain, so what is recorded is what was run) and wraps the
@@ -27,10 +29,9 @@ import (
 // the achieved ratio, the element type and the shape — everything
 // OpenBlocked needs to reverse it. The buffer is compressed as numBlocks
 // independent slowest-axis blocks, up to `workers` at a time (0 =
-// GOMAXPROCS), into a version-2 blocked container; numBlocks <= 1 (or a
-// shape whose slowest axis cannot be split) is one compression into a
-// version-1 container, so callers can pass the requested block count
-// straight through.
+// GOMAXPROCS); numBlocks <= 1 (or a shape whose slowest axis cannot be
+// split) is one block, which the container writes as version 1, so callers
+// can pass the requested block count straight through.
 //
 // The recorded ratio is the achieved whole-field ratio: uncompressed bytes
 // over the summed payload sizes (index overhead excluded). SealWith is this
@@ -45,12 +46,6 @@ func SealBlocked(ctx context.Context, c Compressor, buf Buffer, bound float64, n
 // evaluation's stream is: it ran at Param.Slot(bound), which Snap keeps. A
 // nil stream is compressed like every other block.
 func SealWith(ctx context.Context, c Compressor, buf Buffer, bound float64, numBlocks, workers, block int, stream []byte) (container.Container, error) {
-	// The one-block branch below never consults ctx (one compression is
-	// synchronous), so honour a cancellation that happened before the call
-	// either way — symmetric with OpenBlocked.
-	if err := ctx.Err(); err != nil {
-		return container.Container{}, err
-	}
 	d := c.Descriptor()
 	bound = d.Param.Snap(bound)
 	plan, err := blocks.Plan(buf.Shape, numBlocks)
@@ -63,20 +58,6 @@ func SealWith(ctx context.Context, c Compressor, buf Buffer, bound float64, numB
 			return container.Container{}, fmt.Errorf("pressio: seal with %s: block %d in hand, the plan has %d", d.Name, block, len(plan))
 		}
 		payloads[block] = stream
-	}
-	if len(plan) == 1 {
-		// One block is the whole field: compressed on the caller's goroutine
-		// (a worker would start on a cold stack, which a small field's seal
-		// is short enough to notice: 0.58 → 0.71 ms on psnr-search) and
-		// stored in the version-1 layout, which keeps the payload by
-		// reference.
-		comp := payloads[0]
-		if comp == nil {
-			if comp, err = c.Compress(buf, bound); err != nil {
-				return container.Container{}, fmt.Errorf("pressio: seal with %s: %w", d.Name, err)
-			}
-		}
-		return container.New(d.Name, bound, metrics.CompressionRatio(buf.Bytes(), len(comp)), buf.DType(), buf.Shape, comp)
 	}
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
 		if payloads[i] != nil {
@@ -101,28 +82,22 @@ func SealWith(ctx context.Context, c Compressor, buf Buffer, bound float64, numB
 		total += len(p)
 	}
 	ratio := metrics.CompressionRatio(buf.Bytes(), total)
-	return container.NewBlocked(d.Name, bound, ratio, buf.DType(), buf.Shape, payloads)
+	return container.New(d.Name, bound, ratio, buf.DType(), buf.Shape, payloads)
 }
 
 // OpenBlocked routes a decoded container to the codec named in its header
 // and reconstructs the original buffer at the element width the header
 // records. It is the inverse of SealBlocked and the only decompression entry
-// point that needs no out-of-band knowledge. The output is allocated once; a
-// blocked container's blocks are decoded straight into their slices of it
+// point that needs no out-of-band knowledge. The output is allocated once,
+// and every block of the index is decoded straight into its slice of it
 // (slowest-axis blocks are contiguous), up to `workers` at a time (0 =
-// GOMAXPROCS), and a monolithic one is a single decode.
+// GOMAXPROCS).
 //
 // Nothing is allocated for a header that claims more values than its
 // payload can carry (grid.MaxElementsPerByte per byte): the container's CRCs
 // cover the payload, not the shape, so a forged header of a hundred bytes
 // could otherwise demand any allocation it liked.
 func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buffer, error) {
-	// The monolithic branch below never consults ctx (one decompression is
-	// synchronous), so honour a cancellation that happened before the call
-	// either way.
-	if err := ctx.Err(); err != nil {
-		return Buffer{}, err
-	}
 	c, err := lookup(cn.Header.Codec)
 	if err != nil {
 		return Buffer{}, err
@@ -132,23 +107,17 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 		return Buffer{}, fmt.Errorf("pressio: open %s container: %w: shape %v holds %d values, more than %d payload bytes can carry",
 			cn.Header.Codec, ErrPayload, shape, n, len(cn.Payload))
 	}
-	out, err := c.output(shape, cn.Header.DType)
+	plan, err := blocks.Plan(shape, len(cn.Blocks))
 	if err != nil {
 		return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
 	}
-	if cn.Blocks == nil {
-		if err := c.decode(cn.Payload, out); err != nil {
-			return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
-		}
-		return out, nil
-	}
-	plan, err := blocks.Plan(shape, len(cn.Blocks))
-	if err != nil {
-		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %w", cn.Header.Codec, err)
-	}
 	if len(plan) != len(cn.Blocks) {
-		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %d blocks indexed, shape %s splits into %d",
+		return Buffer{}, fmt.Errorf("pressio: open %s container: %d blocks indexed, shape %s splits into %d",
 			cn.Header.Codec, len(cn.Blocks), shape, len(plan))
+	}
+	out, err := c.output(shape, cn.Header.DType)
+	if err != nil {
+		return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
 	}
 	err = parallel.ForEach(ctx, len(plan), workers, func(ctx context.Context, i int) error {
 		payload, err := cn.BlockPayload(i)
@@ -165,7 +134,7 @@ func OpenBlocked(ctx context.Context, cn container.Container, workers int) (Buff
 		return nil
 	})
 	if err != nil {
-		return Buffer{}, fmt.Errorf("pressio: open blocked %s container: %w", cn.Header.Codec, err)
+		return Buffer{}, fmt.Errorf("pressio: open %s container: %w", cn.Header.Codec, err)
 	}
 	return out, nil
 }

@@ -32,8 +32,8 @@ func TestSealBlockedLosslessBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cn.Header.Version != container.VersionBlocked || cn.NumBlocks() != 4 {
-		t.Fatalf("sealed v%d with %d blocks, want v%d with 4", cn.Header.Version, cn.NumBlocks(), container.VersionBlocked)
+	if cn.Header.Version != container.VersionBlocked || len(cn.Blocks) != 4 {
+		t.Fatalf("sealed v%d with %d blocks, want v%d with 4", cn.Header.Version, len(cn.Blocks), container.VersionBlocked)
 	}
 	// Through the wire format, exercising the v2 encode/decode too.
 	enc, err := cn.Encode()
@@ -90,7 +90,7 @@ func TestSealBlockedErrorBoundHolds(t *testing.T) {
 }
 
 // TestSealBlockedFallsBackToMonolithic: one block (or an unsplittable
-// shape) produces a plain version-1 container.
+// shape) produces a plain version-1 container with a one-entry index.
 func TestSealBlockedFallsBackToMonolithic(t *testing.T) {
 	buf := testField3D()
 	c, err := New("sz:abs")
@@ -102,8 +102,8 @@ func TestSealBlockedFallsBackToMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cn.Header.Version != container.Version || cn.Blocks != nil {
-			t.Errorf("blocks=%d sealed v%d with an index, want monolithic v1", n, cn.Header.Version)
+		if cn.Header.Version != container.Version || len(cn.Blocks) != 1 {
+			t.Errorf("blocks=%d sealed v%d with %d blocks, want monolithic v1", n, cn.Header.Version, len(cn.Blocks))
 		}
 	}
 	// A 1-row slowest axis cannot be split either.
@@ -115,8 +115,8 @@ func TestSealBlockedFallsBackToMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cn.Blocks != nil {
-		t.Errorf("1-row field sealed with %d blocks, want monolithic", cn.NumBlocks())
+	if cn.Header.Version != container.Version || len(cn.Blocks) != 1 {
+		t.Errorf("1-row field sealed with %d blocks, want monolithic", len(cn.Blocks))
 	}
 }
 

@@ -456,7 +456,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenRejectsUnknownCodec(t *testing.T) {
-	cn, err := container.New("no-such-codec", 1, 1, container.Float32, grid.MustDims(4), []byte{1})
+	cn, err := container.New("no-such-codec", 1, 1, container.Float32, grid.MustDims(4), [][]byte{{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestOpenRejectsUnknownCodec(t *testing.T) {
 }
 
 func TestOpenRejectsUnknownDType(t *testing.T) {
-	cn, err := container.New("sz:abs", 1, 1, container.Float32, grid.MustDims(4), []byte{1})
+	cn, err := container.New("sz:abs", 1, 1, container.Float32, grid.MustDims(4), [][]byte{{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,7 @@ func TestIntegerParameterIsSnappedBeforeItIsKeyedOrRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocked.Header.Bound != 8 || blocked.NumBlocks() != 3 {
-		t.Errorf("SealBlocked(8.2) records %v in %d blocks, want 8 in 3", blocked.Header.Bound, blocked.NumBlocks())
+	if blocked.Header.Bound != 8 || len(blocked.Blocks) != 3 {
+		t.Errorf("SealBlocked(8.2) records %v in %d blocks, want 8 in 3", blocked.Header.Bound, len(blocked.Blocks))
 	}
 }

@@ -51,12 +51,12 @@ func TestDecompressHostilePayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for kind, payload := range map[string][]byte{"forged literal count": forged, "deflate bomb": bomb} {
-			if archives[c.name+", "+kind], err = container.New(c.name, 1e-3, 4, container.Float32, c.shape, payload); err != nil {
+			if archives[c.name+", "+kind], err = container.New(c.name, 1e-3, 4, container.Float32, c.shape, [][]byte{payload}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if archives["shape its payload cannot carry"], err = container.NewBlocked("szx:abs", 1e-3, 4, container.Float32,
+	if archives["shape its payload cannot carry"], err = container.New("szx:abs", 1e-3, 4, container.Float32,
 		grid.MustDims(2, 1<<20, 1<<14), [][]byte{{1, 2, 3}, {4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
