@@ -189,7 +189,10 @@ func TestStreamsByteIdentical(t *testing.T) {
 // and mgard at rank 2, a 64³ field whose Huffman stage writes codes longer
 // than 11 bits (the quantisation codes at the tight pin bound spread over
 // thousands of symbols), and sz on a field holding NaN and ±Inf, which drives
-// the non-finite paths of predictor selection (a 0·Inf product is NaN).
+// the non-finite paths of predictor selection (a 0·Inf product is NaN). The
+// zfp rows cover its block walk at ranks 1 and 2, fixed-rate padding and
+// budget clipping on partial blocks, and, on the 64³ field, the int64
+// coefficient planes of float64 input over 4,096 whole blocks.
 var edgePinCases = []struct {
 	codec     string
 	shape     grid.Dims
@@ -201,6 +204,10 @@ var edgePinCases = []struct {
 	{"sz:abs", grid.Dims{64, 64, 64}, false},
 	{"mgard:abs", grid.Dims{64, 64, 64}, false},
 	{"sz:abs", pinShape, true},
+	{"zfp:accuracy", grid.Dims{3001}, false},
+	{"zfp:accuracy", grid.Dims{45, 61}, false},
+	{"zfp:rate", grid.Dims{45, 61}, false},
+	{"zfp:accuracy", grid.Dims{64, 64, 64}, false},
 }
 
 // TestEdgeStreamsByteIdentical is TestStreamsByteIdentical for edgePinCases.
@@ -325,4 +332,30 @@ var edgePins = map[string][2]string{
 	"10x18x26/nonfinite/sz:abs/float64/2":      {"4ba6fb7a185527824e4b74fc1bb1b65e64a0cfe381f52e84d23ea675ec5f0285", "fa771b9f2d19898602ed90ce674878479bb607eef849e3c85a7fde1de801d74a"},
 	"10x18x26/nonfinite/sz:abs/float64/0.05":   {"98eca2932b34d925e4fc1c58f24b426384d356ae6cac8c859a6a728c9985cf38", "771cb3f2d4cfc8e211e998843004b0ad7835e3d0fc31269021705f33b087ae01"},
 	"10x18x26/nonfinite/sz:abs/float64/0.0001": {"7c9da792f9dcb1f881df76c8ca80ea05cc75f0959686e657c1c55daedcca377e", "ac11eef88f07235b75a0cd7e58d51d41c68382bad31f5e8b8c2b8eb470ee3369"},
+	// The zfp rows: generated at the commit before zfp's bit-plane coder and
+	// block walk were rewritten.
+	"3001/zfp:accuracy/float32/2":          {"9c2a73ef8a326f363c18994b12377be98c6bf362a104399980e1182d54f8fb43", "792e511f15002a23133586649596153afdbef19e54cfac770d79340332915ca5"},
+	"3001/zfp:accuracy/float32/0.05":       {"ecf3e7801b5452ba2734e4d947f1345b8f8730af6499463414fc8a20b7e14b34", "e06cd00bcae2a52176507dbf83fcec7f3f89fdf13a10a2a22cdebe6593fe5778"},
+	"3001/zfp:accuracy/float32/0.0001":     {"dbfa7c2cb46af367768975f86b0a4bc79445486bcbde2995eb30aea2b5d2fc78", "3b2da197720fc29b4a6c9b1fe10b131cd6caf4030bf3dfd3144708a3e389cbd0"},
+	"3001/zfp:accuracy/float64/2":          {"006b93110933e3b356297d068dfaea5c7cbeff1d590590f57955132092df0239", "da75a84218aa88da8a5c725583eac933f972ae07f132842c60924c88f3023490"},
+	"3001/zfp:accuracy/float64/0.05":       {"d4f3feebcfda7e2865233fda481a41529db14fb5509a0dd8ac49cd51fbbb038b", "60af52a01e1f74e0717cb33aae6e8d99cd5d61b22b500ffdf7c2e8cab4ee7475"},
+	"3001/zfp:accuracy/float64/0.0001":     {"78d6b977d5f2c14efdd8c62f68069448f4a1ce0927129e1a191c43b2176c46cf", "f1c8e0a7758878e86e3346b564c2904f97cca8266d7d4979eae2ae6a3d8265d9"},
+	"45x61/zfp:accuracy/float32/2":         {"770d8a20f246e49314fbbf1dff5f33abcc1cba3311af695da65e3f4af5e228ee", "84c787eb3a1b94b8dccadc1b906c2bf0805678881b860333f718bb99a32790f3"},
+	"45x61/zfp:accuracy/float32/0.05":      {"3faa7b3b051991129b52a2824092cf83f8480d16f7d2c0498c7a43de359b2087", "f647186f4d7211e1301d2ce0ebc4edca7d554a77b1420a9198d47f7e84070b80"},
+	"45x61/zfp:accuracy/float32/0.0001":    {"538304c4c54923c0d0390bc1cdaeaea12578e924a4be7558731f435675f0a7c0", "b820cc17341448d776401683608dc2683f71b44cd4c84eefa34c9426956dfbbd"},
+	"45x61/zfp:accuracy/float64/2":         {"5f0a427983b801b10fcfa4a2e4916e5f3b22ce199769dd1ac1ca0005f2f9f574", "0c5495ef10d0a259e75bede53f4b8a5e3d3b9cb54a8375498eafdb9fe1bd5999"},
+	"45x61/zfp:accuracy/float64/0.05":      {"41e011977c6eafb6f1448d6187a55913d33a1a6cd10b96029ce38a395fd19bf7", "bedfa84e3dbce349cc95a38cbd17c25e8d3d321ef51d8d256fa3fa66cd494e23"},
+	"45x61/zfp:accuracy/float64/0.0001":    {"e6a1752472dae53c65bbf3f241366a75d48673a7bd959e3e12c477e3a537aac1", "c3fe7ba809866f118a82ebd8f5c56937273743a30560557995d503affb207754"},
+	"45x61/zfp:rate/float32/4":             {"9caaa41711b79ffe082fa0719790d7240bb037d48ca11406461a06a3655bf515", "b214f3fac945940a20975063baee42885826fe2ceec9a66a774038545b2ace5f"},
+	"45x61/zfp:rate/float32/9":             {"0c995d0f1342eb1d949f1671b7f1d8f7410346930193ec86f6199bf9dbca48c6", "d3b017d8c4e5e4681494a1b5ea17d1dbdb405e92cb0b0d5d4d46552681f95396"},
+	"45x61/zfp:rate/float32/16":            {"a96ce00a9da6242a7f84e0c6514bb23e93ec7fb68a13faab39152521d8c70334", "74156668db7b03ec19e5edbeb453d6450e80974764bec80b107dda29e79f9465"},
+	"45x61/zfp:rate/float64/4":             {"b2d791e39e8fb7784ab789a5f6d1a9553a525745597de697699a451b1782a30c", "e02d023feb603de59225ec8fb2806f1952512e9c5469062b733c13ba2fcdf5c5"},
+	"45x61/zfp:rate/float64/9":             {"5ce1c7b926fa4953cf373bd88803d9d6847623a40ca76eff15cbe43071fcc31e", "0740cc82c3ffb5ce46f7ed598e713f5511f3de4c0891963361d7aec86caf009f"},
+	"45x61/zfp:rate/float64/16":            {"5812c3740d6df30db13671b84525cb285a86a59893f2101f985063f6d93ac877", "a657b22689294f44f35c7cfab0ccc314ce25b02c3a91d152acff952fc5c6599d"},
+	"64x64x64/zfp:accuracy/float32/2":      {"0419d082e50d6c92c06815cfc7f78675bfb7191b929e43a6655e74534e3bbff9", "8c8c49e3e1e40349e89a06490fbb368a661a38baa2276c2e0e7a95f90eebb2ee"},
+	"64x64x64/zfp:accuracy/float32/0.05":   {"81b343d0ea80eebfab90509bb1b394447262874b2acb7bdeffb2f023d3ed4030", "4fd18bdbcdd7658cc7832fbe56edbc833836d28fd986225107f0432d99b8b2e4"},
+	"64x64x64/zfp:accuracy/float32/0.0001": {"a4c4dccd7ab0080c221cee50969a900c8a957a658fb7ba53fb3a0b99048fc574", "e9b205c0b1e1a0893c3f5695c9e6b06beac328596d68ffc8d46fd3b1bd81205f"},
+	"64x64x64/zfp:accuracy/float64/2":      {"f7025ebcbded86352f1503afdbdd3494d80e774eba83a530ea0b81b5d4e92356", "88b1d00002442aee7333c100ae6c5a3ad8f5043551ca93570178f17b244edfe4"},
+	"64x64x64/zfp:accuracy/float64/0.05":   {"94a47a9efdeb8f1cf32e71c33edcab2979805185b9f4a64b5390cb6317fe3481", "10d9024fdf9bdf5c6767faa03e672b6864883efa27d27b11015de9e1a21e2853"},
+	"64x64x64/zfp:accuracy/float64/0.0001": {"771cde5891fac7efc545511845c14016ce1b33999b3118b36f29718691713f4b", "3baecf09792118df0e3d6c69a3acc351a61d48ba607a0067d56ac6a591b78b47"},
 }
