@@ -7,6 +7,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -15,82 +16,64 @@ import (
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  uint64 // bit accumulator
-	nCur uint   // number of valid bits in cur (0..7)
-	bits int    // total number of bits written
+	cur  uint64 // pending bits, the oldest in bit 0
+	nCur uint   // number of pending bits in cur (0..63)
 }
 
 // NewWriter returns a Writer with an initial capacity hint in bytes.
 func NewWriter(capacityBytes int) *Writer {
-	if capacityBytes < 0 {
-		capacityBytes = 0
-	}
-	return &Writer{buf: make([]byte, 0, capacityBytes)}
+	return AppendWriter(make([]byte, 0, max(capacityBytes, 0)))
+}
+
+// AppendWriter returns a Writer whose bits follow the bytes already in buf:
+// Bytes returns buf extended by them, so a header and the bit stream after
+// it share one allocation. The caller must not use buf again except through
+// Bytes.
+func AppendWriter(buf []byte) *Writer {
+	return &Writer{buf: buf}
 }
 
 // WriteBit appends a single bit (0 or 1).
 func (w *Writer) WriteBit(bit uint) {
-	w.cur |= uint64(bit&1) << w.nCur
-	w.nCur++
-	w.bits++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur = 0
-		w.nCur = 0
-	}
+	w.WriteBits(uint64(bit), 1)
 }
 
 // WriteBits appends the n least-significant bits of v, LSB first.
 // n must be in [0, 64].
 //
-// The write is byte-granular, not bit-granular: the bits join the
-// accumulator in one shift and leave it a byte at a time, so a fixed-rate
-// packer calling WriteBits per value costs a handful of operations per
-// value instead of per bit. The layout is identical to n WriteBit calls.
+// The write is word-granular: the bits join a 64-bit accumulator in one
+// shift, and the accumulator reaches the buffer eight bytes at a time, so a
+// coder that emits a run of bits with one call pays for the call, not for
+// each bit. The layout is identical to n single-bit writes.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitstream: WriteBits width %d out of range", n))
 	}
-	if n == 0 {
-		return
-	}
-	if n < 64 {
-		v &= uint64(1)<<n - 1
-	}
-	w.bits += int(n)
-	cur := w.cur | v<<w.nCur
+	v &= ^uint64(0) >> (64 - n) // n = 0 keeps nothing, n = 64 everything
+	w.cur |= v << w.nCur
 	total := w.nCur + n
-	if total <= 64 {
-		for total >= 8 {
-			w.buf = append(w.buf, byte(cur))
-			cur >>= 8
-			total -= 8
-		}
-		w.cur, w.nCur = cur, total
+	if total < 64 {
+		w.nCur = total
 		return
 	}
-	// v straddles the 64-bit accumulator (n + nCur > 64): cur holds the
-	// first 64 bits in stream order — flush them whole — and the top
-	// total−64 bits of v restart the accumulator.
-	w.buf = append(w.buf,
-		byte(cur), byte(cur>>8), byte(cur>>16), byte(cur>>24),
-		byte(cur>>32), byte(cur>>40), byte(cur>>48), byte(cur>>56))
+	// The accumulator is full: flush it whole, and the bits of v that did
+	// not fit (v >> 64 is 0 in Go when nCur is 0) restart it.
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.cur)
 	w.cur = v >> (64 - w.nCur)
 	w.nCur = total - 64
 }
 
-// Len reports the total number of bits written so far.
-func (w *Writer) Len() int { return w.bits }
+// Len reports the number of bits in the buffer so far: those of the bytes
+// it started with, every bit written, and the padding of earlier Bytes calls.
+func (w *Writer) Len() int { return 8*len(w.buf) + int(w.nCur) }
 
-// Bytes flushes any partial byte (padding with zero bits) and returns the
-// accumulated buffer. The Writer remains usable; subsequent writes continue
-// at the next byte boundary.
+// Bytes flushes the pending bits (padding the last byte with zero bits) and
+// returns the accumulated buffer. The Writer remains usable; subsequent
+// writes continue at the next byte boundary.
 func (w *Writer) Bytes() []byte {
-	if w.nCur > 0 {
+	for ; w.nCur > 0; w.nCur -= min(w.nCur, 8) {
 		w.buf = append(w.buf, byte(w.cur))
-		w.bits += int(8 - w.nCur)
-		w.cur = 0
-		w.nCur = 0
+		w.cur >>= 8
 	}
 	return w.buf
 }
@@ -100,7 +83,6 @@ func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.cur = 0
 	w.nCur = 0
-	w.bits = 0
 }
 
 // ErrOutOfBits is returned by Reader methods when the stream is exhausted.
@@ -109,8 +91,7 @@ var ErrOutOfBits = errors.New("bitstream: out of bits")
 // Reader consumes bits from a byte buffer produced by Writer.
 type Reader struct {
 	buf []byte
-	pos int  // byte position
-	bit uint // bit position within current byte (0..7)
+	pos int // bits consumed
 }
 
 // NewReader returns a Reader over the given buffer. The buffer is not copied.
@@ -118,72 +99,64 @@ func NewReader(buf []byte) *Reader {
 	return &Reader{buf: buf}
 }
 
+// Peek returns the next n bits (LSB first) without consuming them. n must be
+// in [0, 64]. Bits past the end of the buffer read as zero, so a decoder can
+// look at a whole word, decide how many bits its step takes, and hand that
+// count to Skip, which is where running out is reported.
+func (r *Reader) Peek(n uint) uint64 {
+	i, s := r.pos>>3, uint(r.pos&7)
+	if i+8 >= len(r.buf) || n > 64 {
+		return r.peekTail(n)
+	}
+	// Nine bytes cover any 64-bit window that starts inside byte i; a shift
+	// by 64 is 0 in Go.
+	v := binary.LittleEndian.Uint64(r.buf[i:])>>s | uint64(r.buf[i+8])<<(64-s)
+	return v & (^uint64(0) >> (64 - n))
+}
+
+// peekTail is Peek within the last nine bytes of the buffer, kept apart so
+// that Peek inlines.
+func (r *Reader) peekTail(n uint) uint64 {
+	if n > 64 {
+		panic(fmt.Sprintf("bitstream: Peek width %d out of range", n))
+	}
+	i, s := r.pos>>3, uint(r.pos&7)
+	var lo uint64
+	for j := i; j < len(r.buf); j++ {
+		lo |= uint64(r.buf[j]) << (8 * (j - i))
+	}
+	return lo >> s & (^uint64(0) >> (64 - n))
+}
+
+// Skip consumes n bits. When fewer than n bits remain it consumes them all
+// and returns ErrOutOfBits.
+func (r *Reader) Skip(n uint) error {
+	if uint64(n) > uint64(r.BitsRemaining()) {
+		r.pos = 8 * len(r.buf)
+		return ErrOutOfBits
+	}
+	r.pos += int(n)
+	return nil
+}
+
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrOutOfBits
-	}
-	b := (uint(r.buf[r.pos]) >> r.bit) & 1
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.pos++
-	}
-	return b, nil
+	b, err := r.ReadBits(1)
+	return uint(b), err
 }
 
 // ReadBits reads n bits (LSB first) into a uint64. n must be in [0, 64].
 // When fewer than n bits remain it consumes them all and returns
 // ErrOutOfBits.
-//
-// Like WriteBits, the read is byte-granular: a leading partial byte, then
-// whole bytes, then a trailing partial byte, matching the per-bit layout
-// exactly.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if n > 64 {
-		panic(fmt.Sprintf("bitstream: ReadBits width %d out of range", n))
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	if (len(r.buf)-r.pos)*8-int(r.bit) < int(n) {
-		r.pos = len(r.buf)
-		r.bit = 0
-		return 0, ErrOutOfBits
-	}
-	var v uint64
-	shift := uint(0)
-	if r.bit != 0 {
-		take := 8 - r.bit
-		if take > n {
-			take = n
-		}
-		v = uint64(r.buf[r.pos]>>r.bit) & (uint64(1)<<take - 1)
-		shift = take
-		n -= take
-		r.bit += take
-		if r.bit == 8 {
-			r.bit = 0
-			r.pos++
-		}
-		if n == 0 {
-			return v, nil
-		}
-	}
-	for n >= 8 {
-		v |= uint64(r.buf[r.pos]) << shift
-		shift += 8
-		r.pos++
-		n -= 8
-	}
-	if n > 0 {
-		v |= (uint64(r.buf[r.pos]) & (uint64(1)<<n - 1)) << shift
-		r.bit = n
+	v := r.Peek(n)
+	if err := r.Skip(n); err != nil {
+		return 0, err
 	}
 	return v, nil
 }
 
 // BitsRemaining reports the number of unread bits left in the buffer.
 func (r *Reader) BitsRemaining() int {
-	return (len(r.buf)-r.pos)*8 - int(r.bit)
+	return 8*len(r.buf) - r.pos
 }

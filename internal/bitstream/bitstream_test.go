@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,88 @@ func TestBitsRemaining(t *testing.T) {
 	}
 	if r.BitsRemaining() != 5 {
 		t.Errorf("BitsRemaining after 3 bits = %d, want 5", r.BitsRemaining())
+	}
+}
+
+// TestPeekSkipAtBufferEnds checks Peek and Skip on both sides of the point
+// where Peek stops reading nine bytes at once and reads the tail byte by
+// byte, and at the end itself: bits past the end peek as zero, and a Skip
+// past it consumes what is left and reports ErrOutOfBits.
+func TestPeekSkipAtBufferEnds(t *testing.T) {
+	buf := []byte{0xA5, 0x3C, 0xFF, 0x01, 0x80, 0x7E, 0x42, 0x99, 0x10, 0xC3} // 80 bits
+	total := 8 * len(buf)
+	want := func(pos int, n uint) uint64 {
+		var v uint64
+		for j := 0; j < int(n) && pos+j < total; j++ {
+			v |= uint64(buf[(pos+j)/8]>>((pos+j)%8)&1) << j
+		}
+		return v
+	}
+	for _, c := range []struct {
+		pos int
+		n   uint
+	}{
+		{0, 64}, {0, 0}, {1, 64}, {7, 64}, {8, 64}, {8, 1}, {15, 64}, {15, 33},
+		{16, 64}, {17, 64}, {17, 5}, {40, 40}, {41, 40}, {63, 17}, {72, 8},
+		{73, 7}, {73, 8}, {79, 1}, {79, 64}, {80, 0}, {80, 1}, {80, 64},
+	} {
+		r := NewReader(buf)
+		if err := r.Skip(uint(c.pos)); err != nil {
+			t.Fatalf("Skip(%d): %v", c.pos, err)
+		}
+		if got := r.Peek(c.n); got != want(c.pos, c.n) {
+			t.Errorf("at %d: Peek(%d) = %#x, want %#x", c.pos, c.n, got, want(c.pos, c.n))
+		}
+		if got := r.BitsRemaining(); got != total-c.pos {
+			t.Errorf("at %d: Peek consumed bits: %d remain", c.pos, got)
+		}
+		err := r.Skip(c.n)
+		switch fits := c.pos+int(c.n) <= total; {
+		case fits && err != nil:
+			t.Errorf("at %d: Skip(%d): %v", c.pos, c.n, err)
+		case !fits && !errors.Is(err, ErrOutOfBits):
+			t.Errorf("at %d: Skip(%d) past the end: got %v, want ErrOutOfBits", c.pos, c.n, err)
+		case fits && r.BitsRemaining() != total-c.pos-int(c.n), !fits && r.BitsRemaining() != 0:
+			t.Errorf("at %d: Skip(%d) leaves %d bits", c.pos, c.n, r.BitsRemaining())
+		}
+	}
+	empty := NewReader(nil)
+	if empty.Peek(64) != 0 || empty.Skip(0) != nil || !errors.Is(empty.Skip(1), ErrOutOfBits) {
+		t.Errorf("an empty reader peeks zeros, skips nothing, and is out of bits at once")
+	}
+}
+
+// TestWriteBitsLayout writes every width after every accumulator fill and
+// compares the bytes with the same bits placed one at a time, LSB first, and
+// checks that AppendWriter's bits follow the bytes it was given.
+func TestWriteBitsLayout(t *testing.T) {
+	const a, b = uint64(0x9E3779B97F4A7C15), uint64(0xD1B54A32D192ED03)
+	for off := uint(0); off < 64; off++ {
+		for n := uint(0); n <= 64; n++ {
+			w := NewWriter(0)
+			want := make([]byte, (off+n+7+7)/8)
+			pos := uint(0)
+			for _, f := range []struct {
+				v uint64
+				n uint
+			}{{a, off}, {b, n}, {a, 7}} {
+				w.WriteBits(f.v, f.n)
+				for j := uint(0); j < f.n; j, pos = j+1, pos+1 {
+					want[pos/8] |= byte(f.v>>j&1) << (pos % 8)
+				}
+			}
+			if w.Len() != int(pos) {
+				t.Fatalf("off %d, n %d: Len %d, want %d", off, n, w.Len(), pos)
+			}
+			if got := w.Bytes(); string(got) != string(want) {
+				t.Fatalf("off %d, n %d: %x, want %x", off, n, got, want)
+			}
+		}
+	}
+	w := AppendWriter([]byte("hdr"))
+	w.WriteBits(0x1FF, 9)
+	if got := w.Bytes(); string(got) != "hdr\xff\x01" || w.Len() != 40 {
+		t.Errorf("AppendWriter: %q, Len %d", got, w.Len())
 	}
 }
 

@@ -7,7 +7,10 @@
 // (a shared exponent plus 30-bit signed integers), decorrelated with ZFP's
 // integer lifting transform along each dimension, reordered by total
 // sequency, mapped to negabinary, and finally coded bit plane by bit plane
-// with ZFP's group-testing embedded coder.
+// with ZFP's group-testing embedded coder. The coder works a machine word at
+// a time: one bit-matrix transpose turns a block's coefficients into its bit
+// planes (and back), a plane's verbatim bits are one write, and a group
+// test's run of zeros is one write sized by a trailing-zero count.
 //
 // Two modes are provided, matching the two modes the paper contrasts:
 //
@@ -19,6 +22,10 @@
 //     giving exact control of the compressed size and random access at
 //     block granularity, but no error bound (the paper's Fig. 1/Fig. 9/
 //     Fig. 10 baseline).
+//
+// Compress refuses NaN and ±Inf in every mode with ErrInvalidInput: a block
+// shares one exponent, a non-finite value has none to offer, and scaling its
+// finite neighbours against a wrong one would break their bound.
 package zfp
 
 import (
@@ -26,12 +33,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"sort"
 	"unsafe"
 
 	"fraz/internal/bitstream"
 	"fraz/internal/grid"
-	"fraz/internal/pool"
 )
 
 // magic32 and magic64 identify ZFP-Go streams of float32 and float64 data.
@@ -64,14 +71,6 @@ type coeff interface {
 func intprecOf[I coeff]() int {
 	var z I
 	return int(unsafe.Sizeof(z)) * 8
-}
-
-// intprecFor is intprecOf keyed by the element type.
-func intprecFor[T grid.Float]() int {
-	if grid.ElemSize[T]() == 4 {
-		return 32
-	}
-	return 64
 }
 
 // Mode selects how the per-block bit budget is determined.
@@ -113,8 +112,20 @@ type Options struct {
 	// Must be >= 1 and <= 64.
 	Rate float64
 	// Precision is the number of bit planes kept per block for
-	// ModeFixedPrecision. Must be in [1, 32].
+	// ModeFixedPrecision. Must be in [1, 32] for float32 input and in
+	// [1, 64] for float64.
 	Precision int
+}
+
+// param is the mode's parameter as the header stores it.
+func (o Options) param() float64 {
+	switch o.Mode {
+	case ModeFixedRate:
+		return o.Rate
+	case ModeFixedPrecision:
+		return float64(o.Precision)
+	}
+	return o.Tolerance
 }
 
 // ErrInvalidInput is returned for malformed data or options.
@@ -141,54 +152,28 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if nd > 3 {
 		return nil, fmt.Errorf("%w: zfp supports 1-3 dimensions, got %d", ErrInvalidInput, nd)
 	}
-	intprec := intprecFor[T]()
-	var minexp int
-	var maxbits int
-	precision := 0
-	switch opts.Mode {
-	case ModeAccuracy:
-		if !(opts.Tolerance > 0) || math.IsInf(opts.Tolerance, 0) || math.IsNaN(opts.Tolerance) {
-			return nil, fmt.Errorf("%w: tolerance must be positive and finite, got %v", ErrInvalidInput, opts.Tolerance)
-		}
-		// The floor here is the source of the step-like ratio behaviour.
-		minexp = int(math.Floor(math.Log2(opts.Tolerance)))
-		maxbits = math.MaxInt32
-	case ModeFixedRate:
-		if opts.Rate < 1 || opts.Rate > 64 || math.IsNaN(opts.Rate) {
-			return nil, fmt.Errorf("%w: rate must be in [1,64], got %v", ErrInvalidInput, opts.Rate)
-		}
-		maxbits = rateBits(opts.Rate, nd)
-	case ModeFixedPrecision:
-		if opts.Precision < 1 || opts.Precision > intprec {
-			return nil, fmt.Errorf("%w: precision must be in [1,%d], got %d", ErrInvalidInput, intprec, opts.Precision)
-		}
-		precision = opts.Precision
-		maxbits = math.MaxInt32
-	default:
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrInvalidInput, opts.Mode)
+	h := header{elemSize: grid.ElemSize[T](), mode: opts.Mode, shape: shape}
+	param := opts.param()
+	if err := h.setParam(param); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 
-	w := bitstream.NewWriter(len(data) / 2)
-	if intprec == 64 {
-		encodeBlocks[T, int64](w, data, shape, opts.Mode, minexp, precision, maxbits)
-	} else {
-		encodeBlocks[T, int32](w, data, shape, opts.Mode, minexp, precision, maxbits)
-	}
-	payload := w.Bytes()
-
-	param := opts.Tolerance
-	switch opts.Mode {
-	case ModeFixedRate:
-		param = opts.Rate
-	case ModeFixedPrecision:
-		param = float64(opts.Precision)
-	}
-	out := make([]byte, 0, fixedHeaderLen+4*nd+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, stream.Magic(grid.ElemSize[T]()))
+	out := make([]byte, 0, fixedHeaderLen+4*nd+len(data)/2)
+	out = binary.LittleEndian.AppendUint32(out, stream.Magic(h.elemSize))
 	out = append(out, byte(opts.Mode), byte(nd))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(param))
 	out = grid.AppendShape(out, shape)
-	return append(out, payload...), nil
+	w := bitstream.AppendWriter(out)
+	var err error
+	if h.elemSize == 8 {
+		err = encodeBlocks[T, int64](w, data, &h)
+	} else {
+		err = encodeBlocks[T, int32](w, data, &h)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
 type header struct {
@@ -196,6 +181,51 @@ type header struct {
 	mode                       Mode
 	minexp, precision, maxbits int
 	shape                      grid.Dims
+}
+
+// setParam checks the mode's parameter and derives the coder's settings
+// from it. Compress and parseHeader both call it, so a header is refused
+// exactly when Compress could not have written it; the error says why, and
+// each caller wraps it in its own sentinel.
+func (h *header) setParam(param float64) error {
+	intprec := 8 * h.elemSize
+	switch h.mode {
+	case ModeAccuracy:
+		if !(param > 0) || math.IsInf(param, 1) {
+			return fmt.Errorf("tolerance must be positive and finite, got %v", param)
+		}
+		// The floor here is the source of the step-like ratio behaviour.
+		h.minexp = int(math.Floor(math.Log2(param)))
+		h.maxbits = math.MaxInt32
+	case ModeFixedRate:
+		if !(param >= 1 && param <= 64) {
+			return fmt.Errorf("rate must be in [1,64], got %v", param)
+		}
+		h.maxbits = rateBits(param, len(h.shape))
+	case ModeFixedPrecision:
+		p := math.Round(param)
+		if !(p >= 1 && p <= float64(intprec)) {
+			return fmt.Errorf("precision must be in [1,%d], got %v", intprec, param)
+		}
+		h.precision = int(p)
+		h.maxbits = math.MaxInt32
+	default:
+		return fmt.Errorf("unknown mode %d", h.mode)
+	}
+	return nil
+}
+
+// planes returns the lowest bit plane a block whose exponent is emax codes,
+// and the bits its planes may spend.
+func (h *header) planes(emax, nd, intprec int) (kmin, budget int) {
+	switch h.mode {
+	case ModeAccuracy:
+		prec := min(max(emax-h.minexp+guardPlanes(nd), 0), intprec)
+		return intprec - prec, h.maxbits
+	case ModeFixedPrecision:
+		return intprec - h.precision, h.maxbits
+	}
+	return 0, h.maxbits - 17 // fixed rate: the block's flag and exponent are spent
 }
 
 // parseHeader reads the fixed fields and the preamble's shape, returning the
@@ -210,35 +240,13 @@ func parseHeader(buf []byte) (h header, body []byte, err error) {
 	if h.shape, body, err = stream.Shape(buf, fixedHeaderLen, nd); err != nil {
 		return h, nil, err
 	}
-	switch h.mode {
-	case ModeAccuracy:
-		if !(param > 0) {
-			return h, nil, fmt.Errorf("%w: bad tolerance %v", ErrCorrupt, param)
-		}
-		h.minexp = int(math.Floor(math.Log2(param)))
-		h.maxbits = math.MaxInt32
-	case ModeFixedRate:
-		if param < 1 || param > 64 {
-			return h, nil, fmt.Errorf("%w: bad rate %v", ErrCorrupt, param)
-		}
-		h.maxbits = rateBits(param, nd)
-	case ModeFixedPrecision:
-		h.precision = int(math.Round(param))
-		if h.precision < 1 || h.precision > 8*h.elemSize {
-			return h, nil, fmt.Errorf("%w: bad precision %v", ErrCorrupt, param)
-		}
-		h.maxbits = math.MaxInt32
-	default:
-		return h, nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, h.mode)
+	if err := h.setParam(param); err != nil {
+		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// A block costs at least one bit (an all-zero block is exactly that), so
 	// a shape with more blocks than the body has bits is forged.
-	numBlocks := 1
-	for _, d := range h.shape {
-		numBlocks *= (d + 3) / 4
-	}
-	if numBlocks > 8*len(body) {
-		return h, nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, h.shape, numBlocks, 8*len(body))
+	if n := blockCount(h.shape); n > 8*len(body) {
+		return h, nil, fmt.Errorf("%w: shape %v needs %d blocks, body holds %d bits", ErrCorrupt, h.shape, n, 8*len(body))
 	}
 	return h, body, nil
 }
@@ -257,9 +265,9 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 	}
 	r := bitstream.NewReader(body)
 	if h.elemSize == 8 {
-		return decodeBlocks[T, int64](r, dst, h)
+		return decodeBlocks[T, int64](r, dst, &h)
 	}
-	return decodeBlocks[T, int32](r, dst, h)
+	return decodeBlocks[T, int32](r, dst, &h)
 }
 
 // CompressedSizeFixedRate predicts the compressed size in bytes of a
@@ -268,7 +276,7 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 // budgeting despite its poor rate distortion.
 func CompressedSizeFixedRate(shape grid.Dims, rate float64) int {
 	nd := shape.NDims()
-	totalBits := len(shape.Blocks(4)) * rateBits(rate, nd)
+	totalBits := blockCount(shape) * rateBits(rate, nd)
 	return fixedHeaderLen + 4*nd + (totalBits+7)/8
 }
 
@@ -278,197 +286,192 @@ func rateBits(rate float64, nd int) int {
 	return max(int(math.Round(rate*float64(blockValues(nd)))), 18)
 }
 
-// --- block encoding -------------------------------------------------------
-
-// gatherPadded copies a (possibly partial) block into a full 4^d buffer,
-// padding missing samples by replicating the nearest valid sample along each
-// axis, as ZFP does, to avoid introducing artificial discontinuities.
-func gatherPadded[T grid.Float](data []T, strides []int, b grid.Block, dst []float64, nd int) {
-	switch nd {
-	case 1:
-		for x := 0; x < 4; x++ {
-			sx := clampIndex(x, b.Size[0])
-			dst[x] = float64(data[(b.Start[0]+sx)*strides[0]])
-		}
-	case 2:
-		for y := 0; y < 4; y++ {
-			sy := clampIndex(y, b.Size[0])
-			for x := 0; x < 4; x++ {
-				sx := clampIndex(x, b.Size[1])
-				dst[y*4+x] = float64(data[(b.Start[0]+sy)*strides[0]+(b.Start[1]+sx)*strides[1]])
-			}
-		}
-	default:
-		for z := 0; z < 4; z++ {
-			sz := clampIndex(z, b.Size[0])
-			for y := 0; y < 4; y++ {
-				sy := clampIndex(y, b.Size[1])
-				for x := 0; x < 4; x++ {
-					sx := clampIndex(x, b.Size[2])
-					dst[z*16+y*4+x] = float64(data[(b.Start[0]+sz)*strides[0]+(b.Start[1]+sy)*strides[1]+(b.Start[2]+sx)*strides[2]])
-				}
-			}
-		}
-	}
-}
-
-// scatterPadded writes the valid portion of a decoded 4^d block back into
-// the output array, discarding padded samples.
-func scatterPadded[T grid.Float](out []T, strides []int, b grid.Block, src []float64, nd int) {
-	switch nd {
-	case 1:
-		for x := 0; x < b.Size[0]; x++ {
-			out[(b.Start[0]+x)*strides[0]] = T(src[x])
-		}
-	case 2:
-		for y := 0; y < b.Size[0]; y++ {
-			for x := 0; x < b.Size[1]; x++ {
-				out[(b.Start[0]+y)*strides[0]+(b.Start[1]+x)*strides[1]] = T(src[y*4+x])
-			}
-		}
-	default:
-		for z := 0; z < b.Size[0]; z++ {
-			for y := 0; y < b.Size[1]; y++ {
-				for x := 0; x < b.Size[2]; x++ {
-					out[(b.Start[0]+z)*strides[0]+(b.Start[1]+y)*strides[1]+(b.Start[2]+x)*strides[2]] = T(src[z*16+y*4+x])
-				}
-			}
-		}
-	}
-}
-
-func clampIndex(i, size int) int {
-	if i >= size {
-		return size - 1
-	}
-	return i
-}
-
-// blockExponent returns the smallest e such that |v| < 2^e for every value
-// in the block, and whether any value is nonzero.
-func blockExponent(block []float64) (int, bool) {
-	var maxAbs float64
-	for _, v := range block {
-		a := math.Abs(v)
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return 0, false
-	}
-	_, e := math.Frexp(maxAbs)
-	return e, true
-}
-
 // blockValues is the number of samples in one block of an nd-dimensional
 // field: 4^nd, at most 64.
 func blockValues(nd int) int { return 1 << (2 * nd) }
 
-// encodeBlocks is Compress's block loop with coefficient domain I. The three
-// working slices are borrowed once and shared by every block, so the loop
-// itself never allocates.
-func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, shape grid.Dims, mode Mode, minexp, precision, maxbits int) {
-	nd := shape.NDims()
-	block := pool.Get[float64](blockValues(nd))
-	defer pool.Put(block)
-	ints := pool.Get[I](len(block))
-	defer pool.Put(ints)
-	neg := pool.Get[uint64](len(block))
-	defer pool.Put(neg)
-	strides := shape.Strides()
-	perm := sequencyPermutation(nd)
-	for _, b := range shape.Blocks(4) {
-		gatherPadded(data, strides, b, block, nd)
-		startBits := w.Len()
-		encodeBlock(w, block, nd, perm, mode, minexp, precision, maxbits, ints, neg)
-		if mode == ModeFixedRate {
-			used := w.Len() - startBits
-			for ; used < maxbits; used++ {
-				w.WriteBit(0)
+// blockCount is the number of 4^d blocks that tile shape.
+func blockCount(shape grid.Dims) int {
+	n := 1
+	for _, d := range shape {
+		n *= (d + 3) / 4
+	}
+	return n
+}
+
+// --- block walk --------------------------------------------------------------
+
+// tiling is a field's shape padded to three axes, slowest first: a missing
+// axis has extent 1 and a block edge of 1, so value (z, y, x) of a 4^d block
+// sits at z*16 + y*4 + x whatever d is. The fastest axis always has stride 1.
+type tiling struct {
+	ext, stride, edge [3]int
+}
+
+func newTiling(shape grid.Dims) tiling {
+	t := tiling{ext: [3]int{1, 1, 1}, edge: [3]int{1, 1, 1}}
+	off := 3 - len(shape)
+	copy(t.ext[off:], shape)
+	for a := off; a < 3; a++ {
+		t.edge[a] = 4
+	}
+	t.stride = [3]int{t.ext[1] * t.ext[2], t.ext[2], 1}
+	return t
+}
+
+// span is one block of a tiling: the offset of its first value and its
+// extent along each axis, which is the tiling's edge except at the far
+// boundary.
+type span struct {
+	base int
+	n    [3]int
+}
+
+// at is the block whose first value is (z, y, x).
+func (t *tiling) at(z, y, x int) span {
+	return span{
+		base: z*t.stride[0] + y*t.stride[1] + x,
+		n:    [3]int{min(t.edge[0], t.ext[0]-z), min(t.edge[1], t.ext[1]-y), min(4, t.ext[2]-x)},
+	}
+}
+
+// gather copies block s of data into dst as float64. A partial block's
+// missing samples replicate the nearest valid sample along each axis, as ZFP
+// does, to avoid introducing artificial discontinuities; a whole block is
+// copied a row of four at a time.
+func gather[T grid.Float](dst *[64]float64, data []T, t *tiling, s span) {
+	if s.n == t.edge {
+		for z := 0; z < t.edge[0]; z++ {
+			for y := 0; y < t.edge[1]; y++ {
+				row := data[s.base+z*t.stride[0]+y*t.stride[1]:][:4]
+				d := dst[(z*4+y)*4:][:4]
+				d[0], d[1], d[2], d[3] = float64(row[0]), float64(row[1]), float64(row[2]), float64(row[3])
+			}
+		}
+		return
+	}
+	for z := 0; z < t.edge[0]; z++ {
+		for y := 0; y < t.edge[1]; y++ {
+			row := data[s.base+min(z, s.n[0]-1)*t.stride[0]+min(y, s.n[1]-1)*t.stride[1]:]
+			for x := 0; x < 4; x++ {
+				dst[(z*4+y)*4+x] = float64(row[min(x, s.n[2]-1)])
 			}
 		}
 	}
 }
 
-// decodeBlocks is DecompressInto's block loop, the inverse of encodeBlocks:
-// it writes every element of out (the 4^d blocks tile the domain).
-func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, h header) error {
-	shape, mode, minexp, precision, maxbits := h.shape, h.mode, h.minexp, h.precision, h.maxbits
-	nd := shape.NDims()
-	block := pool.Get[float64](blockValues(nd))
-	defer pool.Put(block)
-	ints := pool.Get[I](len(block))
-	defer pool.Put(ints)
-	neg := pool.Get[uint64](len(block))
-	defer pool.Put(neg)
-	strides := shape.Strides()
-	perm := sequencyPermutation(nd)
-	for _, b := range shape.Blocks(4) {
-		startRemaining := r.BitsRemaining()
-		if err := decodeBlock(r, block, nd, perm, mode, minexp, precision, maxbits, ints, neg); err != nil {
-			return err
+// scatter writes the valid part of a decoded block back into out,
+// discarding padded samples.
+func scatter[T grid.Float](out []T, src *[64]float64, t *tiling, s span) {
+	for z := 0; z < s.n[0]; z++ {
+		for y := 0; y < s.n[1]; y++ {
+			row := out[s.base+z*t.stride[0]+y*t.stride[1]:][:s.n[2]]
+			for x := range row {
+				row[x] = T(src[(z*4+y)*4+x])
+			}
 		}
-		if mode == ModeFixedRate {
-			used := startRemaining - r.BitsRemaining()
-			for ; used < maxbits; used++ {
-				if _, err := r.ReadBit(); err != nil {
-					return fmt.Errorf("%w: truncated fixed-rate padding", ErrCorrupt)
+	}
+}
+
+// blockExponent returns the smallest e such that |v| < 2^e for every value
+// in the block, whether any value is nonzero, and whether every value is
+// finite. One integer pass finds all three: with the sign bit cleared,
+// IEEE-754 bits order non-negative values as numbers, and every NaN and
+// infinity sorts above the largest finite value.
+func blockExponent(block []float64) (e int, nonzero, finite bool) {
+	var maxBits uint64
+	for _, v := range block {
+		maxBits = max(maxBits, math.Float64bits(v)&^(1<<63))
+	}
+	switch {
+	case maxBits > math.Float64bits(math.MaxFloat64):
+		return 0, false, false
+	case maxBits == 0:
+		return 0, false, true
+	}
+	_, e = math.Frexp(math.Float64frombits(maxBits))
+	return e, true, true
+}
+
+// encodeBlocks is Compress's block loop with coefficient domain I. It steps
+// through the block origins in stream order (row-major over blocks) and
+// builds no block list; a block's working arrays live on the stack.
+func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, h *header) error {
+	nd := len(h.shape)
+	size := blockValues(nd)
+	t := newTiling(h.shape)
+	var block [64]float64
+	for z := 0; z < t.ext[0]; z += t.edge[0] {
+		for y := 0; y < t.ext[1]; y += t.edge[1] {
+			for x := 0; x < t.ext[2]; x += 4 {
+				gather(&block, data, &t, t.at(z, y, x))
+				emax, nonzero, finite := blockExponent(block[:size])
+				if !finite {
+					origin := [3]int{z, y, x}
+					return fmt.Errorf("%w: non-finite value in the block at %v: zfp has no exponent to scale NaN/Inf against",
+						ErrInvalidInput, origin[3-nd:])
+				}
+				start := w.Len()
+				encodeBlock[I](w, &block, nd, emax, nonzero, h)
+				if h.mode == ModeFixedRate {
+					for pad := h.maxbits - (w.Len() - start); pad > 0; pad -= 64 {
+						w.WriteBits(0, uint(min(pad, 64)))
+					}
 				}
 			}
 		}
-		scatterPadded(out, strides, b, block, nd)
 	}
 	return nil
 }
 
-// encodeBlock encodes one 4^d block with coefficient domain I (int32 for
-// float32 streams, int64 for float64).
-func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, ints []I, neg []uint64) {
-	intprec := intprecOf[I]()
-	emax, nonzero := blockExponent(block)
-
-	// Determine how many bit planes to keep.
-	kmin := 0
-	switch mode {
-	case ModeAccuracy:
-		prec := emax - minexp + guardPlanes(nd)
-		if prec < 0 {
-			prec = 0
+// decodeBlocks is DecompressInto's block loop, the inverse of encodeBlocks:
+// it writes every element of out (the 4^d blocks tile the domain).
+func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, h *header) error {
+	nd := len(h.shape)
+	t := newTiling(h.shape)
+	var block [64]float64
+	for z := 0; z < t.ext[0]; z += t.edge[0] {
+		for y := 0; y < t.ext[1]; y += t.edge[1] {
+			for x := 0; x < t.ext[2]; x += 4 {
+				start := r.BitsRemaining()
+				if err := decodeBlock[I](r, &block, nd, h); err != nil {
+					return err
+				}
+				if h.mode == ModeFixedRate {
+					if r.Skip(uint(h.maxbits-(start-r.BitsRemaining()))) != nil {
+						return fmt.Errorf("%w: truncated fixed-rate padding", ErrCorrupt)
+					}
+				}
+				scatter(out, &block, &t, t.at(z, y, x))
+			}
 		}
-		if prec > intprec {
-			prec = intprec
-		}
-		kmin = intprec - prec
-		if !nonzero || prec == 0 {
-			// Block reconstructs to all zeros within tolerance.
-			w.WriteBit(0)
-			return
-		}
-		w.WriteBit(1)
-	case ModeFixedPrecision:
-		kmin = intprec - precision
-		if !nonzero {
-			w.WriteBit(0)
-			return
-		}
-		w.WriteBit(1)
-	default:
-		if !nonzero {
-			w.WriteBit(0)
-			return
-		}
-		w.WriteBit(1)
 	}
-	// Biased exponent (bias 16384 keeps it positive in 16 bits).
-	w.WriteBits(uint64(emax+16384), 16)
+	return nil
+}
+
+// encodeBlock encodes one 4^d block, whose exponent is emax, with
+// coefficient domain I (int32 for float32 streams, int64 for float64).
+func encodeBlock[I coeff](w *bitstream.Writer, block *[64]float64, nd, emax int, nonzero bool, h *header) {
+	intprec := intprecOf[I]()
+	kmin, budget := h.planes(emax, nd, intprec)
+	if !nonzero || kmin == intprec {
+		// The block reconstructs to all zeros (within tolerance, when
+		// accuracy mode keeps no plane of it).
+		w.WriteBits(0, 1)
+		return
+	}
+	// A set flag, then the biased exponent (bias 16384 keeps it positive in
+	// 16 bits).
+	w.WriteBits(uint64(emax+16384)<<1|1, 17)
 
 	// Block floating point: scale to signed integers with intprec-2 bits.
 	// The clamp keeps |q| strictly below 2^(intprec-2) so the coefficients
 	// enter the lifting transform with two guard bits of headroom.
+	size := blockValues(nd)
 	scale := math.Ldexp(1, intprec-2-emax)
 	qmax := math.Ldexp(1, intprec-2) - 1
-	for i, v := range block {
+	var ints [64]I
+	for i, v := range block[:size] {
 		q := v * scale
 		if q > qmax {
 			q = qmax
@@ -479,33 +482,25 @@ func encodeBlock[I coeff](w *bitstream.Writer, block []float64, nd int, perm []i
 	}
 
 	// Decorrelating transform along each dimension.
-	forwardTransform(ints, nd)
+	forwardTransform(&ints, nd)
 
 	// Reorder by total sequency and convert to negabinary.
-	for i, p := range perm {
-		neg[i] = toNegabinary(ints[p])
+	var c [64]uint64
+	for i, p := range sequencyPermutation(nd) {
+		c[i] = toNegabinary(ints[p])
 	}
-
-	budget := maxbits
-	if mode == ModeFixedRate {
-		budget = maxbits - 17 // header bits already spent
-		if budget < 0 {
-			budget = 0
-		}
-	}
-	encodeInts(w, neg, kmin, budget, intprec)
+	encodeInts(w, &c, size, kmin, budget, intprec)
 }
 
-func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []int, mode Mode, minexp, precision, maxbits int, ints []I, neg []uint64) error {
+func decodeBlock[I coeff](r *bitstream.Reader, block *[64]float64, nd int, h *header) error {
 	intprec := intprecOf[I]()
+	size := blockValues(nd)
 	flag, err := r.ReadBit()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if flag == 0 {
-		for i := range block {
-			block[i] = 0
-		}
+		clear(block[:size])
 		return nil
 	}
 	e, err := r.ReadBits(16)
@@ -513,51 +508,31 @@ func decodeBlock[I coeff](r *bitstream.Reader, block []float64, nd int, perm []i
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	emax := int(e) - 16384
-
-	kmin := 0
-	switch mode {
-	case ModeAccuracy:
-		prec := emax - minexp + guardPlanes(nd)
-		if prec < 0 {
-			prec = 0
-		}
-		if prec > intprec {
-			prec = intprec
-		}
-		kmin = intprec - prec
-	case ModeFixedPrecision:
-		kmin = intprec - precision
-	}
-	budget := maxbits
-	if mode == ModeFixedRate {
-		budget = maxbits - 17
-		if budget < 0 {
-			budget = 0
-		}
-	}
-	if err := decodeInts(r, neg, kmin, budget, intprec); err != nil {
+	kmin, budget := h.planes(emax, nd, intprec)
+	var c [64]uint64
+	if err := decodeInts(r, &c, size, kmin, budget, intprec); err != nil {
 		return err
 	}
-	for i, p := range perm {
-		ints[p] = fromNegabinary[I](neg[i])
+	var ints [64]I
+	for i, p := range sequencyPermutation(nd) {
+		ints[p] = fromNegabinary[I](c[i])
 	}
-	inverseTransform(ints, nd)
+	inverseTransform(&ints, nd)
 	scale := math.Ldexp(1, emax-(intprec-2))
-	for i := range block {
-		block[i] = float64(ints[i]) * scale
+	for i, v := range ints[:size] {
+		block[i] = float64(v) * scale
 	}
 	return nil
 }
 
 // --- integer lifting transform ---------------------------------------------
 
-// fwdLift applies ZFP's forward lifting transform to four values at the
-// given stride.
-func fwdLift[I coeff](p []I, base, stride int) {
-	x := p[base]
-	y := p[base+stride]
-	z := p[base+2*stride]
-	w := p[base+3*stride]
+// fwdLift applies ZFP's forward lifting transform to four values of the
+// block at the given stride. Every index is below 64; the masks only spare
+// the bounds checks.
+func fwdLift[I coeff](p *[64]I, base, stride int) {
+	i0, i1, i2, i3 := base&63, (base+stride)&63, (base+2*stride)&63, (base+3*stride)&63
+	x, y, z, w := p[i0], p[i1], p[i2], p[i3]
 
 	x += w
 	x >>= 1
@@ -574,18 +549,13 @@ func fwdLift[I coeff](p []I, base, stride int) {
 	w += y >> 1
 	y -= w >> 1
 
-	p[base] = x
-	p[base+stride] = y
-	p[base+2*stride] = z
-	p[base+3*stride] = w
+	p[i0], p[i1], p[i2], p[i3] = x, y, z, w
 }
 
 // invLift applies the inverse lifting transform.
-func invLift[I coeff](p []I, base, stride int) {
-	x := p[base]
-	y := p[base+stride]
-	z := p[base+2*stride]
-	w := p[base+3*stride]
+func invLift[I coeff](p *[64]I, base, stride int) {
+	i0, i1, i2, i3 := base&63, (base+stride)&63, (base+2*stride)&63, (base+3*stride)&63
+	x, y, z, w := p[i0], p[i1], p[i2], p[i3]
 
 	y += w >> 1
 	w -= y >> 1
@@ -602,13 +572,10 @@ func invLift[I coeff](p []I, base, stride int) {
 	x <<= 1
 	x -= w
 
-	p[base] = x
-	p[base+stride] = y
-	p[base+2*stride] = z
-	p[base+3*stride] = w
+	p[i0], p[i1], p[i2], p[i3] = x, y, z, w
 }
 
-func forwardTransform[I coeff](p []I, nd int) {
+func forwardTransform[I coeff](p *[64]I, nd int) {
 	switch nd {
 	case 1:
 		fwdLift(p, 0, 1)
@@ -638,7 +605,7 @@ func forwardTransform[I coeff](p []I, nd int) {
 	}
 }
 
-func inverseTransform[I coeff](p []I, nd int) {
+func inverseTransform[I coeff](p *[64]I, nd int) {
 	switch nd {
 	case 1:
 		invLift(p, 0, 1)
@@ -752,102 +719,147 @@ func computeSequencyPermutation(nd int) []int {
 
 // --- embedded bit-plane coder -----------------------------------------------
 
-// encodeInts encodes the negabinary coefficients bit plane by bit plane with
-// ZFP's group-testing scheme, spending at most budget bits and stopping at
-// bit plane kmin. Planes run from intprec-1 (32 or 64 by element width)
-// down. It returns the number of bits written.
-func encodeInts(w *bitstream.Writer, data []uint64, kmin, budget, intprec int) int {
-	size := len(data)
-	bits := budget
+// encodeInts encodes a block's size negabinary coefficients, c[0:size] in
+// sequency order with zeros after them, bit plane by bit plane with ZFP's
+// group-testing scheme, spending at most budget bits and stopping at bit
+// plane kmin. Planes run from intprec-1 (32 or 64 by element width) down. It
+// overwrites c with the block's bit planes and returns the number of bits
+// written.
+//
+// On plane k the n coefficients found significant on earlier planes are
+// written verbatim; then each group test writes a 1 and the run of zeros up
+// to the next significant coefficient, ended by its 1 — implied when that
+// coefficient is the block's last — or a 0 when no coefficient is left.
+func encodeInts(w *bitstream.Writer, c *[64]uint64, size, kmin, budget, intprec int) int {
+	toPlanes(c, size, intprec)
+	left := budget
 	n := 0
-	for k := intprec - 1; k >= kmin && bits > 0; k-- {
-		// Extract bit plane k: bit i of x is coefficient i's bit.
-		var x uint64
-		for i := 0; i < size; i++ {
-			x |= ((data[i] >> uint(k)) & 1) << uint(i)
-		}
-		// Verbatim bits for coefficients already significant.
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		for j := 0; j < m; j++ {
-			w.WriteBit(uint(x) & 1)
-			x >>= 1
-		}
-		// Group-test the remainder.
-		for n < size && bits > 0 {
-			bits--
+	for k := intprec - 1; k >= kmin && left > 0; k-- {
+		x := c[k]
+		m := min(n, left)
+		w.WriteBits(x, uint(m))
+		left -= m
+		x >>= uint(m)
+		for n < size && left > 0 {
 			if x == 0 {
-				w.WriteBit(0)
+				w.WriteBits(0, 1)
+				left--
 				break
 			}
-			w.WriteBit(1)
-			for n < size-1 && bits > 0 {
-				bits--
-				b := uint(x) & 1
-				w.WriteBit(b)
-				if b != 0 {
-					break
-				}
-				x >>= 1
-				n++
+			z := mathbits.TrailingZeros64(x)
+			code, width := uint64(1)|uint64(2)<<z, z+2
+			if z == size-1-n {
+				code, width = 1, z+1
 			}
-			x >>= 1
-			n++
+			width = min(width, left)
+			w.WriteBits(code, uint(width))
+			left -= width
+			x >>= uint(z + 1)
+			n += z + 1
 		}
 	}
-	return budget - bits
+	return budget - left
 }
 
-// decodeInts is the inverse of encodeInts.
-// decodeInts fills data (caller-provided, any prior contents) with the
-// decoded negabinary coefficients.
-func decodeInts(r *bitstream.Reader, data []uint64, kmin, budget, intprec int) error {
-	size := len(data)
-	for i := range data {
-		data[i] = 0
-	}
-	bits := budget
+// decodeInts is the inverse of encodeInts: it fills c with the block's
+// negabinary coefficients, zeros after the first size. A stream that ends
+// before a step's last bit is ErrCorrupt, at the step where the bit-serial
+// coder would have run out.
+func decodeInts(r *bitstream.Reader, c *[64]uint64, size, kmin, budget, intprec int) error {
+	*c = [64]uint64{}
+	left := budget
 	n := 0
-	for k := intprec - 1; k >= kmin && bits > 0; k-- {
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
+	for k := intprec - 1; k >= kmin && left > 0; k-- {
+		m := min(n, left)
+		left -= m
 		x, err := r.ReadBits(uint(m))
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		for n < size && bits > 0 {
-			bits--
-			b, err := r.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if b == 0 {
-				break
-			}
-			for n < size-1 && bits > 0 {
-				bits--
-				bb, err := r.ReadBit()
-				if err != nil {
-					return fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-				if bb != 0 {
-					break
-				}
+		for n < size && left > 0 {
+			// One peek holds a group test's flag and the whole run after it
+			// (at most 63 bits, ended by a 1 or cut short by the block's
+			// last coefficient or the budget). Past the stream's end it
+			// reads zeros, so a step that needs them fails in Skip.
+			v := r.Peek(64)
+			step := 1
+			if v&1 != 0 {
+				run := min(size-1-n, left-1)
+				z := mathbits.TrailingZeros64(v>>1 | 1<<uint(run))
+				step += min(z+1, run)
+				n += z
+				x |= 1 << uint(n)
 				n++
 			}
-			x |= uint64(1) << uint(n)
-			n++
+			if err := r.Skip(uint(step)); err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			left -= step
+			if v&1 == 0 {
+				break
+			}
 		}
-		for i := 0; x != 0; i++ {
-			data[i] |= (x & 1) << uint(k)
-			x >>= 1
-		}
+		c[k] = x
 	}
+	fromPlanes(c, size, intprec)
 	return nil
+}
+
+// --- bit-plane transpose ------------------------------------------------------
+
+// A block's coefficients are a bit matrix: row r is c[r] and column j is bit
+// j, so plane j is column j. Transposing it makes row j plane j. The
+// transpose is done in stages, each swapping one bit of the row index with
+// the same bit of the column index; the stages commute, so a stage that
+// would only move zeros can be left out. Coefficients of 32 bits have no
+// columns 32-63, which leaves out the stage on bit 5 unless there are 64
+// rows, and then folds rows 32-63 into the free high halves of rows 0-31, so
+// one 32-row pass serves both halves.
+
+// toPlanes turns the block's size coefficients of intprec bits into its bit
+// planes, in place.
+func toPlanes(c *[64]uint64, size, intprec int) {
+	if intprec == 64 || size == 64 {
+		swapHalves(c)
+	}
+	transpose32((*[32]uint64)(c[:32]))
+	if intprec == 64 {
+		transpose32((*[32]uint64)(c[32:]))
+	}
+}
+
+// fromPlanes is the inverse of toPlanes.
+func fromPlanes(c *[64]uint64, size, intprec int) {
+	transpose32((*[32]uint64)(c[:32]))
+	if intprec == 64 {
+		transpose32((*[32]uint64)(c[32:]))
+	}
+	if intprec == 64 || size == 64 {
+		swapHalves(c)
+	}
+}
+
+// swapHalves is the stage on bit 5: the high 32 bits of row r swap with the
+// low 32 bits of row r+32.
+func swapHalves(c *[64]uint64) {
+	for r := 0; r < 32; r++ {
+		t := (c[r]>>32 ^ c[r+32]) & 0x00000000FFFFFFFF
+		c[r] ^= t << 32
+		c[r+32] ^= t
+	}
+}
+
+// transpose32 runs the stages on bits 4 to 0 over 32 rows: each 32×32
+// submatrix of the rows, the low and the high halves at once, is transposed.
+func transpose32(a *[32]uint64) {
+	m := uint64(0x0000FFFF0000FFFF)
+	for j := 16; j != 0; j >>= 1 {
+		for k := 0; k < 32; k = (k + j + 1) &^ j {
+			lo, hi := &a[k&31], &a[(k+j)&31] // the masks only spare bounds checks
+			t := (*lo>>uint(j) ^ *hi) & m
+			*lo ^= t << uint(j)
+			*hi ^= t
+		}
+		m ^= m << uint(j>>1)
+	}
 }

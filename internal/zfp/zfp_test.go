@@ -55,15 +55,15 @@ func smooth1D(n int, seed int64) ([]float32, grid.Dims) {
 func TestLiftTransformRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
-		vals := make([]int32, 4)
-		orig := make([]int32, 4)
-		for i := range vals {
+		var vals [64]int32
+		var orig [4]int32
+		for i := range orig {
 			vals[i] = int32(rng.Intn(1<<28) - 1<<27)
 			orig[i] = vals[i]
 		}
-		fwdLift(vals, 0, 1)
-		invLift(vals, 0, 1)
-		for i := range vals {
+		fwdLift(&vals, 0, 1)
+		invLift(&vals, 0, 1)
+		for i := range orig {
 			// The forward lift truncates low bits (>>1 steps), so the round
 			// trip is only exact up to a few integer units; the codec's guard
 			// bit planes absorb this.
@@ -76,14 +76,13 @@ func TestLiftTransformRoundTrip(t *testing.T) {
 
 func TestForwardInverseTransform3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	vals := make([]int32, 64)
-	orig := make([]int32, 64)
+	var vals, orig [64]int32
 	for i := range vals {
 		vals[i] = int32(rng.Intn(1<<26) - 1<<25)
 		orig[i] = vals[i]
 	}
-	forwardTransform(vals, 3)
-	inverseTransform(vals, 3)
+	forwardTransform(&vals, 3)
+	inverseTransform(&vals, 3)
 	for i := range vals {
 		diff := int64(vals[i]) - int64(orig[i])
 		// Three lifting passes each truncate low bits; the compound error
@@ -140,8 +139,8 @@ func TestEncodeDecodeIntsRoundTrip(t *testing.T) {
 		if trial >= 100 {
 			intprec = 64
 		}
-		data := make([]uint64, size)
-		for i := range data {
+		var data [64]uint64
+		for i := range data[:size] {
 			if intprec == 32 {
 				data[i] = uint64(rng.Uint32() >> uint(rng.Intn(20)))
 			} else {
@@ -149,10 +148,11 @@ func TestEncodeDecodeIntsRoundTrip(t *testing.T) {
 			}
 		}
 		w := bitstream.NewWriter(0)
-		encodeInts(w, data, 0, math.MaxInt32, intprec)
+		planes := data
+		encodeInts(w, &planes, size, 0, math.MaxInt32, intprec)
 		r := bitstream.NewReader(w.Bytes())
-		got := make([]uint64, size)
-		if err := decodeInts(r, got, 0, math.MaxInt32, intprec); err != nil {
+		var got [64]uint64
+		if err := decodeInts(r, &got, size, 0, math.MaxInt32, intprec); err != nil {
 			t.Fatal(err)
 		}
 		for i := range data {
@@ -403,12 +403,64 @@ func TestDecompressCorrupt(t *testing.T) {
 	if _, err := decoded[float32](bad, shape); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown mode: got %v, want ErrCorrupt", err)
 	}
+	// A parameter Compress refuses is a corrupt header: a tolerance of +Inf
+	// (whose Log2 has no integer floor) and a NaN rate.
+	bad = append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(bad[6:], math.Float64bits(math.Inf(1)))
+	if _, err := decoded[float32](bad, shape); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("tolerance +Inf: got %v, want ErrCorrupt", err)
+	}
+	rate, err := Compress(data, shape, Options{Mode: ModeFixedRate, Rate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(rate[6:], math.Float64bits(math.NaN()))
+	if _, err := decoded[float32](rate, shape); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("rate NaN: got %v, want ErrCorrupt", err)
+	}
 	// More blocks than the body has bits, at a count the preamble's cap
 	// still admits: each block costs at least one bit.
 	forged := append([]byte(nil), comp...)
 	binary.LittleEndian.PutUint32(forged[fixedHeaderLen:], 1<<14)
 	if _, _, err := parseHeader(forged); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("forged extent: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCompressRefusesNonFinite: a block shares one exponent, and a NaN or an
+// infinity has none to give, so its finite neighbours would be quantised
+// against a wrong one. (An 8³ field at tolerance 1e-2 with +Inf at index 5
+// and NaN at 200 once reconstructed 59.64 at index 199 as 1, with no error.)
+// Every mode refuses such input at both widths, wherever the value sits.
+func TestCompressRefusesNonFinite(t *testing.T) {
+	cube, cubeShape := smooth3D(8, 8, 8, 1)
+	line, lineShape := smooth1D(13, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, o := range []Options{
+			{Mode: ModeAccuracy, Tolerance: 1e-2},
+			{Mode: ModeFixedRate, Rate: 8},
+			{Mode: ModeFixedPrecision, Precision: 16},
+		} {
+			for _, c := range []struct {
+				data  []float32
+				shape grid.Dims
+				at    int
+			}{{cube, cubeShape, 5}, {cube, cubeShape, 200}, {line, lineShape, 12}} {
+				f32 := append([]float32(nil), c.data...)
+				f32[c.at] = float32(bad)
+				if _, err := Compress(f32, c.shape, o); !errors.Is(err, ErrInvalidInput) {
+					t.Errorf("%v at %d of %v, %v, float32: got %v, want ErrInvalidInput", bad, c.at, c.shape, o.Mode, err)
+				}
+				f64 := make([]float64, len(c.data))
+				for i, v := range c.data {
+					f64[i] = float64(v)
+				}
+				f64[c.at] = bad
+				if _, err := Compress(f64, c.shape, o); !errors.Is(err, ErrInvalidInput) {
+					t.Errorf("%v at %d of %v, %v, float64: got %v, want ErrInvalidInput", bad, c.at, c.shape, o.Mode, err)
+				}
+			}
+		}
 	}
 }
 
@@ -446,17 +498,42 @@ func TestPropertyAccuracyBoundHolds(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressAccuracy3D(b *testing.B) {
-	data, shape := smooth3D(64, 64, 64, 1)
-	b.SetBytes(int64(len(data) * 4))
+// benchAccuracy times Compress, or DecompressInto a field of its own, of the
+// n³ smooth3D field at element type T and tolerance 1e-2. 64³ is the size
+// the package has always been measured at; 24³ is a psnr-search field.
+func benchAccuracy[T grid.Float](b *testing.B, n int, decompress bool) {
+	f32, shape := smooth3D(n, n, n, 1)
+	data := make([]T, len(f32))
+	for i, v := range f32 {
+		data[i] = T(v)
+	}
+	opts := Options{Mode: ModeAccuracy, Tolerance: 1e-2}
+	comp, err := Compress(data, shape, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]T, len(data))
+	b.SetBytes(int64(len(data) * grid.ElemSize[T]()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, shape, Options{Mode: ModeAccuracy, Tolerance: 1e-2}); err != nil {
+		if decompress {
+			err = DecompressInto(dst, comp, shape)
+		} else {
+			_, err = Compress(data, shape, opts)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkCompressAccuracy3D(b *testing.B)          { benchAccuracy[float32](b, 64, false) }
+func BenchmarkDecompressAccuracy3D(b *testing.B)        { benchAccuracy[float32](b, 64, true) }
+func BenchmarkCompressAccuracy3DFloat64(b *testing.B)   { benchAccuracy[float64](b, 64, false) }
+func BenchmarkDecompressAccuracy3DFloat64(b *testing.B) { benchAccuracy[float64](b, 64, true) }
+func BenchmarkCompressAccuracy24(b *testing.B)          { benchAccuracy[float32](b, 24, false) }
+func BenchmarkDecompressAccuracy24(b *testing.B)        { benchAccuracy[float32](b, 24, true) }
 
 func BenchmarkCompressFixedRate3D(b *testing.B) {
 	data, shape := smooth3D(64, 64, 64, 1)
