@@ -1,28 +1,35 @@
 package fraz
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"fraz/internal/core"
 	"fraz/internal/pressio"
 )
 
-// This file implements the CodecAuto selection policy: the per-field codec
-// race behind fraz.New(fraz.CodecAuto, ...) and Dataset. The survey
-// literature the project tracks (Di et al. 2024) calls per-field codec
-// choice a first-order ratio lever — SZ-style prediction wins on smooth
-// fields, transform coding on oscillatory ones, SZx-style truncation on
-// near-constant ones — and which codec wins is a property of each field's
-// statistics, not of the dataset. The race reuses the machinery that
-// already exists: candidates are pre-filtered on the registry's capability
-// windows, each one is tuned on the same sampled block the blocked seal
-// would tune on, and every evaluation flows through the shared evaluation
-// cache, so racing N codecs costs N independent tunes on one block — and
-// re-racing the same field (or sealing with the winner afterwards) is
-// answered from memory.
+// This file is the one path every Compress and Tune takes: rank the client's
+// candidates, then walk the ranking best first, making with each the seal or
+// tune call a named codec makes; the first in-band result wins. A named
+// codec's ranking is that codec alone, from its own last bound.
+//
+// CodecAuto ranks by a race, the per-field codec choice the survey
+// literature the project tracks (Di et al. 2024) calls a first-order ratio
+// lever: SZ-style prediction wins on smooth fields, transform coding on
+// oscillatory ones, SZx-style truncation on near-constant ones, and which
+// codec wins is a property of each field's statistics, not of the dataset.
+// Candidates are filtered on the registry's capability windows, each one is
+// tuned on the block the blocked seal would tune on, and every evaluation
+// flows through the client's cache, so racing N codecs costs N tunes on one
+// block, and re-racing the same field (or sealing with the winner) is
+// answered from memory. The race scores a sample, so its winner can still
+// miss the band on the whole field (a quality objective seals
+// monolithically): the walk then moves on to the runner-up.
 
 // AutoCandidate reports one registered codec's part in a CodecAuto race.
 type AutoCandidate struct {
@@ -76,111 +83,64 @@ func (s *AutoSelection) Raced() []AutoCandidate {
 	return out
 }
 
-// demoteWinner records that the current winner failed on the full field
-// (the race scored it on a sampled block, which is a heuristic) and
-// promotes the best remaining raced candidate. It returns the promoted
-// candidate; ok is false when no raced candidate remains.
-func (s *AutoSelection) demoteWinner(reason string) (AutoCandidate, bool) {
-	best := -1
-	bestScore := math.Inf(-1)
-	for i := range s.Candidates {
-		cand := &s.Candidates[i]
-		if cand.Codec == s.Codec {
-			cand.Skipped = reason
-			cand.Feasible = false
-			continue
+// ranked is one step of the walk: a candidate, the bound its attempt starts
+// from, and its entry in the race's Selection.Candidates.
+type ranked struct {
+	cd         *candidate
+	prediction float64
+	entry      int
+}
+
+// rank orders the candidates a call tries, best first. A named codec is a
+// ranking of one, from its own prediction, with no tune, no score and a nil
+// Selection; CodecAuto races (race).
+func (c *Client) rank(ctx context.Context, buf pressio.Buffer, op string) ([]ranked, *AutoSelection, error) {
+	if c.set.objective.Name == "" {
+		return nil, nil, errNoTarget(op)
+	}
+	if len(c.cands) == 1 {
+		cd := c.cands[0]
+		return []ranked{{cd: cd, prediction: c.prediction(cd)}}, nil, nil
+	}
+	return c.race(ctx, buf)
+}
+
+// walk makes one attempt per ranked candidate, best first, and stops at the
+// first that does not miss the band; try returns the bound the attempt
+// settled on, which becomes that candidate's next prediction. A miss demotes
+// the candidate in sel and moves on, so a walk that runs out returns the
+// last miss.
+func (c *Client) walk(ranking []ranked, sel *AutoSelection, try func(ranked) (float64, error)) error {
+	var err error
+	for _, r := range ranking {
+		if sel != nil {
+			// A raced candidate the walk reaches starts the next call's race
+			// from its race bound, whatever its attempt's outcome.
+			sel.Codec = r.cd.info.Name
+			c.recordBound(r.cd, r.prediction)
 		}
-		if cand.Skipped == "" && cand.Score > bestScore {
-			bestScore = cand.Score
-			best = i
-		}
-	}
-	if best < 0 {
-		return AutoCandidate{}, false
-	}
-	s.Codec = s.Candidates[best].Codec
-	return s.Candidates[best], true
-}
-
-// newAutoClient builds the CodecAuto client: no compressor or tuner of its
-// own, a shared evaluation cache for the per-codec sub-clients, eager
-// validation of the options that cannot combine with automatic selection.
-func newAutoClient(set settings) (*Client, error) {
-	if set.fixedBound > 0 {
-		return nil, fmt.Errorf("fraz: FixedBound cannot combine with %s: an explicit bound has different semantics for every codec", CodecAuto)
-	}
-	cache := set.cache
-	if cache == nil {
-		cache = NewEvalCache(0)
-	}
-	return &Client{
-		set:         set,
-		info:        CodecInfo{Name: CodecAuto, BoundName: "auto-selected per field"},
-		auto:        true,
-		autoCache:   cache,
-		autoClients: map[string]*Client{},
-	}, nil
-}
-
-// autoClient returns (building on first use) the sub-client for one codec:
-// the same settings, the named codec, and the race's shared cache.
-func (c *Client) autoClient(name string) (*Client, error) {
-	c.autoMu.Lock()
-	defer c.autoMu.Unlock()
-	if sub, ok := c.autoClients[name]; ok {
-		return sub, nil
-	}
-	set := c.set
-	set.codec = name
-	set.cache = c.autoCache
-	sub, err := newClient(set)
-	if err != nil {
-		return nil, err
-	}
-	c.autoClients[name] = sub
-	return sub, nil
-}
-
-// raceAndRetry races the eligible codecs on a sampled block of buf and runs
-// attempt with the winner's sub-client. The race scored candidates on a
-// sample, so its winner can still miss the band on the whole field: while
-// attempt fails with an *InfeasibleError, the winner is demoted and the
-// next-best raced candidate tried instead of surfacing the heuristic's miss.
-// The error returned is attempt's last. Each sub-client starts from the bound
-// it tuned in the race (recorded as its next prediction), so the attempt
-// re-validates that bound from the cache instead of searching again.
-func (c *Client) raceAndRetry(ctx context.Context, buf pressio.Buffer, attempt func(sub *Client) error) (*AutoSelection, error) {
-	sel, err := c.selectCodec(ctx, buf)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := c.autoClient(sel.Codec)
-	for err == nil {
-		err = attempt(sub)
+		var bound float64
+		bound, err = try(r)
 		var inf *InfeasibleError
 		if !errors.As(err, &inf) {
-			return sel, err
+			if err == nil {
+				c.recordBound(r.cd, bound)
+			}
+			return err
 		}
-		cand, ok := sel.demoteWinner(fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio))
-		if !ok {
-			return sel, err
-		}
-		if sub, err = c.autoClient(sel.Codec); err == nil {
-			sub.recordBound(cand.ErrorBound)
+		if sel != nil {
+			cand := &sel.Candidates[r.entry]
+			cand.Skipped = fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio)
+			cand.Feasible = false
 		}
 	}
-	return nil, err
+	return err
 }
 
-// selectCodec runs the CodecAuto race on a sampled block of buf: capability
-// pre-filter, one tune per surviving candidate, best ratio-at-quality wins
-// (ties break toward the lexicographically first codec name, keeping
-// selection deterministic).
-func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSelection, error) {
-	if c.set.objective.Name == "" {
-		return nil, fmt.Errorf("fraz: %s requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.Target to New", CodecAuto)
-	}
-	quality := c.set.objective.NeedsReport
+// race ranks the CodecAuto candidates on a sampled block of buf: the
+// capability windows, one tune and one score per surviving candidate, and
+// the feasible ones in ranking's order.
+func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoSelection, error) {
 	rank := len(buf.Shape)
 	dtype := buf.DType().String()
 
@@ -189,47 +149,32 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 	// split (or Blocks(1)) races on the whole field.
 	layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)
 	if err != nil {
-		return nil, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
+		return nil, nil, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
 	}
 	sample := layout.Sample
 
-	sel := &AutoSelection{SampleBlock: layout.SampleBlock}
-	best := -1
-	bestScore := math.Inf(-1)
+	sel := &AutoSelection{SampleBlock: layout.SampleBlock, Candidates: make([]AutoCandidate, len(c.cands))}
 	var closest *InfeasibleError
-	for _, ci := range Codecs() {
-		cand := AutoCandidate{Codec: ci.Name}
+	for i, cd := range c.cands {
+		cand := &sel.Candidates[i]
+		cand.Codec = cd.info.Name
 		switch {
-		case ci.Lossless:
-			cand.Skipped = "lossless: no tunable fidelity/size trade to search"
-		case !ci.SupportsRank(rank):
-			cand.Skipped = fmt.Sprintf("rank window [%d,%d] excludes rank-%d data", ci.MinRank, ci.MaxRank, rank)
-		case !ci.SupportsDType(dtype):
+		case !cd.info.SupportsRank(rank):
+			cand.Skipped = fmt.Sprintf("rank window [%d,%d] excludes rank-%d data", cd.info.MinRank, cd.info.MaxRank, rank)
+		case !cd.info.SupportsDType(dtype):
 			cand.Skipped = fmt.Sprintf("element-width window excludes %s data", dtype)
-		case !ci.ErrorBounded && !quality && !ci.FixedRate:
-			// A fixed-rate codec is exempt: it hits the target ratio by
-			// construction at zero tuning cost, and the race still scores it
-			// on measured reconstruction quality, so admitting it costs one
-			// cached round trip and can only improve the scoreboard.
-			cand.Skipped = "not error-bounded: a fixed-ratio archive with it would carry no fidelity promise"
+		default:
+			cand.Skipped = cd.skip // decided by New
 		}
 		if cand.Skipped != "" {
-			sel.Candidates = append(sel.Candidates, cand)
 			continue
 		}
-		sub, err := c.autoClient(ci.Name)
-		if err != nil {
-			cand.Skipped = err.Error()
-			sel.Candidates = append(sel.Candidates, cand)
-			continue
-		}
-		res, err := sub.tuner.TuneWithPrediction(ctx, sample, sub.prediction())
+		res, err := cd.tuner.TuneWithPrediction(ctx, sample, c.prediction(cd))
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			cand.Skipped = fmt.Sprintf("tuning failed: %v", err)
-			sel.Candidates = append(sel.Candidates, cand)
 			continue
 		}
 		cand.Feasible = res.Feasible
@@ -243,36 +188,48 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 			if miss := res.Check().(*InfeasibleError); nearerMiss(miss, closest) {
 				closest = miss
 			}
-			sel.Candidates = append(sel.Candidates, cand)
 			continue
 		}
-		score, err := c.candidateScore(sub, sample, res, quality)
+		score, err := c.candidateScore(cd, sample, res)
 		if err != nil {
 			cand.Skipped = fmt.Sprintf("scoring failed: %v", err)
-			sel.Candidates = append(sel.Candidates, cand)
 			continue
 		}
 		cand.Score = score
-		sel.Candidates = append(sel.Candidates, cand)
-		if score > bestScore {
-			bestScore = score
-			best = len(sel.Candidates) - 1
-		}
 	}
-	if best < 0 {
+	ranking := c.ranking(sel)
+	if len(ranking) == 0 {
 		if closest != nil {
 			// Every raced candidate tuned but missed the band: surface the
 			// closest configuration the same way a single-codec tune would.
-			return nil, closest
+			return nil, nil, closest
 		}
-		return nil, fmt.Errorf("%w: %s found no eligible codec for rank-%d %s data (objective %s): %s",
+		return nil, nil, fmt.Errorf("%w: %s found no eligible codec for rank-%d %s data (objective %s): %s",
 			ErrUnsupported, CodecAuto, rank, dtype, c.set.objective.Name, skipSummary(sel.Candidates))
 	}
-	sel.Codec = sel.Candidates[best].Codec
-	if sub, err := c.autoClient(sel.Codec); err == nil {
-		sub.recordBound(sel.Candidates[best].ErrorBound)
+	return ranking, sel, nil
+}
+
+// ranking lists the candidates that raced (Skipped == "") best first by
+// score. The sort is stable, so a tie goes to the first in Codecs() order.
+// Each one's race bound is the prediction its attempt starts from, unless
+// ReuseBounds(false), as for a candidate's own bound.
+func (c *Client) ranking(sel *AutoSelection) []ranked {
+	var out []ranked
+	for i, cand := range sel.Candidates {
+		if cand.Skipped != "" {
+			continue
+		}
+		r := ranked{cd: c.cands[i], entry: i}
+		if c.set.reuse {
+			r.prediction = cand.ErrorBound
+		}
+		out = append(out, r)
 	}
-	return sel, nil
+	slices.SortStableFunc(out, func(a, b ranked) int {
+		return cmp.Compare(sel.Candidates[b.entry].Score, sel.Candidates[a.entry].Score)
+	})
+	return out
 }
 
 // candidateScore turns one feasible tune into the race's comparison key.
@@ -280,11 +237,11 @@ func (c *Client) selectCodec(ctx context.Context, buf pressio.Buffer) (*AutoSele
 // compression ratio; the fixed-ratio objective holds size fixed, so the
 // score is the measured reconstruction PSNR at the tuned bound (one cached
 // round-trip evaluation per candidate).
-func (c *Client) candidateScore(sub *Client, sample pressio.Buffer, res core.Result, quality bool) (float64, error) {
-	if quality {
+func (c *Client) candidateScore(cd *candidate, sample pressio.Buffer, res core.Result) (float64, error) {
+	if c.set.objective.Quality {
 		return res.AchievedRatio, nil
 	}
-	eval := pressio.NewEvaluator(c.autoCache.c, sub.comp, sample)
+	eval := pressio.NewEvaluator(c.cache, cd.comp, sample)
 	rep, _, err := eval.Full(res.ErrorBound)
 	if err != nil {
 		return 0, err
@@ -303,12 +260,9 @@ func nearerMiss(a, b *InfeasibleError) bool {
 
 // skipSummary compacts the skip reasons for the no-eligible-codec error.
 func skipSummary(cands []AutoCandidate) string {
-	s := ""
+	parts := make([]string, len(cands))
 	for i, cand := range cands {
-		if i > 0 {
-			s += "; "
-		}
-		s += fmt.Sprintf("%s: %s", cand.Codec, cand.Skipped)
+		parts[i] = cand.Codec + ": " + cand.Skipped
 	}
-	return s
+	return strings.Join(parts, "; ")
 }

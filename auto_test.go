@@ -124,56 +124,74 @@ func measurePSNR(orig, recon []float32) float64 {
 
 // TestAutoCapabilityFilter pins the pre-filter: on 1-D data the rank-2+
 // codecs must be skipped with a reason, never raced, and the winner must
-// admit rank 1.
+// admit rank 1. Under MaxError the bit-count codecs are skipped with the
+// tuner's reason, which names their parameter, and never raced.
 func TestAutoCapabilityFilter(t *testing.T) {
 	data := make([]float32, 4096)
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 40))
 	}
-	c, err := fraz.New(fraz.CodecAuto, fraz.Ratio(8), fraz.Tolerance(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Tune(context.Background(), data, []int{len(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := res.Selection
-	if sel == nil {
-		t.Fatal("TuneResult.Selection is nil")
-	}
-	winner, ok := fraz.LookupCodec(sel.Codec)
-	if !ok || !winner.SupportsRank(1) {
-		t.Fatalf("winner %q does not admit rank-1 data", sel.Codec)
-	}
-	for _, cand := range sel.Candidates {
-		info, ok := fraz.LookupCodec(cand.Codec)
-		if !ok {
-			t.Fatalf("candidate %q is not a registered codec", cand.Codec)
-		}
-		switch {
-		case !info.SupportsRank(1):
-			if cand.Skipped == "" || cand.Feasible {
-				t.Errorf("rank-window miss %q was raced anyway: %+v", cand.Codec, cand)
+	for _, tc := range []struct {
+		name     string
+		maxError bool
+		opts     []fraz.Option
+	}{
+		{"ratio", false, []fraz.Option{fraz.Ratio(8), fraz.Tolerance(0.5)}},
+		{"psnr under MaxError", true, []fraz.Option{fraz.TargetPSNR(40), fraz.MaxError(0.1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := fraz.New(fraz.CodecAuto, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case info.Lossless:
-			if !strings.Contains(cand.Skipped, "lossless") {
-				t.Errorf("lossless codec %q not skipped: %+v", cand.Codec, cand)
+			res, err := c.Tune(context.Background(), data, []int{len(data)})
+			if err != nil {
+				t.Fatal(err)
 			}
-		case info.FixedRate:
-			// A fixed-rate codec hits the ratio by construction, so it is
-			// admitted to fixed-ratio races despite not being error-bounded.
-			if cand.Skipped != "" {
-				t.Errorf("fixed-rate codec %q skipped from a fixed-ratio race: %+v", cand.Codec, cand)
+			sel := res.Selection
+			if sel == nil {
+				t.Fatal("TuneResult.Selection is nil")
 			}
-			if cand.Evaluations != 0 {
-				t.Errorf("fixed-rate codec %q tuned with %d evaluations, want 0 (direct satisfaction)", cand.Codec, cand.Evaluations)
+			winner, ok := fraz.LookupCodec(sel.Codec)
+			if !ok || !winner.SupportsRank(1) {
+				t.Fatalf("winner %q does not admit rank-1 data", sel.Codec)
 			}
-		case !info.ErrorBounded:
-			if cand.Skipped == "" {
-				t.Errorf("non-error-bounded codec %q raced for a fixed-ratio archive", cand.Codec)
+			for _, cand := range sel.Candidates {
+				info, ok := fraz.LookupCodec(cand.Codec)
+				if !ok {
+					t.Fatalf("candidate %q is not a registered codec", cand.Codec)
+				}
+				switch {
+				case !info.SupportsRank(1):
+					if cand.Skipped == "" || cand.Feasible {
+						t.Errorf("rank-window miss %q was raced anyway: %+v", cand.Codec, cand)
+					}
+				case info.Lossless:
+					if !strings.Contains(cand.Skipped, "lossless") {
+						t.Errorf("lossless codec %q not skipped: %+v", cand.Codec, cand)
+					}
+				case !info.ErrorBounded && tc.maxError:
+					// MaxError cannot limit a bit count, so the tuner refuses
+					// the codec before any race.
+					if !strings.Contains(cand.Skipped, info.BoundName) || cand.Feasible || cand.Evaluations != 0 {
+						t.Errorf("bit-count codec %q under MaxError: %+v, want skipped naming %q and never raced", cand.Codec, cand, info.BoundName)
+					}
+				case info.FixedRate:
+					// A fixed-rate codec hits the ratio by construction, so it is
+					// admitted to fixed-ratio races despite not being error-bounded.
+					if cand.Skipped != "" {
+						t.Errorf("fixed-rate codec %q skipped from a fixed-ratio race: %+v", cand.Codec, cand)
+					}
+					if cand.Evaluations != 0 {
+						t.Errorf("fixed-rate codec %q tuned with %d evaluations, want 0 (direct satisfaction)", cand.Codec, cand.Evaluations)
+					}
+				case !info.ErrorBounded:
+					if cand.Skipped == "" {
+						t.Errorf("non-error-bounded codec %q raced for a fixed-ratio archive", cand.Codec)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // compressor, a client (or Dataset) built with CodecAuto races every
 // registered codec whose capability windows admit the field — rank and
 // element-width windows, error-boundedness for fidelity-promising archives
-// — on a sampled block, and seals with the winner. The race shares the
+// — on a sampled block, and seals with the winner (or, when the winner
+// misses the band on the whole field, the runner-up). The race shares the
 // client's evaluation cache, so candidate evaluations are never repeated
 // across fields, codecs, or calls. Selection picks the best
 // ratio-at-quality: for quality objectives (PSNR, SSIM, max-error) the

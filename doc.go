@@ -127,12 +127,17 @@
 //	_, err = ds.AddField(ctx, "PRECIPf", precip, shape) // may pick a different codec
 //	err = ds.Close()                                    // writes directory + footer
 //
-// Dataset clients default to fraz.CodecAuto: every field runs a codec race
-// (candidates filtered by capability, tried on a sampled block through the
-// shared evaluation cache, best ratio at the target quality wins) and the
-// winner is recorded per field; CompressResult.Selection reports the full
-// scoreboard. Pass fraz.Codec to pin one codec instead, or use CodecAuto
-// with a plain Client (fraz.New(fraz.CodecAuto, …)) for single fields.
+// Dataset clients default to fraz.CodecAuto. Every Compress and Tune takes
+// one path: rank the client's candidate codecs, then walk the ranking best
+// first, sealing (or tuning) with each until one lands in the band. A named
+// codec is a ranking of one. CodecAuto ranks every registered codec by a
+// race: candidates filtered by capability, each tuned on a sampled block
+// through the shared evaluation cache, best ratio at the target quality (or
+// best PSNR at the target ratio) first. A winner that misses the band on the
+// whole field gives way to the runner-up. The sealed codec is recorded per
+// field; CompressResult.Selection reports the full scoreboard. Pass
+// fraz.Codec to pin one codec instead, or use CodecAuto with a plain Client
+// (fraz.New(fraz.CodecAuto, …)) for single fields.
 //
 // Time series append without rewriting: AppendStep adds field@step to an
 // existing archive (AppendDataset reopens one), leaving earlier payload

@@ -14,32 +14,36 @@ import (
 	"fraz/internal/pressio"
 )
 
-// Client is the configured entry point to the framework: one codec, one
-// tuning objective (a fixed ratio, PSNR, SSIM, or max-error target), and
-// the tuning/parallelism knobs set through functional options. A Client is
-// safe for concurrent use; it shares one evaluation cache across all of its
-// tuning runs, and (unless disabled with ReuseBounds) carries the last
-// feasible error bound from one call into the next as the starting
-// prediction, the paper's time-step reuse.
+// Client is the configured entry point to the framework: one codec (or the
+// CodecAuto policy), one tuning objective (a fixed ratio, PSNR, SSIM, or
+// max-error target), and the tuning/parallelism knobs set through
+// functional options. A Client is safe for concurrent use; it shares one
+// evaluation cache across all of its tuning runs, and (unless disabled with
+// ReuseBounds) carries the last feasible error bound from one call into the
+// next as the starting prediction, the paper's time-step reuse.
 type Client struct {
 	set  settings
 	info CodecInfo
-	comp pressio.Compressor
+	// cache records every candidate's evaluations: the SharedCache, or a
+	// private one.
+	cache *pressio.Cache
+	// cands are the codecs a call may compress with, in Codecs() order: the
+	// named codec, or every registered codec for CodecAuto (auto.go).
+	cands []*candidate
+}
 
-	// tuner is nil when the client was built without a tuning target (a
-	// decompress-only or FixedBound-only client).
-	tuner *core.Tuner
-
-	// auto marks a CodecAuto client: comp and tuner are nil, and every
-	// Compress/Tune first races the eligible codecs (through per-codec
-	// sub-clients sharing autoCache) and delegates to the winner.
-	auto        bool
-	autoCache   *EvalCache
-	autoMu      sync.Mutex
-	autoClients map[string]*Client
+// candidate is one codec a Client can compress with, built once by New.
+type candidate struct {
+	info  CodecInfo
+	comp  pressio.Compressor
+	tuner *core.Tuner // nil without a tuning target, or with a skip
+	// skip is why CodecAuto never races the codec, whatever the field: it is
+	// lossless, it promises no fidelity under a ratio target, or NewTuner
+	// refused the options for it.
+	skip string
 
 	mu        sync.Mutex
-	lastBound float64
+	lastBound float64 // the next call's prediction: the last bound a call settled on
 }
 
 // New builds a Client for the named codec (see Codecs for the registry).
@@ -69,54 +73,86 @@ func New(codec string, opts ...Option) (*Client, error) {
 	return newClient(set)
 }
 
+// newClient resolves the client's candidates: one for a named codec, one
+// per registered codec for CodecAuto, whose static skip reasons are decided
+// here (the rank and element-width windows depend on the field, so race
+// checks them per call).
 func newClient(set settings) (*Client, error) {
-	if set.codec == CodecAuto {
-		return newAutoClient(set)
+	c := &Client{set: set, cache: pressio.NewCache()}
+	if set.cache != nil {
+		c.cache = set.cache.c
 	}
-	info, ok := LookupCodec(set.codec)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (available: %v)", ErrUnknownCodec, set.codec, codecNames())
-	}
-	comp, err := pressio.New(set.codec)
-	if err != nil {
-		return nil, wrapStreamErr(err)
-	}
-	c := &Client{set: set, info: info, comp: comp}
-	if set.objective.Name != "" {
-		obj := set.objective
-		if set.tolSet {
-			obj.Tolerance = set.tolerance
+	if set.codec != CodecAuto {
+		d, ok := pressio.Lookup(set.codec)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q (available: %v)", ErrUnknownCodec, set.codec, pressio.Names())
 		}
-		cache := pressio.NewCache()
-		if set.cache != nil {
-			cache = set.cache.c
-		}
-		tuner, err := core.NewTuner(comp, core.Config{
-			Objective: obj,
-			MaxError:  set.maxError,
-			Regions:   set.regions,
-			Workers:   set.workers,
-			Seed:      set.seed,
-			Cache:     cache,
-		})
+		cd, err := c.newCandidate(d)
 		if err != nil {
 			return nil, err
 		}
-		c.tuner = tuner
+		c.info, c.cands = cd.info, []*candidate{cd}
+		return c, nil
+	}
+	if set.fixedBound > 0 {
+		return nil, fmt.Errorf("fraz: FixedBound cannot combine with %s: an explicit bound has different semantics for every codec", CodecAuto)
+	}
+	c.info = CodecInfo{Name: CodecAuto, BoundName: "auto-selected per field"}
+	for _, d := range pressio.Codecs() {
+		info := codecInfo(d)
+		cd := &candidate{info: info}
+		switch {
+		case info.Lossless:
+			cd.skip = "lossless: no tunable fidelity/size trade to search"
+		case !info.ErrorBounded && !set.objective.Quality && !info.FixedRate:
+			// A fixed-rate codec is exempt: it hits the target ratio by
+			// construction at zero tuning cost, and the race still scores it
+			// on measured reconstruction quality, so admitting it costs one
+			// cached round trip and can only improve the scoreboard.
+			cd.skip = "not error-bounded: a fixed-ratio archive with it would carry no fidelity promise"
+		default:
+			var err error
+			if cd, err = c.newCandidate(d); err != nil {
+				cd.skip = err.Error()
+			}
+		}
+		c.cands = append(c.cands, cd)
 	}
 	return c, nil
 }
 
-func codecNames() []string {
-	infos := Codecs()
-	names := make([]string, len(infos))
-	for i, ci := range infos {
-		names[i] = ci.Name
+// newCandidate builds the codec's candidate and, when the client has a
+// tuning target, its tuner on the client's cache; the error is NewTuner's
+// refusal, and the candidate is then left without a tuner.
+func (c *Client) newCandidate(d *pressio.Codec) (*candidate, error) {
+	cd := &candidate{info: codecInfo(d), comp: d}
+	if c.set.objective.Name == "" {
+		return cd, nil
 	}
-	return names
+	obj := c.set.objective
+	if c.set.tolerance > 0 {
+		obj.Tolerance = c.set.tolerance
+	}
+	tuner, err := core.NewTuner(d, core.Config{
+		Objective: obj,
+		MaxError:  c.set.maxError,
+		Regions:   c.set.regions,
+		Workers:   c.set.workers,
+		Seed:      c.set.seed,
+		Cache:     c.cache,
+	})
+	cd.tuner = tuner
+	return cd, err
 }
 
-// Codec returns the descriptor of the codec this client compresses with.
+// errNoTarget is what every call that tunes returns on a client built
+// without a tuning target.
+func errNoTarget(op string) error {
+	return fmt.Errorf("fraz: %s requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.Target to New", op)
+}
+
+// Codec returns the descriptor of the codec this client compresses with (a
+// CodecAuto client's names the policy).
 func (c *Client) Codec() CodecInfo { return c.info }
 
 // Element constrains the element types the framework compresses: IEEE-754
@@ -230,21 +266,7 @@ func CompressT[T Element](ctx context.Context, c *Client, w io.Writer, data []T,
 
 // compressBuffer is the dtype-agnostic core of Compress/Compress64.
 func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Buffer) (*CompressResult, error) {
-	if c.auto {
-		var res *CompressResult
-		sel, err := c.raceAndRetry(ctx, buf, func(sub *Client) (err error) {
-			// Infeasibility is detected before any container byte is
-			// written, so retrying into the same writer is safe.
-			res, err = sub.compressBuffer(ctx, w, buf)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Selection = sel
-		return res, nil
-	}
-	cn, sr, err := c.seal(ctx, buf)
+	cn, sr, sel, err := c.seal(ctx, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -268,50 +290,57 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 		Direct:         sr.Tuning.Direct,
 		UsedPrediction: sr.Tuning.UsedPrediction,
 		Elapsed:        sr.Tuning.Elapsed,
+		Selection:      sel,
 	}, nil
 }
 
 // seal builds the container for one field: at the explicit FixedBound
 // parameter when there is one, skipping the tuner entirely (the zero
-// SealResult says that nothing was tuned), else at the bound the tuner finds.
-func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Container, core.SealResult, error) {
+// SealResult says that nothing was tuned; New refuses FixedBound with
+// CodecAuto), else at the bound the first ranked candidate to reach the band
+// tunes. Infeasibility is found before a container exists, so a walk that
+// moves on has nothing to undo.
+func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Container, core.SealResult, *AutoSelection, error) {
 	if c.set.fixedBound > 0 {
 		layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)
 		if err != nil {
-			return container.Container{}, core.SealResult{}, fmt.Errorf("fraz: seal at a fixed bound: %w", err)
+			return container.Container{}, core.SealResult{}, nil, fmt.Errorf("fraz: seal at a fixed bound: %w", err)
 		}
-		cn, err := pressio.SealBlocked(ctx, c.comp, buf, c.set.fixedBound, layout.Blocks, layout.Workers)
-		return cn, core.SealResult{}, err
+		cn, err := pressio.SealBlocked(ctx, c.cands[0].comp, buf, c.set.fixedBound, layout.Blocks, layout.Workers)
+		return cn, core.SealResult{}, nil, err
 	}
-	if c.tuner == nil {
-		return container.Container{}, core.SealResult{}, fmt.Errorf("fraz: Compress requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.FixedBound to New")
+	ranking, sel, err := c.rank(ctx, buf, "Compress")
+	if err != nil {
+		return container.Container{}, core.SealResult{}, nil, err
 	}
-	cn, sr, err := c.tuner.SealBlocked(ctx, buf, core.SealOptions{
-		Blocks:     c.set.blocks,
-		Prediction: c.prediction(),
+	var cn container.Container
+	var sr core.SealResult
+	err = c.walk(ranking, sel, func(r ranked) (float64, error) {
+		var err error
+		cn, sr, err = r.cd.tuner.SealBlocked(ctx, buf, core.SealOptions{Blocks: c.set.blocks, Prediction: r.prediction})
+		return sr.Tuning.ErrorBound, wrapStreamErr(err)
 	})
-	if err == nil {
-		c.recordBound(sr.Tuning.ErrorBound)
-	}
-	return cn, sr, wrapStreamErr(err)
+	return cn, sr, sel, err
 }
 
-func (c *Client) prediction() float64 {
+// prediction is the bound cd's next tune starts from: its last feasible
+// one, or none under ReuseBounds(false).
+func (c *Client) prediction(cd *candidate) float64 {
 	if !c.set.reuse {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastBound
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
+	return cd.lastBound
 }
 
-func (c *Client) recordBound(bound float64) {
+func (c *Client) recordBound(cd *candidate, bound float64) {
 	if !c.set.reuse {
 		return
 	}
-	c.mu.Lock()
-	c.lastBound = bound
-	c.mu.Unlock()
+	cd.mu.Lock()
+	cd.lastBound = bound
+	cd.mu.Unlock()
 }
 
 // ObjectiveRecord echoes the objective extension of a container header: the
@@ -526,42 +555,35 @@ func (c *Client) Tune64(ctx context.Context, data []float64, shape []int) (*Tune
 
 // TuneT is the dtype-generic form of Client.Tune, mirroring CompressT.
 func TuneT[T Element](ctx context.Context, c *Client, data []T, shape []int) (*TuneResult, error) {
-	if c.tuner == nil && !c.auto {
-		return nil, fmt.Errorf("fraz: Tune requires a tuning target: pass fraz.Ratio, fraz.TargetPSNR, fraz.TargetSSIM, fraz.TargetMaxError, or fraz.Target to New")
-	}
 	buf, err := newBuffer(data, shape)
 	if err != nil {
 		return nil, err
 	}
-	if c.auto {
-		var tr *TuneResult
-		sel, err := c.raceAndRetry(ctx, buf, func(sub *Client) (err error) {
-			if tr, err = sub.tuneBuffer(ctx, buf); err != nil {
-				return err
-			}
-			return tr.Err()
-		})
-		// With no candidate left to promote, the last miss is returned as
-		// data, like any other infeasible tune.
-		if err != nil && (tr == nil || !errors.Is(err, ErrInfeasible)) {
-			return nil, err
-		}
-		tr.Selection = sel
-		return tr, nil
-	}
 	return c.tuneBuffer(ctx, buf)
 }
 
-// tuneBuffer is the dtype-agnostic core of Tune for a fixed codec.
+// tuneBuffer is the dtype-agnostic core of Tune.
 func (c *Client) tuneBuffer(ctx context.Context, buf pressio.Buffer) (*TuneResult, error) {
-	res, err := c.tuner.TuneWithPrediction(ctx, buf, c.prediction())
+	ranking, sel, err := c.rank(ctx, buf, "Tune")
 	if err != nil {
-		return nil, wrapStreamErr(err)
+		return nil, err
 	}
-	if res.Feasible {
-		c.recordBound(res.ErrorBound)
+	var tr *TuneResult
+	err = c.walk(ranking, sel, func(r ranked) (float64, error) {
+		res, err := r.cd.tuner.TuneWithPrediction(ctx, buf, r.prediction)
+		if err != nil {
+			return 0, wrapStreamErr(err)
+		}
+		tr = tuneResult(res)
+		return res.ErrorBound, tr.Err()
+	})
+	// A miss is returned as data, like any infeasible tune: the last
+	// candidate's, when the ranking runs out.
+	if err != nil && !errors.Is(err, ErrInfeasible) {
+		return nil, err
 	}
-	return tuneResult(res), nil
+	tr.Selection = sel
+	return tr, nil
 }
 
 // Series describes one field's time series through a lazy provider, so a
@@ -599,13 +621,11 @@ type SeriesResult struct {
 // as the next step's prediction and retraining only when the data drifts
 // out of the acceptance band (the paper's Algorithm 3, inner loop).
 func (c *Client) TuneSeries(ctx context.Context, s Series) (*SeriesResult, error) {
-	if c.auto {
-		return nil, fmt.Errorf("fraz: TuneSeries does not support %s — codec selection is per-field (tune fields individually, or build a Dataset with AppendStep)", CodecAuto)
+	tuner, err := c.seriesTuner("TuneSeries")
+	if err != nil {
+		return nil, err
 	}
-	if c.tuner == nil {
-		return nil, fmt.Errorf("fraz: TuneSeries requires a tuning target: pass fraz.Ratio (or another Target option) to New")
-	}
-	res, err := c.tuner.TuneSeries(ctx, coreSeries(s))
+	res, err := tuner.TuneSeries(ctx, coreSeries(s))
 	if err != nil {
 		return nil, err
 	}
@@ -616,17 +636,15 @@ func (c *Client) TuneSeries(ctx context.Context, s Series) (*SeriesResult, error
 // (the paper's Algorithm 3, outer loop). Results are positional: result i
 // belongs to series[i].
 func (c *Client) TuneFields(ctx context.Context, series []Series) ([]*SeriesResult, error) {
-	if c.auto {
-		return nil, fmt.Errorf("fraz: TuneFields does not support %s — codec selection is per-field (tune fields individually, or build a Dataset with AppendStep)", CodecAuto)
-	}
-	if c.tuner == nil {
-		return nil, fmt.Errorf("fraz: TuneFields requires a tuning target: pass fraz.Ratio (or another Target option) to New")
+	tuner, err := c.seriesTuner("TuneFields")
+	if err != nil {
+		return nil, err
 	}
 	cs := make([]core.Series, len(series))
 	for i, s := range series {
 		cs[i] = coreSeries(s)
 	}
-	res, err := c.tuner.TuneFields(ctx, cs)
+	res, err := tuner.TuneFields(ctx, cs)
 	out := make([]*SeriesResult, len(res))
 	for i := range res {
 		out[i] = seriesResult(res[i])
@@ -635,6 +653,19 @@ func (c *Client) TuneFields(ctx context.Context, series []Series) ([]*SeriesResu
 		return out, err
 	}
 	return out, nil
+}
+
+// seriesTuner is the tuner TuneSeries and TuneFields drive: a named codec's.
+// A series carries one bound from step to step, and CodecAuto picks a codec
+// per field.
+func (c *Client) seriesTuner(op string) (*core.Tuner, error) {
+	if len(c.cands) > 1 {
+		return nil, fmt.Errorf("fraz: %s does not support %s — codec selection is per-field (tune fields individually, or build a Dataset with AppendStep)", op, CodecAuto)
+	}
+	if c.cands[0].tuner == nil {
+		return nil, errNoTarget(op)
+	}
+	return c.cands[0].tuner, nil
 }
 
 func coreSeries(s Series) core.Series {

@@ -95,10 +95,6 @@ type Config struct {
 	// compressors accepts meaningfully. searchRange restates it in the codec's
 	// parameter unit; NewTuner rejects it for a bit count, which has none.
 	MaxError float64
-	// LowerBound overrides the smallest pointwise error searched, in the
-	// data's units like MaxError. When zero, a small fraction (1e-9) of the
-	// data's value range is used.
-	LowerBound float64
 	// Regions is K, the number of overlapping error-bound regions the range
 	// is split into; they are searched lowest first, Workers at a time. Zero
 	// selects parallel.DefaultRegions (12).
@@ -265,8 +261,8 @@ func NewTuner(c pressio.Compressor, cfg Config) (*Tuner, error) {
 		return nil, fmt.Errorf("%w: max error must be >= 0, got %v", ErrBadConfig, cfg.MaxError)
 	}
 	codec := c.Descriptor()
-	if codec.Param.Unit.IsBitCount() && (cfg.MaxError > 0 || cfg.LowerBound > 0) {
-		return nil, fmt.Errorf("%w: %s is tuned in %s, which a maximum or minimum error in data units cannot limit",
+	if codec.Param.Unit.IsBitCount() && cfg.MaxError > 0 {
+		return nil, fmt.Errorf("%w: %s is tuned in %s, which a maximum error in data units cannot limit",
 			ErrBadConfig, codec.Name, codec.Param.Name)
 	}
 	cache := cfg.Cache
@@ -295,7 +291,7 @@ func (t *Tuner) Cache() *pressio.Cache { return t.cache }
 
 // searchRange determines the parameter interval [lo, hi] searched for a
 // buffer, in the parameter's own units. An error magnitude is searched from
-// a small fraction of the data's value range up to the user's U (or the
+// 1e-9 of the data's value range up to the user's U (or the
 // whole range) — pointwise errors in data units, squared for a squared-error
 // parameter and divided by the range for a range-relative one — capped by
 // the codec's declared domain. Any other parameter has nothing to do with
@@ -308,10 +304,7 @@ func (t *Tuner) searchRange(buf pressio.Buffer) (float64, float64, error) {
 		if vr <= 0 {
 			vr = 1
 		}
-		eLo, eHi := t.cfg.LowerBound, t.cfg.MaxError
-		if eLo <= 0 {
-			eLo = vr * 1e-9
-		}
+		eLo, eHi := vr*1e-9, t.cfg.MaxError
 		if eHi <= 0 {
 			eHi = vr
 		}
@@ -468,7 +461,7 @@ func (r *run) descend(prediction float64) error {
 // achieved Value; the evaluation is billed to the stage that asked for it,
 // which also keeps the stream of an in-band one that ran the compressor.
 func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
-	entry, comp, hit, err := r.eval.Evaluate(bound, r.t.obj.NeedsReport)
+	entry, comp, hit, err := r.eval.Evaluate(bound, r.t.obj.Quality)
 	stage.Iterations++
 	if hit {
 		stage.CacheHits++
@@ -477,7 +470,7 @@ func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
 		return Evaluation{}, err
 	}
 	ev := Evaluation{ErrorBound: entry.Bound, Ratio: entry.Ratio, CompressedSize: entry.Size}
-	if r.t.obj.NeedsReport {
+	if r.t.obj.Quality {
 		ev.Report = &entry.Report
 	}
 	ev.Value = r.t.obj.Achieved(ev)
@@ -572,7 +565,7 @@ func (r *run) sweep(lo, hi float64) error {
 	// regions partition [ln lo, ln hi] and every candidate is exponentiated
 	// before being handed to the compressor. The ratio search stays linear,
 	// as in the paper.
-	if t.obj.LogSpace {
+	if t.obj.Quality {
 		lo, hi = math.Log(lo), math.Log(hi)
 	}
 	regions, err := parallel.SplitRegions(lo, hi, t.cfg.Regions, t.cfg.Overlap)
@@ -663,7 +656,7 @@ func (r *run) searchRegion(stop func() bool, region parallel.Region, seed int64)
 			return Gamma
 		}
 		bound := x
-		if t.obj.LogSpace {
+		if t.obj.Quality {
 			bound = math.Exp(x)
 		}
 		ev, err := r.measure(&rr, bound)

@@ -325,9 +325,10 @@ func TestTuneWithBadPredictionRetrains(t *testing.T) {
 // compressor failed to evaluate at all (PredictionErr records the cause).
 func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 	// A stand-in for a compressor whose parameter validation rejects a bound
-	// that drifted out of range.
-	fake := failing(fake("fake-faulty", smoothRatio, nil), func(bound float64) bool { return bound < 1e-6 })
-	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, LowerBound: 1e-5, Seed: 7})
+	// that drifted out of range: here, below the search's floor (1e-9 of the
+	// buffer's value range of about 2), so only a prediction can reach it.
+	fake := failing(fake("fake-faulty", smoothRatio, nil), func(bound float64) bool { return bound < 1e-9 })
+	tu, err := NewTuner(fake, Config{Objective: fixedRatio(20, 0.1), MaxError: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 
 	// The prediction sits in the compressor's failing range: the evaluation
 	// errors, the failure is recorded, and the tuner still retrains.
-	res, err := tu.TuneWithPrediction(context.Background(), buf, 1e-9)
+	res, err := tu.TuneWithPrediction(context.Background(), buf, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +522,9 @@ func TestTuneCancelledOrUnsearchable(t *testing.T) {
 		t.Errorf("reused bound under a cancelled context: err = %v, %+v", err, reused)
 	}
 
-	empty, _ := NewTuner(fake("fake", smoothRatio, nil), Config{Objective: FixedRatio(20), LowerBound: 3, MaxError: 2})
+	// A MaxError under the search's floor (1e-9 of the value range) leaves
+	// nothing to search.
+	empty, _ := NewTuner(fake("fake", smoothRatio, nil), Config{Objective: FixedRatio(20), MaxError: 1e-12})
 	res, err := empty.TuneBuffer(context.Background(), buf)
 	if !errors.Is(err, ErrBadConfig) || !reflect.DeepEqual(res, Result{}) {
 		t.Errorf("empty range: err = %v, result %+v, want ErrBadConfig and the zero Result", err, res)

@@ -45,7 +45,7 @@ const modelProbeBudget = 8
 // The search runs in (x, y) = (ln bound, LogBoundFor(measured value)), where
 // a codec that follows the model lies on y = x. Objective.better says where
 // in the band to aim, and so which in-band hit is taken as it is (settled). A
-// PreferRatio objective aims an eighth of the band in from the high-ratio
+// Quality objective aims an eighth of the band in from the high-ratio
 // edge — inside the band by enough to absorb the model's error, near the
 // edge because that is where the ratio is — and takes a hit in the high-ratio
 // half. The ratio is ranked by distance to its target, so it aims there and
@@ -60,7 +60,7 @@ func (r *run) model(lo, hi float64, seed *Evaluation) bool {
 	yAim := toY(t.obj.Target)
 	first := math.Log(t.inUnit(math.Exp(yAim), vr))
 	settled := func(v float64) bool { return 2*math.Abs(v-t.obj.Target) <= t.obj.HalfWidth() }
-	if t.obj.PreferRatio {
+	if t.obj.Quality {
 		// The high-ratio edge of the band is the one the model gives the
 		// larger bound.
 		far, edge := t.obj.Band()

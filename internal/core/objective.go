@@ -56,20 +56,17 @@ type Objective struct {
 	Tolerance float64
 	// Relative marks Tolerance as fractional.
 	Relative bool
-	// NeedsReport marks objectives measured on the decompressed data: every
-	// evaluation is a compress+decompress round trip whose full metric
-	// report is cached, instead of a compression alone.
-	NeedsReport bool
-	// LogSpace makes the search partition the error-bound range in log
-	// space. Quality metrics respond to the order of magnitude of the bound
-	// rather than its absolute value; the ratio search stays linear, as in
-	// the paper.
-	LogSpace bool
-	// PreferRatio selects, among in-band evaluations, the one with the
-	// highest compression ratio instead of the value closest to Target (see
-	// better). The fixed-ratio objective keeps the paper's closest-to-target
-	// rule.
-	PreferRatio bool
+	// Quality marks objectives measured on the decompressed data (PSNR,
+	// SSIM, max-error). It sets three policies together:
+	//   - every evaluation is a compress+decompress round trip whose full
+	//     metric report is cached, instead of a compression alone;
+	//   - the search partitions the error-bound range in log space, because
+	//     quality follows the order of magnitude of the bound rather than its
+	//     absolute value (the ratio search stays linear, as in the paper);
+	//   - among in-band evaluations the one with the highest compression
+	//     ratio wins, not the value closest to Target (see better). The
+	//     fixed-ratio objective keeps the paper's closest-to-target rule.
+	Quality bool
 	// Achieved extracts the objective's value from one evaluation. It must
 	// tolerate a nil Evaluation.Report (return NaN) so compress-only
 	// evaluations degrade cleanly.
@@ -130,12 +127,10 @@ func FixedRatio(target float64) Objective {
 // DefaultPSNRTolerance.
 func FixedPSNR(db float64) Objective {
 	return Objective{
-		Name:        "psnr",
-		Target:      db,
-		Relative:    true,
-		NeedsReport: true,
-		LogSpace:    true,
-		PreferRatio: true,
+		Name:     "psnr",
+		Target:   db,
+		Relative: true,
+		Quality:  true,
 		Achieved: func(ev Evaluation) float64 {
 			if ev.Report == nil {
 				return math.NaN()
@@ -156,13 +151,11 @@ func FixedPSNR(db float64) Objective {
 // is target±ε (absolute) with ε defaulting to DefaultSSIMTolerance.
 func FixedSSIM(target float64) Objective {
 	return Objective{
-		Name:        "ssim",
-		Target:      target,
-		NeedsReport: true,
-		LogSpace:    true,
-		PreferRatio: true,
-		MinRank:     2,
-		MaxRank:     3,
+		Name:    "ssim",
+		Target:  target,
+		Quality: true,
+		MinRank: 2,
+		MaxRank: 3,
 		Achieved: func(ev Evaluation) float64 {
 			if ev.Report == nil {
 				return math.NaN()
@@ -179,11 +172,9 @@ func FixedSSIM(target float64) Objective {
 // DefaultMaxErrorBandFraction·u.
 func FixedMaxError(u float64) Objective {
 	return Objective{
-		Name:        "max-error",
-		Target:      u,
-		NeedsReport: true,
-		LogSpace:    true,
-		PreferRatio: true,
+		Name:    "max-error",
+		Target:  u,
+		Quality: true,
 		Achieved: func(ev Evaluation) float64 {
 			if ev.Report == nil {
 				return math.NaN()
@@ -269,7 +260,7 @@ func (o Objective) InBand(v float64) bool {
 
 // better is the one rule that ranks two evaluations (TuneWithPrediction's
 // epilogue applies it): in band beats out of band; of two in-band evaluations
-// the higher ratio wins for a PreferRatio objective (the quality is already
+// the higher ratio wins for a Quality objective (the quality is already
 // good enough, so take the size win) and the value nearer the target
 // otherwise (Algorithm 2, lines 17–26); out of band, the nearer value.
 func (o Objective) better(a, b Evaluation) bool {
@@ -277,7 +268,7 @@ func (o Objective) better(a, b Evaluation) bool {
 	switch {
 	case inA != inB:
 		return inA
-	case inA && o.PreferRatio:
+	case inA && o.Quality:
 		return a.Ratio > b.Ratio
 	}
 	return math.Abs(a.Value-o.Target) < math.Abs(b.Value-o.Target)
@@ -306,7 +297,7 @@ func (o Objective) Loss(achieved float64) float64 {
 // model-first search (model.go, one to eight evaluations), SSIM and the
 // remaining codecs the region search.
 func (o Objective) DirectlySatisfiable() bool {
-	return o.Name == "ratio" && !o.NeedsReport
+	return o.Name == "ratio" && !o.Quality
 }
 
 // SearchCutoff returns the early-termination threshold for the modified

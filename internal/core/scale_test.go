@@ -79,16 +79,17 @@ func TestSearchIsScaleInvariant(t *testing.T) {
 	}
 }
 
-// TestDataUnitLimitsNeedAnErrorParameter pins what MaxError and LowerBound
-// mean per unit: a pointwise error in data units caps an error parameter
-// after restating it in the parameter's unit, and is refused — naming the
-// parameter — for a bit count, which it cannot limit.
+// TestDataUnitLimitsNeedAnErrorParameter pins what MaxError and the search's
+// floor (1e-9 of the value range) mean per unit: a pointwise error in data
+// units bounds an error parameter after restating it in the parameter's
+// unit, and MaxError is refused — naming the parameter — for a bit count,
+// which it cannot limit.
 func TestDataUnitLimitsNeedAnErrorParameter(t *testing.T) {
 	buf := nyxBuffer(t)
 	vr := buf.ValueRange()
 	u := vr / 100
 	for _, codec := range pressio.Codecs() {
-		tu, err := NewTuner(codec, Config{Objective: FixedRatio(8), MaxError: u, LowerBound: u / 1000})
+		tu, err := NewTuner(codec, Config{Objective: FixedRatio(8), MaxError: u})
 		if codec.Param.Unit.IsBitCount() {
 			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), codec.Param.Name) {
 				t.Errorf("%s: MaxError accepted for a bit-count parameter (err=%v)", codec.Name, err)
@@ -107,7 +108,7 @@ func TestDataUnitLimitsNeedAnErrorParameter(t *testing.T) {
 			t.Errorf("%s: %v", codec.Name, err)
 			continue
 		}
-		wantLo, wantHi := u/1000, u
+		wantLo, wantHi := vr*1e-9, u
 		switch codec.Param.Unit {
 		case pressio.UnitSquaredError:
 			wantLo, wantHi = wantLo*wantLo, wantHi*wantHi

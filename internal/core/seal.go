@@ -103,7 +103,7 @@ func PlanBlocks(buf pressio.Buffer, numBlocks, workers int) (BlockLayout, error)
 // error is the *InfeasibleError (errors.Is(err, ErrInfeasible)) and the
 // SealResult still carries the tuning outcome.
 func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOptions) (container.Container, SealResult, error) {
-	if t.obj.NeedsReport {
+	if t.obj.Quality {
 		// Quality objectives tune — and seal — the whole field monolithically.
 		// PSNR and SSIM are global statistics, so a sampled block's quality
 		// does not bound the field's; and independently compressing blocks

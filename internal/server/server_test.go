@@ -111,7 +111,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		// Tolerances are fractional: the acceptance band is target·(1±tol).
 		{"float32-ratio", "float32", "ratio", 10, 0.25, 0},
 		// A blocked ratio seal promises the band on the block it tuned, not on
-		// the archive this test reads back (ROADMAP 1(b)): here the tuned
+		// the archive this test reads back (ROADMAP item 1): here the tuned
 		// block lands at 12.47 of 7.5..12.5 and the two blocks together at
 		// 13.5. Sealed as one block, what was tuned is what is archived.
 		{"float64-ratio", "float64", "ratio", 10, 0.25, 1},

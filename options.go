@@ -20,7 +20,6 @@ type settings struct {
 	codec      string
 	objective  core.Objective // zero Name = no tuning target configured
 	tolerance  float64
-	tolSet     bool
 	maxError   float64
 	regions    int
 	blocks     int
@@ -114,7 +113,6 @@ func Tolerance(eps float64) Option {
 			return fmt.Errorf("fraz: Tolerance must be in [0,1), got %v", eps)
 		}
 		s.tolerance = eps
-		s.tolSet = eps > 0
 		return nil
 	}
 }

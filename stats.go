@@ -76,20 +76,13 @@ func cacheStats(c *pressio.Cache) CacheStats {
 	}
 }
 
-// Stats reports the evaluation cache behind this client's tuner: cumulative
+// Stats reports the evaluation cache behind this client's tuning: cumulative
 // hits, misses (= compressor evaluations performed), and evictions. For a
 // client built with SharedCache the numbers cover every client sharing the
 // cache, not just this one; per-call deltas are on each CompressResult and
-// TuneResult (Evaluations, CacheHits). A client without a tuning target has
-// no cache and reports zeros. A CodecAuto client reports the race cache its
-// per-codec sub-clients share, so the numbers cover every candidate's
-// evaluations.
+// TuneResult (Evaluations, CacheHits). A CodecAuto client's numbers cover
+// every candidate's evaluations; a client that never tunes reports what its
+// cache holds from others, zeros when the cache is its own.
 func (c *Client) Stats() CacheStats {
-	if c.auto {
-		return c.autoCache.Stats()
-	}
-	if c.tuner == nil {
-		return CacheStats{}
-	}
-	return cacheStats(c.tuner.Cache())
+	return cacheStats(c.cache)
 }
