@@ -11,10 +11,11 @@
 // counted in a short outlier list, sorted once. The tree comes from a typed
 // min-heap ordered by (frequency, creation order), a strict total order, so
 // the tree does not depend on how the heap breaks ties. Each symbol's
-// MSB-first canonical code is kept bit-reversed, so one WriteBits call puts
-// it in the LSB-first bit stream. Decode resolves every code of up to
-// tableBits bits with one lookup in a table whose slots hold the symbol
-// itself; a longer code falls back to the canonical walk, one bit at a time.
+// MSB-first canonical code is kept bit-reversed, so one shift into a 64-bit
+// accumulator puts it in the LSB-first bit stream. Decode resolves every
+// code of up to tableBits bits with one lookup in a table whose slots hold
+// the symbol itself; a longer code falls back to the canonical walk, one bit
+// at a time.
 //
 // The encoded container is self-describing: it stores the symbol table
 // (symbol values and code lengths), the number of encoded symbols, and the
@@ -29,7 +30,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"fraz/internal/bitstream"
 	"fraz/internal/pool"
 )
 
@@ -283,7 +283,14 @@ func Encode(data []int32) ([]byte, error) {
 		}
 	}
 
-	w := bitstream.NewWriter(int((nbits + 7) / 8))
+	// The bit stream follows the header in out, in bitstream.Writer's
+	// layout: LSB first, a 64-bit accumulator appended whole when it fills,
+	// its last bits a byte at a time. The accumulator is kept here, not in
+	// a Writer, so the loop makes no call per symbol. A code is at most
+	// maxCodeLen < 64 bits, so a full accumulator held at least
+	// 64 − maxCodeLen bits before the code that filled it.
+	var acc uint64 // pending bits, the oldest in bit 0
+	var have uint  // how many
 	for _, s := range data {
 		var c uint64
 		if s >= -denseReach && s < denseReach {
@@ -292,9 +299,19 @@ func Encode(data []int32) ([]byte, error) {
 			i, _ := slices.BinarySearch(farSyms, s)
 			c = farCodes[i]
 		}
-		w.WriteBits(c, uint(c>>codeShift))
+		n, v := uint(c>>codeShift), c&(1<<codeShift-1)
+		acc |= v << have
+		if have += n; have >= 64 {
+			out = binary.LittleEndian.AppendUint64(out, acc)
+			have -= 64
+			acc = v >> (n - have) // the bits of v that did not fit
+		}
 	}
-	return append(out, w.Bytes()...), nil
+	for ; have > 0; have -= min(have, 8) {
+		out = append(out, byte(acc))
+		acc >>= 8
+	}
+	return out, nil
 }
 
 // slot is one entry of Decode's lookup table: the symbol whose code the

@@ -119,23 +119,27 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 	forwardDecompose(work, shape, levels)
 
-	// Quantize the multilevel coefficients.
+	// Quantize the multilevel coefficients: q.Quantize(c, 0) written out,
+	// with 2e and the half-range hoisted. The prediction is 0, so the
+	// residual is c itself and the reconstruction 2e·code; a coefficient
+	// whose code is out of range, or whose reconstruction misses it by more
+	// than e, is stored verbatim.
 	q, err := quantize.NewWithIntervals(step, quantize.DefaultIntervals)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
+	e, twoE, half := q.ErrorBound, 2*q.ErrorBound, float64(q.Intervals/2)
 	codes := pool.Get[int32](len(work))
 	defer pool.Put(codes)
 	literals := make([]T, 0)
 	for i, c := range work {
-		code, recon, ok := q.Quantize(c, 0)
-		if !ok {
+		r := math.Round(c / twoE)
+		if r != r || r >= half || r < -half || math.Abs(twoE*r-c) > e {
 			codes[i] = unpredictable
 			literals = append(literals, T(c))
 			continue
 		}
-		codes[i] = code
-		work[i] = recon
+		codes[i] = int32(r)
 	}
 
 	// The shared back end (internal/codestream): Huffman-coded codes, then
@@ -204,10 +208,16 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// Not pooled: a borrowed field-sized buffer outlives the call in the free
-	// list, and the series-reuse benchmark's next large allocation (szx on a
-	// 16 MiB float64 field) ran 12 % slower for it, with no gain here.
-	work := make([]float64, len(codes))
+	// A float64 field is reconstructed in dst itself. A float32 one needs a
+	// float64 working copy, not pooled: a borrowed field-sized buffer
+	// outlives the call in the free list, and the series-reuse benchmark's
+	// next large allocation (szx on a 16 MiB float64 field) ran 12 % slower
+	// for it, with no gain here.
+	work, inPlace := any(dst).([]float64)
+	if !inPlace {
+		work = make([]float64, len(codes))
+	}
+	twoE := 2 * q.ErrorBound
 	litPos := 0
 	for i, code := range codes {
 		if code == unpredictable {
@@ -218,12 +228,14 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 			litPos++
 			continue
 		}
-		work[i] = q.Dequantize(0, code)
+		work[i] = twoE * float64(code) // q.Dequantize(0, code): 0 + 2e·code, never −0
 	}
 
 	inverseReconstruct(work, h.shape, numLevels(h.shape))
-	for i, v := range work {
-		dst[i] = T(v)
+	if !inPlace {
+		for i, v := range work {
+			dst[i] = T(v)
+		}
 	}
 	return nil
 }
@@ -319,43 +331,212 @@ func axisTaps(extent, stride, s int) []tap {
 	return taps
 }
 
+// Bit-compatibility contract of the level walk: a detail node is the
+// multilinear interpolation of its coarse neighbours, summed from zero in
+// a-major, b, c tap order (slowest axis first), each term the product of
+// the three axes' weights and the neighbour's value, and the sum is then
+// subtracted from the node (node − sum) or added back (sum + node). The row
+// kernels keep that expression term for term. The weights are 1 and 1/2,
+// so every product of them is a power of two and exact in any order:
+// multiplying the slow two first, once per row, and the fast axis's weight
+// in after gives the same bits as the per-node product. The sum still
+// starts from zero, so a lone −0 term still sums to +0.
+//
+// Where two NaNs meet in one addition, the result is the first operand's
+// NaN (SSE2's rule, which the generic per-node walk compiled to on amd64),
+// and a NaN's sign and payload reach the stream as a literal. A compiler
+// may commute a float addition's operands, so the kernels do not rely on
+// the order it picks: a node whose result is NaN is recomputed by exact,
+// which applies that rule explicitly. A result that is not NaN met no NaN,
+// and then the order of the operands cannot show. TestWalkMatchesReference
+// holds the generic walk these kernels replace and requires the same bits.
+
+// rowTaps is the slow two axes' part of one row's interpolation: for each
+// (a, b) tap pair, in a-major order, the row it reads, the product of the
+// two weights, and that product halved (the weight of each of an odd
+// fast-axis node's two neighbours).
+type rowTaps struct {
+	n           int
+	r           [4][]float64
+	whole, half [4]float64
+}
+
 // walkLevel visits every detail node of the level with stride s — a grid
 // node whose coordinates are all multiples of s, at least one of them odd —
 // and subtracts from it (forward) or adds to it (inverse) the multilinear
-// interpolation of its coarse neighbours: the product of one tap per axis,
-// weights multiplied slowest axis first, summed from zero in tap order. A
-// detail node reads only stride-2s nodes, which this level never writes,
-// so the order of the visits does not matter; the caller arranges the
-// levels so the coarse nodes hold original values when decomposing and
-// reconstructed ones when reconstructing. A 2-D field walks as 3-D with a
-// slow axis of extent 1: its one tap has weight 1, and (1·wb)·wc = wb·wc.
+// interpolation of its coarse neighbours. A detail node reads only
+// stride-2s nodes, which this level never writes, so the order of the
+// visits does not matter; the caller arranges the levels so the coarse
+// nodes hold original values when decomposing and reconstructed ones when
+// reconstructing. The walk runs one row of the fast axis at a time: a row
+// whose two slow coordinates are both even multiples of s holds detail
+// nodes at odd x only, any other row at every x. A 2-D field walks as 3-D
+// with a slow axis of extent 1: its one tap has weight 1, and 1·wb = wb.
 func walkLevel(work []float64, shape grid.Dims, s int, inverse bool) {
 	ext, stride := [3]int{1, 1, 1}, [3]int{}
 	copy(ext[3-len(shape):], shape)
 	copy(stride[3-len(shape):], shape.Strides())
-	taps0, taps1, taps2 := axisTaps(ext[0], stride[0], s), axisTaps(ext[1], stride[1], s), axisTaps(ext[2], stride[2], s)
+	nx := ext[2]
+	taps0, taps1 := axisTaps(ext[0], stride[0], s), axisTaps(ext[1], stride[1], s)
 	for _, ta := range taps0 {
 		for _, tb := range taps1 {
-			for _, tc := range taps2 {
-				if !(ta.odd || tb.odd || tc.odd) {
-					continue
+			var p rowTaps
+			for a := 0; a < ta.n; a++ {
+				for b := 0; b < tb.n; b++ {
+					w, base := ta.w[a]*tb.w[b], ta.off[a]+tb.off[b]
+					p.r[p.n], p.whole[p.n], p.half[p.n] = work[base:base+nx], w, w*0.5
+					p.n++
 				}
-				var sum float64
-				for a := 0; a < ta.n; a++ {
-					for b := 0; b < tb.n; b++ {
-						wab := ta.w[a] * tb.w[b]
-						base := ta.off[a] + tb.off[b]
-						for c := 0; c < tc.n; c++ {
-							sum += wab * tc.w[c] * work[base+tc.off[c]]
-						}
-					}
+			}
+			at := ta.at + tb.at
+			p.walkRow(work[at:at+nx], s, ta.odd || tb.odd, inverse)
+		}
+	}
+}
+
+// walkRow updates the detail nodes of one row from the rows p names: every
+// node when evens is set, the odd multiples of s only otherwise. An even x
+// reads x in each row, weight p.whole; an odd x reads x−s and x+s, weight
+// p.half each, or x−s alone, weight p.whole, when x+s falls outside the
+// row. Each slow axis has one tap or two, so a row has 1, 2 or 4 tap
+// pairs, and each loop is written out for each count.
+func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
+	nx := len(row)
+	r0, r1, r2, r3 := p.r[0], p.r[1], p.r[2], p.r[3]
+	w0, w1, w2, w3 := p.whole[0], p.whole[1], p.whole[2], p.whole[3]
+	h0, h1, h2, h3 := p.half[0], p.half[1], p.half[2], p.half[3]
+	if evens {
+		switch p.n {
+		case 1:
+			for x := 0; x < nx; x += 2 * s {
+				sum := 0.0
+				sum += w0 * r0[x]
+				if !apply(row, x, sum, inverse) {
+					p.exact(row, x, x, -1, inverse)
 				}
-				if off := ta.at + tb.at + tc.at; inverse {
-					work[off] += sum
-				} else {
-					work[off] -= sum
+			}
+		case 2:
+			for x := 0; x < nx; x += 2 * s {
+				sum := 0.0
+				sum += w0 * r0[x]
+				sum += w1 * r1[x]
+				if !apply(row, x, sum, inverse) {
+					p.exact(row, x, x, -1, inverse)
+				}
+			}
+		default:
+			for x := 0; x < nx; x += 2 * s {
+				sum := 0.0
+				sum += w0 * r0[x]
+				sum += w1 * r1[x]
+				sum += w2 * r2[x]
+				sum += w3 * r3[x]
+				if !apply(row, x, sum, inverse) {
+					p.exact(row, x, x, -1, inverse)
 				}
 			}
 		}
 	}
+	// The odd nodes with both neighbours inside the row, then the last odd
+	// node when its right neighbour is not.
+	d := s
+	switch p.n {
+	case 1:
+		for ; d+s < nx; d += 2 * s {
+			sum := 0.0
+			sum += h0 * r0[d-s]
+			sum += h0 * r0[d+s]
+			if !apply(row, d, sum, inverse) {
+				p.exact(row, d, d-s, d+s, inverse)
+			}
+		}
+	case 2:
+		for ; d+s < nx; d += 2 * s {
+			sum := 0.0
+			sum += h0 * r0[d-s]
+			sum += h0 * r0[d+s]
+			sum += h1 * r1[d-s]
+			sum += h1 * r1[d+s]
+			if !apply(row, d, sum, inverse) {
+				p.exact(row, d, d-s, d+s, inverse)
+			}
+		}
+	default:
+		for ; d+s < nx; d += 2 * s {
+			sum := 0.0
+			sum += h0 * r0[d-s]
+			sum += h0 * r0[d+s]
+			sum += h1 * r1[d-s]
+			sum += h1 * r1[d+s]
+			sum += h2 * r2[d-s]
+			sum += h2 * r2[d+s]
+			sum += h3 * r3[d-s]
+			sum += h3 * r3[d+s]
+			if !apply(row, d, sum, inverse) {
+				p.exact(row, d, d-s, d+s, inverse)
+			}
+		}
+	}
+	if d < nx {
+		sum := 0.0
+		for k := 0; k < p.n; k++ {
+			sum += p.whole[k] * p.r[k][d-s]
+		}
+		if !apply(row, d, sum, inverse) {
+			p.exact(row, d, d-s, -1, inverse)
+		}
+	}
+}
+
+// apply subtracts the interpolation from node x (forward) or adds it back
+// (inverse). It leaves the node alone and reports false when the result is
+// NaN, for exact to redo.
+func apply(row []float64, x int, sum float64, inverse bool) bool {
+	var v float64
+	if inverse {
+		v = sum + row[x]
+	} else {
+		v = row[x] - sum
+	}
+	if v != v {
+		return false
+	}
+	row[x] = v
+	return true
+}
+
+// exact updates node x of row from column lo of every row p names and,
+// when hi ≥ 0, column hi, with each NaN meeting another resolved as the
+// contract above says. A node with one neighbour column takes the whole
+// weight, one with two the half weight for each.
+func (p *rowTaps) exact(row []float64, x, lo, hi int, inverse bool) {
+	sum := 0.0
+	for k := 0; k < p.n; k++ {
+		if hi < 0 {
+			sum = firstNaN(sum, p.whole[k]*p.r[k][lo], false)
+			continue
+		}
+		sum = firstNaN(sum, p.half[k]*p.r[k][lo], false)
+		sum = firstNaN(sum, p.half[k]*p.r[k][hi], false)
+	}
+	if inverse {
+		row[x] = firstNaN(sum, row[x], false)
+	} else {
+		row[x] = firstNaN(row[x], sum, true)
+	}
+}
+
+// firstNaN is a + b, or a − b when sub is set, except that a NaN operand
+// decides the result: a's when a is NaN, else b's, quietened as an IEEE 754
+// operation quietens a signalling NaN.
+func firstNaN(a, b float64, sub bool) float64 {
+	switch {
+	case a != a:
+		return math.Float64frombits(math.Float64bits(a) | 1<<51)
+	case b != b:
+		return math.Float64frombits(math.Float64bits(b) | 1<<51)
+	case sub:
+		return a - b
+	}
+	return a + b
 }

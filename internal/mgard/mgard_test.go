@@ -333,14 +333,60 @@ func TestPropertyInfinityBoundHolds(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressInfinity3D(b *testing.B) {
-	data, shape := field3D(64, 64, 64, 1)
+func benchCompress(b *testing.B, data []float32, shape grid.Dims, opts Options) {
 	b.SetBytes(int64(len(data) * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: 1e-2}); err != nil {
+		if _, err := Compress(data, shape, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func benchDecompress(b *testing.B, data []float32, shape grid.Dims, opts Options) {
+	comp, err := Compress(data, shape, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float32, len(data))
+	b.SetBytes(int64(len(data) * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecompressInto(dst, comp, shape); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The 64³ pair runs at a tight bound, where building the Huffman code over
+// thousands of distinct symbols is a large share of compress.
+func BenchmarkCompressInfinity3D(b *testing.B) {
+	data, shape := field3D(64, 64, 64, 1)
+	benchCompress(b, data, shape, Options{Norm: NormInfinity, Bound: 1e-2})
+}
+
+func BenchmarkDecompressInfinity3D(b *testing.B) {
+	data, shape := field3D(64, 64, 64, 1)
+	benchDecompress(b, data, shape, Options{Norm: NormInfinity, Bound: 1e-2})
+}
+
+// looseField is a field of a fixed-ratio search's sample size, 32×64×64
+// float32 (512 KiB), with a bound of 3 % of its value range: the regime
+// where the level walk and the quantise loop, not the Huffman tree, take
+// the time.
+func looseField() ([]float32, grid.Dims, Options) {
+	data, shape := field3D(32, 64, 64, 1)
+	return data, shape, Options{Norm: NormInfinity, Bound: 3e-2 * grid.ValueRange(data)}
+}
+
+func BenchmarkCompressLoose3D(b *testing.B) {
+	data, shape, opts := looseField()
+	benchCompress(b, data, shape, opts)
+}
+
+func BenchmarkDecompressLoose3D(b *testing.B) {
+	data, shape, opts := looseField()
+	benchDecompress(b, data, shape, opts)
 }

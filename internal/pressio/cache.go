@@ -1,6 +1,7 @@
 package pressio
 
 import (
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -49,46 +50,31 @@ func (p Param) Slot(v float64) float64 {
 	return math.Max(QuantizeBound(v), math.Min(v, p.Lo))
 }
 
-// FNV-1a (64-bit) constants; the hash is hand-rolled so fingerprinting
-// allocates nothing — hash/fnv's New64a puts its state on the heap, and the
-// old chunked re-encoding staged a scratch copy of every float.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// fingerprintSeed keys every Fingerprint this process takes. A fingerprint
+// is compared only with others of the same process — the cache lives and
+// dies with it — and is never stored (archives and frazd's content ids use
+// SHA-256), so a random seed per process is safe.
+var fingerprintSeed = maphash.MakeSeed()
 
-func fnvBytes(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
-}
-
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// Fingerprint hashes a buffer's element type, shape, and contents (FNV-1a
-// over the raw float bits) into the cache-key component that distinguishes
-// datasets. Two buffers with equal fingerprints share cached evaluations, so
-// the hash covers every bit of every value — and the dtype, so a float32
-// field can never answer for the float64 field with the same bit pattern.
-// The data is hashed through the buffer's zero-copy byte view, so a
-// fingerprint allocates nothing (pinned by TestFingerprintAllocFree); the
-// fingerprint is process-local — exactly the cache's lifetime — so hashing
-// in host byte order is safe.
+// Fingerprint hashes a buffer's element type, shape, and contents into the
+// cache-key component that distinguishes datasets. Two buffers with equal
+// fingerprints share cached evaluations, so the hash covers every bit of
+// every value — and the dtype, so a float32 field can never answer for the
+// float64 field with the same bit pattern. The contents go through one
+// maphash.Bytes call over the buffer's zero-copy byte view, which runs at
+// memory speed and allocates nothing (pinned by TestFingerprintAllocFree);
+// the dtype, the rank and each extent are then folded in one word at a
+// time, an FNV-1a step per word. Hashing in host byte order is safe for
+// the same reason the random seed is.
 func Fingerprint(buf Buffer) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvUint64(h, uint64(len(buf.Shape)))
+	const prime = 1099511628211 // FNV-1a's 64-bit prime
+	h := maphash.Bytes(fingerprintSeed, buf.RawBytes())
+	h = (h ^ uint64(buf.DType())) * prime
+	h = (h ^ uint64(len(buf.Shape))) * prime
 	for _, e := range buf.Shape {
-		h = fnvUint64(h, uint64(e))
+		h = (h ^ uint64(e)) * prime
 	}
-	h = (h ^ uint64(uint8(buf.DType()))) * fnvPrime64
-	return fnvBytes(h, buf.RawBytes())
+	return h
 }
 
 // CacheKey identifies one memoised evaluation.

@@ -69,7 +69,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 }
 
 // TestFingerprintAllocFree pins the zero-copy fingerprint path: hashing goes
-// through the buffer's raw byte view with a hand-rolled FNV-1a, so a
+// through the buffer's raw byte view with one maphash.Bytes call, so a
 // fingerprint of any size buffer performs zero heap allocations (the old
 // path staged every float through a scratch copy and allocated the hash
 // state).

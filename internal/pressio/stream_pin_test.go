@@ -208,6 +208,24 @@ var edgePinCases = []struct {
 	{"zfp:accuracy", grid.Dims{45, 61}, false},
 	{"zfp:rate", grid.Dims{45, 61}, false},
 	{"zfp:accuracy", grid.Dims{64, 64, 64}, false},
+	// mgard's level walk where its tap pattern changes: one odd node per
+	// axis with no right neighbour (2×2), extents whose last odd node loses
+	// its right neighbour at a coarse level (3×5×7; 33 beside 65, which sets
+	// six levels), 2^k+1 extents where no node does (17×9×5), an extent of
+	// 1 (9×1×9), and non-finite values through the walk and the quantiser,
+	// on fields where NaNs meet in the walk's sums, so that which of two
+	// NaNs an addition keeps shows in the literals.
+	{"mgard:abs", grid.Dims{2, 2}, false},
+	{"mgard:l2", grid.Dims{2, 2}, false},
+	{"mgard:abs", grid.Dims{3, 5, 7}, false},
+	{"mgard:l2", grid.Dims{3, 5, 7}, false},
+	{"mgard:abs", grid.Dims{65, 33}, false},
+	{"mgard:l2", grid.Dims{65, 33}, false},
+	{"mgard:abs", grid.Dims{17, 9, 5}, false},
+	{"mgard:l2", grid.Dims{17, 9, 5}, false},
+	{"mgard:abs", grid.Dims{9, 1, 9}, false},
+	{"mgard:abs", pinShape, true},
+	{"mgard:l2", grid.Dims{45, 61}, true},
 }
 
 // TestEdgeStreamsByteIdentical is TestStreamsByteIdentical for edgePinCases.
@@ -358,4 +376,72 @@ var edgePins = map[string][2]string{
 	"64x64x64/zfp:accuracy/float64/2":      {"f7025ebcbded86352f1503afdbdd3494d80e774eba83a530ea0b81b5d4e92356", "88b1d00002442aee7333c100ae6c5a3ad8f5043551ca93570178f17b244edfe4"},
 	"64x64x64/zfp:accuracy/float64/0.05":   {"94a47a9efdeb8f1cf32e71c33edcab2979805185b9f4a64b5390cb6317fe3481", "10d9024fdf9bdf5c6767faa03e672b6864883efa27d27b11015de9e1a21e2853"},
 	"64x64x64/zfp:accuracy/float64/0.0001": {"771cde5891fac7efc545511845c14016ce1b33999b3118b36f29718691713f4b", "3baecf09792118df0e3d6c69a3acc351a61d48ba607a0067d56ac6a591b78b47"},
+	// The mgard tap-pattern rows: generated at the commit before mgard's
+	// level walk became row kernels.
+	"2x2/mgard:abs/float32/2":                     {"4df2bb4e072c1beceb1f616b2272b32ce4f8356b9a420b2bfc41145895f36df1", "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"},
+	"2x2/mgard:abs/float32/0.05":                  {"9b9b1fbf148773a8cf990c114a97dc2ce0c2a4ba9c66982f8e7c00bd977a49e4", "e40f90badc3fcd24445ea0cf717e40d7ee83862da0c2a2cb9011c55e74059f68"},
+	"2x2/mgard:abs/float32/0.0001":                {"660d8f221381ad9f563c56192600639add4a8df8289047706bad0e312540ce2c", "7d4fb069b490c4c36b52eadcf7a73fdd0b29a302392f7e30e39866fc02c3bfe1"},
+	"2x2/mgard:abs/float64/2":                     {"ef3b85ff60c8fdf181f788259274923eaf10bf90019bce02cc9aa5c904549496", "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"},
+	"2x2/mgard:abs/float64/0.05":                  {"5a3a28ae6b481ffbd771a1002db1fe21ca9982987a674b419cf0ff6f3cfa1f2b", "4d0012bdf046a2a13588ab23644541026a0ed4265540e78d1b07481c9d601108"},
+	"2x2/mgard:abs/float64/0.0001":                {"202d7df9be93b6a85f8275fc0607d4528567e8cfd8c18113211917ccb87c5f31", "06da07f8f591f0427d4946137b5e5d3fefbab333e8f829d57c0f497a0f2f8d46"},
+	"2x2/mgard:l2/float32/4":                      {"f38be6716615e62006909cb8ee0be942cc9c542511c0593325f946db9d5ddf9e", "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"},
+	"2x2/mgard:l2/float32/0.0025":                 {"01cfe2040f69a459ad8ab4f5903cd40053a2fde8c436667d31985ef5cfdadcef", "9e33b92aded5f4fe456be534712359f5c85fdba775b4bb7ad786448463e846b1"},
+	"2x2/mgard:l2/float32/1e-08":                  {"26451cef8541942f704f826d1c3abea4b12f8eb18aa5479d4b7731553a11f4b3", "9020e7ad9dadd15a41c5eed125a697c115f92243db906f2bf2ae7612355e5596"},
+	"2x2/mgard:l2/float64/4":                      {"0fbba85e8a0d2b52b6c1fdd650dd94806bfdb080fb319f4af1be10108ca63cbc", "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"},
+	"2x2/mgard:l2/float64/0.0025":                 {"9d55ef24dea7cd0a5934d227b3a38fb26a7de74d00f50682130712ba5777ec00", "67d6152e2b3b4be703efc0319c731661c9bda2a8c7d16388d56fc7551e8980c4"},
+	"2x2/mgard:l2/float64/1e-08":                  {"f3f16036c290741ebaeb965c53fa5cf6036cecf2c4259d223fb5a8ba23e587b2", "93fb4404b9faec0adbc255790b1d7a107bb5e8293a21d27d76ca336f1ecc3d0e"},
+	"3x5x7/mgard:abs/float32/2":                   {"945047df094fe06dd3583d3cc9e858404d08d094a220fb4bf6fb94f4ea6d6e89", "28a51a3c1f9bb8a5903a9b13db4ab6f125a30d4ea732fb5f5261747404a368e7"},
+	"3x5x7/mgard:abs/float32/0.05":                {"bd0406c973259807f8df652a98cbf767ed95843c93ce4df57051f84a4178f86f", "677eac8562c700e0fd0acb314c5126c903f9e7dcd8ed7fb4f98e79c0f307e2fc"},
+	"3x5x7/mgard:abs/float32/0.0001":              {"a658d333f2cf1dc8e491bdb088dda9125876e7cceb2f7946b2ebec73254fcd57", "d3984a10b5b16eb1b3eb6a8034ddf15857e316c8b60b2ebeb0d5797a9e01ec94"},
+	"3x5x7/mgard:abs/float64/2":                   {"2d77b7ccc8ef52be772aabd4798405bef9613b5bc7a3dc6eeb0d3bb3044947e8", "8b3c43aef2329722cbafa656327f18bf355de9ad3d2e48127fecdf91c0c3cd3e"},
+	"3x5x7/mgard:abs/float64/0.05":                {"b29c8d0878e8e85a0dc6d90ed715ca06fc2afe6a0ff7d37d8e3e44274d481ef5", "44d84b8bcf26968a70f6157fa67d222619aab0737c22aca99a945b21a11f341e"},
+	"3x5x7/mgard:abs/float64/0.0001":              {"2322c85b5ac29d17b93be00b03ae1ba26e4bf25d0b73f75fce6e194291e33d39", "ba6808da67f57080b7dc67bca1120b769182b367613ce300720e07dd7f55828d"},
+	"3x5x7/mgard:l2/float32/4":                    {"55583088b46ed64541d089293f5d1b973ef45d7f4f0d543ffb8d27c21afaa472", "5b153784aff30e036db5c1cbeb6f89d0db0a6e072b1aeca4413ab6557c3bacb2"},
+	"3x5x7/mgard:l2/float32/0.0025":               {"7e8a9c9a9b00f4119bfaafdb91ffa6e46ea4376f63068f2f13dfbb85ea87bacc", "085e7527c547807dd092706624c12d87f2b48b789520cd69f9ee8a4c9bdd0a4c"},
+	"3x5x7/mgard:l2/float32/1e-08":                {"d3ec9b4a8c79de40ab9bfb30e7b082a3fcdfa4eb66b18addbe75119455d921cd", "2b93a6805fd0c465ceb1915baa2357295ec037b300326004a48a52d56c9e55c6"},
+	"3x5x7/mgard:l2/float64/4":                    {"97c1bf184943feae12f2868b0b2907f6345f516dbf7e445c645602665a86dba7", "0d26f77b0ff848d756fd1cea5c7705e1c53aaeca33026f4bbbad61f636cf1583"},
+	"3x5x7/mgard:l2/float64/0.0025":               {"b2ec153fe37965a1a35d2554b45f4387e8a4cd7a164d97ccbe1a33f7c903c06a", "b3d8a632a28b69e0785c740f0830099536d0ff141ca03a3e43035fcc06b28bb8"},
+	"3x5x7/mgard:l2/float64/1e-08":                {"cea1731db2e36cd69a377aadb4db0c356876426c9941876d4dce8648ec74b08b", "3493f623c34b855ea5a27deb03cec787ff96e75266d133f71b8e6f6c39b85b05"},
+	"65x33/mgard:abs/float32/2":                   {"02af7421c18e42c802f4ac66eed8186ba1dbbb5de72cdbf2739fbf74063447d1", "ac7193826cb7a5666058752332d287b1de7ed0c260620d62ed1bb14cadf4642a"},
+	"65x33/mgard:abs/float32/0.05":                {"96790aea1b222bf66ca6a05a0b3f5c3371c5aa3d1823e9f01c428c13df97e340", "5fd3f145e12d66f2e08aec034915a07bb7abfad88668a36827edbdc099f56ff9"},
+	"65x33/mgard:abs/float32/0.0001":              {"e7052026cc6fd2a29efe4d751d8f3bbe48668fafba7ac423de672b58a6b21d92", "91783c0c013631d714226e2a07c6da803238efd12e03f76fb749d4826545dcb5"},
+	"65x33/mgard:abs/float64/2":                   {"50bfcf5c1bee6aca8b3007d0bb26e4eec0bf87d57bab5aadd9f6414ec485fe98", "368d7ef82353915ec250b7384ef4424e5a6710cefa7572ff27e3ef7580afe82c"},
+	"65x33/mgard:abs/float64/0.05":                {"b9c7ce199aa10be2cf6c664799674fee767f9e1cbe7f524693636806b563039f", "2a4ac64049a30079ad3c4fe1fdafeddf5bbb8414fd89fa497b5fada062239865"},
+	"65x33/mgard:abs/float64/0.0001":              {"fe586e37c1f13f8ca5181f4da5fddfac87979b575869a62fc0a1e366f9de3459", "cf8018f2610d00bf422a1cc6286b29e63c99ef5ad509c968708e65ac3772039f"},
+	"65x33/mgard:l2/float32/4":                    {"2ac9561c5aef2020ae77e59ffb609262dc6786f5c849b4988cd3367f98ad80f9", "303dc078c4ab4dc0a2d8eeea288ef12082f48a890f74d755d6ddef2cc7486ed0"},
+	"65x33/mgard:l2/float32/0.0025":               {"af8920ad8a90c4b29c9f5cf644d100c6a98195c03174921060e860dd60639c88", "5c2cde6102de5036c52f4a9a426dfcf5cb0bdfb52cf77ef30f8332ea741e1924"},
+	"65x33/mgard:l2/float32/1e-08":                {"7411ce8b9ce8a0b5e73a888a9a7eb89f4042fc53b2528dd7f0eb275eefbe019c", "7082ac501d232eec84859ec7696869127731b92abf30755e63ddcae2a519f8a5"},
+	"65x33/mgard:l2/float64/4":                    {"2a85291ce6ceafc5badb1842663a17f11e02912e57f5e19c64d719dd8546b79f", "5f29bfdec055c18f8b651d7ed09b69f8fa072449931d4efb2fb852ecefc04d73"},
+	"65x33/mgard:l2/float64/0.0025":               {"166c28aec3c66d590af0a5168635b2199a14316226ded936814d81b8498851fd", "541d20288cdc859a402e2bdd7c45b9a85561123eb6b2997824bc78249ce1b42e"},
+	"65x33/mgard:l2/float64/1e-08":                {"f4e6b9a15f0e4a58bc85dacc4163acda7399e5e3d863b9aca1e3706a59bafa89", "bb17d7d3e89249a371d7ebb606eef998dfb4e27bb6d25d40504598a0cbcfb4a1"},
+	"17x9x5/mgard:abs/float32/2":                  {"10de77a903cfab3512f2acfa794925cadbdb6c4a679f85a487a83a1fd118f280", "ad1ed17e0d9c2529dfbe09ec5fb9a231c1e81f82e94b8242f9c94c075d0acc80"},
+	"17x9x5/mgard:abs/float32/0.05":               {"d25ad28af98bb6ac149e2ac77667e092c85562f16477da833bb967b7e4f504d9", "1b664754e25fdd57641ec2d50bf1465df1d7aecd48283c2d7aebb4f46d3f3287"},
+	"17x9x5/mgard:abs/float32/0.0001":             {"436e7cf2290eda3dae67773cc7137dc7fa1a04883d4e049048eee07ea2bb5a13", "3eee178494202392d2a5259e873cb0b1cf55eff6e4b240e9ae65381b8a170a7f"},
+	"17x9x5/mgard:abs/float64/2":                  {"d32eff6011d0e86f18f6738a8d24bbe3b86411304b70ea49309830b2f1b8b27d", "39e599c53879a6546b9ae901be5b2fc9ef5f5995862a1022cccb8c65da06896d"},
+	"17x9x5/mgard:abs/float64/0.05":               {"1ea9b57a630be345681722cf5ba3061df89de71f5cfef0812625f9f6d11c0d2f", "6e68f490ca8935bec436abded531a7b6c1c358d8770add6d34d3a149b766ab9b"},
+	"17x9x5/mgard:abs/float64/0.0001":             {"21e96c59b3d429f4b65db7f31e198034fa443dd85139cb90602c81c90c836fd2", "469eb937dc61681417bd592beba8524e4aa72a06ff540fe2f61079df85b04908"},
+	"17x9x5/mgard:l2/float32/4":                   {"f6ca7297e0fad936fa2fbe12f6e951cbbe5c8eb9ffcba910cbe1a9519b15c2d6", "1e724355e9b1c072b4387be30b889744a022e35fcf1f9b0d182fa9ecf7ac9d9f"},
+	"17x9x5/mgard:l2/float32/0.0025":              {"a80354006e3fc08124be4448d2c595806ef4bfb2e32e367247a3d0a8803cd365", "1662c1543da5286610c422d0d5d934bbf3231a2bbb97b248c443ea95c04d4728"},
+	"17x9x5/mgard:l2/float32/1e-08":               {"02199bb14bc3c941e00c4d8a9a8fcc94aa978ec92dac7f0d2e5203d8bd548f9e", "f9558e098c14a9faa469f3a86e965dc04837f2b283944a77daa78c1531ac017b"},
+	"17x9x5/mgard:l2/float64/4":                   {"857a94b3c9e7a68e19db1199eab3c9af9fb1eedd5afe1c359efb3aa9b75d311d", "d2e88d0930e9aef65c24d53b8a0a8de80ce796667204e0fc19dc32106dae72f1"},
+	"17x9x5/mgard:l2/float64/0.0025":              {"a5ed4bbf25187c84866c913c709897293e61b1a53ccc99a478a2c61cf2630f03", "026c848e56669873bc4e6261cf5a7ea58314ff01359e64a1a32da4432e27e912"},
+	"17x9x5/mgard:l2/float64/1e-08":               {"bef7233dd65443d5738072d44befedcd2dfb5419ec795e2c7d044f2880176320", "e30e81fdbef3ef551280e4891f1d413af56d87b416285511ee96cafe6a0dc20c"},
+	"9x1x9/mgard:abs/float32/2":                   {"decfc979e5a10f9a92628b101a29ea145886be3d8e4b566db668f3f2c2efbc73", "b5743723757f6e01e158774823e1890c10649a234d83fe9f884141231f062736"},
+	"9x1x9/mgard:abs/float32/0.05":                {"559156a3ae9b6d9d78749749a5c20257a967300ffea37113cbe116cadc4f2822", "7e9d4b616ccf6fcf68b0da3c946680f7c66bf0aa968a158e7e3dfdd6a7a200dd"},
+	"9x1x9/mgard:abs/float32/0.0001":              {"af6455a93d8b3ed342eb82bc12b3be307f5d26438b6f4afef58cce85ee1b5eeb", "e65eaf682b8f072da98ba91610849c642efb1cfaf46f6deb911d9442547b5fbe"},
+	"9x1x9/mgard:abs/float64/2":                   {"ed8168d45e6daeb9e0f94b43e95bd4c8bb880043fce51dd33d7be67d945d6ce7", "538ff80af23e39452af285890be32ccd56138e4788645765db3de84ed10d9cf7"},
+	"9x1x9/mgard:abs/float64/0.05":                {"7ec8099f495aabc5bb53874d297057a977cd3bcfdabbdaafc2dabf0216783af8", "aae97759a71228c7c3596edcb61747d76e181535d9d97abff5dd49dfe7498237"},
+	"9x1x9/mgard:abs/float64/0.0001":              {"64a247053165c676e71817e582f9c7070e06f4ad1b61618eb95ab5c525132907", "cde8012263e4322ce4cbd3aa9417814c82c3f9ffe5ae450891f6ac0e11c9801d"},
+	"10x18x26/nonfinite/mgard:abs/float32/0.0001": {"decd5f06e965cb58d65f70a0c93e15e24a036f21b3eb4bf4f35178d92ced1f34", "b271340242d68aee55620d43f6e662c23874626d64afacbf8aec16777453a254"},
+	"10x18x26/nonfinite/mgard:abs/float32/0.05":   {"54a37d306db43908517ae4adaf396e56aba305a9abd5f73b8182ed7ed9629b5a", "95bc1a6dc423771f08aa00b97d8942a15622e15caf810add718b6bbaec0707d1"},
+	"10x18x26/nonfinite/mgard:abs/float32/2":      {"7363e7485d7f51289cb8e684893c118d0fd748fa189ac33c3622daf06c1fc59d", "2a5cb853534207384b22e89a3dc8912d34cf4e911d6ea00121499ef8a65c1d7f"},
+	"10x18x26/nonfinite/mgard:abs/float64/0.0001": {"c1f9930bc4d2b11bed2a42756425b0543dd3dff045cb9f04fbcd3c03a179ee09", "d64a1c1f6f834adfc1fdf0bf45cf5f04fd315150858763df302e7b7d208079c5"},
+	"10x18x26/nonfinite/mgard:abs/float64/0.05":   {"6c2a4200e136e442f0b35fd93f34c7b5b32ee69791b8616ac89c5bea6fb849ae", "cf3263bf2afc3d31111a62c737c1f18a85892017de8d95f9a8d05d6721bacc98"},
+	"10x18x26/nonfinite/mgard:abs/float64/2":      {"bc640d86b91a0a8d07b525933cac590a2e6a9d9c9ee6faa47e8414cfe25d1382", "6fdcf191f2beea4c91fee4237d894f0db244152aecf200ac2a893eb17b0e5a51"},
+	"45x61/nonfinite/mgard:l2/float32/0.0025":     {"22ff01666359b50c7dd7d3298e68a9bf34d6a9355fbd8916754f2f8b4c7bfc56", "f80913584c3a4917c6ed045cc529d65969c07e961e6e26db1c596f7d256c1c8f"},
+	"45x61/nonfinite/mgard:l2/float32/1e-08":      {"91e69df65b050c14a8e51ba0c58d990e5b5fdc9aa610eae0a98c73c7e053967e", "33397ed4aa0345c0e0d76b9d36baa32615352d5ccccbb5d296d30e59ec3d6e94"},
+	"45x61/nonfinite/mgard:l2/float32/4":          {"411f5f567d09b63f11372b5e99c2ba314a43f7c68d7561c0ba4bae07abb6144f", "aa5d182c08e37c0458ef5c889584485c8c41bbcd466d2010f1d1e16b2529d087"},
+	"45x61/nonfinite/mgard:l2/float64/0.0025":     {"58ad06ad2368f110067154443664a47104987a2ec478811fa053d8f4fe316ce5", "b963de98700c014e5881140b42627f5b63bcffc96fa753bf8cfe6238c249e02f"},
+	"45x61/nonfinite/mgard:l2/float64/1e-08":      {"93e306c925915312c26a95edff29803ecde66c5257c29ef2ae3d8658567b8836", "738ae6cde010963616fe681c9b2ce31ee0aa0157eb03f2c6d4081017372296cf"},
+	"45x61/nonfinite/mgard:l2/float64/4":          {"9d200115a3aa14844c4e27d036b33abaa6908593e102c1cf5002517a8fc96719", "04a93a7f3f441e41e3da4d350e87bf7bbeeff1d0ed5ede27b04d9f6ffe049a6a"},
 }
