@@ -226,6 +226,13 @@ var edgePinCases = []struct {
 	{"mgard:abs", grid.Dims{9, 1, 9}, false},
 	{"mgard:abs", pinShape, true},
 	{"mgard:l2", grid.Dims{45, 61}, true},
+	// sz where its visit order and the gathering of a block's literals
+	// could change what it writes: partial blocks on every axis (7×13×11
+	// against the 6³ default), an extent of 1 (13×1×20), and literals
+	// scattered through rank-2 blocks by non-finite values (45×61).
+	{"sz:abs", grid.Dims{7, 13, 11}, false},
+	{"sz:abs", grid.Dims{13, 1, 20}, false},
+	{"sz:abs", grid.Dims{45, 61}, true},
 }
 
 // TestEdgeStreamsByteIdentical is TestStreamsByteIdentical for edgePinCases.
@@ -444,4 +451,24 @@ var edgePins = map[string][2]string{
 	"45x61/nonfinite/mgard:l2/float64/0.0025":     {"58ad06ad2368f110067154443664a47104987a2ec478811fa053d8f4fe316ce5", "b963de98700c014e5881140b42627f5b63bcffc96fa753bf8cfe6238c249e02f"},
 	"45x61/nonfinite/mgard:l2/float64/1e-08":      {"93e306c925915312c26a95edff29803ecde66c5257c29ef2ae3d8658567b8836", "738ae6cde010963616fe681c9b2ce31ee0aa0157eb03f2c6d4081017372296cf"},
 	"45x61/nonfinite/mgard:l2/float64/4":          {"9d200115a3aa14844c4e27d036b33abaa6908593e102c1cf5002517a8fc96719", "04a93a7f3f441e41e3da4d350e87bf7bbeeff1d0ed5ede27b04d9f6ffe049a6a"},
+	// The sz visit-order rows: generated at the commit before sz's Lorenzo
+	// walk went wavefront.
+	"7x13x11/sz:abs/float32/2":              {"e5e6ad5cab3d705ddeb9ce9d67a13e73bf5c8a39b3b30f0c3b8ea66a29840227", "7b02b7811f3134fa3f7af603afa15b0ced79ab8f15955859cfa132dc22a1077a"},
+	"7x13x11/sz:abs/float32/0.05":           {"7907a1da6624e807ed3561a93a2cdaf4797775666a56ed52dfd94306c2f56057", "97c4f9f8e610c10e9ea426cfbebbd9fac0ac8eb64a84ae48429e434ba90ab639"},
+	"7x13x11/sz:abs/float32/0.0001":         {"5ba834e9a202de3c135d6301c4dc2f6874424533d8cd17252d74e0613aa4dda9", "bd375a5bcb777ca94fbf3d97bf3c655ec6d6199a2403685ca5ec9e9a75cb081b"},
+	"7x13x11/sz:abs/float64/2":              {"c2c713a5422fc4868020f68b8ec6a753e59567a32a0ab55eb91caac0e8c2267d", "7f61286a12384e800112443d31d9469de46e8c59d247905362948d229ffdbcf2"},
+	"7x13x11/sz:abs/float64/0.05":           {"c681a4a32f5a1e2eb74b53ff858a25a04e26a940d21446a891ee8cb200844760", "35f1cbc3218db26bcfee515bd590f31f681a6df8599feb3eb1870226665f1f27"},
+	"7x13x11/sz:abs/float64/0.0001":         {"7dc4bf11f446885b479947e066e1e297c2acdfb202eec05e6ca1e1c15d0d8310", "9aa6869f94895114931df968c629bba8383a467b3c9ee34e6b4cb29e1cc6687b"},
+	"13x1x20/sz:abs/float32/2":              {"197198726ddff49f79583a93bffea197cf612b7a84ed74eaec34b4ef07030f10", "52e80417deee853e38597b9b2bd9f05ebdb246c63b654a82275c5034fdaee4f3"},
+	"13x1x20/sz:abs/float32/0.05":           {"637beea130d38f505b51c7fe4b105efa17805274a90cad7435d3750bb0435abd", "e8eff65df9c715f19d8b4d187a62dcb587ff7ec6a551880328e04772e263fd84"},
+	"13x1x20/sz:abs/float32/0.0001":         {"355e68b61bc331da075a9d0d9c5695a1892afb0c31c66cbd109f80eba8e6217a", "62a806ee81adb7f32cd43420630ab65e515fff7d6b462e48c414098f70e0ac6b"},
+	"13x1x20/sz:abs/float64/2":              {"6140666f0745a179cd038b81ab231aa0f1356328f99d4722a2f797fbf233d721", "8f99faa5d1e1b39abf61c5372c4f653c91014f1ee3d12ae369c63e52b17cde26"},
+	"13x1x20/sz:abs/float64/0.05":           {"3b98c7f7e78a6ce7b0c6ccaabf7397091512ae24dc438761ac58cd94442efe96", "7d6969124a30c0a1df31230f9e5d9f578b0a505541a84e07ae134ea1829bcd1a"},
+	"13x1x20/sz:abs/float64/0.0001":         {"61383631499a54884b48698928f5236b26fbeff18292a4ec18e87a80c5f20975", "af876888f0ab399b5da67027fd0874b9c4a95e8d6b06b791ce8fed606fb5d312"},
+	"45x61/nonfinite/sz:abs/float32/2":      {"abf744c22976db90f848b1ab64188d29ce293181836ef79cf0b899d75770f7f3", "1b1cce46a452bb34aa313e2e15c4fd7646fc7df0b0ad000497f0cbee26e803c5"},
+	"45x61/nonfinite/sz:abs/float32/0.05":   {"4f559c9a78d92cc414f5d7f7564dd1014938daae3055ae497e3de3b51d6d02a0", "96a9e0b5a22c1e0327a8278a714674dac040539565455fca61722d45b543ea17"},
+	"45x61/nonfinite/sz:abs/float32/0.0001": {"2dd45ac0985387bda8e354b39b1fe4071d1de34cb328fdc614a96e5640ae667e", "be5d945150bef7d1026b479f9e11e59e27acb26e81f95dc6346add1826ba2872"},
+	"45x61/nonfinite/sz:abs/float64/2":      {"0d56c92d2a3a53f39c3743e8f00162b3bc6c0c02b272eea0f453f015acdb45f7", "362b1fca377cf62d865ed62cfdbd39d68ad3ccfe1c0b9905e181e9f6ef3711a1"},
+	"45x61/nonfinite/sz:abs/float64/0.05":   {"a2f70987424b96bcc60ad6b7ef8269f6a4e086cb50454adb64cc3ca5314be9f4", "5e5eea9195a2a5e71f8bd30a54da17b49abfa1ed67c05580c00295a54e441940"},
+	"45x61/nonfinite/sz:abs/float64/0.0001": {"a0ebbd387d461f8215fbe6c8aad55c7cc390ffd4560e0cba96740be4827e57bf", "e1cbe9b227dd4980aa6350c2e2d13a5ba9497d52b964ace04f89c697c74b332f"},
 }
