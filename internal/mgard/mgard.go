@@ -134,7 +134,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	literals := make([]T, 0)
 	for i, c := range work {
 		r := math.Round(c / twoE)
-		if r != r || r >= half || r < -half || math.Abs(twoE*r-c) > e {
+		if r != r || r >= half || r < -half || math.Abs(float64(twoE*r)-c) > e {
 			codes[i] = unpredictable
 			literals = append(literals, T(c))
 			continue
@@ -340,7 +340,10 @@ func axisTaps(extent, stride, s int) []tap {
 // so every product of them is a power of two and exact in any order:
 // multiplying the slow two first, once per row, and the fast axis's weight
 // in after gives the same bits as the per-node product. The sum still
-// starts from zero, so a lone −0 term still sums to +0.
+// starts from zero, so a lone −0 term still sums to +0. Each term is
+// rounded before it is added, sum += float64(w·v): a target with a fused
+// multiply-add (arm64) would otherwise skip that rounding and write other
+// bytes than amd64 does.
 //
 // Where two NaNs meet in one addition, the result is the first operand's
 // NaN (SSE2's rule, which the generic per-node walk compiled to on amd64),
@@ -410,7 +413,7 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 		case 1:
 			for x := 0; x < nx; x += 2 * s {
 				sum := 0.0
-				sum += w0 * r0[x]
+				sum += float64(w0 * r0[x])
 				if !apply(row, x, sum, inverse) {
 					p.exact(row, x, x, -1, inverse)
 				}
@@ -418,8 +421,8 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 		case 2:
 			for x := 0; x < nx; x += 2 * s {
 				sum := 0.0
-				sum += w0 * r0[x]
-				sum += w1 * r1[x]
+				sum += float64(w0 * r0[x])
+				sum += float64(w1 * r1[x])
 				if !apply(row, x, sum, inverse) {
 					p.exact(row, x, x, -1, inverse)
 				}
@@ -427,10 +430,10 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 		default:
 			for x := 0; x < nx; x += 2 * s {
 				sum := 0.0
-				sum += w0 * r0[x]
-				sum += w1 * r1[x]
-				sum += w2 * r2[x]
-				sum += w3 * r3[x]
+				sum += float64(w0 * r0[x])
+				sum += float64(w1 * r1[x])
+				sum += float64(w2 * r2[x])
+				sum += float64(w3 * r3[x])
 				if !apply(row, x, sum, inverse) {
 					p.exact(row, x, x, -1, inverse)
 				}
@@ -444,8 +447,8 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 	case 1:
 		for ; d+s < nx; d += 2 * s {
 			sum := 0.0
-			sum += h0 * r0[d-s]
-			sum += h0 * r0[d+s]
+			sum += float64(h0 * r0[d-s])
+			sum += float64(h0 * r0[d+s])
 			if !apply(row, d, sum, inverse) {
 				p.exact(row, d, d-s, d+s, inverse)
 			}
@@ -453,10 +456,10 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 	case 2:
 		for ; d+s < nx; d += 2 * s {
 			sum := 0.0
-			sum += h0 * r0[d-s]
-			sum += h0 * r0[d+s]
-			sum += h1 * r1[d-s]
-			sum += h1 * r1[d+s]
+			sum += float64(h0 * r0[d-s])
+			sum += float64(h0 * r0[d+s])
+			sum += float64(h1 * r1[d-s])
+			sum += float64(h1 * r1[d+s])
 			if !apply(row, d, sum, inverse) {
 				p.exact(row, d, d-s, d+s, inverse)
 			}
@@ -464,14 +467,14 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 	default:
 		for ; d+s < nx; d += 2 * s {
 			sum := 0.0
-			sum += h0 * r0[d-s]
-			sum += h0 * r0[d+s]
-			sum += h1 * r1[d-s]
-			sum += h1 * r1[d+s]
-			sum += h2 * r2[d-s]
-			sum += h2 * r2[d+s]
-			sum += h3 * r3[d-s]
-			sum += h3 * r3[d+s]
+			sum += float64(h0 * r0[d-s])
+			sum += float64(h0 * r0[d+s])
+			sum += float64(h1 * r1[d-s])
+			sum += float64(h1 * r1[d+s])
+			sum += float64(h2 * r2[d-s])
+			sum += float64(h2 * r2[d+s])
+			sum += float64(h3 * r3[d-s])
+			sum += float64(h3 * r3[d+s])
 			if !apply(row, d, sum, inverse) {
 				p.exact(row, d, d-s, d+s, inverse)
 			}
@@ -480,7 +483,7 @@ func (p *rowTaps) walkRow(row []float64, s int, evens, inverse bool) {
 	if d < nx {
 		sum := 0.0
 		for k := 0; k < p.n; k++ {
-			sum += p.whole[k] * p.r[k][d-s]
+			sum += float64(p.whole[k] * p.r[k][d-s])
 		}
 		if !apply(row, d, sum, inverse) {
 			p.exact(row, d, d-s, -1, inverse)
@@ -513,11 +516,11 @@ func (p *rowTaps) exact(row []float64, x, lo, hi int, inverse bool) {
 	sum := 0.0
 	for k := 0; k < p.n; k++ {
 		if hi < 0 {
-			sum = firstNaN(sum, p.whole[k]*p.r[k][lo], false)
+			sum = firstNaN(sum, float64(p.whole[k]*p.r[k][lo]), false)
 			continue
 		}
-		sum = firstNaN(sum, p.half[k]*p.r[k][lo], false)
-		sum = firstNaN(sum, p.half[k]*p.r[k][hi], false)
+		sum = firstNaN(sum, float64(p.half[k]*p.r[k][lo]), false)
+		sum = firstNaN(sum, float64(p.half[k]*p.r[k][hi]), false)
 	}
 	if inverse {
 		row[x] = firstNaN(sum, row[x], false)

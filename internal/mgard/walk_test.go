@@ -62,7 +62,7 @@ func refWalkLevel(work []float64, shape grid.Dims, s int, inverse bool) {
 						wab := ta.w[a] * tb.w[b]
 						base := ta.off[a] + tb.off[b]
 						for c := 0; c < tc.n; c++ {
-							sum = firstNaN(sum, wab*tc.w[c]*work[base+tc.off[c]], false)
+							sum = firstNaN(sum, float64(wab*tc.w[c]*work[base+tc.off[c]]), false)
 						}
 					}
 				}

@@ -61,7 +61,7 @@ func (q *Quantizer) Quantize(value, pred float64) (code int32, recon float64, ok
 		return 0, value, false
 	}
 	code = int32(c)
-	recon = pred + 2*q.ErrorBound*float64(code)
+	recon = pred + float64(2*q.ErrorBound*float64(code))
 	// Guard against floating-point rounding pushing the reconstruction just
 	// outside the bound; in that rare case fall back to verbatim storage.
 	if math.Abs(recon-value) > q.ErrorBound {
@@ -71,6 +71,9 @@ func (q *Quantizer) Quantize(value, pred float64) (code int32, recon float64, ok
 }
 
 // Dequantize reconstructs a value from a prediction and a quantization code.
+// The product is rounded before the addition, as in Quantize, so no target
+// fuses the two into one multiply-add: the decoder must compute the very
+// reconstruction the encoder checked against the bound.
 func (q *Quantizer) Dequantize(pred float64, code int32) float64 {
-	return pred + 2*q.ErrorBound*float64(code)
+	return pred + float64(2*q.ErrorBound*float64(code))
 }

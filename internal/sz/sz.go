@@ -101,55 +101,29 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if shape.NDims() > 3 {
 		return nil, fmt.Errorf("%w: rank %d (want 1..3)", ErrInvalidInput, shape.NDims())
 	}
+	if opts.BlockSize < 0 || uint64(opts.BlockSize) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: block size %d (want 1..%d, or 0 for the default)", ErrInvalidInput, opts.BlockSize, uint32(math.MaxUint32))
+	}
+	if int64(opts.Intervals) > maxIntervals {
+		return nil, fmt.Errorf("%w: %d intervals (want at most %d)", ErrInvalidInput, opts.Intervals, maxIntervals)
+	}
 	o := opts.withDefaults(shape.NDims())
-	q, err := quantize.NewWithIntervals(o.ErrorBound, o.Intervals)
-	if err != nil {
+	if _, err := quantize.NewWithIntervals(o.ErrorBound, o.Intervals); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 
 	// recon and codes are compression-internal scratch: recon is only read at
-	// offsets already reconstructed (block-major row-major order guarantees
-	// every Lorenzo neighbour is written first), and exactly one code is
-	// emitted per point, so the pooled capacity is never exceeded.
+	// offsets already reconstructed (the walks visit every Lorenzo neighbour
+	// first), and every code is written once, at its point's index.
 	recon := pool.Get[T](len(data))
 	defer pool.Put(recon)
-	codes := pool.Get[int32](len(data))[:0]
+	codes := pool.Get[int32](len(data))
 	defer pool.Put(codes)
-	blocks := shape.Blocks(o.BlockSize)
-	enc := &encoder[T]{
-		q:        q,
-		bound:    o.ErrorBound,
-		data:     data,
-		recon:    recon,
-		codes:    codes,
-		literals: make([]T, 0),
-	}
-	blockMeta := make([]byte, 0, len(blocks)*17)
-
-	strides := shape.Strides()
-	for _, gb := range blocks {
-		b := padBlock(gb, strides)
-		var coeffs [4]float64
-		useRegress := false
-		if gb.Len() >= 8 {
-			coeffs = fitRegression(data, &b)
-			useRegress = regressionBeatsLorenzo(data, &b, coeffs)
-		}
-		if useRegress {
-			blockMeta = append(blockMeta, predRegress)
-			for _, c := range coeffs {
-				blockMeta = binary.LittleEndian.AppendUint64(blockMeta, math.Float64bits(c))
-			}
-			enc.regressBlock(&b, coeffs)
-		} else {
-			blockMeta = append(blockMeta, predLorenzo)
-			enc.lorenzoBlock(&b)
-		}
-	}
+	literals, blockMeta := encode(data, shape, o, recon, codes)
 	// The shared back end (internal/codestream): the block records go first
 	// as one chunk, then the Huffman-coded codes and the literals, and the
 	// dictionary stage runs over all of it.
-	body, dictFlag, err := codestream.Encode(enc.codes, enc.literals, blockMeta)
+	body, dictFlag, err := codestream.Encode(codes, literals, blockMeta)
 	if err != nil {
 		return nil, fmt.Errorf("sz: %w", err)
 	}
@@ -162,6 +136,52 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	out = binary.LittleEndian.AppendUint32(out, uint32(o.Intervals))
 	out = grid.AppendShape(out, shape)
 	return append(out, body...), nil
+}
+
+// maxIntervals is the most quantisation intervals Compress accepts: every
+// code then lies in [−2^30, 2^30), exact in an int32 and never the
+// unpredictable marker.
+const maxIntervals int64 = 1 << 31
+
+// encode predicts and quantises data, block by block, into codes (one per
+// value, in stream order) and recon (the values the decoder will
+// reconstruct), and returns the literals and the per-block predictor
+// records. o carries validated options with defaults applied.
+func encode[T grid.Float](data []T, shape grid.Dims, o Options, recon []T, codes []int32) (literals []T, blockMeta []byte) {
+	blocks := shape.Blocks(o.BlockSize)
+	enc := encoder[T]{
+		bound: o.ErrorBound,
+		twoE:  2 * o.ErrorBound,
+		qlo:   -float64(o.Intervals/2) - 0.5,
+		qhi:   float64(o.Intervals/2) - 0.5,
+		data:  data,
+		recon: recon,
+		codes: codes,
+	}
+	blockMeta = make([]byte, 0, len(blocks)*17)
+	zeros := make([]T, min(o.BlockSize, shape[len(shape)-1]))
+	strides := shape.Strides()
+	k := 0
+	for _, gb := range blocks {
+		b := padBlock(gb, strides)
+		var coeffs [4]float64
+		useRegress := false
+		if gb.Len() >= 8 {
+			coeffs, useRegress = selectPredictor(data, zeros, &b)
+		}
+		if useRegress {
+			blockMeta = append(blockMeta, predRegress)
+			for _, c := range coeffs {
+				blockMeta = binary.LittleEndian.AppendUint64(blockMeta, math.Float64bits(c))
+			}
+			enc.regressBlock(&b, &coeffs, k)
+		} else {
+			blockMeta = append(blockMeta, predLorenzo)
+			enc.lorenzoBlock(&b, k)
+		}
+		k += gb.Len()
+	}
+	return gatherLiterals(data, codes, blocks, strides), blockMeta
 }
 
 // DecompressInto reconstructs the field of a stream produced by Compress
@@ -207,6 +227,9 @@ func parseHeader(buf []byte) (h header, body []byte, err error) {
 	h.errorBound = math.Float64frombits(binary.LittleEndian.Uint64(buf[6:14]))
 	h.blockSize = int(binary.LittleEndian.Uint32(buf[14:18]))
 	h.intervals = int(binary.LittleEndian.Uint32(buf[18:22]))
+	if h.blockSize == 0 {
+		return h, nil, fmt.Errorf("%w: block size 0", ErrCorrupt)
+	}
 	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[5]))
 	return h, body, err
 }
@@ -228,102 +251,52 @@ func decompressBody[T grid.Float](recon []T, h header, body []byte) error {
 		return fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
 
-	q, err := quantize.NewWithIntervals(h.errorBound, h.intervals)
-	if err != nil {
+	if _, err := quantize.NewWithIntervals(h.errorBound, h.intervals); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-
-	dec := &decoder[T]{q: q, codes: codes, literals: literals, recon: recon}
-	strides := h.shape.Strides()
-	blocks := h.shape.Blocks(h.blockSize)
-
-	metaPos := 0
-	for _, gb := range blocks {
-		b := padBlock(gb, strides)
-		if metaPos >= len(blockMeta) {
-			return fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
-		}
-		sel := blockMeta[metaPos]
-		metaPos++
-		if sel == predRegress {
-			if metaPos+32 > len(blockMeta) {
-				return fmt.Errorf("%w: truncated regression coefficients", ErrCorrupt)
-			}
-			var coeffs [4]float64
-			for i := 0; i < 4; i++ {
-				coeffs[i] = math.Float64frombits(binary.LittleEndian.Uint64(blockMeta[metaPos : metaPos+8]))
-				metaPos += 8
-			}
-			dec.regressBlock(&b, coeffs)
-		} else if sel == predLorenzo {
-			dec.lorenzoBlock(&b)
-		} else {
-			return fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
-		}
-		if dec.err != nil {
-			return dec.err
-		}
-	}
-	return nil
+	return decode(recon, h, codes, literals, blockMeta)
 }
 
-// fitRegression fits value ~ c0 + c1·i0 + c2·i1 + c3·i2 over the block's
-// original data by least squares (normal equations on a small, well-
-// conditioned system), i0 being the slowest block-local coordinate. A
-// coordinate the rank lacks has a zero column and gets coefficient 0.
-//
-// AᵀA holds sums of products of block-local coordinates: integers, every
-// partial sum of which float64 holds exactly while the block's Σi² stays
-// under 2^53 (any edge up to 1,900 at rank 3; the default is 6), so it is
-// computed from the extents in closed form. Aᵀb is summed in row-major
-// point order, one sum per column, and a column the rank lacks keeps its
-// 0·v products: 0·Inf is NaN, so a non-finite value poisons that column as
-// it always has.
-func fitRegression[T grid.Float](data []T, b *block) [4]float64 {
-	n := b.size[0] * b.size[1] * b.size[2]
-	var ata [4][4]float64
-	ata[0][0] = float64(n)
-	var sum [3]int // Σi over one axis of the block, per real axis
-	for j := 0; j < b.nd; j++ {
-		e := b.size[3-b.nd+j]
-		sum[j] = e * (e - 1) / 2
-		ata[0][j+1] = float64(sum[j] * (n / e))
-		ata[j+1][0] = ata[0][j+1]
-		ata[j+1][j+1] = float64((e - 1) * e * (2*e - 1) / 6 * (n / e))
-		for k := 0; k < j; k++ {
-			ata[k+1][j+1] = float64(sum[k] * sum[j] * (n / (e * b.size[3-b.nd+k])))
-			ata[j+1][k+1] = ata[k+1][j+1]
-		}
+// decode is encode's inverse: it reconstructs every value of recon from the
+// codes, the literals and the block records, or returns an error wrapping
+// ErrCorrupt. h carries the shape, the block size and the error bound.
+func decode[T grid.Float](recon []T, h header, codes []int32, literals []T, blockMeta []byte) error {
+	dec := decoder[T]{twoE: 2 * h.errorBound, codes: codes, recon: recon}
+	strides := h.shape.Strides()
+	blocks := h.shape.Blocks(h.blockSize)
+	if !placeLiterals(recon, literals, codes, blocks, strides) {
+		return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
 	}
-	// Aᵀb by padded axis: Σv, then Σ l·v for each of the three coordinates.
-	var s0 float64
-	var s [3]float64
-	for l0 := 0; l0 < b.size[0]; l0++ {
-		f0 := float64(l0)
-		for l1 := 0; l1 < b.size[1]; l1++ {
-			f1 := float64(l1)
-			base, _, _ := b.row(l0, l1)
-			for i, v := range data[base : base+b.size[2]] {
-				fv := float64(v)
-				s0 += fv
-				s[0] += f0 * fv
-				s[1] += f1 * fv
-				s[2] += float64(i) * fv
+	k := 0
+	for _, gb := range blocks {
+		b := padBlock(gb, strides)
+		if len(blockMeta) == 0 {
+			return fmt.Errorf("%w: truncated block metadata", ErrCorrupt)
+		}
+		sel := blockMeta[0]
+		blockMeta = blockMeta[1:]
+		var coeffs [4]float64
+		switch sel {
+		case predRegress:
+			if len(blockMeta) < 32 {
+				return fmt.Errorf("%w: truncated regression coefficients", ErrCorrupt)
 			}
+			for i := range coeffs {
+				coeffs[i] = math.Float64frombits(binary.LittleEndian.Uint64(blockMeta[8*i:]))
+			}
+			blockMeta = blockMeta[32:]
+		case predLorenzo:
+		default:
+			return fmt.Errorf("%w: unknown predictor selector %d", ErrCorrupt, sel)
 		}
-	}
-	// A real axis j feeds column j+1; a padded axis, always at coordinate 0,
-	// holds the 0·v sums of a column past the rank.
-	atb := [4]float64{s0}
-	o := 3 - b.nd
-	for q := range s {
-		if q >= o {
-			atb[q-o+1] = s[q]
+		if sel == predRegress {
+			dec.regressBlock(&b, &coeffs, k)
 		} else {
-			atb[b.nd+1+q] = s[q]
+			dec.lorenzoBlock(&b, k)
 		}
+		k += gb.Len()
 	}
-	return solve4(ata, atb)
+	return nil
 }
 
 // solve4 solves a 4x4 symmetric positive semi-definite system by Gaussian
@@ -355,7 +328,7 @@ func solve4(a [4][4]float64, b [4]float64) [4]float64 {
 			}
 			f := m[r][col] / m[col][col]
 			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+				m[r][c] -= float64(f * m[col][c])
 			}
 		}
 	}
@@ -366,25 +339,4 @@ func solve4(a [4][4]float64, b [4]float64) [4]float64 {
 		}
 	}
 	return x
-}
-
-// regressionBeatsLorenzo estimates, on the original (not reconstructed)
-// data, whether the regression predictor yields a lower absolute residual
-// than the Lorenzo predictor over the block, mirroring SZ 2.x's sampling-
-// based predictor selection. Both residual sums run in row-major point
-// order, each prediction summed as the encoder sums it.
-func regressionBeatsLorenzo[T grid.Float](data []T, b *block, coeffs [4]float64) bool {
-	var errRegress, errLorenzo float64
-	ci := coeffs[b.nd]
-	for l0 := 0; l0 < b.size[0]; l0++ {
-		for l1 := 0; l1 < b.size[1]; l1++ {
-			base, z, y := b.row(l0, l1)
-			pred := b.regressRow(&coeffs, l0, l1)
-			for i, v := range data[base : base+b.size[2]] {
-				errRegress += math.Abs(float64(v) - (pred + ci*float64(i)))
-			}
-			errLorenzo = lorenzoResidualRow(errLorenzo, data, base, b.size[2], z, y, b.start[2], b.stride[0], b.stride[1])
-		}
-	}
-	return errRegress < errLorenzo
 }

@@ -194,6 +194,15 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Compress(data, grid.Dims{10}, Options{ErrorBound: math.NaN()}); err == nil {
 		t.Errorf("NaN bound should fail")
 	}
+	// A negative block size once walked 1-point blocks and wrote its
+	// two's complement into the header.
+	if _, err := Compress(data, grid.Dims{10}, Options{ErrorBound: 0.1, BlockSize: -3}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("negative block size: %v, want ErrInvalidInput", err)
+	}
+	// Past 2^31 intervals a code could be the unpredictable marker.
+	if _, err := Compress(data, grid.Dims{10}, Options{ErrorBound: 0.1, Intervals: 1<<31 + 2}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("2^31+2 intervals: %v, want ErrInvalidInput", err)
+	}
 }
 
 // sz is registered for ranks 1 to 3 and has no predictor for a fourth axis:
@@ -249,6 +258,9 @@ func TestDecompressCorrupt(t *testing.T) {
 	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
 	badMagic := append([]byte(nil), valid32...)
 	badMagic[0] ^= 0xFF
+	// Compress never writes a block size of 0, and no block walk ends on it.
+	zeroBlocks := append([]byte(nil), valid32...)
+	copy(zeroBlocks[14:18], []byte{0, 0, 0, 0})
 	rows := []struct {
 		name   string
 		stream []byte
@@ -256,6 +268,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	}{
 		{"short buffer", []byte{1, 2, 3}, false},
 		{"bad magic", badMagic, false},
+		{"block size 0", zeroBlocks, false},
 		{"truncated body", valid32[:len(valid32)-3], false},
 		{"forged literal count f32", forged32, false},
 		{"forged literal count f64", forged64, true},
@@ -368,6 +381,60 @@ func BenchmarkCompress3D(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sampleField is the 32×64×64 block ratio-search samples, at element type
+// T, with a bound of 3 % of its value range.
+func sampleField[T grid.Float]() ([]T, grid.Dims, Options) {
+	data32, shape := synthetic3D(32, 64, 64, 1)
+	data := make([]T, len(data32))
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, v := range data32 {
+		data[i] = T(v)
+		lo, hi = math.Min(lo, float64(v)), math.Max(hi, float64(v))
+	}
+	return data, shape, Options{ErrorBound: 0.03 * (hi - lo)}
+}
+
+func benchmarkCompressSample[T grid.Float](b *testing.B) {
+	data, shape, o := sampleField[T]()
+	b.SetBytes(int64(len(data) * grid.ElemSize[T]()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compress(data, shape, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchmarkDecompressSample[T grid.Float](b *testing.B) {
+	data, shape, o := sampleField[T]()
+	comp, err := Compress(data, shape, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]T, len(data))
+	b.SetBytes(int64(len(data) * grid.ElemSize[T]()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecompressInto(dst, comp, shape); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressSample3D and BenchmarkDecompressSample3D run the kernel
+// at the size and bound of ratio-search's tuning calls (benchmark/).
+func BenchmarkCompressSample3D(b *testing.B) {
+	b.Run("f32", benchmarkCompressSample[float32])
+	b.Run("f64", benchmarkCompressSample[float64])
+}
+
+func BenchmarkDecompressSample3D(b *testing.B) {
+	b.Run("f32", benchmarkDecompressSample[float32])
+	b.Run("f64", benchmarkDecompressSample[float64])
 }
 
 func BenchmarkDecompress3D(b *testing.B) {

@@ -78,8 +78,9 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 			if spread <= twice {
 				// Constant candidate: the midrange is within the bound of
 				// every member; re-check after the narrowing cast so
-				// float32 rounding cannot break the guarantee.
-				rep := T(float64(bmin) + spread/2)
+				// float32 rounding cannot break the guarantee. The half is
+				// rounded on its own, or arm64 fuses it into a multiply-add.
+				rep := T(float64(bmin) + float64(spread/2))
 				if float64(rep)-float64(bmin) <= o.ErrorBound && float64(bmax)-float64(rep) <= o.ErrorBound {
 					bitmap[bi>>3] |= 1 << (bi & 7)
 					consts = append(consts, rep)
