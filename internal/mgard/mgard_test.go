@@ -1,6 +1,7 @@
 package mgard
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -198,6 +199,10 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: math.NaN()}); err == nil {
 		t.Errorf("NaN bound should fail")
 	}
+	// The step, bound/2/(levels+1), underflows to 0.
+	if _, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: 5e-324}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("bound 5e-324: %v, want ErrInvalidInput", err)
+	}
 	if _, err := Compress(data, shape, Options{Norm: Norm(5), Bound: 1}); err == nil {
 		t.Errorf("unknown norm should fail")
 	}
@@ -236,6 +241,9 @@ func TestDecompressCorrupt(t *testing.T) {
 	_, forged64, bomb64 := hostileStreams[float64](t, 64<<20)
 	badMagic := append([]byte(nil), valid32...)
 	badMagic[1] ^= 0xFF
+	// Compress writes a positive, finite step.
+	infStep := append([]byte(nil), valid32...)
+	binary.LittleEndian.PutUint64(infStep[7:15], math.Float64bits(math.Inf(1)))
 	shape := grid.MustDims(8, 8)
 	rows := []struct {
 		name   string
@@ -246,6 +254,7 @@ func TestDecompressCorrupt(t *testing.T) {
 		{"short buffer", []byte{0, 1, 2}, shape, false},
 		{"bad magic", badMagic, shape, false},
 		{"shape mismatch", valid32, grid.MustDims(9, 8), false},
+		{"step +Inf", infStep, shape, false},
 		{"truncated body", valid32[:len(valid32)-3], shape, false},
 		{"forged literal count f32", forged32, shape, false},
 		{"forged literal count f64", forged64, shape, true},

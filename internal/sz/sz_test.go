@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -203,6 +204,12 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Compress(data, grid.Dims{10}, Options{ErrorBound: 0.1, Intervals: 1<<31 + 2}); !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("2^31+2 intervals: %v, want ErrInvalidInput", err)
 	}
+	// Fewer than 4 intervals leave no room around code 0.
+	for _, n := range []int{2, 3} {
+		if _, err := Compress(data, grid.Dims{10}, Options{ErrorBound: 0.1, Intervals: n}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%d intervals: %v, want ErrInvalidInput", n, err)
+		}
+	}
 }
 
 // sz is registered for ranks 1 to 3 and has no predictor for a fourth axis:
@@ -261,6 +268,17 @@ func TestDecompressCorrupt(t *testing.T) {
 	// Compress never writes a block size of 0, and no block walk ends on it.
 	zeroBlocks := append([]byte(nil), valid32...)
 	copy(zeroBlocks[14:18], []byte{0, 0, 0, 0})
+	// Compress writes a positive, finite bound and at least 4 intervals.
+	withBound := func(e float64) []byte {
+		s := append([]byte(nil), valid32...)
+		binary.LittleEndian.PutUint64(s[6:14], math.Float64bits(e))
+		return s
+	}
+	withIntervals := func(n uint32) []byte {
+		s := append([]byte(nil), valid32...)
+		binary.LittleEndian.PutUint32(s[18:22], n)
+		return s
+	}
 	rows := []struct {
 		name   string
 		stream []byte
@@ -269,6 +287,12 @@ func TestDecompressCorrupt(t *testing.T) {
 		{"short buffer", []byte{1, 2, 3}, false},
 		{"bad magic", badMagic, false},
 		{"block size 0", zeroBlocks, false},
+		{"bound 0", withBound(0), false},
+		{"bound -1", withBound(-1), false},
+		{"bound NaN", withBound(math.NaN()), false},
+		{"bound +Inf", withBound(math.Inf(1)), false},
+		{"intervals 2", withIntervals(2), false},
+		{"intervals 3", withIntervals(3), false},
 		{"truncated body", valid32[:len(valid32)-3], false},
 		{"forged literal count f32", forged32, false},
 		{"forged literal count f64", forged64, true},
