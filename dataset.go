@@ -41,19 +41,6 @@ type Dataset struct {
 	closed bool
 }
 
-// datasetClient builds the compressing client shared by NewDataset and
-// AppendDataset: CodecAuto unless the options name a codec.
-func datasetClient(opts []Option) (*Client, error) {
-	set := defaultSettings()
-	set.codec = CodecAuto
-	for _, opt := range opts {
-		if err := opt(&set); err != nil {
-			return nil, err
-		}
-	}
-	return newClient(set)
-}
-
 // NewDataset starts a fresh dataset archive on w. The options configure the
 // per-field compression exactly as New does — a tuning target is required
 // before the first AddField — and the codec defaults to CodecAuto, so each
@@ -68,7 +55,7 @@ func datasetClient(opts []Option) (*Client, error) {
 // field; the directory is written by Close, which must be called for the
 // archive to be readable.
 func NewDataset(w io.Writer, opts ...Option) (*Dataset, error) {
-	c, err := datasetClient(opts)
+	c, err := New(CodecAuto, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +73,7 @@ func NewDataset(w io.Writer, opts ...Option) (*Dataset, error) {
 // rewritten, by Close. The options configure compression for the new
 // entries only (existing entries keep whatever codec sealed them).
 func AppendDataset(rw io.ReadWriteSeeker, opts ...Option) (*Dataset, error) {
-	c, err := datasetClient(opts)
+	c, err := New(CodecAuto, opts...)
 	if err != nil {
 		return nil, err
 	}

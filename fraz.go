@@ -62,22 +62,16 @@ type candidate struct {
 // Compress and Tune additionally require a target — Ratio, TargetPSNR,
 // TargetSSIM, TargetMaxError, or Target (or FixedBound to skip tuning);
 // plain Decompress needs none.
-func New(codec string, opts ...Option) (*Client, error) {
-	set := defaultSettings()
-	set.codec = codec
-	for _, opt := range opts {
-		if err := opt(&set); err != nil {
-			return nil, err
-		}
-	}
-	return newClient(set)
-}
-
-// newClient resolves the client's candidates: one for a named codec, one
-// per registered codec for CodecAuto, whose static skip reasons are decided
+//
+// New resolves the client's candidates: one for a named codec, one per
+// registered codec for CodecAuto, whose static skip reasons are decided
 // here (the rank and element-width windows depend on the field, so race
 // checks them per call).
-func newClient(set settings) (*Client, error) {
+func New(codec string, opts ...Option) (*Client, error) {
+	set, err := resolve(codec, opts)
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{set: set, cache: pressio.NewCache()}
 	if set.cache != nil {
 		c.cache = set.cache.c
@@ -707,14 +701,7 @@ func seriesResult(res core.SeriesResult) *SeriesResult {
 //	_, err := fraz.Compress(ctx, f, data, []int{100, 500, 500},
 //		fraz.Ratio(10), fraz.Codec("zfp:accuracy"))
 func Compress[T Element](ctx context.Context, w io.Writer, data []T, shape []int, opts ...Option) (*CompressResult, error) {
-	set := defaultSettings()
-	set.codec = DefaultCodec
-	for _, opt := range opts {
-		if err := opt(&set); err != nil {
-			return nil, err
-		}
-	}
-	c, err := newClient(set)
+	c, err := New(DefaultCodec, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -755,11 +742,9 @@ func DecompressAs[T Element](ctx context.Context, r io.Reader) ([]T, []int, erro
 // the container metadata alongside the reconstructed field. Options other
 // than Workers are ignored.
 func DecompressFull(ctx context.Context, r io.Reader, opts ...Option) (*DecompressResult, error) {
-	set := defaultSettings()
-	for _, opt := range opts {
-		if err := opt(&set); err != nil {
-			return nil, err
-		}
+	set, err := resolve("", opts)
+	if err != nil {
+		return nil, err
 	}
 	return decompress(ctx, r, set.workers)
 }

@@ -21,7 +21,7 @@ func hurricaneBuffer(t *testing.T) pressio.Buffer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := pressio.NewBuffer(data, shape)
+	buf, err := pressio.NewBufferOf(data, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

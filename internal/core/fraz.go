@@ -160,7 +160,6 @@ type RegionResult struct {
 	Iterations  int
 	CacheHits   int
 	Acceptable  bool
-	Err         error
 	Evaluations []Evaluation
 	// kept holds the stream of each in-band evaluation the stage ran the
 	// compressor for; run.list moves it out, so a listed stage holds none.
@@ -284,10 +283,6 @@ func (t *Tuner) SweepOnly() *Tuner {
 	s.modelFirst = false
 	return &s
 }
-
-// Cache returns the evaluation cache the tuner records compressor
-// evaluations in (the one from Config.Cache, or the private default).
-func (t *Tuner) Cache() *pressio.Cache { return t.cache }
 
 // searchRange determines the parameter interval [lo, hi] searched for a
 // buffer, in the parameter's own units. An error magnitude is searched from
@@ -673,7 +668,6 @@ func (r *run) searchRegion(stop func() bool, region parallel.Region, seed int64)
 		Cutoff:        t.obj.SearchCutoff(),
 		Seed:          seed,
 	})
-	rr.Err = err
 	rr.Acceptable = err == nil && optRes.Converged
 	return rr
 }

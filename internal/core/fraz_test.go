@@ -74,7 +74,7 @@ func smallBuffer(n int) pressio.Buffer {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 10))
 	}
-	buf, err := pressio.NewBuffer(data, grid.MustDims(n))
+	buf, err := pressio.NewBufferOf(data, grid.MustDims(n))
 	if err != nil {
 		panic(err)
 	}
@@ -567,7 +567,7 @@ func TestTuneRealSZOnSyntheticHurricane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := pressio.NewBuffer(data, shape)
+	buf, err := pressio.NewBufferOf(data, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestTuneRealZFPAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := pressio.NewBuffer(data, shape)
+	buf, err := pressio.NewBufferOf(data, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestMissedPredictionIsOfferedToThePick(t *testing.T) {
 	}
 	bits := fake("fake-spike-bits", spike, nil)
 	bits.Param = pressio.Param{Name: "fake bits", Unit: pressio.UnitBits, Lo: 1, Hi: 32}
-	constant, err := pressio.NewBuffer(make([]float32, 4096), grid.MustDims(4096))
+	constant, err := pressio.NewBufferOf(make([]float32, 4096), grid.MustDims(4096))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func datasetBuffer(t *testing.T, name, field string) pressio.Buffer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := pressio.NewBuffer(data, shape)
+	buf, err := pressio.NewBufferOf(data, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func TestTunePSNRTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(full.Report.PSNR-res.AchievedValue) > 1e-6 {
-		t.Errorf("re-evaluated PSNR %v differs from reported %v", full.Report.PSNR, res.AchievedValue)
+	if math.Abs(full.PSNR-res.AchievedValue) > 1e-6 {
+		t.Errorf("re-evaluated PSNR %v differs from reported %v", full.PSNR, res.AchievedValue)
 	}
 	if res.AchievedRatio <= 1 {
 		t.Errorf("achieved ratio should show real compression, got %v", res.AchievedRatio)

@@ -40,7 +40,7 @@ func TestSearchIsScaleInvariant(t *testing.T) {
 			for j, v := range base {
 				data[j] = v * float32(k)
 			}
-			buf, err := pressio.NewBuffer(data, shape)
+			buf, err := pressio.NewBufferOf(data, shape)
 			if err != nil {
 				t.Fatal(err)
 			}

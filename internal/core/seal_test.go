@@ -26,7 +26,7 @@ func sealTestBuffer(t *testing.T) pressio.Buffer {
 			}
 		}
 	}
-	buf, err := pressio.NewBuffer(data, shape)
+	buf, err := pressio.NewBufferOf(data, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

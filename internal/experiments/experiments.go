@@ -15,6 +15,7 @@ import (
 
 	"fraz/internal/core"
 	"fraz/internal/dataset"
+	"fraz/internal/metrics"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
 )
@@ -54,7 +55,7 @@ func fieldBuffer(d dataset.Dataset, field string, step int) (pressio.Buffer, err
 	if err != nil {
 		return pressio.Buffer{}, err
 	}
-	return pressio.NewBuffer(data, shape)
+	return pressio.NewBufferOf(data, shape)
 }
 
 // series builds a core.Series backed by the dataset generator.
@@ -147,14 +148,14 @@ func tuneOnce(c pressio.Compressor, buf pressio.Buffer, target, tolerance float6
 // qualityAt runs FRaZ to reach the target ratio with an error-bounded
 // compressor and then evaluates the decompressed quality at the recommended
 // bound, returning the full pressio result alongside the tuning result.
-func qualityAt(c pressio.Compressor, buf pressio.Buffer, target, tolerance float64, seed int64, workers int) (core.Result, pressio.Result, error) {
+func qualityAt(c pressio.Compressor, buf pressio.Buffer, target, tolerance float64, seed int64, workers int) (core.Result, metrics.Report, error) {
 	tuned, err := tuneOnce(c, buf, target, tolerance, seed, workers)
 	if err != nil {
-		return core.Result{}, pressio.Result{}, err
+		return core.Result{}, metrics.Report{}, err
 	}
 	full, err := pressio.Run(c, buf, tuned.ErrorBound)
 	if err != nil {
-		return tuned, pressio.Result{}, err
+		return tuned, metrics.Report{}, err
 	}
 	return tuned, full, nil
 }

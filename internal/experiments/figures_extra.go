@@ -6,6 +6,7 @@ import (
 
 	"fraz/internal/core"
 	"fraz/internal/dataset"
+	"fraz/internal/parallel"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
 )
@@ -32,9 +33,9 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 	variants := []variant{
 		{1, 0},
 		{4, 0},
-		{4, parallel10()},
+		{4, parallel.DefaultOverlap},
 		{12, 0},
-		{12, parallel10()},
+		{12, parallel.DefaultOverlap},
 	}
 	tab := report.NewTable("Region ablation: overlapping-region search (Hurricane CLOUDf, SZ, target 8:1)",
 		"regions", "overlap_pct", "feasible", "total_calls", "winning_region_calls", "time_ms")
@@ -67,10 +68,6 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 	tab.AddNote("splitting the range shortens the winning region's serial path; overlap protects targets near region borders (paper Fig. 5)")
 	return tab, nil
 }
-
-// parallel10 returns the default 10% overlap without importing the parallel
-// package here just for one constant.
-func parallel10() float64 { return 0.10 }
 
 // LosslessMotivation reproduces the paper's motivating claim (§I): lossless
 // compressors cannot meaningfully reduce scientific floating-point data
@@ -110,7 +107,7 @@ func LosslessMotivation(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(f.app, f.field, losslessRatio, res.Report.CompressionRatio, res.Report.MaxError)
+		tab.AddRow(f.app, f.field, losslessRatio, res.CompressionRatio, res.MaxError)
 	}
 	tab.AddNote("lossless DEFLATE stands in for Gzip/Zstd; SZ runs at a 10^-3 value-range-relative bound")
 	return tab, nil

@@ -91,8 +91,8 @@ func Precision(cfg Config) (*report.Table, error) {
 				float64(buf.Bytes())/1e6,
 				res.ErrorBound,
 				res.AchievedRatio,
-				full.Report.PSNR,
-				full.Report.MaxError,
+				full.PSNR,
+				full.MaxError,
 				tuneMS,
 				sealMBps,
 				res.Feasible,

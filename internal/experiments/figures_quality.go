@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fraz/internal/dataset"
+	"fraz/internal/metrics"
 	"fraz/internal/pressio"
 	"fraz/internal/report"
 )
@@ -33,7 +34,7 @@ func Figure1(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow("fixed-accuracy", res.Report.BitRate, res.Report.PSNR, res.Report.MaxError)
+		tab.AddRow("fixed-accuracy", res.BitRate, res.PSNR, res.MaxError)
 	}
 
 	// Fixed-rate curve.
@@ -44,7 +45,7 @@ func Figure1(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow("fixed-rate", res.Report.BitRate, res.Report.PSNR, res.Report.MaxError)
+		tab.AddRow("fixed-rate", res.BitRate, res.PSNR, res.MaxError)
 	}
 
 	// Quality comparison at a common compression ratio, tuned by FRaZ for
@@ -60,9 +61,9 @@ func Figure1(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	tab.AddNote("at CR≈%.0f — fixed-accuracy (FRaZ-tuned): CR=%.1f PSNR=%.1f maxErr=%.3g SSIM=%.4f ACF=%.3f",
-		targetCR, accFull.Report.CompressionRatio, accFull.Report.PSNR, accFull.Report.MaxError, accFull.Report.SSIM, accFull.Report.ErrorACF)
+		targetCR, accFull.CompressionRatio, accFull.PSNR, accFull.MaxError, accFull.SSIM, accFull.ErrorACF)
 	tab.AddNote("at CR≈%.0f — fixed-rate:                 CR=%.1f PSNR=%.1f maxErr=%.3g SSIM=%.4f ACF=%.3f",
-		targetCR, frFull.Report.CompressionRatio, frFull.Report.PSNR, frFull.Report.MaxError, frFull.Report.SSIM, frFull.Report.ErrorACF)
+		targetCR, frFull.CompressionRatio, frFull.PSNR, frFull.MaxError, frFull.SSIM, frFull.ErrorACF)
 	return tab, nil
 }
 
@@ -115,8 +116,8 @@ func Figure9(cfg Config) ([]*report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				tab.AddRow(name+" (FRaZ)", target, full.Report.CompressionRatio,
-					full.Report.BitRate, full.Report.PSNR, tunedRes.Feasible)
+				tab.AddRow(name+" (FRaZ)", target, full.CompressionRatio,
+					full.BitRate, full.PSNR, tunedRes.Feasible)
 			}
 		}
 		// The ZFP fixed-rate baseline reaches the target ratio by
@@ -131,8 +132,8 @@ func Figure9(cfg Config) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tab.AddRow("zfp:rate (fixed-rate)", target, full.Report.CompressionRatio,
-				full.Report.BitRate, full.Report.PSNR, true)
+			tab.AddRow("zfp:rate (fixed-rate)", target, full.CompressionRatio,
+				full.BitRate, full.PSNR, true)
 		}
 		if cse.SkipMGARD {
 			tab.AddNote("MGARD omitted: it does not support 1-D data (as in the paper)")
@@ -162,7 +163,7 @@ func Figure10(cfg Config) (*report.Table, error) {
 	// accuracy mode can express one, then holds every compressor to it.
 	target := 0.0
 	zfpAcc := mustCompressor("zfp:accuracy")
-	var zfpFull pressio.Result
+	var zfpFull metrics.Report
 	var zfpFeasible bool
 	candidates := []float64{85, 50, 30, 20, 12}
 	for i, candidate := range candidates {
@@ -181,8 +182,8 @@ func Figure10(cfg Config) (*report.Table, error) {
 	tab := report.NewTable("Figure 10: quality at a common compression ratio (NYX temperature)",
 		"compressor", "achieved_ratio", "psnr_db", "ssim_mid_slice", "acf_error", "feasible")
 
-	addRow := func(name string, full pressio.Result, feasible bool) {
-		tab.AddRow(name, full.Report.CompressionRatio, full.Report.PSNR, full.Report.SSIM, full.Report.ErrorACF, feasible)
+	addRow := func(name string, full metrics.Report, feasible bool) {
+		tab.AddRow(name, full.CompressionRatio, full.PSNR, full.SSIM, full.ErrorACF, feasible)
 	}
 
 	// SZ via FRaZ.

@@ -76,7 +76,7 @@ func Evaluate[T grid.Float](original, reconstructed []T, compressedBytes, elemen
 	}
 	rep.RMSE, rep.MSE, rep.MaxError = errorStats(original, reconstructed)
 	rep.ValueRange = grid.ValueRange(original)
-	rep.PSNR = PSNR(original, reconstructed)
+	rep.PSNR = psnr(rep.ValueRange, rep.RMSE)
 	rep.ErrorACF = ErrorAutocorrelation(original, reconstructed)
 	rep.SSIM = math.NaN()
 	return rep, nil
@@ -159,14 +159,18 @@ func PSNR[T grid.Float](original, reconstructed []T) float64 {
 		return math.NaN()
 	}
 	rmse, _, _ := errorStats(original, reconstructed)
-	vr := grid.ValueRange(original)
+	return psnr(grid.ValueRange(original), rmse)
+}
+
+// psnr is PSNR from the original's value range and the RMSE.
+func psnr(valueRange, rmse float64) float64 {
 	if rmse == 0 {
 		return math.Inf(1)
 	}
-	if vr == 0 {
+	if valueRange == 0 {
 		return math.Inf(-1)
 	}
-	return 20 * math.Log10(vr/rmse)
+	return 20 * math.Log10(valueRange/rmse)
 }
 
 // ErrorAutocorrelation returns the lag-1 autocorrelation of the pointwise
@@ -178,21 +182,22 @@ func ErrorAutocorrelation[T grid.Float](original, reconstructed []T) float64 {
 	if n != len(reconstructed) || n < 2 {
 		return 0
 	}
-	errs := make([]float64, n)
+	// The error signal is recomputed where it is read, not stored: the same
+	// subtraction gives the same bits.
 	var mean float64
 	for i := range original {
-		errs[i] = float64(original[i]) - float64(reconstructed[i])
-		mean += errs[i]
+		mean += float64(original[i]) - float64(reconstructed[i])
 	}
 	mean /= float64(n)
 	var num, den float64
-	for i := 0; i < n; i++ {
-		d := errs[i] - mean
+	d := float64(original[0]) - float64(reconstructed[0]) - mean
+	for i := 1; i < n; i++ {
+		next := float64(original[i]) - float64(reconstructed[i]) - mean
 		den += d * d
-		if i+1 < n {
-			num += d * (errs[i+1] - mean)
-		}
+		num += d * next
+		d = next
 	}
+	den += d * d
 	if den == 0 {
 		return 0
 	}

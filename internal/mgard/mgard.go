@@ -28,7 +28,6 @@ import (
 	"fraz/internal/codestream"
 	"fraz/internal/grid"
 	"fraz/internal/pool"
-	"fraz/internal/quantize"
 )
 
 // magic32 and magic64 identify MGARD-Go streams of float32 and float64
@@ -45,6 +44,10 @@ var stream = grid.Stream{Magic32: magic32, Magic64: magic64, MinRank: 2, MaxRank
 
 // unpredictable marks coefficients stored verbatim.
 const unpredictable = int32(1 << 30)
+
+// intervals is the number of quantisation intervals: codes lie in
+// [−32768, 32767]. Headers do not store it, so it is part of the format.
+const intervals = 65536
 
 // Norm selects the error-control norm.
 type Norm uint8
@@ -107,6 +110,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 
 	levels := numLevels(shape)
 	step := coefficientBound(opts, levels)
+	if !validStep(step) {
+		return nil, fmt.Errorf("%w: bound %v gives the quantisation step %v", ErrInvalidInput, opts.Bound, step)
+	}
 
 	// Forward multilevel decomposition on a float64 working copy. The copy
 	// and the codes are scratch of this call, every element of both written
@@ -119,16 +125,11 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	}
 	forwardDecompose(work, shape, levels)
 
-	// Quantize the multilevel coefficients: q.Quantize(c, 0) written out,
-	// with 2e and the half-range hoisted. The prediction is 0, so the
-	// residual is c itself and the reconstruction 2e·code; a coefficient
-	// whose code is out of range, or whose reconstruction misses it by more
-	// than e, is stored verbatim.
-	q, err := quantize.NewWithIntervals(step, quantize.DefaultIntervals)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
-	}
-	e, twoE, half := q.ErrorBound, 2*q.ErrorBound, float64(q.Intervals/2)
+	// Quantize the multilevel coefficients under the step e: a coefficient
+	// c has the code round(c/2e) and is reconstructed as 2e·code; a
+	// coefficient whose code is out of range, or whose reconstruction misses
+	// it by more than e, is stored verbatim.
+	e, twoE, half := step, 2*step, float64(intervals/2)
 	codes := pool.Get[int32](len(work))
 	defer pool.Put(codes)
 	literals := make([]T, 0)
@@ -168,15 +169,19 @@ type header struct {
 	shape    grid.Dims
 }
 
-// parseHeader reads the fixed fields and the preamble's shape, returning the
-// body that follows them.
+// validStep reports whether a quantisation step is positive and finite.
+// Compress checks the step its bound gives, and parseHeader a header's.
+func validStep(step float64) bool { return step > 0 && !math.IsInf(step, 1) }
+
+// parseHeader reads and checks the fixed fields and the preamble's shape,
+// returning the body that follows them.
 func parseHeader(buf []byte) (h header, body []byte, err error) {
 	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
 		return h, nil, err
 	}
 	h.dictFlag = buf[5]
 	h.step = math.Float64frombits(binary.LittleEndian.Uint64(buf[7:15]))
-	if !(h.step > 0) {
+	if !validStep(h.step) {
 		return h, nil, fmt.Errorf("%w: bad quantization step %v", ErrCorrupt, h.step)
 	}
 	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[6]))
@@ -195,7 +200,7 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 	if err := grid.Expect(&stream, dst, h.elemSize, h.shape, shape); err != nil {
 		return err
 	}
-	limit := codestream.MaxBody(len(dst), h.elemSize, quantize.DefaultIntervals+1, 0)
+	limit := codestream.MaxBody(len(dst), h.elemSize, intervals+1, 0)
 	_, codes, literals, err := codestream.Decode[T](body, h.dictFlag, limit, 0)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -204,10 +209,6 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 		return fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
 	}
 
-	q, err := quantize.NewWithIntervals(h.step, quantize.DefaultIntervals)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
 	// A float64 field is reconstructed in dst itself. A float32 one needs a
 	// float64 working copy, not pooled: a borrowed field-sized buffer
 	// outlives the call in the free list, and the series-reuse benchmark's
@@ -217,7 +218,7 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 	if !inPlace {
 		work = make([]float64, len(codes))
 	}
-	twoE := 2 * q.ErrorBound
+	twoE := 2 * h.step
 	litPos := 0
 	for i, code := range codes {
 		if code == unpredictable {
@@ -228,7 +229,7 @@ func DecompressInto[T grid.Float](dst []T, buf []byte, shape grid.Dims) error {
 			litPos++
 			continue
 		}
-		work[i] = twoE * float64(code) // q.Dequantize(0, code): 0 + 2e·code, never −0
+		work[i] = twoE * float64(code) // 0 + 2e·code, never −0
 	}
 
 	inverseReconstruct(work, h.shape, numLevels(h.shape))

@@ -285,6 +285,36 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
+// TestBadHeaderStepRefusedBeforeBody requires a header's quantisation step
+// to be checked before the body is inflated and decoded: on a 64³ field a
+// bad step is refused after allocating under 64 KiB besides the output,
+// where decoding the body first takes megabytes.
+func TestBadHeaderStepRefusedBeforeBody(t *testing.T) {
+	data, shape := field3D(64, 64, 64, 3)
+	valid, err := Compress(data, shape, Options{Norm: NormInfinity, Bound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, shape.Len())
+	if err := DecompressInto(dst, valid, shape); err != nil {
+		t.Fatalf("the valid stream: %v", err)
+	}
+	for _, step := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(bad[7:15], math.Float64bits(step))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecompressInto(dst, bad, shape)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("step %v: got %v, want an error wrapping ErrCorrupt", step, err)
+		}
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated >= 64<<10 {
+			t.Errorf("step %v: refusing a %d-byte stream allocated %d bytes, want under 64 KiB", step, len(bad), allocated)
+		}
+	}
+}
+
 func TestNormString(t *testing.T) {
 	if NormInfinity.String() != "infinity" || NormL2.String() != "l2" {
 		t.Errorf("unexpected norm names")

@@ -1,7 +1,7 @@
 // Package pool provides size-bucketed free lists for the scratch slices the
-// hot paths burn through inside one call: a codec's reconstruction, code and
-// bit-plane working sets, the lossless codec's byte staging, container
-// header staging. Each element type keeps one sync.Pool per power-of-two
+// hot paths burn through inside one call: a codec's reconstruction and code
+// working sets, szx's byte planes, the Huffman stage's symbol tables, the
+// lossless codec's byte staging. Each element type keeps one sync.Pool per power-of-two
 // capacity class, so a Get is answered by a slice whose capacity is within
 // 2x of the request and a search that evaluates one codec many times reuses
 // its scratch instead of allocating it per evaluation. The DEFLATE writers
@@ -10,9 +10,8 @@
 // There is one accessor pair, Get[T] and Put[T], generic over the pooled
 // element types (Elem). The kernels are generic over their element type, so
 // they pass their own type parameter straight through — pool.Get[T](n) in
-// an encoder over grid.Float, pool.Get[I](n) in zfp's coder over its
-// coefficient type — and nothing above this package matches a width to a
-// free list.
+// sz's encoder over grid.Float — and nothing above this package matches a
+// width to a free list.
 //
 // The rule: scratch is borrowed, results are owned. What Get (or
 // GetFlateWriter) returns is assigned to a local variable and released by a
@@ -87,18 +86,17 @@ func (p *slicePool[T]) put(s []T) {
 
 // Elem lists the element types that have a free list, one per scratch class
 // a codec burns through: staging bytes and szx's byte planes, sz's
-// reconstruction at either width and mgard's and zfp's float64 working
-// fields, the quantisation codes of sz, mgard and zfp's float32 coder
-// (int32), zfp's float64 coefficients (int64) and its negabinary words
-// (uint64). A type earns its place here by having a caller.
+// reconstruction at either width and mgard's float64 working field, the
+// quantisation codes of sz and mgard and the Huffman stage's outlier
+// symbols (int32), and the Huffman stage's dense symbol table (uint64). A
+// type earns its place here by having a caller.
 type Elem interface {
-	byte | int32 | int64 | uint64 | float32 | float64
+	byte | int32 | uint64 | float32 | float64
 }
 
 var (
 	bytePool    slicePool[byte]
 	int32Pool   slicePool[int32]
-	int64Pool   slicePool[int64]
 	uint64Pool  slicePool[uint64]
 	float32Pool slicePool[float32]
 	float64Pool slicePool[float64]
@@ -113,8 +111,6 @@ func classOf[T Elem]() *slicePool[T] {
 		p = &bytePool
 	case *int32:
 		p = &int32Pool
-	case *int64:
-		p = &int64Pool
 	case *uint64:
 		p = &uint64Pool
 	case *float32:
@@ -126,9 +122,9 @@ func classOf[T Elem]() *slicePool[T] {
 }
 
 // Get returns a slice of n elements with arbitrary contents. A caller that
-// is itself generic over the element type (a kernel over grid.Float, zfp's
-// coder over its coefficient type) instantiates it with its own parameter,
-// so no layer above the pool spells out the element types again.
+// is itself generic over the element type (a kernel over grid.Float)
+// instantiates it with its own parameter, so no layer above the pool spells
+// out the element types again.
 func Get[T Elem](n int) []T { return classOf[T]().get(n) }
 
 // Put parks a slice from Get for reuse (or the array append moved it to);

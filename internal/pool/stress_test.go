@@ -26,12 +26,11 @@ func TestConcurrentGetPut(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				n := sizes[(id+r)%len(sizes)]
 				stampF64 := float64(id*rounds + r)
-				stampI64 := int64(id*rounds + r)
+				stampU64 := uint64(id*rounds + r)
 
 				b := Get[byte](n)
 				f32 := Get[float32](n)
 				f64 := Get[float64](n)
-				i64 := Get[int64](n)
 				u64 := Get[uint64](n)
 				i32 := Get[int32](n)
 
@@ -39,8 +38,7 @@ func TestConcurrentGetPut(t *testing.T) {
 					b[i] = byte(id)
 					f32[i] = float32(stampF64)
 					f64[i] = stampF64
-					i64[i] = stampI64
-					u64[i] = uint64(stampI64)
+					u64[i] = stampU64
 					i32[i] = int32(id)
 				}
 				// A second batch of gets while the first is still held
@@ -52,8 +50,7 @@ func TestConcurrentGetPut(t *testing.T) {
 
 				for i := range b {
 					if b[i] != byte(id) || f32[i] != float32(stampF64) ||
-						f64[i] != stampF64 || i64[i] != stampI64 ||
-						u64[i] != uint64(stampI64) || i32[i] != int32(id) {
+						f64[i] != stampF64 || u64[i] != stampU64 || i32[i] != int32(id) {
 						t.Errorf("worker %d round %d: buffer contents changed while held — pooled slice shared between holders", id, r)
 						return
 					}
@@ -67,7 +64,6 @@ func TestConcurrentGetPut(t *testing.T) {
 				Put(b)
 				Put(f32)
 				Put(f64)
-				Put(i64)
 				Put(u64)
 				Put(i32)
 			}

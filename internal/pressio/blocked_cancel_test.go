@@ -49,7 +49,7 @@ func (p *probe) encode(Buffer, float64) ([]byte, error) {
 
 func probeField(t *testing.T) Buffer {
 	t.Helper()
-	buf, err := NewBuffer(make([]float32, 8*16), grid.MustDims(8, 16))
+	buf, err := NewBufferOf(make([]float32, 8*16), grid.MustDims(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

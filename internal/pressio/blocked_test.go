@@ -107,7 +107,7 @@ func TestSealBlockedFallsBackToMonolithic(t *testing.T) {
 		}
 	}
 	// A 1-row slowest axis cannot be split either.
-	flat, err := NewBuffer(make([]float32, 64), grid.MustDims(1, 64))
+	flat, err := NewBufferOf(make([]float32, 64), grid.MustDims(1, 64))
 	if err != nil {
 		t.Fatal(err)
 	}

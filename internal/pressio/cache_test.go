@@ -62,15 +62,15 @@ func TestSlotStaysInsideTheDomainItWasAskedIn(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesDataAndShape(t *testing.T) {
-	buf1, err := NewBuffer([]float32{1, 2, 3, 4}, grid.MustDims(4))
+	buf1, err := NewBufferOf([]float32{1, 2, 3, 4}, grid.MustDims(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2, err := NewBuffer([]float32{1, 2, 3, 5}, grid.MustDims(4))
+	buf2, err := NewBufferOf([]float32{1, 2, 3, 5}, grid.MustDims(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf3, err := NewBuffer([]float32{1, 2, 3, 4}, grid.MustDims(2, 2))
+	buf3, err := NewBufferOf([]float32{1, 2, 3, 4}, grid.MustDims(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

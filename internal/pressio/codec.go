@@ -121,8 +121,9 @@ type Codec struct {
 	// storage itself (bits per value), and Size returns the exact length of
 	// Encode's stream for a shape from arithmetic alone. The tuner inverts
 	// it to satisfy a fixed-ratio objective with zero evaluations. zfp:rate
-	// has none: its rate steers an embedded coder whose output length still
-	// depends on the data.
+	// has none: its length is exact too (zfp.CompressedSizeFixedRate), but
+	// its rate is a real number of bits per value, not the whole bit count
+	// Size takes.
 	Size func(shape grid.Dims, bits int) int
 }
 

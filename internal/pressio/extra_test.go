@@ -18,11 +18,11 @@ func TestSZRelativeBoundScalesWithRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.MaxError > 1e-3*res.Report.ValueRange {
-		t.Errorf("relative bound violated: maxErr=%v range=%v", res.Report.MaxError, res.Report.ValueRange)
+	if res.MaxError > 1e-3*res.ValueRange {
+		t.Errorf("relative bound violated: maxErr=%v range=%v", res.MaxError, res.ValueRange)
 	}
-	if res.Report.CompressionRatio <= 1.5 {
-		t.Errorf("1e-3 relative bound should compress meaningfully, got %.2f", res.Report.CompressionRatio)
+	if res.CompressionRatio <= 1.5 {
+		t.Errorf("1e-3 relative bound should compress meaningfully, got %.2f", res.CompressionRatio)
 	}
 	// Invalid relative bounds are rejected.
 	if _, err := c.Compress(buf, 0); err == nil {
@@ -42,7 +42,7 @@ func TestSZRelativeConstantField(t *testing.T) {
 	for i := range data {
 		data[i] = 7.25
 	}
-	buf, err := NewBuffer(data, grid.MustDims(16, 16))
+	buf, err := NewBufferOf(data, grid.MustDims(16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestSZRelativeConstantField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.MaxError != 0 {
-		t.Errorf("constant field should survive relative-bound compression unchanged, maxErr=%v", res.Report.MaxError)
+	if res.MaxError != 0 {
+		t.Errorf("constant field should survive relative-bound compression unchanged, maxErr=%v", res.MaxError)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestZFPPrecisionBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(resHigh.Report.PSNR > resLow.Report.PSNR) {
-		t.Errorf("more planes should improve PSNR: %v vs %v", resHigh.Report.PSNR, resLow.Report.PSNR)
+	if !(resHigh.PSNR > resLow.PSNR) {
+		t.Errorf("more planes should improve PSNR: %v vs %v", resHigh.PSNR, resLow.PSNR)
 	}
 }
 
@@ -95,26 +95,26 @@ func TestLosslessBaselineIsExactButWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.MaxError != 0 {
-		t.Errorf("lossless baseline must be exact, maxErr=%v", res.Report.MaxError)
+	if res.MaxError != 0 {
+		t.Errorf("lossless baseline must be exact, maxErr=%v", res.MaxError)
 	}
 	// The paper's motivation: lossless compression of floating-point
 	// simulation data yields very small ratios compared with what the
 	// error-bounded compressors reach on the same field.
-	if res.Report.CompressionRatio > 3 {
-		t.Errorf("lossless ratio unexpectedly high (%.2f); the test field may be too smooth", res.Report.CompressionRatio)
+	if res.CompressionRatio > 3 {
+		t.Errorf("lossless ratio unexpectedly high (%.2f); the test field may be too smooth", res.CompressionRatio)
 	}
 	szc, err := New("sz:abs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	szRes, err := Run(szc, buf, 1e-3*res.Report.ValueRange)
+	szRes, err := Run(szc, buf, 1e-3*res.ValueRange)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(szRes.Report.CompressionRatio > res.Report.CompressionRatio) {
+	if !(szRes.CompressionRatio > res.CompressionRatio) {
 		t.Errorf("error-bounded SZ (%.2f:1) should beat lossless DEFLATE (%.2f:1)",
-			szRes.Report.CompressionRatio, res.Report.CompressionRatio)
+			szRes.CompressionRatio, res.CompressionRatio)
 	}
 }
 

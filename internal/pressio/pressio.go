@@ -47,13 +47,6 @@ type Buffer struct {
 	f64   []float64
 }
 
-// NewBuffer validates and constructs a float32 Buffer. It is NewBufferOf
-// fixed at single precision, kept for the many call sites that predate
-// float64 support.
-func NewBuffer(data []float32, shape grid.Dims) (Buffer, error) {
-	return NewBufferOf(data, shape)
-}
-
 // NewBufferOf validates and constructs a Buffer over float32 or float64
 // data. The data slice is referenced, not copied.
 func NewBufferOf[T grid.Float](data []T, shape grid.Dims) (Buffer, error) {
@@ -148,15 +141,6 @@ func decoder(f32 func([]float32, []byte, grid.Dims) error,
 	}
 }
 
-// Result captures one compression run: the parameter used, the achieved
-// ratio, and the full quality report.
-type Result struct {
-	Compressor string
-	Bound      float64
-	Compressed int
-	Report     metrics.Report
-}
-
 // Evaluate computes the full quality report between an original buffer and
 // its reconstruction, dispatching on the shared element width.
 func Evaluate(orig, dec Buffer, compressedBytes int) (metrics.Report, error) {
@@ -170,15 +154,12 @@ func Evaluate(orig, dec Buffer, compressedBytes int) (metrics.Report, error) {
 }
 
 // Run compresses, decompresses, and evaluates the buffer with the given
-// bound, returning the full result. It is the convenience used by the
-// experiment harness; FRaZ's inner loop uses Ratio instead, which skips the
-// decompression when only the size is needed.
-func Run(c Compressor, buf Buffer, bound float64) (Result, error) {
+// bound, returning the round trip's quality report. It is the convenience
+// used by the experiment harness; FRaZ's inner loop uses Ratio instead,
+// which skips the decompression when only the size is needed.
+func Run(c Compressor, buf Buffer, bound float64) (metrics.Report, error) {
 	entry, _, err := evaluate(c, buf, bound, true)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Compressor: c.Descriptor().Name, Bound: bound, Compressed: entry.Size, Report: entry.Report}, nil
+	return entry.Report, err
 }
 
 // Ratio compresses the buffer with the given bound and returns the achieved

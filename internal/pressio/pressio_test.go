@@ -23,7 +23,7 @@ func testField3D() Buffer {
 			}
 		}
 	}
-	buf, err := NewBuffer(data, shape)
+	buf, err := NewBufferOf(data, shape)
 	if err != nil {
 		panic(err)
 	}
@@ -36,18 +36,18 @@ func testField1D() Buffer {
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 100))
 	}
-	buf, _ := NewBuffer(data, shape)
+	buf, _ := NewBufferOf(data, shape)
 	return buf
 }
 
 func TestNewBufferValidation(t *testing.T) {
-	if _, err := NewBuffer(make([]float32, 5), grid.MustDims(6)); err == nil {
+	if _, err := NewBufferOf(make([]float32, 5), grid.MustDims(6)); err == nil {
 		t.Errorf("length mismatch should fail")
 	}
-	if _, err := NewBuffer(nil, grid.Dims{}); err == nil {
+	if _, err := NewBufferOf[float32](nil, grid.Dims{}); err == nil {
 		t.Errorf("empty shape should fail")
 	}
-	buf, err := NewBuffer(make([]float32, 6), grid.MustDims(2, 3))
+	buf, err := NewBufferOf(make([]float32, 6), grid.MustDims(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +83,23 @@ func TestAllErrorBoundedBackendsRespectBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Report.CompressionRatio <= 1 {
-			t.Errorf("%s: expected some compression, got CR=%.2f", name, res.Report.CompressionRatio)
+		if res.CompressionRatio <= 1 {
+			t.Errorf("%s: expected some compression, got CR=%.2f", name, res.CompressionRatio)
 		}
 		switch name {
 		case "mgard:l2":
 			// mgard:l2 bounds the MSE rather than the max error.
-			if res.Report.MSE > bound {
-				t.Errorf("%s: MSE %v exceeds bound %v", name, res.Report.MSE, bound)
+			if res.MSE > bound {
+				t.Errorf("%s: MSE %v exceeds bound %v", name, res.MSE, bound)
 			}
 		case "sz:rel":
 			// sz:rel interprets the bound relative to the value range.
-			if res.Report.MaxError > bound*res.Report.ValueRange {
-				t.Errorf("%s: max error %v exceeds relative bound %v of range %v", name, res.Report.MaxError, bound, res.Report.ValueRange)
+			if res.MaxError > bound*res.ValueRange {
+				t.Errorf("%s: max error %v exceeds relative bound %v of range %v", name, res.MaxError, bound, res.ValueRange)
 			}
 		default:
-			if res.Report.MaxError > bound {
-				t.Errorf("%s: max error %v exceeds bound %v", name, res.Report.MaxError, bound)
+			if res.MaxError > bound {
+				t.Errorf("%s: max error %v exceeds bound %v", name, res.MaxError, bound)
 			}
 		}
 	}
@@ -139,14 +139,11 @@ func TestRatioMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != res.Compressed {
-		t.Errorf("size mismatch: %d vs %d", size, res.Compressed)
+	if size != res.CompressedBytes {
+		t.Errorf("size mismatch: %d vs %d", size, res.CompressedBytes)
 	}
-	if math.Abs(ratio-res.Report.CompressionRatio) > 1e-9 {
-		t.Errorf("ratio mismatch: %v vs %v", ratio, res.Report.CompressionRatio)
-	}
-	if res.Compressor != "sz:abs" || res.Bound != 1e-3 {
-		t.Errorf("result metadata wrong: %+v", res)
+	if math.Abs(ratio-res.CompressionRatio) > 1e-9 {
+		t.Errorf("ratio mismatch: %v vs %v", ratio, res.CompressionRatio)
 	}
 }
 

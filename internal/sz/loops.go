@@ -28,7 +28,7 @@ import (
 // neighbour, and lorenzoAt predicts them from the ones they have.
 //
 // Bit-compatibility contract. Streams and reconstructions are those of the
-// row-major point-at-a-time walk through quantize.Quantizer, which
+// row-major point-at-a-time walk through the linear-scaling Quantizer, which
 // walk_test.go keeps as the reference (TestWalkMatchesReference, FuzzWalk):
 //
 //   - Every point evaluates that walk's floating-point expressions, with

@@ -28,7 +28,6 @@ import (
 	"fraz/internal/codestream"
 	"fraz/internal/grid"
 	"fraz/internal/pool"
-	"fraz/internal/quantize"
 )
 
 // magic32 and magic64 identify SZ-Go compressed streams of float32 and
@@ -60,9 +59,13 @@ type Options struct {
 	// (6 for 3-D, 12 for 2-D, 128 for 1-D).
 	BlockSize int
 	// Intervals is the number of linear-scaling quantization intervals;
-	// 0 selects the SZ default of 65536.
+	// 0 selects the SZ default, defaultIntervals.
 	Intervals int
 }
+
+// defaultIntervals is SZ's default number of quantisation intervals: codes
+// lie in [−32768, 32767], a signed 17-bit range around zero.
+const defaultIntervals = 65536
 
 func (o *Options) withDefaults(ndims int) Options {
 	out := *o
@@ -77,7 +80,7 @@ func (o *Options) withDefaults(ndims int) Options {
 		}
 	}
 	if out.Intervals == 0 {
-		out.Intervals = quantize.DefaultIntervals
+		out.Intervals = defaultIntervals
 	}
 	return out
 }
@@ -108,7 +111,7 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		return nil, fmt.Errorf("%w: %d intervals (want at most %d)", ErrInvalidInput, opts.Intervals, maxIntervals)
 	}
 	o := opts.withDefaults(shape.NDims())
-	if _, err := quantize.NewWithIntervals(o.ErrorBound, o.Intervals); err != nil {
+	if err := checkQuantiser(o.ErrorBound, o.Intervals); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 
@@ -142,6 +145,19 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 // code then lies in [−2^30, 2^30), exact in an int32 and never the
 // unpredictable marker.
 const maxIntervals int64 = 1 << 31
+
+// checkQuantiser refuses an error bound that is not positive and finite,
+// and fewer than 4 intervals. Compress checks its options with it, and
+// parseHeader a stream's header before the body is touched.
+func checkQuantiser(bound float64, intervals int) error {
+	if !(bound > 0) || math.IsInf(bound, 1) {
+		return fmt.Errorf("error bound must be positive and finite, got %v", bound)
+	}
+	if intervals < 4 {
+		return fmt.Errorf("intervals must be >= 4, got %d", intervals)
+	}
+	return nil
+}
 
 // encode predicts and quantises data, block by block, into codes (one per
 // value, in stream order) and recon (the values the decoder will
@@ -217,8 +233,8 @@ const fixedHeaderLen = 22
 // predictor selector and four float64 regression coefficients.
 const maxBlockRecord = 33
 
-// parseHeader reads the fixed fields and the preamble's shape, returning the
-// body that follows them.
+// parseHeader reads and checks the fixed fields and the preamble's shape,
+// returning the body that follows them.
 func parseHeader(buf []byte) (h header, body []byte, err error) {
 	if h.elemSize, err = stream.Width(buf, fixedHeaderLen); err != nil {
 		return h, nil, err
@@ -229,6 +245,9 @@ func parseHeader(buf []byte) (h header, body []byte, err error) {
 	h.intervals = int(binary.LittleEndian.Uint32(buf[18:22]))
 	if h.blockSize == 0 {
 		return h, nil, fmt.Errorf("%w: block size 0", ErrCorrupt)
+	}
+	if err := checkQuantiser(h.errorBound, h.intervals); err != nil {
+		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	h.shape, body, err = stream.Shape(buf, fixedHeaderLen, int(buf[5]))
 	return h, body, err
@@ -249,10 +268,6 @@ func decompressBody[T grid.Float](recon []T, h header, body []byte) error {
 	blockMeta := head[0]
 	if len(codes) != n {
 		return fmt.Errorf("%w: code count %d does not match shape %v", ErrCorrupt, len(codes), h.shape)
-	}
-
-	if _, err := quantize.NewWithIntervals(h.errorBound, h.intervals); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return decode(recon, h, codes, literals, blockMeta)
 }

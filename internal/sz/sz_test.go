@@ -320,6 +320,36 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
+// TestBadHeaderBoundRefusedBeforeBody requires a header's error bound to be
+// checked before the body is inflated and decoded: on a 64³ field a bad
+// bound is refused after allocating under 64 KiB besides the output, where
+// decoding the body first takes megabytes.
+func TestBadHeaderBoundRefusedBeforeBody(t *testing.T) {
+	data, shape := synthetic3D(64, 64, 64, 3)
+	valid, err := Compress(data, shape, Options{ErrorBound: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, shape.Len())
+	if err := DecompressInto(dst, valid, shape); err != nil {
+		t.Fatalf("the valid stream: %v", err)
+	}
+	for _, e := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(bad[6:14], math.Float64bits(e))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecompressInto(dst, bad, shape)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bound %v: got %v, want an error wrapping ErrCorrupt", e, err)
+		}
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated >= 64<<10 {
+			t.Errorf("bound %v: refusing a %d-byte stream allocated %d bytes, want under 64 KiB", e, len(bad), allocated)
+		}
+	}
+}
+
 func TestDecompressShapeMismatch(t *testing.T) {
 	data, shape := synthetic1D(100, 4)
 	comp, err := Compress(data, shape, Options{ErrorBound: 1e-3})

@@ -7,21 +7,61 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"fraz/internal/grid"
-	"fraz/internal/quantize"
 )
 
 // The reference walk: the row-major, point-at-a-time encoder and decoder
-// the wavefront walks replaced, one call to quantize.Quantizer per point,
+// the wavefront walks replaced, one call to Quantizer per point,
 // with the predictor selection that summed Aᵀb, the Lorenzo residual and
 // the regression residual in three passes. It shares padBlock, row,
 // regressRow, normalMatrix and solve4 with the package; the one change from
 // the old code is the explicit rounding of the products that used to feed
 // an addition directly (see loops.go), which amd64 never fused.
 
+// Quantizer is the linear-scaling quantiser the walks write out: under an
+// absolute error bound e, a value v predicted as p has the code
+// round((v − p)/2e) and is reconstructed as p + 2e·code, so |v − v'| ≤ e.
+// A code outside [−Intervals/2, Intervals/2 − 1] marks v unpredictable,
+// stored verbatim by the caller.
+type Quantizer struct {
+	ErrorBound float64
+	Intervals  int
+}
+
+// Quantize converts the difference between value and prediction into an
+// integer code. ok is false when the residual does not fit in the code range
+// (the caller should store the value verbatim). When ok is true, the
+// reconstruction returned by Dequantize(pred, code) differs from value by at
+// most ErrorBound.
+func (q *Quantizer) Quantize(value, pred float64) (code int32, recon float64, ok bool) {
+	diff := value - pred
+	half := float64(q.Intervals / 2)
+	c := math.Round(diff / (2 * q.ErrorBound))
+	if math.IsNaN(c) || c >= half || c < -half {
+		return 0, value, false
+	}
+	code = int32(c)
+	recon = pred + float64(2*q.ErrorBound*float64(code))
+	// Guard against floating-point rounding pushing the reconstruction just
+	// outside the bound; in that rare case fall back to verbatim storage.
+	if math.Abs(recon-value) > q.ErrorBound {
+		return 0, value, false
+	}
+	return code, recon, true
+}
+
+// Dequantize reconstructs a value from a prediction and a quantization code.
+// The product is rounded before the addition, as in Quantize, so no target
+// fuses the two into one multiply-add: the decoder must compute the very
+// reconstruction the encoder checked against the bound.
+func (q *Quantizer) Dequantize(pred float64, code int32) float64 {
+	return pred + float64(2*q.ErrorBound*float64(code))
+}
+
 type refEncoder[T grid.Float] struct {
-	q        *quantize.Quantizer
+	q        *Quantizer
 	bound    float64
 	data     []T
 	recon    []T
@@ -150,10 +190,7 @@ func refRegressionBeatsLorenzo[T grid.Float](data []T, b *block, coeffs [4]float
 
 // refEncode is encode as the reference walk does it.
 func refEncode[T grid.Float](data []T, shape grid.Dims, o Options) (codes []int32, literals []T, blockMeta []byte, recon []T) {
-	q, err := quantize.NewWithIntervals(o.ErrorBound, o.Intervals)
-	if err != nil {
-		panic(err)
-	}
+	q := &Quantizer{ErrorBound: o.ErrorBound, Intervals: o.Intervals}
 	e := &refEncoder[T]{q: q, bound: o.ErrorBound, data: data, recon: make([]T, len(data)), literals: make([]T, 0)}
 	strides := shape.Strides()
 	for _, gb := range shape.Blocks(o.BlockSize) {
@@ -180,10 +217,7 @@ func refEncode[T grid.Float](data []T, shape grid.Dims, o Options) (codes []int3
 // refDecode is decode as the reference walk does it: codes and literals
 // consumed in visit order.
 func refDecode[T grid.Float](h header, codes []int32, literals []T, blockMeta []byte) ([]T, error) {
-	q, err := quantize.NewWithIntervals(h.errorBound, h.intervals)
-	if err != nil {
-		return nil, err
-	}
+	q := &Quantizer{ErrorBound: h.errorBound, Intervals: h.intervals}
 	recon := make([]T, h.shape.Len())
 	strides := h.shape.Strides()
 	var failed error
@@ -435,4 +469,110 @@ func FuzzWalk(f *testing.F) {
 			checkWalk(t, walkField[float32](shape.Len(), seed, rate), shape, o)
 		}
 	})
+}
+
+// The reference Quantizer's own contract, and checkQuantiser's refusals.
+
+func TestCheckQuantiserRejectsBadBounds(t *testing.T) {
+	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := checkQuantiser(eb, defaultIntervals); err == nil {
+			t.Errorf("bound %v should fail", eb)
+		}
+	}
+	if err := checkQuantiser(1e-300, defaultIntervals); err != nil {
+		t.Errorf("bound 1e-300: %v", err)
+	}
+}
+
+func TestCheckQuantiserRejectsSmallCapacity(t *testing.T) {
+	for _, n := range []int{-4, 0, 2, 3} {
+		if err := checkQuantiser(1.0, n); err == nil {
+			t.Errorf("intervals %d should fail", n)
+		}
+	}
+	if err := checkQuantiser(1.0, 4); err != nil {
+		t.Errorf("intervals 4: %v", err)
+	}
+}
+
+func TestQuantizeExactAtPrediction(t *testing.T) {
+	q := &Quantizer{ErrorBound: 0.5, Intervals: defaultIntervals}
+	code, recon, ok := q.Quantize(10.0, 10.0)
+	if !ok || code != 0 || recon != 10.0 {
+		t.Errorf("got code=%d recon=%v ok=%v", code, recon, ok)
+	}
+}
+
+func TestQuantizeRespectsBound(t *testing.T) {
+	q := &Quantizer{ErrorBound: 0.01, Intervals: defaultIntervals}
+	values := []float64{0, 0.004, 0.009, 0.011, 1.2345, -3.3, 100.5}
+	pred := 0.0
+	for _, v := range values {
+		code, recon, ok := q.Quantize(v, pred)
+		if !ok {
+			continue
+		}
+		if math.Abs(recon-v) > q.ErrorBound {
+			t.Errorf("value %v: reconstruction %v exceeds bound (code %d)", v, recon, code)
+		}
+		if got := q.Dequantize(pred, code); got != recon {
+			t.Errorf("Dequantize mismatch: %v vs %v", got, recon)
+		}
+	}
+}
+
+func TestQuantizeOverflowIsUnpredictable(t *testing.T) {
+	q := &Quantizer{ErrorBound: 1e-6, Intervals: 256}
+	_, recon, ok := q.Quantize(1000.0, 0.0)
+	if ok {
+		t.Errorf("residual far beyond capacity should be unpredictable")
+	}
+	if recon != 1000.0 {
+		t.Errorf("unpredictable reconstruction should echo the value, got %v", recon)
+	}
+}
+
+func TestQuantizeNaNResidual(t *testing.T) {
+	q := &Quantizer{ErrorBound: 0.1, Intervals: defaultIntervals}
+	if _, _, ok := q.Quantize(math.NaN(), 0); ok {
+		t.Errorf("NaN value should be unpredictable")
+	}
+}
+
+func TestPropertyBoundAlwaysRespected(t *testing.T) {
+	f := func(value, pred float64, ebExp uint8) bool {
+		if math.IsNaN(value) || math.IsInf(value, 0) || math.IsNaN(pred) || math.IsInf(pred, 0) {
+			return true
+		}
+		eb := math.Pow(10, -float64(ebExp%8)) // 1 .. 1e-7
+		q := &Quantizer{ErrorBound: eb, Intervals: defaultIntervals}
+		code, recon, ok := q.Quantize(value, pred)
+		if !ok {
+			return recon == value
+		}
+		if math.Abs(recon-value) > eb {
+			return false
+		}
+		return q.Dequantize(pred, code) == recon
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPropertyCodeZeroWhenWithinBound(t *testing.T) {
+	f := func(residFrac float64) bool {
+		if math.IsNaN(residFrac) || math.IsInf(residFrac, 0) {
+			return true
+		}
+		// residual strictly inside (-eb, eb) must quantize to code 0
+		eb := 0.125
+		frac := math.Mod(math.Abs(residFrac), 0.99)
+		q := &Quantizer{ErrorBound: eb, Intervals: defaultIntervals}
+		code, _, ok := q.Quantize(10+frac*eb, 10)
+		return ok && code == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }

@@ -637,42 +637,27 @@ func inverseTransform[I coeff](p *[64]I, nd int) {
 
 // --- negabinary -------------------------------------------------------------
 
-const (
-	negabinaryMask   = 0xaaaaaaaa
-	negabinaryMask64 = 0xaaaaaaaaaaaaaaaa
-)
-
-func int32ToNegabinary(v int32) uint32 {
-	return (uint32(v) + negabinaryMask) ^ negabinaryMask
-}
-
-func negabinaryToInt32(u uint32) int32 {
-	return int32((u ^ negabinaryMask) - negabinaryMask)
-}
-
-func int64ToNegabinary(v int64) uint64 {
-	return (uint64(v) + negabinaryMask64) ^ negabinaryMask64
-}
-
-func negabinaryToInt64(u uint64) int64 {
-	return int64((u ^ negabinaryMask64) - negabinaryMask64)
-}
+// negabinaryMask is 0b1010… at 64 bits; its low half is the 32-bit mask.
+const negabinaryMask = 0xaaaaaaaaaaaaaaaa
 
 // toNegabinary converts a coefficient to its width's negabinary code,
-// widened to uint64 for the shared bit-plane coder.
+// (v + mask) ^ mask in the coefficient's width, widened to uint64 for the
+// shared bit-plane coder.
 func toNegabinary[I coeff](v I) uint64 {
 	if intprecOf[I]() == 32 {
-		return uint64(int32ToNegabinary(int32(v)))
+		const m = negabinaryMask >> 32
+		return uint64((uint32(v) + m) ^ m)
 	}
-	return int64ToNegabinary(int64(v))
+	return (uint64(v) + negabinaryMask) ^ negabinaryMask
 }
 
 // fromNegabinary is the inverse of toNegabinary.
 func fromNegabinary[I coeff](u uint64) I {
 	if intprecOf[I]() == 32 {
-		return I(negabinaryToInt32(uint32(u)))
+		const m = negabinaryMask >> 32
+		return I(int32((uint32(u) ^ m) - m))
 	}
-	return I(negabinaryToInt64(u))
+	return I(int64((u ^ negabinaryMask) - negabinaryMask))
 }
 
 // --- sequency permutation ----------------------------------------------------

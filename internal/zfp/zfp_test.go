@@ -96,15 +96,27 @@ func TestForwardInverseTransform3D(t *testing.T) {
 func TestNegabinaryRoundTrip(t *testing.T) {
 	cases := []int32{0, 1, -1, 2, -2, 100, -100, math.MaxInt32, math.MinInt32 + 1, 1 << 30, -(1 << 30)}
 	for _, v := range cases {
-		if got := negabinaryToInt32(int32ToNegabinary(v)); got != v {
+		if got := fromNegabinary[int32](toNegabinary(v)); got != v {
 			t.Errorf("negabinary round trip %d -> %d", v, got)
+		}
+		if got := fromNegabinary[int64](toNegabinary(int64(v) << 32)); got != int64(v)<<32 {
+			t.Errorf("64-bit negabinary round trip %d -> %d", int64(v)<<32, got)
+		}
+	}
+	// Digits of −2: 2 = 110, −1 = 11, −2 = 10, at either width.
+	for v, want := range map[int32]uint64{2: 0b110, -1: 0b11, -2: 0b10} {
+		if got := toNegabinary(v); got != want {
+			t.Errorf("toNegabinary(int32(%d)) = %b, want %b", v, got, want)
+		}
+		if got := toNegabinary(int64(v)); got != want {
+			t.Errorf("toNegabinary(int64(%d)) = %b, want %b", v, got, want)
 		}
 	}
 }
 
 func TestPropertyNegabinary(t *testing.T) {
-	f := func(v int32) bool {
-		return negabinaryToInt32(int32ToNegabinary(v)) == v
+	f := func(v int32, w int64) bool {
+		return fromNegabinary[int32](toNegabinary(v)) == v && fromNegabinary[int64](toNegabinary(w)) == w
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -30,8 +30,16 @@ type settings struct {
 	cache      *EvalCache // nil = private per-client cache
 }
 
-func defaultSettings() settings {
-	return settings{reuse: true}
+// resolve applies opts, in order, over the default settings for the named
+// codec; a Codec option overrides the name.
+func resolve(codec string, opts []Option) (settings, error) {
+	set := settings{codec: codec, reuse: true}
+	for _, opt := range opts {
+		if err := opt(&set); err != nil {
+			return set, err
+		}
+	}
+	return set, nil
 }
 
 // Option configures a Client (or a one-shot Compress/Decompress call).
