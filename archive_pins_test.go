@@ -221,7 +221,7 @@ var archivePins = map[string]archivePin{
 	"szx:abs/ratio/f32/1":            {"49fee3f9fd4ffd9f4d7bf00ba0ffee13297393b26d517a49a615b8ea068ea120", 8},
 	"szx:abs/ratio/f32/4":            {"bca71abcdf59fb2620b59d774137612d91af38a0e0fa4b5d11458a9fd722c333", 6},
 	"szx:abs/ratio/f64/1":            {"8c7f78befc196e8816ff5a0d8611899cdb360478159cc06ced318f3be8ece912", 5},
-	"szx:abs/ratio/f64/4":            {"3f3a2a8aeafea817f0741d17ce0fc499b3e8cb258c37f34613c26b05c4fb389d", 8},
+	"szx:abs/ratio/f64/4":            {"19dde3c8288618dfa87abb80a7e046d0f537babd4a6f6ae1fd0fadef8b6d6b2a", 12},
 	"szx:abs/psnr/f32/1":             {"eb39073077e47e8a69aeaf3a369c08cafddfbcf9e771c8d184d714205ef4e102", 3},
 	"szx:abs/psnr/f32/4":             {"eb39073077e47e8a69aeaf3a369c08cafddfbcf9e771c8d184d714205ef4e102", 3},
 	"szx:abs/psnr/f64/1":             {"5e7fad7581e907ea80c33d1d36a59acadb1f5f3a9390a5c6d3cce8b25040bb4c", 3},

@@ -27,18 +27,20 @@ import (
 // tuned on the block the blocked seal would tune on, and every evaluation
 // flows through the client's cache, so racing N codecs costs N tunes on one
 // block, and re-racing the same field (or sealing with the winner) is
-// answered from memory. The race scores a sample, so its winner can still
-// miss the band on the whole field (a quality objective seals
-// monolithically): the walk then moves on to the runner-up.
+// answered from memory. The race scores a sample; the winner's seal judges
+// the archive (a blocked ratio archive is checked and corrected, a quality
+// objective seals monolithically), and a winner whose attempt still ends in
+// ErrInfeasible is demoted: the walk then moves on to the runner-up.
 
 // AutoCandidate reports one registered codec's part in a CodecAuto race.
 type AutoCandidate struct {
 	// Codec is the candidate's registry name.
 	Codec string
 	// Skipped is the reason the codec did not win: a capability-window
-	// mismatch (it never raced), a tuning failure, or losing the score
-	// comparison leaves it empty — only pre-filter and failure reasons are
-	// recorded here; a raced loser has Skipped == "" and Feasible == true.
+	// mismatch (it never raced), a tuning failure, or the error its attempt
+	// returned when the walk demoted it; losing the score comparison leaves
+	// it empty — only pre-filter and failure reasons are recorded here; a
+	// raced loser has Skipped == "" and Feasible == true.
 	Skipped string
 	// Feasible reports whether the candidate reached the acceptance band on
 	// the sampled block.
@@ -107,8 +109,9 @@ func (c *Client) rank(ctx context.Context, buf pressio.Buffer, op string) ([]ran
 
 // walk makes one attempt per ranked candidate, best first, and stops at the
 // first that does not miss the band; try returns the bound the attempt
-// settled on, which becomes that candidate's next prediction. A miss demotes
-// the candidate in sel and moves on, so a walk that runs out returns the
+// settled on, which becomes that candidate's next prediction. A miss — the
+// *InfeasibleError of the attempt's own check — demotes the candidate in sel
+// with that error's text and moves on, so a walk that runs out returns the
 // last miss.
 func (c *Client) walk(ranking []ranked, sel *AutoSelection, try func(ranked) (float64, error)) error {
 	var err error
@@ -130,7 +133,7 @@ func (c *Client) walk(ranking []ranked, sel *AutoSelection, try func(ranked) (fl
 		}
 		if sel != nil {
 			cand := &sel.Candidates[r.entry]
-			cand.Skipped = fmt.Sprintf("won the sample race but missed the band on the full field (closest ratio %.4g)", inf.ClosestRatio)
+			cand.Skipped = inf.Error()
 			cand.Feasible = false
 		}
 	}

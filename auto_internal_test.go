@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// The race scores candidates on a sampled block, so its winner can miss the
-// acceptance band on the full field; the walk then tries the runner-up (see
-// seal and tuneBuffer). Each row ranks a hand-made race and walks it with an
-// attempt that misses the band for the codecs in miss.
+// The race scores candidates on a sampled block, so its winner's attempt can
+// still end in ErrInfeasible; the walk then records that error and tries the
+// runner-up (see seal and tuneBuffer). Each row ranks a hand-made race and
+// walks it with an attempt that misses the band for the codecs in miss.
 func TestRankAndWalk(t *testing.T) {
 	race := []AutoCandidate{
 		{Codec: "a", Feasible: true, Score: 5, ErrorBound: 0.1},
@@ -75,7 +75,7 @@ func TestRankAndWalk(t *testing.T) {
 					if cand.Skipped != "rank window" {
 						t.Errorf("skipped candidate d changed: %+v", cand)
 					}
-				case missed != strings.HasPrefix(cand.Skipped, "won the sample race but missed the band") || missed == cand.Feasible:
+				case missed != (cand.Skipped == (&InfeasibleError{Compressor: cand.Codec, ClosestRatio: 3}).Error()) || missed == cand.Feasible:
 					t.Errorf("candidate %s: %+v, missed the band = %v", cand.Codec, cand, missed)
 				}
 				want := 0.0 // never tried

@@ -60,7 +60,12 @@
 // the bracket is bisected further. Only a measured in-band evaluation is ever
 // sealed, and as measured: its bytes are the sampled block's payload (the
 // whole archive for a monolithic seal) unless the evaluation cache answered
-// it. Where the bracket finds none (a staircase curve, an unreachable
+// it. A blocked ratio archive is then judged on its own ratio, since blocks
+// need not compress like the sample: a miss re-tunes the sample for a target
+// rescaled by sample ratio ÷ archive ratio, from the bound just sealed, at
+// most twice, and ErrInfeasible reports the closest archive if none lands
+// (CompressResult.Evaluations counts those tunes too). Where the bracket
+// finds none (a staircase curve, an unreachable
 // target) the region-parallel search of the paper's Algorithm 2 runs as the
 // fallback and decides, ErrInfeasible included. SSIM targets, and every
 // target on zfp:rate, zfp:precision and frsz:rate, take the region-parallel
@@ -133,8 +138,9 @@
 // codec is a ranking of one. CodecAuto ranks every registered codec by a
 // race: candidates filtered by capability, each tuned on a sampled block
 // through the shared evaluation cache, best ratio at the target quality (or
-// best PSNR at the target ratio) first. A winner that misses the band on the
-// whole field gives way to the runner-up. The sealed codec is recorded per
+// best PSNR at the target ratio) first. A winner whose archive still misses
+// the band after the seal's own check and correction gives way to the
+// runner-up. The sealed codec is recorded per
 // field; CompressResult.Selection reports the full scoreboard. Pass
 // fraz.Codec to pin one codec instead, or use CodecAuto with a plain Client
 // (fraz.New(fraz.CodecAuto, …)) for single fields.
@@ -164,7 +170,8 @@
 //     objective-generic search (ratio/PSNR/SSIM/max-error through one
 //     region-parallel loop), the model-first search that ratio, PSNR and
 //     max-error take ahead of it on error-magnitude codecs, plus the blocked sealing
-//     path (tune on a sampled block, compress all blocks concurrently)
+//     path (tune on a sampled block, compress all blocks concurrently, check
+//     the archive's ratio and correct a miss)
 //   - internal/pressio   — the generic codec layer (libpressio analogue): codec
 //     registry with capabilities, the shared evaluation cache (compress-only
 //     and full round-trip entries, bounded with FIFO eviction), and the

@@ -189,8 +189,9 @@ type CompressResult struct {
 	// Ratio is the achieved whole-field compression ratio (uncompressed
 	// bytes over payload bytes), as recorded in the container header.
 	Ratio float64
-	// SampleRatio is the ratio achieved on the block the bound was tuned
-	// on (equal to Ratio for a monolithic seal; zero with FixedBound).
+	// SampleRatio is the ratio the last tune achieved on the block the bound
+	// was tuned on (equal to Ratio for a monolithic seal; zero with
+	// FixedBound). It is not judged: Ratio is.
 	SampleRatio float64
 	// Blocks is the number of independently decodable blocks written: 1
 	// means a monolithic (v1) container, more a blocked (v2) one.
@@ -199,8 +200,10 @@ type CompressResult struct {
 	SampleBlock int
 	// BytesWritten is the size of the container streamed to the writer.
 	BytesWritten int64
-	// Evaluations counts compressor invocations during tuning; CacheHits of
-	// them were served from the client's evaluation cache.
+	// Evaluations counts the evaluations the seal's tunes asked for — the
+	// first, and every corrective one after a blocked ratio archive missed
+	// the band (a CodecAuto race's own are in Selection) — and CacheHits
+	// those of them the client's evaluation cache answered.
 	Evaluations int
 	CacheHits   int
 	// Direct is true when the objective was satisfied directly from codec
@@ -222,16 +225,19 @@ type CompressResult struct {
 // Compress tunes the codec's error bound to the client's objective — the
 // target ratio, or a quality target (PSNR, SSIM, max-error) — compresses
 // the field at the tuned bound, and streams a self-describing .fraz
-// container to w. Nothing is written unless tuning succeeds: if no bound
-// reaches the acceptance band, Compress fails with an error matching
-// errors.Is(err, ErrInfeasible) whose *InfeasibleError payload carries the
-// closest observed configuration.
+// container to w. The promise is the archive's: its own ratio (or quality)
+// lies in the acceptance band, or nothing is written and Compress fails with
+// an error matching errors.Is(err, ErrInfeasible) whose *InfeasibleError
+// payload carries the closest configuration observed.
 //
 // data is a flat row-major field and shape its extents, slowest dimension
 // first (e.g. {100, 500, 500}). With Blocks(n > 1 or the automatic
 // default), a ratio-targeted bound is tuned on one sampled block and all
-// blocks are compressed concurrently into a blocked container; Blocks(1)
-// seals monolithically, as do quality objectives always (see Blocks).
+// blocks are compressed concurrently into a blocked container, whose ratio
+// is then checked: an archive that misses the band is corrected by re-tuning
+// the sample for a target rescaled by sample ratio ÷ archive ratio, at most
+// twice, and the closest archive is reported if none lands. Blocks(1) seals
+// monolithically, as do quality objectives always (see Blocks).
 // Quality-targeted archives additionally record the objective name, target,
 // band, and achieved value in the container header.
 func (c *Client) Compress(ctx context.Context, w io.Writer, data []float32, shape []int) (*CompressResult, error) {
@@ -268,11 +274,15 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 	if err != nil {
 		return nil, fmt.Errorf("fraz: writing container: %w", err)
 	}
+	achieved := cn.Header.Objective.Achieved // zero at a FixedBound
+	if sr.Tuning.Objective == "ratio" {
+		achieved = cn.Header.Ratio
+	}
 	return &CompressResult{
 		Codec:          cn.Header.Codec,
 		Objective:      sr.Tuning.Objective,
 		Target:         sr.Tuning.Target,
-		AchievedValue:  sr.AchievedValue,
+		AchievedValue:  achieved,
 		ErrorBound:     cn.Header.Bound,
 		Ratio:          cn.Header.Ratio,
 		SampleRatio:    sr.Tuning.AchievedRatio,
@@ -292,8 +302,8 @@ func (c *Client) compressBuffer(ctx context.Context, w io.Writer, buf pressio.Bu
 // parameter when there is one, skipping the tuner entirely (the zero
 // SealResult says that nothing was tuned; New refuses FixedBound with
 // CodecAuto), else at the bound the first ranked candidate to reach the band
-// tunes. Infeasibility is found before a container exists, so a walk that
-// moves on has nothing to undo.
+// tunes. An attempt that misses the band returns no container, so a walk
+// that moves on has nothing to undo.
 func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Container, core.SealResult, *AutoSelection, error) {
 	if c.set.fixedBound > 0 {
 		layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)

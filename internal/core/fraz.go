@@ -237,6 +237,9 @@ type Tuner struct {
 	// codec is the compressor's descriptor, the source of every static fact
 	// the tuner acts on: parameter domain, rank window, fixed-rate size.
 	codec *pressio.Codec
+	// cfg.Objective is what the caller asked for, and what a Result reports;
+	// obj is what the search aims at: the same, unless SealBlocked rescaled
+	// its target to correct an archive that missed the band.
 	cfg   Config
 	obj   Objective
 	cache *pressio.Cache
@@ -372,11 +375,11 @@ func (t *Tuner) tune(ctx context.Context, buf pressio.Buffer, prediction float64
 	res := Result{
 		Compressor: t.codec.Name,
 		Objective:  t.obj.Name,
-		Target:     t.obj.Target,
+		Target:     t.cfg.Objective.Target,
 		Tolerance:  t.obj.Tolerance,
 	}
 	if t.obj.Name == "ratio" {
-		res.TargetRatio = t.obj.Target
+		res.TargetRatio = res.Target
 	}
 	r := &run{t: t, ctx: ctx, buf: buf, res: &res}
 	err := r.descend(prediction)

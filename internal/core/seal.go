@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"fraz/internal/blocks"
@@ -34,24 +35,21 @@ type SealOptions struct {
 	Prediction float64
 }
 
-// SealResult reports what SealBlocked did: the tuning outcome on the
-// sampled block and the final whole-field seal.
+// SealResult reports what SealBlocked did that the container header does
+// not say: how the bound was tuned, and on which block.
 type SealResult struct {
-	// Tuning is the search result on the sampled block. Its AchievedRatio
-	// and CompressedSize refer to that block alone.
+	// Tuning is the search result on the sampled block: its AchievedRatio
+	// and CompressedSize refer to that block alone. Iterations, CacheHits
+	// and CacheMisses count every tune the seal ran, corrective ones too.
 	Tuning Result
 	// SampleBlock is the index of the block the bound was tuned on.
 	SampleBlock int
-	// Blocks is the number of blocks sealed (1 = monolithic fallback).
-	Blocks int
-	// AchievedRatio is the whole-field compression ratio of the sealed
-	// container (the ratio recorded in its header).
-	AchievedRatio float64
-	// AchievedValue is the whole-field value of the tuned objective (the
-	// value recorded in the container's objective extension; for the
-	// fixed-ratio objective it equals AchievedRatio).
-	AchievedValue float64
 }
+
+// correctiveSteps is how many times SealBlocked re-tunes the sample for a
+// ratio archive that missed the band before it reports the closest archive
+// as infeasible.
+const correctiveSteps = 2
 
 // BlockLayout is how a field is split for a blocked seal, and which block
 // stands in for the whole while a bound is tuned.
@@ -93,15 +91,21 @@ func PlanBlocks(buf pressio.Buffer, numBlocks, workers int) (BlockLayout, error)
 }
 
 // SealBlocked tunes the error bound on one sampled block of the buffer
-// (PlanBlocks) and compresses the other blocks concurrently at the tuned
-// bound, returning the ready-to-encode container; the sampled block's payload
-// is the winning evaluation's stream (pressio.SealWith). With Blocks <= 1 (or
-// a shape that cannot be split) the result is a monolithic version-1
-// container sealed at a bound tuned on the full buffer — the winning
-// evaluation is then the whole archive — so callers can use SealBlocked
-// unconditionally. A tune that misses the acceptance band seals nothing: the
-// error is the *InfeasibleError (errors.Is(err, ErrInfeasible)) and the
-// SealResult still carries the tuning outcome.
+// (PlanBlocks), compresses the other blocks concurrently at the tuned bound,
+// and judges the archive: the returned container is in band, or the error is
+// an *InfeasibleError (errors.Is(err, ErrInfeasible)). The sampled block's
+// payload is the winning evaluation's stream (pressio.SealWith). A ratio is a
+// property of the bytes, so the blocks need not compress like the sample: a
+// ratio archive that misses the band rescales the sample's target by sample
+// ratio ÷ archive ratio and tunes again, from the bound it sealed, at most
+// correctiveSteps times; the error then names the caller's target and the
+// ratio, bound and payload bytes of the archive that came closest, also when
+// the sample cannot reach a rescaled target. A first tune that misses its
+// band seals nothing, and the error is the tune's. With Blocks <= 1 (or a
+// shape that cannot be split) the result is a monolithic version-1 container
+// sealed at a bound tuned on the full buffer — the winning evaluation is then
+// the whole archive, judged by the tune — so callers can use SealBlocked
+// unconditionally. Quality objectives always seal that way.
 func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOptions) (container.Container, SealResult, error) {
 	if t.obj.Quality {
 		// Quality objectives tune — and seal — the whole field monolithically.
@@ -117,36 +121,54 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 	if err != nil {
 		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: %w", err)
 	}
-	out := SealResult{Blocks: layout.Blocks, SampleBlock: layout.SampleBlock}
-	res, sampled, err := t.tune(ctx, layout.Sample, opts.Prediction)
-	if err != nil {
-		return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
-	}
-	out.Tuning = res
-	if err := res.Check(); err != nil {
-		return container.Container{}, out, err
-	}
-
-	cn, err := pressio.SealWith(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers, layout.SampleBlock, sampled)
-	if err != nil {
-		return container.Container{}, SealResult{}, err
-	}
-	out.Blocks = len(cn.Blocks)
-	out.AchievedRatio = cn.Header.Ratio
-	if t.obj.Name != "ratio" {
-		// Record the archive's promise in the container header. The archive
-		// is the whole field compressed at the tuned bound — the winning
-		// evaluation's own stream when it ran in this tune — so the tuned
-		// achieved value is exactly what a verifier recomputes from it.
-		out.AchievedValue = res.AchievedValue
-		cn.Header.Objective = container.Objective{
-			Name:      t.obj.Name,
-			Target:    t.obj.Target,
-			Tolerance: t.obj.HalfWidth(),
-			Achieved:  out.AchievedValue,
+	out := SealResult{SampleBlock: layout.SampleBlock}
+	tu, prediction := *t, opts.Prediction
+	var closest *Result
+	for step := 0; step <= correctiveSteps; step++ {
+		res, sampled, err := tu.tune(ctx, layout.Sample, prediction)
+		if err != nil {
+			return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
 		}
-	} else {
-		out.AchievedValue = cn.Header.Ratio
+		res.Iterations += out.Tuning.Iterations
+		res.CacheHits += out.Tuning.CacheHits
+		res.CacheMisses += out.Tuning.CacheMisses
+		res.Elapsed += out.Tuning.Elapsed
+		out.Tuning = res
+		if err := res.Check(); err != nil {
+			if closest != nil {
+				break // the sample cannot reach the rescaled target
+			}
+			return container.Container{}, out, err
+		}
+		cn, err := pressio.SealWith(ctx, t.compressor, buf, res.ErrorBound, layout.Blocks, layout.Workers, layout.SampleBlock, sampled)
+		if err != nil {
+			return container.Container{}, SealResult{}, err
+		}
+		if t.obj.Quality {
+			// Record the archive's promise in the container header. The
+			// archive is the whole field compressed at the tuned bound — the
+			// winning evaluation's own stream when it ran in this tune — so
+			// the tuned achieved value is exactly what a verifier recomputes
+			// from it.
+			cn.Header.Objective = container.Objective{
+				Name:      t.obj.Name,
+				Target:    t.obj.Target,
+				Tolerance: t.obj.HalfWidth(),
+				Achieved:  res.AchievedValue,
+			}
+		}
+		if t.obj.Quality || t.obj.InBand(cn.Header.Ratio) {
+			return cn, out, nil
+		}
+		// The archive missed: as a Result, it is the sample's tune with the
+		// archive's ratio, bound and size.
+		miss := res
+		miss.Feasible, miss.ErrorBound, miss.CompressedSize = false, cn.Header.Bound, len(cn.Payload)
+		miss.AchievedRatio, miss.AchievedValue = cn.Header.Ratio, cn.Header.Ratio
+		if closest == nil || math.Abs(miss.AchievedRatio-t.obj.Target) < math.Abs(closest.AchievedRatio-t.obj.Target) {
+			closest = &miss
+		}
+		tu.obj.Target, prediction = t.obj.Target*res.AchievedRatio/cn.Header.Ratio, res.ErrorBound
 	}
-	return cn, out, nil
+	return container.Container{}, out, closest.Check()
 }

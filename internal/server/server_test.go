@@ -106,17 +106,12 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		objective string
 		target    float64
 		tolerance float64
-		blocks    int // 0: the service's default
 	}{
 		// Tolerances are fractional: the acceptance band is target·(1±tol).
-		{"float32-ratio", "float32", "ratio", 10, 0.25, 0},
-		// A blocked ratio seal promises the band on the block it tuned, not on
-		// the archive this test reads back (ROADMAP item 1): here the tuned
-		// block lands at 12.47 of 7.5..12.5 and the two blocks together at
-		// 13.5. Sealed as one block, what was tuned is what is archived.
-		{"float64-ratio", "float64", "ratio", 10, 0.25, 1},
-		{"float32-psnr", "float32", "psnr", 60, 0.1, 0},
-		{"float64-psnr", "float64", "psnr", 60, 0.1, 0},
+		{"float32-ratio", "float32", "ratio", 10, 0.25},
+		{"float64-ratio", "float64", "ratio", 10, 0.25},
+		{"float32-psnr", "float32", "psnr", 60, 0.1},
+		{"float64-psnr", "float64", "psnr", 60, 0.1},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -128,7 +123,6 @@ func TestEndToEndOverHTTP(t *testing.T) {
 				"X-Fraz-Objective": tc.objective,
 				"X-Fraz-Target":    fmt.Sprint(tc.target),
 				"X-Fraz-Tolerance": fmt.Sprint(tc.tolerance),
-				"X-Fraz-Blocks":    fmt.Sprint(tc.blocks),
 			})
 			archive := readAll(t, resp)
 			if resp.StatusCode != http.StatusOK {

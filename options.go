@@ -146,7 +146,9 @@ func MaxError(u float64) Option {
 
 // Blocks sets the number of slowest-axis blocks Compress splits the field
 // into: the bound is tuned once on a sampled block and all blocks compress
-// concurrently into a blocked (v2) container. 1 forces a monolithic (v1)
+// concurrently into a blocked (v2) container, whose ratio is checked and,
+// when it misses the band, corrected by re-tuning the sample (at most twice)
+// before Compress reports ErrInfeasible. 1 forces a monolithic (v1)
 // container; 0 (the default) picks a block count matched to the worker
 // count and shape. Quality objectives (TargetPSNR/TargetSSIM/
 // TargetMaxError) always seal monolithically regardless of this option:
