@@ -3,7 +3,6 @@ package fraz_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -26,159 +25,6 @@ func testField64() ([]float64, []int) {
 		}
 	}
 	return data, shape
-}
-
-func maxAbsDiff64(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// TestFloat64RoundTripProperty is the float64 mirror of the cross-codec
-// float32 property test: for every registered codec that accepts the shape,
-// a feasible fixed-ratio tune of a float64 field must (a) land its achieved
-// ratio inside the objective band, (b) round-trip through the container at
-// dtype float64, and (c) — for error-bounded codecs — respect the tuned
-// absolute error bound pointwise.
-func TestFloat64RoundTripProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tunes every codec at float64")
-	}
-	data, shape := testField64()
-	const target, tol = 10.0, 0.25
-	feasible := 0
-	for _, ci := range fraz.Codecs() {
-		if !ci.SupportsRank(len(shape)) {
-			continue
-		}
-		t.Run(ci.Name, func(t *testing.T) {
-			c, err := fraz.New(ci.Name, fraz.Ratio(target), fraz.Tolerance(tol),
-				fraz.Regions(4), fraz.Seed(3), fraz.Blocks(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var stream bytes.Buffer
-			res, err := c.Compress64(context.Background(), &stream, data, shape)
-			if errors.Is(err, fraz.ErrInfeasible) {
-				t.Skipf("%s cannot reach ratio %g on this field", ci.Name, target)
-			}
-			if err != nil {
-				t.Skipf("%s cannot tune this field: %v", ci.Name, err)
-			}
-			if res.Ratio < target*(1-tol) || res.Ratio > target*(1+tol) {
-				t.Errorf("achieved ratio %v outside band %g ± %g%%", res.Ratio, target, 100*tol)
-			}
-			full, err := c.DecompressFull(context.Background(), &stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.DType != "float64" || full.Data64 == nil || full.Data != nil {
-				t.Fatalf("round trip lost the dtype: DType=%q Data=%v Data64 set=%v", full.DType, full.Data != nil, full.Data64 != nil)
-			}
-			if len(full.Data64) != len(data) {
-				t.Fatalf("reconstructed %d values, want %d", len(full.Data64), len(data))
-			}
-			if ci.ErrorBounded && !ci.Lossless {
-				// The tuned parameter is an absolute pointwise bound except
-				// for sz:rel (a fraction of the value range) and mgard:l2 (an
-				// MSE budget, not pointwise).
-				bound := res.ErrorBound
-				switch {
-				case strings.Contains(ci.BoundName, "relative"):
-					min, max := data[0], data[0]
-					for _, v := range data {
-						min, max = math.Min(min, v), math.Max(max, v)
-					}
-					bound *= max - min
-				case strings.Contains(ci.BoundName, "mean-squared"):
-					bound = math.Inf(1)
-				}
-				if diff := maxAbsDiff64(data, full.Data64); diff > bound {
-					t.Errorf("pointwise error %g exceeds tuned bound %g", diff, bound)
-				}
-			}
-			feasible++
-		})
-	}
-	if feasible < 3 {
-		t.Errorf("only %d codecs tuned the float64 field; expected at least 3", feasible)
-	}
-}
-
-// TestFloat64QualityObjective pins the second acceptance path: a float64
-// field tuned to a fixed-PSNR objective seals, round-trips blocked through
-// the container, and the recorded promise re-measures inside the band with
-// Measure64.
-func TestFloat64QualityObjective(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quality tuning round-trips repeatedly")
-	}
-	data, shape := testField64()
-	c, err := fraz.New("sz:abs", fraz.TargetPSNR(70), fraz.Regions(4), fraz.Seed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	res, err := c.Compress64(context.Background(), &stream, data, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objective != "psnr" {
-		t.Fatalf("objective = %q", res.Objective)
-	}
-	full, err := fraz.DecompressFull(context.Background(), &stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Objective == nil {
-		t.Fatal("archive carries no objective record")
-	}
-	obj, err := fraz.ObjectiveByName(full.Objective.Name, full.Objective.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured, err := obj.Measure64(data, full.Data64, full.Shape, full.CompressedBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Objective.InBand(measured) {
-		t.Errorf("re-measured PSNR %v outside the recorded band %g ± %g",
-			measured, full.Objective.Target, full.Objective.Tolerance)
-	}
-}
-
-// TestFloat64BlockedRoundTrip drives the generic seal path through a v2
-// (blocked) container: four independently compressed float64 blocks decode
-// in parallel back to within the tuned bound.
-func TestFloat64BlockedRoundTrip(t *testing.T) {
-	data, shape := testField64()
-	c, err := fraz.New("sz:abs", fraz.Ratio(10), fraz.Tolerance(0.25),
-		fraz.Regions(4), fraz.Seed(3), fraz.Blocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	res, err := c.Compress64(context.Background(), &stream, data, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 4 {
-		t.Fatalf("Blocks(4) wrote %d blocks", res.Blocks)
-	}
-	got, gotShape, err := c.Decompress64(context.Background(), &stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotShape) != len(shape) {
-		t.Fatalf("shape rank %d, want %d", len(gotShape), len(shape))
-	}
-	if diff := maxAbsDiff64(data, got); diff > res.ErrorBound {
-		t.Errorf("pointwise error %g exceeds tuned bound %g", diff, res.ErrorBound)
-	}
 }
 
 // TestPrecisionWidthMismatch pins the typed-width contract: a float32

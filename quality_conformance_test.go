@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fraz"
@@ -356,15 +357,14 @@ func TestRatioStaircaseNeedsNoRetry(t *testing.T) {
 // cell but SSIM's — ratio, PSNR and max-error alike — must be settled model
 // first, within its budget, and so by no seed at all: those get another seed
 // at each worker count above one. An infeasible cell's closest value is the
-// sweep's, which reads the seed, and keeps the one it has.
+// sweep's, which reads the seed, and keeps the one it has. One more cell
+// seals a four-block float64 archive that misses the band and is corrected:
+// szx:abs at 6 ± 20 % on testField64, whose blocks compress unlike the one
+// the bound is first tuned on; its budget is a stepped curve's, twice the
+// model's, and covers the corrective tune.
 func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
 	field, fieldShape := tinyField(t)
 	objectives := []fraz.Objective{fraz.FixedRatio(12), fraz.FixedRatio(30), fraz.FixedSSIM(0.9), fraz.FixedPSNR(60), fraz.FixedMaxError(0.05)}
-	type outcome struct {
-		archive     [sha256.Size]byte
-		evaluations int
-		closest     float64
-	}
 	for _, codec := range []string{"sz:abs", "mgard:abs", "zfp:accuracy"} {
 		for _, obj := range objectives {
 			for _, blocks := range []int{1, 4} {
@@ -376,42 +376,161 @@ func TestQualityTuneDeterministicAcrossWorkers(t *testing.T) {
 						// the field's two lowest levels, as one 32×16 image.
 						data, shape = field[:32*16], []int{32, 16}
 					}
-					modelFirst := obj.Name() != "ssim"
-					var want outcome
-					for i, workers := range []int{1, 2, 4, 8} {
-						opts := []fraz.Option{fraz.Target(obj), fraz.Blocks(blocks), fraz.Workers(workers), fraz.Regions(6)}
-						if modelFirst && want.evaluations > 0 {
-							// Feasible at one worker, so within the budget: the
-							// model settled it, and no seed is read.
-							opts = append(opts, fraz.Seed(int64(workers)))
-						}
-						c, err := fraz.New(codec, opts...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var got outcome
-						res, archive, _, err := sealAndRemeasure(t, c, obj, data, shape)
-						var inf *fraz.InfeasibleError
-						switch {
-						case errors.As(err, &inf):
-							got.closest = inf.ClosestValue
-						case err != nil:
-							t.Fatalf("at %d workers: %v", workers, err)
-						case modelFirst && res.Evaluations > qualityBudget:
-							t.Fatalf("at %d workers took %d evaluations: not the model-first path", workers, res.Evaluations)
-						default:
-							got.archive, got.evaluations = sha256.Sum256(archive), res.Evaluations
-						}
-						if i == 0 {
-							want = got
-						} else if got != want {
-							t.Errorf("at %d workers: archive %x after %d evaluations (closest %v), at 1 worker %x after %d (closest %v)",
-								workers, got.archive[:8], got.evaluations, got.closest, want.archive[:8], want.evaluations, want.closest)
-						}
-					}
-					t.Logf("%d evaluations (0: infeasible, closest %v)", want.evaluations, want.closest)
+					sameAtEveryWorkerCount(t, codec, obj, blocks, qualityBudget, data, shape)
 				})
 			}
 		}
+	}
+	t.Run("szx:abs/ratio6/blocks4/f64", func(t *testing.T) {
+		data, shape := testField64()
+		sameAtEveryWorkerCount(t, "szx:abs", fraz.FixedRatio(6).WithTolerance(0.2), 4, 2*qualityBudget, data, shape)
+	})
+}
+
+// sameAtEveryWorkerCount seals one cell of
+// TestQualityTuneDeterministicAcrossWorkers at 1, 2, 4 and 8 workers.
+func sameAtEveryWorkerCount[T fraz.Element](t *testing.T, codec string, obj fraz.Objective, blocks, budget int, data []T, shape []int) {
+	t.Helper()
+	type outcome struct {
+		archive     [sha256.Size]byte
+		evaluations int
+		closest     float64
+	}
+	modelFirst := obj.Name() != "ssim"
+	var want outcome
+	for i, workers := range []int{1, 2, 4, 8} {
+		opts := []fraz.Option{fraz.Target(obj), fraz.Blocks(blocks), fraz.Workers(workers), fraz.Regions(6)}
+		if modelFirst && want.evaluations > 0 {
+			// Feasible at one worker, so within the budget: the model
+			// settled it, and no seed is read.
+			opts = append(opts, fraz.Seed(int64(workers)))
+		}
+		c, err := fraz.New(codec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got outcome
+		res, archive, _, err := sealAndRemeasure(t, c, obj, data, shape)
+		var inf *fraz.InfeasibleError
+		switch {
+		case errors.As(err, &inf):
+			got.closest = inf.ClosestValue
+		case err != nil:
+			t.Fatalf("at %d workers: %v", workers, err)
+		case modelFirst && res.Evaluations > budget:
+			t.Fatalf("at %d workers took %d evaluations: not the model-first path", workers, res.Evaluations)
+		default:
+			got.archive, got.evaluations = sha256.Sum256(archive), res.Evaluations
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("at %d workers: archive %x after %d evaluations (closest %v), at 1 worker %x after %d (closest %v)",
+				workers, got.archive[:8], got.evaluations, got.closest, want.archive[:8], want.evaluations, want.closest)
+		}
+	}
+	t.Logf("%d evaluations (0: infeasible, closest %v)", want.evaluations, want.closest)
+}
+
+// TestConformance is the promise, row by row: every cell of pinCells —
+// every registered codec × {ratio, psnr, ssim, max-error} × {float32,
+// float64} × {1, 4} blocks — fails with ErrInfeasible or seals an archive
+// that, decompressed and measured again (fraz.MeasureT, the ratio from
+// CompressedBytes), lies in the requested band. The archive keeps its element
+// width and the layout asked for (a quality objective seals one block), an
+// error-bounded codec holds the sealed bound at every value, and a quality
+// archive records an objective whose band the measured value is in. Which
+// cells seal and which are infeasible is TestArchiveDigests' to pin.
+func TestConformance(t *testing.T) {
+	for _, p := range pinCells() {
+		t.Run(p.String(), func(t *testing.T) {
+			_, res, archive, ok, err := p.seal(t)
+			switch {
+			case !ok:
+				t.Skip("the client refuses this cell")
+			case errors.Is(err, fraz.ErrInfeasible):
+				return
+			case err != nil:
+				t.Fatal(err)
+			}
+			data32, shape := testField()
+			if p.bits == 64 {
+				data64, _ := testField64()
+				conform(t, p, res, archive, data64, shape)
+			} else {
+				conform(t, p, res, archive, data32, shape)
+			}
+		})
+	}
+}
+
+// conform checks one sealed cell of TestConformance.
+func conform[T fraz.Element](t *testing.T, p pinCell, res *fraz.CompressResult, archive []byte, data []T, shape []int) {
+	t.Helper()
+	full, err := fraz.DecompressFull(context.Background(), bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := any(full.Data).([]T)
+	if p.bits == 64 {
+		rec, _ = any(full.Data64).([]T)
+	}
+	if full.DType != fmt.Sprintf("float%d", p.bits) || len(rec) != len(data) || len(full.Data)+len(full.Data64) != len(data) {
+		t.Fatalf("decoded %s with %d float32 and %d float64 values, want %d at float%d",
+			full.DType, len(full.Data), len(full.Data64), len(data), p.bits)
+	}
+	blocks, version := p.blocks, 2
+	if p.obj.Name() != "ratio" {
+		blocks = 1
+	}
+	if blocks == 1 {
+		version = 1
+	}
+	if res.Blocks != blocks || full.Blocks != blocks || full.Version != version {
+		t.Errorf("sealed %d blocks, decoded %d from a v%d archive; want %d in v%d", res.Blocks, full.Blocks, full.Version, blocks, version)
+	}
+
+	obj := p.obj
+	if p.obj.Name() == "ratio" {
+		if full.Objective != nil || res.Ratio != full.Ratio || res.AchievedValue != full.Ratio {
+			t.Errorf("ratio archive: record %+v, header ratio %v, CompressResult ratio %v and achieved %v",
+				full.Objective, full.Ratio, res.Ratio, res.AchievedValue)
+		}
+	} else {
+		// Measured under the objective the archive records, not the one
+		// asked for: a holder of the data needs nothing else.
+		if full.Objective == nil || res.Objective != p.obj.Name() || res.AchievedValue != full.Objective.Achieved {
+			t.Fatalf("quality archive records %+v; CompressResult says %s achieved %v", full.Objective, res.Objective, res.AchievedValue)
+		}
+		if obj, err = fraz.ObjectiveByName(full.Objective.Name, full.Objective.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measured, err := fraz.MeasureT(obj, data, rec, shape, full.CompressedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := p.obj.Band(); measured < lo || measured > hi || (full.Objective != nil && !full.Objective.InBand(measured)) {
+		t.Errorf("archive measures %s %v, outside [%v, %v] (recorded %+v)", p.obj.Name(), measured, lo, hi, full.Objective)
+	}
+
+	if !p.codec.ErrorBounded || p.codec.Lossless || strings.Contains(p.codec.BoundName, "mean-squared") {
+		return // a rate, a precision, or an MSE budget bounds no single value
+	}
+	worst, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	for i := range data {
+		v := float64(data[i])
+		worst, lo, hi = math.Max(worst, math.Abs(v-float64(rec[i]))), math.Min(lo, v), math.Max(hi, v)
+	}
+	bound := res.ErrorBound
+	if strings.Contains(p.codec.BoundName, "relative") {
+		bound *= hi - lo
+	}
+	if p.bits == 32 {
+		// Narrowing to float32 rounds on top of what the codec guarantees.
+		bound += math.Max(math.Abs(lo), math.Abs(hi)) * 1e-6
+	}
+	if worst > bound {
+		t.Errorf("max pointwise error %v exceeds the sealed %s %v", worst, p.codec.BoundName, res.ErrorBound)
 	}
 }

@@ -1,6 +1,5 @@
 // Integration tests for the szx:abs speed-tier codec through the public
-// fraz API: the max-error objective honoring its bound, and float64 round
-// trips under both container versions.
+// fraz API: the max-error objective honoring its bound, and a rank-4 field.
 package fraz_test
 
 import (
@@ -49,52 +48,6 @@ func TestSZXFixedMaxError(t *testing.T) {
 	// The objective's promise: the achieved error lies inside the band.
 	if _, hi := obj.Band(); got > hi {
 		t.Errorf("max abs error %g exceeds band ceiling %g", got, hi)
-	}
-}
-
-func TestSZXFloat64BothContainerVersions(t *testing.T) {
-	shape := []int{8, 10, 12}
-	data := make([]float64, 8*10*12)
-	for i := range data {
-		data[i] = 3e4*math.Sin(float64(i)/77) + float64(i%13)
-	}
-	const bound = 1e-2
-
-	for _, tc := range []struct {
-		name    string
-		blocks  int
-		version int
-	}{
-		{"v1 monolithic", 1, 1},
-		{"v2 blocked", 4, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			_, err := fraz.Compress(context.Background(), &buf, data, shape,
-				fraz.Codec("szx:abs"), fraz.FixedBound(bound), fraz.Blocks(tc.blocks))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := fraz.DecompressFull(context.Background(), &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Version != tc.version {
-				t.Errorf("container version %d, want %d", res.Version, tc.version)
-			}
-			if res.Data64 == nil {
-				t.Fatalf("archive decoded as %s, want float64", res.DType)
-			}
-			worst := 0.0
-			for i := range data {
-				if d := math.Abs(data[i] - res.Data64[i]); d > worst {
-					worst = d
-				}
-			}
-			if worst > bound {
-				t.Errorf("max abs error %g exceeds bound %g", worst, bound)
-			}
-		})
 	}
 }
 
