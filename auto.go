@@ -65,7 +65,8 @@ type AutoCandidate struct {
 // every candidate's result, in Codecs() order.
 type AutoSelection struct {
 	// Codec is the winner — the codec the field was (or will be) sealed
-	// with.
+	// with — or, when every candidate missed the band, the one whose miss
+	// the call reports.
 	Codec string
 	// SampleBlock is the index of the block the race tuned on.
 	SampleBlock int
@@ -96,13 +97,13 @@ type ranked struct {
 // rank orders the candidates a call tries, best first. A named codec is a
 // ranking of one, from its own prediction, with no tune, no score and a nil
 // Selection; CodecAuto races (race).
-func (c *Client) rank(ctx context.Context, buf pressio.Buffer, op string) ([]ranked, *AutoSelection, error) {
+func (c *Client) rank(ctx context.Context, buf pressio.Buffer, op string) ([]ranked, *AutoSelection, *TuneResult, error) {
 	if c.set.objective.Name == "" {
-		return nil, nil, errNoTarget(op)
+		return nil, nil, nil, errNoTarget(op)
 	}
 	if len(c.cands) == 1 {
 		cd := c.cands[0]
-		return []ranked{{cd: cd, prediction: c.prediction(cd)}}, nil, nil
+		return []ranked{{cd: cd, prediction: c.prediction(cd)}}, nil, nil, nil
 	}
 	return c.race(ctx, buf)
 }
@@ -142,8 +143,10 @@ func (c *Client) walk(ranking []ranked, sel *AutoSelection, try func(ranked) (fl
 
 // race ranks the CodecAuto candidates on a sampled block of buf: the
 // capability windows, one tune and one score per surviving candidate, and
-// the feasible ones in ranking's order.
-func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoSelection, error) {
+// the feasible ones in ranking's order. When every candidate that tuned
+// missed the band, the ranking is empty and the error is the nearest miss's,
+// which is also returned as a TuneResult, with the Selection.
+func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoSelection, *TuneResult, error) {
 	rank := len(buf.Shape)
 	dtype := buf.DType().String()
 
@@ -152,12 +155,12 @@ func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoS
 	// split (or Blocks(1)) races on the whole field.
 	layout, err := core.PlanBlocks(buf, c.set.blocks, c.set.workers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
+		return nil, nil, nil, fmt.Errorf("fraz: %s sampling: %w", CodecAuto, err)
 	}
 	sample := layout.Sample
 
 	sel := &AutoSelection{SampleBlock: layout.SampleBlock, Candidates: make([]AutoCandidate, len(c.cands))}
-	var closest *InfeasibleError
+	var nearest *TuneResult
 	for i, cd := range c.cands {
 		cand := &sel.Candidates[i]
 		cand.Codec = cd.info.Name
@@ -175,7 +178,7 @@ func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoS
 		res, err := cd.tuner.TuneWithPrediction(ctx, sample, c.prediction(cd))
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			cand.Skipped = fmt.Sprintf("tuning failed: %v", err)
 			continue
@@ -188,8 +191,8 @@ func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoS
 		cand.CacheHits = res.CacheHits
 		if !res.Feasible {
 			cand.Skipped = "no bound reaches the acceptance band on the sample"
-			if miss := res.Check().(*InfeasibleError); nearerMiss(miss, closest) {
-				closest = miss
+			if miss := tuneResult(res); nearerMiss(miss, nearest) {
+				nearest = miss
 			}
 			continue
 		}
@@ -202,15 +205,16 @@ func (c *Client) race(ctx context.Context, buf pressio.Buffer) ([]ranked, *AutoS
 	}
 	ranking := c.ranking(sel)
 	if len(ranking) == 0 {
-		if closest != nil {
+		if nearest != nil {
 			// Every raced candidate tuned but missed the band: surface the
 			// closest configuration the same way a single-codec tune would.
-			return nil, nil, closest
+			sel.Codec = nearest.Codec
+			return nil, sel, nearest, nearest.Err()
 		}
-		return nil, nil, fmt.Errorf("%w: %s found no eligible codec for rank-%d %s data (objective %s): %s",
+		return nil, nil, nil, fmt.Errorf("%w: %s found no eligible codec for rank-%d %s data (objective %s): %s",
 			ErrUnsupported, CodecAuto, rank, dtype, c.set.objective.Name, skipSummary(sel.Candidates))
 	}
-	return ranking, sel, nil
+	return ranking, sel, nil, nil
 }
 
 // ranking lists the candidates that raced (Skipped == "") best first by
@@ -255,10 +259,10 @@ func (c *Client) candidateScore(cd *candidate, sample pressio.Buffer, res core.R
 	return rep.PSNR, nil
 }
 
-// nearerMiss reports whether the infeasible outcome a came closer to its
-// target than b did, in the tuned quantity's own units; any miss beats none.
-func nearerMiss(a, b *InfeasibleError) bool {
-	return b == nil || math.Abs(a.ClosestValue-a.Target) < math.Abs(b.ClosestValue-b.Target)
+// nearerMiss reports whether the infeasible tune a came closer to its target
+// than b did, in the tuned quantity's own units; any miss beats none.
+func nearerMiss(a, b *TuneResult) bool {
+	return b == nil || math.Abs(a.AchievedValue-a.Target) < math.Abs(b.AchievedValue-b.Target)
 }
 
 // skipSummary compacts the skip reasons for the no-eligible-codec error.

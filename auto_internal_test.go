@@ -98,13 +98,13 @@ func TestRankAndWalk(t *testing.T) {
 // ratio: for a target of 10 a codec stuck at 30 is further off than one at
 // 9.4, and under a PSNR target the ratio is not what was tuned at all.
 func TestNearerMiss(t *testing.T) {
-	stuckHigh := &InfeasibleError{Objective: "ratio", Target: 10, ClosestValue: 30, ClosestRatio: 30}
-	justUnder := &InfeasibleError{Objective: "ratio", Target: 10, ClosestValue: 9.4, ClosestRatio: 9.4}
+	stuckHigh := &TuneResult{Objective: "ratio", Target: 10, AchievedValue: 30, Ratio: 30}
+	justUnder := &TuneResult{Objective: "ratio", Target: 10, AchievedValue: 9.4, Ratio: 9.4}
 	if !nearerMiss(justUnder, stuckHigh) || nearerMiss(stuckHigh, justUnder) {
 		t.Error("target 10: a miss at 9.4 is nearer than a miss at 30")
 	}
-	quiet := &InfeasibleError{Objective: "psnr", Target: 60, ClosestValue: 64, ClosestRatio: 5}
-	noisy := &InfeasibleError{Objective: "psnr", Target: 60, ClosestValue: 41, ClosestRatio: 90}
+	quiet := &TuneResult{Objective: "psnr", Target: 60, AchievedValue: 64, Ratio: 5}
+	noisy := &TuneResult{Objective: "psnr", Target: 60, AchievedValue: 41, Ratio: 90}
 	if !nearerMiss(quiet, noisy) || nearerMiss(noisy, quiet) {
 		t.Error("target 60 dB: a miss at 64 dB is nearer than a miss at 41 dB, whatever their ratios")
 	}

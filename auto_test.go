@@ -254,3 +254,38 @@ func TestAutoInfeasible(t *testing.T) {
 		t.Errorf("error %v does not match ErrInfeasible", err)
 	}
 }
+
+// TestAutoTuneReturnsTheNearestMiss: when every raced candidate misses the
+// band, a CodecAuto Tune returns the nearest miss as data, as a named codec's
+// Tune returns its own, with the error Compress fails with and the race's
+// Selection.
+func TestAutoTuneReturnsTheNearestMiss(t *testing.T) {
+	data, shape := testField()
+	ctx := context.Background()
+	opts := []fraz.Option{fraz.Ratio(1e9), fraz.Tolerance(0.01)}
+	tuner, err := fraz.New(fraz.CodecAuto, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tuner.Tune(ctx, data, shape)
+	if err != nil {
+		t.Fatalf("Tune = %v, want the nearest miss as a result", err)
+	}
+	if res.Feasible || !errors.Is(res.Err(), fraz.ErrInfeasible) {
+		t.Fatalf("Tune at ratio 1e9: feasible %v, Err %v; want an infeasible result", res.Feasible, res.Err())
+	}
+	var inf *fraz.InfeasibleError
+	if !errors.As(res.Err(), &inf) || inf.Compressor != res.Codec || inf.ClosestRatio != res.Ratio || inf.ErrorBound != res.ErrorBound {
+		t.Errorf("Err() %+v does not describe the result %+v", inf, res)
+	}
+	if res.Selection == nil || res.Selection.Codec != res.Codec || len(res.Selection.Raced()) != 0 {
+		t.Errorf("Selection %+v: want every candidate skipped and the nearest miss, %s, named", res.Selection, res.Codec)
+	}
+	sealer, err := fraz.New(fraz.CodecAuto, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sealer.Compress(ctx, &bytes.Buffer{}, data, shape); err == nil || err.Error() != res.Err().Error() {
+		t.Errorf("Compress = %v, want the error Tune reports, %v", err, res.Err())
+	}
+}

@@ -313,7 +313,7 @@ func (c *Client) seal(ctx context.Context, buf pressio.Buffer) (container.Contai
 		cn, err := pressio.SealBlocked(ctx, c.cands[0].comp, buf, c.set.fixedBound, layout.Blocks, layout.Workers)
 		return cn, core.SealResult{}, nil, err
 	}
-	ranking, sel, err := c.rank(ctx, buf, "Compress")
+	ranking, sel, _, err := c.rank(ctx, buf, "Compress")
 	if err != nil {
 		return container.Container{}, core.SealResult{}, nil, err
 	}
@@ -547,7 +547,11 @@ func tuneResult(res core.Result) *TuneResult {
 // an infeasible outcome is returned as data — Feasible false, with the
 // closest observed configuration — because a caller inspecting a search
 // result can act on "how close did it get"; use TuneResult.Err (or
-// Compress) where only an in-band result is acceptable.
+// Compress) where only an in-band result is acceptable. On a CodecAuto
+// client the result is the first ranked candidate's tune to reach the band,
+// or the last one's miss; when every candidate misses the band on the race's
+// sampled block, it is the race's miss nearest the target, and Err is the
+// error Compress fails with. Selection is set either way.
 func (c *Client) Tune(ctx context.Context, data []float32, shape []int) (*TuneResult, error) {
 	return TuneT(ctx, c, data, shape)
 }
@@ -568,11 +572,12 @@ func TuneT[T Element](ctx context.Context, c *Client, data []T, shape []int) (*T
 
 // tuneBuffer is the dtype-agnostic core of Tune.
 func (c *Client) tuneBuffer(ctx context.Context, buf pressio.Buffer) (*TuneResult, error) {
-	ranking, sel, err := c.rank(ctx, buf, "Tune")
-	if err != nil {
+	// A CodecAuto race that every candidate missed ranks none and hands back
+	// the nearest miss.
+	ranking, sel, tr, err := c.rank(ctx, buf, "Tune")
+	if err != nil && tr == nil {
 		return nil, err
 	}
-	var tr *TuneResult
 	err = c.walk(ranking, sel, func(r ranked) (float64, error) {
 		res, err := r.cd.tuner.TuneWithPrediction(ctx, buf, r.prediction)
 		if err != nil {

@@ -64,15 +64,18 @@ func (r Result) Check() error {
 	if r.Feasible {
 		return nil
 	}
-	return &InfeasibleError{
+	e := &InfeasibleError{
 		Compressor:     r.Compressor,
 		Objective:      r.Objective,
 		Target:         r.Target,
-		TargetRatio:    r.TargetRatio,
 		Tolerance:      r.Tolerance,
 		ClosestValue:   r.AchievedValue,
 		ClosestRatio:   r.AchievedRatio,
 		ErrorBound:     r.ErrorBound,
 		CompressedSize: r.CompressedSize,
 	}
+	if r.Objective == "ratio" {
+		e.TargetRatio = r.Target
+	}
+	return e
 }

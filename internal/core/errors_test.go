@@ -14,7 +14,8 @@ func TestResultCheck(t *testing.T) {
 
 	infeasible := Result{
 		Compressor:     "fake",
-		TargetRatio:    100,
+		Objective:      "ratio",
+		Target:         100,
 		Tolerance:      0.1,
 		AchievedRatio:  4.2,
 		ErrorBound:     0.5,
@@ -30,6 +31,11 @@ func TestResultCheck(t *testing.T) {
 	}
 	if ie.ClosestRatio != 4.2 || ie.TargetRatio != 100 || ie.ErrorBound != 0.5 || ie.CompressedSize != 1234 {
 		t.Errorf("InfeasibleError fields not carried over: %+v", ie)
+	}
+	// Only the ratio objective's error names a target ratio.
+	infeasible.Objective = "psnr"
+	if errors.As(infeasible.Check(), &ie); ie.TargetRatio != 0 || ie.Target != 100 {
+		t.Errorf("a psnr miss reads target ratio %v, target %v; want 0 and 100", ie.TargetRatio, ie.Target)
 	}
 }
 

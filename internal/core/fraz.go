@@ -135,8 +135,28 @@ func (c Config) withDefaults() Config {
 // ErrBadConfig is returned for invalid tuner configuration.
 var ErrBadConfig = errors.New("fraz: invalid configuration")
 
-// Evaluation records one compressor invocation during the search.
+// Rung names the step of TuneWithPrediction's ladder that asked for an
+// evaluation.
+type Rung uint8
+
+const (
+	// RungReuse is the measurement of a previous step's bound.
+	RungReuse Rung = iota + 1
+	// RungModel is a probe of the model-first search (model.go).
+	RungModel
+	// RungBisect is a bisection of a gap the searches left the target in.
+	RungBisect
+	// RungSweep is an evaluation of the region search.
+	RungSweep
+)
+
+// Evaluation records one evaluation of a tuning run: a compressor invocation,
+// or the evaluation cache answering one.
 type Evaluation struct {
+	// Rung is the ladder step that asked for it, and Region, for RungSweep,
+	// the index of the sweep region it ran in.
+	Rung   Rung
+	Region int
 	// ErrorBound is the bound handed to the compressor.
 	ErrorBound float64
 	// Ratio is the achieved compression ratio.
@@ -149,28 +169,19 @@ type Evaluation struct {
 	// Report carries the full quality metrics when the objective required a
 	// compress+decompress round trip; nil for compress-only evaluations.
 	Report *metrics.Report
+	// CacheHit is true when the evaluation cache answered without invoking
+	// the compressor.
+	CacheHit bool
+	// Err is the compressor's error when the evaluation failed; Value is then
+	// NaN.
+	Err error
+	// stream is what the evaluation compressed the tuned buffer into, held
+	// while the run lasts when it ran the compressor and landed in band.
+	stream []byte
 }
 
-// RegionResult summarises one stage of a search: the model-first probes, the
-// minimiser's run within one error-bound region, or a bisection.
-type RegionResult struct {
-	Region parallel.Region
-	// Iterations counts the stage's evaluations, CacheHits those of them the
-	// evaluation cache answered.
-	Iterations  int
-	CacheHits   int
-	Acceptable  bool
-	Evaluations []Evaluation
-	// kept holds the stream of each in-band evaluation the stage ran the
-	// compressor for; run.list moves it out, so a listed stage holds none.
-	kept []stream
-}
-
-// stream is what one evaluation compressed the tuned buffer into at bound.
-type stream struct {
-	bound float64
-	bytes []byte
-}
+// measured reports whether the evaluation has a value the pick may rank.
+func (ev Evaluation) measured() bool { return !math.IsNaN(ev.Value) }
 
 // Result is the outcome of tuning one field/time-step.
 type Result struct {
@@ -180,11 +191,9 @@ type Result struct {
 	// "max-error") and Target its requested value.
 	Objective string
 	Target    float64
-	// TargetRatio echoes Target for the fixed-ratio objective (zero
-	// otherwise); Tolerance is the objective's acceptance half-width
-	// (fractional for ratio/PSNR, absolute for SSIM/max-error).
-	TargetRatio float64
-	Tolerance   float64
+	// Tolerance is the objective's acceptance half-width (fractional for
+	// ratio/PSNR, absolute for SSIM/max-error).
+	Tolerance float64
 	// ErrorBound is the recommended error bound setting.
 	ErrorBound float64
 	// AchievedValue is the objective's value at ErrorBound (equal to
@@ -196,14 +205,13 @@ type Result struct {
 	CompressedSize int
 	// Feasible is true when the achieved value lies in the acceptance band.
 	Feasible bool
-	// Iterations is the number of evaluations the answer rests on: what one
-	// worker would have performed. Evaluations that extra workers ran ahead,
-	// in regions above the winning one, are not counted.
+	// Iterations is the number of evaluations the answer rests on,
+	// len(Evaluations).
 	Iterations int
 	// Direct is true when the objective was satisfied directly from codec
 	// capability — a fixed-rate codec's size formula inverted into its
-	// bits-per-value parameter — with zero search evaluations: Iterations
-	// is 0, Regions is empty, and ErrorBound holds the whole-bit rate.
+	// bits-per-value parameter — with zero search evaluations: Evaluations
+	// is empty, and ErrorBound holds the whole-bit rate.
 	Direct bool
 	// UsedPrediction is true when a reused bound from a previous time-step
 	// satisfied the target without retraining.
@@ -220,13 +228,14 @@ type Result struct {
 	// Iterations = CacheHits + CacheMisses.
 	CacheHits   int
 	CacheMisses int
-	// Regions reports the search stages the answer was picked from (empty
-	// when the prediction was reused). A model-first run lists its probes, in
-	// probe order, as the first entry; the regions of a sweep follow, from
-	// the lowest up to the first acceptable one. Regions above that one were
-	// speculation and are not reported. Either is followed by a stage with no
-	// Region when a bisection (bisect) had to measure anything.
-	Regions []RegionResult
+	// Evaluations lists every evaluation the run is charged for, in the
+	// order one worker runs them: the reused bound, the model's probes, a
+	// bisection, the sweep's regions from the lowest up to the first
+	// acceptable one, and a bisection after it — each only if the run got
+	// that far. Regions above the acceptable one were speculation and are not
+	// listed. A SealBlocked result lists its corrective tunes' after the
+	// first's.
+	Evaluations []Evaluation
 	// Elapsed is the wall-clock tuning time.
 	Elapsed time.Duration
 }
@@ -339,12 +348,10 @@ type run struct {
 	ctx  context.Context
 	buf  pressio.Buffer
 	eval *pressio.Evaluator
-	res  *Result
-	// seen holds every evaluation the answer may be picked from, in an order
-	// no scheduler decides; kept the streams of those in band that the run
-	// compressed itself.
-	seen []Evaluation
-	kept []stream
+	// evals is every evaluation the run is charged for, in an order no
+	// scheduler decides; the epilogue reads the answer, the bill and the
+	// carried stream off it.
+	evals []Evaluation
 }
 
 // TuneWithPrediction implements the worker-task algorithm (Algorithm 1) as a
@@ -378,68 +385,86 @@ func (t *Tuner) tune(ctx context.Context, buf pressio.Buffer, prediction float64
 		Target:     t.cfg.Objective.Target,
 		Tolerance:  t.obj.Tolerance,
 	}
-	if t.obj.Name == "ratio" {
-		res.TargetRatio = res.Target
+	r := &run{t: t, ctx: ctx, buf: buf}
+	// The pick ranks the whole-bit rates arithmetic offers, or else what the
+	// rungs measured.
+	candidates := r.exact()
+	var err error
+	if res.Direct = len(candidates) > 0; !res.Direct {
+		if err = r.descend(prediction); err != nil && !errors.Is(err, ctx.Err()) {
+			return Result{}, nil, err // a configuration that admits no search
+		}
+		candidates, res.Evaluations = r.evals, r.evals
 	}
-	r := &run{t: t, ctx: ctx, buf: buf, res: &res}
-	err := r.descend(prediction)
-	if err != nil && !errors.Is(err, ctx.Err()) {
-		return Result{}, nil, err // a configuration that admits no search
+	if evs := res.Evaluations; len(evs) > 0 && evs[0].Rung == RungReuse {
+		res.UsedPrediction = t.obj.InBand(evs[0].Value)
+		if evs[0].Err != nil {
+			// A compressor failure at the predicted bound is not the same as
+			// "the prediction missed the band": series reporting tells them
+			// apart.
+			res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, evs[0].Err)
+		}
 	}
 	// The earliest evaluation none of the others is better than: the pick
-	// follows from the order of seen alone.
+	// follows from the order of the list alone.
 	var best *Evaluation
-	for i := range r.seen {
-		if best == nil || t.obj.better(r.seen[i], *best) {
-			best = &r.seen[i]
+	for i := range candidates {
+		if ev := &candidates[i]; ev.measured() && (best == nil || t.obj.better(*ev, *best)) {
+			best = ev
 		}
 	}
 	if err == nil && best == nil {
 		err = fmt.Errorf("fraz: no successful compressor evaluation (compressor %s)", t.codec.Name)
 	}
-	var picked []byte
 	if err == nil {
 		res.ErrorBound, res.AchievedValue = best.ErrorBound, best.Value
 		res.AchievedRatio, res.CompressedSize = best.Ratio, best.CompressedSize
 		res.Feasible = t.obj.InBand(best.Value)
-		// Every evaluation in best's slot compressed the same bytes.
-		for _, s := range r.kept {
-			if math.Float64bits(s.bound) == math.Float64bits(best.ErrorBound) {
-				picked = s.bytes
-			}
-		}
 	}
-	res.CacheMisses = res.Iterations - res.CacheHits
+	var picked []byte
+	for i := range candidates {
+		// Every evaluation in the picked slot compressed the same bytes; no
+		// stream outlives the run.
+		if ev := &candidates[i]; err == nil && ev.stream != nil && math.Float64bits(ev.ErrorBound) == math.Float64bits(res.ErrorBound) {
+			picked = ev.stream
+		}
+		candidates[i].stream = nil
+	}
+	res.count()
 	res.Elapsed = time.Since(start)
 	return res, picked, err
 }
 
-// descend runs the rungs in order and returns at the first that settles the
-// run, or with why the search could not start or finish.
-func (r *run) descend(prediction float64) error {
-	if r.exact() {
-		return nil
+// count derives Iterations, CacheHits and CacheMisses from Evaluations.
+func (r *Result) count() {
+	r.Iterations, r.CacheHits = len(r.Evaluations), 0
+	for _, ev := range r.Evaluations {
+		if ev.CacheHit {
+			r.CacheHits++
+		}
 	}
-	// One evaluator per run, built only once arithmetic has had its turn:
-	// the buffer fingerprint is computed once and every rung below shares the
-	// memoised evaluations.
+	r.CacheMisses = r.Iterations - r.CacheHits
+}
+
+// descend runs the rungs below exact in order and returns at the first that
+// settles the run, or with why the search could not start or finish.
+func (r *run) descend(prediction float64) error {
+	// One evaluator per run: the buffer fingerprint is computed once and
+	// every rung shares the memoised evaluations.
 	r.eval = pressio.NewEvaluator(r.t.cache, r.t.compressor, r.buf)
-	missed, done := r.reuse(prediction)
-	if done {
+	// Algorithm 3's time-step reuse: the bound a previous step succeeded with
+	// is measured once and settles the run if it lands in band. A miss is a
+	// measured point, where the model-first search starts and the pick may
+	// fall.
+	if prediction > 0 && r.t.obj.InBand(r.measure(&r.evals, RungReuse, 0, prediction).Value) {
 		return nil
 	}
 	lo, hi, err := r.t.searchRange(r.buf)
 	if err != nil {
 		return err
 	}
-	if r.t.modelFirst {
-		if r.model(lo, hi, missed) || r.bisect() {
-			return nil
-		}
-	} else if missed != nil {
-		// Paid for, so the pick may fall on it (the model lists it itself, as
-		// the first point of its stage).
-		r.seen = append(r.seen, *missed)
+	if r.t.modelFirst && (r.model(lo, hi) || r.bisect()) {
+		return nil
 	}
 	// No in-band bound among the probes: the sweep decides, and finds them in
 	// the cache.
@@ -454,38 +479,28 @@ func (r *run) descend(prediction float64) error {
 
 // measure is the single black-box evaluation every rung performs: a cached
 // compression for the fixed-ratio objective, a cached compress+decompress
-// round trip (with the full metric report) for quality objectives. The
-// Evaluation carries the bound the measurement ran at and the objective's
-// achieved Value; the evaluation is billed to the stage that asked for it,
-// which also keeps the stream of an in-band one that ran the compressor.
-func (r *run) measure(stage *RegionResult, bound float64) (Evaluation, error) {
-	entry, comp, hit, err := r.eval.Evaluate(bound, r.t.obj.Quality)
-	stage.Iterations++
-	if hit {
-		stage.CacheHits++
-	}
+// round trip (with the full metric report) for quality objectives. It
+// appends the Evaluation to list — the run's, or a sweep region's — with the
+// bound the measurement ran at, the objective's achieved Value, and the
+// stream of an in-band one that ran the compressor.
+func (r *run) measure(list *[]Evaluation, rung Rung, region int, bound float64) Evaluation {
+	t := r.t
+	entry, comp, hit, err := r.eval.Evaluate(bound, t.obj.Quality)
+	ev := Evaluation{Rung: rung, Region: region, ErrorBound: entry.Bound, Ratio: entry.Ratio,
+		CompressedSize: entry.Size, Value: math.NaN(), CacheHit: hit, Err: err}
 	if err != nil {
-		return Evaluation{}, err
+		ev.ErrorBound = t.codec.Param.Slot(bound)
+	} else {
+		if t.obj.Quality {
+			ev.Report = &entry.Report
+		}
+		ev.Value = t.obj.Achieved(ev)
+		if comp != nil && t.obj.InBand(ev.Value) {
+			ev.stream = comp
+		}
 	}
-	ev := Evaluation{ErrorBound: entry.Bound, Ratio: entry.Ratio, CompressedSize: entry.Size}
-	if r.t.obj.Quality {
-		ev.Report = &entry.Report
-	}
-	ev.Value = r.t.obj.Achieved(ev)
-	if comp != nil && r.t.obj.InBand(ev.Value) {
-		stage.kept = append(stage.kept, stream{entry.Bound, comp})
-	}
-	return ev, nil
-}
-
-// list bills one finished search stage and offers its evaluations, and the
-// streams it kept, to the epilogue's pick.
-func (r *run) list(rr RegionResult) {
-	r.kept, rr.kept = append(r.kept, rr.kept...), nil
-	r.res.Regions = append(r.res.Regions, rr)
-	r.res.Iterations += rr.Iterations
-	r.res.CacheHits += rr.CacheHits
-	r.seen = append(r.seen, rr.Evaluations...)
+	*list = append(*list, ev)
+	return ev
 }
 
 // exact is the first rung, the zero-evaluation fast path: a fixed-ratio
@@ -497,53 +512,25 @@ func (r *run) list(rr RegionResult) {
 // (raw bytes over the codec's stream size). When neither lands — the band is
 // narrower than one bit's worth of ratio at this size — the rungs below run
 // and report infeasibility the usual way.
-func (r *run) exact() bool {
+func (r *run) exact() []Evaluation {
 	t := r.t
 	rawBytes, elements := r.buf.Bytes(), r.buf.Shape.Len()
 	if !t.obj.DirectlySatisfiable() || t.codec.Size == nil || rawBytes == 0 || elements == 0 {
-		return false
+		return nil
 	}
 	minBits, maxBits := t.codec.Param.Limits(r.buf.DType())
 	overhead := t.codec.Size(r.buf.Shape, 0)
 	want := float64(rawBytes)/t.obj.Target - float64(overhead)
 	exact := math.Min(math.Max(want*8/float64(elements), minBits), maxBits)
+	var out []Evaluation
 	for _, n := range []int{int(math.Floor(exact)), int(math.Ceil(exact))} {
 		size := t.codec.Size(r.buf.Shape, n)
 		ratio := float64(rawBytes) / float64(size)
 		if t.obj.InBand(ratio) {
-			r.seen = append(r.seen, Evaluation{ErrorBound: float64(n), Ratio: ratio, CompressedSize: size, Value: ratio})
+			out = append(out, Evaluation{ErrorBound: float64(n), Ratio: ratio, CompressedSize: size, Value: ratio})
 		}
 	}
-	r.res.Direct = len(r.seen) > 0
-	return r.res.Direct
-}
-
-// reuse is the second rung, Algorithm 3's time-step reuse: the bound a
-// previous step succeeded with is measured once and settles the run if it
-// lands in band. missed is the evaluation of a prediction that ran and fell
-// outside the band: no answer, but a measured point the model-first search
-// starts from.
-func (r *run) reuse(prediction float64) (missed *Evaluation, done bool) {
-	if prediction <= 0 {
-		return nil, false
-	}
-	var stage RegionResult // billed, but not listed: it is not part of a search
-	ev, err := r.measure(&stage, prediction)
-	r.res.Iterations, r.res.CacheHits = stage.Iterations, stage.CacheHits
-	switch {
-	case err != nil:
-		// A compressor failure at the predicted bound is not the same as "the
-		// prediction missed the band": record it so series reporting can
-		// tell the two apart, then retrain as usual.
-		r.res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, err)
-	case r.t.obj.InBand(ev.Value):
-		r.seen, r.kept = append(r.seen, ev), stage.kept
-		r.res.UsedPrediction = true
-		return nil, true
-	case !math.IsNaN(ev.Value):
-		return &ev, false
-	}
-	return nil, false
+	return out
 }
 
 // sweep is the last rung, the paper's region-parallel search (Algorithm 2)
@@ -570,7 +557,7 @@ func (r *run) sweep(lo, hi float64) error {
 	if err != nil {
 		return err
 	}
-	results := make([]RegionResult, len(regions))
+	results := make([][]Evaluation, len(regions))
 	var winner atomic.Int64
 	winner.Store(int64(len(regions) - 1))
 	err = parallel.ForEach(r.ctx, len(regions), t.cfg.Workers, func(ctx context.Context, i int) error {
@@ -579,15 +566,16 @@ func (r *run) sweep(lo, hi float64) error {
 		if stop() {
 			return nil
 		}
-		results[i] = r.searchRegion(stop, regions[i], t.cfg.Seed+idx)
-		if results[i].Acceptable {
+		var acceptable bool
+		results[i], acceptable = r.searchRegion(stop, regions[i], i)
+		if acceptable {
 			for w := winner.Load(); idx < w && !winner.CompareAndSwap(w, idx); w = winner.Load() {
 			}
 		}
 		return nil
 	})
-	for _, rr := range results[:winner.Load()+1] {
-		r.list(rr)
+	for _, evs := range results[:winner.Load()+1] {
+		r.evals = append(r.evals, evs...)
 	}
 	return err
 }
@@ -598,31 +586,30 @@ func (r *run) sweep(lo, hi float64) error {
 // them or jumps over it, and the search sampled it too thinly to tell. Each
 // such gap, lowest first, is halved until a bound lands in band or no
 // unmeasured cache slot is left inside it (a jump: nothing there to find),
-// within one region's budget. What it measured is listed as a stage of its
-// own, with no Region.
+// within one region's budget.
 func (r *run) bisect() bool {
 	t := r.t
-	var rr RegionResult
-	pts := slices.Clone(r.seen)
+	pts := slices.DeleteFunc(slices.Clone(r.evals), func(ev Evaluation) bool { return !ev.measured() })
 	slices.SortFunc(pts, func(a, b Evaluation) int { return cmp.Compare(a.ErrorBound, b.ErrorBound) })
 	if slices.ContainsFunc(pts, func(ev Evaluation) bool { return t.obj.InBand(ev.Value) }) {
 		return true
 	}
 	under := func(ev Evaluation) bool { return ev.Value < t.obj.Target }
+	spent, acceptable := 0, false
 	for i := 1; i < len(pts); i++ {
 		lo, hi := pts[i-1], pts[i]
-		for !rr.Acceptable && under(lo) != under(hi) && rr.Iterations < t.cfg.MaxIterationsPerRegion && r.ctx.Err() == nil {
+		for !acceptable && under(lo) != under(hi) && spent < t.cfg.MaxIterationsPerRegion && r.ctx.Err() == nil {
 			// The geometric mean: cache slots are evenly spaced in the logarithm.
 			mid := math.Sqrt(lo.ErrorBound * hi.ErrorBound)
 			if q := t.codec.Param.Slot(mid); q <= lo.ErrorBound || q >= hi.ErrorBound {
 				break
 			}
-			ev, err := r.measure(&rr, mid)
-			if err != nil || math.IsNaN(ev.Value) {
+			ev := r.measure(&r.evals, RungBisect, 0, mid)
+			spent++
+			if !ev.measured() {
 				break
 			}
-			rr.Evaluations = append(rr.Evaluations, ev)
-			rr.Acceptable = t.obj.InBand(ev.Value)
+			acceptable = t.obj.InBand(ev.Value)
 			if under(ev) == under(lo) {
 				lo = ev
 			} else {
@@ -630,24 +617,20 @@ func (r *run) bisect() bool {
 			}
 		}
 	}
-	if rr.Iterations > 0 {
-		r.list(rr)
-	}
-	return rr.Acceptable
+	return acceptable
 }
 
-// searchRegion runs the cutoff-modified global minimiser within one region
-// until it converges, spends its iterations, or stop reports true.
-// Evaluations go through the shared evaluator, so bounds already measured by
-// an overlapping region (or an earlier tuning run on the same data) are
-// served from the cache instead of re-compressing (or re-round-tripping, for
-// quality objectives).
-func (r *run) searchRegion(stop func() bool, region parallel.Region, seed int64) RegionResult {
+// searchRegion runs the cutoff-modified global minimiser within region idx
+// until it converges, spends its iterations, or stop reports true, and
+// returns its evaluations and whether it converged. Evaluations go through
+// the shared evaluator, so bounds already measured by an overlapping region
+// (or an earlier tuning run on the same data) are served from the cache
+// instead of re-compressing (or re-round-tripping, for quality objectives).
+func (r *run) searchRegion(stop func() bool, region parallel.Region, idx int) (evs []Evaluation, acceptable bool) {
 	t := r.t
-	rr := RegionResult{Region: region}
-	// rr.Iterations counts evaluations (cached or not), not optimizer steps:
-	// once the region is stopped the objective short-circuits without
-	// compressing, and those steps must not be billed.
+	// evs holds evaluations (cached or not), not optimizer steps: once the
+	// region is stopped the objective short-circuits without compressing,
+	// and those steps must not be billed.
 	objective := func(x float64) float64 {
 		if stop() {
 			// Report the clamp so the optimizer loses interest.
@@ -657,22 +640,17 @@ func (r *run) searchRegion(stop func() bool, region parallel.Region, seed int64)
 		if t.obj.Quality {
 			bound = math.Exp(x)
 		}
-		ev, err := r.measure(&rr, bound)
-		if err != nil || math.IsNaN(ev.Value) {
-			return Gamma
-		}
-		rr.Evaluations = append(rr.Evaluations, ev)
-		return t.obj.Loss(ev.Value)
+		// A failed or unmeasurable evaluation's NaN loses as the clamp does.
+		return t.obj.Loss(r.measure(&evs, RungSweep, idx, bound).Value)
 	}
 	optRes, err := optim.FindGlobalMin(objective, optim.Options{
 		Lower:         region.Lower,
 		Upper:         region.Upper,
 		MaxIterations: t.cfg.MaxIterationsPerRegion,
 		Cutoff:        t.obj.SearchCutoff(),
-		Seed:          seed,
+		Seed:          t.cfg.Seed + int64(idx),
 	})
-	rr.Acceptable = err == nil && optRes.Converged
-	return rr
+	return evs, err == nil && optRes.Converged
 }
 
 // SeriesStep is the tuning outcome for one time-step of a field series.

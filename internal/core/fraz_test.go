@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -188,7 +189,7 @@ func TestTuneBufferFeasibleTarget(t *testing.T) {
 	if res.Iterations <= 0 || int64(res.Iterations) != atomic.LoadInt64(&calls) {
 		t.Errorf("iterations %d should equal compressor calls %d", res.Iterations, atomic.LoadInt64(&calls))
 	}
-	if res.Compressor != "fake" || res.TargetRatio != 20 {
+	if res.Compressor != "fake" || res.Target != 20 {
 		t.Errorf("result metadata wrong: %+v", res)
 	}
 }
@@ -212,16 +213,12 @@ func TestTuneBufferInfeasibleTargetReportsClosest(t *testing.T) {
 	if res.AchievedRatio < 10 || res.AchievedRatio > 12.5 {
 		t.Errorf("closest observed ratio should approach the saturation value, got %v", res.AchievedRatio)
 	}
-	observed := 0
-	for _, rr := range res.Regions {
-		for _, ev := range rr.Evaluations {
-			observed++
-			if math.Abs(ev.Ratio-50) < math.Abs(res.AchievedRatio-50) {
-				t.Errorf("observed ratio %v is nearer the target than the reported %v", ev.Ratio, res.AchievedRatio)
-			}
+	for _, ev := range res.Evaluations {
+		if math.Abs(ev.Ratio-50) < math.Abs(res.AchievedRatio-50) {
+			t.Errorf("observed ratio %v is nearer the target than the reported %v", ev.Ratio, res.AchievedRatio)
 		}
 	}
-	if observed == 0 {
+	if len(res.Evaluations) == 0 {
 		t.Fatalf("expected observed evaluations")
 	}
 }
@@ -315,8 +312,8 @@ func TestTuneWithBadPredictionRetrains(t *testing.T) {
 	if !res.Feasible {
 		t.Errorf("retraining should still find the target")
 	}
-	if len(res.Regions) == 0 {
-		t.Errorf("retraining should report region results")
+	if len(res.Evaluations) < 2 || res.Evaluations[len(res.Evaluations)-1].Rung == RungReuse {
+		t.Errorf("retraining should list its search after the prediction: %+v", res.Evaluations)
 	}
 }
 
@@ -636,12 +633,15 @@ func TestTuneRealZFPAccuracy(t *testing.T) {
 }
 
 // TestSweepDeterministicLowestRegionWins is the winner rule under the worst
-// schedule: the ratio curve has an in-band bump in region 1 and another in
-// region 4 of six, all six regions start at once, and every compression at a
-// bound inside region 1 is held back until region 4 has measured the in-band
-// ratio that makes it acceptable. The lower region must still win, and the result
-// must be the one a single worker computes on an ungated codec — field for
-// field, apart from the clock and which evaluations the cache answered.
+// schedules: the ratio curve has an in-band bump in region 1 and another in
+// region 4 of six, and every compression at a bound inside region 1 is held
+// back until region 4 has measured the in-band ratio that makes it
+// acceptable — with two workers, one of them held while the other walks
+// regions 0, 2, 3 and 4; with eight, all six regions at once. The lower
+// region must still win, and the result must be the one a single worker
+// computes on an ungated codec — field for field, every entry of the list
+// with its bound, value, rung and region, apart from the clock and which
+// evaluations the cache answered.
 func TestSweepDeterministicLowestRegionWins(t *testing.T) {
 	twoBumps := func(bound float64) float64 {
 		bump := func(c float64) float64 { return 15 * math.Exp(-(bound-c)*(bound-c)/(0.15*0.15)) }
@@ -661,44 +661,95 @@ func TestSweepDeterministicLowestRegionWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		res.Elapsed, res.CacheHits, res.CacheMisses = 0, 0, 0
-		for i := range res.Regions {
-			res.Regions[i].CacheHits = 0
+		for i := range res.Evaluations {
+			res.Evaluations[i].CacheHit = false
 		}
 		return res
 	}
 	want := tune(fake("fake", twoBumps, nil), 1)
-	if !want.Feasible || len(want.Regions) != 2 || want.ErrorBound > 0.7 {
+	if n := len(want.Evaluations); !want.Feasible || n == 0 || want.Evaluations[0].Region != 0 || want.Evaluations[n-1].Region != 1 || want.ErrorBound > 0.7 {
 		t.Fatalf("one worker should stop after region 1, at the lower bump: %+v", want)
 	}
 
-	// [0.35, 0.65] lies inside region 1 and outside the overlap with its
-	// neighbours; [1.35, 1.65] likewise for region 4.
-	highAccepted := make(chan struct{})
-	var once sync.Once
-	var held atomic.Int64
-	watchdog := time.AfterFunc(30*time.Second, func() { once.Do(func() { close(highAccepted) }) })
-	defer watchdog.Stop()
-	gated := fake("fake", twoBumps, nil)
-	encode := gated.Encode
-	gated.Encode = func(buf pressio.Buffer, bound float64) ([]byte, error) {
-		if bound > 0.35 && bound < 0.65 {
-			held.Add(1)
-			<-highAccepted
+	for _, workers := range []int{2, 8} {
+		// (0.36, 0.64) lies inside region 1 and clear of its neighbours'
+		// ends — region 2 starts at 0.65, measured at the cache slot just
+		// below, which would hold the second of two workers too; (1.35,
+		// 1.65) likewise for region 4.
+		highAccepted := make(chan struct{})
+		var once sync.Once
+		var held atomic.Int64
+		watchdog := time.AfterFunc(30*time.Second, func() { once.Do(func() { close(highAccepted) }) })
+		gated := fake("fake", twoBumps, nil)
+		encode := gated.Encode
+		gated.Encode = func(buf pressio.Buffer, bound float64) ([]byte, error) {
+			if bound > 0.36 && bound < 0.64 {
+				held.Add(1)
+				<-highAccepted
+			}
+			out, err := encode(buf, bound)
+			if ratio := float64(buf.Bytes()) / float64(len(out)); bound > 1.35 && bound < 1.65 && cfg.Objective.InBand(ratio) {
+				once.Do(func() { close(highAccepted) })
+			}
+			return out, err
 		}
-		out, err := encode(buf, bound)
-		if ratio := float64(buf.Bytes()) / float64(len(out)); bound > 1.35 && bound < 1.65 && cfg.Objective.InBand(ratio) {
-			once.Do(func() { close(highAccepted) })
+		got := tune(gated, workers)
+		if !watchdog.Stop() {
+			t.Fatalf("%d workers: region 4 never measured an in-band ratio: the gate was opened by the watchdog", workers)
 		}
-		return out, err
+		if held.Load() == 0 {
+			t.Fatalf("%d workers: no compression of region 1 was held back: the schedule under test did not happen", workers)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers, high region accepted first:\n%+v\none worker:\n%+v", workers, got, want)
+		}
 	}
-	got := tune(gated, 6)
-	if !watchdog.Stop() {
-		t.Fatal("region 4 never measured an in-band ratio: the gate was opened by the watchdog")
-	}
-	if held.Load() == 0 {
-		t.Fatal("no compression of region 1 was held back: the schedule under test did not happen")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("six workers, high region accepted first:\n%+v\none worker:\n%+v", got, want)
+}
+
+// TestEvaluationsListEveryCharge holds every registered codec × objective,
+// with no prediction and then with a prediction that misses (1e-7, far below
+// every band's bound, on the same tuner so the cache answers part of it), to
+// one record: the list holds each evaluation the run is charged for, the
+// counters are read off it, and the prediction was used exactly when the
+// list opens with an in-band reuse probe.
+func TestEvaluationsListEveryCharge(t *testing.T) {
+	buf := sealTestBuffer(t)
+	for _, codec := range pressio.Codecs() {
+		for _, obj := range []Objective{FixedRatio(6), FixedPSNR(60), FixedSSIM(0.9), FixedMaxError(0.05)} {
+			tu, err := NewTuner(codec, Config{Objective: obj, Regions: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prediction := range []float64{0, 1e-7} {
+				name := fmt.Sprintf("%s/%s/prediction=%g", codec.Name, obj.Name, prediction)
+				res, err := tu.TuneWithPrediction(context.Background(), buf, prediction)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				hits := 0
+				for i, ev := range res.Evaluations {
+					if ev.CacheHit {
+						hits++
+					}
+					if ev.stream != nil {
+						t.Errorf("%s: entry %d still holds its stream", name, i)
+					}
+					if (ev.Rung == RungReuse) != (i == 0 && prediction > 0) {
+						t.Errorf("%s: entry %d has rung %d: the reuse probe, and only it, comes first", name, i, ev.Rung)
+					}
+				}
+				if len(res.Evaluations) != res.Iterations || res.CacheHits != hits || res.CacheMisses != res.Iterations-hits {
+					t.Errorf("%s: %d entries, %d of them cache hits; result reads %d evaluations, %d hits, %d misses",
+						name, len(res.Evaluations), hits, res.Iterations, res.CacheHits, res.CacheMisses)
+				}
+				reused := len(res.Evaluations) > 0 && res.Evaluations[0].Rung == RungReuse && tu.obj.InBand(res.Evaluations[0].Value)
+				if res.UsedPrediction != reused {
+					t.Errorf("%s: UsedPrediction %v, want %v", name, res.UsedPrediction, reused)
+				}
+				if prediction > 0 && !res.Direct && len(res.Evaluations) == 0 {
+					t.Errorf("%s: the prediction was measured but not listed", name)
+				}
+			}
+		}
 	}
 }

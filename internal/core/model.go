@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"fraz/internal/parallel"
-)
+import "math"
 
 // This file implements the model-first search: predict, then bracket.
 //
@@ -35,12 +31,11 @@ import (
 const modelProbeBudget = 8
 
 // model is the third rung: it probes at most modelProbeBudget bounds in
-// [lo, hi], lists them in probe order as one search stage, and reports
+// [lo, hi], appends them to the run's list in probe order, and reports
 // whether any of them landed in band (which of those the run seals at is the
-// epilogue's pick). seed is a reused prediction that was
-// measured and missed; it is the first point of the search and counts
-// against the budget, but not in the stage's Iterations (reuse already
-// billed it).
+// epilogue's pick). A reused prediction that was measured and missed, the
+// list's entry so far, is the first point of the search and counts against
+// the budget.
 //
 // The search runs in (x, y) = (ln bound, LogBoundFor(measured value)), where
 // a codec that follows the model lies on y = x. Objective.better says where
@@ -53,7 +48,7 @@ const modelProbeBudget = 8
 // sample's only roughly. Its model leaves the offset to the data, so the
 // first bound is a pilot: an error in data units, restated in the
 // parameter's unit as searchRange does MaxError.
-func (r *run) model(lo, hi float64, seed *Evaluation) bool {
+func (r *run) model(lo, hi float64) bool {
 	t := r.t
 	vr, bits := r.buf.ValueRange(), 8*r.buf.DType().Size()
 	toY := func(v float64) float64 { return t.obj.LogBoundFor(v, vr, bits) }
@@ -71,14 +66,13 @@ func (r *run) model(lo, hi float64, seed *Evaluation) bool {
 		first = yAim
 		settled = func(v float64) bool { return (v-t.obj.Target)*(edge-t.obj.Target) >= 0 }
 	}
-	rr := RegionResult{Region: parallel.Region{Lower: math.Log(lo), Upper: math.Log(hi)}}
-	var tried []float64 // cache slots probed: bounds that share one are one probe
-	if seed != nil {
-		rr.Evaluations = append(rr.Evaluations, *seed)
-		tried = append(tried, seed.ErrorBound)
+	start := len(r.evals) // the search's first point
+	var tried []float64   // cache slots probed: bounds that share one are one probe
+	if start > 0 && r.evals[start-1].measured() {
+		start--
+		tried = append(tried, r.evals[start].ErrorBound)
 	}
 	if math.IsNaN(yAim) || math.IsInf(yAim, 0) {
-		r.list(rr)
 		return false // a constant field, or a target the model has no bound for
 	}
 
@@ -132,12 +126,12 @@ func (r *run) model(lo, hi float64, seed *Evaluation) bool {
 	}
 
 	x := first
-	if seed != nil && note(*seed) {
+	if len(tried) > 0 && note(r.evals[start]) {
 		x = next()
 	}
-	refining := false
+	refining, acceptable := false, false
 probing:
-	for len(rr.Evaluations) < modelProbeBudget && r.ctx.Err() == nil {
+	for len(r.evals)-start < modelProbeBudget && r.ctx.Err() == nil {
 		bound := math.Min(math.Max(math.Exp(x), lo), hi)
 		q := t.codec.Param.Slot(bound)
 		for _, seen := range tried {
@@ -146,16 +140,12 @@ probing:
 			}
 		}
 		tried = append(tried, q)
-		ev, err := r.measure(&rr, bound)
-		if err != nil || math.IsNaN(ev.Value) {
-			break
-		}
-		rr.Evaluations = append(rr.Evaluations, ev)
-		if !note(ev) {
+		ev := r.measure(&r.evals, RungModel, 0, bound)
+		if !ev.measured() || !note(ev) {
 			break
 		}
 		if t.obj.InBand(ev.Value) {
-			rr.Acceptable = true
+			acceptable = true
 			// A settled hit is taken as it is. Any other buys a single further
 			// probe toward the aim, and the better of the two in-band points
 			// is kept.
@@ -168,6 +158,5 @@ probing:
 		}
 		x = next()
 	}
-	r.list(rr)
-	return rr.Acceptable
+	return acceptable
 }

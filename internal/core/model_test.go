@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"fraz/internal/grid"
@@ -35,9 +36,27 @@ func TestModelFirstSelection(t *testing.T) {
 	}
 }
 
+// stages splits a result's list into its search stages: the runs of entries
+// one rung — for the sweep, one region — asked for.
+func stages(res Result) [][]Evaluation {
+	var out [][]Evaluation
+	for i, ev := range res.Evaluations {
+		if i == 0 || ev.Rung != res.Evaluations[i-1].Rung || ev.Region != res.Evaluations[i-1].Region {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], ev)
+	}
+	return out
+}
+
+// inBand reports whether any of evs landed in obj's band.
+func inBand(obj Objective, evs []Evaluation) bool {
+	return slices.ContainsFunc(evs, func(ev Evaluation) bool { return obj.InBand(ev.Value) })
+}
+
 // TestModelSearchResultShape checks how a model-first hit is reported — one
-// region entry holding the probes in order, every probe billed once — and
-// that neither the worker count nor the seed has a say in the outcome.
+// stage of model probes in order, every probe billed once — and that neither
+// the worker count nor the seed has a say in the outcome.
 func TestModelSearchResultShape(t *testing.T) {
 	buf := nyxBuffer(t)
 	c, _ := pressio.New("mgard:abs")
@@ -58,8 +77,8 @@ func TestModelSearchResultShape(t *testing.T) {
 		if res.Iterations < 1 || res.Iterations > modelProbeBudget {
 			t.Errorf("model-first tune cost %d evaluations, want 1..%d", res.Iterations, modelProbeBudget)
 		}
-		if len(res.Regions) != 1 || len(res.Regions[0].Evaluations) != res.Iterations || !res.Regions[0].Acceptable {
-			t.Errorf("want one acceptable region entry holding all %d probes, got %+v", res.Iterations, res.Regions)
+		if st := stages(res); len(st) != 1 || st[0][0].Rung != RungModel || len(st[0]) != res.Iterations || !inBand(tu.obj, st[0]) {
+			t.Errorf("want one in-band stage of model probes holding all %d evaluations, got %+v", res.Iterations, res.Evaluations)
 		}
 		if res.Iterations != res.CacheHits+res.CacheMisses {
 			t.Errorf("iterations %d != hits %d + misses %d", res.Iterations, res.CacheHits, res.CacheMisses)
@@ -95,15 +114,16 @@ func TestModelSearchFallsBackToRegions(t *testing.T) {
 	if res.Feasible {
 		t.Fatalf("no szx:abs step reaches 50 dB ± 5%% on CLOUDf, got %+v", res)
 	}
-	if len(res.Regions) != 1+1+4 {
-		t.Fatalf("want the model entry, the bisection and 4 searched regions, got %d entries", len(res.Regions))
+	st := stages(res)
+	if len(st) != 1+1+4 || st[0][0].Rung != RungModel || st[1][0].Rung != RungBisect || st[2][0].Rung != RungSweep || st[5][0].Region != 3 {
+		t.Fatalf("want the model probes, the bisection and 4 searched regions, got %d stages", len(st))
 	}
-	if closing := res.Regions[1]; closing.Iterations == 0 || closing.Iterations > DefaultMaxIterationsPerRegion || closing.Acceptable {
-		t.Errorf("bisection: %d evaluations, acceptable=%v", closing.Iterations, closing.Acceptable)
+	if closing := st[1]; len(closing) > DefaultMaxIterationsPerRegion || inBand(tu.obj, closing) {
+		t.Errorf("bisection: %d evaluations, acceptable=%v", len(closing), inBand(tu.obj, closing))
 	}
-	probes := res.Regions[0]
-	if n := len(probes.Evaluations); n < 2 || n > modelProbeBudget || probes.Acceptable {
-		t.Errorf("model entry: %d probes, acceptable=%v", n, probes.Acceptable)
+	probes := st[0]
+	if n := len(probes); n < 2 || n > modelProbeBudget || inBand(tu.obj, probes) {
+		t.Errorf("model probes: %d, acceptable=%v", n, inBand(tu.obj, probes))
 	}
 	if res.Iterations <= modelProbeBudget {
 		t.Errorf("fallback did not search: %d evaluations", res.Iterations)
@@ -111,11 +131,9 @@ func TestModelSearchFallsBackToRegions(t *testing.T) {
 	if res.Iterations != res.CacheHits+res.CacheMisses {
 		t.Errorf("iterations %d != hits %d + misses %d", res.Iterations, res.CacheHits, res.CacheMisses)
 	}
-	for _, rr := range res.Regions {
-		for _, ev := range rr.Evaluations {
-			if math.Abs(ev.Value-50) < math.Abs(res.AchievedValue-50) {
-				t.Errorf("observed value %v is nearer the target than the reported %v", ev.Value, res.AchievedValue)
-			}
+	for _, ev := range res.Evaluations {
+		if math.Abs(ev.Value-50) < math.Abs(res.AchievedValue-50) {
+			t.Errorf("observed value %v is nearer the target than the reported %v", ev.Value, res.AchievedValue)
 		}
 	}
 }
@@ -159,10 +177,10 @@ func TestTuneSeriesRetrainStartsFromMissedPrediction(t *testing.T) {
 		if res.Iterations < 2 || res.Iterations > modelProbeBudget {
 			t.Errorf("%s: retrain cost %d evaluations, want 2..%d", obj.Name, res.Iterations, modelProbeBudget)
 		}
-		if len(res.Regions) != 1 || len(res.Regions[0].Evaluations) != res.Iterations {
-			t.Fatalf("%s: every evaluation of the retrain, the prediction included, should be listed once: %d evaluations, regions %+v", obj.Name, res.Iterations, res.Regions)
+		if st := stages(res); len(res.Evaluations) != res.Iterations || len(st) != 2 || len(st[0]) != 1 || st[0][0].Rung != RungReuse || st[1][0].Rung != RungModel {
+			t.Fatalf("%s: every evaluation of the retrain, the prediction and then the model probes, should be listed once: %d evaluations, list %+v", obj.Name, res.Iterations, res.Evaluations)
 		}
-		if got, want := res.Regions[0].Evaluations[0].ErrorBound, out.Steps[1].Result.ErrorBound; got != want {
+		if got, want := res.Evaluations[0].ErrorBound, out.Steps[1].Result.ErrorBound; got != want {
 			t.Errorf("%s: first point of the retrain is bound %v, want the missed prediction %v", obj.Name, got, want)
 		}
 		if res.Iterations != res.CacheHits+res.CacheMisses {
@@ -217,12 +235,14 @@ func TestMissedPredictionIsOfferedToThePick(t *testing.T) {
 		if math.Abs(res.AchievedRatio-30) > 0.5 || math.Abs(res.ErrorBound-predicted) > 0.05 {
 			t.Errorf("%s: closest is ratio %v at bound %v, want the prediction's 30 at %v", c.codec.Name, res.AchievedRatio, res.ErrorBound, predicted)
 		}
-		listed := 0
-		for _, rr := range res.Regions {
-			listed += rr.Iterations
+		reused := 0
+		for _, ev := range res.Evaluations {
+			if ev.Rung == RungReuse {
+				reused++
+			}
 		}
-		if res.Iterations != listed+1 {
-			t.Errorf("%s: %d evaluations billed, want the prediction's one and the searches' %d", c.codec.Name, res.Iterations, listed)
+		if res.Iterations != len(res.Evaluations) || res.Evaluations[0].Rung != RungReuse || reused != 1 {
+			t.Errorf("%s: %d evaluations billed, want the prediction's one, first, and the searches' after it: %+v", c.codec.Name, res.Iterations, res.Evaluations)
 		}
 	}
 }
@@ -244,20 +264,21 @@ func TestRatioModelFallsBackOnNonMonotoneCurve(t *testing.T) {
 	if !res.Feasible {
 		t.Fatalf("target inside the dip should be reachable, got %v", res.AchievedRatio)
 	}
-	probes, last := res.Regions[0], res.Regions[len(res.Regions)-1]
-	if n := len(probes.Evaluations); n == 0 || n > modelProbeBudget || probes.Acceptable {
-		t.Errorf("model entry: %d probes, acceptable=%v", n, probes.Acceptable)
+	st := stages(res)
+	probes, last := st[0], st[len(st)-1]
+	if n := len(probes); probes[0].Rung != RungModel || n > modelProbeBudget || inBand(tu.obj, probes) {
+		t.Errorf("model probes: %d, acceptable=%v", n, inBand(tu.obj, probes))
 	}
-	if len(res.Regions) < 2 || last.Region.Upper == 0 || !last.Acceptable {
+	if len(st) < 2 || last[0].Rung != RungSweep || !inBand(tu.obj, last) {
 		t.Errorf("the sweep should end the run on an acceptable region: %+v", last)
 	}
 	sweepOnly, err := tu.SweepOnly().TuneBuffer(context.Background(), smallBuffer(8192))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ErrorBound != sweepOnly.ErrorBound || res.Iterations != probes.Iterations+sweepOnly.Iterations {
+	if res.ErrorBound != sweepOnly.ErrorBound || res.Iterations != len(probes)+sweepOnly.Iterations {
 		t.Errorf("bound %v in %d evaluations, want the sweep's %v in its %d and the %d probes",
-			res.ErrorBound, res.Iterations, sweepOnly.ErrorBound, sweepOnly.Iterations, probes.Iterations)
+			res.ErrorBound, res.Iterations, sweepOnly.ErrorBound, sweepOnly.Iterations, len(probes))
 	}
 }
 
@@ -280,17 +301,16 @@ func TestRatioModelFallsBackOnRealSZ(t *testing.T) {
 	if res.Feasible {
 		t.Fatalf("sz:abs does not reach 40 on CLOUDf, got %+v", res)
 	}
-	if probes := res.Regions[0]; len(probes.Evaluations) == 0 || len(probes.Evaluations) > modelProbeBudget || probes.Acceptable {
-		t.Errorf("model entry: %d probes, acceptable=%v", len(probes.Evaluations), probes.Acceptable)
+	st := stages(res)
+	if probes := st[0]; probes[0].Rung != RungModel || len(probes) > modelProbeBudget || inBand(tu.obj, probes) {
+		t.Errorf("model probes: %d, acceptable=%v", len(probes), inBand(tu.obj, probes))
 	}
-	if n := len(res.Regions); n < 5 || res.Regions[n-4].Region.Upper == 0 || res.Regions[n-1].Iterations == 0 {
-		t.Fatalf("want the model entry and 4 searched regions, got %d entries", n)
+	if n := len(st); n < 5 || st[n-4][0].Rung != RungSweep || st[n-4][0].Region != 0 || st[n-1][0].Region != 3 {
+		t.Fatalf("want the model probes and 4 searched regions, got %d stages", n)
 	}
-	for _, rr := range res.Regions {
-		for _, ev := range rr.Evaluations {
-			if math.Abs(ev.Ratio-40) < math.Abs(res.AchievedRatio-40) {
-				t.Errorf("observed ratio %v is nearer the target than the reported %v", ev.Ratio, res.AchievedRatio)
-			}
+	for _, ev := range res.Evaluations {
+		if math.Abs(ev.Ratio-40) < math.Abs(res.AchievedRatio-40) {
+			t.Errorf("observed ratio %v is nearer the target than the reported %v", ev.Ratio, res.AchievedRatio)
 		}
 	}
 }

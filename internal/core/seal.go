@@ -39,8 +39,9 @@ type SealOptions struct {
 // not say: how the bound was tuned, and on which block.
 type SealResult struct {
 	// Tuning is the search result on the sampled block: its AchievedRatio
-	// and CompressedSize refer to that block alone. Iterations, CacheHits
-	// and CacheMisses count every tune the seal ran, corrective ones too.
+	// and CompressedSize refer to that block alone. Evaluations lists every
+	// tune the seal ran, corrective ones after the first, and its counters
+	// and Elapsed cover them all.
 	Tuning Result
 	// SampleBlock is the index of the block the bound was tuned on.
 	SampleBlock int
@@ -129,10 +130,9 @@ func (t *Tuner) SealBlocked(ctx context.Context, buf pressio.Buffer, opts SealOp
 		if err != nil {
 			return container.Container{}, SealResult{}, fmt.Errorf("fraz: seal blocked: tuning sample block %d: %w", out.SampleBlock, err)
 		}
-		res.Iterations += out.Tuning.Iterations
-		res.CacheHits += out.Tuning.CacheHits
-		res.CacheMisses += out.Tuning.CacheMisses
+		res.Evaluations = append(out.Tuning.Evaluations, res.Evaluations...)
 		res.Elapsed += out.Tuning.Elapsed
+		res.count()
 		out.Tuning = res
 		if err := res.Check(); err != nil {
 			if closest != nil {

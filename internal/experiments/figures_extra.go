@@ -58,11 +58,7 @@ func RegionAblation(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		winning := res.Iterations
-		if n := len(res.Regions); n > 0 && res.Regions[n-1].Acceptable {
-			winning = res.Regions[n-1].Iterations // the sweep lists regions up to the winner
-		}
-		tab.AddRow(v.regions, v.overlap*100, res.Feasible, res.Iterations, winning,
+		tab.AddRow(v.regions, v.overlap*100, res.Feasible, res.Iterations, winningCalls(res),
 			float64(elapsed.Microseconds())/1000)
 	}
 	tab.AddNote("splitting the range shortens the winning region's serial path; overlap protects targets near region borders (paper Fig. 5)")

@@ -72,24 +72,6 @@ func SplitRegions(lo, hi float64, k int, overlap float64) ([]Region, error) {
 	return regions, nil
 }
 
-// workerErr is one worker's error scratch: its first real failure and the
-// first cancellation echo it saw, kept separately so the merge can rank
-// real failures above the generic cancellation other workers report for the
-// indices they skipped.
-type workerErr struct {
-	real      error
-	cancelled error
-	_         [4]uint64 // pad to a cache line so workers don't false-share
-}
-
-// workerScratch pools the per-call worker error slates. ForEach runs on the
-// tuner's innermost loops (every blocked seal/open spins one up), so its
-// bookkeeping must not grow with the input count n — errors accumulate into
-// this fixed workers-sized scratch instead of a per-call n-sized channel.
-var workerScratch = sync.Pool{
-	New: func() any { return make([]workerErr, runtime.GOMAXPROCS(0)) },
-}
-
 // ForEach runs fn for every input index with at most workers concurrent
 // goroutines, stopping early if the context is cancelled. Indices are handed
 // out in increasing order, so index i never starts after index i+1 — which
@@ -117,78 +99,67 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if workers > n {
 		workers = n
 	}
-	errs := workerScratch.Get().([]workerErr)
-	if len(errs) < workers {
-		errs = make([]workerErr, workers)
-	}
-	for i := 0; i < workers; i++ {
-		errs[i] = workerErr{}
-	}
+	var s tasks
 	idxCh := make(chan int)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *workerErr) {
-			defer wg.Done()
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
 			for idx := range idxCh {
 				err := ctx.Err()
 				if err == nil {
 					err = fn(ctx, idx)
 				}
-				slot.record(ctx, err)
+				s.record(ctx, err)
 			}
-		}(&errs[w])
+		}()
 	}
 	fed := true
 	for i := 0; i < n && fed; i++ {
 		select {
 		case idxCh <- i:
 		case <-ctx.Done():
-			// Stop feeding work; the merge below prefers a worker's real
-			// failure over the generic cancellation.
+			// Stop feeding work; a worker's real failure still outranks the
+			// generic cancellation.
 			fed = false
 		}
 	}
 	close(idxCh)
-	wg.Wait()
-	err := mergeErrors(errs[:workers])
-	workerScratch.Put(errs)
-	if !fed && err == nil {
+	s.wg.Wait()
+	switch {
+	case s.failure != nil:
+		return s.failure
+	case s.cancelled != nil:
+		return s.cancelled
+	case !fed:
 		return ctx.Err()
 	}
-	return err
+	return nil
 }
 
-// record files an error into the worker's slot, keeping the first real
-// failure and the first cancellation echo.
-func (s *workerErr) record(ctx context.Context, err error) {
+// tasks is what one ForEach call's workers share, in one allocation: the
+// group they finish in, and the first real failure and the first
+// cancellation echo, kept apart so a real failure outranks the generic
+// cancellation other workers report for the indices they skip, on either
+// exit path.
+type tasks struct {
+	wg                 sync.WaitGroup
+	mu                 sync.Mutex
+	failure, cancelled error
+}
+
+// record files a task's error. Only a task that returns one takes the lock.
+func (s *tasks) record(ctx context.Context, err error) {
 	if err == nil {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
 		if s.cancelled == nil {
 			s.cancelled = err
 		}
-		return
+	} else if s.failure == nil {
+		s.failure = err
 	}
-	if s.real == nil {
-		s.real = err
-	}
-}
-
-// mergeErrors combines the per-worker slates, ranking real failures above
-// cancellation echoes: on either exit path a worker may have failed for a
-// real reason before (or while) the context was cancelled, and that failure
-// — not the generic cancellation — is what the caller needs.
-func mergeErrors(errs []workerErr) error {
-	var cancelled error
-	for i := range errs {
-		if errs[i].real != nil {
-			return errs[i].real
-		}
-		if cancelled == nil {
-			cancelled = errs[i].cancelled
-		}
-	}
-	return cancelled
 }
