@@ -166,8 +166,8 @@ type Evaluation struct {
 	// Value is the tuned objective's achieved value at ErrorBound (equal to
 	// Ratio for the fixed-ratio objective).
 	Value float64
-	// Report carries the full quality metrics when the objective required a
-	// compress+decompress round trip; nil for compress-only evaluations.
+	// Report carries the full quality metrics of the round trip when the
+	// objective measures quality; nil for compress-only evaluations.
 	Report *metrics.Report
 	// CacheHit is true when the evaluation cache answered without invoking
 	// the compressor.
@@ -478,8 +478,8 @@ func (r *run) descend(prediction float64) error {
 }
 
 // measure is the single black-box evaluation every rung performs: a cached
-// compression for the fixed-ratio objective, a cached compress+decompress
-// round trip (with the full metric report) for quality objectives. It
+// compression for the fixed-ratio objective, a cached round trip (with the
+// full metric report) for quality objectives. It
 // appends the Evaluation to list — the run's, or a sweep region's — with the
 // bound the measurement ran at, the objective's achieved Value, and the
 // stream of an in-band one that ran the compressor.

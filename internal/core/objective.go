@@ -56,10 +56,10 @@ type Objective struct {
 	Tolerance float64
 	// Relative marks Tolerance as fractional.
 	Relative bool
-	// Quality marks objectives measured on the decompressed data (PSNR,
+	// Quality marks objectives measured on the reconstructed data (PSNR,
 	// SSIM, max-error). It sets three policies together:
-	//   - every evaluation is a compress+decompress round trip whose full
-	//     metric report is cached, instead of a compression alone;
+	//   - every evaluation is a round trip whose full metric report is
+	//     cached, instead of a compression alone;
 	//   - the search partitions the error-bound range in log space, because
 	//     quality follows the order of magnitude of the bound rather than its
 	//     absolute value (the ratio search stays linear, as in the paper);

@@ -16,8 +16,9 @@ import (
 // §VII future work — one tuner, many acceptance criteria — and shows both
 // halves of a target's cost as measured: the evaluation count (one to eight
 // where the model-first search applies, a region search's worth elsewhere)
-// and the wall-clock, in which a quality evaluation is a compress+decompress
-// round trip where a ratio evaluation is a compression.
+// and the wall-clock, in which a quality evaluation is a round trip with a
+// quality report (sz's encoder writes the reconstruction, zfp decompresses)
+// where a ratio evaluation is a compression.
 func Objectives(cfg Config) (*report.Table, error) {
 	d, err := dataset.New("Hurricane", cfg.Scale)
 	if err != nil {
@@ -63,6 +64,6 @@ func Objectives(cfg Config) (*report.Table, error) {
 		}
 	}
 	tab.AddNote("evaluations are counted as they ran: ratio, psnr and max-error on these error-magnitude codecs are tuned model first (closed-form first bound, or for the ratio a pilot; sequential bracket, at most 8), ssim by the region-parallel MaxLIPO search")
-	tab.AddNote("a quality evaluation (psnr/ssim/max-error) is a compress+decompress round trip, a ratio evaluation a compression alone")
+	tab.AddNote("a quality evaluation (psnr/ssim/max-error) is a round trip with a quality report (sz:abs reports on its encoder's reconstruction, zfp:accuracy decompresses), a ratio evaluation a compression alone")
 	return tab, nil
 }

@@ -74,10 +74,13 @@ func Evaluate[T grid.Float](original, reconstructed []T, compressedBytes, elemen
 		rep.CompressionRatio = float64(rep.OriginalBytes) / float64(compressedBytes)
 		rep.BitRate = float64(compressedBytes*8) / float64(len(original))
 	}
-	rep.RMSE, rep.MSE, rep.MaxError = errorStats(original, reconstructed)
-	rep.ValueRange = grid.ValueRange(original)
+	s := errorSums(original, reconstructed)
+	rep.MSE = s.squares / float64(len(original))
+	rep.RMSE = math.Sqrt(rep.MSE)
+	rep.MaxError = s.maxErr
+	rep.ValueRange = float64(s.max) - float64(s.min)
 	rep.PSNR = psnr(rep.ValueRange, rep.RMSE)
-	rep.ErrorACF = ErrorAutocorrelation(original, reconstructed)
+	rep.ErrorACF = lagCorrelation(original, reconstructed, s.sum/float64(len(original)))
 	rep.SSIM = math.NaN()
 	return rep, nil
 }
@@ -117,18 +120,36 @@ func SliceSSIM[T grid.Float](original, reconstructed []T, shape grid.Dims) (floa
 	return SSIM(origSlice, recSlice, sliceShape)
 }
 
-func errorStats[T grid.Float](original, reconstructed []T) (rmse, mse, maxErr float64) {
-	var sum float64
-	for i := range original {
-		d := float64(original[i]) - float64(reconstructed[i])
-		sum += d * d
-		if a := math.Abs(d); a > maxErr {
-			maxErr = a
+// sums is what one pass over a non-empty original and its reconstruction
+// gathers: the sum of the squared errors, the sum of the errors, the largest
+// absolute error, and the original's minimum and maximum.
+type sums[T grid.Float] struct {
+	squares, sum, maxErr float64
+	min, max             T
+}
+
+// errorSums makes the one pass that RMSE, PSNR, the maximum error, the value
+// range and the error autocorrelation's mean share. Each sum is accumulated
+// in index order, as a pass of its own would, so it has the same bits; the
+// passes are fused because each is a chain of dependent additions, and the
+// chains of one pass run side by side.
+func errorSums[T grid.Float](original, reconstructed []T) sums[T] {
+	s := sums[T]{min: original[0], max: original[0]}
+	for i, v := range original {
+		d := float64(v) - float64(reconstructed[i])
+		s.squares += float64(d * d)
+		s.sum += d
+		if a := math.Abs(d); a > s.maxErr {
+			s.maxErr = a
+		}
+		if v < s.min {
+			s.min = v
+		}
+		if v > s.max {
+			s.max = v
 		}
 	}
-	mse = sum / float64(len(original))
-	rmse = math.Sqrt(mse)
-	return rmse, mse, maxErr
+	return s
 }
 
 // RMSE returns the root-mean-square error between the two arrays, or NaN if
@@ -137,8 +158,7 @@ func RMSE[T grid.Float](original, reconstructed []T) float64 {
 	if len(original) != len(reconstructed) || len(original) == 0 {
 		return math.NaN()
 	}
-	r, _, _ := errorStats(original, reconstructed)
-	return r
+	return math.Sqrt(errorSums(original, reconstructed).squares / float64(len(original)))
 }
 
 // MaxAbsError returns the maximum absolute pointwise error, or NaN on
@@ -147,8 +167,7 @@ func MaxAbsError[T grid.Float](original, reconstructed []T) float64 {
 	if len(original) != len(reconstructed) || len(original) == 0 {
 		return math.NaN()
 	}
-	_, _, m := errorStats(original, reconstructed)
-	return m
+	return errorSums(original, reconstructed).maxErr
 }
 
 // PSNR returns the peak signal-to-noise ratio in decibels, defined as
@@ -158,8 +177,8 @@ func PSNR[T grid.Float](original, reconstructed []T) float64 {
 	if len(original) != len(reconstructed) || len(original) == 0 {
 		return math.NaN()
 	}
-	rmse, _, _ := errorStats(original, reconstructed)
-	return psnr(grid.ValueRange(original), rmse)
+	s := errorSums(original, reconstructed)
+	return psnr(float64(s.max)-float64(s.min), math.Sqrt(s.squares/float64(len(original))))
 }
 
 // psnr is PSNR from the original's value range and the RMSE.
@@ -182,22 +201,26 @@ func ErrorAutocorrelation[T grid.Float](original, reconstructed []T) float64 {
 	if n != len(reconstructed) || n < 2 {
 		return 0
 	}
-	// The error signal is recomputed where it is read, not stored: the same
-	// subtraction gives the same bits.
-	var mean float64
-	for i := range original {
-		mean += float64(original[i]) - float64(reconstructed[i])
+	return lagCorrelation(original, reconstructed, errorSums(original, reconstructed).sum/float64(n))
+}
+
+// lagCorrelation is ErrorAutocorrelation given the mean error, for equal
+// lengths. The error signal is recomputed where it is read, not stored: the
+// same subtraction gives the same bits.
+func lagCorrelation[T grid.Float](original, reconstructed []T, mean float64) float64 {
+	n := len(original)
+	if n < 2 {
+		return 0
 	}
-	mean /= float64(n)
 	var num, den float64
 	d := float64(original[0]) - float64(reconstructed[0]) - mean
 	for i := 1; i < n; i++ {
 		next := float64(original[i]) - float64(reconstructed[i]) - mean
-		den += d * d
-		num += d * next
+		den += float64(d * d)
+		num += float64(d * next)
 		d = next
 	}
-	den += d * d
+	den += float64(d * d)
 	if den == 0 {
 		return 0
 	}
@@ -276,14 +299,14 @@ func windowSSIM[T grid.Float](a, b []T, width, x0, y0, win int, c1, c2 float64) 
 		for x := x0; x < x0+win; x++ {
 			da := float64(a[y*width+x]) - meanA
 			db := float64(b[y*width+x]) - meanB
-			varA += da * da
-			varB += db * db
-			cov += da * db
+			varA += float64(da * da)
+			varB += float64(db * db)
+			cov += float64(da * db)
 		}
 	}
 	varA /= n - 1
 	varB /= n - 1
 	cov /= n - 1
-	return ((2*meanA*meanB + c1) * (2*cov + c2)) /
-		((meanA*meanA + meanB*meanB + c1) * (varA + varB + c2))
+	return ((float64(2*meanA*meanB) + c1) * (float64(2*cov) + c2)) /
+		((float64(meanA*meanA) + float64(meanB*meanB) + c1) * (varA + varB + c2))
 }

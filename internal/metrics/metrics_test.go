@@ -330,3 +330,75 @@ func TestSliceSSIMSelectsMiddlePlane(t *testing.T) {
 		t.Errorf("1-D SliceSSIM should fail")
 	}
 }
+
+// TestEvaluateMatchesOnePassPerStatistic holds Evaluate's fused pass to the
+// statistics taken one pass each, as refStats does, bit for bit up to NaN
+// payloads: on noisy fields, on fields holding NaN, ±Inf and −0, and on one
+// and two values.
+func TestEvaluateMatchesOnePassPerStatistic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for _, n := range []int{1, 2, 999} {
+		for _, rate := range []int{0, 20} {
+			orig, recon := make([]float64, n), make([]float64, n)
+			for i := range orig {
+				orig[i] = 30*math.Sin(float64(i)/9) + rng.NormFloat64()
+				recon[i] = orig[i] + rng.NormFloat64()/100
+				if rng.Intn(100) < rate {
+					recon[i] = specials[rng.Intn(len(specials))]
+				}
+				if rng.Intn(100) < rate {
+					orig[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			rep, err := Evaluate(orig, recon, 100, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refStats(orig, recon)
+			got := [...]float64{rep.MSE, rep.RMSE, rep.MaxError, rep.ValueRange, rep.PSNR, rep.ErrorACF}
+			for i := range got {
+				// Which NaN a sum ends on is the compiler's choice of operand
+				// order (a race build picks others), so NaNs match any NaN.
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+					t.Errorf("n=%d rate=%d: statistic %d is %v, one pass each gives %v", n, rate, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// refStats returns MSE, RMSE, MaxError, ValueRange, PSNR and ErrorACF, each
+// statistic from a pass of its own.
+func refStats(orig, recon []float64) [6]float64 {
+	n := float64(len(orig))
+	var sq, maxErr float64
+	for i := range orig {
+		d := orig[i] - recon[i]
+		sq += float64(d * d)
+		if a := math.Abs(d); a > maxErr {
+			maxErr = a
+		}
+	}
+	mse := sq / n
+	vr := grid.ValueRange(orig)
+	acf := 0.0
+	if len(orig) >= 2 {
+		var mean float64
+		for i := range orig {
+			mean += orig[i] - recon[i]
+		}
+		mean /= n
+		var num, den float64
+		for i := 0; i+1 < len(orig); i++ {
+			d, next := orig[i]-recon[i]-mean, orig[i+1]-recon[i+1]-mean
+			den += float64(d * d)
+			num += float64(d * next)
+		}
+		d := orig[len(orig)-1] - recon[len(orig)-1] - mean
+		if den += float64(d * d); den != 0 {
+			acf = num / den
+		}
+	}
+	return [6]float64{mse, math.Sqrt(mse), maxErr, vr, psnr(vr, math.Sqrt(mse)), acf}
+}

@@ -34,8 +34,8 @@ func measureAllocBytes(t *testing.T, n int) uint64 {
 }
 
 // TestForEachAllocsIndependentOfN pins the fix for the per-call result
-// buffer: error bookkeeping lives in pooled workers-sized scratch, so the
-// bytes allocated per call must not scale with the item count (the old
+// buffer: a task's error is filed into one shared record under a lock, so
+// the bytes allocated per call must not scale with the item count (the old
 // n-buffered error channel allocated 8n bytes before the first task ran).
 func TestForEachAllocsIndependentOfN(t *testing.T) {
 	small := measureAllocBytes(t, 8)

@@ -161,16 +161,20 @@ func TestForEachKeepsWorkerErrorOnLateCancellation(t *testing.T) {
 	sentinel := errors.New("real failure")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cancelled := make(chan struct{})
+	started, cancelled := make(chan struct{}), make(chan struct{})
 	err := ForEach(ctx, 3, 2, func(ctx context.Context, idx int) error {
 		switch idx {
 		case 0:
 			// Fail only after the cancellation, so any context errors the
 			// other worker pushed for remaining indices precede the real
 			// failure in the error channel.
+			close(started)
 			<-cancelled
 			return sentinel
 		case 1:
+			// Cancel only once index 0 is running: a worker that has not
+			// yet entered fn when the context ends skips its index.
+			<-started
 			cancel()
 			close(cancelled)
 			return nil

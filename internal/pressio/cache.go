@@ -85,11 +85,11 @@ type CacheKey struct {
 	Fingerprint uint64
 	// Bound is the float64 bit pattern of the quantized bound.
 	Bound uint64
-	// Full marks entries that carry the complete compress+decompress metric
-	// report (quality-objective evaluations) rather than just the compressed
-	// size. The two live in separate slots: a full evaluation costs a round
-	// trip a ratio-only entry never paid for, so one must not answer for the
-	// other.
+	// Full marks entries that carry the complete metric report of the round
+	// trip (quality-objective evaluations) rather than just the compressed
+	// size. The two live in separate slots: a full evaluation costs a
+	// reconstruction and a report a ratio-only entry never paid for, so one
+	// must not answer for the other.
 	Full bool
 }
 
@@ -103,8 +103,10 @@ type CacheEntry struct {
 	Ratio float64
 	// Size is the compressed size in bytes at Bound.
 	Size int
-	// Report is the full quality report of the compress+decompress round
-	// trip; only entries recorded through Evaluator.Full carry one.
+	// Report is the full quality report of the round trip, measured on the
+	// encoder's reconstruction for a codec that Reconstructs and on the
+	// decoded stream otherwise; only entries recorded through Evaluator.Full
+	// carry one.
 	Report metrics.Report
 }
 
@@ -290,10 +292,12 @@ func (e *Evaluator) Ratio(bound float64) (ratio float64, size int, evaluated flo
 	return entry.Ratio, entry.Size, entry.Bound, err
 }
 
-// Full evaluates the complete compress+decompress quality report at the
-// given bound, serving repeats from the cache. Quality-objective searches
-// call this at every iteration; without the cache each probe of a revisited
-// bound would redundantly re-run the whole round trip.
+// Full evaluates the complete quality report of the round trip at the given
+// bound, serving repeats from the cache. The reconstruction it reports on is
+// the encoder's own for a codec that Reconstructs (no decode runs) and the
+// decoded stream otherwise. Quality-objective searches call this at every
+// iteration; without the cache each probe of a revisited bound would
+// redundantly re-run the whole round trip.
 func (e *Evaluator) Full(bound float64) (rep metrics.Report, evaluated float64, err error) {
 	entry, _, _, err := e.Evaluate(bound, true)
 	return entry.Report, entry.Bound, err

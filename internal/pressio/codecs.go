@@ -36,23 +36,25 @@ var builtin = []*Codec{
 	{
 		Name: "sz:abs", MinRank: 1, MaxRank: 3,
 		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
-		Encode: encoder(func(_ Buffer, p float64) sz.Options { return sz.Options{ErrorBound: p} },
-			sz.Compress[float32], sz.Compress[float64]),
-		Decode: szDecode,
+		Encode: reconEncoder(func(_ Buffer, p float64) sz.Options { return sz.Options{ErrorBound: p} },
+			sz.CompressAndReconstruct[float32], sz.CompressAndReconstruct[float64]),
+		Decode:       szDecode,
+		Reconstructs: true,
 	},
 	{
 		// The configuration most scientific users run: bounds quoted as a
 		// share (say 10^-3) of the value range.
 		Name: "sz:rel", MinRank: 1, MaxRank: 3,
 		Param: Param{Name: "value-range-relative error bound", Unit: UnitRangeFraction, Lo: 1e-12, Hi: 1},
-		Encode: encoder(func(buf Buffer, p float64) sz.Options {
+		Encode: reconEncoder(func(buf Buffer, p float64) sz.Options {
 			vr := buf.ValueRange()
 			if vr <= 0 {
 				vr = 1 // constant field: any positive absolute bound preserves it
 			}
 			return sz.Options{ErrorBound: p * vr}
-		}, sz.Compress[float32], sz.Compress[float64]),
-		Decode: szDecode,
+		}, sz.CompressAndReconstruct[float32], sz.CompressAndReconstruct[float64]),
+		Decode:       szDecode,
+		Reconstructs: true,
 	},
 	{
 		// The speed tier: roughly an order of magnitude faster than sz:abs at
@@ -61,9 +63,10 @@ var builtin = []*Codec{
 		// error-bounded codec accepting 4-D data.
 		Name: "szx:abs", MinRank: 1, MaxRank: 4,
 		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
-		Encode: encoder(func(_ Buffer, p float64) szx.Options { return szx.Options{ErrorBound: p} },
-			szx.Compress[float32], szx.Compress[float64]),
-		Decode: decoder(szx.DecompressInto[float32], szx.DecompressInto[float64]),
+		Encode: reconEncoder(func(_ Buffer, p float64) szx.Options { return szx.Options{ErrorBound: p} },
+			szx.CompressAndReconstruct[float32], szx.CompressAndReconstruct[float64]),
+		Decode:       decoder(szx.DecompressInto[float32], szx.DecompressInto[float64]),
+		Reconstructs: true,
 	},
 	{
 		Name: "zfp:accuracy", MinRank: 1, MaxRank: 3,

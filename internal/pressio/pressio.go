@@ -45,6 +45,12 @@ type Buffer struct {
 	dtype container.DType
 	f32   []float32
 	f64   []float64
+	// recon32 and recon64 are where the Encode of a codec that Reconstructs
+	// writes the reconstruction, at the data's width and length. evaluate
+	// sets them on its copy of the buffer for a quality evaluation, to a
+	// plain allocation of its own; every other buffer leaves them nil.
+	recon32 []float32
+	recon64 []float64
 }
 
 // NewBufferOf validates and constructs a Buffer over float32 or float64
@@ -128,6 +134,20 @@ func encoder[O any](opts func(buf Buffer, param float64) O,
 	}
 }
 
+// reconEncoder is encoder for a kernel that can write its reconstruction as
+// it compresses: the buffer's reconstruction destination, nil unless a
+// quality evaluation attached one, goes to the kernel with the data.
+func reconEncoder[O any](opts func(buf Buffer, param float64) O,
+	f32 func([]float32, grid.Dims, O, []float32) ([]byte, error),
+	f64 func([]float64, grid.Dims, O, []float64) ([]byte, error)) func(Buffer, float64) ([]byte, error) {
+	return func(buf Buffer, param float64) ([]byte, error) {
+		if buf.dtype == container.Float64 {
+			return f64(buf.f64, buf.Shape, opts(buf, param), buf.recon64)
+		}
+		return f32(buf.f32, buf.Shape, opts(buf, param), buf.recon32)
+	}
+}
+
 // decoder builds a Codec.Decode from a kernel package's generic
 // DecompressInto, routing the destination to the instantiation matching its
 // element width. It is the decode-side twin of encoder.
@@ -153,10 +173,10 @@ func Evaluate(orig, dec Buffer, compressedBytes int) (metrics.Report, error) {
 	return metrics.EvaluateGrid(orig.f32, dec.f32, orig.Shape, compressedBytes)
 }
 
-// Run compresses, decompresses, and evaluates the buffer with the given
-// bound, returning the round trip's quality report. It is the convenience
-// used by the experiment harness; FRaZ's inner loop uses Ratio instead,
-// which skips the decompression when only the size is needed.
+// Run compresses the buffer with the given bound and evaluates the round
+// trip, returning its quality report. It is the convenience used by the
+// experiment harness; FRaZ's inner loop uses Ratio instead, which measures
+// only the size.
 func Run(c Compressor, buf Buffer, bound float64) (metrics.Report, error) {
 	entry, _, err := evaluate(c, buf, bound, true)
 	return entry.Report, err
@@ -171,10 +191,22 @@ func Ratio(c Compressor, buf Buffer, bound float64) (float64, int, error) {
 }
 
 // evaluate is the one compress body behind Ratio, Run and Evaluator.Evaluate:
-// it compresses the buffer at bound and, when full, reports on the round trip.
-// The stream it measured is returned, the caller's to keep.
+// it compresses the buffer at bound and, when full, reports on the round
+// trip. The reconstruction it reports on is the encoder's own when the codec
+// Reconstructs — written, as it compressed, into a buffer allocated here —
+// and the decoded stream otherwise. The stream it measured is returned, the
+// caller's to keep.
 func evaluate(c Compressor, buf Buffer, bound float64, full bool) (CacheEntry, []byte, error) {
-	comp, err := c.Compress(buf, bound)
+	codec := c.Descriptor()
+	in, dec := buf, Buffer{}
+	if full && codec.Reconstructs {
+		var err error
+		if dec, err = codec.output(buf.Shape, buf.dtype); err != nil {
+			return CacheEntry{}, nil, err
+		}
+		in.recon32, in.recon64 = dec.f32, dec.f64
+	}
+	comp, err := c.Compress(in, bound)
 	if err != nil {
 		return CacheEntry{}, nil, err
 	}
@@ -182,9 +214,10 @@ func evaluate(c Compressor, buf Buffer, bound float64, full bool) (CacheEntry, [
 	if !full {
 		return entry, comp, nil
 	}
-	dec, err := c.Decompress(comp, buf.Shape, buf.dtype)
-	if err != nil {
-		return CacheEntry{}, nil, err
+	if !codec.Reconstructs {
+		if dec, err = c.Decompress(comp, buf.Shape, buf.dtype); err != nil {
+			return CacheEntry{}, nil, err
+		}
 	}
 	if entry.Report, err = Evaluate(buf, dec, len(comp)); err != nil {
 		return CacheEntry{}, nil, err

@@ -95,11 +95,24 @@ var ErrCorrupt = errors.New("sz: corrupt stream")
 // error bound and returns the compressed byte stream, which is
 // self-describing.
 func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, error) {
+	return CompressAndReconstruct(data, shape, opts, nil)
+}
+
+// CompressAndReconstruct is Compress that also writes into recon, unless it
+// is nil, the field DecompressInto of the returned stream writes, bit for
+// bit. The encoder builds that field anyway — the Lorenzo predictor reads
+// reconstructed neighbours — so a caller that measures the round trip's
+// quality can skip the decode. recon holds len(data) values and is the
+// caller's; with nil the encoder borrows its scratch from the pool.
+func CompressAndReconstruct[T grid.Float](data []T, shape grid.Dims, opts Options, recon []T) ([]byte, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
+	}
+	if recon != nil && len(recon) != len(data) {
+		return nil, fmt.Errorf("%w: reconstruction length %d does not match shape %v", ErrInvalidInput, len(recon), shape)
 	}
 	if shape.NDims() > 3 {
 		return nil, fmt.Errorf("%w: rank %d (want 1..3)", ErrInvalidInput, shape.NDims())
@@ -115,11 +128,15 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 
-	// recon and codes are compression-internal scratch: recon is only read at
-	// offsets already reconstructed (the walks visit every Lorenzo neighbour
-	// first), and every code is written once, at its point's index.
-	recon := pool.Get[T](len(data))
-	defer pool.Put(recon)
+	// recon, when the caller has none, and codes are compression-internal
+	// scratch: recon is only read at offsets already reconstructed (the
+	// walks visit every Lorenzo neighbour first), and every code is written
+	// once, at its point's index.
+	if recon == nil {
+		scratch := pool.Get[T](len(data))
+		defer pool.Put(scratch)
+		recon = scratch
+	}
 	codes := pool.Get[int32](len(data))
 	defer pool.Put(codes)
 	literals, blockMeta := encode(data, shape, o, recon, codes)

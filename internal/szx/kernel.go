@@ -20,8 +20,10 @@ func appendHeader(out []byte, magic uint32, shape grid.Dims, bound float64, bloc
 
 // compress is the encoder at either width: T is the element type and U the
 // unsigned word of the same width, through which every block is read as
-// IEEE-754 bit patterns in place (grid.Bits).
-func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) []byte {
+// IEEE-754 bit patterns in place (grid.Bits). A non-nil recon receives what
+// decompress will write: the representative across a constant block, each
+// other word masked to the bytes its block keeps.
+func compress[T grid.Float, U grid.Word](data, recon []T, shape grid.Dims, o Options) []byte {
 	n := len(data)
 	bs := o.BlockSize
 	elem := grid.ElemSize[T]()
@@ -35,19 +37,18 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 	bitmap := out[headerLen:]
 
 	var consts []T
+	// Neither scratch slice grows: there is one kept count per block, and a
+	// block's planes hold at most every byte of its values. The puts are
+	// deferred so the scratch cannot leak if an early return is ever added
+	// to the block loop.
 	kept := pool.Get[byte](nBlocks)[:0]
-	planes := pool.Get[byte](n)[:0] // grows as needed; n bytes ≈ 4x ratio start
-	// Deferred puts so the scratch cannot leak if an early return is ever
-	// added to the block loop; the closure parks whichever backing arrays
-	// kept and planes hold after append growth.
-	defer func() {
-		pool.Put(kept)
-		pool.Put(planes)
-	}()
+	planes := pool.Get[byte](elem * n)[:0]
+	defer pool.Put(kept)
+	defer pool.Put(planes)
 
 	lb := boundExp(o.ErrorBound)
 	twice := 2 * o.ErrorBound
-	words := grid.Bits[T, U](data)
+	words, rwords := grid.Bits[T, U](data), grid.Bits[T, U](recon)
 	expMask := grid.ExpMask[U]()
 	expBits := bits.OnesCount64(uint64(expMask))
 
@@ -84,6 +85,9 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 				if float64(rep)-float64(bmin) <= o.ErrorBound && float64(bmax)-float64(rep) <= o.ErrorBound {
 					bitmap[bi>>3] |= 1 << (bi & 7)
 					consts = append(consts, rep)
+					if recon != nil {
+						fill(recon[lo:hi], rep)
+					}
 					continue
 				}
 			}
@@ -98,10 +102,20 @@ func compress[T grid.Float, U grid.Word](data []T, shape grid.Dims, o Options) [
 			k = keptBytes(e, lb, expBits, elem)
 		}
 		kept = append(kept, byte(k))
+		m, base := len(pats), len(planes)
+		planes = planes[:base+k*m]
 		for p := 0; p < k; p++ {
 			shift := uint(8 * (elem - 1 - p))
-			for _, b := range pats {
-				planes = append(planes, byte(b>>shift))
+			plane := planes[base+p*m : base+(p+1)*m]
+			for i, b := range pats {
+				plane[i] = byte(b >> shift)
+			}
+		}
+		if recon != nil {
+			mask := ^U(0) << uint(8*(elem-k))
+			rw := rwords[lo:hi]
+			for i, b := range pats {
+				rw[i] = b & mask
 			}
 		}
 	}
@@ -132,10 +146,7 @@ func decompress[T grid.Float, U grid.Word](out []T, h header, body []byte) error
 			var rep [1]T
 			grid.DecodeLE(rep[:], consts[ci:])
 			ci += elem
-			dst := out[lo:hi]
-			for i := range dst {
-				dst[i] = rep[0]
-			}
+			fill(out[lo:hi], rep[0])
 			continue
 		}
 
@@ -164,4 +175,12 @@ func decompress[T grid.Float, U grid.Word](out []T, h header, body []byte) error
 		return fmt.Errorf("%w: %d trailing bytes after byte planes", ErrCorrupt, len(planes)-pi)
 	}
 	return nil
+}
+
+// fill sets every value of dst to v: a constant block, as both directions
+// reconstruct it.
+func fill[T grid.Float](dst []T, v T) {
+	for i := range dst {
+		dst[i] = v
+	}
 }

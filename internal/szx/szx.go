@@ -140,11 +140,24 @@ func (o Options) withDefaults() (Options, error) {
 // Compress compresses data of the given shape under the options' absolute
 // error bound and returns the self-describing compressed stream.
 func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, error) {
+	return CompressAndReconstruct(data, shape, opts, nil)
+}
+
+// CompressAndReconstruct is Compress that also writes into recon, unless it
+// is nil, the field DecompressInto of the returned stream writes, bit for
+// bit: each constant block's representative, each other value's kept
+// leading bytes. It is written in the block pass that chooses them, so a
+// caller that measures the round trip's quality can skip the decode. recon
+// holds len(data) values and is the caller's.
+func CompressAndReconstruct[T grid.Float](data []T, shape grid.Dims, opts Options, recon []T) ([]byte, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
+	}
+	if recon != nil && len(recon) != len(data) {
+		return nil, fmt.Errorf("%w: reconstruction length %d does not match shape %v", ErrInvalidInput, len(recon), shape)
 	}
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -153,9 +166,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	// Go cannot derive the word type from T, so the pairing is spelled out
 	// here and in DecompressInto, once per direction.
 	if d, ok := any(data).([]float32); ok {
-		return compress[float32, uint32](d, shape, o), nil
+		return compress[float32, uint32](d, any(recon).([]float32), shape, o), nil
 	}
-	return compress[float64, uint64](any(data).([]float64), shape, o), nil
+	return compress[float64, uint64](any(data).([]float64), any(recon).([]float64), shape, o), nil
 }
 
 // DecompressInto reconstructs the field of a stream produced by Compress

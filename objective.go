@@ -19,9 +19,10 @@ import (
 // acceptance test on a measured value; pass one to New via Target (or the
 // TargetPSNR / TargetSSIM / TargetMaxError sugar).
 //
-// Quality objectives measure each candidate bound on the decompressed data
-// (a compress+decompress round trip per evaluation, cached), so one of
-// their evaluations costs more than one of FixedRatio's. FixedPSNR and
+// Quality objectives measure each candidate bound on the reconstructed data
+// (a round trip and a quality report per evaluation, cached; sz and szx
+// take the reconstruction from their encoder, the other codecs decompress),
+// so one of their evaluations costs more than one of FixedRatio's. FixedPSNR and
 // FixedMaxError make up for it on error-bounded codecs, where they are
 // tuned model first — a closed-form first bound and a sequential bracket,
 // one to eight evaluations — with the region-parallel search as the
