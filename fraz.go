@@ -702,7 +702,7 @@ func seriesResult(res core.SeriesResult) *SeriesResult {
 	}
 	out.Steps = make([]TuneResult, len(res.Steps))
 	for i, st := range res.Steps {
-		out.Steps[i] = *tuneResult(st.Result)
+		out.Steps[i] = *tuneResult(st)
 	}
 	return out
 }

@@ -162,8 +162,8 @@ func TestSeriesAggregatesCacheCounters(t *testing.T) {
 	}
 	var hits, misses int
 	for _, step := range out.Steps {
-		hits += step.Result.CacheHits
-		misses += step.Result.CacheMisses
+		hits += step.CacheHits
+		misses += step.CacheMisses
 	}
 	if out.CacheHits != hits || out.CacheMisses != misses {
 		t.Errorf("series totals %d/%d, want %d/%d", out.CacheHits, out.CacheMisses, hits, misses)

@@ -79,9 +79,9 @@ const DefaultTolerance = 0.1
 // because compression time varies too much across datasets (§V-C).
 const DefaultMaxIterationsPerRegion = 24
 
-// Gamma is the clamp applied to the quadratic loss: 80% of the largest
+// gamma is the clamp applied to the quadratic loss: 80% of the largest
 // representable double, as in §V-B2.
-var Gamma = 0.8 * math.MaxFloat64
+const gamma = 0.8 * math.MaxFloat64
 
 // Config controls a Tuner.
 type Config struct {
@@ -99,9 +99,6 @@ type Config struct {
 	// is split into; they are searched lowest first, Workers at a time. Zero
 	// selects parallel.DefaultRegions (12).
 	Regions int
-	// Overlap is the fractional overlap between adjacent regions. Zero
-	// selects parallel.DefaultOverlap (10%).
-	Overlap float64
 	// MaxIterationsPerRegion caps optimizer iterations per region. Zero
 	// selects DefaultMaxIterationsPerRegion.
 	MaxIterationsPerRegion int
@@ -122,9 +119,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Regions <= 0 {
 		c.Regions = parallel.DefaultRegions
-	}
-	if c.Overlap <= 0 {
-		c.Overlap = parallel.DefaultOverlap
 	}
 	if c.MaxIterationsPerRegion <= 0 {
 		c.MaxIterationsPerRegion = DefaultMaxIterationsPerRegion
@@ -175,6 +169,10 @@ type Evaluation struct {
 	// Err is the compressor's error when the evaluation failed; Value is then
 	// NaN.
 	Err error
+	// Elapsed is the wall time the evaluation took: the compressor's (and the
+	// quality report's) on a miss; the lookup, or the wait on another
+	// caller's run of the same slot, on a hit.
+	Elapsed time.Duration
 	// stream is what the evaluation compressed the tuned buffer into, held
 	// while the run lasts when it ran the compressor and landed in band.
 	stream []byte
@@ -214,14 +212,10 @@ type Result struct {
 	// is empty, and ErrorBound holds the whole-bit rate.
 	Direct bool
 	// UsedPrediction is true when a reused bound from a previous time-step
-	// satisfied the target without retraining.
+	// satisfied the target without retraining. A prediction that was tried is
+	// Evaluations[0], with Rung RungReuse; its Err tells a compressor failure
+	// from a bound that merely missed the band.
 	UsedPrediction bool
-	// PredictionErr records the error of the prediction evaluation when one
-	// was tried and the compressor failed on it. It distinguishes "the
-	// reused bound missed the acceptance band" (nil, retrained normally)
-	// from "the compressor could not evaluate the reused bound at all",
-	// which TuneSeries reporting would otherwise conflate.
-	PredictionErr error
 	// CacheHits counts the evaluations, of Iterations, served from the shared
 	// evaluation cache without invoking the compressor; CacheMisses the ones
 	// that were not (those that compressed, plus failed evaluations).
@@ -398,12 +392,6 @@ func (t *Tuner) tune(ctx context.Context, buf pressio.Buffer, prediction float64
 	}
 	if evs := res.Evaluations; len(evs) > 0 && evs[0].Rung == RungReuse {
 		res.UsedPrediction = t.obj.InBand(evs[0].Value)
-		if evs[0].Err != nil {
-			// A compressor failure at the predicted bound is not the same as
-			// "the prediction missed the band": series reporting tells them
-			// apart.
-			res.PredictionErr = fmt.Errorf("fraz: prediction evaluation at bound %v: %w", prediction, evs[0].Err)
-		}
 	}
 	// The earliest evaluation none of the others is better than: the pick
 	// follows from the order of the list alone.
@@ -482,12 +470,13 @@ func (r *run) descend(prediction float64) error {
 // full metric report) for quality objectives. It
 // appends the Evaluation to list — the run's, or a sweep region's — with the
 // bound the measurement ran at, the objective's achieved Value, and the
-// stream of an in-band one that ran the compressor.
+// stream of an in-band one that ran the compressor, and the time it took.
 func (r *run) measure(list *[]Evaluation, rung Rung, region int, bound float64) Evaluation {
 	t := r.t
+	start := time.Now()
 	entry, comp, hit, err := r.eval.Evaluate(bound, t.obj.Quality)
 	ev := Evaluation{Rung: rung, Region: region, ErrorBound: entry.Bound, Ratio: entry.Ratio,
-		CompressedSize: entry.Size, Value: math.NaN(), CacheHit: hit, Err: err}
+		CompressedSize: entry.Size, Value: math.NaN(), CacheHit: hit, Err: err, Elapsed: time.Since(start)}
 	if err != nil {
 		ev.ErrorBound = t.codec.Param.Slot(bound)
 	} else {
@@ -553,7 +542,7 @@ func (r *run) sweep(lo, hi float64) error {
 	if t.obj.Quality {
 		lo, hi = math.Log(lo), math.Log(hi)
 	}
-	regions, err := parallel.SplitRegions(lo, hi, t.cfg.Regions, t.cfg.Overlap)
+	regions, err := parallel.SplitRegions(lo, hi, t.cfg.Regions, parallel.DefaultOverlap)
 	if err != nil {
 		return err
 	}
@@ -634,7 +623,7 @@ func (r *run) searchRegion(stop func() bool, region parallel.Region, idx int) (e
 	objective := func(x float64) float64 {
 		if stop() {
 			// Report the clamp so the optimizer loses interest.
-			return Gamma
+			return gamma
 		}
 		bound := x
 		if t.obj.Quality {
@@ -653,27 +642,15 @@ func (r *run) searchRegion(stop func() bool, region parallel.Region, idx int) (e
 	return evs, err == nil && optRes.Converged
 }
 
-// SeriesStep is the tuning outcome for one time-step of a field series.
-type SeriesStep struct {
-	TimeStep int
-	Result   Result
-	// Retrained is true when the previous step's bound missed the band and a
-	// full search was required.
-	Retrained bool
-}
-
 // SeriesResult aggregates the tuning of a whole field across time-steps.
 type SeriesResult struct {
 	// Field names the series (e.g. "Hurricane/CLOUDf").
 	Field string
-	Steps []SeriesStep
-	// Retrains counts how many steps required a full search (the first step
-	// always does).
+	// Steps holds each time-step's result, indexed by step.
+	Steps []Result
+	// Retrains counts the steps the reused bound did not settle (the first
+	// step always is one): those without UsedPrediction.
 	Retrains int
-	// PredictionErrors counts the steps whose prediction evaluation failed
-	// outright (Result.PredictionErr != nil) — retrains forced by a
-	// compressor failure, not by the reused bound missing the band.
-	PredictionErrors int
 	// ConvergedSteps counts steps whose final ratio is inside the band.
 	ConvergedSteps int
 	// TotalIterations is the total number of compressor evaluations.
@@ -719,16 +696,12 @@ func (t *Tuner) TuneSeries(ctx context.Context, s Series) (SeriesResult, error) 
 		if err != nil {
 			return out, fmt.Errorf("fraz: series %s step %d: %w", s.Field, step, err)
 		}
-		stepOut := SeriesStep{TimeStep: step, Result: res, Retrained: !res.UsedPrediction}
-		out.Steps = append(out.Steps, stepOut)
+		out.Steps = append(out.Steps, res)
 		out.TotalIterations += res.Iterations
 		out.CacheHits += res.CacheHits
 		out.CacheMisses += res.CacheMisses
-		if stepOut.Retrained {
+		if !res.UsedPrediction {
 			out.Retrains++
-		}
-		if res.PredictionErr != nil {
-			out.PredictionErrors++
 		}
 		if res.Feasible {
 			out.ConvergedSteps++

@@ -132,10 +132,10 @@ func TestLossAndCutoff(t *testing.T) {
 	if got := obj.Loss(12); got != 4 {
 		t.Errorf("Loss(12) around 10 = %v, want 4", got)
 	}
-	if got := obj.Loss(math.Inf(1)); got != Gamma {
+	if got := obj.Loss(math.Inf(1)); got != gamma {
 		t.Errorf("infinite ratio should clamp to gamma")
 	}
-	if got := obj.Loss(math.NaN()); got != Gamma {
+	if got := obj.Loss(math.NaN()); got != gamma {
 		t.Errorf("NaN should clamp to gamma")
 	}
 	if got := obj.SearchCutoff(); math.Abs(got-1) > 1e-12 {
@@ -156,7 +156,7 @@ func TestInBand(t *testing.T) {
 func TestPropertyLossBounded(t *testing.T) {
 	f := func(achieved, target float64) bool {
 		l := FixedRatio(target).Loss(achieved)
-		return l >= 0 && l <= Gamma
+		return l >= 0 && l <= gamma
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -318,8 +318,9 @@ func TestTuneWithBadPredictionRetrains(t *testing.T) {
 }
 
 // TestTuneWithPredictionRecordsEvaluationError pins the distinction between
-// a prediction that missed the band (PredictionErr nil, retrain) and one the
-// compressor failed to evaluate at all (PredictionErr records the cause).
+// a prediction that missed the band (its evaluation, listed first, has no
+// Err; retrain) and one the compressor failed to evaluate at all (its Err is
+// the cause).
 func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 	// A stand-in for a compressor whose parameter validation rejects a bound
 	// that drifted out of range: here, below the search's floor (1e-9 of the
@@ -337,8 +338,8 @@ func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(res.PredictionErr, errFaulty) {
-		t.Errorf("PredictionErr = %v, want the compressor failure", res.PredictionErr)
+	if ev := res.Evaluations[0]; ev.Rung != RungReuse || !errors.Is(ev.Err, errFaulty) {
+		t.Errorf("first evaluation %+v, want the prediction with the compressor failure", ev)
 	}
 	if res.UsedPrediction {
 		t.Errorf("a failed prediction evaluation must not be reused")
@@ -352,13 +353,14 @@ func TestTuneWithPredictionRecordsEvaluationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if missed.PredictionErr != nil {
-		t.Errorf("a merely-missed prediction should not record an error, got %v", missed.PredictionErr)
+	if ev := missed.Evaluations[0]; ev.Rung != RungReuse || ev.Err != nil {
+		t.Errorf("a merely-missed prediction should not record an error, got %+v", ev)
 	}
 }
 
 // TestTuneSeriesCountsPredictionErrors checks the series-level accounting:
-// a step whose prediction evaluation fails increments PredictionErrors.
+// a step whose prediction evaluation fails lists that failure first, and
+// counts as a retrain.
 func TestTuneSeriesCountsPredictionErrors(t *testing.T) {
 	// Step 0 trains normally. Step 1 uses a different buffer (so the
 	// prediction evaluation cannot be served from the cache) and its first
@@ -383,17 +385,14 @@ func TestTuneSeriesCountsPredictionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.PredictionErrors != 1 {
-		t.Errorf("PredictionErrors = %d, want 1 (step 1's prediction failed to evaluate)", out.PredictionErrors)
+	if ev := out.Steps[0].Evaluations[0]; ev.Rung == RungReuse {
+		t.Errorf("step 0 ran without a prediction, yet lists one: %+v", ev)
 	}
-	if out.Steps[0].Result.PredictionErr != nil {
-		t.Errorf("step 0 ran without a prediction, PredictionErr = %v", out.Steps[0].Result.PredictionErr)
+	if ev := out.Steps[1].Evaluations[0]; ev.Rung != RungReuse || !errors.Is(ev.Err, errFaulty) {
+		t.Errorf("step 1 should list its failed prediction evaluation first, got %+v", ev)
 	}
-	if out.Steps[1].Result.PredictionErr == nil {
-		t.Errorf("step 1 should record its prediction evaluation error")
-	}
-	if !out.Steps[1].Retrained {
-		t.Errorf("step 1 should have retrained after the failed prediction")
+	if out.Steps[1].UsedPrediction || out.Retrains != 2 {
+		t.Errorf("step 1 should have retrained after the failed prediction: %d retrains", out.Retrains)
 	}
 }
 
@@ -662,7 +661,7 @@ func TestSweepDeterministicLowestRegionWins(t *testing.T) {
 		}
 		res.Elapsed, res.CacheHits, res.CacheMisses = 0, 0, 0
 		for i := range res.Evaluations {
-			res.Evaluations[i].CacheHit = false
+			res.Evaluations[i].CacheHit, res.Evaluations[i].Elapsed = false, 0
 		}
 		return res
 	}
@@ -748,6 +747,41 @@ func TestEvaluationsListEveryCharge(t *testing.T) {
 				}
 				if prediction > 0 && !res.Direct && len(res.Evaluations) == 0 {
 					t.Errorf("%s: the prediction was measured but not listed", name)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluationsCarryTheirTime holds that every evaluation which ran the
+// compressor records a positive time, and that at one worker — nothing
+// listed runs concurrently — the list's times fit inside the run's.
+func TestEvaluationsCarryTheirTime(t *testing.T) {
+	buf := sealTestBuffer(t)
+	for _, name := range []string{"sz:abs", "zfp:rate"} {
+		c, err := pressio.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []Objective{FixedRatio(6), FixedPSNR(60)} {
+			tu, err := NewTuner(c, Config{Objective: obj, Regions: 4, Seed: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prediction := range []float64{0, 1e-7} {
+				res, err := tu.TuneWithPrediction(context.Background(), buf, prediction)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sum time.Duration
+				for i, ev := range res.Evaluations {
+					if !ev.CacheHit && ev.Elapsed <= 0 {
+						t.Errorf("%s/%s/prediction=%g: entry %d ran the compressor in %v", name, obj.Name, prediction, i, ev.Elapsed)
+					}
+					sum += ev.Elapsed
+				}
+				if sum > res.Elapsed {
+					t.Errorf("%s/%s/prediction=%g: evaluations took %v of a %v run", name, obj.Name, prediction, sum, res.Elapsed)
 				}
 			}
 		}

@@ -62,7 +62,7 @@ func (r *run) model(lo, hi float64) bool {
 		if yAim > toY(edge) {
 			far, edge = edge, far
 		}
-		yAim = toY(edge + (far-edge)/8)
+		yAim = toY(edge + float64((far-edge)/8))
 		first = yAim
 		settled = func(v float64) bool { return (v-t.obj.Target)*(edge-t.obj.Target) >= 0 }
 	}
@@ -119,10 +119,10 @@ func (r *run) model(lo, hi float64) bool {
 		// y pins the other end — bisect instead.
 		w := above.x - below.x
 		if stalled {
-			return below.x + w/2
+			return below.x + float64(w/2)
 		}
 		x := below.x + w*(yAim-below.y)/(above.y-below.y)
-		return math.Min(math.Max(x, below.x+w/4), above.x-w/4)
+		return math.Min(math.Max(x, below.x+float64(w/4)), above.x-float64(w/4))
 	}
 
 	x := first

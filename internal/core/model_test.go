@@ -166,13 +166,12 @@ func TestTuneSeriesRetrainStartsFromMissedPrediction(t *testing.T) {
 		if out.ConvergedSteps != 3 || out.Retrains != 2 {
 			t.Fatalf("%s: want 3 converged steps, retrains at 0 and 2: %+v", obj.Name, out)
 		}
-		if reused := out.Steps[1]; reused.Retrained || reused.Result.Iterations != 1 {
+		if reused := out.Steps[1]; !reused.UsedPrediction || reused.Iterations != 1 {
 			t.Errorf("%s: the unchanged step should reuse the bound in one evaluation: %+v", obj.Name, reused)
 		}
-		jump := out.Steps[2]
-		res := jump.Result
-		if !jump.Retrained || res.UsedPrediction || res.PredictionErr != nil {
-			t.Fatalf("%s: the jump should force a retrain: %+v", obj.Name, jump)
+		res := out.Steps[2]
+		if res.UsedPrediction || len(res.Evaluations) == 0 || res.Evaluations[0].Err != nil {
+			t.Fatalf("%s: the jump should force a retrain, its prediction measured without error: %+v", obj.Name, res)
 		}
 		if res.Iterations < 2 || res.Iterations > modelProbeBudget {
 			t.Errorf("%s: retrain cost %d evaluations, want 2..%d", obj.Name, res.Iterations, modelProbeBudget)
@@ -180,7 +179,7 @@ func TestTuneSeriesRetrainStartsFromMissedPrediction(t *testing.T) {
 		if st := stages(res); len(res.Evaluations) != res.Iterations || len(st) != 2 || len(st[0]) != 1 || st[0][0].Rung != RungReuse || st[1][0].Rung != RungModel {
 			t.Fatalf("%s: every evaluation of the retrain, the prediction and then the model probes, should be listed once: %d evaluations, list %+v", obj.Name, res.Iterations, res.Evaluations)
 		}
-		if got, want := res.Evaluations[0].ErrorBound, out.Steps[1].Result.ErrorBound; got != want {
+		if got, want := res.Evaluations[0].ErrorBound, out.Steps[1].ErrorBound; got != want {
 			t.Errorf("%s: first point of the retrain is bound %v, want the missed prediction %v", obj.Name, got, want)
 		}
 		if res.Iterations != res.CacheHits+res.CacheMisses {

@@ -117,7 +117,7 @@ func FixedRatio(target float64) Objective {
 		// written here only place the pilot probe, whose measurement then
 		// takes their place.
 		LogBoundFor: func(ratio, valueRange float64, bits int) float64 {
-			return math.Log(valueRange) - (float64(bits)/ratio+3)*math.Ln2
+			return math.Log(valueRange) - float64((float64(bits)/ratio+3)*math.Ln2)
 		},
 	}
 }
@@ -279,10 +279,10 @@ func (o Objective) better(a, b Evaluation) bool {
 // the ratio.
 func (o Objective) Loss(achieved float64) float64 {
 	d := achieved - o.Target
-	if v := d * d; v <= Gamma {
+	if v := d * d; v <= gamma {
 		return v
 	}
-	return Gamma // too far, or not a number
+	return gamma // too far, or not a number
 }
 
 // DirectlySatisfiable reports whether the objective can be satisfied by

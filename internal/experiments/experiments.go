@@ -10,8 +10,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"fraz/internal/core"
 	"fraz/internal/dataset"
@@ -67,45 +65,6 @@ func series(d dataset.Dataset, field string, steps int) core.Series {
 			return fieldBuffer(d, field, i)
 		},
 	}
-}
-
-// timedCompressor wraps a pressio.Compressor and accumulates the wall-clock
-// time spent inside Compress calls, which is how the harness separates
-// "compression time" from total tuning time for Fig. 7.
-type timedCompressor struct {
-	pressio.Compressor
-	mu      sync.Mutex
-	elapsed time.Duration
-	calls   int
-}
-
-func newTimedCompressor(c pressio.Compressor) *timedCompressor {
-	return &timedCompressor{Compressor: c}
-}
-
-func (t *timedCompressor) Compress(buf pressio.Buffer, bound float64) ([]byte, error) {
-	start := time.Now()
-	out, err := t.Compressor.Compress(buf, bound)
-	d := time.Since(start)
-	t.mu.Lock()
-	t.elapsed += d
-	t.calls++
-	t.mu.Unlock()
-	return out, err
-}
-
-// CompressionTime reports the cumulative time spent compressing.
-func (t *timedCompressor) CompressionTime() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.elapsed
-}
-
-// Calls reports the number of Compress invocations.
-func (t *timedCompressor) Calls() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.calls
 }
 
 // mustCompressor resolves a registered compressor or panics; experiment code

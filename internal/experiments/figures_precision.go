@@ -68,12 +68,11 @@ func Precision(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tuneStart := time.Now()
 			res, err := tu.TuneBuffer(context.Background(), buf)
 			if err != nil {
 				return nil, fmt.Errorf("precision: tuning %s/%s %s: %w", tg.app, tg.field, buf.DType(), err)
 			}
-			tuneMS := float64(time.Since(tuneStart).Microseconds()) / 1e3
+			tuneMS := float64(res.Elapsed.Microseconds()) / 1e3
 
 			full, err := pressio.Run(comp, buf, res.ErrorBound)
 			if err != nil {

@@ -99,7 +99,7 @@ func FindGlobalMin(obj Objective, opts Options) (Result, error) {
 	initial := []float64{
 		opts.Lower,
 		opts.Upper,
-		opts.Lower + (0.25+0.5*rng.Float64())*(opts.Upper-opts.Lower),
+		opts.Lower + float64((0.25+float64(0.5*rng.Float64()))*(opts.Upper-opts.Lower)),
 	}
 	for _, x := range initial {
 		if s.done() {
@@ -178,7 +178,7 @@ func (s *searchState) eval(x float64) {
 func (s *searchState) lipoCandidate() float64 {
 	pts := s.sorted
 	if len(pts) < 2 {
-		return s.lower + s.rng.Float64()*(s.upper-s.lower)
+		return s.lower + float64(s.rng.Float64()*(s.upper-s.lower))
 	}
 	// Estimate the Lipschitz constant from observed slopes, inflated
 	// slightly so the bound stays admissible between samples.
@@ -193,7 +193,7 @@ func (s *searchState) lipoCandidate() float64 {
 			k = slope
 		}
 	}
-	k *= 1.1
+	k = float64(k * 1.1)
 
 	if k == 0 || math.IsInf(k, 0) {
 		return s.widestGapMidpoint()
@@ -208,17 +208,17 @@ func (s *searchState) lipoCandidate() float64 {
 			continue
 		}
 		// Minimum of max(a.F - k(x-a.X), b.F - k(b.X-x)) on [a.X, b.X].
-		x := (a.X+b.X)/2 + (b.F-a.F)/(2*k)
+		x := float64((a.X+b.X)/2) + (b.F-a.F)/(2*k)
 		if x < a.X {
 			x = a.X
 		}
 		if x > b.X {
 			x = b.X
 		}
-		val := (a.F+b.F)/2 - k*dx/2
+		val := float64((a.F+b.F)/2) - float64(k*dx/2)
 		// Prefer intervals with low bound values; break ties toward wide
 		// intervals to keep exploring.
-		val -= 1e-12 * dx
+		val -= float64(1e-12 * dx)
 		if val < bestVal {
 			bestVal = val
 			bestX = x
@@ -259,8 +259,8 @@ func (s *searchState) quadraticCandidate() float64 {
 	if den == 0 {
 		return s.widestGapMidpoint()
 	}
-	a := (x2*(f1-f0) + x1*(f0-f2) + x0*(f2-f1)) / den
-	b := (x2*x2*(f0-f1) + x1*x1*(f2-f0) + x0*x0*(f1-f2)) / den
+	a := (float64(x2*(f1-f0)) + float64(x1*(f0-f2)) + float64(x0*(f2-f1))) / den
+	b := (float64(x2*x2*(f0-f1)) + float64(x1*x1*(f2-f0)) + float64(x0*x0*(f1-f2))) / den
 	if a <= 0 {
 		// Concave or flat fit: no interior minimum; bisect the wider side of
 		// the best point instead.
@@ -298,7 +298,7 @@ func (s *searchState) widestGapMidpoint() float64 {
 		}
 		if gap := cur - prev; gap > bestGap {
 			bestGap = gap
-			bestMid = prev + gap/2
+			bestMid = prev + float64(gap/2)
 		}
 		prev = cur
 	}

@@ -56,11 +56,11 @@ func SplitRegions(lo, hi float64, k int, overlap float64) ([]Region, error) {
 		overlap = 0.9
 	}
 	width := (hi - lo) / float64(k)
-	pad := width * overlap / 2
+	pad := float64(width * overlap / 2)
 	regions := make([]Region, k)
 	for i := 0; i < k; i++ {
-		rlo := lo + float64(i)*width - pad
-		rhi := lo + float64(i+1)*width + pad
+		rlo := lo + float64(float64(i)*width) - pad
+		rhi := lo + float64(float64(i+1)*width) + pad
 		if rlo < lo {
 			rlo = lo
 		}

@@ -109,8 +109,8 @@ type Codec struct {
 	// Encode and Decode are the kernel, and both must be safe for concurrent
 	// use. Encode compresses the buffer at the given parameter value and
 	// returns freshly allocated memory that aliases neither its input nor
-	// codec-internal state: the caller's, at its exact length (cap == len),
-	// never pooled. Decode reverses it into dst, whose shape and element type
+	// codec-internal state: the caller's to keep, never pooled (its capacity
+	// may exceed its length). Decode reverses it into dst, whose shape and element type
 	// are what the stream must hold: it writes exactly dst.Len() values or
 	// fails, and never allocates the output.
 	// Callers go through Compress, Decompress and OpenBlocked, which check

@@ -1,6 +1,9 @@
 package pressio
 
 import (
+	"fmt"
+	"math"
+
 	"fraz/internal/frsz"
 	"fraz/internal/grid"
 	"fraz/internal/mgard"
@@ -16,10 +19,25 @@ import (
 // float64).
 
 var (
+	szAbsEncode = reconEncoder(func(_ Buffer, p float64) sz.Options { return sz.Options{ErrorBound: p} },
+		sz.CompressAndReconstruct[float32], sz.CompressAndReconstruct[float64])
 	szDecode    = decoder(sz.DecompressInto[float32], sz.DecompressInto[float64])
 	zfpDecode   = decoder(zfp.DecompressInto[float32], zfp.DecompressInto[float64])
 	mgardDecode = decoder(mgard.DecompressInto[float32], mgard.DecompressInto[float64])
 )
+
+// szRelEncode is sz:abs at the given share of the field's value range, which
+// must be finite for the share to name a bound.
+func szRelEncode(buf Buffer, p float64) ([]byte, error) {
+	vr := buf.ValueRange()
+	if math.IsInf(vr, 0) || math.IsNaN(vr) {
+		return nil, fmt.Errorf("%w: sz:rel needs a finite value range, the field's is %v", sz.ErrInvalidInput, vr)
+	}
+	if vr <= 0 {
+		vr = 1 // constant field: any positive absolute bound preserves it
+	}
+	return szAbsEncode(buf, p*vr)
+}
 
 // zfpEncode builds the Encode of one ZFP mode.
 func zfpEncode(opts func(param float64) zfp.Options) func(Buffer, float64) ([]byte, error) {
@@ -35,9 +53,8 @@ func mgardEncode(norm mgard.Norm) func(Buffer, float64) ([]byte, error) {
 var builtin = []*Codec{
 	{
 		Name: "sz:abs", MinRank: 1, MaxRank: 3,
-		Param: Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
-		Encode: reconEncoder(func(_ Buffer, p float64) sz.Options { return sz.Options{ErrorBound: p} },
-			sz.CompressAndReconstruct[float32], sz.CompressAndReconstruct[float64]),
+		Param:        Param{Name: "absolute error bound", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode:       szAbsEncode,
 		Decode:       szDecode,
 		Reconstructs: true,
 	},
@@ -45,14 +62,8 @@ var builtin = []*Codec{
 		// The configuration most scientific users run: bounds quoted as a
 		// share (say 10^-3) of the value range.
 		Name: "sz:rel", MinRank: 1, MaxRank: 3,
-		Param: Param{Name: "value-range-relative error bound", Unit: UnitRangeFraction, Lo: 1e-12, Hi: 1},
-		Encode: reconEncoder(func(buf Buffer, p float64) sz.Options {
-			vr := buf.ValueRange()
-			if vr <= 0 {
-				vr = 1 // constant field: any positive absolute bound preserves it
-			}
-			return sz.Options{ErrorBound: p * vr}
-		}, sz.CompressAndReconstruct[float32], sz.CompressAndReconstruct[float64]),
+		Param:        Param{Name: "value-range-relative error bound", Unit: UnitRangeFraction, Lo: 1e-12, Hi: 1},
+		Encode:       szRelEncode,
 		Decode:       szDecode,
 		Reconstructs: true,
 	},

@@ -1,13 +1,16 @@
 package pressio
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fraz/internal/container"
 	"fraz/internal/grid"
+	"fraz/internal/sz"
 )
 
 // reconFields are the fields a reconstructing codec is held to: the
@@ -92,11 +95,15 @@ func TestReconstructionIsTheDecode(t *testing.T) {
 }
 
 // checkReconstructionIsTheDecode is one cell of the test. A field the codec
-// refuses (sz:rel on a field whose value range is not finite) must be
-// refused by the evaluation as well.
+// refuses (sz:rel on a field whose value range is not finite, blaming that
+// range) must be refused by the evaluation as well.
 func checkReconstructionIsTheDecode(t *testing.T, c *Codec, buf Buffer, param float64) {
 	want, err := c.Compress(buf, param)
 	if err != nil {
+		vr := buf.ValueRange()
+		if c.Name == "sz:rel" && (!errors.Is(err, sz.ErrInvalidInput) || !strings.Contains(err.Error(), fmt.Sprintf("finite value range, the field's is %v", vr))) {
+			t.Errorf("sz:rel on a field of value range %v refuses with %q, want sz.ErrInvalidInput naming the range", vr, err)
+		}
 		if _, _, ferr := NewEvaluator(nil, c, buf).Full(param); ferr == nil {
 			t.Fatalf("Compress refuses the field (%v), the evaluation does not", err)
 		}
