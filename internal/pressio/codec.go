@@ -119,11 +119,13 @@ type Codec struct {
 	Decode func(comp []byte, dst Buffer) error
 	// Reconstructs marks a codec whose encoder builds, as it writes the
 	// stream, the values its decoder will produce (sz predicts from them;
-	// szx keeps each block's midrange or leading bytes). Its Encode writes
-	// them, bit for bit what Decode of the returned stream writes, into the
-	// destination a quality evaluation attaches to the buffer, and the
-	// evaluation reports on them instead of decoding the stream. Any other
-	// codec's quality evaluation decodes.
+	// szx keeps each block's midrange or leading bytes; zfp keeps each
+	// coefficient's bit planes from kmin up, which its accuracy and
+	// precision modes code in full). Its Encode writes them, bit for bit
+	// what Decode of the returned stream writes, into the destination a
+	// quality evaluation attaches to the buffer, and the evaluation reports
+	// on them instead of decoding the stream. Any other codec's quality
+	// evaluation decodes.
 	Reconstructs bool
 	// Size, when set, marks a true fixed-rate codec: the parameter is the
 	// storage itself (bits per value), and Size returns the exact length of

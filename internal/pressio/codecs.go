@@ -39,9 +39,12 @@ func szRelEncode(buf Buffer, p float64) ([]byte, error) {
 	return szAbsEncode(buf, p*vr)
 }
 
-// zfpEncode builds the Encode of one ZFP mode.
+// zfpEncode builds the Encode of a ZFP mode that reconstructs as it encodes
+// (accuracy and fixed precision; fixed rate does not, see
+// zfp.CompressAndReconstruct).
 func zfpEncode(opts func(param float64) zfp.Options) func(Buffer, float64) ([]byte, error) {
-	return encoder(func(_ Buffer, p float64) zfp.Options { return opts(p) }, zfp.Compress[float32], zfp.Compress[float64])
+	return reconEncoder(func(_ Buffer, p float64) zfp.Options { return opts(p) },
+		zfp.CompressAndReconstruct[float32], zfp.CompressAndReconstruct[float64])
 }
 
 // mgardEncode builds the Encode of one MGARD norm.
@@ -81,14 +84,16 @@ var builtin = []*Codec{
 	},
 	{
 		Name: "zfp:accuracy", MinRank: 1, MaxRank: 3,
-		Param:  Param{Name: "absolute error tolerance", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
-		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeAccuracy, Tolerance: p} }),
-		Decode: zfpDecode,
+		Param:        Param{Name: "absolute error tolerance", Unit: UnitAbsError, Lo: 1e-12, Hi: 1e12},
+		Encode:       zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeAccuracy, Tolerance: p} }),
+		Decode:       zfpDecode,
+		Reconstructs: true,
 	},
 	{
 		Name: "zfp:rate", MinRank: 1, MaxRank: 3,
-		Param:  Param{Name: "bits per value", Unit: UnitBits, Lo: 1, Hi: 32},
-		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedRate, Rate: p} }),
+		Param: Param{Name: "bits per value", Unit: UnitBits, Lo: 1, Hi: 32},
+		Encode: encoder(func(_ Buffer, p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedRate, Rate: p} },
+			zfp.Compress[float32], zfp.Compress[float64]),
 		Decode: zfpDecode,
 	},
 	{
@@ -96,9 +101,10 @@ var builtin = []*Codec{
 		// float32 resolution in this mode; zfp:accuracy, whose bound drives
 		// the plane cutoff through the exponent, reaches all 64.
 		Name: "zfp:precision", MinRank: 1, MaxRank: 3,
-		Param:  Param{Name: "bit planes per block", Unit: UnitPlanes, Lo: 1, Hi: 32, Integer: true},
-		Encode: zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedPrecision, Precision: int(p)} }),
-		Decode: zfpDecode,
+		Param:        Param{Name: "bit planes per block", Unit: UnitPlanes, Lo: 1, Hi: 32, Integer: true},
+		Encode:       zfpEncode(func(p float64) zfp.Options { return zfp.Options{Mode: zfp.ModeFixedPrecision, Precision: int(p)} }),
+		Decode:       zfpDecode,
+		Reconstructs: true,
 	},
 	{
 		Name: "mgard:abs", MinRank: 2, MaxRank: 3,

@@ -26,6 +26,14 @@
 // Compress refuses NaN and ±Inf in every mode with ErrInvalidInput: a block
 // shares one exponent, a non-finite value has none to offer, and scaling its
 // finite neighbours against a wrong one would break their bound.
+//
+// CompressAndReconstruct is Compress that also writes, block by block, the
+// field DecompressInto will produce from the stream, so a caller measuring
+// the round trip's quality can skip the decode. Accuracy and fixed-precision
+// modes code every bit plane down to a block's cutoff in full, so the
+// decoder's coefficients are the encoder's with the planes below the cutoff
+// cleared; fixed-rate mode's budget can cut a plane partway, and it refuses
+// to reconstruct.
 package zfp
 
 import (
@@ -142,11 +150,23 @@ func guardPlanes(ndims int) int { return 2 * (ndims + 1) }
 // Compress compresses the field under the given options. The returned stream
 // is self-describing.
 func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, error) {
+	return CompressAndReconstruct(data, shape, opts, nil)
+}
+
+// CompressAndReconstruct is Compress that also writes into recon, unless it
+// is nil, the values DecompressInto will decode from the returned stream, bit
+// for bit. recon holds exactly the values of shape. Fixed-rate mode refuses a
+// recon with ErrInvalidInput: its budget can end a block partway through a
+// bit plane, which the encoder does not model.
+func CompressAndReconstruct[T grid.Float](data []T, shape grid.Dims, opts Options, recon []T) ([]byte, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
 	if len(data) != shape.Len() {
 		return nil, fmt.Errorf("%w: data length %d does not match shape %v", ErrInvalidInput, len(data), shape)
+	}
+	if recon != nil && len(recon) != len(data) {
+		return nil, fmt.Errorf("%w: reconstruction length %d does not match shape %v", ErrInvalidInput, len(recon), shape)
 	}
 	nd := shape.NDims()
 	if nd > 3 {
@@ -157,6 +177,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	if err := h.setParam(param); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
+	if recon != nil && opts.Mode == ModeFixedRate {
+		return nil, fmt.Errorf("%w: fixed-rate mode does not reconstruct as it encodes", ErrInvalidInput)
+	}
 
 	out := make([]byte, 0, fixedHeaderLen+4*nd+len(data)/2)
 	out = binary.LittleEndian.AppendUint32(out, stream.Magic(h.elemSize))
@@ -166,9 +189,9 @@ func Compress[T grid.Float](data []T, shape grid.Dims, opts Options) ([]byte, er
 	w := bitstream.AppendWriter(out)
 	var err error
 	if h.elemSize == 8 {
-		err = encodeBlocks[T, int64](w, data, &h)
+		err = encodeBlocks[T, int64](w, data, recon, &h)
 	} else {
-		err = encodeBlocks[T, int32](w, data, &h)
+		err = encodeBlocks[T, int32](w, data, recon, &h)
 	}
 	if err != nil {
 		return nil, err
@@ -395,16 +418,22 @@ func blockExponent(block []float64) (e int, nonzero, finite bool) {
 
 // encodeBlocks is Compress's block loop with coefficient domain I. It steps
 // through the block origins in stream order (row-major over blocks) and
-// builds no block list; a block's working arrays live on the stack.
-func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, h *header) error {
+// builds no block list; a block's working arrays live on the stack. Unless
+// recon is nil, each block's reconstruction is scattered into it.
+func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data, recon []T, h *header) error {
 	nd := len(h.shape)
 	size := blockValues(nd)
 	t := newTiling(h.shape)
 	var block [64]float64
+	var kept *[64]uint64 // the coded coefficients, when reconstructing
+	if recon != nil {
+		kept = new([64]uint64)
+	}
 	for z := 0; z < t.ext[0]; z += t.edge[0] {
 		for y := 0; y < t.ext[1]; y += t.edge[1] {
 			for x := 0; x < t.ext[2]; x += 4 {
-				gather(&block, data, &t, t.at(z, y, x))
+				s := t.at(z, y, x)
+				gather(&block, data, &t, s)
 				emax, nonzero, finite := blockExponent(block[:size])
 				if !finite {
 					origin := [3]int{z, y, x}
@@ -412,11 +441,14 @@ func encodeBlocks[T grid.Float, I coeff](w *bitstream.Writer, data []T, h *heade
 						ErrInvalidInput, origin[3-nd:])
 				}
 				start := w.Len()
-				encodeBlock[I](w, &block, nd, emax, nonzero, h)
+				encodeBlock[I](w, &block, nd, emax, nonzero, h, kept)
 				if h.mode == ModeFixedRate {
 					for pad := h.maxbits - (w.Len() - start); pad > 0; pad -= 64 {
 						w.WriteBits(0, uint(min(pad, 64)))
 					}
+				}
+				if recon != nil {
+					scatter(recon, &block, &t, s)
 				}
 			}
 		}
@@ -451,13 +483,20 @@ func decodeBlocks[T grid.Float, I coeff](r *bitstream.Reader, out []T, h *header
 
 // encodeBlock encodes one 4^d block, whose exponent is emax, with
 // coefficient domain I (int32 for float32 streams, int64 for float64).
-func encodeBlock[I coeff](w *bitstream.Writer, block *[64]float64, nd, emax int, nonzero bool, h *header) {
+// Unless kept is nil, it then overwrites block with what decodeBlock will
+// make of the bits it wrote, using kept as scratch; that needs a budget that
+// codes every plane down to kmin, which fixed-rate mode's is not.
+func encodeBlock[I coeff](w *bitstream.Writer, block *[64]float64, nd, emax int, nonzero bool, h *header, kept *[64]uint64) {
 	intprec := intprecOf[I]()
+	size := blockValues(nd)
 	kmin, budget := h.planes(emax, nd, intprec)
 	if !nonzero || kmin == intprec {
 		// The block reconstructs to all zeros (within tolerance, when
 		// accuracy mode keeps no plane of it).
 		w.WriteBits(0, 1)
+		if kept != nil {
+			clear(block[:size])
+		}
 		return
 	}
 	// A set flag, then the biased exponent (bias 16384 keeps it positive in
@@ -467,7 +506,6 @@ func encodeBlock[I coeff](w *bitstream.Writer, block *[64]float64, nd, emax int,
 	// Block floating point: scale to signed integers with intprec-2 bits.
 	// The clamp keeps |q| strictly below 2^(intprec-2) so the coefficients
 	// enter the lifting transform with two guard bits of headroom.
-	size := blockValues(nd)
 	scale := math.Ldexp(1, intprec-2-emax)
 	qmax := math.Ldexp(1, intprec-2) - 1
 	var ints [64]I
@@ -489,7 +527,19 @@ func encodeBlock[I coeff](w *bitstream.Writer, block *[64]float64, nd, emax int,
 	for i, p := range sequencyPermutation(nd) {
 		c[i] = toNegabinary(ints[p])
 	}
+	if kept != nil {
+		// Every plane from intprec-1 down to kmin is coded in full, so the
+		// decoder reads back each coefficient with the planes below kmin
+		// clear.
+		keep := ^(uint64(1)<<uint(kmin) - 1)
+		for i, v := range c[:size] {
+			kept[i] = v & keep
+		}
+	}
 	encodeInts(w, &c, size, kmin, budget, intprec)
+	if kept != nil {
+		reconstructBlock[I](block, kept, nd, emax)
+	}
 }
 
 func decodeBlock[I coeff](r *bitstream.Reader, block *[64]float64, nd int, h *header) error {
@@ -513,16 +563,24 @@ func decodeBlock[I coeff](r *bitstream.Reader, block *[64]float64, nd int, h *he
 	if err := decodeInts(r, &c, size, kmin, budget, intprec); err != nil {
 		return err
 	}
+	reconstructBlock[I](block, &c, nd, emax)
+	return nil
+}
+
+// reconstructBlock is the tail of the decoder, which the encoder runs too
+// when it reconstructs: it turns a block's negabinary coefficients c, in
+// sequency order, back into the block's values at exponent emax.
+func reconstructBlock[I coeff](block *[64]float64, c *[64]uint64, nd, emax int) {
+	intprec := intprecOf[I]()
 	var ints [64]I
 	for i, p := range sequencyPermutation(nd) {
 		ints[p] = fromNegabinary[I](c[i])
 	}
 	inverseTransform(&ints, nd)
 	scale := math.Ldexp(1, emax-(intprec-2))
-	for i, v := range ints[:size] {
+	for i, v := range ints[:blockValues(nd)] {
 		block[i] = float64(v) * scale
 	}
-	return nil
 }
 
 // --- integer lifting transform ---------------------------------------------
