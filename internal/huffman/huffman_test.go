@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -193,18 +194,70 @@ func BenchmarkEncodeSkewed(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeSkewed(b *testing.B) {
-	enc, err := Encode(szLikeCodes(100000, 3))
-	if err != nil {
-		b.Fatal(err)
+// peakedCodes draws n codes from distinct symbols centred on zero: zero
+// with weight peak, ±m with weight m^-tail. A tall peak and a steep tail
+// give the streams sz writes on smooth fields (a few symbols, a code and a
+// half a symbol); a low peak and a heavy tail give mgard's (hundreds of
+// symbols, several bits a code).
+func peakedCodes(n, distinct int, peak, tail float64, seed int64) []int32 {
+	half := distinct / 2
+	cum := make([]float64, 2*half+1)
+	total := 0.0
+	for k := -half; k <= half; k++ {
+		w := peak
+		if k != 0 {
+			w = math.Pow(math.Abs(float64(k)), -tail)
+		}
+		total += w
+		cum[k+half] = total
 	}
-	b.SetBytes(4 * 100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]int32, n)
+	for i := range data {
+		k, _ := slices.BinarySearch(cum, rng.Float64()*total)
+		data[i] = int32(min(k, 2*half) - half)
+	}
+	return data
+}
+
+// decodeStreams are the streams the decode benchmarks and the allocation
+// pin run on: sz- and mgard-shaped streams the size of a 64³ field, and
+// szLikeCodes (about six bits a code) from a few hundred codes up.
+func decodeStreams() []struct {
+	name string
+	data []int32
+} {
+	const field = 64 * 64 * 64
+	return []struct {
+		name string
+		data []int32
+	}{
+		{"sz/5sym", peakedCodes(field, 5, 12, 2.5, 1)},
+		{"sz/7sym", peakedCodes(field, 7, 4, 2.5, 2)},
+		{"mgard/35sym", peakedCodes(field, 35, 24, 2.5, 3)},
+		{"mgard/225sym", peakedCodes(field, 225, 1, 1.9, 4)},
+		{"szlike/300", szLikeCodes(300, 3)},
+		{"szlike/1000", szLikeCodes(1000, 3)},
+		{"szlike/13824", szLikeCodes(13824, 3)},
+		{"szlike/262144", szLikeCodes(262144, 3)},
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	for _, s := range decodeStreams() {
+		enc, err := Encode(s.data)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(s.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(s.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -489,6 +542,14 @@ func forgeTable(rng *rand.Rand, leaves int, skew bool) []uint8 {
 // the longest codes occur as often as the shortest) and written with the
 // reference's canonical codes.
 func forgeStream(rng *rand.Rand, lengths []uint8, count int) []byte {
+	return forgeStreamOf(rng, lengths, count, func(entries []refEntry, _ int) refEntry {
+		return entries[rng.Intn(len(entries))]
+	})
+}
+
+// forgeStreamOf is forgeStream with pick choosing the i-th symbol among the
+// entries, which are in canonical order.
+func forgeStreamOf(rng *rand.Rand, lengths []uint8, count int, pick func(entries []refEntry, i int) refEntry) []byte {
 	entries := make([]refEntry, len(lengths))
 	for i, l := range lengths {
 		entries[i] = refEntry{symbol: int32(rng.Uint32()), length: l}
@@ -504,13 +565,31 @@ func forgeStream(rng *rand.Rand, lengths []uint8, count int) []byte {
 	codeOf := make(map[int32]refEntry, len(entries))
 	data := make([]int32, count)
 	for i := range data {
-		e := entries[rng.Intn(len(entries))]
+		e := pick(entries, i)
 		codeOf[e.symbol] = e
 		data[i] = e.symbol
 	}
 	w := bitstream.NewWriter(0)
 	refBits(w, data, codeOf)
 	return append(out, w.Bytes()...)
+}
+
+// forgeSkewed forges count codes over a table of codes 1, 2, …, 19 bits
+// long, drawing a code of l bits with probability 2^-l (about two bits a
+// code, so Decode takes its four-code step), except at the positions in
+// long, which hold the longest code.
+func forgeSkewed(rng *rand.Rand, count int, long ...int) []byte {
+	lengths := forgeTable(rng, 20, true)
+	return forgeStreamOf(rng, lengths, count, func(entries []refEntry, i int) refEntry {
+		if slices.Contains(long, i) {
+			return entries[len(entries)-1]
+		}
+		k := 0
+		for k < len(entries)-1 && rng.Intn(2) == 1 {
+			k++
+		}
+		return entries[k]
+	})
 }
 
 // sameDecode fails unless Decode and the reference agree on buf: the same
@@ -562,6 +641,46 @@ func TestDecodeMatchesReference(t *testing.T) {
 	sameDecode(t, "lone symbol, a 1 bit", one)
 }
 
+// TestDecodeMatchesReferenceAtLength: on streams long enough for Decode's
+// four-code table, with a code longer than tableBits at the start, in the
+// middle and among the last four codes, and on every truncation of their
+// last 16 bytes, Decode reads what the reference reads, or fails where it
+// fails.
+func TestDecodeMatchesReferenceAtLength(t *testing.T) {
+	const count = 10000
+	rng := rand.New(rand.NewSource(44))
+	for name, long := range map[string][]int{
+		"long code first":      {0},
+		"long code midway":     {count / 2},
+		"long code in last 4":  {count - 3},
+		"long codes every way": {0, 1, count / 2, count - 4, count - 1},
+	} {
+		buf := forgeSkewed(rng, count, long...)
+		if n := 8 * (len(buf) - 8 - 5*20); n > quadMaxBits*count {
+			t.Fatalf("%s: %d bits for %d codes, too many for the four-code table", name, n, count)
+		}
+		sameDecode(t, name, buf)
+		for cut := 1; cut <= 16; cut++ {
+			sameDecode(t, fmt.Sprintf("%s, %d bytes cut", name, cut), buf[:len(buf)-cut])
+		}
+	}
+}
+
+// TestDecodeAllocations pins Decode's allocations on the benchmark streams:
+// the table's entries, its symbols in canonical order, and the output. The
+// four-code table lives on the stack.
+func TestDecodeAllocations(t *testing.T) {
+	for _, s := range decodeStreams() {
+		enc, err := Encode(s.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = Decode(enc) }); n != 3 {
+			t.Errorf("%s: Decode made %v allocations, want 3", s.name, n)
+		}
+	}
+}
+
 // The reference accepts a table whose lengths over-subscribe the code space
 // (three codes of one bit), decoding whatever its walk meets first; no
 // encoder writes such a table, and Decode refuses it.
@@ -590,8 +709,39 @@ func TestCheckCount(t *testing.T) {
 	}
 }
 
-// FuzzDecode: no input panics Decode, and any symbol stream (the input read
-// as int32s) decodes back from what Encode wrote for it.
+// overSubscribed reports whether buf's table parses and its code lengths
+// over-subscribe the code space: the one verdict on which Decode and the
+// reference differ (TestDecodeRejectsOverSubscribedTable).
+func overSubscribed(buf []byte) bool {
+	if len(buf) < 8 {
+		return false
+	}
+	n := int(binary.LittleEndian.Uint32(buf[4:8]))
+	if n < 0 || 8+5*n > len(buf) {
+		return false
+	}
+	var count [maxCodeLen + 1]uint64
+	for i := 0; i < n; i++ {
+		l := buf[8+5*i+4]
+		if l == 0 || l > maxCodeLen {
+			return false
+		}
+		count[l]++
+	}
+	var code uint64
+	for l := 1; l <= maxCodeLen; l++ {
+		if code += count[l]; code > 1<<l {
+			return true
+		}
+		code <<= 1
+	}
+	return false
+}
+
+// FuzzDecode: on any input Decode reads what the reference reads, or fails
+// with ErrCorrupt where it fails (or where the table over-subscribes the
+// code space, which the reference accepts), and any symbol stream (the
+// input read as int32s) decodes back from what Encode wrote for it.
 func FuzzDecode(f *testing.F) {
 	for _, data := range [][]int32{{}, {3}, {1, 2, 1, 1, 1 << 30}, szLikeCodes(300, 5)} {
 		enc, err := Encode(data)
@@ -602,7 +752,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(forgeStream(rand.New(rand.NewSource(1)), forgeTable(rand.New(rand.NewSource(2)), 64, true), 40))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		_, _ = Decode(buf) // an error is fine, a panic is not
+		if _, err := Decode(buf); overSubscribed(buf) {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("over-subscribed table: %v, want ErrCorrupt", err)
+			}
+		} else {
+			sameDecode(t, "fuzzed", buf)
+		}
 		data := make([]int32, len(buf)/4)
 		for i := range data {
 			data[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
