@@ -196,8 +196,8 @@ func BenchmarkEncodeSkewed(b *testing.B) {
 
 // peakedCodes draws n codes from distinct symbols centred on zero: zero
 // with weight peak, ±m with weight m^-tail. A tall peak and a steep tail
-// give the streams sz writes on smooth fields (a few symbols, a code and a
-// half a symbol); a low peak and a heavy tail give mgard's (hundreds of
+// give the streams sz writes on smooth fields (a few symbols, about a bit
+// and a half a code); a low peak and a heavy tail give mgard's (hundreds of
 // symbols, several bits a code).
 func peakedCodes(n, distinct int, peak, tail float64, seed int64) []int32 {
 	half := distinct / 2
@@ -709,11 +709,13 @@ func TestCheckCount(t *testing.T) {
 	}
 }
 
-// overSubscribed reports whether buf's table parses and its code lengths
-// over-subscribe the code space: the one verdict on which Decode and the
-// reference differ (TestDecodeRejectsOverSubscribedTable).
+// overSubscribed reports whether buf declares symbols and a table that
+// parses and whose code lengths over-subscribe the code space: the one
+// verdict on which Decode and the reference differ
+// (TestDecodeRejectsOverSubscribedTable). With no symbols both return an
+// empty stream whatever the table.
 func overSubscribed(buf []byte) bool {
-	if len(buf) < 8 {
+	if len(buf) < 8 || binary.LittleEndian.Uint32(buf) == 0 {
 		return false
 	}
 	n := int(binary.LittleEndian.Uint32(buf[4:8]))
